@@ -10,7 +10,7 @@
 //
 //   bench_micro_kernels --perf-json[=path] [--quick]
 //
-// times dot_s16 / dot_s16_multi / dot_s16_multi_nw on every supported
+// times dot_s16 / dot_s16_multi / dot_s16_mrhs[_nw,_dw] on every supported
 // SIMD backend plus whole-network wall-clock at both execution tiers
 // (cycle: full simulate per backend for AlexNet, VGG16 under the best
 // one; functional: warm weight-resident forward pass, with its speedup
@@ -319,32 +319,6 @@ KernelResult measure_dot_multi(simd::Backend b, i64 n, int reps, i64 iters) {
   return r;
 }
 
-// The no-wrap fast path behind the functional tier's GEMM. Weights are
-// sanitized to honour the contract (no -32768); data keeps full range.
-KernelResult measure_dot_multi_nw(simd::Backend b, i64 n, int reps,
-                                  i64 iters) {
-  simd::select_backend(b);
-  const auto data = random_s16(n, 25);
-  auto weights = random_s16(n * kMultiRows, 26);
-  for (auto& w : weights)
-    if (w == std::numeric_limits<std::int16_t>::min()) w = -32767;
-  std::vector<Fixed16::acc_t> out(static_cast<std::size_t>(kMultiRows));
-  const double secs = best_of(reps, iters, [&] {
-    simd::dot_s16_multi_nw(data.data(), weights.data(), n, kMultiRows, n,
-                           out.data());
-    benchmark::DoNotOptimize(out.data());
-  });
-  KernelResult r;
-  r.name = "dot_s16_multi_nw";
-  r.backend = simd::backend_name(b);
-  r.n = n;
-  r.secs = secs;
-  r.gbps = static_cast<double>(sizeof(std::int16_t) * n * (1 + kMultiRows)) /
-           secs * 1e-9;
-  r.mac_per_s = static_cast<double>(n * kMultiRows) / secs;
-  return r;
-}
-
 // The multi-RHS GEMM kernels behind the batched functional tier: one
 // packed weight panel against kMrhsCols im2row columns per call. Three
 // contract tiers share the measurement shape; `mode` picks the entry
@@ -590,7 +564,6 @@ int run_perf_harness(const std::string& path, bool quick) {
     for (i64 n : {64, 256, 1024}) {
       kernels.push_back(measure_dot(b, n, reps, dot_iters));
       kernels.push_back(measure_dot_multi(b, n, reps, multi_iters));
-      kernels.push_back(measure_dot_multi_nw(b, n, reps, multi_iters));
       kernels.push_back(measure_dot_mrhs(b, "", n, reps, multi_iters));
       kernels.push_back(measure_dot_mrhs(b, "nw", n, reps, multi_iters));
       kernels.push_back(measure_dot_mrhs(b, "dw", n, reps, multi_iters));

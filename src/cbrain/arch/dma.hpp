@@ -1,8 +1,8 @@
 // DMA engine: moves blocks between DRAM and an on-chip buffer, accounting
 // transfer cycles from the DramConfig bandwidth/latency model. The control
 // unit overlaps DMA with compute via double buffering; the timing
-// reconciliation (max(compute, dma) per tile) happens in sim/timing and
-// model/, this class just meters each transfer.
+// reconciliation is arch/phase_clock.hpp, this class just meters each
+// transfer.
 #pragma once
 
 #include <vector>

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "cbrain/arch/phase_clock.hpp"
 #include "cbrain/model/scheme_models.hpp"
+#include "cbrain/obs/tracer.hpp"
 
 namespace cbrain {
 namespace {
@@ -42,6 +44,23 @@ void add_buffer_fill(TrafficCounters& c, BufferId dst, i64 words) {
   }
 }
 
+const std::string& instr_tag(const Instruction& instr) {
+  return std::visit([](const auto& x) -> const std::string& { return x.tag; },
+                    instr);
+}
+
+obs::Span model_span(int track, int depth, i64 start, i64 dur,
+                     std::string name, const char* cat) {
+  obs::Span s;
+  s.track = track;
+  s.depth = depth;
+  s.start = start;
+  s.dur = dur;
+  s.name = std::move(name);
+  s.cat = cat;
+  return s;
+}
+
 }  // namespace
 
 const LayerModelResult& NetworkModelResult::conv1() const {
@@ -54,13 +73,27 @@ const LayerModelResult& NetworkModelResult::conv1() const {
 NetworkModelResult model_network(const Network& net,
                                  const CompiledNetwork& compiled,
                                  const AcceleratorConfig& config,
-                                 const ModelOptions& options) {
+                                 const ModelOptions& options,
+                                 obs::TraceData* spans) {
   NetworkModelResult result;
   result.network = net.name();
   result.policy = compiled.policy;
   result.config = config;
   result.layers.resize(static_cast<std::size_t>(net.size()));
 
+  constexpr int kModelTrack = 0;
+  constexpr int kDmaTrack = 1;
+  if (spans != nullptr) {
+    *spans = {};
+    spans->tracks = {
+        {kModelTrack, obs::Domain::kCycles, "model:" + net.name()},
+        {kDmaTrack, obs::Domain::kCycles, "model:" + net.name() + " dma"}};
+    // The whole-net span; its duration is known after the walk.
+    spans->spans.push_back(model_span(kModelTrack, 0, 0, 0,
+                                      "timeline:" + net.name(), "timeline"));
+  }
+
+  PhaseClock clock;
   for (const Layer& l : net.layers()) {
     LayerModelResult& lr = result.layers[static_cast<std::size_t>(l.id)];
     lr.id = l.id;
@@ -72,7 +105,23 @@ NetworkModelResult model_network(const Network& net,
 
     const auto [begin, end] = compiled.program.layer_range(l.id);
     const i64 batch = std::max<i64>(1, options.batch);
-    i64 pending_dma = 0;
+    const i64 layer_start = clock.now();
+    const std::string* dma_tag = nullptr;  // first load of the open phase
+    auto retire = [&](i64 compute, i64 serial, const std::string& tag) {
+      const i64 dma = clock.pending_dma();
+      const i64 start = clock.retire(compute, serial);
+      if (spans == nullptr) return;
+      if (dma > 0)
+        spans->spans.push_back(
+            model_span(kDmaTrack, 0, start, dma, *dma_tag, "dma"));
+      if (compute > 0)
+        spans->spans.push_back(
+            model_span(kModelTrack, 2, start, compute, tag, "compute"));
+      if (serial > 0)
+        spans->spans.push_back(model_span(
+            kModelTrack, 2, clock.now() - serial, serial, tag, "host"));
+      dma_tag = nullptr;
+    };
     for (i64 i = begin; i < end; ++i) {
       const Instruction& instr = compiled.program.at(i);
       if (const auto* load = std::get_if<LoadInstr>(&instr)) {
@@ -83,10 +132,10 @@ NetworkModelResult model_network(const Network& net,
         const i64 repeat = amortized ? 1 : batch;
         lr.counters.dram_reads += load->words * repeat;
         add_buffer_fill(lr.counters, load->dst, load->words * repeat);
-        pending_dma += config.dram.transfer_cycles_pattern(
-                           load->chunks, load->chunk_words,
-                           load->src_stride) *
-                       repeat;
+        clock.load(config.dram.transfer_cycles_pattern(
+                       load->chunks, load->chunk_words, load->src_stride) *
+                   repeat);
+        if (dma_tag == nullptr) dma_tag = &load->tag;
         continue;
       }
       if (std::holds_alternative<BarrierInstr>(instr)) continue;
@@ -139,30 +188,39 @@ NetworkModelResult model_network(const Network& net,
       // Per-instruction costs are per image: scale on-chip work by the
       // batch (weight DMA already stayed un-scaled above).
       if (batch > 1) tc.scale(batch);
-      // Double-buffer reconciliation: this phase's compute overlaps the
-      // transfers queued since the previous compute. Any total_cycles the
-      // instruction model already carries (host staging) is serial.
-      const i64 phase = std::max(pending_dma, tc.compute_cycles);
-      pending_dma = 0;
+      // Any total_cycles the instruction model carries (host staging) is
+      // serial time after the overlapped phase.
       const i64 compute = tc.compute_cycles;
-      const i64 serial_extra =
+      const i64 serial =
           std::holds_alternative<HostOpInstr>(instr) ? tc.total_cycles : 0;
       tc.total_cycles = 0;
-      tc.compute_cycles = 0;
       lr.counters += tc;
-      lr.counters.compute_cycles += compute;
-      lr.counters.total_cycles += phase + serial_extra;
+      retire(compute, serial, instr_tag(instr));
     }
     // Transfers with no following compute in this layer (possible for
     // layers whose final loads feed the next layer's first tile).
-    lr.counters.total_cycles += pending_dma;
+    if (clock.pending_dma() > 0) retire(0, 0, "");
+    lr.counters.total_cycles = clock.now() - layer_start;
 
+    if (spans != nullptr && lr.counters.total_cycles > 0) {
+      obs::Span s = model_span(kModelTrack, 1, layer_start,
+                               lr.counters.total_cycles, l.name, "layer");
+      s.args.emplace_back("compute_cycles",
+                          std::to_string(lr.counters.compute_cycles));
+      s.args.emplace_back(
+          "stall_cycles",
+          std::to_string(std::max<i64>(
+              0, lr.counters.total_cycles - lr.counters.compute_cycles)));
+      spans->spans.push_back(std::move(s));
+    }
     lr.energy = compute_energy(lr.counters, options.energy);
     if (lr.counted) {
       result.totals += lr.counters;
     }
   }
   result.energy = compute_energy(result.totals, options.energy);
+
+  if (spans != nullptr) spans->spans.front().dur = clock.now();
   return result;
 }
 

@@ -1,6 +1,7 @@
 // Network-level analytical model: walks a compiled Program, costing each
 // instruction with the closed forms of scheme_models and reconciling
-// compute/DMA overlap per double-buffer phase. Produces the per-layer and
+// compute/DMA overlap per double-buffer phase on the PhaseClock the
+// simulator also uses (arch/phase_clock.hpp). Produces the per-layer and
 // whole-network numbers behind Figs. 7-10 and Tables 4-5.
 #pragma once
 
@@ -11,6 +12,10 @@
 #include "cbrain/compiler/compiler.hpp"
 
 namespace cbrain {
+
+namespace obs {
+struct TraceData;
+}  // namespace obs
 
 struct ModelOptions {
   // The paper's evaluation covers the kernel-level pipeline ("whole NN" =
@@ -64,11 +69,18 @@ struct NetworkModelResult {
   const LayerModelResult& conv1() const;
 };
 
-// Models an already-compiled network.
+// Models an already-compiled network. When `spans` is non-null it is
+// overwritten with the modelled timeline in the simulator's span schema: a
+// "model:<net>" track holding a depth-0 whole-net span, depth-1 layer
+// spans (cat "layer", args compute_cycles/stall_cycles) and depth-2
+// "compute"/"host" phase spans, plus a "model:<net> dma" track with one
+// span per phase's queued DMA. render_span_timeline and
+// to_chrome_trace_json consume it directly.
 NetworkModelResult model_network(const Network& net,
                                  const CompiledNetwork& compiled,
                                  const AcceleratorConfig& config,
-                                 const ModelOptions& options = {});
+                                 const ModelOptions& options = {},
+                                 obs::TraceData* spans = nullptr);
 
 // Convenience: compile + model. CHECK-fails if compilation fails.
 NetworkModelResult model_network(const Network& net, Policy policy,

@@ -415,6 +415,27 @@ SimResult MultiChipExecutor::infer_shard(const Tensor3<Fixed16>& input) {
   return agg;
 }
 
+// One pipeline stage on its chip's clock: it starts once both the chip
+// and its input (`ready`) are free, runs `cycles`, then sends its output
+// to the next stage's chip. Returns when that output is ready there.
+i64 MultiChipExecutor::schedule_stage(const PipelineStage& st, i64 ready,
+                                      i64 cycles, const std::string& name) {
+  i64& clock = clock_[static_cast<std::size_t>(st.chip)];
+  ChipStats& stats = chip_stats_[static_cast<std::size_t>(st.chip)];
+  const i64 start = std::max(clock, ready);
+  record_span(st.chip, start, cycles, name, "stage");
+  clock = start + cycles;
+  stats.compute_cycles += cycles;
+  ready = clock;
+  if (st.xfer_words > 0) {
+    const i64 cy = icn_.transfer(st.chip, st.chip + 1, st.xfer_words);
+    record_span(st.chip, ready, cy, "send", "xfer");
+    stats.xfer_cycles += cy;
+    ready += cy;
+  }
+  return ready;
+}
+
 SimResult MultiChipExecutor::infer_pipeline(const Tensor3<Fixed16>& input) {
   CBRAIN_CHECK(input.dims() == net_.layer(0).out_dims,
                "multichip infer: input " << input.dims().to_string()
@@ -431,21 +452,10 @@ SimResult MultiChipExecutor::infer_pipeline(const Tensor3<Fixed16>& input) {
     for (i64 local = 1; local < st.subnet.size(); ++local)
       agg.per_layer[static_cast<std::size_t>(st.first + local - 1)] +=
           r.per_layer[static_cast<std::size_t>(local)];
-    const i64 d = sum_counters(r).total_cycles;
-    const i64 start =
-        std::max(clock_[static_cast<std::size_t>(st.chip)], ready);
     std::ostringstream name;
     name << "L" << st.first << "..L" << st.last;
-    record_span(st.chip, start, d, name.str(), "stage");
-    clock_[static_cast<std::size_t>(st.chip)] = start + d;
-    chip_stats_[static_cast<std::size_t>(st.chip)].compute_cycles += d;
-    ready = start + d;
-    if (st.xfer_words > 0) {
-      const i64 cy = icn_.transfer(st.chip, st.chip + 1, st.xfer_words);
-      record_span(st.chip, ready, cy, "send", "xfer");
-      chip_stats_[static_cast<std::size_t>(st.chip)].xfer_cycles += cy;
-      ready += cy;
-    }
+    ready =
+        schedule_stage(st, ready, sum_counters(r).total_cycles, name.str());
     x = std::move(r.final_output);
   }
   makespan_ = std::max(makespan_, ready);
@@ -510,21 +520,10 @@ std::vector<SimResult> MultiChipExecutor::infer_many_pipeline(
       for (i64 local = 1; local < st.subnet.size(); ++local)
         f.agg.per_layer[static_cast<std::size_t>(st.first + local - 1)] +=
             r.per_layer[static_cast<std::size_t>(local)];
-      const i64 d = sum_counters(r).total_cycles;
-      const i64 start =
-          std::max(clock_[static_cast<std::size_t>(st.chip)], f.ready);
       std::ostringstream name;
       name << "L" << st.first << "..L" << st.last << " img" << f.img;
-      record_span(st.chip, start, d, name.str(), "stage");
-      clock_[static_cast<std::size_t>(st.chip)] = start + d;
-      chip_stats_[static_cast<std::size_t>(st.chip)].compute_cycles += d;
-      f.ready = start + d;
-      if (st.xfer_words > 0) {
-        const i64 cy = icn_.transfer(st.chip, st.chip + 1, st.xfer_words);
-        record_span(st.chip, f.ready, cy, "send", "xfer");
-        chip_stats_[static_cast<std::size_t>(st.chip)].xfer_cycles += cy;
-        f.ready += cy;
-      }
+      f.ready = schedule_stage(st, f.ready, sum_counters(r).total_cycles,
+                               name.str());
       f.x = std::move(r.final_output);
       if (s == S - 1) {
         f.agg.final_output = std::move(f.x);

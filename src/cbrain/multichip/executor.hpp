@@ -125,6 +125,8 @@ class MultiChipExecutor {
       const std::vector<Tensor3<Fixed16>>& inputs, i64 jobs);
   void record_span(i64 chip, i64 start, i64 dur, const std::string& name,
                    const char* cat);
+  i64 schedule_stage(const PipelineStage& st, i64 ready, i64 cycles,
+                     const std::string& name);
   void sync_exchange(const LayerPartition& lp, const Layer& l);
 
   engine::Engine& engine_;

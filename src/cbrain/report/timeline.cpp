@@ -7,68 +7,6 @@
 
 namespace cbrain {
 
-obs::TraceData trace_to_spans(const Network& net,
-                              const ExecutionTrace& trace) {
-  obs::TraceData data;
-  if (trace.events.empty() && trace.total_cycles <= 0) return data;
-
-  const int model_track = 0;
-  const int dma_track = 1;
-  data.tracks.push_back({model_track, obs::Domain::kCycles,
-                         "model:" + net.name()});
-  data.tracks.push_back({dma_track, obs::Domain::kCycles,
-                         "model:" + net.name() + " dma"});
-
-  obs::Span top;
-  top.track = model_track;
-  top.depth = 0;
-  top.start = 0;
-  top.dur = trace.total_cycles;
-  top.name = "timeline:" + net.name();
-  top.cat = "timeline";
-  data.spans.push_back(std::move(top));
-
-  for (const auto& ls : trace.layer_spans(net)) {
-    obs::Span s;
-    s.track = model_track;
-    s.depth = 1;
-    s.start = ls.start_cycle;
-    s.dur = ls.end_cycle - ls.start_cycle;
-    s.name = ls.name;
-    s.cat = "layer";
-    s.args.emplace_back("compute_cycles",
-                        std::to_string(ls.compute_cycles));
-    s.args.emplace_back("stall_cycles", std::to_string(ls.stall_cycles));
-    data.spans.push_back(std::move(s));
-  }
-
-  for (const TraceEvent& e : trace.events) {
-    obs::Span s;
-    s.start = e.start_cycle;
-    s.dur = e.duration();
-    s.name = e.tag;
-    switch (e.kind) {
-      case TraceKind::kDma:
-        s.track = dma_track;
-        s.depth = 0;
-        s.cat = "dma";
-        break;
-      case TraceKind::kCompute:
-        s.track = model_track;
-        s.depth = 2;
-        s.cat = "compute";
-        break;
-      case TraceKind::kHost:
-        s.track = model_track;
-        s.depth = 2;
-        s.cat = "host";
-        break;
-    }
-    data.spans.push_back(std::move(s));
-  }
-  return data;
-}
-
 std::string render_span_timeline(const obs::TraceData& data,
                                  const TimelineOptions& options) {
   // Bars are the cycle-domain cat=="layer" spans; the axis ends at the
@@ -139,11 +77,6 @@ std::string render_span_timeline(const obs::TraceData& data,
     os << '\n';
   }
   return os.str();
-}
-
-std::string render_timeline(const Network& net, const ExecutionTrace& trace,
-                            const TimelineOptions& options) {
-  return render_span_timeline(trace_to_spans(net, trace), options);
 }
 
 }  // namespace cbrain

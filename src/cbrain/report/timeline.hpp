@@ -2,15 +2,14 @@
 // layer on the global cycle axis, with the compute-bound portion drawn
 // solid and DMA-exposed/serial stalls drawn hollow.
 //
-// The renderer is based on obs span data: trace_to_spans() lowers an
-// analytical ExecutionTrace into the same obs::TraceData shape the live
-// simulator tracer produces, so one representation feeds both the ASCII
-// Gantt here and the Chrome-trace JSON exporter (obs/chrome_trace.hpp).
+// The renderer is based on obs span data — the shape both the live
+// simulator tracer and model_network(..., &spans) produce — so one
+// representation feeds both the ASCII Gantt here and the Chrome-trace
+// JSON exporter (obs/chrome_trace.hpp).
 #pragma once
 
 #include <string>
 
-#include "cbrain/model/trace.hpp"
 #include "cbrain/obs/tracer.hpp"
 
 namespace cbrain {
@@ -20,20 +19,10 @@ struct TimelineOptions {
   bool show_percent = true;
 };
 
-// Lowers the analytical trace onto obs spans: a "model:<net>" track with
-// a depth-0 whole-net span, depth-1 layer spans (cat "layer") and
-// depth-2 compute/host event spans, plus a "model:<net> dma" track with
-// the DMA events. The result exports directly via to_chrome_trace_json.
-obs::TraceData trace_to_spans(const Network& net,
-                              const ExecutionTrace& trace);
-
 // Renders the cycle-domain layer spans of `data` as an ASCII Gantt. The
 // solid portion of each bar is the summed duration of cat=="compute"
 // child spans on the layer's track inside the layer's window.
 std::string render_span_timeline(const obs::TraceData& data,
                                  const TimelineOptions& options = {});
-
-std::string render_timeline(const Network& net, const ExecutionTrace& trace,
-                            const TimelineOptions& options = {});
 
 }  // namespace cbrain

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cbrain/arch/phase_clock.hpp"
 #include "cbrain/common/logging.hpp"
 #include "cbrain/compiler/scheme.hpp"
 #include "cbrain/obs/metrics.hpp"
@@ -100,19 +101,19 @@ class Executor {
     SimResult result;
     result.per_layer.resize(static_cast<std::size_t>(net_.size()));
 
+    clock_ = PhaseClock{};
     for (const Layer& l : net_.layers()) {
       TrafficCounters& lc =
           result.per_layer[static_cast<std::size_t>(l.id)];
       const auto [begin, end] = compiled_.program.layer_range(l.id);
       const StatSnapshot layer_before = StatSnapshot::take(m_);
-      const i64 layer_cursor = trace_ ? trace_->cursor : 0;
-      i64 pending_dma = 0;
+      const i64 layer_start = clock_.now();
       for (i64 i = begin; i < end; ++i) {
         const Instruction& instr = compiled_.program.at(i);
         if (const auto* load = std::get_if<LoadInstr>(&instr)) {
           const i64 t = exec_load(*load, lc);
-          if (trace_) trace_dma(*load, pending_dma, t);
-          pending_dma += t;
+          const i64 start = clock_.load(t);
+          if (trace_) trace_dma(*load, start, t);
           continue;
         }
         if (std::holds_alternative<BarrierInstr>(instr)) continue;
@@ -140,19 +141,15 @@ class Executor {
         const i64 compute =
             (m_.pe().stats().ops - pe_ops_before) + manual_cycles_;
         lc.compute_cycles += compute;
-        lc.total_cycles += std::max(pending_dma, compute) + manual_serial_;
-        if (trace_) trace_compute(instr, pending_dma, compute,
-                                  manual_serial_);
-        pending_dma = 0;
+        const i64 start = clock_.retire(compute, manual_serial_);
+        if (trace_) trace_compute(instr, start, compute, manual_serial_);
         lc.dram_writes += manual_dram_writes_;
         lc.dram_reads += manual_dram_reads_;
         lc.mul_ops += manual_muls_;
       }
-      lc.total_cycles += pending_dma;
-      if (trace_) {
-        trace_->cursor += pending_dma;  // trailing DMA drains serially
-        trace_layer(l, layer_cursor);
-      }
+      clock_.drain();
+      lc.total_cycles = clock_.now() - layer_start;
+      if (trace_) trace_layer(l, layer_start);
       apply_delta(lc, layer_before, StatSnapshot::take(m_));
     }
 
@@ -254,16 +251,15 @@ class Executor {
 
   // --- tracing (cycle domain) ---------------------------------------------
   // Helpers below run only when trace_ is non-null; the disabled-path cost
-  // in the instruction loop is one null test per instruction. The cursor
-  // mirrors the total_cycles arithmetic exactly, so span edges are a pure
-  // function of the deterministic cycle accounting — byte-identical across
-  // runs, --jobs counts and SIMD backends.
+  // in the instruction loop is one null test per instruction. Span edges
+  // are read off the same PhaseClock that times the counters, so they are
+  // a pure function of the deterministic cycle accounting — byte-identical
+  // across runs, --jobs counts and SIMD backends.
 
   struct Tracing {
     obs::Tracer* tracer = nullptr;
     int sim_track = 0;
     int dma_track = 0;
-    i64 cursor = 0;
   };
 
   void begin_tracing() {
@@ -311,10 +307,10 @@ class Executor {
   // Loads issue back-to-back from the last sync point, overlapping the
   // next compute instruction; the span starts after the DMA time already
   // pending in this window.
-  void trace_dma(const LoadInstr& li, i64 pending_before, i64 cycles) {
+  void trace_dma(const LoadInstr& li, i64 start, i64 cycles) {
     obs::Span s;
     s.track = trace_->dma_track;
-    s.start = trace_->cursor + pending_before;
+    s.start = start;
     s.dur = cycles;
     s.name = std::string("dma:") + buffer_label(li.dst);
     s.cat = "dma";
@@ -322,39 +318,38 @@ class Executor {
     trace_->tracer->record(std::move(s));
   }
 
-  void trace_compute(const Instruction& instr, i64 pending_dma, i64 compute,
+  // `start` is the retired phase's start; its serial tail ends at now().
+  void trace_compute(const Instruction& instr, i64 start, i64 compute,
                      i64 serial) {
     if (compute > 0) {
       obs::Span s;
       s.track = trace_->sim_track;
       s.depth = 2;
-      s.start = trace_->cursor;
+      s.start = start;
       s.dur = compute;
       s.name = instr_label(instr);
       s.cat = "compute";
       trace_->tracer->record(std::move(s));
     }
-    trace_->cursor += std::max(pending_dma, compute);
     if (serial > 0) {
       obs::Span s;
       s.track = trace_->sim_track;
       s.depth = 2;
-      s.start = trace_->cursor;
+      s.start = clock_.now() - serial;
       s.dur = serial;
       s.name = "serial:" + instr_label(instr);
       s.cat = "serial";
       trace_->tracer->record(std::move(s));
-      trace_->cursor += serial;
     }
   }
 
-  void trace_layer(const Layer& l, i64 layer_cursor) {
-    if (trace_->cursor <= layer_cursor) return;  // zero-cycle layer
+  void trace_layer(const Layer& l, i64 layer_start) {
+    if (clock_.now() <= layer_start) return;  // zero-cycle layer
     obs::Span s;
     s.track = trace_->sim_track;
     s.depth = 1;
-    s.start = layer_cursor;
-    s.dur = trace_->cursor - layer_cursor;
+    s.start = layer_start;
+    s.dur = clock_.now() - layer_start;
     s.name = l.name;
     s.cat = layer_kind_name(l.kind);
     if (l.is_conv())
@@ -366,7 +361,7 @@ class Executor {
   void trace_fault_event(const Layer& l, const char* what) {
     obs::Instant e;
     e.track = trace_->sim_track;
-    e.ts = trace_->cursor;
+    e.ts = clock_.now();
     e.name = what;
     e.cat = "fault";
     e.args.emplace_back("layer", l.name);
@@ -379,7 +374,7 @@ class Executor {
     s.track = trace_->sim_track;
     s.depth = 0;
     s.start = 0;
-    s.dur = trace_->cursor;
+    s.dur = clock_.now();
     s.name = "infer:" + net_.name();
     s.cat = "infer";
     trace_->tracer->record(std::move(s));
@@ -1199,6 +1194,7 @@ class Executor {
   SimMachine& m_;
   FaultInjector* fault_ = nullptr;
   std::unique_ptr<Tracing> trace_;
+  PhaseClock clock_;  // one inference's timeline, reset by infer()
   bool pe_filter_ = false;
   i64 manual_cycles_ = 0;
   i64 manual_dram_writes_ = 0;

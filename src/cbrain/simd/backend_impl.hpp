@@ -19,9 +19,6 @@ struct KernelTable {
   void (*dot_s16_multi_acc)(const std::int16_t*, const std::int16_t*,
                             std::int64_t, std::int64_t, std::int64_t,
                             std::int64_t*);
-  void (*dot_s16_multi_nw)(const std::int16_t*, const std::int16_t*,
-                           std::int64_t, std::int64_t, std::int64_t,
-                           std::int64_t*);
   void (*dot_s16_mrhs)(const std::int16_t*, std::int64_t, std::int64_t,
                        const std::int16_t*, std::int64_t, std::int64_t,
                        std::int64_t, std::int64_t*, std::int64_t);

@@ -104,13 +104,6 @@ int64_t dot_s16_nw(const int16_t* data, const int16_t* weights, int64_t n) {
   return acc;
 }
 
-void dot_s16_multi_nw(const int16_t* data, const int16_t* weights,
-                      int64_t row_stride, int64_t rows, int64_t n,
-                      int64_t* out) {
-  for (int64_t l = 0; l < rows; ++l)
-    out[l] = dot_s16_nw(data, weights + l * row_stride, n);
-}
-
 // Generic (wrap-safe) multi-RHS tile: element-by-element over the exact
 // widening dot. The wrap-safe path only runs for hand-built parameter
 // sets containing -32768, so it stays simple.
@@ -395,7 +388,7 @@ void axpy_f32(float a, const float* x, float* y, int64_t n) {
 }
 
 constexpr KernelTable kTable = {
-    dot_s16,       dot_s16_multi,   dot_s16_multi_acc, dot_s16_multi_nw,
+    dot_s16,       dot_s16_multi,   dot_s16_multi_acc,
     dot_s16_mrhs,  dot_s16_mrhs_nw, dot_s16_mrhs_dw,
     add_sat_s16,   relu_s16,        max_s16,           axpy_f32,
 };

@@ -64,10 +64,9 @@ void s_axpy_f32(float a, const float* x, float* y, int64_t n) {
 
 constexpr KernelTable kTable = {
     s_dot_s16,     s_dot_s16_multi, s_dot_s16_multi_acc,
-    // The no-wrap contract is a strict subset of full-range inputs, so
-    // the scalar reference serves both entry points unchanged — and both
-    // multi-RHS slots likewise.
-    s_dot_s16_multi,
+    // The no-wrap and deep-window contracts are strict subsets of
+    // full-range inputs, so the scalar reference serves all three
+    // multi-RHS slots unchanged.
     s_dot_s16_mrhs, s_dot_s16_mrhs, s_dot_s16_mrhs,
     s_add_sat_s16, s_relu_s16,      s_max_s16,           s_axpy_f32,
 };

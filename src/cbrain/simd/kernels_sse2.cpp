@@ -96,13 +96,6 @@ int64_t dot_s16_nw(const int16_t* data, const int16_t* weights, int64_t n) {
   return acc;
 }
 
-void dot_s16_multi_nw(const int16_t* data, const int16_t* weights,
-                      int64_t row_stride, int64_t rows, int64_t n,
-                      int64_t* out) {
-  for (int64_t l = 0; l < rows; ++l)
-    out[l] = dot_s16_nw(data, weights + l * row_stride, n);
-}
-
 // Multi-RHS tiles: element-by-element over the exact dot kernels. SSE2 is
 // the compatibility fallback — the register-blocked tile lives in the
 // AVX2 backend; here correctness (each element one exact dot) is the
@@ -185,7 +178,7 @@ void axpy_f32(float a, const float* x, float* y, int64_t n) {
 // is a subset of the checked window), so _nw is valid for all dw inputs.
 // The 32-bit-deep accumulation itself is an AVX2-only optimization.
 constexpr KernelTable kTable = {
-    dot_s16,       dot_s16_multi,   dot_s16_multi_acc, dot_s16_multi_nw,
+    dot_s16,       dot_s16_multi,   dot_s16_multi_acc,
     dot_s16_mrhs,  dot_s16_mrhs_nw, dot_s16_mrhs_nw,
     add_sat_s16,   relu_s16,        max_s16,           axpy_f32,
 };

@@ -86,18 +86,6 @@ void dot_s16_multi(const std::int16_t* data, const std::int16_t* weights,
 void dot_s16_multi_acc(const std::int16_t* data, const std::int16_t* weights,
                        i64 row_stride, i64 rows, i64 n, Fixed16::acc_t* out);
 
-// dot_s16_multi under a narrower input contract that unlocks the fast
-// pmaddwd path: the caller guarantees no 16-bit *pair* (positions 2i,
-// 2i+1 of a row) has both products equal to +2^30 — i.e. the pairwise
-// i32 sum pmaddwd computes can never wrap. Sufficient (and what the
-// functional executor checks once per weight tensor): `weights` contains
-// no -32768. Results are bit-identical to dot_s16_multi for every input
-// satisfying the contract; inputs violating it are undefined. Roughly 3x
-// the multi-row throughput on AVX2 — the i32→i64 widening drops from
-// port-5 shuffles to xor-bias + mask/shift.
-void dot_s16_multi_nw(const std::int16_t* data, const std::int16_t* weights,
-                      i64 row_stride, i64 rows, i64 n, Fixed16::acc_t* out);
-
 // Multi-RHS GEMM tile: `cols` data vectors (column c starts at
 // data + c*data_stride) against `rows` weight rows (row l starts at
 // weights + l*row_stride):
@@ -113,7 +101,14 @@ void dot_s16_mrhs(const std::int16_t* data, i64 data_stride, i64 cols,
                   const std::int16_t* weights, i64 row_stride, i64 rows,
                   i64 n, Fixed16::acc_t* out, i64 out_stride);
 
-// dot_s16_mrhs under the no-wrap weight contract of dot_s16_multi_nw.
+// dot_s16_mrhs under a narrower input contract that unlocks the fast
+// pmaddwd path: the caller guarantees no 16-bit *pair* (positions 2i,
+// 2i+1 of a row) has both products equal to +2^30 — i.e. the pairwise
+// i32 sum pmaddwd computes can never wrap. Sufficient (and what the
+// functional executor checks once per weight tensor): `weights` contains
+// no -32768. Results are bit-identical to dot_s16_mrhs for every input
+// satisfying the contract; inputs violating it are undefined. The
+// i32→i64 widening drops from port-5 shuffles to xor-bias + mask/shift.
 void dot_s16_mrhs_nw(const std::int16_t* data, i64 data_stride, i64 cols,
                      const std::int16_t* weights, i64 row_stride, i64 rows,
                      i64 n, Fixed16::acc_t* out, i64 out_stride);

@@ -134,46 +134,54 @@ TEST(SimdBitExact, DotMultiMatchesRowwiseReference) {
   }
 }
 
-// dot_s16_multi_nw: same results as dot_s16_multi for every input that
-// honours its contract (no -32768 in the weight rows — the condition the
-// functional executor checks at pack time). Fuzzed like the full-range
-// kernel, plus the adversarial contract boundary: data all -32768 against
-// weights all -32767 puts every pmaddwd pair sum at 2^31 - 2^16, one step
-// below the wrap the contract excludes.
-TEST(SimdBitExact, DotMultiNwMatchesUnderContract) {
+// dot_s16_mrhs_nw: exact dots for every input that honours its contract
+// (no -32768 in the weight rows — the condition the functional executor
+// checks at pack time). Fuzzed with full-range data, plus the adversarial
+// contract boundary: data all -32768 against weights all -32767 puts
+// every pmaddwd pair sum at 2^31 - 2^16, one step below the wrap the
+// contract excludes. Three rows by three columns reach the AVX2 2x2 tile,
+// its column tail and its row tail.
+TEST(SimdBitExact, DotMrhsNwMatchesUnderContract) {
   BackendGuard guard;
-  constexpr i64 kRows = 5;
+  constexpr i64 kRows = 3;
+  constexpr i64 kCols = 3;
   constexpr i64 kMaxN = 130;
   constexpr std::int16_t kMin = std::numeric_limits<std::int16_t>::min();
-  const std::vector<std::int16_t> data = random_s16(kMaxN + 4, 909);
+  const std::vector<std::int16_t> data =
+      random_s16(kCols * (kMaxN + 5) + 4, 909);
   std::vector<std::int16_t> weights = random_s16(kRows * (kMaxN + 3) + 4, 1010);
   for (auto& w : weights)
     if (w == kMin) w = static_cast<std::int16_t>(kMin + 1);
+  const std::vector<std::int16_t> dmin(kCols * 257, kMin);
+  const std::vector<std::int16_t> wmax(kRows * 257,
+                                       static_cast<std::int16_t>(kMin + 1));
   for (Backend b : vector_backends()) {
     simd::select_backend(b);
     for (i64 n : {i64{0}, i64{1}, i64{7}, i64{16}, i64{33}, i64{130}}) {
-      const i64 stride = n + 3;
+      const i64 ds = n + 5, ws = n + 3;  // non-contiguous columns and rows
       for (i64 off = 0; off < 3; ++off) {
-        std::vector<Fixed16::acc_t> out(kRows, -1);
-        simd::dot_s16_multi_nw(data.data() + off, weights.data() + off,
-                               stride, kRows, n, out.data());
+        std::vector<Fixed16::acc_t> out(kRows * kCols, -1);
+        simd::dot_s16_mrhs_nw(data.data() + off, ds, kCols,
+                              weights.data() + off, ws, kRows, n, out.data(),
+                              kCols);
         for (i64 l = 0; l < kRows; ++l)
-          EXPECT_EQ(out[static_cast<std::size_t>(l)],
-                    ref_dot(data.data() + off,
-                            weights.data() + off + l * stride, n))
-              << simd::backend_name(b) << " n=" << n << " row=" << l;
+          for (i64 c = 0; c < kCols; ++c)
+            EXPECT_EQ(out[static_cast<std::size_t>(l * kCols + c)],
+                      ref_dot(data.data() + off + c * ds,
+                              weights.data() + off + l * ws, n))
+                << simd::backend_name(b) << " n=" << n << " row=" << l
+                << " col=" << c;
       }
     }
     // Contract boundary: the largest pair sums the no-wrap precondition
     // admits, at lengths covering vector body + scalar tail.
-    const std::vector<std::int16_t> dmin(257, kMin);
-    const std::vector<std::int16_t> wmax(257,
-                                         static_cast<std::int16_t>(kMin + 1));
     for (i64 n : {i64{16}, i64{48}, i64{129}, i64{257}}) {
-      Fixed16::acc_t out = 0;
-      simd::dot_s16_multi_nw(dmin.data(), wmax.data(), n, 1, n, &out);
-      EXPECT_EQ(out, ref_dot(dmin.data(), wmax.data(), n))
-          << simd::backend_name(b) << " boundary n=" << n;
+      std::vector<Fixed16::acc_t> out(kRows * kCols, 0);
+      simd::dot_s16_mrhs_nw(dmin.data(), n, kCols, wmax.data(), n, kRows, n,
+                            out.data(), kCols);
+      for (const Fixed16::acc_t v : out)
+        EXPECT_EQ(v, ref_dot(dmin.data(), wmax.data(), n))
+            << simd::backend_name(b) << " boundary n=" << n;
     }
   }
 }

@@ -44,7 +44,6 @@
 #include "cbrain/func/crosscheck.hpp"
 #include "cbrain/compiler/verifier.hpp"
 #include "cbrain/isa/disassembler.hpp"
-#include "cbrain/model/trace.hpp"
 #include "cbrain/multichip/executor.hpp"
 #include "cbrain/nn/dot_export.hpp"
 #include "cbrain/nn/spec_parser.hpp"
@@ -1074,16 +1073,16 @@ int cmd_timeline(const Network& net, const Options& opt) {
   if (!policy) return 2;
   const AcceleratorConfig config = resolve_config(opt);
   CBrain brain(config);
-  const ExecutionTrace trace =
-      trace_network(net, brain.compile(net, *policy), config);
+  obs::TraceData data;
+  model_network(net, brain.compile(net, *policy), config, {}, &data);
   TimelineOptions topt;
   topt.width = static_cast<int>(opt.get_i64("width", 64));
+  const std::string gantt = render_span_timeline(data, topt);
   // Under --trace-out, feed the analytical span data into the global
   // tracer so the exported Chrome trace carries the same timeline the
   // ASCII Gantt below renders (plus the compile spans recorded above).
   obs::Tracer& tracer = obs::Tracer::global();
   if (tracer.enabled()) {
-    obs::TraceData data = trace_to_spans(net, trace);
     std::vector<int> track_map;
     track_map.reserve(data.tracks.size());
     for (const obs::Track& t : data.tracks)
@@ -1094,8 +1093,7 @@ int cmd_timeline(const Network& net, const Options& opt) {
     }
   }
   std::printf("%s under %s\n\n%s", net.name().c_str(),
-              policy_name(*policy),
-              render_timeline(net, trace, topt).c_str());
+              policy_name(*policy), gantt.c_str());
   return 0;
 }
 

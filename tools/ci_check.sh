@@ -80,8 +80,12 @@ echo "=== observability: traces validate and are byte-deterministic ==="
 diff /tmp/cbrain_trace_j1.json /tmp/cbrain_trace_jn.json
 ./build-ci-release/tools/cbrain_cli serve-bench tiny_cnn --requests=8 \
   --jobs="$JOBS" --metrics-out=/tmp/cbrain_metrics.json > /dev/null
+# The analytical timeline exports the same span schema from model_network.
+./build-ci-release/tools/cbrain_cli timeline resnet18 \
+  --trace-out=/tmp/cbrain_timeline.json > /dev/null
 if command -v python3 >/dev/null 2>&1; then
   python3 tools/validate_trace.py /tmp/cbrain_trace_j1.json
+  python3 tools/validate_trace.py /tmp/cbrain_timeline.json
   python3 tools/validate_trace.py /tmp/cbrain_metrics.json --metrics
 else
   echo "validate_trace skipped (no python3)"
