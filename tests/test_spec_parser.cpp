@@ -73,6 +73,10 @@ struct BadSpec {
   const char* expect_in_error;
 };
 
+// Print the case name, not the raw pointer bytes, so the listed test
+// names are the same from one run to the next.
+void PrintTo(const BadSpec& spec, std::ostream* os) { *os << spec.name; }
+
 const BadSpec kBadSpecs[] = {
     {"empty", "", "empty network spec"},
     {"no_header", "input data 1 4 4\n", "must start with"},
