@@ -32,6 +32,7 @@
 #include "cbrain/arch/pe_array.hpp"
 #include "cbrain/arch/sram.hpp"
 #include "cbrain/common/json.hpp"
+#include "cbrain/common/thread_pool.hpp"
 #include "cbrain/compiler/compiler.hpp"
 #include "cbrain/core/cbrain.hpp"
 #include "cbrain/engine/engine.hpp"
@@ -442,7 +443,7 @@ struct ServeResult {
   double speedup_vs_per_call = 0.0;
   double speedup_vs_cycle = 0.0;  // functional tier: warm-vs-warm, same jobs
   i64 b = 1;           // execution batch size (infer_batch multi-image calls)
-  i64 intra_jobs = 1;  // worker fan-out inside each layer call
+  i64 intra_jobs = 1;  // pool width a lone request's layers fan out to
   double speedup_vs_base = 0.0;  // ladder point vs its (b=1, intra=1) base
 };
 
@@ -500,10 +501,13 @@ ServeResult measure_serve(const Network& net, simd::Backend b, i64 jobs,
 // requests chunked into fixed-size groups executed as one multi-image
 // infer_batch each (engine::run_batches). jobs=1 throughout — the point
 // is the per-call amortization (weight panels stream once per layer per
-// batch), not pool parallelism. intra_jobs fans each layer call across
-// workers; outputs are byte-identical at any (b, intra_jobs).
+// batch), not pool parallelism. With one batch in flight, each layer call
+// fans out across the worker pool, so `pool_width` sets the intra-op
+// fan-out; outputs are byte-identical at any (b, pool_width).
 ServeResult measure_serve_batched(const Network& net, simd::Backend b,
-                                  i64 batch, i64 intra_jobs, i64 requests) {
+                                  i64 batch, i64 pool_width, i64 requests) {
+  const i64 width_before = parallel::default_jobs();
+  parallel::set_default_jobs(pool_width);
   simd::select_backend(b);
   const AcceleratorConfig config = AcceleratorConfig::paper_16_16();
   const auto params = init_net_params<Fixed16>(net, 42);
@@ -522,13 +526,14 @@ ServeResult measure_serve_batched(const Network& net, simd::Backend b,
   engine::ServeStats warm;
   benchmark::DoNotOptimize(
       eng.run_batches(net, Policy::kAdaptive2, params, inputs, batches, 1,
-                      &warm, Fidelity::kFunctional, nullptr, intra_jobs)
+                      &warm, Fidelity::kFunctional)
           .size());
   engine::ServeStats stats;
   const auto results =
       eng.run_batches(net, Policy::kAdaptive2, params, inputs, batches, 1,
-                      &stats, Fidelity::kFunctional, nullptr, intra_jobs);
+                      &stats, Fidelity::kFunctional);
   benchmark::DoNotOptimize(results.size());
+  parallel::set_default_jobs(width_before);
 
   ServeResult r;
   r.net = net.name();
@@ -537,7 +542,7 @@ ServeResult measure_serve_batched(const Network& net, simd::Backend b,
   r.jobs = 1;
   r.requests = requests;
   r.b = batch;
-  r.intra_jobs = intra_jobs;
+  r.intra_jobs = pool_width;
   r.infer_per_s = stats.infer_per_s();
   return r;
 }
@@ -552,6 +557,11 @@ std::vector<simd::Backend> supported_backends() {
 
 int run_perf_harness(const std::string& path, bool quick) {
   const simd::Backend original = simd::active_backend();
+  // A lone request's layer kernels fan out to the pool width. Pin it to
+  // one lane so single-request points time serial layers; the intra-op
+  // ladder widens it per point.
+  const i64 original_width = parallel::default_jobs();
+  parallel::set_default_jobs(1);
   const std::vector<simd::Backend> backends = supported_backends();
   const int reps = quick ? 2 : 5;
   // Iteration counts sized so each rep runs long enough (>~1 ms even on
@@ -654,7 +664,7 @@ int run_perf_harness(const std::string& path, bool quick) {
       double base = 0.0;
       for (i64 bsz : {1, 2, 4, 8}) {
         ServeResult r = measure_serve_batched(net, backends.back(), bsz,
-                                              /*intra_jobs=*/1, requests);
+                                              /*pool_width=*/1, requests);
         if (bsz == 1)
           base = r.infer_per_s;
         else
@@ -674,6 +684,7 @@ int run_perf_harness(const std::string& path, bool quick) {
     }
   }
   simd::select_backend(original);
+  parallel::set_default_jobs(original_width);
 
   // dot_s16_multi speedup of each vector backend over scalar at the same
   // n — the kernel-level acceptance number tracked across commits.

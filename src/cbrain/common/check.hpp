@@ -56,7 +56,8 @@ class CheckMessage {
       ::cbrain::detail::check_failed(#cond, __FILE__, __LINE__,          \
                                      [&]() -> ::std::string {            \
                                        ::cbrain::detail::CheckMessage m; \
-                                       m __VA_OPT__(<<) __VA_ARGS__;     \
+                                       (void)(m __VA_OPT__(<<)           \
+                                                  __VA_ARGS__);          \
                                        return m.str();                   \
                                      }());                               \
     }                                                                    \

@@ -11,7 +11,9 @@ namespace {
 // Sanity cap on worker counts (a --jobs typo must not fork-bomb the host).
 constexpr i64 kMaxWorkers = 256;
 
-thread_local bool tl_on_worker = false;
+// True on pool workers and on a caller's lane while it runs its share
+// of a multi-lane parallel_for: a parallel_for started there runs inline.
+thread_local bool tl_in_region = false;
 
 std::atomic<i64>& default_jobs_slot() {
   static std::atomic<i64> jobs{hardware_jobs()};
@@ -62,7 +64,7 @@ void ThreadPool::spawn_locked(i64 n) {
 }
 
 void ThreadPool::worker_loop() {
-  tl_on_worker = true;
+  tl_in_region = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -97,8 +99,6 @@ void set_default_jobs(i64 jobs) {
 }
 
 i64 default_jobs() { return default_jobs_slot().load(); }
-
-bool on_worker_thread() { return tl_on_worker; }
 
 namespace {
 
@@ -161,8 +161,8 @@ void parallel_for(i64 n, const std::function<void(i64)>& fn, i64 jobs) {
   i64 j = jobs <= 0 ? default_jobs() : clamp_i64(jobs, 1, kMaxWorkers);
   j = std::min(j, n);
   // Serial path: --jobs 1 restores the exact pre-pool behaviour; nested
-  // parallel regions run inline on their worker to avoid queue deadlock.
-  if (j <= 1 || on_worker_thread()) {
+  // parallel regions run inline on their lane (see the nesting rule).
+  if (j <= 1 || tl_in_region) {
     for (i64 i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -179,7 +179,9 @@ void parallel_for(i64 n, const std::function<void(i64)>& fn, i64 jobs) {
   auto state = std::make_shared<ForState>(n, grain, fn);
   for (i64 t = 0; t < j - 1; ++t)
     pool.submit([state] { state->run_indices(); });
+  tl_in_region = true;
   state->run_indices();
+  tl_in_region = false;
   state->wait();
   // Move the error out under the mutex that guarded its write: the plain
   // read was unsynchronized, and leaving the exception_ptr in ForState

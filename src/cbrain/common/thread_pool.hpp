@@ -14,9 +14,12 @@
 //   * Exception-collecting barrier — every index either runs or is
 //     abandoned after a failure; the facade then rethrows the exception of
 //     the *lowest failed index* (again independent of scheduling).
-//   * Nested-submit safety — a task that itself calls parallel_for runs
-//     the nested loop inline on the calling worker instead of deadlocking
-//     on a full pool.
+//   * Nesting rule — a parallel_for started inside another multi-lane
+//     parallel_for (on a pool worker or on the caller's own lane) runs
+//     inline on that thread; only a region started from a serial context
+//     fans out. Request-level fan-out therefore fills the pool first,
+//     and a layer kernel spreads across it only when it is the only
+//     thing running — no per-call width knob needed, no queue deadlock.
 //
 // Tasks must not share mutable state (in particular a SimMachine/CBrain
 // instance — see DESIGN.md "Concurrency model"); each sweep point builds
@@ -77,13 +80,10 @@ i64 hardware_jobs();
 void set_default_jobs(i64 jobs);
 i64 default_jobs();
 
-// True while executing on a pool worker thread (used to run nested
-// parallel regions inline).
-bool on_worker_thread();
-
 // Invokes fn(i) for every i in [0, n). With jobs == 1 (or n <= 1, or when
-// called from inside a worker) this degenerates to the plain serial loop
-// on the calling thread — bit-identical behaviour, no pool involvement.
+// called from inside another multi-lane region) this degenerates to the
+// plain serial loop on the calling thread — bit-identical behaviour, no
+// pool involvement.
 void parallel_for(i64 n, const std::function<void(i64)>& fn, i64 jobs = 0);
 
 // parallel_for that collects results: out[i] = fn(i). T must be

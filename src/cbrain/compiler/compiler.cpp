@@ -395,8 +395,7 @@ Result<CompiledNetwork> compile_network(const Network& net,
                                         std::vector<Scheme> schemes,
                                         const AcceleratorConfig& config,
                                         Policy policy_label) {
-  return compile_with_layout(net,
-                             plan_layout(net, std::move(schemes), config),
+  return compile_with_layout(net, plan_layout(net, std::move(schemes)),
                              policy_label, config);
 }
 

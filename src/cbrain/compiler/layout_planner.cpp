@@ -66,14 +66,12 @@ i64 conv_weight_image_words(const Layer& conv, Scheme scheme) {
 
 LayoutPlan plan_layout(const Network& net, Policy policy,
                        const AcceleratorConfig& config) {
-  LayoutPlan plan = plan_layout(net, assign_schemes(net, policy, config),
-                                config);
+  LayoutPlan plan = plan_layout(net, assign_schemes(net, policy, config));
   plan.policy = policy;
   return plan;
 }
 
-LayoutPlan plan_layout(const Network& net, std::vector<Scheme> schemes,
-                       const AcceleratorConfig& config) {
+LayoutPlan plan_layout(const Network& net, std::vector<Scheme> schemes) {
   CBRAIN_CHECK(static_cast<i64>(schemes.size()) == net.size(),
                "scheme table size mismatch");
   LayoutPlan plan;

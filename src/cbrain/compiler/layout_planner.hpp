@@ -57,8 +57,7 @@ LayoutPlan plan_layout(const Network& net, Policy policy,
 
 // Same, with an explicit per-layer scheme assignment (indexed by LayerId;
 // non-conv entries ignored) — the entry point for oracle/custom mappers.
-LayoutPlan plan_layout(const Network& net, std::vector<Scheme> schemes,
-                       const AcceleratorConfig& config);
+LayoutPlan plan_layout(const Network& net, std::vector<Scheme> schemes);
 
 // Weight-image word count for a conv layer under a scheme (partition pads
 // each kernel to (g*ks)^2 with zeros, Fig. 5c).

@@ -204,12 +204,6 @@ std::vector<SimResult> Session::infer_batch(
   return results;
 }
 
-void Session::set_intra_jobs(i64 jobs) {
-  if (func_) func_->set_intra_jobs(jobs);
-}
-
-i64 Session::intra_jobs() const { return func_ ? func_->intra_jobs() : 1; }
-
 void Session::attach_fault(FaultInjector* injector) {
   CBRAIN_CHECK(fidelity_ == Fidelity::kCycle,
                "fault injection requires the cycle-exact tier; the "
@@ -350,7 +344,7 @@ std::unique_ptr<SessionPool> Engine::open_pool(
 std::vector<SimResult> Engine::run_many(
     const Network& net, Policy policy, const NetParamsData<Fixed16>& params,
     const std::vector<Tensor3<Fixed16>>& inputs, i64 jobs, ServeStats* stats,
-    Fidelity fidelity, std::vector<Status>* statuses, i64 intra_jobs) {
+    Fidelity fidelity, std::vector<Status>* statuses) {
   using Clock = std::chrono::steady_clock;
   const auto n = static_cast<i64>(inputs.size());
   if (statuses != nullptr)
@@ -369,7 +363,6 @@ std::vector<SimResult> Engine::run_many(
   // next request, and parallel_map's index-ordered slots give
   // submission-ordered results regardless of which session ran what.
   auto pool = open_pool(net, policy, params, pool_n, fidelity);
-  for (i64 j = 0; j < pool_n; ++j) pool->at(j)->set_intra_jobs(intra_jobs);
 
   // Request-lifecycle telemetry. The histograms record always (request
   // granularity — a few mutex-guarded observes next to milliseconds of
@@ -513,7 +506,7 @@ std::vector<SimResult> Engine::run_batches(
     const Network& net, Policy policy, const NetParamsData<Fixed16>& params,
     const std::vector<Tensor3<Fixed16>>& inputs,
     const std::vector<std::vector<i64>>& batches, i64 jobs, ServeStats* stats,
-    Fidelity fidelity, std::vector<Status>* statuses, i64 intra_jobs) {
+    Fidelity fidelity, std::vector<Status>* statuses) {
   using Clock = std::chrono::steady_clock;
   const auto n = static_cast<i64>(inputs.size());
   if (statuses != nullptr)
@@ -547,7 +540,6 @@ std::vector<SimResult> Engine::run_batches(
       std::max<i64>(1, jobs > 0 ? jobs : parallel::default_jobs());
   const i64 pool_n = std::min(jobs_eff, nb);
   auto pool = open_pool(net, policy, params, pool_n, fidelity);
-  for (i64 j = 0; j < pool_n; ++j) pool->at(j)->set_intra_jobs(intra_jobs);
 
   auto& reg = obs::Registry::global();
   reg.counter("engine.run_batches_total").inc();

@@ -93,12 +93,6 @@ class Session {
       const std::vector<const Tensor3<Fixed16>*>& inputs,
       std::vector<Status>* statuses = nullptr);
 
-  // Worker fan-out *within* one layer call (functional tier; no-op on
-  // cycle sessions). Nested parallel regions run inline on pool workers,
-  // so this composes with run_many/run_batches' request-level fan-out.
-  void set_intra_jobs(i64 jobs);
-  i64 intra_jobs() const;
-
   // Attaches (nullptr detaches) a fault injector to the session's
   // machine, enabling checkpoint/replay recovery exactly as on the
   // single-shot path. Attach before load_params for a fault sequence
@@ -223,16 +217,16 @@ class Engine {
   // throws for per-request failures; with statuses == nullptr the
   // lowest-index failure is rethrown after the batch drains, preserving
   // the historical contract.
-  // `intra_jobs` is forwarded to every pooled session (functional tier):
-  // worker fan-out within each layer call, composing with the
-  // request-level fan-out here. Outputs are byte-identical at any value.
+  // Layer kernels fan out across the worker pool only when a single
+  // request runs; with several in flight each runs its layers inline
+  // (cbrain::parallel's nesting rule). Outputs are byte-identical either
+  // way.
   std::vector<SimResult> run_many(const Network& net, Policy policy,
                                   const NetParamsData<Fixed16>& params,
                                   const std::vector<Tensor3<Fixed16>>& inputs,
                                   i64 jobs = 0, ServeStats* stats = nullptr,
                                   Fidelity fidelity = Fidelity::kCycle,
-                                  std::vector<Status>* statuses = nullptr,
-                                  i64 intra_jobs = 1);
+                                  std::vector<Status>* statuses = nullptr);
 
   // Serves pre-formed batches: `batches` must partition [0, #inputs)
   // exactly (every index once, no empties). Each batch executes as one
@@ -240,7 +234,7 @@ class Engine {
   // tier's multi-image GEMM path — with batches fanned across
   // min(jobs, #batches) sessions. Results land in submission order and
   // are byte-identical to run_many / sequential infer at any jobs,
-  // intra_jobs, batch shape, or fidelity.
+  // batch shape, or fidelity.
   //
   // Failure isolation: with `statuses`, a malformed input fails only its
   // slot (its batch siblings still run) and run_batches never throws for
@@ -252,7 +246,7 @@ class Engine {
       const std::vector<Tensor3<Fixed16>>& inputs,
       const std::vector<std::vector<i64>>& batches, i64 jobs = 0,
       ServeStats* stats = nullptr, Fidelity fidelity = Fidelity::kCycle,
-      std::vector<Status>* statuses = nullptr, i64 intra_jobs = 1);
+      std::vector<Status>* statuses = nullptr);
 
   // Cache observability (diagnostics and tests).
   i64 cache_size() const;

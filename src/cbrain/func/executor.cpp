@@ -191,43 +191,26 @@ std::vector<SimResult> FuncExecutor::infer_batch(
         break;
       case LayerKind::kConv:
         conv2d_func_batch(in_ptrs_, pl.weights, pl.bias_acc, l.conv(),
-                          pl.mode, intra_jobs_, scratch_, out_ptrs_);
+                          pl.mode, scratch_, out_ptrs_);
         break;
       case LayerKind::kFC:
         fc_func_batch(in_ptrs_, pl.weights, pl.bias_acc, l.fc(), pl.mode,
-                      intra_jobs_, scratch_, out_ptrs_);
+                      scratch_, out_ptrs_);
         break;
       case LayerKind::kPool:
-        // One image: partition planes within it. Several: an image per
-        // task is the better grain. Either way each output element is
-        // computed entirely by one task — bit-identical at any jobs.
-        if (nact == 1) {
-          pool2d_ref_into(*in_ptrs_[0], l.pool(), *out_ptrs_[0],
-                          intra_jobs_);
-        } else {
-          parallel::parallel_for(
-              nact,
-              [&](i64 i) {
-                pool2d_ref_into(*in_ptrs_[static_cast<std::size_t>(i)],
-                                l.pool(),
-                                *out_ptrs_[static_cast<std::size_t>(i)]);
-              },
-              intra_jobs_);
-        }
+        // An image per task. One image runs inline, so the kernel's own
+        // per-plane fan-out takes over; several run their planes inline.
+        // Either way each output element is computed by one task.
+        parallel::parallel_for(nact, [&](i64 i) {
+          pool2d_ref_into(*in_ptrs_[static_cast<std::size_t>(i)], l.pool(),
+                          *out_ptrs_[static_cast<std::size_t>(i)]);
+        });
         break;
       case LayerKind::kLRN:
-        if (nact == 1) {
-          lrn_ref_into(*in_ptrs_[0], l.lrn(), *out_ptrs_[0], intra_jobs_);
-        } else {
-          parallel::parallel_for(
-              nact,
-              [&](i64 i) {
-                lrn_ref_into(*in_ptrs_[static_cast<std::size_t>(i)],
-                             l.lrn(),
-                             *out_ptrs_[static_cast<std::size_t>(i)]);
-              },
-              intra_jobs_);
-        }
+        parallel::parallel_for(nact, [&](i64 i) {
+          lrn_ref_into(*in_ptrs_[static_cast<std::size_t>(i)], l.lrn(),
+                       *out_ptrs_[static_cast<std::size_t>(i)]);
+        });
         break;
       case LayerKind::kConcat:
         for (i64 i = 0; i < nact; ++i) {
@@ -246,7 +229,7 @@ std::vector<SimResult> FuncExecutor::infer_batch(
         break;
       case LayerKind::kEltwiseAdd:
         eltwise_add_func_batch(in_ptrs_, in_b_ptrs_, l.eltwise(),
-                               intra_jobs_, out_ptrs_);
+                               out_ptrs_);
         break;
     }
     // Per-kind host wall time: where the functional tier actually spends

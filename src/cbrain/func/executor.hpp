@@ -18,7 +18,7 @@
 // image. Every output element is still one exact int64 dot computed by
 // one task, so each per-request SimResult is bit-identical to what a
 // sequential infer() of that input would return, at any batch size,
-// intra_jobs count, or SIMD backend. A malformed input fails only its
+// worker count, or SIMD backend. A malformed input fails only its
 // slot (Status isolation) when `statuses` is provided.
 //
 // Steady-state allocation: per-layer per-image output tensors and the
@@ -80,13 +80,6 @@ class FuncExecutor {
       const std::vector<const Tensor3<Fixed16>*>& inputs,
       std::vector<Status>* statuses = nullptr);
 
-  // Worker-thread fan-out *within* one layer call (GEMM row chunks,
-  // im2row gather slices, pool/LRN planes). 1 = serial. Composes with
-  // the engine's request-level parallelism: nested parallel regions run
-  // inline on pool workers.
-  void set_intra_jobs(i64 jobs) { intra_jobs_ = jobs <= 0 ? 1 : jobs; }
-  i64 intra_jobs() const { return intra_jobs_; }
-
   // Total buffer (re)allocation events across the executor's resident
   // state: GEMM scratch growth + per-layer output tensor reconstruction.
   // Stable across warm same-shape calls — test hook for the zero
@@ -130,7 +123,6 @@ class FuncExecutor {
   std::vector<const Tensor3<Fixed16>*> in_ptrs_;
   std::vector<const Tensor3<Fixed16>*> in_b_ptrs_;
   std::vector<Tensor3<Fixed16>*> out_ptrs_;
-  i64 intra_jobs_ = 1;
   i64 tensor_growths_ = 0;
   bool params_loaded_ = false;
 };

@@ -190,7 +190,7 @@ namespace {
 void depthwise_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                           const std::vector<std::int16_t>& packed_weights,
                           const std::vector<Fixed16::acc_t>& bias_acc,
-                          const ConvParams& p, i64 intra_jobs,
+                          const ConvParams& p,
                           const std::vector<Tensor3<Fixed16>*>& outputs) {
   using Tr = ArithTraits<Fixed16>;
   const i64 batch = static_cast<i64>(inputs.size());
@@ -227,8 +227,7 @@ void depthwise_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
             out[oy * ow + ox] = Tr::finalize(acc, p.relu);
           }
         }
-      },
-      intra_jobs);
+      });
 }
 
 }  // namespace
@@ -236,7 +235,7 @@ void depthwise_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
 void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                        const std::vector<std::int16_t>& packed_weights,
                        const std::vector<Fixed16::acc_t>& bias_acc,
-                       const ConvParams& p, WeightMode mode, i64 intra_jobs,
+                       const ConvParams& p, WeightMode mode,
                        GemmScratch& scratch,
                        const std::vector<Tensor3<Fixed16>*>& outputs) {
   using Tr = ArithTraits<Fixed16>;
@@ -267,8 +266,7 @@ void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
   }
 
   if (p.depthwise(in.d) && dout_g == 1) {
-    depthwise_func_batch(inputs, packed_weights, bias_acc, p, intra_jobs,
-                         outputs);
+    depthwise_func_batch(inputs, packed_weights, bias_acc, p, outputs);
     return;
   }
 
@@ -283,9 +281,9 @@ void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
   for (i64 g = 0; g < p.groups; ++g) {
     for (i64 pix0 = 0; pix0 < cols; pix0 += pix_block) {
       const i64 npix = std::min(pix_block, cols - pix0);
-      // Gather: batch × pslices disjoint slices of the patch matrix.
-      const i64 pslices =
-          intra_jobs > 1 ? std::min(intra_jobs, npix) : i64{1};
+      // Gather: batch × pslices disjoint slices of the patch matrix, one
+      // slice per pool lane.
+      const i64 pslices = std::min(parallel::default_jobs(), npix);
       parallel::parallel_for(
           batch * pslices,
           [&](i64 item) {
@@ -296,8 +294,7 @@ void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
             im2row_s16(*inputs[static_cast<std::size_t>(b)], g * din_g,
                        din_g, p, pix0 + t0, t1 - t0,
                        band + (b * npix + t0) * krow_s, krow_s);
-          },
-          intra_jobs);
+          });
       // GEMM: output-row chunks are the parallel grain; every output
       // element is one exact dot finalized by exactly one task.
       const i64 totcols = batch * npix;
@@ -339,15 +336,14 @@ void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                 }
               }
             }
-          },
-          intra_jobs);
+          });
     }
   }
 }
 
 void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,
                             const std::vector<const Tensor3<Fixed16>*>& b,
-                            const EltwiseAddParams& p, i64 intra_jobs,
+                            const EltwiseAddParams& p,
                             const std::vector<Tensor3<Fixed16>*>& outputs) {
   using Tr = ArithTraits<Fixed16>;
   const i64 batch = static_cast<i64>(a.size());
@@ -380,15 +376,13 @@ void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,
               Tr::from_value(pa[i]) + Tr::from_value(pb[i]);
           po[i] = Tr::finalize(sum, p.relu);
         }
-      },
-      intra_jobs);
+      });
 }
 
 void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                    const std::vector<std::int16_t>& packed_weights,
                    const std::vector<Fixed16::acc_t>& bias_acc,
-                   const FCParams& p, WeightMode mode, i64 intra_jobs,
-                   GemmScratch& scratch,
+                   const FCParams& p, WeightMode mode, GemmScratch& scratch,
                    const std::vector<Tensor3<Fixed16>*>& outputs) {
   using Tr = ArithTraits<Fixed16>;
   const i64 batch = static_cast<i64>(inputs.size());
@@ -446,8 +440,7 @@ void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                   Tr::finalize(accs[l * kColChunk + cc] + bias, p.relu);
           }
         }
-      },
-      intra_jobs);
+      });
 }
 
 namespace {
@@ -484,8 +477,8 @@ Tensor3<Fixed16> conv2d_func(const Tensor3<Fixed16>& input,
   const i64 krow = p.din_per_group(in.d) * p.k * p.k;
   conv2d_func_batch(
       {&input}, pad_rows(packed_weights, p.dout, krow), bias_acc, p,
-      no_wrap_weights ? WeightMode::kNoWrap : WeightMode::kExact,
-      /*intra_jobs=*/1, scratch, {&out});
+      no_wrap_weights ? WeightMode::kNoWrap : WeightMode::kExact, scratch,
+      {&out});
   return out;
 }
 
@@ -501,7 +494,7 @@ Tensor3<Fixed16> fc_func(const Tensor3<Fixed16>& input,
   fc_func_batch({&input}, pad_rows(packed_weights, p.dout, input.size()),
                 bias_acc, p,
                 no_wrap_weights ? WeightMode::kNoWrap : WeightMode::kExact,
-                /*intra_jobs=*/1, scratch, {&out});
+                scratch, {&out});
   return out;
 }
 

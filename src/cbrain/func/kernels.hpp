@@ -23,8 +23,8 @@
 // (tests/test_fidelity.cpp). Zero-padding contributes zero products, so
 // gathering padded zeros into patches changes nothing. Each output
 // element is one exact dot computed entirely by one task, so the batch
-// size, the column blocking and the intra-op job count can never change
-// an output bit.
+// size, the column blocking and the worker count can never change an
+// output bit.
 //
 // Layout contract: inputs and outputs are spatial-major Tensor3 cubes —
 // the canonical order RefExecutor and the simulator's result read-back
@@ -103,15 +103,15 @@ void im2row_s16(const Tensor3<Fixed16>& input, i64 din_begin, i64 din_count,
 // Batched convolution via im2row + blocked multi-RHS GEMM. All inputs
 // share one shape; `outputs[b]` must be pre-shaped {dout, oh, ow}
 // spatial-major (the executor keeps them resident across inferences).
-// `bias_acc` is promote_bias()'s output (size dout). With intra_jobs > 1
-// the output-row chunks (and the im2row gather) are partitioned over
-// cbrain::parallel — each output element is still one exact dot computed
-// by one task, so results are bit-identical at any intra_jobs and batch
-// size. Allocates nothing beyond `scratch` growth.
+// `bias_acc` is promote_bias()'s output (size dout). The output-row
+// chunks (and the im2row gather) are partitioned over cbrain::parallel —
+// each output element is still one exact dot computed by one task, so
+// results are bit-identical at any worker count and batch size.
+// Allocates nothing beyond `scratch` growth.
 void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                        const std::vector<std::int16_t>& packed_weights,
                        const std::vector<Fixed16::acc_t>& bias_acc,
-                       const ConvParams& p, WeightMode mode, i64 intra_jobs,
+                       const ConvParams& p, WeightMode mode,
                        GemmScratch& scratch,
                        const std::vector<Tensor3<Fixed16>*>& outputs);
 
@@ -119,10 +119,10 @@ void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
 // scale with one rounding point — the exact integer sequence of
 // eltwise_add_ref and the simulator's adder-tree handler. All operands
 // and outputs share one spatial-major shape; grain is one image per
-// task, so results are bit-identical at any intra_jobs.
+// task, so results are bit-identical at any worker count.
 void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,
                             const std::vector<const Tensor3<Fixed16>*>& b,
-                            const EltwiseAddParams& p, i64 intra_jobs,
+                            const EltwiseAddParams& p,
                             const std::vector<Tensor3<Fixed16>*>& outputs);
 
 // Batched fully-connected layer over the flattened (spatial-major) input
@@ -133,8 +133,7 @@ void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,
 void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                    const std::vector<std::int16_t>& packed_weights,
                    const std::vector<Fixed16::acc_t>& bias_acc,
-                   const FCParams& p, WeightMode mode, i64 intra_jobs,
-                   GemmScratch& scratch,
+                   const FCParams& p, WeightMode mode, GemmScratch& scratch,
                    const std::vector<Tensor3<Fixed16>*>& outputs);
 
 // Single-image wrappers (historical surface; tests and the reference

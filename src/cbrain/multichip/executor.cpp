@@ -86,12 +86,9 @@ MultiChipExecutor::MultiChipExecutor(engine::Engine& engine,
 
 void MultiChipExecutor::build_sessions() {
   if (plan_.strategy == PartitionStrategy::kPipeline) {
-    for (const PipelineStage& st : plan_.stages) {
-      auto s = engine_.open_session(st.subnet, options_.policy,
-                                    options_.fidelity);
-      s->set_intra_jobs(options_.intra_jobs);
-      stage_sessions_.push_back(std::move(s));
-    }
+    for (const PipelineStage& st : plan_.stages)
+      stage_sessions_.push_back(engine_.open_session(
+          st.subnet, options_.policy, options_.fidelity));
     return;
   }
   shard_sessions_.resize(static_cast<std::size_t>(net_.size()));
@@ -104,7 +101,6 @@ void MultiChipExecutor::build_sessions() {
       if (!piece.subnet.has_value()) continue;
       row[static_cast<std::size_t>(c)] = engine_.open_session(
           *piece.subnet, options_.policy, options_.fidelity);
-      row[static_cast<std::size_t>(c)]->set_intra_jobs(options_.intra_jobs);
     }
   }
 }

@@ -42,8 +42,6 @@ struct MultiChipOptions {
   InterconnectConfig interconnect;
   Policy policy = Policy::kAdaptive2;
   Fidelity fidelity = Fidelity::kCycle;
-  // Worker fan-out within each chip's layer calls (functional tier).
-  i64 intra_jobs = 1;
   // Tests: pin the conv shard axis to exercise halo corner shapes.
   std::optional<ShardAxis> force_conv_axis;
 };

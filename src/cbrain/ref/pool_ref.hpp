@@ -23,12 +23,13 @@ inline MapDims pool_out_dims(const MapDims& in, const PoolParams& p) {
 }
 
 // In-place variant: `out` must already have pool_out_dims(input.dims(), p)
-// and the input's order. With jobs > 1 the depth planes are partitioned
-// over cbrain::parallel; each output element is computed entirely by one
-// task, so results are bit-identical at any jobs count. Allocates nothing.
+// and the input's order. The depth planes are partitioned over
+// cbrain::parallel, one plane per task; each output element is computed
+// entirely by one task, so results are bit-identical at any worker count.
+// Allocates nothing.
 template <typename T>
 void pool2d_ref_into(const Tensor3<T>& input, const PoolParams& p,
-                     Tensor3<T>& out, i64 jobs = 1) {
+                     Tensor3<T>& out) {
   using Tr = ArithTraits<T>;
   const MapDims in = input.dims();
   const MapDims od = pool_out_dims(in, p);
@@ -40,61 +41,54 @@ void pool2d_ref_into(const Tensor3<T>& input, const PoolParams& p,
   // x inner) is identical on both paths, so avg's double accumulation —
   // and therefore every output bit — is unchanged.
   const bool spatial_major = input.order() == DataOrder::kSpatialMajor;
-  parallel::parallel_for(
-      jobs > 1 ? in.d : 1,
-      [&](i64 slice) {
-        const i64 d_lo = jobs > 1 ? slice : 0;
-        const i64 d_hi = jobs > 1 ? slice + 1 : in.d;
-        for (i64 d = d_lo; d < d_hi; ++d) {
-          const T* in_plane =
-              spatial_major ? input.raw_data() + d * in.h * in.w : nullptr;
-          T* out_plane =
-              spatial_major ? out.raw_data() + d * od.h * od.w : nullptr;
-          for (i64 oy = 0; oy < od.h; ++oy) {
-            for (i64 ox = 0; ox < od.w; ++ox) {
-              const i64 y0 = std::max<i64>(oy * p.stride - p.pad, 0);
-              const i64 x0 = std::max<i64>(ox * p.stride - p.pad, 0);
-              const i64 y1 = std::min<i64>(oy * p.stride - p.pad + p.k, in.h);
-              const i64 x1 = std::min<i64>(ox * p.stride - p.pad + p.k, in.w);
-              CBRAIN_DCHECK(y1 > y0 && x1 > x0, "empty pool window");
-              if (spatial_major) {
-                if (p.kind == PoolKind::kMax) {
-                  T best = in_plane[y0 * in.w + x0];
-                  for (i64 y = y0; y < y1; ++y) {
-                    const T* row = in_plane + y * in.w;
-                    for (i64 x = x0; x < x1; ++x)
-                      best = std::max(best, row[x]);
-                  }
-                  out_plane[oy * od.w + ox] = best;
-                } else {
-                  double sum = 0.0;
-                  for (i64 y = y0; y < y1; ++y) {
-                    const T* row = in_plane + y * in.w;
-                    for (i64 x = x0; x < x1; ++x) sum += Tr::to_real(row[x]);
-                  }
-                  const double n =
-                      static_cast<double>((y1 - y0) * (x1 - x0));
-                  out_plane[oy * od.w + ox] = Tr::from_real(sum / n);
-                }
-              } else if (p.kind == PoolKind::kMax) {
-                T best = input.at(d, y0, x0);
-                for (i64 y = y0; y < y1; ++y)
-                  for (i64 x = x0; x < x1; ++x)
-                    best = std::max(best, input.at(d, y, x));
-                out.at(d, oy, ox) = best;
-              } else {
-                double sum = 0.0;
-                for (i64 y = y0; y < y1; ++y)
-                  for (i64 x = x0; x < x1; ++x)
-                    sum += Tr::to_real(input.at(d, y, x));
-                const double n = static_cast<double>((y1 - y0) * (x1 - x0));
-                out.at(d, oy, ox) = Tr::from_real(sum / n);
-              }
+  parallel::parallel_for(in.d, [&](i64 d) {
+    const T* in_plane =
+        spatial_major ? input.raw_data() + d * in.h * in.w : nullptr;
+    T* out_plane =
+        spatial_major ? out.raw_data() + d * od.h * od.w : nullptr;
+    for (i64 oy = 0; oy < od.h; ++oy) {
+      for (i64 ox = 0; ox < od.w; ++ox) {
+        const i64 y0 = std::max<i64>(oy * p.stride - p.pad, 0);
+        const i64 x0 = std::max<i64>(ox * p.stride - p.pad, 0);
+        const i64 y1 = std::min<i64>(oy * p.stride - p.pad + p.k, in.h);
+        const i64 x1 = std::min<i64>(ox * p.stride - p.pad + p.k, in.w);
+        CBRAIN_DCHECK(y1 > y0 && x1 > x0, "empty pool window");
+        if (spatial_major) {
+          if (p.kind == PoolKind::kMax) {
+            T best = in_plane[y0 * in.w + x0];
+            for (i64 y = y0; y < y1; ++y) {
+              const T* row = in_plane + y * in.w;
+              for (i64 x = x0; x < x1; ++x)
+                best = std::max(best, row[x]);
             }
+            out_plane[oy * od.w + ox] = best;
+          } else {
+            double sum = 0.0;
+            for (i64 y = y0; y < y1; ++y) {
+              const T* row = in_plane + y * in.w;
+              for (i64 x = x0; x < x1; ++x) sum += Tr::to_real(row[x]);
+            }
+            const double n =
+                static_cast<double>((y1 - y0) * (x1 - x0));
+            out_plane[oy * od.w + ox] = Tr::from_real(sum / n);
           }
+        } else if (p.kind == PoolKind::kMax) {
+          T best = input.at(d, y0, x0);
+          for (i64 y = y0; y < y1; ++y)
+            for (i64 x = x0; x < x1; ++x)
+              best = std::max(best, input.at(d, y, x));
+          out.at(d, oy, ox) = best;
+        } else {
+          double sum = 0.0;
+          for (i64 y = y0; y < y1; ++y)
+            for (i64 x = x0; x < x1; ++x)
+              sum += Tr::to_real(input.at(d, y, x));
+          const double n = static_cast<double>((y1 - y0) * (x1 - x0));
+          out.at(d, oy, ox) = Tr::from_real(sum / n);
         }
-      },
-      jobs);
+      }
+    }
+  });
 }
 
 template <typename T>

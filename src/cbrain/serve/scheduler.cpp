@@ -782,7 +782,7 @@ RunResult Scheduler::run(ClientSource& source, i64 jobs) {
     // multi-image Session::infer_batch call, the same code path a
     // production dispatch would take — and digested into the responses.
     // Outputs are byte-identical to direct Session::infer (engine +
-    // executor contracts), so the digests are jobs-, intra_jobs- and
+    // executor contracts), so the digests are jobs- and
     // batch-shape-independent.
     if (config_.collect_outputs)
       out.outputs.resize(out.responses.size());
@@ -820,8 +820,7 @@ RunResult Scheduler::run(ClientSource& source, i64 jobs) {
       std::vector<Status> statuses;
       auto results = engine_.run_batches(
           m.net, m.policy, params, inputs, batches, jobs,
-          /*stats=*/nullptr, impl.executed[i].tier, &statuses,
-          config_.intra_jobs);
+          /*stats=*/nullptr, impl.executed[i].tier, &statuses);
       for (std::size_t k = i; k < j; ++k) {
         CBRAIN_CHECK(statuses[k - i].is_ok(),
                      "serve execution failed: "

@@ -91,12 +91,6 @@ struct SchedulerConfig {
   bool execute = true;
   bool collect_outputs = false;  // keep output tensors in RunResult
 
-  // Intra-op worker fan-out inside each layer call of the functional
-  // tier's execution (engine::run_batches intra_jobs). Purely a host
-  // execution knob: outputs, digests and every scheduling decision are
-  // identical at any value.
-  i64 intra_jobs = 1;
-
   ServiceModel service;
 };
 

@@ -5,7 +5,7 @@
 //
 // Execution level (the functional tier's multi-image GEMM path):
 // infer_batch is bitwise-identical to sequential infer at any batch
-// size, intra_jobs count and SIMD backend; a malformed input fails only
+// size, worker-pool width and SIMD backend; a malformed input fails only
 // its slot; warm same-shape batches allocate nothing beyond the returned
 // SimResults (pinned with a counting global allocator plus the
 // scratch_growths() hook); Engine::run_batches validates its partition
@@ -17,6 +17,7 @@
 #include <new>
 
 #include "cbrain/common/rng.hpp"
+#include "cbrain/common/thread_pool.hpp"
 #include "cbrain/engine/engine.hpp"
 #include "cbrain/func/executor.hpp"
 #include "cbrain/func/kernels.hpp"
@@ -126,14 +127,25 @@ struct BackendGuard {
   ~BackendGuard() { simd::select_backend("auto"); }
 };
 
-// Sequential per-input reference results on the scalar backend at
-// intra_jobs=1 — the canonical answer every batched/parallel/SIMD
+// Sets the worker-pool width for one scope, then restores it. A
+// single-caller infer_batch fans its layer kernels out to this width.
+struct PoolWidth {
+  explicit PoolWidth(i64 jobs) : before(parallel::default_jobs()) {
+    parallel::set_default_jobs(jobs);
+  }
+  ~PoolWidth() { parallel::set_default_jobs(before); }
+  i64 before;
+};
+
+// Sequential per-input reference results on the scalar backend with a
+// serial pool — the canonical answer every batched/parallel/SIMD
 // configuration must reproduce bit for bit.
 std::vector<Tensor3<Fixed16>> sequential_outputs(
     const Network& net, const CompiledNetwork& compiled,
     const NetParamsData<Fixed16>& params,
     const std::vector<Tensor3<Fixed16>>& inputs) {
   BackendGuard guard;
+  PoolWidth serial(1);
   simd::select_backend("scalar");
   func::FuncExecutor exec(net, compiled, AcceleratorConfig{});
   exec.load_params(params);
@@ -160,12 +172,12 @@ TEST(BatchExec, BitwiseIdentityAcrossBackendsIntraJobsAndBatchShapes) {
     BackendGuard guard;
     for (const char* backend : {"scalar", "auto"}) {
       ASSERT_TRUE(simd::select_backend(backend));
-      for (i64 intra : {i64{1}, i64{4}, i64{16}}) {
-        SCOPED_TRACE(std::string(backend) + " intra_jobs=" +
-                     std::to_string(intra));
+      for (i64 width : {i64{1}, i64{4}, i64{16}}) {
+        SCOPED_TRACE(std::string(backend) + " pool width " +
+                     std::to_string(width));
+        PoolWidth pool(width);
         func::FuncExecutor exec(net, compiled.value(), AcceleratorConfig{});
         exec.load_params(params);
-        exec.set_intra_jobs(intra);
         // Batch sizes 9 (ragged vs the 8-wide column block), then 3
         // (smaller re-batch on warm state), then 1 (degenerate).
         for (std::size_t lo : {std::size_t{0}, std::size_t{6},
@@ -220,6 +232,10 @@ TEST(BatchExec, BadInputFailsOnlyItsSlot) {
 }
 
 TEST(BatchExec, WarmBatchesAllocateOnlyTheResults) {
+  // The bill covers the executor alone, so the layers run on one lane: a
+  // fanned-out layer also allocates the pool's task queue nodes and each
+  // worker's first-use scratch, whose counts depend on scheduling.
+  PoolWidth serial(1);
   const Network net = batch_exec_net();
   const auto params = init_net_params<Fixed16>(net, 11);
   auto compiled =
@@ -266,12 +282,13 @@ TEST(EngineBatches, RunBatchesMatchesRunManyAndIsRaggedSafe) {
                    &stats, Fidelity::kFunctional);
 
   for (i64 jobs : {1, 4}) {
-    for (i64 intra : {1, 4}) {
+    for (i64 width : {1, 4}) {
       SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " intra=" + std::to_string(intra));
+                   " pool width " + std::to_string(width));
+      PoolWidth pool(width);
       const auto got = eng.run_batches(
           net, Policy::kAdaptive2, params, inputs, {{0, 1, 2}, {3, 4}},
-          jobs, &stats, Fidelity::kFunctional, nullptr, intra);
+          jobs, &stats, Fidelity::kFunctional);
       ASSERT_EQ(got.size(), 5u);
       for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_TRUE(test::tensors_equal(expected[i].final_output,

@@ -35,8 +35,11 @@ TEST(Calibration, ProfileCoversEveryLayer) {
     EXPECT_LE(s.recommended_frac_bits, 15);
   }
   // ReLU layers never go negative.
-  for (const LayerRangeStats& s : p.layers)
-    if (s.name == "conv1") EXPECT_GE(s.min_value, 0.0);
+  for (const LayerRangeStats& s : p.layers) {
+    if (s.name == "conv1") {
+      EXPECT_GE(s.min_value, 0.0);
+    }
+  }
 }
 
 TEST(Calibration, ProfileIsDeterministic) {

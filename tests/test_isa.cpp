@@ -54,8 +54,9 @@ TEST(Program, LoadWordsAreChunkConsistent) {
     if (const auto* load = std::get_if<LoadInstr>(&instr)) {
       EXPECT_EQ(load->words, load->chunks * load->chunk_words);
       EXPECT_GT(load->words, 0);
-      if (load->chunks > 1)
+      if (load->chunks > 1) {
         EXPECT_GE(load->src_stride, load->chunk_words);  // no overlap
+      }
     }
   }
 }

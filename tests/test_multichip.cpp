@@ -145,7 +145,6 @@ TEST(MultiChip, FunctionalFidelityBitIdentity) {
     o.chips = 3;
     o.strategy = s;
     o.fidelity = Fidelity::kFunctional;
-    o.intra_jobs = 2;
     expect_package_identity(zoo::scheme_mix_cnn(), o);
   }
 }

@@ -74,7 +74,9 @@ TEST(Network, VggSpatialPyramid) {
   const Network net = zoo::vgg16();
   i64 expected_h = 224;
   for (const Layer& l : net.layers()) {
-    if (l.is_conv()) EXPECT_EQ(l.out_dims.h, expected_h) << l.name;
+    if (l.is_conv()) {
+      EXPECT_EQ(l.out_dims.h, expected_h) << l.name;
+    }
     if (l.is_pool()) expected_h /= 2;
   }
   EXPECT_EQ(expected_h, 7);

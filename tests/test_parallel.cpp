@@ -1,12 +1,18 @@
 // cbrain::parallel — the sweep engine under the benches and the CLI.
 // Covers: deterministic result ordering, exception propagation (lowest
-// failing index wins, independent of scheduling), nested parallel regions
-// on worker threads, and the end-to-end guarantee the benches rely on:
+// failing index wins, independent of scheduling), the nesting rule
+// (a region inside a multi-lane region runs inline on its lane; a region
+// from a serial context fans out), and the end-to-end guarantee the
+// benches rely on:
 // a parallel Fig. 7-style sweep produces byte-identical TrafficCounters
 // to the serial run.
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "cbrain/common/thread_pool.hpp"
 #include "cbrain/core/cbrain.hpp"
@@ -73,6 +79,75 @@ TEST(ParallelFor, NestedRegionsRunInlineOnWorkers) {
       },
       4);
   EXPECT_EQ(total.load(), 8 * 16);
+}
+
+// Arrives at a rendezvous of `n` tasks and waits (bounded) for the rest.
+// Tasks that all get past it held distinct lanes at the same time.
+bool rendezvous(std::atomic<int>& arrived, int n) {
+  ++arrived;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrived.load() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ParallelFor, NestedRegionRunsOnItsLaneIncludingTheCallers) {
+  // Two lanes (the caller plus one pool task) each hold one outer index
+  // until both have started, so one index runs on a worker and the other
+  // on the caller's own lane. Every nested region — at the default width
+  // and at an explicit one — must stay on the lane that started it.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::mutex mu;
+  std::set<std::thread::id> outer_lanes;
+  std::atomic<i64> strays{0};
+  std::atomic<i64> inner_runs{0};
+  parallel::parallel_for(
+      2,
+      [&](i64) {
+        ASSERT_TRUE(rendezvous(arrived, 2));
+        const std::thread::id lane = std::this_thread::get_id();
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          outer_lanes.insert(lane);
+        }
+        for (i64 width : {i64{0}, i64{4}}) {
+          parallel::parallel_for(
+              64,
+              [&](i64) {
+                ++inner_runs;
+                if (std::this_thread::get_id() != lane) ++strays;
+              },
+              width);
+        }
+      },
+      2);
+  EXPECT_EQ(outer_lanes.size(), 2u);
+  EXPECT_EQ(outer_lanes.count(caller), 1u);
+  EXPECT_EQ(inner_runs.load(), 2 * 2 * 64);
+  EXPECT_EQ(strays.load(), 0);
+}
+
+TEST(ParallelFor, SerialContextFansOutToDefaultJobs) {
+  // From a serial context the default width applies: two indices that
+  // each wait for the other can only both finish on two threads.
+  const i64 before = parallel::default_jobs();
+  parallel::set_default_jobs(2);
+  std::atomic<int> arrived{0};
+  std::mutex mu;
+  std::set<std::thread::id> lanes;
+  std::atomic<int> met{0};
+  parallel::parallel_for(2, [&](i64) {
+    if (rendezvous(arrived, 2)) ++met;
+    std::lock_guard<std::mutex> lock(mu);
+    lanes.insert(std::this_thread::get_id());
+  });
+  parallel::set_default_jobs(before);
+  EXPECT_EQ(met.load(), 2);
+  EXPECT_EQ(lanes.size(), 2u);
 }
 
 TEST(ParallelFor, JobsOneMatchesPlainLoop) {

@@ -100,7 +100,9 @@ TEST(AdaptiveAssignment, GoogLeNet1x1StaysInter) {
   for (const Layer& l : net.layers()) {
     if (!l.is_conv()) continue;
     const Scheme s = schemes[static_cast<std::size_t>(l.id)];
-    if (l.conv().k == 1) EXPECT_EQ(s, Scheme::kInter) << l.name;
+    if (l.conv().k == 1) {
+      EXPECT_EQ(s, Scheme::kInter) << l.name;
+    }
     if (s == Scheme::kPartition) ++partitions;
   }
   EXPECT_EQ(partitions, 1);  // only conv1 (Din=3)

@@ -21,8 +21,11 @@ TEST(ZooExtra, ShapesAndStructure) {
   // 1 stem + 8 fires x 3 + conv10 = 26 convolutions.
   EXPECT_EQ(sq.conv_layer_ids().size(), 26u);
   // fire2 output depth = 64 + 64.
-  for (const Layer& l : sq.layers())
-    if (l.name == "fire2/concat") EXPECT_EQ(l.out_dims.d, 128);
+  for (const Layer& l : sq.layers()) {
+    if (l.name == "fire2/concat") {
+      EXPECT_EQ(l.out_dims.d, 128);
+    }
+  }
 }
 
 TEST(ZooExtra, LeNet5FunctionalBitExact) {

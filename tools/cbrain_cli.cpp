@@ -29,6 +29,7 @@
 // issues), 2 usage / bad flag value, 3 invalid network spec or
 // unresolvable network, 4 internal error (invariant violation or
 // unexpected exception).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -81,6 +82,17 @@ struct Options {
   }
 };
 
+// Every flag any command reads. A flag outside this table is a usage
+// error, so a misspelled or retired flag fails loudly instead of being
+// silently ignored.
+constexpr const char* kKnownFlags[] = {
+    "baseline", "batch", "batch-wait", "chips", "clients", "closed-loop",
+    "csv", "dram", "duration", "events", "execute", "fc", "fidelity",
+    "jobs", "json", "max", "max-batch", "metric", "metrics-out", "mix",
+    "partition", "pe", "perf-json", "policy", "qps", "rate", "recovery",
+    "requests", "responses", "seed", "servers", "simd", "site", "think",
+    "trace-out", "width"};
+
 int usage() {
   std::fprintf(
       stderr,
@@ -92,7 +104,9 @@ int usage() {
       "       --dram=<words/cycle>  --fc  --batch=N  --json  --seed=N  "
       "--max=N\n"
       "       --metric=cycles|energy  --jobs=N (worker threads; default "
-      "hardware concurrency, 1 = serial)\n"
+      "hardware concurrency, 1 = serial;\n"
+      "        requests fill the pool first, a lone request's layers fan "
+      "out across it)\n"
       "       --simd=auto|avx2|sse2|scalar (kernel backend; all produce "
       "bit-identical results;\n"
       "        default: CBRAIN_SIMD env var, else best supported)\n"
@@ -115,9 +129,7 @@ int usage() {
       "       --fidelity=both (serve at both tiers, report side by side)\n"
       "       --batch=N (execute requests as N-image infer_batch calls; "
       "outputs\n"
-      "        byte-identical to unbatched)  --intra-jobs=N (worker "
-      "fan-out inside\n"
-      "        each layer call of the functional tier)\n"
+      "        byte-identical to unbatched)\n"
       "serve-load flags: --qps=a,b,.. (offered ladder; default scales to "
       "capacity)\n"
       "       --duration=S (virtual seconds per point, default 2)  "
@@ -128,8 +140,7 @@ int usage() {
       "--jobs)\n"
       "       --closed-loop --clients=N --think=US (self-throttling "
       "clients instead\n"
-      "        of the open-loop sweep)  --max-batch=N  --batch-wait=US  "
-      "--intra-jobs=N\n"
+      "        of the open-loop sweep)  --max-batch=N  --batch-wait=US\n"
       "       --perf-json=FILE (serve_load curve + knee for "
       "bench_compare.py)\n"
       "       --mix=NET2 (serve a second model concurrently; the spiky "
@@ -234,14 +245,12 @@ MultiChipChoice resolve_multichip(const Options& opt) {
 
 multichip::MultiChipOptions multichip_options(const MultiChipChoice& mcc,
                                               Policy policy,
-                                              Fidelity fidelity,
-                                              const Options& opt) {
+                                              Fidelity fidelity) {
   multichip::MultiChipOptions mo;
   mo.chips = mcc.chips;
   mo.strategy = mcc.strategy;
   mo.policy = policy;
   mo.fidelity = fidelity;
-  mo.intra_jobs = std::max<i64>(1, opt.get_i64("intra-jobs", 1));
   return mo;
 }
 
@@ -398,7 +407,7 @@ int cmd_simulate(const Network& net, const Options& opt) {
     const AcceleratorConfig config = resolve_config(opt);
     engine::Engine engine(config);
     multichip::MultiChipExecutor mc(
-        engine, net, multichip_options(mcc, *policy, fid.fidelity, opt));
+        engine, net, multichip_options(mcc, *policy, fid.fidelity));
     const auto seed = static_cast<u64>(opt.get_i64("seed", 42));
     const auto params = init_net_params<Fixed16>(net, seed);
     const auto input =
@@ -484,7 +493,6 @@ int cmd_serve_bench(const Network& net, const Options& opt) {
   // via engine::run_batches. 0 keeps the classic one-infer-per-request
   // run_many path. Outputs are byte-identical either way.
   const i64 exec_batch = std::max<i64>(0, opt.get_i64("batch", 0));
-  const i64 intra_jobs = std::max<i64>(1, opt.get_i64("intra-jobs", 1));
 
   const auto params = init_net_params<Fixed16>(net, seed);
   std::vector<Tensor3<Fixed16>> inputs;
@@ -511,7 +519,7 @@ int cmd_serve_bench(const Network& net, const Options& opt) {
     }
     using Clock2 = std::chrono::steady_clock;
     multichip::MultiChipExecutor mc(
-        engine, net, multichip_options(mcc, *policy, fid.fidelity, opt));
+        engine, net, multichip_options(mcc, *policy, fid.fidelity));
     mc.load_params(params);
     const auto t0 = Clock2::now();
     const std::vector<SimResult> results = mc.infer_many(inputs, jobs);
@@ -538,8 +546,7 @@ int cmd_serve_bench(const Network& net, const Options& opt) {
                 st.xfer_energy_pj / 1e6);
     if (opt.has("baseline")) {
       const std::vector<SimResult> single = engine.run_many(
-          net, *policy, params, inputs, jobs, nullptr, fid.fidelity,
-          nullptr, intra_jobs);
+          net, *policy, params, inputs, jobs, nullptr, fid.fidelity);
       i64 single_cycles = 0;
       for (const TrafficCounters& c : single.front().per_layer)
         single_cycles += c.total_cycles;
@@ -588,12 +595,11 @@ int cmd_serve_bench(const Network& net, const Options& opt) {
         for (i64 j = i; j < std::min(requests, i + exec_batch); ++j)
           batches.back().push_back(j);
       }
-      run.results =
-          engine.run_batches(net, *policy, params, inputs, batches, jobs,
-                             &run.stats, f, nullptr, intra_jobs);
+      run.results = engine.run_batches(net, *policy, params, inputs,
+                                       batches, jobs, &run.stats, f);
     } else {
       run.results = engine.run_many(net, *policy, params, inputs, jobs,
-                                    &run.stats, f, nullptr, intra_jobs);
+                                    &run.stats, f);
     }
     return run;
   };
@@ -637,11 +643,8 @@ int cmd_serve_bench(const Network& net, const Options& opt) {
     if (full > 0)
       hist += (hist.empty() ? std::string() : std::string(" ")) +
               std::to_string(exec_batch) + ":" + std::to_string(full);
-    std::printf("  batch=%lld intra_jobs=%lld  batch sizes: %s",
-                static_cast<long long>(exec_batch),
-                static_cast<long long>(intra_jobs), hist.c_str());
-  } else if (intra_jobs > 1) {
-    std::printf("  intra_jobs=%lld", static_cast<long long>(intra_jobs));
+    std::printf("  batch=%lld  batch sizes: %s",
+                static_cast<long long>(exec_batch), hist.c_str());
   }
   std::printf("\n");
   if (fid.both) {
@@ -821,9 +824,6 @@ int cmd_serve_load(const Network& net, const Options& opt) {
     sc.max_batch = std::max<i64>(1, opt.get_i64("max-batch", 8));
   if (opt.has("batch-wait"))
     sc.batch_wait_us = std::max<i64>(0, opt.get_i64("batch-wait", 2000));
-  // Host execution knob only: fans each layer call of a dispatched batch
-  // across workers; decisions and digests are identical at any value.
-  sc.intra_jobs = std::max<i64>(1, opt.get_i64("intra-jobs", 1));
   serve::Scheduler sched(engine, sc);
   const i64 model = sched.add_model(net, *policy, seed);
 
@@ -1229,6 +1229,13 @@ int run(int argc, char** argv) {
       opt.net = arg;
     } else {
       return usage();
+    }
+  }
+  for (const auto& [name, value] : opt.flags) {
+    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), name) ==
+        std::end(kKnownFlags)) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+      return 2;
     }
   }
   if (opt.command.empty()) return usage();

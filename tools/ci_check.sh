@@ -125,25 +125,27 @@ diff /tmp/cbrain_serve_j1.txt /tmp/cbrain_serve_jn.txt
 
 echo "=== batched execution: identity under sanitizers + any-jobs digests ==="
 # Batched multi-image inference shares one im2row band and packed weight
-# matrix across images and fans conv pixel bands out over intra-op
-# workers. --baseline asserts the batched outputs are byte-identical to
-# per-call Session::infer; TSan runs the batched fan-out (inter-request
-# jobs x intra-op jobs) under the race detector, and ASan vets the
-# shared-band indexing and the ragged last batch. test_batch carries the
-# bitwise-identity, bad-slot isolation, and steady-state-allocation
-# tests; the serve-load diff pins digest determinism at any jobs pairing.
+# matrix across images. A lone request fans its layer kernels (conv
+# pixel bands, GEMM row chunks, pool planes, LRN rows) out over the
+# worker pool; concurrent requests run their layers inline. --baseline
+# asserts the outputs are byte-identical to per-call Session::infer;
+# TSan runs one AlexNet request so the layer fan-out is race-checked,
+# and ASan vets the shared-band indexing and the ragged last batch.
+# test_batch carries the bitwise-identity, bad-slot isolation, and
+# steady-state-allocation tests; the serve-load diff pins digest
+# determinism at any --jobs.
 ./build-ci-release/tools/cbrain_cli serve-bench tiny_cnn --requests=9 \
-  --batch=4 --intra-jobs="$JOBS" --fidelity=functional --baseline
-./build-ci-tsan/tools/cbrain_cli serve-bench tiny_cnn --requests=9 \
-  --batch=4 --jobs=2 --intra-jobs=2 --fidelity=functional > /dev/null
+  --batch=4 --jobs="$JOBS" --fidelity=functional --baseline
+./build-ci-tsan/tools/cbrain_cli serve-bench alexnet --requests=1 \
+  --jobs="$JOBS" --fidelity=functional --baseline > /dev/null
 ./build-ci-asan/tools/cbrain_cli serve-bench tiny_cnn --requests=6 \
-  --batch=4 --intra-jobs=2 --fidelity=functional --baseline
+  --batch=4 --jobs=2 --fidelity=functional --baseline
 ./build-ci-asan/tests/test_batch
 ./build-ci-release/tools/cbrain_cli serve-load tiny_cnn --qps=6000 \
-  --duration=1 --execute --responses --jobs=1 --intra-jobs=1 \
+  --duration=1 --execute --responses --jobs=1 \
   > /tmp/cbrain_batched_j1.txt
 ./build-ci-release/tools/cbrain_cli serve-load tiny_cnn --qps=6000 \
-  --duration=1 --execute --responses --jobs="$JOBS" --intra-jobs="$JOBS" \
+  --duration=1 --execute --responses --jobs="$JOBS" \
   > /tmp/cbrain_batched_jn.txt
 diff /tmp/cbrain_batched_j1.txt /tmp/cbrain_batched_jn.txt
 
