@@ -10,7 +10,7 @@
 //
 //   bench_micro_kernels --perf-json[=path] [--quick]
 //
-// times dot_s16 / dot_s16_multi / dot_s16_mrhs[_nw,_dw] on every supported
+// times dot_s16 / dot_s16_mrhs[_nw,_dw] on every supported
 // SIMD backend plus whole-network wall-clock at both execution tiers
 // (cycle: full simulate per backend for AlexNet, VGG16 under the best
 // one; functional: warm weight-resident forward pass, with its speedup
@@ -29,8 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "cbrain/arch/pe_array.hpp"
-#include "cbrain/arch/sram.hpp"
 #include "cbrain/common/json.hpp"
 #include "cbrain/common/thread_pool.hpp"
 #include "cbrain/compiler/compiler.hpp"
@@ -92,69 +90,6 @@ void BM_Im2col(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2col);
 
-// Before/after isolation of the simulator's inner-loop rewrite: the same
-// Tin-wide dot products over an SRAM-resident band, once through the
-// original per-element path (bounds check + stat increment on every
-// Sram16::read, per-op PE accounting), once through the current span path
-// (one bounds check per band, stat-free dot_raw, counters batched per
-// sweep). Both leave identical SramStats/PEStats behind.
-constexpr i64 kInnerWords = 64 * 1024;
-
-Sram16 make_band() {
-  Sram16 sram("band", 2 * kInnerWords);
-  Rng rng(7);
-  for (i64 i = 0; i < kInnerWords; ++i)
-    sram.write(i, static_cast<std::int16_t>(rng.next_u64() & 0x7fff));
-  sram.reset_stats();
-  return sram;
-}
-
-void BM_ConvInnerPerElement(benchmark::State& state) {
-  Sram16 sram = make_band();
-  const AcceleratorConfig config = AcceleratorConfig::paper_16_16();
-  const i64 tin = config.tin;
-  PEArray pe(config);
-  std::vector<std::int16_t> data(static_cast<std::size_t>(tin));
-  std::vector<std::int16_t> wregs(static_cast<std::size_t>(tin), 3);
-  for (auto _ : state) {
-    Fixed16::acc_t acc = 0;
-    for (i64 a = 0; a + tin <= kInnerWords; a += tin) {
-      pe.begin_op(tin);
-      for (i64 c = 0; c < tin; ++c) data[static_cast<std::size_t>(c)] =
-          sram.read(a + c);
-      acc += pe.dot(data.data(), wregs.data(), tin);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.counters["MAC/s"] = benchmark::Counter(
-      static_cast<double>(kInnerWords) * state.iterations(),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ConvInnerPerElement);
-
-void BM_ConvInnerSpan(benchmark::State& state) {
-  Sram16 sram = make_band();
-  const AcceleratorConfig config = AcceleratorConfig::paper_16_16();
-  const i64 tin = config.tin;
-  PEArray pe(config);
-  std::vector<std::int16_t> wregs(static_cast<std::size_t>(tin), 3);
-  for (auto _ : state) {
-    const std::int16_t* band = sram.read_span(0, kInnerWords);
-    Fixed16::acc_t acc = 0;
-    for (i64 a = 0; a + tin <= kInnerWords; a += tin)
-      acc += PEArray::dot_raw(band + a, wregs.data(), tin);
-    const i64 ops = kInnerWords / tin;
-    sram.count_reads(ops * tin);
-    pe.begin_ops(ops, ops * tin);
-    pe.count_mac(ops * tin, ops * (tin - 1));
-    benchmark::DoNotOptimize(acc);
-  }
-  state.counters["MAC/s"] = benchmark::Counter(
-      static_cast<double>(kInnerWords) * state.iterations(),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ConvInnerSpan);
-
 void BM_CycleSimulator(benchmark::State& state) {
   const Network net = zoo::tiny_cnn();
   const AcceleratorConfig config = AcceleratorConfig::with_pe(8, 8);
@@ -186,7 +121,7 @@ BENCHMARK(BM_AnalyticalModel);
 // --- cbrain::simd kernel layer, per backend --------------------------------
 //
 // Registered at runtime (main) so only backends this build/CPU supports
-// appear: BM_DotS16/<backend>/n and BM_DotS16Multi/<backend>/n.
+// appear: BM_DotS16/<backend>/n.
 
 std::vector<std::int16_t> random_s16(i64 n, std::uint64_t seed) {
   Rng rng(seed);
@@ -194,8 +129,6 @@ std::vector<std::int16_t> random_s16(i64 n, std::uint64_t seed) {
   for (auto& x : v) x = static_cast<std::int16_t>(rng.next_u64());
   return v;
 }
-
-constexpr i64 kMultiRows = 16;
 
 void run_dot_bench(benchmark::State& state, simd::Backend b, i64 n) {
   simd::select_backend(b);
@@ -214,26 +147,6 @@ void run_dot_bench(benchmark::State& state, simd::Backend b, i64 n) {
       benchmark::Counter::kIsRate);
 }
 
-void run_dot_multi_bench(benchmark::State& state, simd::Backend b, i64 n) {
-  simd::select_backend(b);
-  const auto data = random_s16(n, 13);
-  const auto weights = random_s16(n * kMultiRows, 14);
-  std::vector<Fixed16::acc_t> out(static_cast<std::size_t>(kMultiRows));
-  for (auto _ : state) {
-    simd::dot_s16_multi(data.data(), weights.data(), n, kMultiRows, n,
-                        out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  // Bytes actually streamed: one data vector + kMultiRows weight rows.
-  state.counters["GB/s"] = benchmark::Counter(
-      static_cast<double>(sizeof(std::int16_t) * n * (1 + kMultiRows)) *
-          state.iterations() * 1e-9,
-      benchmark::Counter::kIsRate);
-  state.counters["MAC/s"] = benchmark::Counter(
-      static_cast<double>(n * kMultiRows) * state.iterations(),
-      benchmark::Counter::kIsRate);
-}
-
 void register_simd_benches() {
   for (simd::Backend b :
        {simd::Backend::kScalar, simd::Backend::kSse2, simd::Backend::kAvx2}) {
@@ -243,9 +156,6 @@ void register_simd_benches() {
       benchmark::RegisterBenchmark(
           ("BM_DotS16/" + name + "/" + std::to_string(n)).c_str(),
           [b, n](benchmark::State& s) { run_dot_bench(s, b, n); });
-      benchmark::RegisterBenchmark(
-          ("BM_DotS16Multi/" + name + "/" + std::to_string(n)).c_str(),
-          [b, n](benchmark::State& s) { run_dot_multi_bench(s, b, n); });
     }
   }
 }
@@ -299,40 +209,21 @@ KernelResult measure_dot(simd::Backend b, i64 n, int reps, i64 iters) {
   return r;
 }
 
-KernelResult measure_dot_multi(simd::Backend b, i64 n, int reps, i64 iters) {
-  simd::select_backend(b);
-  const auto data = random_s16(n, 23);
-  const auto weights = random_s16(n * kMultiRows, 24);
-  std::vector<Fixed16::acc_t> out(static_cast<std::size_t>(kMultiRows));
-  const double secs = best_of(reps, iters, [&] {
-    simd::dot_s16_multi(data.data(), weights.data(), n, kMultiRows, n,
-                        out.data());
-    benchmark::DoNotOptimize(out.data());
-  });
-  KernelResult r;
-  r.name = "dot_s16_multi";
-  r.backend = simd::backend_name(b);
-  r.n = n;
-  r.secs = secs;
-  r.gbps = static_cast<double>(sizeof(std::int16_t) * n * (1 + kMultiRows)) /
-           secs * 1e-9;
-  r.mac_per_s = static_cast<double>(n * kMultiRows) / secs;
-  return r;
-}
-
-// The multi-RHS GEMM kernels behind the batched functional tier: one
-// packed weight panel against kMrhsCols im2row columns per call. Three
+// The multi-RHS GEMM kernels behind both tiers (the exact one is the
+// cycle tier's conv/FC value pass): one kMrhsRows-row weight panel
+// against kMrhsCols im2row columns per call. Three
 // contract tiers share the measurement shape; `mode` picks the entry
 // point and sanitizes the weights to honour its precondition (nw: no
 // -32768; dw: additionally the deep-window magnitude bound, checked
 // with simd::deep_window_ok rather than assumed).
+constexpr i64 kMrhsRows = 16;
 constexpr i64 kMrhsCols = 8;
 
 KernelResult measure_dot_mrhs(simd::Backend b, const char* mode, i64 n,
                               int reps, i64 iters) {
   simd::select_backend(b);
   const auto data = random_s16(n * kMrhsCols, 27);
-  auto weights = random_s16(n * kMultiRows, 28);
+  auto weights = random_s16(n * kMrhsRows, 28);
   const bool nw = std::strcmp(mode, "nw") == 0;
   const bool dw = std::strcmp(mode, "dw") == 0;
   if (nw || dw)
@@ -342,15 +233,15 @@ KernelResult measure_dot_mrhs(simd::Backend b, const char* mode, i64 n,
     // Trained-net magnitudes: small enough that every 16-group window
     // stays under the 32-bit lane bound.
     for (auto& w : weights) w = static_cast<std::int16_t>(w % 1024);
-    CBRAIN_CHECK(simd::deep_window_ok(weights.data(), n, kMultiRows, n),
+    CBRAIN_CHECK(simd::deep_window_ok(weights.data(), n, kMrhsRows, n),
                  "dw bench weights must satisfy the deep-window bound");
   }
   std::vector<Fixed16::acc_t> out(
-      static_cast<std::size_t>(kMultiRows * kMrhsCols));
+      static_cast<std::size_t>(kMrhsRows * kMrhsCols));
   auto fn = dw ? simd::dot_s16_mrhs_dw
                : nw ? simd::dot_s16_mrhs_nw : simd::dot_s16_mrhs;
   const double secs = best_of(reps, iters, [&] {
-    fn(data.data(), n, kMrhsCols, weights.data(), n, kMultiRows, n,
+    fn(data.data(), n, kMrhsCols, weights.data(), n, kMrhsRows, n,
        out.data(), kMrhsCols);
     benchmark::DoNotOptimize(out.data());
   });
@@ -359,11 +250,11 @@ KernelResult measure_dot_mrhs(simd::Backend b, const char* mode, i64 n,
   r.backend = simd::backend_name(b);
   r.n = n;
   r.secs = secs;
-  // Bytes streamed: kMrhsCols data columns + kMultiRows weight rows.
+  // Bytes streamed: kMrhsCols data columns + kMrhsRows weight rows.
   r.gbps = static_cast<double>(sizeof(std::int16_t) * n *
-                               (kMrhsCols + kMultiRows)) /
+                               (kMrhsCols + kMrhsRows)) /
            secs * 1e-9;
-  r.mac_per_s = static_cast<double>(n * kMultiRows * kMrhsCols) / secs;
+  r.mac_per_s = static_cast<double>(n * kMrhsRows * kMrhsCols) / secs;
   return r;
 }
 
@@ -573,7 +464,6 @@ int run_perf_harness(const std::string& path, bool quick) {
   for (simd::Backend b : backends) {
     for (i64 n : {64, 256, 1024}) {
       kernels.push_back(measure_dot(b, n, reps, dot_iters));
-      kernels.push_back(measure_dot_multi(b, n, reps, multi_iters));
       kernels.push_back(measure_dot_mrhs(b, "", n, reps, multi_iters));
       kernels.push_back(measure_dot_mrhs(b, "nw", n, reps, multi_iters));
       kernels.push_back(measure_dot_mrhs(b, "dw", n, reps, multi_iters));
@@ -686,11 +576,12 @@ int run_perf_harness(const std::string& path, bool quick) {
   simd::select_backend(original);
   parallel::set_default_jobs(original_width);
 
-  // dot_s16_multi speedup of each vector backend over scalar at the same
-  // n — the kernel-level acceptance number tracked across commits.
-  auto multi_secs = [&](const std::string& backend, i64 n) {
+  // Exact dot_s16_mrhs speedup of each vector backend over scalar at the
+  // same n — the kernel both tiers' exact paths run, tracked across
+  // commits.
+  auto mrhs_secs = [&](const std::string& backend, i64 n) {
     for (const KernelResult& k : kernels)
-      if (k.name == "dot_s16_multi" && k.backend == backend && k.n == n)
+      if (k.name == "dot_s16_mrhs" && k.backend == backend && k.n == n)
         return k.secs;
     return 0.0;
   };
@@ -718,11 +609,11 @@ int run_perf_harness(const std::string& path, bool quick) {
   for (simd::Backend b : backends) {
     if (b == simd::Backend::kScalar) continue;
     for (i64 n : {64, 256, 1024}) {
-      const double s = multi_secs("scalar", n);
-      const double v = multi_secs(simd::backend_name(b), n);
+      const double s = mrhs_secs("scalar", n);
+      const double v = mrhs_secs(simd::backend_name(b), n);
       if (s <= 0.0 || v <= 0.0) continue;
       w.begin_object();
-      w.kv("kernel", "dot_s16_multi");
+      w.kv("kernel", "dot_s16_mrhs");
       w.kv("backend", simd::backend_name(b));
       w.kv("n", n);
       w.kv("speedup", s / v);

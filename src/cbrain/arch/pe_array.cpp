@@ -4,15 +4,6 @@
 
 namespace cbrain {
 
-void PEArray::begin_op(i64 active_muls) {
-  CBRAIN_DCHECK(active_muls >= 0 && active_muls <= config_.multipliers(),
-                "op uses " << active_muls << " of " << config_.multipliers()
-                           << " multipliers");
-  ++stats_.ops;
-  stats_.idle_mul_slots += config_.multipliers() - active_muls;
-  if (fault_ != nullptr) fault_->on_pe_ops(1, config_.tout);
-}
-
 void PEArray::begin_ops(i64 ops, i64 active_mul_slots) {
   CBRAIN_DCHECK(ops >= 0 && active_mul_slots >= 0 &&
                     active_mul_slots <= ops * config_.multipliers(),
@@ -22,13 +13,6 @@ void PEArray::begin_ops(i64 ops, i64 active_mul_slots) {
   stats_.ops += ops;
   stats_.idle_mul_slots += ops * config_.multipliers() - active_mul_slots;
   if (fault_ != nullptr) fault_->on_pe_ops(ops, config_.tout);
-}
-
-Fixed16::acc_t PEArray::dot(const std::int16_t* data,
-                            const std::int16_t* weights, i64 n) {
-  stats_.mul_ops += n;
-  stats_.add_ops += n > 0 ? n - 1 : 0;
-  return dot_raw(data, weights, n);
 }
 
 }  // namespace cbrain

@@ -1,14 +1,13 @@
 // PE array model: Tout adder trees fed by Tin multipliers each ("16-16
 // stands for ... 256 multipliers and 16 adder trees, each with 16
-// adders"). The functional simulator drives it op by op; this class owns
-// the datapath arithmetic and the utilization accounting that §4.1.1's
-// under-utilization argument rests on.
+// adders"). The cycle-level simulator computes the arithmetic in its
+// value pass and announces the operations here in batches; this class
+// owns the utilization accounting that §4.1.1's under-utilization
+// argument rests on.
 #pragma once
 
 #include "cbrain/arch/config.hpp"
 #include "cbrain/fault/fault.hpp"
-#include "cbrain/fixed/fixed16.hpp"
-#include "cbrain/simd/simd.hpp"
 
 namespace cbrain {
 
@@ -23,31 +22,14 @@ class PEArray {
  public:
   explicit PEArray(const AcceleratorConfig& config) : config_(config) {}
 
-  // Announce one PE operation using `active_muls` multiplier slots; the
-  // remaining (Tin*Tout - active_muls) slots burn idle energy this cycle.
-  void begin_op(i64 active_muls);
-
-  // Batched begin_op: `ops` operations totalling `active_mul_slots` useful
-  // slots. The executor's hot loops announce a whole window sweep at once
-  // — the aggregate equals the per-op announcements it replaces.
+  // Announce `ops` PE operations totalling `active_mul_slots` useful
+  // multiplier slots; the remaining (ops*Tin*Tout - active_mul_slots)
+  // slots burn idle energy. The executor announces a whole window sweep
+  // at once — the aggregate equals per-op announcements.
   void begin_ops(i64 ops, i64 active_mul_slots);
 
-  // Dot product of n <data, weight> pairs at accumulator precision: one
-  // lane of one adder tree. Counts n muls and n-1 tree adds (callers
-  // account the final accumulate-into-partial as an extra add).
-  Fixed16::acc_t dot(const std::int16_t* data, const std::int16_t* weights,
-                     i64 n);
-
-  // Stat-free dot for batched hot loops; the caller accounts the work via
-  // count_mac afterwards. Dispatches to the cbrain::simd kernel layer —
-  // bit-identical on every backend, and both pointers may be arbitrarily
-  // (element-)aligned: callers hand out offsets into SRAM-backed vectors.
-  static Fixed16::acc_t dot_raw(const std::int16_t* data,
-                                const std::int16_t* weights, i64 n) {
-    return simd::dot_s16(data, weights, n);
-  }
-
-  // Batched accounting for dot_raw work.
+  // Batched accounting for the multiply-accumulate work the executor's
+  // value pass computed (n muls and n-1 tree adds per n-term dot).
   void count_mac(i64 muls, i64 adds) {
     stats_.mul_ops += muls;
     stats_.add_ops += adds;
@@ -59,7 +41,7 @@ class PEArray {
   const PEStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  // Fault-injection hook: begin_op/begin_ops advance the kPeLane fault
+  // Fault-injection hook: begin_ops advances the kPeLane fault
   // countdown by the issued operation count — a fire latches a stuck
   // multiplier lane that the executor applies to finalized outputs.
   void attach_fault(FaultInjector* injector) { fault_ = injector; }

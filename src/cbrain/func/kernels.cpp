@@ -16,10 +16,8 @@ static_assert(sizeof(Fixed16) == sizeof(std::int16_t),
 
 namespace {
 
-// Weight rows handed to one multi-RHS call. Matches the simulator's
-// lane-group width (kMultiRows in the scheme executors): a band of ~16
-// rows × a few-hundred-word patch stays L2-resident while the patches
-// stream.
+// Weight rows handed to one multi-RHS call: a band of ~16 rows × a
+// few-hundred-word patch stays L2-resident while the patches stream.
 constexpr i64 kRowChunk = 16;
 
 // Patch columns per multi-RHS call: each weight chunk loaded into

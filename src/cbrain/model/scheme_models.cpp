@@ -15,9 +15,8 @@ void for_lane_groups(i64 douts, i64 tout, Fn&& fn) {
     fn(std::min(tout, douts - base));
 }
 
-TrafficCounters model_conv_inter(const ConvTileInstr& in,
-                                 const AcceleratorConfig& cfg,
-                                 bool improved) {
+TrafficCounters model_inter(const ConvTileInstr& in,
+                            const AcceleratorConfig& cfg, bool improved) {
   TrafficCounters c;
   const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
   const i64 douts = in.dout1 - in.dout0;
@@ -87,8 +86,8 @@ TrafficCounters model_conv_inter(const ConvTileInstr& in,
   return c;
 }
 
-TrafficCounters model_conv_partition(const ConvTileInstr& in,
-                                     const AcceleratorConfig& cfg) {
+TrafficCounters model_partition(const ConvTileInstr& in,
+                                const AcceleratorConfig& cfg) {
   TrafficCounters c;
   const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
   const i64 douts = in.dout1 - in.dout0;
@@ -129,8 +128,8 @@ TrafficCounters model_conv_partition(const ConvTileInstr& in,
   return c;
 }
 
-TrafficCounters model_conv_unroll(const ConvTileInstr& in,
-                                  const AcceleratorConfig& cfg) {
+TrafficCounters model_unroll(const ConvTileInstr& in,
+                             const AcceleratorConfig& cfg) {
   TrafficCounters c;
   const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
   const i64 douts = in.dout1 - in.dout0;
@@ -182,14 +181,14 @@ TrafficCounters model_conv_tile(const ConvTileInstr& instr,
                                 const AcceleratorConfig& config) {
   switch (instr.scheme) {
     case Scheme::kInter:
-      return model_conv_inter(instr, config, /*improved=*/false);
+      return model_inter(instr, config, /*improved=*/false);
     case Scheme::kInterImproved:
-      return model_conv_inter(instr, config, /*improved=*/true);
+      return model_inter(instr, config, /*improved=*/true);
     case Scheme::kIntraUnroll:
-      return model_conv_unroll(instr, config);
+      return model_unroll(instr, config);
     case Scheme::kIntraSliding:
     case Scheme::kPartition:
-      return model_conv_partition(instr, config);
+      return model_partition(instr, config);
   }
   return {};
 }

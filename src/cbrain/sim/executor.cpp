@@ -5,6 +5,7 @@
 #include "cbrain/arch/phase_clock.hpp"
 #include "cbrain/common/logging.hpp"
 #include "cbrain/compiler/scheme.hpp"
+#include "cbrain/func/kernels.hpp"
 #include "cbrain/obs/metrics.hpp"
 #include "cbrain/obs/tracer.hpp"
 #include "cbrain/ref/lrn_ref.hpp"
@@ -485,55 +486,161 @@ class Executor {
     return static_cast<acc_t>(raw) << Fixed16::kFracBits;
   }
 
-  void exec_conv(const ConvTileInstr& in) {
-    switch (in.scheme) {
-      case Scheme::kInter:
-        conv_inter_classic(in);
-        break;
-      case Scheme::kInterImproved:
-        conv_inter_improved(in);
-        break;
-      case Scheme::kIntraUnroll:
-        conv_unroll(in);
-        break;
-      case Scheme::kIntraSliding:
-      case Scheme::kPartition:
-        conv_partition(in);
-        break;
+  // --- conv: one value pass, per-scheme address maps and counters ---------
+  //
+  // The four §4.2 dataflows read different buffer words but compute the
+  // same exact int64 dot per (output pixel, dout). A tile's patch for
+  // output (oy, ox) is the band words
+  //   row0 + oy*row_step + ox*x_step + tap[j]
+  // with j running over (din, ky, kx) — the order of each dout's weight
+  // run — so one exact dot_s16_mrhs per output row computes the tile.
+  struct BandMap {
+    i64 row0 = 0;
+    i64 row_step = 0;
+    i64 x_step = 0;
+    std::vector<i64> tap;
+  };
+
+  // `kt` taps per kernel side: padded_k for partition/sliding tiles, whose
+  // zero-padded weight words are real weight-SRAM words (an upset there
+  // must still reach the sum).
+  static BandMap band_map(const ConvTileInstr& in, i64 kt) {
+    const i64 dins = in.din1 - in.din0;
+    BandMap m;
+    m.tap.reserve(static_cast<std::size_t>(dins * kt * kt));
+    if (in.scheme == Scheme::kIntraUnroll) {
+      // Unrolled band: (din, output pixel, k*k window), pixels counted
+      // from band_row0 (the tile's first output row).
+      const i64 kk = in.k * in.k;
+      const i64 pd = in.band_rows * in.out_w * kk;
+      m.row_step = in.out_w * kk;
+      m.x_step = kk;
+      m.row0 = -in.band_row0 * m.row_step;
+      for (i64 d = 0; d < dins; ++d)
+        for (i64 j = 0; j < kk; ++j) m.tap.push_back(d * pd + j);
+      return m;
     }
+    // Band cube in padded coordinates y = oy*stride + ky*dilation (and the
+    // same in x): px/py/pd are the word strides of a column, a row and a
+    // map.
+    const bool depth_major = in.band_order == DataOrder::kDepthMajor;
+    const i64 px = depth_major ? dins : 1;
+    const i64 py = in.band_width * px;
+    const i64 pd = depth_major ? 1 : in.band_rows * in.band_width;
+    m.row_step = in.stride * py;
+    m.x_step = in.stride * px;
+    m.row0 = -in.band_row0 * py;
+    for (i64 d = 0; d < dins; ++d)
+      for (i64 ky = 0; ky < kt; ++ky)
+        for (i64 kx = 0; kx < kt; ++kx)
+          m.tap.push_back(d * pd + (ky * py + kx * px) * in.dilation);
+    return m;
   }
 
-  // Band addressing (band-relative coordinates are padded-cube rows).
-  i64 in_band_addr(const ConvTileInstr& in, i64 din_abs, i64 y, i64 x) const {
+  void exec_conv(const ConvTileInstr& in) {
+    const i64 tout = m_.config().tout;
+    const bool classic = in.scheme == Scheme::kInter;
+    const bool padded = in.scheme == Scheme::kPartition ||
+                        in.scheme == Scheme::kIntraSliding;
+    const i64 kt = padded ? in.part.padded_k() : in.k;
     const i64 dins = in.din1 - in.din0;
-    const i64 drel = din_abs - in.din0;
-    const i64 yrel = y - in.band_row0;
-    CBRAIN_DCHECK(drel >= 0 && drel < dins && yrel >= 0 &&
-                      yrel < in.band_rows && x >= 0 && x < in.band_width,
-                  "band access out of range");
-    if (in.band_order == DataOrder::kDepthMajor)
-      return in.input_base + (yrel * in.band_width + x) * dins + drel;
-    return in.input_base + (drel * in.band_rows + yrel) * in.band_width + x;
-  }
-
-  i64 weight_tile_addr(const ConvTileInstr& in, i64 dout_abs, i64 din_abs,
-                       i64 ky, i64 kx) const {
-    const i64 kw = (in.scheme == Scheme::kPartition ||
-                    in.scheme == Scheme::kIntraSliding)
-                       ? in.part.padded_k()
-                       : in.k;
-    const i64 dins = in.din1 - in.din0;
-    return in.weight_base +
-           (((dout_abs - in.dout0) * dins + (din_abs - in.din0)) * kw + ky) *
-               kw +
-           kx;
-  }
-
-  i64 partial_index(const ConvTileInstr& in, i64 oy, i64 ox,
-                    i64 dout_abs) const {
     const i64 douts = in.dout1 - in.dout0;
-    return ((oy - in.out_row0) * in.out_w + ox) * douts +
-           (dout_abs - in.dout0);
+    const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
+    const i64 n = dins * kt * kt;  // one dout's weight run
+    // Classic single-chunk tiles finalize straight from the PE; every
+    // other tile accumulates through the output buffer.
+    const bool buffered = !(classic && in.first_din_chunk &&
+                            in.last_din_chunk);
+
+    // Spans, in the fault hooks' order: an injector with several sites
+    // armed draws them all from one RNG stream, so reordering the hooks
+    // changes where its faults land.
+    const i64 band_words =
+        in.scheme == Scheme::kIntraUnroll
+            ? dins * in.band_rows * in.out_w * in.k * in.k
+            : dins * in.band_rows * in.band_width;
+    const std::int16_t* band =
+        m_.input_buf().read_span(in.input_base, band_words);
+    const std::int16_t* wbuf =
+        m_.weight_buf().read_span(in.weight_base, douts * n);
+    const std::int16_t* bias_span =
+        classic && in.first_din_chunk ? m_.bias_buf().read_span(0, douts)
+                                      : nullptr;
+    acc_t* partials =
+        buffered ? m_.output_buf().span(0, npix * douts) : nullptr;
+
+    // Value pass — the only arithmetic. Weight runs and patches sit in
+    // zero-padded rows so the dots have no scalar tails.
+    const BandMap map = band_map(in, kt);
+    const auto [tap_lo, tap_hi] =
+        std::minmax_element(map.tap.begin(), map.tap.end());
+    CBRAIN_CHECK(map.row0 + in.out_row0 * map.row_step + *tap_lo >= 0 &&
+                     map.row0 + (in.out_row1 - 1) * map.row_step +
+                             (in.out_w - 1) * map.x_step + *tap_hi <
+                         band_words,
+                 "conv address map leaves the band");
+    const i64 rs = func::gemm_row_stride(n);
+    wrows_.assign(static_cast<std::size_t>(douts * rs), 0);
+    for (i64 o = 0; o < douts; ++o)
+      std::copy(wbuf + o * n, wbuf + (o + 1) * n, wrows_.data() + o * rs);
+    patches_.assign(static_cast<std::size_t>(in.out_w * rs), 0);
+    sums_.resize(static_cast<std::size_t>(douts * npix));
+    for (i64 oy = in.out_row0; oy < in.out_row1; ++oy) {
+      const std::int16_t* row = band + map.row0 + oy * map.row_step;
+      for (i64 ox = 0; ox < in.out_w; ++ox) {
+        const std::int16_t* src = row + ox * map.x_step;
+        std::int16_t* dst = patches_.data() + ox * rs;
+        for (i64 j = 0; j < n; ++j) dst[j] = src[map.tap[j]];
+      }
+      simd::dot_s16_mrhs(patches_.data(), rs, in.out_w, wrows_.data(), rs,
+                         douts, rs,
+                         sums_.data() + (oy - in.out_row0) * in.out_w, npix);
+    }
+
+    std::vector<acc_t> bias_acc(static_cast<std::size_t>(tout), 0);
+    for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout) {
+      const i64 L = std::min(tout, in.dout1 - lane0);
+      const i64 l0 = lane0 - in.dout0;
+      if (in.first_din_chunk)
+        for (i64 l = 0; l < L; ++l)
+          bias_acc[static_cast<std::size_t>(l)] =
+              bias_to_acc(classic ? bias_span[l0 + l]
+                                  : m_.bias_buf().read(l0 + l));
+      i64 pix = 0;
+      for (i64 oy = in.out_row0; oy < in.out_row1; ++oy) {
+        for (i64 ox = 0; ox < in.out_w; ++ox, ++pix) {
+          for (i64 l = 0; l < L; ++l) {
+            const acc_t v = sums_[static_cast<std::size_t>((l0 + l) * npix +
+                                                           pix)] +
+                            bias_acc[static_cast<std::size_t>(l)];
+            if (!buffered) {
+              store_out(in.outs, lane0 + l, oy, ox,
+                        finalize_value(v, in.relu));
+              continue;
+            }
+            acc_t& p = partials[pix * douts + l0 + l];
+            p = in.first_din_chunk ? v : p + v;
+          }
+        }
+      }
+      switch (in.scheme) {
+        case Scheme::kInter:
+          count_inter(in, L);
+          break;
+        case Scheme::kInterImproved:
+          count_inter_improved(in, L);
+          break;
+        case Scheme::kIntraSliding:
+        case Scheme::kPartition:
+          count_resident_windows(in, L, in.part.pieces() * dins,
+                                 in.part.sub_words());
+          break;
+        case Scheme::kIntraUnroll:
+          count_resident_windows(in, L, dins, in.k * in.k);
+          break;
+      }
+    }
+    if (buffered && in.last_din_chunk) finalize_from_buffer(in);
   }
 
   // Finalize the whole tile's outputs from the output buffer (partials)
@@ -541,8 +648,9 @@ class Executor {
   void finalize_from_buffer(const ConvTileInstr& in) {
     const i64 douts = in.dout1 - in.dout0;
     const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
-    // partial_index walks [0, npix*douts) sequentially under this loop
-    // order, so one span + one batched count covers the whole pass.
+    // Partials are pixel-major, dout-minor: this loop order walks
+    // [0, npix*douts) sequentially, so one span + one batched count covers
+    // the whole pass.
     const acc_t* partials = m_.output_buf().span(0, npix * douts);
     m_.output_buf().count_reads(npix * douts);
     i64 idx = 0;
@@ -553,413 +661,75 @@ class Executor {
                     finalize_value(partials[idx], in.relu));
   }
 
-  void conv_inter_classic(const ConvTileInstr& in) {
-    const i64 tin = m_.config().tin;
-    const i64 tout = m_.config().tout;
-    const i64 dins = in.din1 - in.din0;
-    const i64 douts = in.dout1 - in.dout0;
-    const bool multi_tile = !(in.first_din_chunk && in.last_din_chunk);
-    const i64 kk = in.k * in.k;
-    const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
-    const i64 nchunks = ceil_div(dins, tin);
+  // Per-lane-group counter blocks, in closed form: totals identical to
+  // per-element accounting of each dataflow, and the same begin_ops call
+  // sequence (each call advances the PE-lane fault stream).
 
-    // One bounds check per tile: raw views of the band, the weight block,
-    // the bias row and (for multi-tile accumulation) the partial store.
-    const std::int16_t* band = m_.input_buf().read_span(
-        in.input_base, dins * in.band_rows * in.band_width);
-    const std::int16_t* wbuf =
-        m_.weight_buf().read_span(in.weight_base, douts * dins * kk);
-    const std::int16_t* bias =
-        in.first_din_chunk ? m_.bias_buf().read_span(0, douts) : nullptr;
-    acc_t* partials =
-        multi_tile ? m_.output_buf().span(0, npix * douts) : nullptr;
-
-    // The scheme streams weights from the buffer on every operation; the
-    // values are loop-invariant across output pixels, so gather them once
-    // per lane group (contiguous in c for the dot below) and account the
-    // per-pixel streaming in the batched counts at the end.
-    std::vector<std::int16_t> wtile;
-    std::vector<acc_t> acc(static_cast<std::size_t>(tout));
-    std::vector<acc_t> bias_acc(static_cast<std::size_t>(tout), 0);
-
-    for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout) {
-      const i64 L = std::min(tout, in.dout1 - lane0);
-      wtile.resize(static_cast<std::size_t>(L * kk * dins));
-      for (i64 l = 0; l < L; ++l)
-        for (i64 ky = 0; ky < in.k; ++ky)
-          for (i64 kx = 0; kx < in.k; ++kx)
-            for (i64 c = 0; c < dins; ++c)
-              wtile[static_cast<std::size_t>(((l * kk) + ky * in.k + kx) *
-                                                 dins +
-                                             c)] =
-                  wbuf[weight_tile_addr(in, lane0 + l, in.din0 + c, ky, kx) -
-                       in.weight_base];
-      if (in.first_din_chunk)
-        for (i64 l = 0; l < L; ++l)
-          bias_acc[static_cast<std::size_t>(l)] =
-              bias_to_acc(bias[lane0 + l - in.dout0]);
-
-      for (i64 oy = in.out_row0; oy < in.out_row1; ++oy) {
-        for (i64 ox = 0; ox < in.out_w; ++ox) {
-          for (i64 l = 0; l < L; ++l)
-            acc[static_cast<std::size_t>(l)] =
-                in.first_din_chunk ? bias_acc[static_cast<std::size_t>(l)]
-                                   : 0;
-          for (i64 ky = 0; ky < in.k; ++ky) {
-            for (i64 kx = 0; kx < in.k; ++kx) {
-              const i64 y = oy * in.stride + ky * in.dilation;
-              const i64 x = ox * in.stride + kx * in.dilation;
-              const std::int16_t* wrow =
-                  wtile.data() + (ky * in.k + kx) * dins;
-              for (i64 c0 = 0; c0 < dins; c0 += tin) {
-                const i64 C = std::min(tin, dins - c0);
-                const std::int16_t* data =
-                    band +
-                    (in_band_addr(in, in.din0 + c0, y, x) - in.input_base);
-                simd::dot_s16_multi_acc(data, wrow + c0, kk * dins, L, C,
-                                        acc.data());
-              }
-            }
-          }
-          // Pixel complete for this lane group.
-          for (i64 l = 0; l < L; ++l) {
-            const i64 idx = partial_index(in, oy, ox, lane0 + l);
-            if (!multi_tile) {
-              store_out(in.outs, lane0 + l, oy, ox,
-                        finalize_value(acc[static_cast<std::size_t>(l)],
-                                       in.relu));
-            } else if (in.first_din_chunk) {
-              partials[idx] = acc[static_cast<std::size_t>(l)];
-            } else {
-              partials[idx] += acc[static_cast<std::size_t>(l)];
-            }
-          }
-        }
-      }
-
-      // Batched accounting — totals identical to the per-element
-      // increments of the loops above (weights and bias stream from the
-      // buffers once per operation / pixel respectively).
-      m_.input_buf().count_reads(npix * kk * dins);
-      m_.weight_buf().count_reads(npix * kk * dins * L);
-      if (in.first_din_chunk) m_.bias_buf().count_reads(npix * L);
-      m_.pe().begin_ops(npix * kk * nchunks, npix * kk * dins * L);
-      // dot tree adds (C-1 per chunk) + the accumulate-into-register add
-      // per chunk sum to exactly one add per multiply.
-      m_.pe().count_mac(npix * kk * dins * L, npix * kk * dins * L);
-      if (multi_tile) {
-        if (in.first_din_chunk) {
-          m_.output_buf().count_writes(npix * L);
-        } else {
-          m_.output_buf().count_reads(npix * L);
-          m_.output_buf().count_writes(npix * L);
-          m_.pe().count_add(npix * L);
-        }
-      }
-    }
-    if (multi_tile && in.last_din_chunk) finalize_from_buffer(in);
-  }
-
-  void conv_inter_improved(const ConvTileInstr& in) {
-    const i64 tin = m_.config().tin;
-    const i64 tout = m_.config().tout;
-    const i64 dins = in.din1 - in.din0;
-    const i64 douts = in.dout1 - in.dout0;
-    const i64 kk = in.k * in.k;
-    const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
-    const i64 nchunks = ceil_div(dins, tin);
-
-    const std::int16_t* band = m_.input_buf().read_span(
-        in.input_base, dins * in.band_rows * in.band_width);
-    const std::int16_t* wbuf =
-        m_.weight_buf().read_span(in.weight_base, douts * dins * kk);
-    acc_t* partials = m_.output_buf().span(0, npix * douts);
-
-    std::vector<std::int16_t> wregs(static_cast<std::size_t>(tout * tin));
-    std::vector<acc_t> bias_regs(static_cast<std::size_t>(tout), 0);
-
-    for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout) {
-      const i64 L = std::min(tout, in.dout1 - lane0);
-      for (i64 ky = 0; ky < in.k; ++ky) {
-        for (i64 kx = 0; kx < in.k; ++kx) {
-          for (i64 c0 = 0; c0 < dins; c0 += tin) {
-            const i64 C = std::min(tin, dins - c0);
-            // Weight residency: one register-load pass.
-            for (i64 l = 0; l < L; ++l)
-              for (i64 c = 0; c < C; ++c)
-                wregs[static_cast<std::size_t>(l * C + c)] =
-                    wbuf[weight_tile_addr(in, lane0 + l, in.din0 + c0 + c,
-                                          ky, kx) -
-                         in.weight_base];
-            manual_cycles_ += 1;  // the register-load cycle of the pass
-            const bool first_pass =
-                ky == 0 && kx == 0 && c0 == 0 && in.first_din_chunk;
-            if (first_pass)
-              for (i64 l = 0; l < L; ++l)
-                bias_regs[static_cast<std::size_t>(l)] =
-                    bias_to_acc(m_.bias_buf().read(lane0 + l - in.dout0));
-            for (i64 oy = in.out_row0; oy < in.out_row1; ++oy) {
-              const i64 row_base = (oy - in.out_row0) * in.out_w * douts +
-                                   (lane0 - in.dout0);
-              for (i64 ox = 0; ox < in.out_w; ++ox) {
-                const i64 y = oy * in.stride + ky * in.dilation;
-                const i64 x = ox * in.stride + kx * in.dilation;
-                const std::int16_t* data =
-                    band +
-                    (in_band_addr(in, in.din0 + c0, y, x) - in.input_base);
-                acc_t* out = partials + row_base + ox * douts;
-                if (first_pass) {
-                  simd::dot_s16_multi(data, wregs.data(), C, L, C, out);
-                  for (i64 l = 0; l < L; ++l)
-                    out[l] += bias_regs[static_cast<std::size_t>(l)];
-                } else {  // add-and-store
-                  simd::dot_s16_multi_acc(data, wregs.data(), C, L, C, out);
-                }
-              }
-            }
-          }
-        }
-      }
-      // Batched accounting — totals identical to the per-element version.
-      m_.weight_buf().count_reads(kk * dins * L);
-      m_.input_buf().count_reads(kk * dins * npix);
-      m_.pe().begin_ops(kk * nchunks * npix, kk * dins * L * npix);
-      m_.pe().count_mac(kk * dins * L * npix, kk * dins * L * npix);
-      const bool has_first_pass = in.first_din_chunk;
-      const i64 accum_passes = kk * nchunks - (has_first_pass ? 1 : 0);
-      if (has_first_pass) m_.output_buf().count_writes(npix * L);
-      m_.output_buf().count_reads(accum_passes * npix * L);
-      m_.output_buf().count_writes(accum_passes * npix * L);
-    }
-    if (in.last_din_chunk) finalize_from_buffer(in);
-  }
-
-  void conv_partition(const ConvTileInstr& in) {
-    const i64 tin = m_.config().tin;
-    const i64 tout = m_.config().tout;
-    const i64 g = in.part.g;
-    const i64 ks = in.part.ks;
-    const i64 ss = ks * ks;
-    const i64 w = std::max<i64>(1, tin / ss);
-    const i64 dins = in.din1 - in.din0;
-    const i64 douts = in.dout1 - in.dout0;
-    const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
-    const i64 kw = in.part.padded_k();
-
-    const std::int16_t* band = m_.input_buf().read_span(
-        in.input_base, dins * in.band_rows * in.band_width);
-    const std::int16_t* wbuf =
-        m_.weight_buf().read_span(in.weight_base, douts * dins * kw * kw);
-    acc_t* partials = m_.output_buf().span(0, npix * douts);
-
-    std::vector<std::int16_t> window(static_cast<std::size_t>(ss));
-    std::vector<std::int16_t> wregs(static_cast<std::size_t>(tout * ss));
-    std::vector<acc_t> bias_regs(static_cast<std::size_t>(tout), 0);
-    std::vector<acc_t> acc(static_cast<std::size_t>(tout));
-
-    for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout) {
-      const i64 L = std::min(tout, in.dout1 - lane0);
-      for (i64 by = 0; by < g; ++by) {
-        for (i64 bx = 0; bx < g; ++bx) {
-          for (i64 din = in.din0; din < in.din1; ++din) {
-            // Sub-kernel residency (Fig. 4b: "keep k11 in PE").
-            for (i64 l = 0; l < L; ++l)
-              for (i64 dy = 0; dy < ks; ++dy)
-                for (i64 dx = 0; dx < ks; ++dx)
-                  wregs[static_cast<std::size_t>(l * ss + dy * ks + dx)] =
-                      wbuf[weight_tile_addr(in, lane0 + l, din,
-                                            by * ks + dy, bx * ks + dx) -
-                           in.weight_base];
-            const bool first_pass = by == 0 && bx == 0 &&
-                                    din == in.din0 && in.first_din_chunk;
-            if (first_pass)
-              for (i64 l = 0; l < L; ++l)
-                bias_regs[static_cast<std::size_t>(l)] =
-                    bias_to_acc(m_.bias_buf().read(lane0 + l - in.dout0));
-            auto read_window = [&](i64 oy, i64 ox) {
-              // One ks x ks block of the partitioned grid: contiguous for
-              // dense kernels, a strided gather at dilation > 1.
-              for (i64 dy = 0; dy < ks; ++dy) {
-                const i64 y = oy * in.stride + (by * ks + dy) * in.dilation;
-                if (in.dilation == 1) {
-                  const std::int16_t* row =
-                      band + (in_band_addr(in, din, y,
-                                           ox * in.stride + bx * ks) -
-                              in.input_base);
-                  std::copy(row, row + ks, window.data() + dy * ks);
-                } else {
-                  for (i64 dx = 0; dx < ks; ++dx)
-                    window[static_cast<std::size_t>(dy * ks + dx)] =
-                        band[in_band_addr(
-                                 in, din, y,
-                                 ox * in.stride +
-                                     (bx * ks + dx) * in.dilation) -
-                             in.input_base];
-                }
-              }
-            };
-            if (ss <= tin) {
-              // Pack w whole sub-windows per operation.
-              for (i64 pix0 = 0; pix0 < npix; pix0 += w) {
-                const i64 wa = std::min(w, npix - pix0);
-                for (i64 wi = 0; wi < wa; ++wi) {
-                  const i64 pix = pix0 + wi;
-                  const i64 oy = in.out_row0 + pix / in.out_w;
-                  const i64 ox = pix % in.out_w;
-                  read_window(oy, ox);
-                  acc_t* out = partials + pix * douts + (lane0 - in.dout0);
-                  if (first_pass) {
-                    simd::dot_s16_multi(window.data(), wregs.data(), ss, L,
-                                        ss, out);
-                    for (i64 l = 0; l < L; ++l)
-                      out[l] += bias_regs[static_cast<std::size_t>(l)];
-                  } else {
-                    simd::dot_s16_multi_acc(window.data(), wregs.data(), ss,
-                                            L, ss, out);
-                  }
-                }
-              }
-              m_.pe().begin_ops(ceil_div(npix, w), npix * ss * L);
-            } else {
-              // Sub-window larger than Tin: chunk it over several ops,
-              // reducing in the PE before one add-and-store.
-              const i64 nchunks = ceil_div(ss, tin);
-              for (i64 pix = 0; pix < npix; ++pix) {
-                const i64 oy = in.out_row0 + pix / in.out_w;
-                const i64 ox = pix % in.out_w;
-                read_window(oy, ox);
-                std::fill(acc.begin(), acc.begin() + L, 0);
-                for (i64 j0 = 0; j0 < ss; j0 += tin) {
-                  const i64 C = std::min(tin, ss - j0);
-                  simd::dot_s16_multi_acc(window.data() + j0,
-                                          wregs.data() + j0, ss, L, C,
-                                          acc.data());
-                }
-                acc_t* out = partials + pix * douts + (lane0 - in.dout0);
-                for (i64 l = 0; l < L; ++l) {
-                  if (first_pass)
-                    out[l] = acc[static_cast<std::size_t>(l)] +
-                             bias_regs[static_cast<std::size_t>(l)];
-                  else
-                    out[l] += acc[static_cast<std::size_t>(l)];
-                }
-              }
-              m_.pe().begin_ops(npix * nchunks, npix * ss * L);
-            }
-            // Batched accounting for this (by, bx, din) pass.
-            m_.weight_buf().count_reads(ss * L);
-            m_.input_buf().count_reads(npix * ss);
-            m_.pe().count_mac(npix * ss * L, npix * ss * L);
-            if (first_pass) {
-              m_.output_buf().count_writes(npix * L);
-            } else {
-              m_.output_buf().count_reads(npix * L);
-              m_.output_buf().count_writes(npix * L);
-            }
-          }
-        }
-      }
-    }
-    if (in.last_din_chunk) finalize_from_buffer(in);
-  }
-
-  void conv_unroll(const ConvTileInstr& in) {
-    const i64 tin = m_.config().tin;
-    const i64 tout = m_.config().tout;
+  // Classic inter-kernel (§4.2.1): weights and bias stream from the
+  // buffers on every operation / pixel; each (pixel, tap) issues one op
+  // per Tin chunk of the input depth.
+  void count_inter(const ConvTileInstr& in, i64 L) {
     const i64 kk = in.k * in.k;
     const i64 dins = in.din1 - in.din0;
-    const i64 douts = in.dout1 - in.dout0;
     const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
-    const i64 pix_base = in.band_row0 * in.out_w;  // first pixel in band
-    const i64 band_pix = in.band_rows * in.out_w;
-
-    // Unrolled windows are contiguous in the band, so dots run straight
-    // off the span — no per-window copy.
-    const std::int16_t* band =
-        m_.input_buf().read_span(in.input_base, dins * band_pix * kk);
-    const std::int16_t* wbuf =
-        m_.weight_buf().read_span(in.weight_base, douts * dins * kk);
-    acc_t* partials = m_.output_buf().span(0, npix * douts);
-
-    auto window = [&](i64 din, i64 pix) {
-      return band + ((din - in.din0) * band_pix + (pix - pix_base)) * kk;
-    };
-
-    std::vector<std::int16_t> wregs(static_cast<std::size_t>(tout * kk));
-    std::vector<acc_t> bias_regs(static_cast<std::size_t>(tout), 0);
-    std::vector<acc_t> acc(static_cast<std::size_t>(tout));
-
-    for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout) {
-      const i64 L = std::min(tout, in.dout1 - lane0);
-      for (i64 din = in.din0; din < in.din1; ++din) {
-        for (i64 l = 0; l < L; ++l)
-          for (i64 j = 0; j < kk; ++j)
-            wregs[static_cast<std::size_t>(l * kk + j)] =
-                wbuf[weight_tile_addr(in, lane0 + l, din, j / in.k,
-                                      j % in.k) -
-                     in.weight_base];
-        const bool first_pass = din == in.din0 && in.first_din_chunk;
-        if (first_pass)
-          for (i64 l = 0; l < L; ++l)
-            bias_regs[static_cast<std::size_t>(l)] =
-                bias_to_acc(m_.bias_buf().read(lane0 + l - in.dout0));
-
-        if (kk <= tin) {
-          // Pack w whole windows per op.
-          const i64 w = std::max<i64>(1, tin / kk);
-          for (i64 p0 = 0; p0 < npix; ++p0) {
-            const i64 pix = pix_base + p0;
-            const std::int16_t* data = window(din, pix);
-            const i64 oy = pix / in.out_w;
-            const i64 ox = pix % in.out_w;
-            acc_t* out = partials + partial_index(in, oy, ox, lane0);
-            if (first_pass) {
-              simd::dot_s16_multi(data, wregs.data(), kk, L, kk, out);
-              for (i64 l = 0; l < L; ++l)
-                out[l] += bias_regs[static_cast<std::size_t>(l)];
-            } else {
-              simd::dot_s16_multi_acc(data, wregs.data(), kk, L, kk, out);
-            }
-          }
-          m_.pe().begin_ops(ceil_div(npix, w), npix * kk * L);
-        } else {
-          // Chunk one window over ceil(kk/Tin) ops, reducing in the PE.
-          const i64 nchunks = ceil_div(kk, tin);
-          for (i64 p0 = 0; p0 < npix; ++p0) {
-            const i64 pix = pix_base + p0;
-            const i64 oy = pix / in.out_w;
-            const i64 ox = pix % in.out_w;
-            const std::int16_t* data = window(din, pix);
-            std::fill(acc.begin(), acc.begin() + L, 0);
-            for (i64 j0 = 0; j0 < kk; j0 += tin) {
-              const i64 C = std::min(tin, kk - j0);
-              simd::dot_s16_multi_acc(data + j0, wregs.data() + j0, kk, L,
-                                      C, acc.data());
-            }
-            acc_t* out = partials + partial_index(in, oy, ox, lane0);
-            for (i64 l = 0; l < L; ++l) {
-              if (first_pass)
-                out[l] = acc[static_cast<std::size_t>(l)] +
-                         bias_regs[static_cast<std::size_t>(l)];
-              else
-                out[l] += acc[static_cast<std::size_t>(l)];
-            }
-          }
-          m_.pe().begin_ops(npix * nchunks, npix * kk * L);
-        }
-        // Batched accounting for this (lane0, din) pass.
-        m_.weight_buf().count_reads(kk * L);
-        m_.input_buf().count_reads(npix * kk);
-        m_.pe().count_mac(npix * kk * L, npix * kk * L);
-        if (first_pass) {
-          m_.output_buf().count_writes(npix * L);
-        } else {
-          m_.output_buf().count_reads(npix * L);
-          m_.output_buf().count_writes(npix * L);
-        }
-      }
+    const i64 macs = npix * kk * dins * L;
+    m_.input_buf().count_reads(npix * kk * dins);
+    m_.weight_buf().count_reads(macs);
+    if (in.first_din_chunk) m_.bias_buf().count_reads(npix * L);
+    m_.pe().begin_ops(npix * kk * ceil_div(dins, m_.config().tin), macs);
+    // dot tree adds (C-1 per chunk) + the accumulate-into-register add
+    // per chunk sum to exactly one add per multiply.
+    m_.pe().count_mac(macs, macs);
+    if (in.first_din_chunk && in.last_din_chunk) return;
+    if (in.first_din_chunk) {
+      m_.output_buf().count_writes(npix * L);
+    } else {
+      m_.output_buf().count_reads(npix * L);
+      m_.output_buf().count_writes(npix * L);
+      m_.pe().count_add(npix * L);
     }
-    if (in.last_din_chunk) finalize_from_buffer(in);
+  }
+
+  // Improved inter-kernel (§4.2.2): one register-load cycle per (tap,
+  // Tin chunk) pass keeps the weights resident; every pass but the first
+  // is an add-and-store over the tile's pixels.
+  void count_inter_improved(const ConvTileInstr& in, i64 L) {
+    const i64 kk = in.k * in.k;
+    const i64 dins = in.din1 - in.din0;
+    const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
+    const i64 passes = kk * ceil_div(dins, m_.config().tin);
+    const i64 macs = kk * dins * L * npix;
+    manual_cycles_ += passes;
+    m_.weight_buf().count_reads(kk * dins * L);
+    m_.input_buf().count_reads(kk * dins * npix);
+    m_.pe().begin_ops(passes * npix, macs);
+    m_.pe().count_mac(macs, macs);
+    const i64 accum_passes = passes - (in.first_din_chunk ? 1 : 0);
+    if (in.first_din_chunk) m_.output_buf().count_writes(npix * L);
+    m_.output_buf().count_reads(accum_passes * npix * L);
+    m_.output_buf().count_writes(accum_passes * npix * L);
+  }
+
+  // Kernel partitioning / sliding (one ks x ks sub-kernel per pass,
+  // Fig. 4b) and intra-kernel unrolling (one k x k window per pass): a
+  // resident `window`-word kernel slice sweeps the tile's pixels, packing
+  // Tin/window whole windows per op, or chunking a window larger than Tin
+  // over several ops that reduce in the PE before one add-and-store.
+  void count_resident_windows(const ConvTileInstr& in, i64 L, i64 passes,
+                              i64 window) {
+    const i64 tin = m_.config().tin;
+    const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
+    const i64 ops = window <= tin
+                        ? ceil_div(npix, std::max<i64>(1, tin / window))
+                        : npix * ceil_div(window, tin);
+    for (i64 p = 0; p < passes; ++p)
+      m_.pe().begin_ops(ops, npix * window * L);
+    m_.weight_buf().count_reads(passes * window * L);
+    m_.input_buf().count_reads(passes * npix * window);
+    m_.pe().count_mac(passes * npix * window * L, passes * npix * window * L);
+    const i64 accum_passes = passes - (in.first_din_chunk ? 1 : 0);
+    m_.output_buf().count_writes(passes * npix * L);
+    m_.output_buf().count_reads(accum_passes * npix * L);
   }
 
   void exec_pool(const PoolTileInstr& in) {
@@ -1087,21 +857,16 @@ class Executor {
     const std::int16_t* wbuf =
         m_.weight_buf().read_span(in.weight_base, douts * dins);
 
+    std::vector<acc_t> acc(static_cast<std::size_t>(tout));
     for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout) {
       const i64 L = std::min(tout, in.dout1 - lane0);
-      std::vector<acc_t> acc(static_cast<std::size_t>(L));
-      for (i64 l = 0; l < L; ++l)
-        acc[static_cast<std::size_t>(l)] =
-            in.first_din_chunk
-                ? bias_to_acc(m_.bias_buf().read(lane0 + l - in.dout0))
-                : 0;
-      for (i64 c0 = 0; c0 < dins; c0 += tin) {
-        const i64 C = std::min(tin, dins - c0);
-        // Weight sub-block layout: (dout-rel, din-chunk) row-major.
-        simd::dot_s16_multi_acc(ivec + c0,
-                                wbuf + (lane0 - in.dout0) * dins + c0, dins,
-                                L, C, acc.data());
-      }
+      // Weight sub-block layout: (dout-rel, din) row-major.
+      simd::dot_s16_mrhs(ivec, dins, 1, wbuf + (lane0 - in.dout0) * dins,
+                         dins, L, dins, acc.data(), 1);
+      if (in.first_din_chunk)
+        for (i64 l = 0; l < L; ++l)
+          acc[static_cast<std::size_t>(l)] +=
+              bias_to_acc(m_.bias_buf().read(lane0 + l - in.dout0));
       // Batched accounting for this lane group's dins-long dot products.
       m_.pe().begin_ops(nchunks, dins * L);
       m_.input_buf().count_reads(dins);
@@ -1196,6 +961,10 @@ class Executor {
   std::unique_ptr<Tracing> trace_;
   PhaseClock clock_;  // one inference's timeline, reset by infer()
   bool pe_filter_ = false;
+  // exec_conv scratch, reused across tiles.
+  std::vector<std::int16_t> wrows_;
+  std::vector<std::int16_t> patches_;
+  std::vector<acc_t> sums_;
   i64 manual_cycles_ = 0;
   i64 manual_dram_writes_ = 0;
   i64 manual_dram_reads_ = 0;

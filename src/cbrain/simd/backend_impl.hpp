@@ -13,12 +13,6 @@ namespace cbrain::simd::detail {
 struct KernelTable {
   std::int64_t (*dot_s16)(const std::int16_t*, const std::int16_t*,
                           std::int64_t);
-  void (*dot_s16_multi)(const std::int16_t*, const std::int16_t*,
-                        std::int64_t, std::int64_t, std::int64_t,
-                        std::int64_t*);
-  void (*dot_s16_multi_acc)(const std::int16_t*, const std::int16_t*,
-                            std::int64_t, std::int64_t, std::int64_t,
-                            std::int64_t*);
   void (*dot_s16_mrhs)(const std::int16_t*, std::int64_t, std::int64_t,
                        const std::int16_t*, std::int64_t, std::int64_t,
                        std::int64_t, std::int64_t*, std::int64_t);

@@ -162,16 +162,6 @@ Fixed16::acc_t dot_s16(const std::int16_t* data, const std::int16_t* weights,
   return table()->dot_s16(data, weights, n);
 }
 
-void dot_s16_multi(const std::int16_t* data, const std::int16_t* weights,
-                   i64 row_stride, i64 rows, i64 n, Fixed16::acc_t* out) {
-  table()->dot_s16_multi(data, weights, row_stride, rows, n, out);
-}
-
-void dot_s16_multi_acc(const std::int16_t* data, const std::int16_t* weights,
-                       i64 row_stride, i64 rows, i64 n, Fixed16::acc_t* out) {
-  table()->dot_s16_multi_acc(data, weights, row_stride, rows, n, out);
-}
-
 void dot_s16_mrhs(const std::int16_t* data, i64 data_stride, i64 cols,
                   const std::int16_t* weights, i64 row_stride, i64 rows,
                   i64 n, Fixed16::acc_t* out, i64 out_stride) {

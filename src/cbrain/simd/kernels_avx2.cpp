@@ -55,20 +55,6 @@ int64_t dot_s16(const int16_t* data, const int16_t* weights, int64_t n) {
   return acc;
 }
 
-void dot_s16_multi(const int16_t* data, const int16_t* weights,
-                   int64_t row_stride, int64_t rows, int64_t n,
-                   int64_t* out) {
-  for (int64_t l = 0; l < rows; ++l)
-    out[l] = dot_s16(data, weights + l * row_stride, n);
-}
-
-void dot_s16_multi_acc(const int16_t* data, const int16_t* weights,
-                       int64_t row_stride, int64_t rows, int64_t n,
-                       int64_t* out) {
-  for (int64_t l = 0; l < rows; ++l)
-    out[l] += dot_s16(data, weights + l * row_stride, n);
-}
-
 // No-wrap fast path (see simd.hpp): with the caller guaranteeing that no
 // pmaddwd pair sum reaches +2^31, madd's pairwise i32 result is exact and
 // the expensive sign-extending widen (unpack/cvt, all port-5 shuffles)
@@ -105,8 +91,9 @@ int64_t dot_s16_nw(const int16_t* data, const int16_t* weights, int64_t n) {
 }
 
 // Generic (wrap-safe) multi-RHS tile: element-by-element over the exact
-// widening dot. The wrap-safe path only runs for hand-built parameter
-// sets containing -32768, so it stays simple.
+// widening dot. It serves the cycle tier's value pass (fault upsets can
+// put -32768 in any weight word) and functional-tier weights that fail
+// the no-wrap scan.
 void dot_s16_mrhs(const int16_t* data, int64_t data_stride, int64_t cols,
                   const int16_t* weights, int64_t row_stride, int64_t rows,
                   int64_t n, int64_t* out, int64_t out_stride) {
@@ -388,9 +375,9 @@ void axpy_f32(float a, const float* x, float* y, int64_t n) {
 }
 
 constexpr KernelTable kTable = {
-    dot_s16,       dot_s16_multi,   dot_s16_multi_acc,
-    dot_s16_mrhs,  dot_s16_mrhs_nw, dot_s16_mrhs_dw,
-    add_sat_s16,   relu_s16,        max_s16,           axpy_f32,
+    dot_s16,
+    dot_s16_mrhs, dot_s16_mrhs_nw, dot_s16_mrhs_dw,
+    add_sat_s16,  relu_s16,        max_s16,         axpy_f32,
 };
 
 }  // namespace

@@ -17,20 +17,6 @@ int64_t s_dot_s16(const int16_t* data, const int16_t* weights, int64_t n) {
   return acc;
 }
 
-void s_dot_s16_multi(const int16_t* data, const int16_t* weights,
-                     int64_t row_stride, int64_t rows, int64_t n,
-                     int64_t* out) {
-  for (int64_t l = 0; l < rows; ++l)
-    out[l] = s_dot_s16(data, weights + l * row_stride, n);
-}
-
-void s_dot_s16_multi_acc(const int16_t* data, const int16_t* weights,
-                         int64_t row_stride, int64_t rows, int64_t n,
-                         int64_t* out) {
-  for (int64_t l = 0; l < rows; ++l)
-    out[l] += s_dot_s16(data, weights + l * row_stride, n);
-}
-
 void s_dot_s16_mrhs(const int16_t* data, int64_t data_stride, int64_t cols,
                     const int16_t* weights, int64_t row_stride, int64_t rows,
                     int64_t n, int64_t* out, int64_t out_stride) {
@@ -63,12 +49,12 @@ void s_axpy_f32(float a, const float* x, float* y, int64_t n) {
 }
 
 constexpr KernelTable kTable = {
-    s_dot_s16,     s_dot_s16_multi, s_dot_s16_multi_acc,
+    s_dot_s16,
     // The no-wrap and deep-window contracts are strict subsets of
     // full-range inputs, so the scalar reference serves all three
     // multi-RHS slots unchanged.
     s_dot_s16_mrhs, s_dot_s16_mrhs, s_dot_s16_mrhs,
-    s_add_sat_s16, s_relu_s16,      s_max_s16,           s_axpy_f32,
+    s_add_sat_s16,  s_relu_s16,     s_max_s16,      s_axpy_f32,
 };
 
 }  // namespace

@@ -52,20 +52,6 @@ int64_t dot_s16(const int16_t* data, const int16_t* weights, int64_t n) {
   return acc;
 }
 
-void dot_s16_multi(const int16_t* data, const int16_t* weights,
-                   int64_t row_stride, int64_t rows, int64_t n,
-                   int64_t* out) {
-  for (int64_t l = 0; l < rows; ++l)
-    out[l] = dot_s16(data, weights + l * row_stride, n);
-}
-
-void dot_s16_multi_acc(const int16_t* data, const int16_t* weights,
-                       int64_t row_stride, int64_t rows, int64_t n,
-                       int64_t* out) {
-  for (int64_t l = 0; l < rows; ++l)
-    out[l] += dot_s16(data, weights + l * row_stride, n);
-}
-
 // No-wrap fast path (see simd.hpp / the AVX2 twin): the caller rules out
 // the one pmaddwd-wrapping input, so the pairwise i32 sums are exact and
 // widen via xor-bias to unsigned + mask/shift instead of sign-extending
@@ -178,9 +164,9 @@ void axpy_f32(float a, const float* x, float* y, int64_t n) {
 // is a subset of the checked window), so _nw is valid for all dw inputs.
 // The 32-bit-deep accumulation itself is an AVX2-only optimization.
 constexpr KernelTable kTable = {
-    dot_s16,       dot_s16_multi,   dot_s16_multi_acc,
-    dot_s16_mrhs,  dot_s16_mrhs_nw, dot_s16_mrhs_nw,
-    add_sat_s16,   relu_s16,        max_s16,           axpy_f32,
+    dot_s16,
+    dot_s16_mrhs, dot_s16_mrhs_nw, dot_s16_mrhs_nw,
+    add_sat_s16,  relu_s16,        max_s16,         axpy_f32,
 };
 
 }  // namespace

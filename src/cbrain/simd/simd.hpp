@@ -1,12 +1,14 @@
 // cbrain::simd — the vectorized fixed-point kernel layer under every MAC
-// the functional simulator and the reference GEMM execute.
+// both execution tiers and the reference GEMM execute.
 //
 // The paper's datapath is 256 16-bit multipliers wide; the simulator's
 // equivalent hot operation is an int16×int16 dot product accumulated at
 // Fixed16::acc_t (int64) precision. This module provides that kernel —
-// plus the multi-row variant all five executor schemes and the FC path
-// actually use, and the elementwise int16 helpers (saturating add, ReLU,
-// max-pool reduction) — in three implementations selected at runtime:
+// plus the multi-RHS family both tiers run (the exact dot_s16_mrhs is the
+// cycle tier's conv/FC value pass; the functional tier's GEMMs add the
+// _nw/_dw fast paths), and the elementwise int16 helpers (saturating add,
+// ReLU, max-pool reduction) — in three implementations selected at
+// runtime:
 //
 //   * AVX2   — _mm256_madd_epi16 + i32→i64 widening (x86 only)
 //   * SSE2   — _mm_madd_epi16 + manual sign-extension (x86 only)
@@ -68,29 +70,19 @@ int env_resolve_count();
 
 // --- kernels ---------------------------------------------------------------
 // All pointers: arbitrary element alignment, caller guarantees n (and for
-// the multi-row forms, rows and row_stride) describe valid memory. n == 0
-// is a no-op (dot returns 0).
+// the multi-RHS forms, cols, rows and the strides) describe valid
+// memory. n == 0 is a no-op (dot returns 0).
 
 // Sum of data[i]*weights[i] at accumulator precision.
 Fixed16::acc_t dot_s16(const std::int16_t* data, const std::int16_t* weights,
                        i64 n);
 
-// One data vector against `rows` weight rows (row l starts at
-// weights + l*row_stride): out[l] = dot(data, row_l, n). This is the
-// shape of every conv/FC hot loop — one input window against a lane
-// group's resident weights.
-void dot_s16_multi(const std::int16_t* data, const std::int16_t* weights,
-                   i64 row_stride, i64 rows, i64 n, Fixed16::acc_t* out);
-
-// Accumulating variant: out[l] += dot(data, row_l, n).
-void dot_s16_multi_acc(const std::int16_t* data, const std::int16_t* weights,
-                       i64 row_stride, i64 rows, i64 n, Fixed16::acc_t* out);
-
 // Multi-RHS GEMM tile: `cols` data vectors (column c starts at
 // data + c*data_stride) against `rows` weight rows (row l starts at
 // weights + l*row_stride):
 //   out[l*out_stride + c] = dot(data_c, row_l, n)
-// This is the register-blocked inner kernel of the batched functional
+// This is the cycle tier's conv/FC value pass (one call per output row,
+// full-range inputs) and the inner kernel of the batched functional
 // GEMM: streaming each weight vector once per *block of columns* instead
 // of once per column cuts the L2/DRAM weight traffic per MAC by the
 // column-block factor — the dimension dynamic batching (multiple images)

@@ -107,15 +107,15 @@ TEST(Dma, TransferTimingModel) {
 TEST(PeArray, UtilizationAccounting) {
   const AcceleratorConfig cfg = AcceleratorConfig::with_pe(4, 4);
   PEArray pe(cfg);
-  pe.begin_op(16);
-  pe.begin_op(4);
+  pe.begin_ops(1, 16);
+  pe.begin_ops(1, 4);
   EXPECT_EQ(pe.stats().ops, 2);
   EXPECT_EQ(pe.stats().idle_mul_slots, 12);
+  pe.begin_ops(3, 20);  // batched: 48 slots over 3 ops, 28 idle
+  EXPECT_EQ(pe.stats().ops, 5);
+  EXPECT_EQ(pe.stats().idle_mul_slots, 40);
 
-  const std::int16_t data[3] = {256, 512, -256};   // 1, 2, -1 in Q7.8
-  const std::int16_t wgt[3] = {256, 256, 256};     // 1, 1, 1
-  const Fixed16::acc_t acc = pe.dot(data, wgt, 3);
-  EXPECT_EQ(acc, (i64{256} + 512 - 256) * 256);
+  pe.count_mac(3, 2);  // a 3-term dot: 3 muls, 2 tree adds
   EXPECT_EQ(pe.stats().mul_ops, 3);
   EXPECT_EQ(pe.stats().add_ops, 2);
   pe.count_add(5);

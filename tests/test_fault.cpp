@@ -197,6 +197,148 @@ TEST(FaultCampaign, TablesAndLogsIdenticalAcrossJobs) {
     EXPECT_EQ(log_of(serial.value()[i]), log_of(threaded.value()[i]));
 }
 
+// Golden anchor for the cycle tier's fault oracle. Every fault site
+// corrupts buffer words in place when the executor acquires them, and
+// all sites draw from one shared RNG stream, so these counts pin three
+// things at once: which words each conv scheme reads, the order of the
+// fault hooks, and which corrupted words reach the sums. That includes
+// the zero-padded weight taps of the partition scheme (seed 1 lands
+// weight upsets there that reach the outputs; dropping those taps from
+// the sums changes its weight rows). Values were captured from the
+// per-scheme executor loops and must survive any rewrite of the conv
+// value pass.
+TEST(FaultCampaign, SchemeMixAnchorTable) {
+  struct Expected {
+    Policy policy;
+    u64 seed;
+    // One row per (site, recovery): inj det corr uncorr silent replays
+    // mism max_err, in campaign grid order.
+    std::vector<std::string> rows;
+  };
+  const std::vector<Expected> anchors = {
+      {Policy::kFixedInter, 3,
+       {"24 0 0 0 24 0 0 0", "107 107 79 28 0 12 0 0",
+        "46 0 0 0 46 0 10 0.8906", "182 182 134 48 0 12 3 0.08594",
+        "0 0 0 0 0 0 0 0", "1 1 1 0 0 1 0 0", "0 0 0 0 0 0 0 0",
+        "0 0 0 0 0 0 0 0", "3 0 0 0 3 0 0 0", "3 0 0 0 3 0 0 0"}},
+      {Policy::kFixedIntra, 3,
+       {"76 0 0 0 76 0 0 0", "293 293 228 65 0 15 0 0",
+        "46 0 0 0 46 0 10 0.8906", "182 182 134 48 0 12 3 0.08594",
+        "0 0 0 0 0 0 0 0", "1 1 1 0 0 1 0 0", "70 0 0 0 70 0 0 0",
+        "259 259 191 68 0 9 0 0", "4 0 0 0 4 0 0 0", "3 0 0 0 3 0 0 0"}},
+      {Policy::kFixedPartition, 3,
+       {"24 0 0 0 24 0 0 0", "113 113 88 25 0 15 0 0",
+        "46 0 0 0 46 0 10 0.8984", "186 186 145 41 0 12 9 0.06641",
+        "0 0 0 0 0 0 0 0", "1 1 1 0 0 1 0 0", "70 0 0 0 70 0 0 0",
+        "259 259 191 68 0 9 0 0", "4 0 0 0 4 0 0 0", "3 0 0 0 3 0 0 0"}},
+      {Policy::kAdaptive2, 3,
+       {"24 0 0 0 24 0 0 0", "113 113 88 25 0 15 0 0",
+        "46 0 0 0 46 0 10 0.8984", "186 186 145 41 0 12 9 0.06641",
+        "0 0 0 0 0 0 0 0", "1 1 1 0 0 1 0 0", "70 0 0 0 70 0 0 0",
+        "259 259 191 68 0 9 0 0", "3 0 0 0 3 0 0 0", "3 0 0 0 3 0 0 0"}},
+      {Policy::kFixedPartition, 1,
+       {"28 0 0 0 28 0 0 0", "104 104 82 22 0 14 0 0",
+        "41 0 0 0 41 0 10 0.7461", "183 183 136 47 0 12 10 0.5781",
+        "0 0 0 0 0 0 0 0", "0 0 0 0 0 0 0 0", "65 0 0 0 65 0 0 0",
+        "259 259 200 59 0 9 0 0", "3 0 0 0 3 0 0 0", "2 0 0 0 2 0 0 0"}},
+      {Policy::kAdaptive2, 1,
+       {"28 0 0 0 28 0 0 0", "104 104 82 22 0 14 0 0",
+        "41 0 0 0 41 0 10 0.7461", "183 183 136 47 0 12 10 0.5781",
+        "0 0 0 0 0 0 0 0", "0 0 0 0 0 0 0 0", "65 0 0 0 65 0 0 0",
+        "259 259 200 59 0 9 0 0", "3 0 0 0 3 0 0 0", "2 0 0 0 2 0 0 0"}},
+  };
+  for (const Expected& e : anchors) {
+    SCOPED_TRACE(std::string(policy_name(e.policy)) + " seed " +
+                 std::to_string(e.seed));
+    CampaignSpec cs;
+    cs.nets = {zoo::scheme_mix_cnn()};
+    cs.policy = e.policy;
+    cs.config = AcceleratorConfig::paper_16_16();
+    cs.sites = {FaultSite::kInputSram, FaultSite::kWeightSram,
+                FaultSite::kBiasSram, FaultSite::kAccumSram,
+                FaultSite::kPeLane};
+    cs.rates_per_mword = {2000};
+    cs.recoveries = {RecoveryPolicy::kNone, RecoveryPolicy::kParityRetry};
+    cs.seed = e.seed;
+    const auto r = run_fault_campaign(cs);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    ASSERT_EQ(r.value().size(), e.rows.size());
+    for (std::size_t i = 0; i < e.rows.size(); ++i) {
+      const FaultPointResult& p = r.value()[i];
+      char max_err[32];
+      std::snprintf(max_err, sizeof(max_err), "%.4g", p.max_abs_err);
+      const std::string got =
+          std::to_string(p.stats.total_injected()) + " " +
+          std::to_string(p.stats.detected) + " " +
+          std::to_string(p.stats.corrected) + " " +
+          std::to_string(p.stats.uncorrected) + " " +
+          std::to_string(p.stats.silent) + " " +
+          std::to_string(p.stats.instruction_replays) + " " +
+          std::to_string(p.mismatched_outputs) + " " + max_err;
+      EXPECT_EQ(got, e.rows[i])
+          << fault_site_name(p.spec.site) << " / "
+          << recovery_policy_name(p.spec.recovery);
+    }
+  }
+}
+
+// Campaign points arm one site each. With every site armed on one
+// injector the sites share one RNG stream, so these pins also fix the
+// order in which a tile acquires its band, weight, bias and partial
+// spans and issues its PE operations. Row: injected per site (input,
+// weight, bias, accum, pe), detected, corrected, replays, outputs that
+// differ from the fault-free run, sum of the raw output words.
+TEST(FaultInjector, SchemeMixAllSitesAnchor) {
+  const Network net = zoo::scheme_mix_cnn();
+  const AcceleratorConfig config = AcceleratorConfig::paper_16_16();
+  const auto params = init_net_params<Fixed16>(net, 42);
+  const auto input = random_input<Fixed16>(net.layer(0).out_dims, 43);
+  const std::vector<std::pair<Policy, std::string>> anchors = {
+      {Policy::kFixedInter, "113 180 1 0 12 294 220 15 10 256"},
+      {Policy::kFixedIntra, "280 171 1 263 10 715 539 15 10 256"},
+      {Policy::kFixedPartition, "104 195 1 253 12 553 424 15 10 257"},
+      {Policy::kAdaptive2, "111 193 1 251 13 556 420 15 10 255"},
+  };
+  for (const auto& [policy, expected] : anchors) {
+    SCOPED_TRACE(policy_name(policy));
+    const auto compiled = compile_network(net, policy, config);
+    ASSERT_TRUE(compiled.is_ok());
+    SimExecutor clean(net, compiled.value(), config);
+    const Tensor3<Fixed16> golden = clean.run(input, params).final_output;
+
+    FaultConfig fc;
+    fc.seed = 3;
+    fc.recovery = RecoveryPolicy::kParityRetry;
+    for (const FaultSite site :
+         {FaultSite::kInputSram, FaultSite::kWeightSram,
+          FaultSite::kBiasSram, FaultSite::kAccumSram, FaultSite::kPeLane}) {
+      fc.site(site).per_mword = 2000;
+      fc.site(site).mode = default_fault_mode(site);
+    }
+    FaultInjector injector(fc);
+    SimExecutor hooked(net, compiled.value(), config);
+    hooked.attach_fault(&injector);
+    const Tensor3<Fixed16> out = hooked.run(input, params).final_output;
+
+    const FaultStats& st = injector.stats();
+    std::string got;
+    for (const FaultSite site :
+         {FaultSite::kInputSram, FaultSite::kWeightSram,
+          FaultSite::kBiasSram, FaultSite::kAccumSram, FaultSite::kPeLane})
+      got += std::to_string(st.injected[static_cast<std::size_t>(site)]) +
+             " ";
+    i64 mism = 0, sum = 0;
+    for (std::size_t i = 0; i < out.storage().size(); ++i) {
+      mism += out.storage()[i].raw() != golden.storage()[i].raw();
+      sum += out.storage()[i].raw();
+    }
+    got += std::to_string(st.detected) + " " + std::to_string(st.corrected) +
+           " " + std::to_string(st.instruction_replays) + " " +
+           std::to_string(mism) + " " + std::to_string(sum);
+    EXPECT_EQ(got, expected);
+  }
+}
+
 TEST(FaultCampaign, FailsWithStatusOnImpossibleConfig) {
   CampaignSpec cs;
   cs.nets = {zoo::single_conv({3, 32, 32},

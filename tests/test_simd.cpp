@@ -102,32 +102,42 @@ TEST(SimdBitExact, DotFuzzLengthsAndMisalignments) {
   }
 }
 
-TEST(SimdBitExact, DotMultiMatchesRowwiseReference) {
+// dot_s16_mrhs, the exact kernel the cycle tier's conv and FC passes
+// run: every output is one exact dot for any int16 input, including the
+// -32768 weight words a fault upset can produce. Full-range fuzz at
+// unaligned offsets with non-contiguous rows and columns, one weight row
+// of all -32768 and one data column of all -32768 (the pmaddwd pair-wrap
+// case), and the cols=1 shape of an FC lane group.
+TEST(SimdBitExact, DotMrhsMatchesRowwiseReference) {
   BackendGuard guard;
   constexpr i64 kRows = 5;
+  constexpr i64 kCols = 3;
   constexpr i64 kMaxN = 130;
-  const std::vector<std::int16_t> data = random_s16(kMaxN + 4, 303);
-  const std::vector<std::int16_t> weights =
-      random_s16(kRows * (kMaxN + 3) + 4, 404);
+  constexpr std::int16_t kMin = std::numeric_limits<std::int16_t>::min();
   for (Backend b : vector_backends()) {
     simd::select_backend(b);
     for (i64 n : {i64{0}, i64{1}, i64{7}, i64{16}, i64{33}, i64{130}}) {
-      const i64 stride = n + 3;  // rows deliberately non-contiguous
+      const i64 ds = n + 5, ws = n + 3;  // non-contiguous columns and rows
       for (i64 off = 0; off < 3; ++off) {
-        std::vector<Fixed16::acc_t> out(kRows, -1);
-        simd::dot_s16_multi(data.data() + off, weights.data() + off, stride,
-                            kRows, n, out.data());
-        std::vector<Fixed16::acc_t> acc(kRows, 1000);
-        simd::dot_s16_multi_acc(data.data() + off, weights.data() + off,
-                                stride, kRows, n, acc.data());
-        for (i64 l = 0; l < kRows; ++l) {
-          const Fixed16::acc_t expect = ref_dot(
-              data.data() + off, weights.data() + off + l * stride, n);
-          EXPECT_EQ(out[static_cast<std::size_t>(l)], expect)
-              << simd::backend_name(b) << " n=" << n << " row=" << l;
-          EXPECT_EQ(acc[static_cast<std::size_t>(l)], 1000 + expect)
-              << simd::backend_name(b) << " n=" << n << " row=" << l
-              << " (acc)";
+        std::vector<std::int16_t> data =
+            random_s16(kCols * (kMaxN + 5) + 4, 303);
+        std::vector<std::int16_t> weights =
+            random_s16(kRows * (kMaxN + 3) + 4, 404);
+        std::fill_n(data.begin() + off + (kCols - 1) * ds, n, kMin);
+        std::fill_n(weights.begin() + off + (kRows - 1) * ws, n, kMin);
+        for (i64 cols : {i64{1}, kCols}) {
+          std::vector<Fixed16::acc_t> out(
+              static_cast<std::size_t>(kRows * cols), -1);
+          simd::dot_s16_mrhs(data.data() + off, ds, cols,
+                             weights.data() + off, ws, kRows, n, out.data(),
+                             cols);
+          for (i64 l = 0; l < kRows; ++l)
+            for (i64 c = 0; c < cols; ++c)
+              EXPECT_EQ(out[static_cast<std::size_t>(l * cols + c)],
+                        ref_dot(data.data() + off + c * ds,
+                                weights.data() + off + l * ws, n))
+                  << simd::backend_name(b) << " n=" << n << " off=" << off
+                  << " cols=" << cols << " row=" << l << " col=" << c;
         }
       }
     }

@@ -91,6 +91,22 @@ else
   echo "validate_trace skipped (no python3)"
 fi
 
+echo "=== cycle tier: scalar and auto SIMD backends print identical bytes ==="
+# The cycle tier's conv/FC value pass runs the exact multi-RHS dot on
+# whatever backend dispatch resolves. Its counters, cycle trace and fault
+# campaigns (upsets land in the buffer words the pass reads, parity
+# replays re-run it) must not depend on that choice.
+for simd in scalar auto; do
+  ./build-ci-release/tools/cbrain_cli simulate alexnet --simd="$simd" \
+    --trace-out="/tmp/cbrain_trace_$simd.json" > "/tmp/cbrain_sim_$simd.txt"
+  ./build-ci-release/tools/cbrain_cli fault-campaign scheme_mix \
+    --policy=partition --events --simd="$simd" \
+    > "/tmp/cbrain_fault_$simd.txt"
+done
+diff /tmp/cbrain_sim_scalar.txt /tmp/cbrain_sim_auto.txt
+diff /tmp/cbrain_trace_scalar.json /tmp/cbrain_trace_auto.json
+diff /tmp/cbrain_fault_scalar.txt /tmp/cbrain_fault_auto.txt
+
 echo "=== fidelity: functional tier cross-validated against the oracle ==="
 # The two execution tiers must stay bit-identical (DESIGN.md §12). The
 # cross-validation suite runs the whole zoo through both executors; run
