@@ -10,8 +10,8 @@
 //
 //   bench_micro_kernels --perf-json[=path] [--quick]
 //
-// times dot_s16 / dot_s16_mrhs[_nw,_dw] on every supported
-// SIMD backend plus whole-network wall-clock at both execution tiers
+// times dot_s16_mrhs[_dw] on every supported SIMD backend plus
+// whole-network wall-clock at both execution tiers
 // (cycle: full simulate per backend for AlexNet, VGG16 under the best
 // one; functional: warm weight-resident forward pass, with its speedup
 // over the cycle tier) and the serving path (AlexNet through
@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -121,7 +120,8 @@ BENCHMARK(BM_AnalyticalModel);
 // --- cbrain::simd kernel layer, per backend --------------------------------
 //
 // Registered at runtime (main) so only backends this build/CPU supports
-// appear: BM_DotS16/<backend>/n.
+// appear: BM_DotS16Mrhs/<backend>/n, one exact dot per call (the
+// single-column, single-row shape of an FC lane group).
 
 std::vector<std::int16_t> random_s16(i64 n, std::uint64_t seed) {
   Rng rng(seed);
@@ -135,7 +135,8 @@ void run_dot_bench(benchmark::State& state, simd::Backend b, i64 n) {
   const auto data = random_s16(n, 11);
   const auto weights = random_s16(n, 12);
   for (auto _ : state) {
-    Fixed16::acc_t acc = simd::dot_s16(data.data(), weights.data(), n);
+    Fixed16::acc_t acc = 0;
+    simd::dot_s16_mrhs(data.data(), n, 1, weights.data(), n, 1, n, &acc, 1);
     benchmark::DoNotOptimize(acc);
   }
   state.counters["GB/s"] = benchmark::Counter(
@@ -148,13 +149,12 @@ void run_dot_bench(benchmark::State& state, simd::Backend b, i64 n) {
 }
 
 void register_simd_benches() {
-  for (simd::Backend b :
-       {simd::Backend::kScalar, simd::Backend::kSse2, simd::Backend::kAvx2}) {
+  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2}) {
     if (!simd::backend_supported(b)) continue;
     const std::string name = simd::backend_name(b);
     for (i64 n : {64, 256, 1024}) {
       benchmark::RegisterBenchmark(
-          ("BM_DotS16/" + name + "/" + std::to_string(n)).c_str(),
+          ("BM_DotS16Mrhs/" + name + "/" + std::to_string(n)).c_str(),
           [b, n](benchmark::State& s) { run_dot_bench(s, b, n); });
     }
   }
@@ -190,45 +190,20 @@ struct KernelResult {
   double secs = 0.0;
 };
 
-KernelResult measure_dot(simd::Backend b, i64 n, int reps, i64 iters) {
-  simd::select_backend(b);
-  const auto data = random_s16(n, 21);
-  const auto weights = random_s16(n, 22);
-  Fixed16::acc_t sink = 0;
-  const double secs = best_of(reps, iters, [&] {
-    sink += simd::dot_s16(data.data(), weights.data(), n);
-  });
-  benchmark::DoNotOptimize(sink);
-  KernelResult r;
-  r.name = "dot_s16";
-  r.backend = simd::backend_name(b);
-  r.n = n;
-  r.secs = secs;
-  r.gbps = static_cast<double>(2 * sizeof(std::int16_t) * n) / secs * 1e-9;
-  r.mac_per_s = static_cast<double>(n) / secs;
-  return r;
-}
-
 // The multi-RHS GEMM kernels behind both tiers (the exact one is the
 // cycle tier's conv/FC value pass): one kMrhsRows-row weight panel
-// against kMrhsCols im2row columns per call. Three
-// contract tiers share the measurement shape; `mode` picks the entry
-// point and sanitizes the weights to honour its precondition (nw: no
-// -32768; dw: additionally the deep-window magnitude bound, checked
-// with simd::deep_window_ok rather than assumed).
+// against kMrhsCols im2row columns per call. Both tiers share the
+// measurement shape; `dw` picks the deep-window entry point and shrinks
+// the weights to honour its magnitude bound (checked with
+// simd::deep_window_ok rather than assumed).
 constexpr i64 kMrhsRows = 16;
 constexpr i64 kMrhsCols = 8;
 
-KernelResult measure_dot_mrhs(simd::Backend b, const char* mode, i64 n,
-                              int reps, i64 iters) {
+KernelResult measure_dot_mrhs(simd::Backend b, bool dw, i64 n, int reps,
+                              i64 iters) {
   simd::select_backend(b);
   const auto data = random_s16(n * kMrhsCols, 27);
   auto weights = random_s16(n * kMrhsRows, 28);
-  const bool nw = std::strcmp(mode, "nw") == 0;
-  const bool dw = std::strcmp(mode, "dw") == 0;
-  if (nw || dw)
-    for (auto& w : weights)
-      if (w == std::numeric_limits<std::int16_t>::min()) w = -32767;
   if (dw) {
     // Trained-net magnitudes: small enough that every 16-group window
     // stays under the 32-bit lane bound.
@@ -238,15 +213,14 @@ KernelResult measure_dot_mrhs(simd::Backend b, const char* mode, i64 n,
   }
   std::vector<Fixed16::acc_t> out(
       static_cast<std::size_t>(kMrhsRows * kMrhsCols));
-  auto fn = dw ? simd::dot_s16_mrhs_dw
-               : nw ? simd::dot_s16_mrhs_nw : simd::dot_s16_mrhs;
+  auto fn = dw ? simd::dot_s16_mrhs_dw : simd::dot_s16_mrhs;
   const double secs = best_of(reps, iters, [&] {
     fn(data.data(), n, kMrhsCols, weights.data(), n, kMrhsRows, n,
        out.data(), kMrhsCols);
     benchmark::DoNotOptimize(out.data());
   });
   KernelResult r;
-  r.name = std::string("dot_s16_mrhs") + (dw ? "_dw" : nw ? "_nw" : "");
+  r.name = dw ? "dot_s16_mrhs_dw" : "dot_s16_mrhs";
   r.backend = simd::backend_name(b);
   r.n = n;
   r.secs = secs;
@@ -440,8 +414,7 @@ ServeResult measure_serve_batched(const Network& net, simd::Backend b,
 
 std::vector<simd::Backend> supported_backends() {
   std::vector<simd::Backend> v;
-  for (simd::Backend b :
-       {simd::Backend::kScalar, simd::Backend::kSse2, simd::Backend::kAvx2})
+  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2})
     if (simd::backend_supported(b)) v.push_back(b);
   return v;
 }
@@ -457,16 +430,13 @@ int run_perf_harness(const std::string& path, bool quick) {
   const int reps = quick ? 2 : 5;
   // Iteration counts sized so each rep runs long enough (>~1 ms even on
   // the scalar backend) for steady_clock to resolve the kernel.
-  const i64 dot_iters = quick ? 20'000 : 100'000;
   const i64 multi_iters = quick ? 2'000 : 10'000;
 
   std::vector<KernelResult> kernels;
   for (simd::Backend b : backends) {
     for (i64 n : {64, 256, 1024}) {
-      kernels.push_back(measure_dot(b, n, reps, dot_iters));
-      kernels.push_back(measure_dot_mrhs(b, "", n, reps, multi_iters));
-      kernels.push_back(measure_dot_mrhs(b, "nw", n, reps, multi_iters));
-      kernels.push_back(measure_dot_mrhs(b, "dw", n, reps, multi_iters));
+      kernels.push_back(measure_dot_mrhs(b, false, n, reps, multi_iters));
+      kernels.push_back(measure_dot_mrhs(b, true, n, reps, multi_iters));
     }
   }
 
@@ -576,7 +546,7 @@ int run_perf_harness(const std::string& path, bool quick) {
   simd::select_backend(original);
   parallel::set_default_jobs(original_width);
 
-  // Exact dot_s16_mrhs speedup of each vector backend over scalar at the
+  // Exact dot_s16_mrhs speedup of the vector backend over scalar at the
   // same n — the kernel both tiers' exact paths run, tracked across
   // commits.
   auto mrhs_secs = [&](const std::string& backend, i64 n) {

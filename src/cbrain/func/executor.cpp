@@ -1,7 +1,6 @@
 #include "cbrain/func/executor.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -10,40 +9,12 @@
 #include "cbrain/common/thread_pool.hpp"
 #include "cbrain/obs/metrics.hpp"
 #include "cbrain/obs/tracer.hpp"
+#include "cbrain/ref/host_ops_ref.hpp"
 #include "cbrain/ref/lrn_ref.hpp"
 #include "cbrain/ref/pool_ref.hpp"
 
 namespace cbrain::func {
 namespace {
-
-// Host-side steps, duplicated from ref/executor.cpp's file-local kernels
-// with identical semantics: the same double math in the same order, so
-// func and sim quantize identically. The _into forms rewrite a resident
-// pre-shaped output tensor and allocate nothing.
-void softmax_func_into(const Tensor3<Fixed16>& input, Tensor3<Fixed16>& out) {
-  using Tr = ArithTraits<Fixed16>;
-  double max_v = -1e300;
-  for (const auto& v : input.storage())
-    max_v = std::max(max_v, Tr::to_real(v));
-  double denom = 0.0;
-  for (const auto& v : input.storage())
-    denom += std::exp(Tr::to_real(v) - max_v);
-  for (std::size_t i = 0; i < input.storage().size(); ++i)
-    out.storage()[i] = Tr::from_real(
-        std::exp(Tr::to_real(input.storage()[i]) - max_v) / denom);
-}
-
-void concat_func_into(const std::vector<const Tensor3<Fixed16>*>& ins,
-                      Tensor3<Fixed16>& out) {
-  i64 d_base = 0;
-  for (const Tensor3<Fixed16>* in : ins) {
-    for (i64 d = 0; d < in->dims().d; ++d)
-      for (i64 y = 0; y < in->dims().h; ++y)
-        for (i64 x = 0; x < in->dims().w; ++x)
-          out.at(d_base + d, y, x) = in->at(d, y, x);
-    d_base += in->dims().d;
-  }
-}
 
 // Input staging: canonical spatial-major copy into the resident slot.
 void copy_input_into(const Tensor3<Fixed16>& in, Tensor3<Fixed16>& out) {
@@ -219,13 +190,13 @@ std::vector<SimResult> FuncExecutor::infer_batch(
           ins.reserve(l.inputs.size());
           for (LayerId id : l.inputs)
             ins.push_back(&outputs_[static_cast<std::size_t>(id)][b]);
-          concat_func_into(ins, *out_ptrs_[static_cast<std::size_t>(i)]);
+          concat_ref_into(ins, *out_ptrs_[static_cast<std::size_t>(i)]);
         }
         break;
       case LayerKind::kSoftmax:
         for (i64 i = 0; i < nact; ++i)
-          softmax_func_into(*in_ptrs_[static_cast<std::size_t>(i)],
-                            *out_ptrs_[static_cast<std::size_t>(i)]);
+          softmax_ref_into(*in_ptrs_[static_cast<std::size_t>(i)],
+                           *out_ptrs_[static_cast<std::size_t>(i)]);
         break;
       case LayerKind::kEltwiseAdd:
         eltwise_add_func_batch(in_ptrs_, in_b_ptrs_, l.eltwise(),

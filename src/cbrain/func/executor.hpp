@@ -100,9 +100,9 @@ class FuncExecutor {
     // Bias promoted to accumulator (Q16.16) scale, zero-padded to dout.
     std::vector<Fixed16::acc_t> bias_acc;
     // Fastest multi-RHS kernel tier this weight tensor qualifies for
-    // (deep-window ⊃ no-wrap ⊃ exact preconditions; all bit-identical).
-    // Checked once per pack; a hand-built NetParamsData that fails a
-    // precondition falls back, keeping outputs identical either way.
+    // (deep-window, else exact; both bit-identical). Checked once per
+    // pack; a hand-built NetParamsData that fails the deep-window bound
+    // falls back, keeping outputs identical either way.
     WeightMode mode = WeightMode::kExact;
   };
 

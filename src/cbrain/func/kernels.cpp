@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "cbrain/common/check.hpp"
 #include "cbrain/common/thread_pool.hpp"
@@ -41,42 +40,17 @@ using MrhsFn = void (*)(const std::int16_t*, i64, i64, const std::int16_t*,
                         i64, i64, i64, Fixed16::acc_t*, i64);
 
 MrhsFn mrhs_kernel(WeightMode m) {
-  switch (m) {
-    case WeightMode::kDeepWindow:
-      return simd::dot_s16_mrhs_dw;
-    case WeightMode::kNoWrap:
-      return simd::dot_s16_mrhs_nw;
-    case WeightMode::kExact:
-      break;
-  }
-  return simd::dot_s16_mrhs;
+  return m == WeightMode::kDeepWindow ? simd::dot_s16_mrhs_dw
+                                      : simd::dot_s16_mrhs;
 }
 
 }  // namespace
 
-const char* weight_mode_name(WeightMode m) {
-  switch (m) {
-    case WeightMode::kNoWrap:
-      return "no_wrap";
-    case WeightMode::kDeepWindow:
-      return "deep_window";
-    case WeightMode::kExact:
-      break;
-  }
-  return "exact";
-}
-
 WeightMode classify_weights(const std::int16_t* weights, i64 rows,
                             i64 row_len) {
-  // A -32768 weight can wrap the biased pmaddwd pair sums, so its
-  // presence forces the full-range kernel regardless of magnitudes.
-  const i64 total = rows * row_len;
-  for (i64 i = 0; i < total; ++i)
-    if (weights[i] == std::numeric_limits<std::int16_t>::min())
-      return WeightMode::kExact;
-  if (simd::deep_window_ok(weights, row_len, rows, row_len))
-    return WeightMode::kDeepWindow;
-  return WeightMode::kNoWrap;
+  return simd::deep_window_ok(weights, row_len, rows, row_len)
+             ? WeightMode::kDeepWindow
+             : WeightMode::kExact;
 }
 
 std::vector<Fixed16::acc_t> promote_bias(const std::vector<Fixed16>& bias,
@@ -439,61 +413,6 @@ void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
           }
         }
       });
-}
-
-namespace {
-
-// Re-packs densely packed rows (the historical wrapper surface) into the
-// zero-padded gemm_row_stride layout the batch kernels expect.
-std::vector<std::int16_t> pad_rows(const std::vector<std::int16_t>& dense,
-                                   i64 rows, i64 row_len) {
-  const i64 stride = gemm_row_stride(row_len);
-  CBRAIN_CHECK(static_cast<i64>(dense.size()) == rows * row_len,
-               "dense packed weight size mismatch");
-  std::vector<std::int16_t> padded(
-      static_cast<std::size_t>(rows * stride), 0);
-  for (i64 r = 0; r < rows; ++r)
-    std::memcpy(padded.data() + r * stride, dense.data() + r * row_len,
-                static_cast<std::size_t>(row_len) * sizeof(std::int16_t));
-  return padded;
-}
-
-}  // namespace
-
-Tensor3<Fixed16> conv2d_func(const Tensor3<Fixed16>& input,
-                             const std::vector<std::int16_t>& packed_weights,
-                             const std::vector<Fixed16>& bias,
-                             const ConvParams& p, bool no_wrap_weights) {
-  CBRAIN_CHECK(input.order() == DataOrder::kSpatialMajor,
-               "conv2d_func expects spatial-major input");
-  const MapDims in = input.dims();
-  const i64 oh = conv_out_extent(in.h, p.k_eff(), p.stride, p.pad);
-  const i64 ow = conv_out_extent(in.w, p.k_eff(), p.stride, p.pad);
-  Tensor3<Fixed16> out({p.dout, oh, ow}, DataOrder::kSpatialMajor);
-  const auto bias_acc = promote_bias(bias, p.dout);
-  GemmScratch scratch;
-  const i64 krow = p.din_per_group(in.d) * p.k * p.k;
-  conv2d_func_batch(
-      {&input}, pad_rows(packed_weights, p.dout, krow), bias_acc, p,
-      no_wrap_weights ? WeightMode::kNoWrap : WeightMode::kExact, scratch,
-      {&out});
-  return out;
-}
-
-Tensor3<Fixed16> fc_func(const Tensor3<Fixed16>& input,
-                         const std::vector<std::int16_t>& packed_weights,
-                         const std::vector<Fixed16>& bias, const FCParams& p,
-                         bool no_wrap_weights) {
-  CBRAIN_CHECK(input.order() == DataOrder::kSpatialMajor,
-               "fc_func expects canonical spatial-major flatten order");
-  Tensor3<Fixed16> out({p.dout, 1, 1}, DataOrder::kSpatialMajor);
-  const auto bias_acc = promote_bias(bias, p.dout);
-  GemmScratch scratch;
-  fc_func_batch({&input}, pad_rows(packed_weights, p.dout, input.size()),
-                bias_acc, p,
-                no_wrap_weights ? WeightMode::kNoWrap : WeightMode::kExact,
-                scratch, {&out});
-  return out;
 }
 
 }  // namespace cbrain::func

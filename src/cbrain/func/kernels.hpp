@@ -50,13 +50,11 @@ namespace cbrain::func {
 
 // Which simd multi-RHS kernel a packed weight tensor qualifies for,
 // decided once at pack time (FuncExecutor::load_params):
-//   kExact      — full-range fallback, no weight precondition
-//   kNoWrap     — no -32768 weight: pmaddwd pair sums cannot wrap
-//   kDeepWindow — simd::deep_window_ok holds: 32-bit deep accumulation
-// All three produce bit-identical outputs; they differ only in speed.
-enum class WeightMode { kExact = 0, kNoWrap = 1, kDeepWindow = 2 };
-
-const char* weight_mode_name(WeightMode m);
+//   kExact      — simd::dot_s16_mrhs, no weight precondition
+//   kDeepWindow — simd::deep_window_ok holds: simd::dot_s16_mrhs_dw's
+//                 32-bit deep accumulation
+// Both produce bit-identical outputs; they differ only in speed.
+enum class WeightMode { kExact = 0, kDeepWindow = 1 };
 
 // GEMM row stride for a logical row of `row_len` int16 elements: rounded
 // up to the 16-lane SIMD group so every row the multi-RHS kernels see is
@@ -66,7 +64,8 @@ const char* weight_mode_name(WeightMode m);
 inline i64 gemm_row_stride(i64 row_len) { return (row_len + 15) & ~i64{15}; }
 
 // Classifies a packed weight buffer of `rows` GEMM rows of length
-// `row_len` (one pass over the weights; run once per load_params).
+// `row_len` (one pass over the weights; run once per load_params):
+// kDeepWindow exactly when simd::deep_window_ok accepts it.
 WeightMode classify_weights(const std::int16_t* weights, i64 rows,
                             i64 row_len);
 
@@ -135,18 +134,5 @@ void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                    const std::vector<Fixed16::acc_t>& bias_acc,
                    const FCParams& p, WeightMode mode, GemmScratch& scratch,
                    const std::vector<Tensor3<Fixed16>*>& outputs);
-
-// Single-image wrappers (historical surface; tests and the reference
-// cross-checks use these). `no_wrap_weights` asserts the weight buffer
-// contains no -32768, selecting WeightMode::kNoWrap.
-Tensor3<Fixed16> conv2d_func(const Tensor3<Fixed16>& input,
-                             const std::vector<std::int16_t>& packed_weights,
-                             const std::vector<Fixed16>& bias,
-                             const ConvParams& p, bool no_wrap_weights = false);
-
-Tensor3<Fixed16> fc_func(const Tensor3<Fixed16>& input,
-                         const std::vector<std::int16_t>& packed_weights,
-                         const std::vector<Fixed16>& bias, const FCParams& p,
-                         bool no_wrap_weights = false);
 
 }  // namespace cbrain::func

@@ -9,6 +9,7 @@
 #include "cbrain/obs/metrics.hpp"
 #include "cbrain/obs/tracer.hpp"
 #include "cbrain/ref/eltwise_ref.hpp"
+#include "cbrain/ref/host_ops_ref.hpp"
 
 namespace cbrain::multichip {
 
@@ -382,21 +383,12 @@ SimResult MultiChipExecutor::infer_shard(const Tensor3<Fixed16>& input) {
         break;
       }
       case ShardAxis::kHostConcat: {
-        Tensor3<Fixed16> out(l.out_dims);
-        i64 doff = 0;
-        for (const LayerId in_id : l.inputs) {
-          const Tensor3<Fixed16>& src =
-              acts[static_cast<std::size_t>(in_id)];
-          const MapDims sd = src.dims();
-          for (i64 d = 0; d < sd.d; ++d)
-            for (i64 y = 0; y < sd.h; ++y)
-              for (i64 x = 0; x < sd.w; ++x)
-                out.at(doff + d, y, x) = src.at(d, y, x);
-          doff += sd.d;
-        }
+        std::vector<const Tensor3<Fixed16>*> ins;
+        for (const LayerId in_id : l.inputs)
+          ins.push_back(&acts[static_cast<std::size_t>(in_id)]);
         agg.per_layer[static_cast<std::size_t>(l.id)] +=
             model_.layers[static_cast<std::size_t>(l.id)].counters;
-        acts[static_cast<std::size_t>(l.id)] = std::move(out);
+        acts[static_cast<std::size_t>(l.id)] = concat_ref(ins, l.out_dims);
         break;
       }
     }

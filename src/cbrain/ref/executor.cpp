@@ -1,50 +1,13 @@
 #include "cbrain/ref/executor.hpp"
 
-#include <cmath>
-
 #include "cbrain/ref/conv_ref.hpp"
 #include "cbrain/ref/eltwise_ref.hpp"
 #include "cbrain/ref/fc_ref.hpp"
+#include "cbrain/ref/host_ops_ref.hpp"
 #include "cbrain/ref/lrn_ref.hpp"
 #include "cbrain/ref/pool_ref.hpp"
 
 namespace cbrain {
-namespace {
-
-// Softmax over the flattened cube, computed in double (the accelerator
-// hands the logits back to the host for this step).
-template <typename T>
-Tensor3<T> softmax_ref(const Tensor3<T>& input) {
-  using Tr = ArithTraits<T>;
-  Tensor3<T> out(input.dims(), input.order());
-  double max_v = -1e300;
-  for (const auto& v : input.storage())
-    max_v = std::max(max_v, Tr::to_real(v));
-  double denom = 0.0;
-  for (const auto& v : input.storage())
-    denom += std::exp(Tr::to_real(v) - max_v);
-  for (std::size_t i = 0; i < input.storage().size(); ++i)
-    out.storage()[i] = Tr::from_real(
-        std::exp(Tr::to_real(input.storage()[i]) - max_v) / denom);
-  return out;
-}
-
-template <typename T>
-Tensor3<T> concat_ref(const std::vector<const Tensor3<T>*>& inputs,
-                      const MapDims& out_dims) {
-  Tensor3<T> out(out_dims, DataOrder::kSpatialMajor);
-  i64 d_base = 0;
-  for (const Tensor3<T>* in : inputs) {
-    for (i64 d = 0; d < in->dims().d; ++d)
-      for (i64 y = 0; y < in->dims().h; ++y)
-        for (i64 x = 0; x < in->dims().w; ++x)
-          out.at(d_base + d, y, x) = in->at(d, y, x);
-    d_base += in->dims().d;
-  }
-  return out;
-}
-
-}  // namespace
 
 template <typename T>
 RefExecutor<T>::RefExecutor(const Network& net,

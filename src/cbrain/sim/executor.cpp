@@ -8,6 +8,7 @@
 #include "cbrain/func/kernels.hpp"
 #include "cbrain/obs/metrics.hpp"
 #include "cbrain/obs/tracer.hpp"
+#include "cbrain/ref/host_ops_ref.hpp"
 #include "cbrain/ref/lrn_ref.hpp"
 #include "cbrain/simd/simd.hpp"
 #include "cbrain/tensor/unroll.hpp"
@@ -52,15 +53,9 @@ class Executor {
            SimMachine& m, FaultInjector* fault = nullptr)
       : net_(net), compiled_(compiled), m_(m), fault_(fault) {}
 
-  SimResult run(const Tensor3<Fixed16>& input,
-                const NetParamsData<Fixed16>& params) {
-    materialize_params(params);
-    return infer(input);
-  }
-
-  // Writes every layer's weights and biases into simulated DRAM. Split
-  // out of run() so a weight-resident session can pay this (and the
-  // machine construction) once and then stream inputs through infer().
+  // Writes every layer's weights and biases into simulated DRAM, once
+  // per weight-resident session (with the machine construction); inputs
+  // then stream through infer().
   void materialize_params(const NetParamsData<Fixed16>& params) {
     for (const Layer& l : net_.layers()) {
       const auto idx = static_cast<std::size_t>(l.id);
@@ -924,18 +919,7 @@ class Executor {
       }
       case HostOpKind::kSoftmax: {
         const Tensor3<Fixed16> x = read_cube(src, l.in_dims);
-        // Double-precision softmax, re-quantized (host-side).
-        double maxv = -1e300;
-        for (const auto& v : x.storage())
-          maxv = std::max(maxv, v.to_double());
-        double denom = 0.0;
-        for (const auto& v : x.storage())
-          denom += std::exp(v.to_double() - maxv);
-        Tensor3<Fixed16> y(x.dims(), x.order());
-        for (std::size_t i = 0; i < x.storage().size(); ++i)
-          y.storage()[i] = Fixed16::from_double(
-              std::exp(x.storage()[i].to_double() - maxv) / denom);
-        host_store(l, y);
+        host_store(l, softmax_ref(x));
         manual_dram_reads_ += x.size();
         break;
       }

@@ -11,29 +11,20 @@
 namespace cbrain::simd::detail {
 
 struct KernelTable {
-  std::int64_t (*dot_s16)(const std::int16_t*, const std::int16_t*,
-                          std::int64_t);
   void (*dot_s16_mrhs)(const std::int16_t*, std::int64_t, std::int64_t,
                        const std::int16_t*, std::int64_t, std::int64_t,
                        std::int64_t, std::int64_t*, std::int64_t);
-  void (*dot_s16_mrhs_nw)(const std::int16_t*, std::int64_t, std::int64_t,
-                          const std::int16_t*, std::int64_t, std::int64_t,
-                          std::int64_t, std::int64_t*, std::int64_t);
   void (*dot_s16_mrhs_dw)(const std::int16_t*, std::int64_t, std::int64_t,
                           const std::int16_t*, std::int64_t, std::int64_t,
                           std::int64_t, std::int64_t*, std::int64_t);
-  void (*add_sat_s16)(const std::int16_t*, const std::int16_t*,
-                      std::int16_t*, std::int64_t);
-  void (*relu_s16)(const std::int16_t*, std::int16_t*, std::int64_t);
   void (*max_s16)(const std::int16_t*, std::int16_t*, std::int64_t);
   void (*axpy_f32)(float, const float*, float*, std::int64_t);
 };
 
-// Always present; the behavioural reference the others must match.
+// Always present; the behavioural reference AVX2 must match.
 const KernelTable* scalar_table();
-// nullptr when the backend is not compiled into this build (non-x86
-// target, or a compiler without the ISA support).
-const KernelTable* sse2_table();
+// nullptr when AVX2 is not compiled into this build (non-x86 target, or
+// a compiler without -mavx2).
 const KernelTable* avx2_table();
 
 }  // namespace cbrain::simd::detail

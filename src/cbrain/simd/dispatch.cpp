@@ -23,8 +23,6 @@ const KernelTable* table_for(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return detail::scalar_table();
-    case Backend::kSse2:
-      return detail::sse2_table();
     case Backend::kAvx2:
       return detail::avx2_table();
   }
@@ -36,8 +34,6 @@ bool cpu_supports(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return true;
-    case Backend::kSse2:
-      return __builtin_cpu_supports("sse2");
     case Backend::kAvx2:
       return __builtin_cpu_supports("avx2");
   }
@@ -49,7 +45,6 @@ bool cpu_supports(Backend b) {
 
 Backend best_supported() {
   if (backend_supported(Backend::kAvx2)) return Backend::kAvx2;
-  if (backend_supported(Backend::kSse2)) return Backend::kSse2;
   return Backend::kScalar;
 }
 
@@ -63,7 +58,6 @@ void install(Backend b) {
 
 bool parse_backend(const std::string& name, Backend* out) {
   if (name == "scalar") return *out = Backend::kScalar, true;
-  if (name == "sse2") return *out = Backend::kSse2, true;
   if (name == "avx2") return *out = Backend::kAvx2, true;
   return false;
 }
@@ -75,7 +69,7 @@ Backend resolve_from_env() {
   Backend b;
   if (!parse_backend(env, &b)) {
     CBRAIN_LOG(kWarn) << "CBRAIN_SIMD='" << env
-                      << "' is not auto|avx2|sse2|scalar; using "
+                      << "' is not auto|avx2|scalar; using "
                       << backend_name(best_supported());
     return best_supported();
   }
@@ -122,8 +116,6 @@ const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return "scalar";
-    case Backend::kSse2:
-      return "sse2";
     case Backend::kAvx2:
       return "avx2";
   }
@@ -157,23 +149,11 @@ void select_backend(Backend b) {
   install(b);
 }
 
-Fixed16::acc_t dot_s16(const std::int16_t* data, const std::int16_t* weights,
-                       i64 n) {
-  return table()->dot_s16(data, weights, n);
-}
-
 void dot_s16_mrhs(const std::int16_t* data, i64 data_stride, i64 cols,
                   const std::int16_t* weights, i64 row_stride, i64 rows,
                   i64 n, Fixed16::acc_t* out, i64 out_stride) {
   table()->dot_s16_mrhs(data, data_stride, cols, weights, row_stride, rows, n,
                         out, out_stride);
-}
-
-void dot_s16_mrhs_nw(const std::int16_t* data, i64 data_stride, i64 cols,
-                     const std::int16_t* weights, i64 row_stride, i64 rows,
-                     i64 n, Fixed16::acc_t* out, i64 out_stride) {
-  table()->dot_s16_mrhs_nw(data, data_stride, cols, weights, row_stride, rows,
-                           n, out, out_stride);
 }
 
 void dot_s16_mrhs_dw(const std::int16_t* data, i64 data_stride, i64 cols,
@@ -213,15 +193,6 @@ bool deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
       if (lane_sum[j] > kLaneBound) return false;
   }
   return true;
-}
-
-void add_sat_s16(const std::int16_t* a, const std::int16_t* b,
-                 std::int16_t* out, i64 n) {
-  table()->add_sat_s16(a, b, out, n);
-}
-
-void relu_s16(const std::int16_t* x, std::int16_t* out, i64 n) {
-  table()->relu_s16(x, out, n);
 }
 
 void max_s16(const std::int16_t* x, std::int16_t* inout, i64 n) {

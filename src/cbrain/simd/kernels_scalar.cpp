@@ -1,4 +1,4 @@
-// Portable scalar backend — the behavioural reference for every vector
+// Portable scalar backend — the behavioural reference for the AVX2
 // backend and the only one compiled on non-x86 targets. Plain loops the
 // optimizer can still auto-vectorize where legal; correctness never
 // depends on that.
@@ -26,19 +26,6 @@ void s_dot_s16_mrhs(const int16_t* data, int64_t data_stride, int64_t cols,
           s_dot_s16(data + c * data_stride, weights + l * row_stride, n);
 }
 
-void s_add_sat_s16(const int16_t* a, const int16_t* b, int16_t* out,
-                   int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    const int32_t s = static_cast<int32_t>(a[i]) + static_cast<int32_t>(b[i]);
-    out[i] = static_cast<int16_t>(s > 32767 ? 32767 : (s < -32768 ? -32768
-                                                                  : s));
-  }
-}
-
-void s_relu_s16(const int16_t* x, int16_t* out, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) out[i] = x[i] < 0 ? int16_t{0} : x[i];
-}
-
 void s_max_s16(const int16_t* x, int16_t* inout, int64_t n) {
   for (int64_t i = 0; i < n; ++i)
     if (x[i] > inout[i]) inout[i] = x[i];
@@ -48,14 +35,10 @@ void s_axpy_f32(float a, const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-constexpr KernelTable kTable = {
-    s_dot_s16,
-    // The no-wrap and deep-window contracts are strict subsets of
-    // full-range inputs, so the scalar reference serves all three
-    // multi-RHS slots unchanged.
-    s_dot_s16_mrhs, s_dot_s16_mrhs, s_dot_s16_mrhs,
-    s_add_sat_s16,  s_relu_s16,     s_max_s16,      s_axpy_f32,
-};
+// The deep-window contract is a strict subset of full-range inputs, so
+// the scalar reference serves both multi-RHS slots unchanged.
+constexpr KernelTable kTable = {s_dot_s16_mrhs, s_dot_s16_mrhs, s_max_s16,
+                                s_axpy_f32};
 
 }  // namespace
 

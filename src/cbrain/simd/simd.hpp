@@ -3,34 +3,33 @@
 //
 // The paper's datapath is 256 16-bit multipliers wide; the simulator's
 // equivalent hot operation is an int16×int16 dot product accumulated at
-// Fixed16::acc_t (int64) precision. This module provides that kernel —
-// plus the multi-RHS family both tiers run (the exact dot_s16_mrhs is the
-// cycle tier's conv/FC value pass; the functional tier's GEMMs add the
-// _nw/_dw fast paths), and the elementwise int16 helpers (saturating add,
-// ReLU, max-pool reduction) — in three implementations selected at
-// runtime:
+// Fixed16::acc_t (int64) precision. This module provides it as two
+// multi-RHS GEMM tiers — the exact dot_s16_mrhs (the cycle tier's conv/FC
+// value pass and the functional tier's fallback) and the deep-window
+// dot_s16_mrhs_dw (the functional tier's fast path) — plus the max-pool
+// reduction and the reference GEMM's float axpy, in two implementations
+// selected at runtime:
 //
-//   * AVX2   — _mm256_madd_epi16 + i32→i64 widening (x86 only)
-//   * SSE2   — _mm_madd_epi16 + manual sign-extension (x86 only)
+//   * AVX2   — exact widening products / windowed _mm256_madd_epi16 (x86)
 //   * scalar — portable fallback, the behavioural reference
 //
 // Bit-exactness contract: every kernel here performs *integer* arithmetic
 // whose result is independent of evaluation order (addition over Z is
 // associative and commutative, and accumulators are wide enough never to
-// wrap — products of int16 are ≤ 2^30, acc_t is int64). All backends
+// wrap — products of int16 are ≤ 2^30, acc_t is int64). Both backends
 // therefore return bit-identical results for every input, and the
 // simulator's outputs, accumulators and traffic counters are byte-equal
-// under CBRAIN_SIMD=scalar|sse2|avx2. tests/test_simd.cpp enforces this.
+// under CBRAIN_SIMD=scalar|avx2. tests/test_simd.cpp enforces this.
 // The float axpy kernel keeps the same guarantee by computing each
 // element independently as y[i] + a*x[i] (no FMA, no reassociation).
 //
 // Alignment contract: every pointer parameter may have *element*
 // alignment only (alignof(int16_t) / alignof(float)). The executor hands
-// out arbitrary offsets into SRAM-backed vectors, so the vector backends
-// use unaligned loads/stores exclusively.
+// out arbitrary offsets into SRAM-backed vectors, so the vector backend
+// uses unaligned loads/stores exclusively.
 //
 // Backend selection: resolved once, on first kernel call, from the
-// CBRAIN_SIMD environment variable (auto|avx2|sse2|scalar; auto = best
+// CBRAIN_SIMD environment variable (auto|avx2|scalar; auto = best
 // supported, the default). An unsupported request logs a warning and
 // falls back to the best supported backend. The CLI's --simd flag and
 // tests override programmatically via select_backend().
@@ -44,7 +43,7 @@
 
 namespace cbrain::simd {
 
-enum class Backend { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Backend { kScalar = 0, kAvx2 = 1 };
 
 const char* backend_name(Backend b);
 
@@ -71,11 +70,7 @@ int env_resolve_count();
 // --- kernels ---------------------------------------------------------------
 // All pointers: arbitrary element alignment, caller guarantees n (and for
 // the multi-RHS forms, cols, rows and the strides) describe valid
-// memory. n == 0 is a no-op (dot returns 0).
-
-// Sum of data[i]*weights[i] at accumulator precision.
-Fixed16::acc_t dot_s16(const std::int16_t* data, const std::int16_t* weights,
-                       i64 n);
+// memory. n == 0 writes all-zero dots.
 
 // Multi-RHS GEMM tile: `cols` data vectors (column c starts at
 // data + c*data_stride) against `rows` weight rows (row l starts at
@@ -87,23 +82,11 @@ Fixed16::acc_t dot_s16(const std::int16_t* data, const std::int16_t* weights,
 // of once per column cuts the L2/DRAM weight traffic per MAC by the
 // column-block factor — the dimension dynamic batching (multiple images)
 // and pixel blocking (one image) both map onto. Every output element is
-// one exact int64 dot, so results are bit-identical to dot_s16 element
-// by element on every backend.
+// one exact int64 dot, so results are bit-identical to the scalar
+// reference element by element on every backend.
 void dot_s16_mrhs(const std::int16_t* data, i64 data_stride, i64 cols,
                   const std::int16_t* weights, i64 row_stride, i64 rows,
                   i64 n, Fixed16::acc_t* out, i64 out_stride);
-
-// dot_s16_mrhs under a narrower input contract that unlocks the fast
-// pmaddwd path: the caller guarantees no 16-bit *pair* (positions 2i,
-// 2i+1 of a row) has both products equal to +2^30 — i.e. the pairwise
-// i32 sum pmaddwd computes can never wrap. Sufficient (and what the
-// functional executor checks once per weight tensor): `weights` contains
-// no -32768. Results are bit-identical to dot_s16_mrhs for every input
-// satisfying the contract; inputs violating it are undefined. The
-// i32→i64 widening drops from port-5 shuffles to xor-bias + mask/shift.
-void dot_s16_mrhs_nw(const std::int16_t* data, i64 data_stride, i64 cols,
-                     const std::int16_t* weights, i64 row_stride, i64 rows,
-                     i64 n, Fixed16::acc_t* out, i64 out_stride);
 
 // Groups of 16 int16 elements (one pmaddwd vector) per deep-accumulation
 // flush window; the contract below is stated over aligned windows of this
@@ -121,11 +104,11 @@ inline constexpr i64 kDeepGroups = 16;
 // lane's pairwise products summed across the whole window stay inside
 // int32. That lets the kernel accumulate kDeepGroups pmaddwd results
 // with plain 32-bit adds and widen to int64 once per window instead of
-// once per group — the i32→i64 widening chain (the ALU bottleneck of the
-// _nw kernels) drops ~16x. deep_window_ok() is the exact pack-time
-// checker; fan-in-scaled weights (ref/params.hpp) pass it with orders of
-// magnitude to spare, and any parameter set that fails simply stays on
-// dot_s16_mrhs_nw / dot_s16_mrhs. Every output element is still one
+// once per group — the i32→i64 widening chain (the ALU bottleneck of a
+// per-group pmaddwd kernel) drops ~16x. deep_window_ok() is the exact
+// pack-time checker; fan-in-scaled weights (ref/params.hpp) pass it with
+// orders of magnitude to spare, and any parameter set that fails simply
+// stays on dot_s16_mrhs. Every output element is still one
 // exact integer dot, so results are bit-identical to the scalar
 // reference for every input satisfying the contract.
 void dot_s16_mrhs_dw(const std::int16_t* data, i64 data_stride, i64 cols,
@@ -134,17 +117,10 @@ void dot_s16_mrhs_dw(const std::int16_t* data, i64 data_stride, i64 cols,
 
 // Exact checker for the dot_s16_mrhs_dw contract over `rows` weight rows
 // of length n starting at row_stride intervals. O(rows * n); callers run
-// it once per packed weight tensor. Note the contract also rules out the
-// pmaddwd pair wrap, so deep-window-safe weights are no-wrap-safe too.
+// it once per packed weight tensor. The contract also rules out the
+// pmaddwd pair wrap, so a lone -32768 weight among small ones passes.
 bool deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
                     i64 n);
-
-// Elementwise saturating int16 add: out[i] = sat(a[i] + b[i]).
-void add_sat_s16(const std::int16_t* a, const std::int16_t* b,
-                 std::int16_t* out, i64 n);
-
-// Elementwise ReLU: out[i] = max(x[i], 0). In-place (out == x) allowed.
-void relu_s16(const std::int16_t* x, std::int16_t* out, i64 n);
 
 // Vertical max-pool reduction: inout[i] = max(inout[i], x[i]).
 void max_s16(const std::int16_t* x, std::int16_t* inout, i64 n);

@@ -327,11 +327,8 @@ TEST(WeightMode, ClassificationTiers) {
   EXPECT_EQ(func::classify_weights(w.data(), 4, n),
             WeightMode::kDeepWindow);
   // Three large weights stacked in the same pmaddwd lane push that lane's
-  // window abs-sum past 65535 (a single int16 never can) → no-wrap tier.
+  // window abs-sum past 65535 (a single int16 never can) → exact kernel.
   w[0] = w[16] = w[32] = 30000;
-  EXPECT_EQ(func::classify_weights(w.data(), 4, n), WeightMode::kNoWrap);
-  // A -32768 anywhere forces the exact kernel.
-  w[40] = -32768;
   EXPECT_EQ(func::classify_weights(w.data(), 4, n), WeightMode::kExact);
 }
 
@@ -355,13 +352,48 @@ TEST(DeepWindow, BoundIsExactAtTheThreshold) {
     want += static_cast<Fixed16::acc_t>(data[static_cast<std::size_t>(i)]) *
             2047;
   BackendGuard guard;
-  for (auto b : {simd::Backend::kScalar, simd::Backend::kSse2,
-                 simd::Backend::kAvx2}) {
+  for (auto b : {simd::Backend::kScalar, simd::Backend::kAvx2}) {
     if (!simd::backend_supported(b)) continue;
     simd::select_backend(b);
     Fixed16::acc_t got = 0;
     simd::dot_s16_mrhs_dw(data.data(), n, 1, pass.data(), n, 1, n, &got, 1);
     EXPECT_EQ(got, want) << "backend " << static_cast<int>(b);
+  }
+}
+
+// A lone -32768 weight among small ones: its lane's window abs-sum is
+// 32768 + small ≤ 65535, so deep_window_ok alone admits the row with no
+// separate -32768 scan, and the deep-window kernel must match the exact
+// dot against INT16_MIN/INT16_MAX data (the lane's pmaddwd sums stay
+// below 2^31). Lengths cover a full window, two windows and a scalar
+// tail.
+TEST(DeepWindow, LoneMinWeightStaysOnDeepWindow) {
+  BackendGuard guard;
+  for (const i64 n : {i64{16} * simd::kDeepGroups,
+                      i64{32} * simd::kDeepGroups + 7}) {
+    std::vector<std::int16_t> w(static_cast<std::size_t>(n), 3);
+    w[5] = -32768;
+    EXPECT_EQ(func::classify_weights(w.data(), 1, n),
+              func::WeightMode::kDeepWindow)
+        << "n=" << n;
+    for (const int fill : {-32768, 32767}) {
+      // Every third element at the other extreme.
+      std::vector<std::int16_t> data(static_cast<std::size_t>(n));
+      for (i64 i = 0; i < n; ++i)
+        data[static_cast<std::size_t>(i)] =
+            static_cast<std::int16_t>(i % 3 == 1 ? -fill - 1 : fill);
+      Fixed16::acc_t want = 0;
+      for (std::size_t i = 0; i < data.size(); ++i)
+        want += static_cast<Fixed16::acc_t>(data[i]) * w[i];
+      for (auto b : {simd::Backend::kScalar, simd::Backend::kAvx2}) {
+        if (!simd::backend_supported(b)) continue;
+        simd::select_backend(b);
+        Fixed16::acc_t got = 0;
+        simd::dot_s16_mrhs_dw(data.data(), n, 1, w.data(), n, 1, n, &got, 1);
+        EXPECT_EQ(got, want) << simd::backend_name(b) << " n=" << n
+                             << " fill=" << fill;
+      }
+    }
   }
 }
 
@@ -389,8 +421,7 @@ TEST(MrhsKernels, AllTiersMatchScalarReferenceAtOddShapes) {
         want[static_cast<std::size_t>(r * cols + c)] = acc;
       }
     const bool dw_ok = simd::deep_window_ok(w.data(), ws, rows, n);
-    for (auto b : {simd::Backend::kScalar, simd::Backend::kSse2,
-                   simd::Backend::kAvx2}) {
+    for (auto b : {simd::Backend::kScalar, simd::Backend::kAvx2}) {
       if (!simd::backend_supported(b)) continue;
       simd::select_backend(b);
       SCOPED_TRACE("n=" + std::to_string(n) + " backend " +
@@ -399,10 +430,6 @@ TEST(MrhsKernels, AllTiersMatchScalarReferenceAtOddShapes) {
       simd::dot_s16_mrhs(data.data(), ds, cols, w.data(), ws, rows, n,
                          got.data(), cols);
       EXPECT_EQ(got, want) << "mrhs";
-      std::fill(got.begin(), got.end(), 0);
-      simd::dot_s16_mrhs_nw(data.data(), ds, cols, w.data(), ws, rows, n,
-                            got.data(), cols);
-      EXPECT_EQ(got, want) << "mrhs_nw";
       if (dw_ok) {
         std::fill(got.begin(), got.end(), 0);
         simd::dot_s16_mrhs_dw(data.data(), ds, cols, w.data(), ws, rows, n,

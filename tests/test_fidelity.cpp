@@ -118,6 +118,50 @@ INSTANTIATE_TEST_SUITE_P(AllNets, ZooFidelity,
                            return std::string(kZoo[info.param].name);
                          });
 
+// --- the fast path, pinned across the zoo ---------------------------------
+
+// Every conv/FC layer of every zoo net under the default init_net_params
+// scale packs onto the deep-window kernel, at several seeds. A silent
+// fall to the exact kernel would keep every output bit and cost ~3x in
+// functional serving, so only this test would notice. Rows are packed one
+// at a time (deep_window_ok is a per-row property) so VGG-16's FC layers
+// do not double peak memory.
+class ZooWeightMode : public ::testing::TestWithParam<int> {};
+
+TEST_P(ZooWeightMode, EveryLayerPacksDeepWindow) {
+  const ZooEntry& z = kZoo[GetParam()];
+  if (CBRAIN_TEST_SANITIZED && z.heavy)
+    GTEST_SKIP() << "whole-net param synthesis too slow under sanitizers";
+  const Network net = z.make();
+  std::vector<std::int16_t> row;
+  for (const std::uint64_t seed : {1u, 42u, 977u}) {
+    const auto params = init_net_params<Fixed16>(net, seed);
+    for (const Layer& l : net.layers()) {
+      if (!l.is_conv() && !l.is_fc()) continue;
+      const Tensor4<Fixed16>& w =
+          params.per_layer[static_cast<std::size_t>(l.id)].weights;
+      const i64 dout = l.is_conv() ? l.conv().dout : l.fc().dout;
+      const i64 row_len = w.dims().count() / dout;
+      const i64 stride = func::gemm_row_stride(row_len);
+      row.assign(static_cast<std::size_t>(stride), 0);
+      for (i64 o = 0; o < dout; ++o) {
+        for (i64 i = 0; i < row_len; ++i)
+          row[static_cast<std::size_t>(i)] =
+              w.raw_data()[o * row_len + i].raw();
+        ASSERT_EQ(func::classify_weights(row.data(), 1, stride),
+                  func::WeightMode::kDeepWindow)
+            << "seed " << seed << " layer " << l.name << " row " << o;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllNets, ZooWeightMode,
+                         ::testing::Range(0, static_cast<int>(std::size(kZoo))),
+                         [](const auto& info) {
+                           return std::string(kZoo[info.param].name);
+                         });
+
 // --- analytical-model accuracy: functional counters vs sim accounting ---
 
 // The functional tier reports the model's estimates; the recorded
@@ -386,11 +430,13 @@ TEST(FidelityKnob, FaultInjectionRequiresCycleTier) {
 
 // --- pmaddwd fast-path fallback ------------------------------------------
 
-// The functional GEMM takes the pmaddwd kernels (simd::dot_s16_mrhs_nw
-// and the deep-window _dw) only when a layer's packed weights contain no
-// -32768 (checked at pack time). Poisoning a weight tensor with -32768
-// raws must flip that layer onto the full-range dot_s16_mrhs and still
-// produce bit-identical outputs to the simulator.
+// The functional GEMM takes the pmaddwd deep-window kernel
+// (simd::dot_s16_mrhs_dw) only when a layer's packed weights pass
+// simd::deep_window_ok (checked at pack time). Poisoning every 7th weight
+// word with -32768 raws flips each layer whose lane windows collect two
+// of them onto the full-range dot_s16_mrhs, while a lone -32768 per lane
+// stays on _dw. Either way the outputs must be bit-identical to the
+// simulator's.
 TEST(FastPathFallback, MinRawWeightsStayBitIdentical) {
   const Network net = zoo::tiny_cnn();
   auto params = init_net_params<Fixed16>(net, kSeed);
@@ -398,7 +444,7 @@ TEST(FastPathFallback, MinRawWeightsStayBitIdentical) {
   for (const Layer& l : net.layers()) {
     if (!l.is_conv() && !l.is_fc()) continue;
     auto& w = params.per_layer[static_cast<std::size_t>(l.id)].weights;
-    // Every 7th weight word to the exact value the nw contract excludes.
+    // Every 7th weight word to the int16 extreme.
     for (std::size_t i = 0; i < w.storage().size(); i += 7)
       w.storage()[i] = Fixed16::from_raw(Fixed16::kRawMin);
     poisoned = true;

@@ -1,5 +1,5 @@
-// cbrain::simd — the bit-exactness contract of the kernel layer. Every
-// backend (scalar reference, SSE2, AVX2) must return identical bits for
+// cbrain::simd — the bit-exactness contract of the kernel layer. Both
+// backends (scalar reference, AVX2) must return identical bits for
 // every input: fuzzed lengths 0..257 at every pointer misalignment,
 // extreme values (INT16_MIN * INT16_MIN pairs, where a pairwise-madd
 // implementation would wrap int32), long runs, and — end to end — a
@@ -32,8 +32,7 @@ class BackendGuard {
 
 std::vector<Backend> vector_backends() {
   std::vector<Backend> v;
-  for (Backend b : {Backend::kSse2, Backend::kAvx2})
-    if (simd::backend_supported(b)) v.push_back(b);
+  if (simd::backend_supported(Backend::kAvx2)) v.push_back(Backend::kAvx2);
   return v;
 }
 
@@ -53,25 +52,24 @@ Fixed16::acc_t ref_dot(const std::int16_t* a, const std::int16_t* b, i64 n) {
   return acc;
 }
 
-std::int16_t ref_add_sat(std::int16_t a, std::int16_t b) {
-  const int s = static_cast<int>(a) + b;
-  if (s > std::numeric_limits<std::int16_t>::max())
-    return std::numeric_limits<std::int16_t>::max();
-  if (s < std::numeric_limits<std::int16_t>::min())
-    return std::numeric_limits<std::int16_t>::min();
-  return static_cast<std::int16_t>(s);
+// One exact dot through the cycle tier's kernel: dot_s16_mrhs with a
+// single column against a single row.
+Fixed16::acc_t mrhs_dot(const std::int16_t* d, const std::int16_t* w, i64 n) {
+  Fixed16::acc_t out = -1;
+  simd::dot_s16_mrhs(d, n, 1, w, n, 1, n, &out, 1);
+  return out;
 }
 
 TEST(SimdDispatch, ScalarAlwaysSupportedAndNamed) {
   EXPECT_TRUE(simd::backend_supported(Backend::kScalar));
   EXPECT_STREQ(simd::backend_name(Backend::kScalar), "scalar");
-  EXPECT_STREQ(simd::backend_name(Backend::kSse2), "sse2");
   EXPECT_STREQ(simd::backend_name(Backend::kAvx2), "avx2");
 }
 
 TEST(SimdDispatch, SelectByNameRejectsUnknown) {
   BackendGuard guard;
   EXPECT_FALSE(simd::select_backend("neon"));
+  EXPECT_FALSE(simd::select_backend("sse2"));
   EXPECT_FALSE(simd::select_backend(""));
   EXPECT_TRUE(simd::select_backend("scalar"));
   EXPECT_EQ(simd::active_backend(), Backend::kScalar);
@@ -93,7 +91,7 @@ TEST(SimdBitExact, DotFuzzLengthsAndMisalignments) {
         for (i64 wa = 0; wa < 4; ++wa) {
           const std::int16_t* d = data.data() + da;
           const std::int16_t* w = weights.data() + wa;
-          ASSERT_EQ(simd::dot_s16(d, w, n), ref_dot(d, w, n))
+          ASSERT_EQ(mrhs_dot(d, w, n), ref_dot(d, w, n))
               << simd::backend_name(b) << " n=" << n << " da=" << da
               << " wa=" << wa;
         }
@@ -144,58 +142,6 @@ TEST(SimdBitExact, DotMrhsMatchesRowwiseReference) {
   }
 }
 
-// dot_s16_mrhs_nw: exact dots for every input that honours its contract
-// (no -32768 in the weight rows — the condition the functional executor
-// checks at pack time). Fuzzed with full-range data, plus the adversarial
-// contract boundary: data all -32768 against weights all -32767 puts
-// every pmaddwd pair sum at 2^31 - 2^16, one step below the wrap the
-// contract excludes. Three rows by three columns reach the AVX2 2x2 tile,
-// its column tail and its row tail.
-TEST(SimdBitExact, DotMrhsNwMatchesUnderContract) {
-  BackendGuard guard;
-  constexpr i64 kRows = 3;
-  constexpr i64 kCols = 3;
-  constexpr i64 kMaxN = 130;
-  constexpr std::int16_t kMin = std::numeric_limits<std::int16_t>::min();
-  const std::vector<std::int16_t> data =
-      random_s16(kCols * (kMaxN + 5) + 4, 909);
-  std::vector<std::int16_t> weights = random_s16(kRows * (kMaxN + 3) + 4, 1010);
-  for (auto& w : weights)
-    if (w == kMin) w = static_cast<std::int16_t>(kMin + 1);
-  const std::vector<std::int16_t> dmin(kCols * 257, kMin);
-  const std::vector<std::int16_t> wmax(kRows * 257,
-                                       static_cast<std::int16_t>(kMin + 1));
-  for (Backend b : vector_backends()) {
-    simd::select_backend(b);
-    for (i64 n : {i64{0}, i64{1}, i64{7}, i64{16}, i64{33}, i64{130}}) {
-      const i64 ds = n + 5, ws = n + 3;  // non-contiguous columns and rows
-      for (i64 off = 0; off < 3; ++off) {
-        std::vector<Fixed16::acc_t> out(kRows * kCols, -1);
-        simd::dot_s16_mrhs_nw(data.data() + off, ds, kCols,
-                              weights.data() + off, ws, kRows, n, out.data(),
-                              kCols);
-        for (i64 l = 0; l < kRows; ++l)
-          for (i64 c = 0; c < kCols; ++c)
-            EXPECT_EQ(out[static_cast<std::size_t>(l * kCols + c)],
-                      ref_dot(data.data() + off + c * ds,
-                              weights.data() + off + l * ws, n))
-                << simd::backend_name(b) << " n=" << n << " row=" << l
-                << " col=" << c;
-      }
-    }
-    // Contract boundary: the largest pair sums the no-wrap precondition
-    // admits, at lengths covering vector body + scalar tail.
-    for (i64 n : {i64{16}, i64{48}, i64{129}, i64{257}}) {
-      std::vector<Fixed16::acc_t> out(kRows * kCols, 0);
-      simd::dot_s16_mrhs_nw(dmin.data(), n, kCols, wmax.data(), n, kRows, n,
-                            out.data(), kCols);
-      for (const Fixed16::acc_t v : out)
-        EXPECT_EQ(v, ref_dot(dmin.data(), wmax.data(), n))
-            << simd::backend_name(b) << " boundary n=" << n;
-    }
-  }
-}
-
 // INT16_MIN * INT16_MIN = 2^30; two such products per int32 pair is
 // exactly the case where a pairwise-multiply-add (pmaddwd) kernel wraps.
 // Every length up to 257 must hold the exact value.
@@ -211,10 +157,10 @@ TEST(SimdBitExact, ExtremeValuesNoIntermediateOverflow) {
   for (Backend b : vector_backends()) {
     simd::select_backend(b);
     for (i64 n = 0; n <= 257; ++n) {
-      EXPECT_EQ(simd::dot_s16(all_min.data(), all_min.data(), n),
+      EXPECT_EQ(mrhs_dot(all_min.data(), all_min.data(), n),
                 static_cast<Fixed16::acc_t>(n) * (1LL << 30))
           << simd::backend_name(b) << " n=" << n;
-      EXPECT_EQ(simd::dot_s16(all_min.data(), alt.data(), n),
+      EXPECT_EQ(mrhs_dot(all_min.data(), alt.data(), n),
                 ref_dot(all_min.data(), alt.data(), n))
           << simd::backend_name(b) << " n=" << n << " (alternating)";
     }
@@ -232,7 +178,7 @@ TEST(SimdBitExact, LongRunNearAccumulatorScale) {
   const Fixed16::acc_t expect = static_cast<Fixed16::acc_t>(kN) * (1LL << 30);
   for (Backend b : vector_backends()) {
     simd::select_backend(b);
-    EXPECT_EQ(simd::dot_s16(v.data(), v.data(), kN), expect)
+    EXPECT_EQ(mrhs_dot(v.data(), v.data(), kN), expect)
         << simd::backend_name(b);
   }
   // And a long random run against the independent reference.
@@ -241,35 +187,28 @@ TEST(SimdBitExact, LongRunNearAccumulatorScale) {
   const Fixed16::acc_t want = ref_dot(a.data(), w.data(), kN);
   for (Backend b : vector_backends()) {
     simd::select_backend(b);
-    EXPECT_EQ(simd::dot_s16(a.data(), w.data(), kN), want)
+    EXPECT_EQ(mrhs_dot(a.data(), w.data(), kN), want)
         << simd::backend_name(b);
   }
 }
 
+// max_s16, the max-pool reduction: elementwise max at every length and
+// misalignment, with the int16 extremes seeded into both operands.
 TEST(SimdBitExact, ElementwiseKernelsFuzz) {
   BackendGuard guard;
   std::vector<std::int16_t> a = random_s16(257 + 4, 707);
   std::vector<std::int16_t> b = random_s16(257 + 4, 808);
-  // Seed saturation cases into the operands.
   b[0] = a[0] = std::numeric_limits<std::int16_t>::max();
   b[1] = a[1] = std::numeric_limits<std::int16_t>::min();
   for (Backend back : vector_backends()) {
     for (i64 n = 0; n <= 257; n += (n < 20 ? 1 : 13)) {
       for (i64 off = 0; off < 3; ++off) {
-        std::vector<std::int16_t> add_out(static_cast<std::size_t>(n));
-        std::vector<std::int16_t> relu_out(static_cast<std::size_t>(n));
         std::vector<std::int16_t> max_io(b.begin() + off, b.begin() + off + n);
         simd::select_backend(back);
-        simd::add_sat_s16(a.data() + off, b.data() + off, add_out.data(), n);
-        simd::relu_s16(a.data() + off, relu_out.data(), n);
         simd::max_s16(a.data() + off, max_io.data(), n);
         for (i64 i = 0; i < n; ++i) {
           const std::size_t s = static_cast<std::size_t>(i);
           const std::int16_t x = a[s + off], y = b[s + off];
-          EXPECT_EQ(add_out[s], ref_add_sat(x, y))
-              << simd::backend_name(back) << " add n=" << n << " i=" << i;
-          EXPECT_EQ(relu_out[s], x < 0 ? std::int16_t{0} : x)
-              << simd::backend_name(back) << " relu n=" << n << " i=" << i;
           EXPECT_EQ(max_io[s], std::max(x, y))
               << simd::backend_name(back) << " max n=" << n << " i=" << i;
         }

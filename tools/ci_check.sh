@@ -111,7 +111,7 @@ echo "=== fidelity: functional tier cross-validated against the oracle ==="
 # The two execution tiers must stay bit-identical (DESIGN.md §12). The
 # cross-validation suite runs the whole zoo through both executors; run
 # it under ASan+UBSan so the packed-GEMM buffers, the im2row copies and
-# the no-wrap kernel's widening arithmetic are vetted, not just
+# the deep-window kernel's 32-bit window sums are vetted, not just
 # compared. fidelity-check then diffs one net end-to-end through the
 # release CLI (it exits non-zero on any output mismatch), and TSan
 # covers the functional tier under the pooled run_many fan-out.
