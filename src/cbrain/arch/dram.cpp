@@ -1,5 +1,7 @@
 #include "cbrain/arch/dram.hpp"
 
+#include <algorithm>
+
 #include "cbrain/common/check.hpp"
 
 namespace cbrain {
@@ -53,6 +55,15 @@ void Dram::write_block(DramAddr addr, i64 words, const std::int16_t* in) {
   if (fault_ != nullptr)
     fault_->on_dram_write(addr, words,
                           mem_.data() + static_cast<std::size_t>(addr));
+}
+
+void Dram::write_words(DramAddr addr, i64 words, const std::int16_t* in) {
+  bounds(addr, words);
+  std::int16_t* dst = mem_.data() + static_cast<std::size_t>(addr);
+  std::copy_n(in, words, dst);
+  if (fault_ != nullptr)
+    for (i64 i = 0; i < words; ++i)
+      fault_->on_dram_write(addr + i, 1, dst + i);
 }
 
 }  // namespace cbrain

@@ -30,6 +30,12 @@ class Dram {
   void write(DramAddr addr, std::int16_t value);
   void read_block(DramAddr addr, i64 words, std::int16_t* out) const;
   void write_block(DramAddr addr, i64 words, const std::int16_t* in);
+  // Bulk equivalent of `words` write() calls at addr, addr+1, ...: one
+  // copy, then the fault hook once per word in address order, so memory,
+  // FaultStats (code_words included) and the event log match the
+  // word-at-a-time loop. write_block instead hands the hook one access
+  // (one code-word count, bursts spanning words) — the DMA's view.
+  void write_words(DramAddr addr, i64 words, const std::int16_t* in);
 
   struct Region {
     DramAddr addr = 0;

@@ -13,28 +13,12 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   // Seed expansion via splitmix64, the recommended initialization for
   // xoshiro generators (avoids all-zero and low-entropy states).
   for (auto& s : s_) s = splitmix64(seed);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
@@ -53,19 +37,6 @@ std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(span == 0 ? next_u64()
                                                   : next_below(span));
-}
-
-double Rng::next_double() {
-  // 53 high bits -> [0,1) with full double precision.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::next_double(double lo, double hi) {
-  return lo + (hi - lo) * next_double();
-}
-
-void Rng::fill(std::vector<float>& out, float lo, float hi) {
-  for (auto& v : out) v = static_cast<float>(next_double(lo, hi));
 }
 
 }  // namespace cbrain

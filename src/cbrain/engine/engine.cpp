@@ -168,6 +168,17 @@ void Session::load_params(const NetParamsData<Fixed16>& params) {
     exec_->load_params(params);
 }
 
+void Session::share_params(const Session& other) {
+  CBRAIN_CHECK(func_ && other.func_, "share_params needs functional sessions");
+  CBRAIN_CHECK(compiled_ == other.compiled_,
+               "share_params across different compiled programs");
+  func_->share_params(*other.func_);
+}
+
+const func::FuncExecutor::PackedParams* Session::packed_params() const {
+  return func_ ? func_->packed_params() : nullptr;
+}
+
 bool Session::params_loaded() const {
   return func_ ? func_->params_loaded() : exec_->params_loaded();
 }
@@ -336,8 +347,17 @@ std::unique_ptr<SessionPool> Engine::open_pool(
     const Network& net, Policy policy, const NetParamsData<Fixed16>& params,
     i64 n, Fidelity fidelity) {
   auto pool = std::make_unique<SessionPool>();
-  for (i64 i = 0; i < std::max<i64>(1, n); ++i)
-    pool->add(open_session(net, policy, params, fidelity));
+  auto first = open_session(net, policy, params, fidelity);
+  const Session& lead = *first;
+  pool->add(std::move(first));
+  for (i64 i = 1; i < n; ++i) {
+    auto s = open_session(net, policy, fidelity);
+    if (fidelity == Fidelity::kFunctional)
+      s->share_params(lead);
+    else
+      s->load_params(params);
+    pool->add(std::move(s));
+  }
   return pool;
 }
 

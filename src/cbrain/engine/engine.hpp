@@ -75,6 +75,14 @@ class Session {
   // infer(); may run again to hot-swap parameters.
   void load_params(const NetParamsData<Fixed16>& params);
   bool params_loaded() const;
+  // Functional only: serves from `other`'s packed weights (a loaded
+  // functional session over the same compiled program) without packing
+  // again. A later load_params on either session builds it a fresh pack,
+  // leaving the other's untouched.
+  void share_params(const Session& other);
+  // The packed weight set a functional session serves from (null at
+  // cycle fidelity or before load_params); pool siblings share one.
+  const func::FuncExecutor::PackedParams* packed_params() const;
 
   // Streams one input image through the resident executor. At either
   // fidelity the output bytes match a fresh single-shot cycle simulate
@@ -197,7 +205,9 @@ class Engine {
                                         Fidelity fidelity = Fidelity::kCycle);
 
   // Opens a pool of `n` weight-resident sessions over one shared compiled
-  // program (compile is cached once, weights materialize per session).
+  // program (compile is cached once). Cycle sessions each materialize
+  // the weights into their own DRAM; functional sessions pack once and
+  // share that immutable pack.
   std::unique_ptr<SessionPool> open_pool(const Network& net, Policy policy,
                                          const NetParamsData<Fixed16>& params,
                                          i64 n,

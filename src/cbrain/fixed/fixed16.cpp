@@ -1,7 +1,5 @@
 #include "cbrain/fixed/fixed16.hpp"
 
-#include <cmath>
-
 namespace cbrain {
 
 std::int16_t saturate_to_i16(std::int64_t v) {
@@ -11,17 +9,6 @@ std::int16_t saturate_to_i16(std::int64_t v) {
 }
 
 Fixed16 Fixed16::from_float(float v) { return from_double(v); }
-
-Fixed16 Fixed16::from_double(double v) {
-  if (std::isnan(v)) return zero();
-  const double scaled = v * kOne;
-  // Round half away from zero, matching from_acc.
-  const double rounded = scaled >= 0.0 ? std::floor(scaled + 0.5)
-                                       : std::ceil(scaled - 0.5);
-  if (rounded >= static_cast<double>(kRawMax)) return max();
-  if (rounded <= static_cast<double>(kRawMin)) return min();
-  return from_raw(static_cast<raw_t>(rounded));
-}
 
 float Fixed16::to_float() const {
   return static_cast<float>(raw_) / static_cast<float>(kOne);

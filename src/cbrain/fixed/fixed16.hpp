@@ -13,6 +13,8 @@
 // associative and commutative).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <compare>
 #include <cstdint>
 #include <limits>
@@ -34,9 +36,21 @@ class Fixed16 {
 
   static constexpr Fixed16 from_raw(raw_t raw) { return Fixed16(raw); }
 
-  // Round-to-nearest (half away from zero), saturating.
+  // Round-to-nearest (half away from zero), saturating; NaN maps to 0.
   static Fixed16 from_float(float v);
-  static Fixed16 from_double(double v);
+  // Inline and branch-free: parameter synthesis converts one draw per
+  // weight. Exactly floor(s + 0.5) for s >= 0 and ceil(s - 0.5) for
+  // s < 0: the adjusted value has the sign of s, so truncation rounds it
+  // the way floor/ceil would, and the clamp saturates before the int32
+  // cast can overflow (DESIGN.md §17).
+  static Fixed16 from_double(double v) {
+    if (std::isnan(v)) return zero();
+    const double scaled = v * kOne;
+    const double adj = std::clamp(scaled + std::copysign(0.5, scaled),
+                                  static_cast<double>(kRawMin),
+                                  static_cast<double>(kRawMax));
+    return from_raw(static_cast<raw_t>(static_cast<std::int32_t>(adj)));
+  }
 
   constexpr raw_t raw() const { return raw_; }
   float to_float() const;

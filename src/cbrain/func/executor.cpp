@@ -42,7 +42,8 @@ FuncExecutor::FuncExecutor(const Network& net, const CompiledNetwork& compiled,
 void FuncExecutor::load_params(const NetParamsData<Fixed16>& params) {
   CBRAIN_CHECK(static_cast<i64>(params.per_layer.size()) == net_.size(),
                "parameter table does not match network");
-  packed_.assign(static_cast<std::size_t>(net_.size()), PackedLayer{});
+  auto packed = std::make_shared<PackedParams>(
+      static_cast<std::size_t>(net_.size()));
   for (const Layer& l : net_.layers()) {
     if (!l.is_conv() && !l.is_fc()) continue;
     const auto idx = static_cast<std::size_t>(l.id);
@@ -55,7 +56,7 @@ void FuncExecutor::load_params(const NetParamsData<Fixed16>& params) {
     // into its zero-padded gemm_row_stride slot (the padding keeps the
     // multi-RHS kernels out of their scalar remainder loop; padded taps
     // multiply the matching zero-padded patch tail, contributing 0).
-    PackedLayer& pl = packed_[idx];
+    PackedLayer& pl = (*packed)[idx];
     const i64 dout = l.is_conv() ? l.conv().dout : l.fc().dout;
     const i64 row_len = wd.count() / dout;
     const i64 stride = gemm_row_stride(row_len);
@@ -68,7 +69,14 @@ void FuncExecutor::load_params(const NetParamsData<Fixed16>& params) {
     pl.mode = classify_weights(pl.weights.data(), dout, stride);
     pl.bias_acc = promote_bias(pdata.bias, dout);
   }
-  params_loaded_ = true;
+  packed_ = std::move(packed);
+}
+
+void FuncExecutor::share_params(const FuncExecutor& other) {
+  CBRAIN_CHECK(other.params_loaded(), "share_params before load_params");
+  CBRAIN_CHECK(other.net_.size() == net_.size(),
+               "share_params across different networks");
+  packed_ = other.packed_;
 }
 
 Tensor3<Fixed16>& FuncExecutor::slot(std::size_t layer, std::size_t image,
@@ -93,7 +101,7 @@ SimResult FuncExecutor::infer(const Tensor3<Fixed16>& input) {
 std::vector<SimResult> FuncExecutor::infer_batch(
     const std::vector<const Tensor3<Fixed16>*>& inputs,
     std::vector<Status>* statuses) {
-  CBRAIN_CHECK(params_loaded_, "load_params before infer");
+  CBRAIN_CHECK(params_loaded(), "load_params before infer");
   const auto batch = inputs.size();
   CBRAIN_CHECK(batch > 0, "infer_batch needs at least one input");
   if (outputs_.size() != static_cast<std::size_t>(net_.size()))
@@ -138,7 +146,7 @@ std::vector<SimResult> FuncExecutor::infer_batch(
   auto& reg = obs::Registry::global();
   for (const Layer& l : net_.layers()) {
     const auto idx = static_cast<std::size_t>(l.id);
-    const PackedLayer& pl = packed_[idx];
+    const PackedLayer& pl = (*packed_)[idx];
     // Stage the batch's resident output tensors (and source pointers)
     // for this layer; steady state reconstructs nothing.
     in_ptrs_.clear();

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cbrain/common/status.hpp"
@@ -56,12 +57,34 @@ class FuncExecutor {
   FuncExecutor(const Network& net, const CompiledNetwork& compiled,
                const AcceleratorConfig& config);
 
+  // One layer's GEMM operands (empty for layers without weights).
+  struct PackedLayer {
+    std::vector<std::int16_t> weights;  // GEMM rows, Tensor4 storage order
+    // Bias promoted to accumulator (Q16.16) scale, zero-padded to dout.
+    std::vector<Fixed16::acc_t> bias_acc;
+    // Fastest multi-RHS kernel tier this weight tensor qualifies for
+    // (deep-window, else exact; both bit-identical). Checked once per
+    // pack; a hand-built NetParamsData that fails the deep-window bound
+    // falls back, keeping outputs identical either way.
+    WeightMode mode = WeightMode::kExact;
+  };
+
+  // Indexed by LayerId; immutable once built.
+  using PackedParams = std::vector<PackedLayer>;
+
   // Packs each conv/FC layer's weights into contiguous int16 GEMM rows,
   // promotes biases to accumulator scale and classifies each weight
   // tensor for the fastest admissible multi-RHS kernel. May run again to
-  // hot-swap parameters (engine::Session contract).
+  // hot-swap parameters (engine::Session contract): it builds a fresh
+  // pack, so executors sharing the old one are unaffected.
   void load_params(const NetParamsData<Fixed16>& params);
-  bool params_loaded() const { return params_loaded_; }
+  // Serves from `other`'s pack (which must be loaded, for the same
+  // network) instead of packing again: Engine::open_pool packs once per
+  // functional pool.
+  void share_params(const FuncExecutor& other);
+  bool params_loaded() const { return packed_ != nullptr; }
+  // The pack this executor serves from (null before load_params).
+  const PackedParams* packed_params() const { return packed_.get(); }
 
   // Runs one input through the layer graph. Bit-identical final_output
   // and per-layer tensors to SimExecutor::infer on the same (net,
@@ -95,17 +118,6 @@ class FuncExecutor {
   const NetworkModelResult& model() const { return model_; }
 
  private:
-  struct PackedLayer {
-    std::vector<std::int16_t> weights;  // GEMM rows, Tensor4 storage order
-    // Bias promoted to accumulator (Q16.16) scale, zero-padded to dout.
-    std::vector<Fixed16::acc_t> bias_acc;
-    // Fastest multi-RHS kernel tier this weight tensor qualifies for
-    // (deep-window, else exact; both bit-identical). Checked once per
-    // pack; a hand-built NetParamsData that fails the deep-window bound
-    // falls back, keeping outputs identical either way.
-    WeightMode mode = WeightMode::kExact;
-  };
-
   // The resident output tensor for (layer, image), reconstructed only on
   // a dims/order change (counted in tensor_growths_).
   Tensor3<Fixed16>& slot(std::size_t layer, std::size_t image,
@@ -114,7 +126,7 @@ class FuncExecutor {
   const Network& net_;
   AcceleratorConfig config_;
   NetworkModelResult model_;
-  std::vector<PackedLayer> packed_;  // indexed by LayerId
+  std::shared_ptr<const PackedParams> packed_;
   // outputs_[layer][image] — never shrunk, rewritten every batch.
   std::vector<std::vector<Tensor3<Fixed16>>> outputs_;
   GemmScratch scratch_;
@@ -124,7 +136,6 @@ class FuncExecutor {
   std::vector<const Tensor3<Fixed16>*> in_b_ptrs_;
   std::vector<Tensor3<Fixed16>*> out_ptrs_;
   i64 tensor_growths_ = 0;
-  bool params_loaded_ = false;
 };
 
 }  // namespace cbrain::func

@@ -1,8 +1,10 @@
 // Deterministic synthetic parameters. The paper evaluates pre-trained
 // inference where only speed/energy matter, so weights are seeded
-// pseudo-random values with magnitudes small enough that Q7.8 activations
-// never saturate in the test networks (keeps fixed-point comparisons
-// exercising realistic, non-clipped arithmetic).
+// pseudo-random values, uniform in +-1/fan_in unless a scale is pinned.
+// That scale keeps Q7.8 activations from saturating, but it overshoots:
+// each layer's gain is about 1/sqrt(3*fan_in), so activations decay below
+// the Q7.8 LSB within two layers and deep zoo tensors are mostly zeros
+// (ROADMAP item 1). The values are pinned by digest (tests/test_ref.cpp).
 #pragma once
 
 #include <algorithm>

@@ -55,36 +55,48 @@ class Executor {
 
   // Writes every layer's weights and biases into simulated DRAM, once
   // per weight-resident session (with the machine construction); inputs
-  // then stream through infer().
+  // then stream through infer(). Each output row, then the bias vector,
+  // is staged and written with Dram::write_words: the same words in the
+  // same address order, with the same per-word fault-hook calls, as one
+  // Dram::write per word. Staging one row, not a layer, keeps the
+  // transient small (AlexNet's fc6 is 75 MB).
   void materialize_params(const NetParamsData<Fixed16>& params) {
+    std::vector<std::int16_t> row;
     for (const Layer& l : net_.layers()) {
+      if (!l.is_conv() && !l.is_fc()) continue;
       const auto idx = static_cast<std::size_t>(l.id);
       const auto& pd = params.per_layer[idx];
-      const i64 waddr = compiled_.layout.weight_addr[idx];
-      if (l.is_conv()) {
-        const Scheme scheme = compiled_.layout.scheme_of(l.id);
-        const ConvParams& p = l.conv();
-        const i64 din_g = p.din_per_group(l.in_dims.d);
-        const i64 kw = (scheme == Scheme::kPartition)
-                           ? PartitionSpec::from(p.k, p.stride).padded_k()
-                           : p.k;
-        i64 a = waddr;
-        for (i64 o = 0; o < p.dout; ++o)
-          for (i64 d = 0; d < din_g; ++d)
-            for (i64 y = 0; y < kw; ++y)
-              for (i64 x = 0; x < kw; ++x, ++a)
-                m_.dram().write(a, (y < p.k && x < p.k)
-                                       ? pd.weights.at(o, d, y, x).raw()
-                                       : std::int16_t{0});
-        write_bias(l, pd);
-      } else if (l.is_fc()) {
-        i64 a = waddr;
-        const i64 din = l.in_dims.count();
-        for (i64 o = 0; o < l.fc().dout; ++o)
-          for (i64 d = 0; d < din; ++d, ++a)
-            m_.dram().write(a, pd.weights.at(o, d, 0, 0).raw());
-        write_bias(l, pd);
+      const KernelDims wd = l.weight_dims();
+      // Partition-scheme kernels sit in DRAM zero-padded to the scheme's
+      // padded_k square; every other layer's row is its Tensor4 row.
+      const i64 kp =
+          l.is_conv() && compiled_.layout.scheme_of(l.id) == Scheme::kPartition
+              ? PartitionSpec::from(wd.kw, l.conv().stride).padded_k()
+              : wd.kw;
+      const i64 src_len = wd.din * wd.kh * wd.kw;
+      const i64 dst_len = wd.din * kp * kp;
+      row.assign(static_cast<std::size_t>(dst_len), 0);
+      const Fixed16* w = pd.weights.raw_data();
+      i64 a = compiled_.layout.weight_addr[idx];
+      for (i64 o = 0; o < wd.dout; ++o, a += dst_len) {
+        const Fixed16* src = w + o * src_len;
+        if (kp == wd.kw) {
+          for (i64 i = 0; i < src_len; ++i)
+            row[static_cast<std::size_t>(i)] = src[i].raw();
+        } else {
+          for (i64 d = 0; d < wd.din; ++d)
+            for (i64 y = 0; y < wd.kh; ++y)
+              for (i64 x = 0; x < wd.kw; ++x)
+                row[static_cast<std::size_t>((d * kp + y) * kp + x)] =
+                    src[(d * wd.kh + y) * wd.kw + x].raw();
+        }
+        m_.dram().write_words(a, dst_len, row.data());
       }
+      row.resize(pd.bias.size());
+      for (std::size_t i = 0; i < pd.bias.size(); ++i)
+        row[i] = pd.bias[i].raw();
+      m_.dram().write_words(compiled_.layout.bias_addr[idx],
+                            static_cast<i64>(row.size()), row.data());
     }
   }
 
@@ -395,14 +407,7 @@ class Executor {
     reg.counter("sim.mul_ops_total").inc(muls);
   }
 
-  // --- setup -------------------------------------------------------------
-
-  void write_bias(const Layer& l, const LayerParamsData<Fixed16>& pd) {
-    const i64 baddr =
-        compiled_.layout.bias_addr[static_cast<std::size_t>(l.id)];
-    for (std::size_t i = 0; i < pd.bias.size(); ++i)
-      m_.dram().write(baddr + static_cast<i64>(i), pd.bias[i].raw());
-  }
+  // --- input -------------------------------------------------------------
 
   void inject_input(const Tensor3<Fixed16>& input) {
     const Layer& in_layer = net_.layer(0);

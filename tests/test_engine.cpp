@@ -375,5 +375,70 @@ TEST(EngineSessionPool, AcquireForTimesOutWhenExhausted) {
   EXPECT_EQ(pool->idle(), 2);
 }
 
+// A functional pool packs the weights once: every session serves from
+// one immutable pack, run_batches is byte-identical at any jobs, and a
+// load_params hot-swap gives that session a fresh pack while its
+// siblings keep serving the old one.
+TEST(EngineSessionPool, FunctionalPoolPacksOnce) {
+  const Network net = serving_net("serve_net");
+  const AcceleratorConfig config = tiny_config();
+  const auto params = init_net_params<Fixed16>(net, 42);
+  engine::Engine eng(config);
+
+  auto pool = eng.open_pool(net, Policy::kAdaptive2, params, 3,
+                            Fidelity::kFunctional);
+  ASSERT_EQ(pool->size(), 3);
+  const auto* pack = pool->at(0)->packed_params();
+  ASSERT_NE(pack, nullptr);
+  for (i64 i = 1; i < pool->size(); ++i)
+    EXPECT_EQ(pool->at(i)->packed_params(), pack) << "session " << i;
+  // Cycle sessions keep their own DRAM and hold no pack.
+  EXPECT_EQ(eng.open_pool(net, Policy::kAdaptive2, params, 2)
+                ->at(1)
+                ->packed_params(),
+            nullptr);
+
+  std::vector<Tensor3<Fixed16>> inputs;
+  for (u64 i = 0; i < 6; ++i) inputs.push_back(input_for(net, 200 + i));
+  const std::vector<std::vector<i64>> batches = {{0, 1}, {2, 3, 4}, {5}};
+  const auto first = eng.run_batches(net, Policy::kAdaptive2, params, inputs,
+                                     batches, 1, nullptr,
+                                     Fidelity::kFunctional);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    CBrain fresh(config);
+    EXPECT_TRUE(tensors_equal(
+        first[i].final_output,
+        fresh.simulate(net, Policy::kAdaptive2, inputs[i], params)
+            .final_output))
+        << "request " << i;
+  }
+  for (i64 jobs : {2, 4}) {
+    const auto got = eng.run_batches(net, Policy::kAdaptive2, params, inputs,
+                                     batches, jobs, nullptr,
+                                     Fidelity::kFunctional);
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      expect_results_identical(got[i], first[i],
+                               "jobs " + std::to_string(jobs) + " request " +
+                                   std::to_string(i));
+  }
+
+  engine::Session* swapped = pool->at(0);
+  engine::Session* sibling = pool->at(1);
+  const auto input = input_for(net, 5);
+  const SimResult before = sibling->infer(input);
+  const auto params2 = init_net_params<Fixed16>(net, 43);
+  swapped->load_params(params2);
+  EXPECT_NE(swapped->packed_params(), pack);
+  EXPECT_EQ(sibling->packed_params(), pack);
+  expect_results_identical(sibling->infer(input), before,
+                           "sibling after hot swap");
+  const SimResult after = swapped->infer(input);
+  CBrain fresh(config);
+  EXPECT_TRUE(tensors_equal(
+      after.final_output,
+      fresh.simulate(net, Policy::kAdaptive2, input, params2).final_output));
+  EXPECT_FALSE(tensors_equal(after.final_output, before.final_output));
+}
+
 }  // namespace
 }  // namespace cbrain

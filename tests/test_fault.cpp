@@ -6,6 +6,7 @@
 // degrades gracefully instead of failing.
 #include "support.hpp"
 
+#include "cbrain/arch/dram.hpp"
 #include "cbrain/common/thread_pool.hpp"
 #include "cbrain/fault/campaign.hpp"
 
@@ -337,6 +338,66 @@ TEST(FaultInjector, SchemeMixAllSitesAnchor) {
            std::to_string(mism) + " " + std::to_string(sum);
     EXPECT_EQ(got, expected);
   }
+}
+
+// Every FaultStats field, one line, for whole-struct comparisons.
+std::string stats_line(const FaultStats& st) {
+  std::string s;
+  for (const i64 v : st.injected) s += std::to_string(v) + " ";
+  for (const i64 v : st.code_words) s += std::to_string(v) + " ";
+  for (const i64 v :
+       {st.corrupted_words, st.masked, st.detected, st.corrected, st.silent,
+        st.uncorrected, st.dma_stalls, st.dma_retries, st.dma_retry_words,
+        st.instruction_replays, st.overhead_cycles})
+    s += std::to_string(v) + " ";
+  return s;
+}
+
+// The parameter loader writes rows with Dram::write_words. Under an
+// attached injector that must be indistinguishable from one Dram::write
+// per word: same memory, same FaultStats (code words included), same
+// event log, same pending overhead. write_block's single hook call
+// would count one code word per parity group of the block and let a
+// burst run across words, failing the parity/ECC and burst rows.
+TEST(FaultInjector, DramWriteWordsMatchesPerWordWrites) {
+  std::vector<std::int16_t> data(3000);
+  Rng rng(5);
+  for (auto& v : data)
+    v = static_cast<std::int16_t>(rng.next_int(-32768, 32767));
+  const i64 rows[] = {1, 7, 64, 500, 2428};  // sums to data.size()
+  for (const FaultMode mode : {FaultMode::kBitFlip, FaultMode::kBurstCorrupt})
+    for (const RecoveryPolicy rec :
+         {RecoveryPolicy::kNone, RecoveryPolicy::kParityRetry,
+          RecoveryPolicy::kEcc}) {
+      SCOPED_TRACE(std::string(fault_mode_name(mode)) + "/" +
+                   recovery_policy_name(rec));
+      FaultConfig fc;
+      fc.seed = 9;
+      fc.recovery = rec;
+      fc.site(FaultSite::kDram).per_mword = 20000;
+      fc.site(FaultSite::kDram).mode = mode;
+      fc.site(FaultSite::kDram).burst_words = 4;
+      FaultInjector bulk_inj(fc), word_inj(fc);
+      Dram bulk(4096), word(4096);
+      bulk.attach_fault(&bulk_inj);
+      word.attach_fault(&word_inj);
+      i64 a = 100;
+      for (const i64 n : rows) {
+        bulk.write_words(a, n, data.data() + (a - 100));
+        for (i64 i = 0; i < n; ++i)
+          word.write(a + i, data[static_cast<std::size_t>(a - 100 + i)]);
+        a += n;
+      }
+      std::vector<std::int16_t> got(4096), want(4096);
+      bulk.read_block(0, 4096, got.data());
+      word.read_block(0, 4096, want.data());
+      EXPECT_EQ(got, want);
+      EXPECT_GT(word_inj.stats().total_injected(), 10);
+      EXPECT_EQ(stats_line(bulk_inj.stats()), stats_line(word_inj.stats()));
+      EXPECT_EQ(bulk_inj.event_log(), word_inj.event_log());
+      EXPECT_EQ(bulk_inj.take_overhead_cycles(),
+                word_inj.take_overhead_cycles());
+    }
 }
 
 TEST(FaultCampaign, FailsWithStatusOnImpossibleConfig) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "cbrain/common/math_util.hpp"
 #include "cbrain/common/rng.hpp"
@@ -104,6 +106,54 @@ TEST(Fixed16, RoundTripAllRaws) {
     const Fixed16 v = Fixed16::from_raw(static_cast<std::int16_t>(raw));
     EXPECT_EQ(Fixed16::from_double(v.to_double()), v) << raw;
   }
+}
+
+// The floor/ceil form from_double had before it went branch-free, kept
+// as the reference: every synthesized weight and input goes through
+// from_double, so any drift would change every output in the repo.
+std::int16_t floor_ceil_reference(double v) {
+  if (std::isnan(v)) return 0;
+  const double scaled = v * Fixed16::kOne;
+  const double rounded = scaled >= 0.0 ? std::floor(scaled + 0.5)
+                                       : std::ceil(scaled - 0.5);
+  if (rounded >= static_cast<double>(Fixed16::kRawMax))
+    return Fixed16::kRawMax;
+  if (rounded <= static_cast<double>(Fixed16::kRawMin))
+    return Fixed16::kRawMin;
+  return static_cast<std::int16_t>(rounded);
+}
+
+TEST(Fixed16, FromDoubleMatchesFloorCeilReference) {
+  const double lsb = 1.0 / Fixed16::kOne;
+  const double half = lsb / 2;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> edges = {
+      0.0, -0.0, half, -half, 3 * half, -3 * half,
+      std::nextafter(half, 0.0), std::nextafter(-half, 0.0),
+      std::nextafter(half, 1.0), std::nextafter(-half, -1.0),
+      // Largest double below 1/2 at raw scale: s + 0.5 rounds up to 1.0.
+      0.49999999999999994 * lsb, -0.49999999999999994 * lsb,
+      127.998, -127.998, 127.99609375, 127.998046875, -128.0, -128.002,
+      -128.0 - half, -128.0 - lsb, 128.0, 1e300, -1e300, inf, -inf,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min()};
+  // Every 97th raw's exact value and its two ties.
+  for (int raw = -32768; raw <= 32767; raw += 97)
+    for (const double d : {0.0, half, -half}) edges.push_back(raw * lsb + d);
+  for (const double v : edges)
+    EXPECT_EQ(Fixed16::from_double(v).raw(), floor_ceil_reference(v)) << v;
+
+  Rng rng(7);
+  i64 mismatches = 0;
+  double first_bad = 0.0;
+  for (int i = 0; i < 10'000'000; ++i) {
+    const double v = rng.next_double(-300.0, 300.0);
+    if (Fixed16::from_double(v).raw() != floor_ceil_reference(v) &&
+        mismatches++ == 0)
+      first_bad = v;
+  }
+  EXPECT_EQ(mismatches, 0) << "first mismatch at " << first_bad;
 }
 
 TEST(SaturateToI16, Bounds) {

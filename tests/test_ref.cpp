@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "cbrain/ref/conv_ref.hpp"
 #include "cbrain/ref/executor.hpp"
@@ -163,6 +164,44 @@ TEST(RefExecutor, FixedAndFloatAgreeApproximately) {
   for (i64 i = 0; i < of.size(); ++i)
     EXPECT_NEAR(of.storage()[static_cast<std::size_t>(i)],
                 oq.storage()[static_cast<std::size_t>(i)].to_double(), 0.05);
+}
+
+// FNV-1a over raw Q7.8 words in storage order.
+u64 fnv_raw(u64 h, const std::vector<Fixed16>& words) {
+  for (const Fixed16 w : words) {
+    const auto u = static_cast<std::uint16_t>(w.raw());
+    for (const int shift : {0, 8}) {
+      h ^= (u >> shift) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+// Pins every synthesized weight, bias and input word. The digests were
+// captured with the floor/ceil from_double and out-of-line RNG that the
+// inline versions replaced; a single changed raw fails this.
+TEST(Params, SynthesisDigestsPinned) {
+  struct Case {
+    Network net;
+    u64 digest;
+  };
+  const Case cases[] = {{zoo::alexnet(), 0x054dd7182fa228f7ull},
+                        {zoo::resnet18(), 0x5254f4c32340e62full},
+                        {zoo::mobilenetv1(), 0xbe042242cdd55dbdull}};
+  for (const Case& c : cases) {
+    const auto params = init_net_params<Fixed16>(c.net, 7);
+    u64 h = 0xcbf29ce484222325ull;
+    for (const auto& pd : params.per_layer) {
+      h = fnv_raw(h, pd.weights.storage());
+      h = fnv_raw(h, pd.bias);
+    }
+    EXPECT_EQ(h, c.digest) << c.net.name() << " 0x" << std::hex << h;
+  }
+  const auto input =
+      random_input<Fixed16>(zoo::alexnet().layer(0).out_dims, 7);
+  const u64 h = fnv_raw(0xcbf29ce484222325ull, input.storage());
+  EXPECT_EQ(h, 0x32b37b6ac49d9fa0ull) << "input 0x" << std::hex << h;
 }
 
 TEST(RefExecutor, RejectsWrongInputDims) {

@@ -107,6 +107,19 @@ diff /tmp/cbrain_sim_scalar.txt /tmp/cbrain_sim_auto.txt
 diff /tmp/cbrain_trace_scalar.json /tmp/cbrain_trace_auto.json
 diff /tmp/cbrain_fault_scalar.txt /tmp/cbrain_fault_auto.txt
 
+echo "=== DRAM faults: ASan+UBSan campaign matches the Release bytes ==="
+# Weights and biases reach simulated DRAM through the bulk row writer,
+# which runs the fault hook once per word. Run DRAM-site campaigns with
+# the event log under ASan+UBSan (vets the row staging and the in-place
+# corruption) and require the exact Release output: tables, fault
+# addresses, bits and recovery outcomes.
+for build in release asan; do
+  "./build-ci-$build/tools/cbrain_cli" fault-campaign \
+    tiny_cnn,lenet5,scheme_mix --site=dram --recovery=none,parity,ecc \
+    --rate=500,20000 --events > "/tmp/cbrain_dram_fault_$build.txt"
+done
+diff /tmp/cbrain_dram_fault_release.txt /tmp/cbrain_dram_fault_asan.txt
+
 echo "=== fidelity: functional tier cross-validated against the oracle ==="
 # The two execution tiers must stay bit-identical (DESIGN.md §12). The
 # cross-validation suite runs the whole zoo through both executors; run
@@ -198,6 +211,12 @@ echo "=== multi-chip: package identity + sanitizers + trace determinism ==="
   --partition=shard --jobs="$JOBS" \
   --trace-out=/tmp/cbrain_mc_trace_jn.json > /dev/null
 diff /tmp/cbrain_mc_trace_j1.json /tmp/cbrain_mc_trace_jn.json
+
+echo "=== perfbench: every workload builds, runs and reports its metrics ==="
+# The repository benchmark builds its own copy of src/ (Release, into
+# .bench_build/). The smoke test runs each workload for a couple of ops
+# with and without tracing and checks correctness and the metric set.
+python3 perfbench/smoke_test.py
 
 echo "=== perf harness: kernel + whole-net + serve throughput (informational) ==="
 # Quick harness run diffed against the committed baseline. Wall-clock on
