@@ -49,6 +49,7 @@ struct TrafficCounters {
   i64 buffer_access_bits() const { return buffer_accesses() * 16; }
   i64 dram_words() const { return dram_reads + dram_writes; }
 
+  bool operator==(const TrafficCounters&) const = default;
   TrafficCounters& operator+=(const TrafficCounters& o);
   // Multiplies every counter by n (batched repetition of the same work).
   TrafficCounters& scale(i64 n);

@@ -59,7 +59,10 @@ class CodeGen {
   }
 
  private:
-  void push(Instruction instr) { out_.program.push(std::move(instr)); }
+  template <class T>
+  void push(T&& instr) {
+    out_.program.push(std::forward<T>(instr));
+  }
 
   // Emits a (possibly strided) load; collapses to contiguous when the
   // stride equals the chunk size.
@@ -101,7 +104,7 @@ class CodeGen {
       h.kind = HostOpKind::kUnroll;
       h.words = cube.words();
       h.tag = l.name + " im2col";
-      push(h);
+      push(std::move(h));
     }
 
     const i64 kw = g.kw_eff();
@@ -356,7 +359,7 @@ class CodeGen {
     h.kind = kind;
     h.words = l.in_dims.count();
     h.tag = l.name;
-    push(h);
+    push(std::move(h));
   }
 
   const Network& net_;

@@ -8,6 +8,23 @@
 // scored against the oracle (bench_ablation_oracle): on the paper's four
 // networks it is within a few percent, which substantiates — and bounds —
 // the paper's optimality language.
+//
+// Pricing: one compile + model of the whole net per candidate. In the
+// trial for candidate c every conv layer that tiles under c
+// (plan_conv_tiles succeeds) runs c; the others keep adap-2, or take
+// their first tileable candidate if adap-2 does not tile, so each trial
+// compiles. Each layer's cost under c is read from that one result and
+// the layer takes its cheapest tileable candidate.
+//
+// This is exact because a conv layer's modelled counters and energy
+// depend only on its own scheme: its loads and tiles come from its own
+// geometry and input cube, its stores count consumers rather than their
+// layout, DRAM timing ignores addresses, and model_network drains the
+// double-buffer clock at every layer end (DESIGN.md §18). The result
+// therefore equals the exhaustive search that re-models the net for
+// every (layer, candidate) pair, untileable corners included
+// (Oracle.PriceTableMatchesExhaustiveSearch keeps that search as the
+// reference).
 #pragma once
 
 #include <vector>

@@ -6,6 +6,8 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cbrain/common/status.hpp"
@@ -29,7 +31,18 @@ struct ProgramStats {
 
 class Program {
  public:
-  void push(Instruction instr) { instrs_.push_back(std::move(instr)); }
+  // Appends one instruction. An alternative (LoadInstr, ConvTileInstr,
+  // ...) is built in place in the stream rather than through a temporary
+  // Instruction, whose move GCC 12 flags with false -Wmaybe-uninitialized
+  // warnings.
+  template <class T>
+  void push(T&& instr) {
+    using U = std::remove_cvref_t<T>;
+    if constexpr (std::is_same_v<U, Instruction>)
+      instrs_.push_back(std::forward<T>(instr));
+    else
+      instrs_.emplace_back(std::in_place_type<U>, std::forward<T>(instr));
+  }
 
   i64 size() const { return static_cast<i64>(instrs_.size()); }
   const Instruction& at(i64 i) const {

@@ -4,13 +4,114 @@
 // claim.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
+
 #include "cbrain/core/oracle.hpp"
+#include "cbrain/nn/spec_parser.hpp"
 #include "cbrain/nn/zoo.hpp"
 
 namespace cbrain {
+
+// Readable scheme names in assertion messages.
+void PrintTo(Scheme s, std::ostream* os) { *os << scheme_name(s); }
+
 namespace {
 
 const AcceleratorConfig kCfg = AcceleratorConfig::paper_16_16();
+
+constexpr std::array<Scheme, 4> kCandidates = {
+    Scheme::kInter, Scheme::kInterImproved, Scheme::kIntraUnroll,
+    Scheme::kPartition};
+
+// The exhaustive search the price table replaced, kept as the reference:
+// conv layers in order, each candidate tried in place by compiling and
+// modelling the whole net with every earlier decision applied, and a
+// candidate that leaves the net uncompilable skipped.
+std::vector<Scheme> exhaustive_oracle_reference(
+    const Network& net, const AcceleratorConfig& config, OracleMetric metric,
+    const ModelOptions& options) {
+  std::vector<Scheme> schemes =
+      assign_schemes(net, Policy::kAdaptive2, config);
+  for (const Layer& l : net.layers()) {
+    if (!l.is_conv()) continue;
+    double best_cost = std::numeric_limits<double>::infinity();
+    Scheme best = schemes[static_cast<std::size_t>(l.id)];
+    for (Scheme candidate : kCandidates) {
+      std::vector<Scheme> trial = schemes;
+      trial[static_cast<std::size_t>(l.id)] = candidate;
+      auto compiled =
+          compile_network(net, std::move(trial), config, Policy::kIdeal);
+      if (!compiled.is_ok()) continue;
+      const NetworkModelResult r =
+          model_network(net, compiled.value(), config, options);
+      const LayerModelResult& lr = r.layer(l.id);
+      const double cost = metric == OracleMetric::kCycles
+                              ? static_cast<double>(lr.counters.total_cycles)
+                              : lr.energy.total_pj();
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = candidate;
+      }
+    }
+    schemes[static_cast<std::size_t>(l.id)] = best;
+  }
+  return schemes;
+}
+
+struct OracleCase {
+  std::string label;
+  AcceleratorConfig config;
+  ModelOptions options;
+};
+
+// The nine dse_sweep design points ({16-16, 32-32, 16-24} x DRAM {1, 2,
+// 4} words per cycle), a batched FC-inclusive model and a row-buffer DRAM.
+std::vector<OracleCase> oracle_cases() {
+  std::vector<OracleCase> cases;
+  for (AcceleratorConfig geom :
+       {AcceleratorConfig::paper_16_16(), AcceleratorConfig::paper_32_32(),
+        AcceleratorConfig::with_pe(16, 24)})
+    for (double wpc : {1.0, 2.0, 4.0}) {
+      geom.dram.words_per_cycle = wpc;
+      cases.push_back({geom.to_string(), geom, {}});
+    }
+  ModelOptions batched;
+  batched.batch = 4;
+  batched.include_fc = true;
+  cases.push_back({"batch=4 include_fc", kCfg, batched});
+  AcceleratorConfig rows = kCfg;
+  rows.dram.row_buffer_model = true;
+  cases.push_back({"row-buffer DRAM", rows, {}});
+  return cases;
+}
+
+// Small In/Out and weight buffers. At 8 KiB some candidates fail to tile;
+// at 4 KiB In/Out some first layers tile under no scheme (adap-2 stands).
+// The small tiles make every trial program far longer.
+OracleCase small_buffers_case(i64 inout_kib, i64 weight_kib) {
+  AcceleratorConfig config = kCfg;
+  config.inout_buf.size_bytes = inout_kib * 1024;
+  config.weight_buf.size_bytes = weight_kib * 1024;
+  return {std::to_string(inout_kib) + "/" + std::to_string(weight_kib) +
+              " KiB buffers",
+          config,
+          {}};
+}
+
+void expect_price_table_matches_reference(
+    const std::vector<Network>& nets, const std::vector<OracleCase>& cases) {
+  for (const Network& net : nets)
+    for (const OracleCase& c : cases)
+      for (OracleMetric metric : {OracleMetric::kCycles,
+                                  OracleMetric::kEnergy})
+        EXPECT_EQ(select_oracle_schemes(net, c.config, metric, c.options),
+                  exhaustive_oracle_reference(net, c.config, metric,
+                                              c.options))
+            << net.name() << " @ " << c.label << " metric "
+            << (metric == OracleMetric::kCycles ? "cycles" : "energy");
+}
 
 TEST(Oracle, NeverLosesToAdaptive) {
   for (const Network& net :
@@ -53,6 +154,130 @@ TEST(Oracle, AssignmentIsCompilable) {
   const auto compiled =
       compile_network(net, std::move(schemes), kCfg, Policy::kIdeal);
   EXPECT_TRUE(compiled.is_ok());
+}
+
+TEST(Oracle, PriceTableMatchesExhaustiveSearch) {
+  const std::vector<Network> nets = {
+      zoo::alexnet(),  zoo::nin(),            zoo::lenet5(),
+      zoo::tiny_cnn(), zoo::scheme_mix_cnn(), zoo::mini_inception()};
+  expect_price_table_matches_reference(nets, oracle_cases());
+  expect_price_table_matches_reference(nets, {small_buffers_case(4, 8)});
+  // NIN at 8 KiB costs the reference ~4 s; the long variant covers it.
+  expect_price_table_matches_reference(
+      {zoo::alexnet(), zoo::lenet5(), zoo::tiny_cnn(),
+       zoo::scheme_mix_cnn(), zoo::mini_inception()},
+      {small_buffers_case(8, 8)});
+}
+
+TEST(Oracle, PriceTableKeepsAdaptiveBeforeTheOneUntileableLayer) {
+  // At 2 KiB In/Out, conv b's adap-2 scheme (partition) does not tile but
+  // inter does. The exhaustive search could not move conv a while b was
+  // still untileable, so a keeps adap-2 (inter+) although partition is
+  // cheaper for it in both metrics; b then takes its argmin.
+  auto parsed = parse_network_spec(R"(network late_untiled
+input data 16 112 112
+conv a dout=3 k=3 pad=1
+conv b dout=64 k=7 s=2 pad=3
+)");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const Network& net = parsed.value();
+  AcceleratorConfig config = kCfg;
+  config.inout_buf.size_bytes = 2 * 1024;
+  const std::vector<Scheme> adap =
+      assign_schemes(net, Policy::kAdaptive2, config);
+  const LayerId conv_b = net.conv_layer_ids()[1];
+  const auto a = static_cast<std::size_t>(net.conv_layer_ids()[0]);
+  const auto b = static_cast<std::size_t>(conv_b);
+  ASSERT_FALSE(plan_conv_tiles(net.layer(conv_b), adap[b], config).is_ok());
+  for (OracleMetric metric : {OracleMetric::kCycles, OracleMetric::kEnergy}) {
+    const std::vector<Scheme> schemes =
+        select_oracle_schemes(net, config, metric);
+    EXPECT_EQ(schemes, exhaustive_oracle_reference(net, config, metric, {}));
+    EXPECT_EQ(schemes[a], adap[a]);
+    EXPECT_EQ(schemes[b], Scheme::kInter);
+  }
+}
+
+// The heavy zoo nets; the reference re-models MobileNetV1 108 times per
+// case. Small buffers stretch their programs so far (GoogLeNet at 4 KiB:
+// ~2 min per metric for the reference) that they run at oracle_cases()
+// only. Run with --gtest_also_run_disabled_tests (tools/ci_check.sh).
+TEST(Oracle, DISABLED_PriceTableMatchesExhaustiveSearchLong) {
+  expect_price_table_matches_reference(
+      {zoo::vgg16(), zoo::googlenet(), zoo::zfnet(), zoo::squeezenet(),
+       zoo::resnet18(), zoo::mobilenetv1()},
+      oracle_cases());
+  expect_price_table_matches_reference({zoo::nin()},
+                                       {small_buffers_case(8, 8)});
+}
+
+// The invariant the price table rests on: a conv layer's modelled
+// counters and energy depend on its own scheme only, not on the schemes
+// of its producers or consumers. Two assignments that differ on every
+// other conv layer must agree exactly on the layers they share.
+TEST(Oracle, LayerCostDependsOnlyOnItsOwnScheme) {
+  // Starting at candidate `from`, the first one that tiles `l`.
+  const auto tileable = [](const Layer& l, std::size_t from) {
+    for (std::size_t k = 0; k < kCandidates.size(); ++k) {
+      const Scheme s = kCandidates[(from + k) % kCandidates.size()];
+      if (plan_conv_tiles(l, s, kCfg).is_ok()) return s;
+    }
+    ADD_FAILURE() << l.name << " tiles under no candidate";
+    return kCandidates[from % kCandidates.size()];
+  };
+  for (const Network& net :
+       {zoo::mini_inception(), zoo::resnet18(), zoo::mobilenetv1(),
+        zoo::scheme_mix_cnn()}) {
+    const std::vector<LayerId> convs = net.conv_layer_ids();
+    std::vector<Scheme> base(static_cast<std::size_t>(net.size()),
+                             Scheme::kInter);
+    for (std::size_t i = 0; i < convs.size(); ++i)
+      base[static_cast<std::size_t>(convs[i])] =
+          tileable(net.layer(convs[i]), i);
+    for (std::size_t parity : {0, 1}) {
+      // Move every other conv layer to its next tileable candidate.
+      std::vector<Scheme> moved = base;
+      for (std::size_t i = parity; i < convs.size(); i += 2) {
+        const auto idx = static_cast<std::size_t>(convs[i]);
+        const auto at = static_cast<std::size_t>(
+            std::find(kCandidates.begin(), kCandidates.end(), base[idx]) -
+            kCandidates.begin());
+        moved[idx] = tileable(net.layer(convs[i]), at + 1);
+      }
+      for (i64 batch : {1, 4}) {
+        ModelOptions options;
+        options.batch = batch;
+        const auto model = [&](const std::vector<Scheme>& schemes) {
+          auto compiled = compile_network(net, schemes, kCfg, Policy::kIdeal);
+          EXPECT_TRUE(compiled.is_ok()) << compiled.status().to_string();
+          return model_network(net, compiled.value(), kCfg, options);
+        };
+        const NetworkModelResult a = model(base);
+        const NetworkModelResult b = model(moved);
+        int same = 0, changed = 0;
+        for (const LayerId id : convs) {
+          const auto idx = static_cast<std::size_t>(id);
+          if (base[idx] != moved[idx]) {
+            ++changed;
+            continue;
+          }
+          ++same;
+          const LayerModelResult& la = a.layer(id);
+          const LayerModelResult& lb = b.layer(id);
+          const std::string where = net.name() + " " + la.name + " batch " +
+                                    std::to_string(batch);
+          EXPECT_TRUE(la.counters == lb.counters)
+              << where << ": " << la.counters.to_string() << " vs "
+              << lb.counters.to_string();
+          EXPECT_EQ(la.energy.pe_pj, lb.energy.pe_pj) << where;
+          EXPECT_EQ(la.energy.buffer_pj, lb.energy.buffer_pj) << where;
+          EXPECT_EQ(la.energy.dram_pj, lb.energy.dram_pj) << where;
+        }
+        EXPECT_GT(same, 0) << net.name();
+        EXPECT_GT(changed, 0) << net.name();
+      }
+    }
+  }
 }
 
 }  // namespace

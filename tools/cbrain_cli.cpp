@@ -1102,7 +1102,7 @@ int cmd_oracle(const Network& net, const Options& opt) {
                                   ? OracleMetric::kEnergy
                                   : OracleMetric::kCycles;
   const AcceleratorConfig config = resolve_config(opt);
-  const auto schemes = select_oracle_schemes(net, config, metric);
+  const auto oracle = model_network_oracle(net, config, metric);
   const auto adap_schemes =
       assign_schemes(net, Policy::kAdaptive2, config);
   Table t({"layer", "adaptive (Alg.2)", "oracle"});
@@ -1110,11 +1110,10 @@ int cmd_oracle(const Network& net, const Options& opt) {
     if (!l.is_conv()) continue;
     t.add_row({l.name,
                scheme_name(adap_schemes[static_cast<std::size_t>(l.id)]),
-               scheme_name(schemes[static_cast<std::size_t>(l.id)])});
+               scheme_name(oracle.layer(l.id).scheme)});
   }
   std::printf("%s", t.to_string().c_str());
   const auto adap = model_network(net, Policy::kAdaptive2, config);
-  const auto oracle = model_network_oracle(net, config, metric);
   std::printf("\nadaptive: %s cycles, %.2f uJ\noracle:   %s cycles, "
               "%.2f uJ\n",
               with_commas(static_cast<u64>(adap.cycles())).c_str(),

@@ -212,6 +212,15 @@ echo "=== multi-chip: package identity + sanitizers + trace determinism ==="
   --trace-out=/tmp/cbrain_mc_trace_jn.json > /dev/null
 diff /tmp/cbrain_mc_trace_j1.json /tmp/cbrain_mc_trace_jn.json
 
+echo "=== oracle: price table matches the exhaustive search on the heavy nets ==="
+# The oracle prices every conv layer from four whole-net trials
+# (DESIGN.md §18). Tier-1 checks it against the old per-layer search on
+# the light nets; this leg adds VGG-16, GoogLeNet, ZFNet, SqueezeNet,
+# ResNet-18 and MobileNetV1, where the reference re-models each net four
+# times per conv layer.
+./build-ci-release/tests/test_oracle --gtest_also_run_disabled_tests \
+  --gtest_filter='Oracle.DISABLED_PriceTableMatchesExhaustiveSearchLong'
+
 echo "=== perfbench: every workload builds, runs and reports its metrics ==="
 # The repository benchmark builds its own copy of src/ (Release, into
 # .bench_build/). The smoke test runs each workload for a couple of ops
