@@ -27,7 +27,10 @@ int main(int argc, char** argv) {
         if (std::find(ks.begin(), ks.end(), k) == ks.end()) ks.push_back(k);
       }
       std::string kstr;
-      for (i64 k : ks) kstr += (kstr.empty() ? "" : ",") + std::to_string(k);
+      for (i64 k : ks) {
+        if (!kstr.empty()) kstr += ',';
+        kstr += std::to_string(k);
+      }
       t.add_row({net.name(), conv1_signature(net),
                  std::to_string(net.conv_layer_ids().size()), kstr});
     }

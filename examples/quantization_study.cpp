@@ -24,10 +24,16 @@ int main() {
       if (s.kind == LayerKind::kInput) continue;
       const int frac = s.recommended_frac_bits;
       t.add_row({s.name,
-                 "[" + fmt_double(s.min_value, 3) + ", " +
-                     fmt_double(s.max_value, 3) + "]",
+                 std::string("[")
+                     .append(fmt_double(s.min_value, 3))
+                     .append(", ")
+                     .append(fmt_double(s.max_value, 3))
+                     .append("]"),
                  fmt_double(s.mean_abs, 4),
-                 "Q" + std::to_string(15 - frac) + "." + std::to_string(frac),
+                 std::string("Q")
+                     .append(std::to_string(15 - frac))
+                     .append(".")
+                     .append(std::to_string(frac)),
                  s_idx < sqnr.layers.size()
                      ? fmt_double(sqnr.layers[s_idx].sqnr_db, 1)
                      : "-"});

@@ -1,5 +1,6 @@
 #include "cbrain/compiler/compiler.hpp"
 
+#include <charconv>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -11,11 +12,27 @@
 namespace cbrain {
 namespace {
 
+// "<name> g<group> r<row0>+<rows> o<dout0>+<douts> i<din0>+<dins>", the
+// text operator<< would print. Appended with to_chars into one
+// reservation, and built once per tile: MobileNetV1 has ~5k conv tiles
+// per program, so this is on the compile's hot path.
 std::string tile_tag(const Layer& l, const ConvTileSpec& t) {
-  std::ostringstream os;
-  os << l.name << " g" << t.group << " r" << t.row0 << "+" << t.rows << " o"
-     << t.dout0 << "+" << t.douts << " i" << t.din0 << "+" << t.dins;
-  return os.str();
+  std::string s;
+  s.reserve(l.name.size() + 48);  // short fields fit; long ones grow it
+  s += l.name;
+  const auto put = [&s](const char* sep, i64 v) {
+    char digits[20];  // i64 needs at most 20 chars, sign included
+    s += sep;
+    s.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
+  };
+  put(" g", t.group);
+  put(" r", t.row0);
+  put("+", t.rows);
+  put(" o", t.dout0);
+  put("+", t.douts);
+  put(" i", t.din0);
+  put("+", t.dins);
+  return s;
 }
 
 class CodeGen {
@@ -25,18 +42,27 @@ class CodeGen {
       : net_(net), config_(config), out_(out) {}
 
   Status run() {
+    // Tile every layer before emitting any: the plans bound the program's
+    // length, so its instruction stream is allocated once instead of
+    // regrown (MobileNetV1's ~25k instructions are ~6 MB of stream).
     out_.conv_plans.resize(static_cast<std::size_t>(net_.size()));
+    i64 bound = 0;
+    for (const Layer& l : net_.layers()) {
+      Result<i64> n = max_instructions(l);
+      if (!n.is_ok()) return n.status();
+      bound += n.value();
+    }
+    out_.program.reserve(bound);
+
     for (const Layer& l : net_.layers()) {
       out_.program.begin_layer(l.id);
       switch (l.kind) {
         case LayerKind::kInput:
         case LayerKind::kConcat:
           break;  // host injection / pure bookkeeping
-        case LayerKind::kConv: {
-          const Status s = emit_conv(l);
-          if (!s.is_ok()) return s;
+        case LayerKind::kConv:
+          emit_conv(l);
           break;
-        }
         case LayerKind::kPool:
           emit_pool(l);
           break;
@@ -59,6 +85,43 @@ class CodeGen {
   }
 
  private:
+  // Upper bound on the instructions `l` emits. Plans a conv layer into
+  // out_.conv_plans on the way; fails when it does not tile.
+  Result<i64> max_instructions(const Layer& l) {
+    switch (l.kind) {
+      case LayerKind::kInput:
+      case LayerKind::kConcat:
+        return i64{0};
+      case LayerKind::kConv: {
+        auto plan_r = plan_conv_tiles(l, out_.layout.scheme_of(l.id), config_);
+        if (!plan_r.is_ok()) return plan_r.status();
+        const ConvTilePlan& plan =
+            (out_.conv_plans[static_cast<std::size_t>(l.id)] =
+                 std::move(plan_r).value());
+        // im2col, then per tile: weights, bias, band, barrier, tile.
+        return 1 + 5 * static_cast<i64>(plan.tiles.size());
+      }
+      case LayerKind::kPool: {
+        const PoolTilePlan plan = plan_pool_tiles(l, config_);
+        return 3 * plan.n_d_tiles * plan.n_bands;  // band, barrier, tile
+      }
+      case LayerKind::kFC: {
+        // Per chunk: input; per tile: weights, bias, barrier, tile.
+        const FcTilePlan plan = plan_fc_tiles(l, config_);
+        return plan.n_din_chunks * (1 + 4 * plan.n_tiles);
+      }
+      case LayerKind::kEltwiseAdd: {
+        // Two operand bands, barrier, tile.
+        const EltwiseTilePlan plan = plan_eltwise_tiles(l, config_);
+        return 4 * plan.n_d_tiles * plan.n_bands;
+      }
+      case LayerKind::kLRN:
+      case LayerKind::kSoftmax:
+        return i64{1};
+    }
+    return i64{0};
+  }
+
   template <class T>
   void push(T&& instr) {
     out_.program.push(std::forward<T>(instr));
@@ -84,13 +147,10 @@ class CodeGen {
     if (li.words > 0) push(std::move(li));
   }
 
-  Status emit_conv(const Layer& l) {
+  void emit_conv(const Layer& l) {
     const auto idx = static_cast<std::size_t>(l.id);
     const Scheme scheme = out_.layout.scheme_of(l.id);
-    auto plan_r = plan_conv_tiles(l, scheme, config_);
-    if (!plan_r.is_ok()) return plan_r.status();
-    const ConvTilePlan& plan = (out_.conv_plans[idx] =
-                                    std::move(plan_r).value());
+    const ConvTilePlan& plan = out_.conv_plans[idx];
     const ConvGeom& g = plan.geom;
     const LayoutPlan& lay = out_.layout;
     const CubeSpec& cube = (scheme == Scheme::kIntraUnroll)
@@ -120,6 +180,9 @@ class CodeGen {
     };
     std::optional<WeightKey> loaded_w;
     std::optional<BandKey> loaded_b;
+    const std::string weights_tag = l.name + " weights";
+    const std::string bias_tag = l.name + " bias";
+    const std::string band_tag = l.name + " band";
 
     for (const ConvTileSpec& t : plan.tiles) {
       const i64 dout_abs0 = t.group * g.dout_g + t.dout0;
@@ -131,11 +194,10 @@ class CodeGen {
       if (!loaded_w || !(*loaded_w == wk)) {
         load(BufferId::kWeight, 0,
              lay.weight_addr[idx] + (dout_abs0 * g.din_g + t.din0) * kk_img,
-             t.douts, t.dins * kk_img, g.din_g * kk_img,
-             l.name + " weights");
+             t.douts, t.dins * kk_img, g.din_g * kk_img, weights_tag);
         // Bias slice for this tile's output maps (relative addressing).
         load(BufferId::kBias, 0, lay.bias_addr[idx] + dout_abs0, 1,
-             t.douts, 0, l.name + " bias");
+             t.douts, 0, bias_tag);
         loaded_w = wk;
         queued = true;
       }
@@ -143,12 +205,13 @@ class CodeGen {
       // Input band.
       const BandKey bk{t.group, t.row0, t.din0, t.dins};
       if (!loaded_b || !(*loaded_b == bk)) {
-        emit_conv_band_load(l, scheme, g, cube, t, din_abs0);
+        emit_conv_band_load(scheme, g, cube, t, din_abs0, band_tag);
         loaded_b = bk;
         queued = true;
       }
 
-      if (queued) push(BarrierInstr{tile_tag(l, t)});
+      std::string tag = tile_tag(l, t);
+      if (queued) push(BarrierInstr{tag});
 
       ConvTileInstr ci;
       ci.layer = l.id;
@@ -182,16 +245,14 @@ class CodeGen {
       ci.last_din_chunk = (t.din0 + t.dins == g.din_g);
       ci.relu = l.conv().relu;
       if (ci.last_din_chunk) ci.outs = lay.out_maps[idx];
-      ci.tag = tile_tag(l, t);
+      ci.tag = std::move(tag);
       push(std::move(ci));
     }
-    return Status::ok();
   }
 
-  void emit_conv_band_load(const Layer& l, Scheme scheme, const ConvGeom& g,
+  void emit_conv_band_load(Scheme scheme, const ConvGeom& g,
                            const CubeSpec& cube, const ConvTileSpec& t,
-                           i64 din_abs0) {
-    const std::string tag = l.name + " band";
+                           i64 din_abs0, const std::string& tag) {
     if (scheme == Scheme::kIntraUnroll) {
       // Unrolled window-rows of output rows [row0, row0+rows).
       const i64 npix_total = g.out_h * g.out_w;

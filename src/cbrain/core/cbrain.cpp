@@ -1,5 +1,7 @@
 #include "cbrain/core/cbrain.hpp"
 
+#include <algorithm>
+
 #include "cbrain/common/thread_pool.hpp"
 
 namespace cbrain {
@@ -57,15 +59,24 @@ PolicyComparison CBrain::compare_policies(const Network& net) {
 PolicyComparison CBrain::compare_policies(
     const Network& net, const std::vector<Policy>& policies) {
   PolicyComparison cmp;
-  cmp.ideal_cycles = ideal_network_cycles(net, config(), options_);
   // The engine's compile cache is thread-safe, so each task compiles (or
   // fetches) its own program directly — no task-local merge dance.
   cmp.results = parallel::parallel_map<NetworkModelResult>(
       static_cast<i64>(policies.size()), [&](i64 i) {
-        const Policy p = policies[static_cast<std::size_t>(i)];
-        return model_network(net, *engine_.compile(net, p), config(),
-                             options_);
+        return evaluate(net, policies[static_cast<std::size_t>(i)]);
       });
+  // The ideal bound reads adap-2's non-conv layers: reuse the comparison's
+  // own adap-2 model, or model the cached adap-2 program if it has none.
+  const auto adaptive2 =
+      std::find_if(cmp.results.begin(), cmp.results.end(),
+                   [](const NetworkModelResult& r) {
+                     return r.policy == Policy::kAdaptive2;
+                   });
+  cmp.ideal_cycles =
+      adaptive2 != cmp.results.end()
+          ? ideal_network_cycles(net, *adaptive2, config())
+          : ideal_network_cycles(net, evaluate(net, Policy::kAdaptive2),
+                                 config());
   return cmp;
 }
 

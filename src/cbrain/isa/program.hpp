@@ -44,6 +44,9 @@ class Program {
       instrs_.emplace_back(std::in_place_type<U>, std::forward<T>(instr));
   }
 
+  // Sizes the stream for `n` instructions before a compile emits them.
+  void reserve(i64 n) { instrs_.reserve(static_cast<std::size_t>(n)); }
+
   i64 size() const { return static_cast<i64>(instrs_.size()); }
   const Instruction& at(i64 i) const {
     return instrs_[static_cast<std::size_t>(i)];

@@ -233,15 +233,12 @@ NetworkModelResult model_network(const Network& net, Policy policy,
   return model_network(net, compiled.value(), config, options);
 }
 
-i64 ideal_network_cycles(const Network& net, const AcceleratorConfig& config,
-                         const ModelOptions& options) {
-  // Conv layers at the 100%-utilization bound; pooling/LRN as modeled
-  // under adap-2 (they are scheme-independent and already minimal).
-  const NetworkModelResult base =
-      model_network(net, Policy::kAdaptive2, config, options);
+i64 ideal_network_cycles(const Network& net,
+                         const NetworkModelResult& adaptive2,
+                         const AcceleratorConfig& config) {
   i64 cycles = 0;
   for (const Layer& l : net.layers()) {
-    const LayerModelResult& lr = base.layer(l.id);
+    const LayerModelResult& lr = adaptive2.layer(l.id);
     if (!lr.counted) continue;
     if (l.is_conv())
       cycles += ideal_conv_cycles(l.macs(), config);
@@ -249,6 +246,12 @@ i64 ideal_network_cycles(const Network& net, const AcceleratorConfig& config,
       cycles += lr.counters.compute_cycles;
   }
   return cycles;
+}
+
+i64 ideal_network_cycles(const Network& net, const AcceleratorConfig& config,
+                         const ModelOptions& options) {
+  return ideal_network_cycles(
+      net, model_network(net, Policy::kAdaptive2, config, options), config);
 }
 
 }  // namespace cbrain

@@ -88,7 +88,15 @@ NetworkModelResult model_network(const Network& net, Policy policy,
                                  const ModelOptions& options = {});
 
 // Upper-bound (100% utilization, perfect alignment) cycles for the
-// network's counted layers — Fig. 7/8's "ideal" series.
+// network's counted layers — Fig. 7/8's "ideal" series. Conv layers count
+// at the bound; the other layers are scheme-independent and count their
+// compute cycles from `adaptive2`, which must be the net's adap-2 model
+// under `config` and the model options the bound is for.
+i64 ideal_network_cycles(const Network& net,
+                         const NetworkModelResult& adaptive2,
+                         const AcceleratorConfig& config);
+
+// Convenience: compiles and models adap-2, then takes the bound above.
 i64 ideal_network_cycles(const Network& net, const AcceleratorConfig& config,
                          const ModelOptions& options = {});
 

@@ -30,7 +30,10 @@
 // counter, so a test can pin "this call allocates exactly as much as the
 // previous identical call" — the steady-state contract — without
 // guessing at internal allocation sites. Frees go through std::free to
-// stay paired at any alignment the default new would have used.
+// stay paired at any alignment the default new would have used. The
+// deletes stay out of line, like the library's: inlined, their free()
+// would meet an operator-new pointer at the call site, which GCC reports
+// as -Wmismatched-new-delete.
 namespace {
 std::atomic<long long> g_news{0};
 }  // namespace
@@ -41,12 +44,16 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc{};
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace cbrain {
 namespace {

@@ -57,6 +57,35 @@ TEST(CBrainFacade, EvaluateAgreesWithSimulateOnCycles) {
   }
 }
 
+TEST(Core, ComparePoliciesIdealMatchesStandalone) {
+  // compare_policies takes the ideal bound from its own adap-2 model (or
+  // the cached adap-2 program when the list has none); it must equal the
+  // bound ideal_network_cycles computes from a fresh compile.
+  ModelOptions batched;
+  batched.batch = 4;
+  batched.include_fc = true;
+  const std::vector<Network> nets = {
+      zoo::alexnet(),       zoo::vgg16(),          zoo::googlenet(),
+      zoo::nin(),           zoo::lenet5(),         zoo::zfnet(),
+      zoo::squeezenet(),    zoo::resnet18(),       zoo::mobilenetv1(),
+      zoo::tiny_cnn(),      zoo::scheme_mix_cnn(), zoo::mini_inception()};
+  for (const AcceleratorConfig& cfg : {AcceleratorConfig::paper_16_16(),
+                                       AcceleratorConfig::paper_32_32()})
+    for (const ModelOptions& options : {ModelOptions{}, batched})
+      for (const Network& net : nets) {
+        const i64 ideal = ideal_network_cycles(net, cfg, options);
+        EXPECT_EQ(CBrain(cfg, options).compare_policies(net).ideal_cycles,
+                  ideal)
+            << net.name() << " batch " << options.batch;
+        // A fresh brain, so adap-2 is compiled by this comparison.
+        const PolicyComparison inter_only = CBrain(cfg, options)
+            .compare_policies(net, {Policy::kFixedInter});
+        ASSERT_EQ(inter_only.results.size(), 1u);
+        EXPECT_EQ(inter_only.ideal_cycles, ideal)
+            << net.name() << " batch " << options.batch << " inter only";
+      }
+}
+
 TEST(ReportTable, AlignmentAndCsv) {
   Table t({"name", "value"});
   t.add_row({"x", "1"});

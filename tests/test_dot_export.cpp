@@ -11,10 +11,11 @@ namespace {
 TEST(DotExport, EmitsAllNodesAndEdges) {
   const Network net = zoo::mini_inception();
   const std::string dot = to_dot(net);
-  for (const Layer& l : net.layers())
-    EXPECT_NE(dot.find("n" + std::to_string(l.id) + " ["),
-              std::string::npos)
-        << l.name;
+  for (const Layer& l : net.layers()) {
+    const std::string node =
+        std::string("n").append(std::to_string(l.id)).append(" [");
+    EXPECT_NE(dot.find(node), std::string::npos) << l.name;
+  }
   i64 edges = 0;
   for (const Layer& l : net.layers()) edges += l.inputs.size();
   i64 arrows = 0;

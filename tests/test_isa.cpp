@@ -1,6 +1,8 @@
 // ISA layer tests: program structure, per-layer attribution, load-word
-// consistency and the disassembler.
+// consistency, conv tile tags and the disassembler.
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "cbrain/common/rng.hpp"
 #include "cbrain/compiler/compiler.hpp"
@@ -76,6 +78,78 @@ TEST(Program, ConvTilesCarryConsumersOnLastChunkOnly) {
         EXPECT_TRUE(conv->outs.empty());
     }
   }
+}
+
+// The tile tag's text as the stream formatter built it before tags went
+// through to_chars; kept as the reference the compiler must match.
+std::string stream_tile_tag(const Layer& l, const ConvTileSpec& t) {
+  std::ostringstream os;
+  os << l.name << " g" << t.group << " r" << t.row0 << "+" << t.rows << " o"
+     << t.dout0 << "+" << t.douts << " i" << t.din0 << "+" << t.dins;
+  return os.str();
+}
+
+TEST(Compiler, TileTagsMatchStreamFormat) {
+  // 4 KiB In/Out forces din chunks and row bands. AlexNet's conv1 tiles
+  // under no scheme there, and MobileNetV1 grows to 3M instructions, so
+  // they run at 16-16 only (MobileNetV1's depthwise groups reach 1023).
+  AcceleratorConfig small_io = kCfg;
+  small_io.inout_buf.size_bytes = 4 * 1024;
+  const struct {
+    Network net;
+    AcceleratorConfig cfg;
+  } kCases[] = {{zoo::mobilenetv1(), kCfg},     {zoo::alexnet(), kCfg},
+                {zoo::mini_inception(), kCfg},  {zoo::scheme_mix_cnn(), kCfg},
+                {zoo::mini_inception(), small_io},
+                {zoo::scheme_mix_cnn(), small_io}};
+  const Policy kPolicies[] = {Policy::kFixedInter, Policy::kFixedIntra,
+                              Policy::kFixedPartition, Policy::kAdaptive1,
+                              Policy::kAdaptive2};
+  i64 tiles = 0, barriers = 0, chunked = 0, banded = 0, grouped = 0;
+  for (const auto& [net, cfg] : kCases)
+    for (const Policy policy : kPolicies) {
+      SCOPED_TRACE(net.name() + " " + policy_name(policy));
+      const auto compiled = compile_network(net, policy, cfg);
+      ASSERT_TRUE(compiled.is_ok());
+      const CompiledNetwork& c = compiled.value();
+      const auto& instrs = c.program.instructions();
+      for (const Layer& l : net.layers()) {
+        if (!l.is_conv()) continue;
+        const auto& plan = c.conv_plans[static_cast<std::size_t>(l.id)];
+        const auto [b, e] = c.program.layer_range(l.id);
+        std::size_t next = 0;
+        const BarrierInstr* barrier = nullptr;
+        for (i64 i = b; i < e; ++i) {
+          const Instruction& instr = instrs[static_cast<std::size_t>(i)];
+          if (const auto* bar = std::get_if<BarrierInstr>(&instr)) {
+            barrier = bar;
+            continue;
+          }
+          const auto* conv = std::get_if<ConvTileInstr>(&instr);
+          if (conv == nullptr) continue;
+          ASSERT_LT(next, plan.tiles.size()) << l.name;
+          const ConvTileSpec& t = plan.tiles[next++];
+          const std::string want = stream_tile_tag(l, t);
+          EXPECT_EQ(conv->tag, want);
+          if (barrier != nullptr) {
+            EXPECT_EQ(barrier->tag, want);
+            ++barriers;
+          }
+          barrier = nullptr;
+          ++tiles;
+          chunked += t.din0 > 0;
+          banded += t.row0 > 0;
+          grouped += t.group > 0;
+        }
+        EXPECT_EQ(next, plan.tiles.size()) << l.name;
+      }
+    }
+  // Every field took nonzero values somewhere, and so did the barriers.
+  EXPECT_GT(tiles, 0);
+  EXPECT_GT(barriers, 0);
+  EXPECT_GT(chunked, 0);
+  EXPECT_GT(banded, 0);
+  EXPECT_GT(grouped, 0);
 }
 
 TEST(Disassembler, RendersEveryInstructionKind) {

@@ -4,7 +4,8 @@
 usage: bench_compare.py BASELINE.json CURRENT.json [--threshold=0.8]
 
 Prints a side-by-side ratio table for every kernel point and whole-net
-run present in BOTH files (extra points on either side are listed, not
+run (its wall time, and its setup and infer times where the file splits
+them) present in BOTH files (extra points on either side are listed, not
 compared — a --quick run legitimately omits VGG16, and a baseline from
 before the two-tier split simply has no functional-tier entries; those
 show up as "new entry", never as regressions). whole_net/serve points
@@ -88,6 +89,14 @@ def index(doc):
         # Convert wall_ms to a rate so "higher is better" holds uniformly.
         if r.get("wall_ms"):
             points[wholenet_key(r)] = ("1/wall_ms", 1.0 / r["wall_ms"])
+        # Cycle points also split wall_ms into setup and infer; files
+        # written before the split have neither, so these keys show up as
+        # new entries against such a baseline, never as regressions.
+        for phase in ("infer", "setup"):
+            ms = r.get(phase + "_ms")
+            if ms:
+                points[(phase,) + wholenet_key(r)[1:]] = (f"1/{phase}_ms",
+                                                         1.0 / ms)
     for r in doc.get("serve", []):
         if "infer_per_s" in r:
             points[serve_key(r)] = ("infer_per_s", r["infer_per_s"])
@@ -120,6 +129,8 @@ def fmt_key(key):
         return f"load {key[1]:<8} {key[2]}/s{key[3]} @{key[4]:g}qps"
     if key[0] == "serve_load_knee":
         return f"knee {key[1]:<8} {key[2]}/s{key[3]}"
+    if key[0] in ("infer", "setup"):
+        return f"{key[0]} {key[1]:<8} {key[2]:<6} [{key[3]}]"
     return f"sim {key[1]:<10} {key[2]:<6} [{key[3]}]"
 
 

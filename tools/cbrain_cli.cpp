@@ -1217,11 +1217,11 @@ int run(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0) {
+      // A bare "--flag" means "--flag=1".
       const auto eq = arg.find('=');
-      if (eq == std::string::npos)
-        opt.flags[arg.substr(2)] = "1";
-      else
-        opt.flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+      const bool bare = eq == std::string::npos;
+      opt.flags[arg.substr(2, bare ? eq : eq - 2)] =
+          bare ? std::string("1") : arg.substr(eq + 1);
     } else if (opt.command.empty()) {
       opt.command = arg;
     } else if (opt.net.empty()) {

@@ -22,7 +22,9 @@ run_suite() {
 }
 
 echo "=== Release build ==="
-run_suite build-ci-release -DCMAKE_BUILD_TYPE=Release
+# The Release build is warning-free (-Wall -Wextra, GCC 12); -Werror keeps
+# it that way.
+run_suite build-ci-release -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 
 echo "=== SIMD backends: full suite under scalar and auto ==="
 # Every kernel backend must be bit-identical; the cheapest way to prove
