@@ -190,9 +190,9 @@ struct KernelResult {
   double secs = 0.0;
 };
 
-// The multi-RHS GEMM kernels behind both tiers (the exact one is the
-// cycle tier's conv/FC value pass): one kMrhsRows-row weight panel
-// against kMrhsCols im2row columns per call. Both tiers share the
+// The multi-RHS GEMM kernels behind both tiers (the exact one runs
+// cycle-tier FC and out-of-contract tiles): one kMrhsRows-row weight
+// panel against kMrhsCols im2row columns per call. Both tiers share the
 // measurement shape; `dw` picks the deep-window entry point and shrinks
 // the weights to honour its magnitude bound (checked with
 // simd::deep_window_ok rather than assumed).

@@ -5,10 +5,12 @@ namespace cbrain {
 i64 DmaEngine::load(const Dram& dram, DramAddr src, Sram16& dst,
                     i64 dst_addr, i64 words) {
   if (words <= 0) return 0;
-  bounce_.resize(static_cast<std::size_t>(words));
   if (fault_ == nullptr) {
-    dram.read_block(src, words, bounce_.data());
+    // Nothing can upset the burst in flight: copy DRAM straight into the
+    // buffer, no staging.
+    dst.write_block(dst_addr, words, dram.read_span(src, words));
   } else {
+    bounce_.resize(static_cast<std::size_t>(words));
     for (i64 attempt = 0;; ++attempt) {
       dram.read_block(src, words, bounce_.data());
       if (!fault_->on_dma_attempt(bounce_.data(), words, attempt).retry)
@@ -19,8 +21,8 @@ i64 DmaEngine::load(const Dram& dram, DramAddr src, Sram16& dst,
       fault_->note_dma_retry_words(words);
       stats_.busy_cycles += retry_cycles;
     }
+    dst.write_block(dst_addr, words, bounce_.data());
   }
-  dst.write_block(dst_addr, words, bounce_.data());
   const i64 cycles = config_.transfer_cycles(words);
   ++stats_.transfers;
   stats_.words_in += words;

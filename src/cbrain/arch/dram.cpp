@@ -43,9 +43,12 @@ void Dram::write(DramAddr addr, std::int16_t value) {
 }
 
 void Dram::read_block(DramAddr addr, i64 words, std::int16_t* out) const {
+  std::copy_n(read_span(addr, words), words, out);
+}
+
+const std::int16_t* Dram::read_span(DramAddr addr, i64 words) const {
   bounds(addr, words);
-  for (i64 i = 0; i < words; ++i)
-    out[i] = mem_[static_cast<std::size_t>(addr + i)];
+  return mem_.data() + static_cast<std::size_t>(addr);
 }
 
 void Dram::write_block(DramAddr addr, i64 words, const std::int16_t* in) {

@@ -29,6 +29,9 @@ class Dram {
   std::int16_t read(DramAddr addr) const;
   void write(DramAddr addr, std::int16_t value);
   void read_block(DramAddr addr, i64 words, std::int16_t* out) const;
+  // Bounds-checked view of [addr, addr+words): a read with no copy (the
+  // fault-free DMA load's source).
+  const std::int16_t* read_span(DramAddr addr, i64 words) const;
   void write_block(DramAddr addr, i64 words, const std::int16_t* in);
   // Bulk equivalent of `words` write() calls at addr, addr+1, ...: one
   // copy, then the fault hook once per word in address order, so memory,

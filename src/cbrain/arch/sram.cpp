@@ -1,5 +1,6 @@
 #include "cbrain/arch/sram.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "cbrain/common/check.hpp"
@@ -47,8 +48,7 @@ void Sram16::read_block(i64 addr, i64 words, std::int16_t* out) {
 void Sram16::write_block(i64 addr, i64 words, const std::int16_t* in) {
   bounds(addr, words);
   stats_.writes += words;
-  for (i64 i = 0; i < words; ++i)
-    mem_[static_cast<std::size_t>(addr + i)] = in[i];
+  std::copy_n(in, words, mem_.data() + static_cast<std::size_t>(addr));
 }
 
 const std::int16_t* Sram16::read_span(i64 addr, i64 words) {

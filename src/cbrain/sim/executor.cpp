@@ -493,7 +493,7 @@ class Executor {
   // output (oy, ox) is the band words
   //   row0 + oy*row_step + ox*x_step + tap[j]
   // with j running over (din, ky, kx) — the order of each dout's weight
-  // run — so one exact dot_s16_mrhs per output row computes the tile.
+  // run — so one multi-RHS dot per output row computes the tile.
   struct BandMap {
     i64 row0 = 0;
     i64 row_step = 0;
@@ -583,6 +583,13 @@ class Executor {
     wrows_.assign(static_cast<std::size_t>(douts * rs), 0);
     for (i64 o = 0; o < douts; ++o)
       std::copy(wbuf + o * n, wbuf + (o + 1) * n, wrows_.data() + o * rs);
+    // The staged rows hold the weight words as the fault hooks left them,
+    // and the deep-window contract is on weight values only: a tile that
+    // passes gets the fast kernel's exact result for any band data, and
+    // one whose weights (upset or not) break it takes the exact kernel.
+    const auto dot = simd::deep_window_ok(wrows_.data(), rs, douts, rs)
+                         ? simd::dot_s16_mrhs_dw
+                         : simd::dot_s16_mrhs;
     patches_.assign(static_cast<std::size_t>(in.out_w * rs), 0);
     sums_.resize(static_cast<std::size_t>(douts * npix));
     for (i64 oy = in.out_row0; oy < in.out_row1; ++oy) {
@@ -592,9 +599,8 @@ class Executor {
         std::int16_t* dst = patches_.data() + ox * rs;
         for (i64 j = 0; j < n; ++j) dst[j] = src[map.tap[j]];
       }
-      simd::dot_s16_mrhs(patches_.data(), rs, in.out_w, wrows_.data(), rs,
-                         douts, rs,
-                         sums_.data() + (oy - in.out_row0) * in.out_w, npix);
+      dot(patches_.data(), rs, in.out_w, wrows_.data(), rs, douts, rs,
+          sums_.data() + (oy - in.out_row0) * in.out_w, npix);
     }
 
     std::vector<acc_t> bias_acc(static_cast<std::size_t>(tout), 0);

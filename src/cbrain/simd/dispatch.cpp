@@ -6,6 +6,7 @@
 // so tests and the CLI can switch backends mid-process.
 #include "cbrain/simd/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
@@ -168,29 +169,30 @@ bool deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
   // Per pmaddwd lane, the pairwise products summed over an aligned window
   // of kDeepGroups 16-element groups must stay inside int32 for *any*
   // int16 data, i.e. 32768 * sum(|w_2j| + |w_2j+1|) <= 2^31 - 1, so the
-  // per-lane window abs-sum bound is (2^31 - 1) / 32768 = 65535.
-  constexpr i64 kLaneBound = (i64{1} << 31) / 32768 - 1;  // 65535
+  // per-lane window abs-sum bound is (2^31 - 1) / 32768 = 65535. Each
+  // window sums |w| per group element in int32 (at most
+  // kDeepGroups * 32768 = 2^19, no overflow) so the compiler vectorizes
+  // the inner loops; the final partial window (groups % kDeepGroups,
+  // covered by the kernel's last flush) is checked like a full one, and
+  // the n % 16 tail, which the kernel sums exactly, is ignored.
+  constexpr std::int32_t kLaneBound = 65535;
   const i64 groups = n / 16;
   for (i64 l = 0; l < rows; ++l) {
     const std::int16_t* row = weights + l * row_stride;
-    i64 lane_sum[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (i64 g = 0; g < groups; ++g) {
-      for (i64 j = 0; j < 8; ++j) {
-        const i64 a = row[g * 16 + 2 * j];
-        const i64 b = row[g * 16 + 2 * j + 1];
-        lane_sum[j] += (a < 0 ? -a : a) + (b < 0 ? -b : b);
-      }
-      // Check at each window boundary (and below, at the final partial
-      // window — the kernel's last flush covers groups % kDeepGroups).
-      if ((g + 1) % kDeepGroups == 0) {
-        for (i64 j = 0; j < 8; ++j) {
-          if (lane_sum[j] > kLaneBound) return false;
-          lane_sum[j] = 0;
+    for (i64 g0 = 0; g0 < groups; g0 += kDeepGroups) {
+      const std::int16_t* end =
+          row + std::min(groups, g0 + kDeepGroups) * 16;
+      std::int32_t elem[16] = {};
+      for (const std::int16_t* grp = row + g0 * 16; grp < end; grp += 16)
+        for (int e = 0; e < 16; ++e) {
+          const std::int32_t v = grp[e];
+          elem[e] += v < 0 ? -v : v;
         }
-      }
+      bool over = false;
+      for (int j = 0; j < 8; ++j)
+        over |= elem[2 * j] + elem[2 * j + 1] > kLaneBound;
+      if (over) return false;
     }
-    for (i64 j = 0; j < 8; ++j)
-      if (lane_sum[j] > kLaneBound) return false;
   }
   return true;
 }

@@ -59,9 +59,9 @@ int64_t dot_s16(const int16_t* data, const int16_t* weights, int64_t n) {
 }
 
 // Generic (wrap-safe) multi-RHS tile: element-by-element over the exact
-// widening dot. It serves the cycle tier's value pass (fault upsets can
-// put -32768 in any weight word) and functional-tier weights that fail
-// the deep-window check.
+// widening dot. It serves cycle-tier FC, cycle-tier conv tiles whose
+// weights (fault upsets can put -32768 in any weight word) fail the
+// deep-window check, and functional-tier weights that fail it.
 void dot_s16_mrhs(const int16_t* data, int64_t data_stride, int64_t cols,
                   const int16_t* weights, int64_t row_stride, int64_t rows,
                   int64_t n, int64_t* out, int64_t out_stride) {

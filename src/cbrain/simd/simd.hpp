@@ -4,11 +4,11 @@
 // The paper's datapath is 256 16-bit multipliers wide; the simulator's
 // equivalent hot operation is an int16×int16 dot product accumulated at
 // Fixed16::acc_t (int64) precision. This module provides it as two
-// multi-RHS GEMM tiers — the exact dot_s16_mrhs (the cycle tier's conv/FC
-// value pass and the functional tier's fallback) and the deep-window
-// dot_s16_mrhs_dw (the functional tier's fast path) — plus the max-pool
-// reduction and the reference GEMM's float axpy, in two implementations
-// selected at runtime:
+// multi-RHS GEMM tiers — the exact dot_s16_mrhs (cycle-tier FC, conv
+// tiles whose weights break the deep-window contract, and the functional
+// tier's fallback) and the deep-window dot_s16_mrhs_dw (every other conv
+// tile of both tiers) — plus the max-pool reduction and the reference
+// GEMM's float axpy, in two implementations selected at runtime:
 //
 //   * AVX2   — exact widening products / windowed _mm256_madd_epi16 (x86)
 //   * scalar — portable fallback, the behavioural reference
@@ -76,14 +76,15 @@ int env_resolve_count();
 // data + c*data_stride) against `rows` weight rows (row l starts at
 // weights + l*row_stride):
 //   out[l*out_stride + c] = dot(data_c, row_l, n)
-// This is the cycle tier's conv/FC value pass (one call per output row,
-// full-range inputs) and the inner kernel of the batched functional
-// GEMM: streaming each weight vector once per *block of columns* instead
-// of once per column cuts the L2/DRAM weight traffic per MAC by the
-// column-block factor — the dimension dynamic batching (multiple images)
-// and pixel blocking (one image) both map onto. Every output element is
-// one exact int64 dot, so results are bit-identical to the scalar
-// reference element by element on every backend.
+// This serves cycle-tier FC (one call per lane group), cycle-tier conv
+// tiles whose weights fail deep_window_ok (one call per output row), and
+// functional-tier tensors that fail it. Streaming each weight vector
+// once per *block of columns* instead of once per column cuts the
+// L2/DRAM weight traffic per MAC by the column-block factor — the
+// dimension dynamic batching (multiple images) and pixel blocking (one
+// image) both map onto. Every output element is one exact int64 dot, so
+// results are bit-identical to the scalar reference element by element
+// on every backend.
 void dot_s16_mrhs(const std::int16_t* data, i64 data_stride, i64 cols,
                   const std::int16_t* weights, i64 row_stride, i64 rows,
                   i64 n, Fixed16::acc_t* out, i64 out_stride);
@@ -106,19 +107,24 @@ inline constexpr i64 kDeepGroups = 16;
 // with plain 32-bit adds and widen to int64 once per window instead of
 // once per group — the i32→i64 widening chain (the ALU bottleneck of a
 // per-group pmaddwd kernel) drops ~16x. deep_window_ok() is the exact
-// pack-time checker; fan-in-scaled weights (ref/params.hpp) pass it with
-// orders of magnitude to spare, and any parameter set that fails simply
-// stays on dot_s16_mrhs. Every output element is still one
-// exact integer dot, so results are bit-identical to the scalar
-// reference for every input satisfying the contract.
+// checker; fan-in-scaled weights (ref/params.hpp) pass it with orders of
+// magnitude to spare, and weights that fail it (a parameter set, or a
+// cycle-tier tile with upset weight words) stay on dot_s16_mrhs. The
+// contract is on weights only: for any data, the result is exact.
+// Every output element is still one exact integer dot, so results are
+// bit-identical to the scalar reference for every input satisfying the
+// contract.
 void dot_s16_mrhs_dw(const std::int16_t* data, i64 data_stride, i64 cols,
                      const std::int16_t* weights, i64 row_stride, i64 rows,
                      i64 n, Fixed16::acc_t* out, i64 out_stride);
 
 // Exact checker for the dot_s16_mrhs_dw contract over `rows` weight rows
-// of length n starting at row_stride intervals. O(rows * n); callers run
-// it once per packed weight tensor. The contract also rules out the
-// pmaddwd pair wrap, so a lone -32768 weight among small ones passes.
+// of length n starting at row_stride intervals (the n % 16 tail, which
+// the kernel sums exactly, is not checked). O(rows * n) and vectorized:
+// the functional tier runs it once per packed weight tensor, the cycle
+// tier once per conv tile on the weight words as the fault hooks left
+// them. The contract also rules out the pmaddwd pair wrap, so a lone
+// -32768 weight among small ones passes.
 bool deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
                     i64 n);
 

@@ -2,6 +2,8 @@
 // scaling rules (Table 3) and the energy model.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cbrain/arch/area_model.hpp"
 #include "cbrain/arch/dma.hpp"
 #include "cbrain/arch/energy_model.hpp"
@@ -102,6 +104,51 @@ TEST(Dma, TransferTimingModel) {
   EXPECT_EQ(dram.read(20), -3);
   EXPECT_EQ(dma.stats().words_out, 1);
   EXPECT_EQ(dma.stats().transfers, 2);
+}
+
+// With no injector the load copies DRAM straight into the buffer; it
+// must leave the same words, DmaStats, SRAM counts and cycles as the
+// staged path under an attached injector that never fires.
+TEST(Dma, FaultFreeLoadMatchesZeroRateInjector) {
+  DramConfig cfg;
+  cfg.words_per_cycle = 4.0;
+  cfg.latency_cycles = 20;
+  Dram dram(2048);
+  std::vector<std::int16_t> pattern(2048);
+  for (std::size_t i = 0; i < pattern.size(); ++i)
+    pattern[i] = static_cast<std::int16_t>(i * 7919 + 3);
+  pattern[9] = -32768;
+  dram.write_block(0, 2048, pattern.data());
+
+  FaultInjector zero_rate(FaultConfig{});
+  DmaEngine plain(cfg), hooked(cfg);
+  hooked.attach_fault(&zero_rate);
+  Sram16 a("a", 2048), b("b", 2048);
+  const i64 bursts[][3] = {{9, 0, 1}, {17, 5, 300}, {1024, 700, 324},
+                           {2047, 1023, 1}, {0, 0, 0}, {1724, 0, 324}};
+  for (const auto& [src, dst, words] : bursts)
+    EXPECT_EQ(plain.load(dram, src, a, dst, words),
+              hooked.load(dram, src, b, dst, words))
+        << "burst at " << src;
+  EXPECT_EQ(plain.stats().transfers, hooked.stats().transfers);
+  EXPECT_EQ(plain.stats().words_in, hooked.stats().words_in);
+  EXPECT_EQ(plain.stats().busy_cycles, hooked.stats().busy_cycles);
+  EXPECT_EQ(plain.stats().transfers, 5);
+  EXPECT_EQ(a.stats().writes, b.stats().writes);
+  EXPECT_EQ(a.stats().writes, 1 + 300 + 324 + 1 + 324);
+  std::vector<std::int16_t> got_a(1024), got_b(1024);
+  a.read_block(0, 1024, got_a.data());
+  b.read_block(0, 1024, got_b.data());
+  EXPECT_EQ(got_a, got_b);
+  EXPECT_EQ(got_a[700], pattern[1024]);
+  EXPECT_EQ(got_a[1023], pattern[2047]);
+
+  // Out-of-range DRAM spans still fail the bounds check, before any
+  // buffer word or counter changes.
+  EXPECT_THROW(plain.load(dram, 2000, a, 0, 49), CheckError);
+  EXPECT_THROW(plain.load(dram, -1, a, 0, 4), CheckError);
+  EXPECT_EQ(plain.stats().transfers, 5);
+  EXPECT_EQ(a.stats().writes, b.stats().writes);
 }
 
 TEST(PeArray, UtilizationAccounting) {

@@ -5,6 +5,9 @@
 // model's. This proves Algorithm 1 (kernel partitioning), the improved
 // inter-kernel accumulation (§4.2.2), the data-layout planning (§4.2.3)
 // and the tiler are *correct*, not merely fast.
+#include <algorithm>
+
+#include "cbrain/simd/simd.hpp"
 #include "support.hpp"
 
 namespace cbrain::test {
@@ -142,6 +145,52 @@ TEST(SimIntermediates, TinyCnnLayerByLayer) {
     EXPECT_TRUE(tensors_equal(expected.to_order(DataOrder::kSpatialMajor),
                               consumed));
   }
+}
+
+// A conv tile whose weights break the deep-window contract must take the
+// exact kernel. Every weight and every input word is -32768, so each
+// pmaddwd pair sums to 2^31 and wraps int32: a tile wrongly sent to
+// dot_s16_mrhs_dw would finalize a wrapped sum (an even number of wrapped
+// pairs per lane cancels to 0) where the exact sum saturates. Every
+// policy, with and without din chunking, must match the reference
+// executor under the auto backend and under scalar.
+TEST(SimDeepWindow, ContractBreakingTileFallsBackToExactKernel) {
+  if (!simd::backend_supported(simd::Backend::kAvx2))
+    GTEST_SKIP() << "AVX2 not available: the fast kernel is the exact one";
+  struct RestoreBackend {
+    simd::Backend saved = simd::active_backend();
+    ~RestoreBackend() { simd::select_backend(saved); }
+  } restore;
+  const Network net = zoo::single_conv(
+      {16, 6, 6}, {.dout = 6, .k = 4, .stride = 1}, "extreme");
+  auto params = init_net_params<Fixed16>(net, 3);
+  auto& weights =
+      params.per_layer[static_cast<std::size_t>(net.conv_layer_ids().front())]
+          .weights;
+  std::fill(weights.storage().begin(), weights.storage().end(),
+            Fixed16::from_raw(-32768));
+  const i64 n = 16 * 4 * 4;
+  std::vector<std::int16_t> row(static_cast<std::size_t>(n), -32768);
+  ASSERT_FALSE(simd::deep_window_ok(row.data(), n, 1, n));
+  Tensor3<Fixed16> input(net.layer(0).out_dims);
+  input.fill(Fixed16::from_raw(-32768));
+  RefExecutor<Fixed16> ref(net, params);
+  const Tensor3<Fixed16> want = ref.run(input);
+
+  for (const AcceleratorConfig& config :
+       {AcceleratorConfig::with_pe(16, 16), tiny_config(4, 4)})
+    for (const Policy policy : kPolicies) {
+      SCOPED_TRACE(std::string(policy_name(policy)) + " tin " +
+                   std::to_string(config.tin));
+      auto compiled = compile_network(net, policy, config);
+      ASSERT_TRUE(compiled.is_ok()) << compiled.status().to_string();
+      for (const char* backend : {"auto", "scalar"}) {
+        ASSERT_TRUE(simd::select_backend(backend));
+        SimExecutor sim(net, compiled.value(), config);
+        EXPECT_TRUE(tensors_equal(want, sim.run(input, params).final_output))
+            << backend;
+      }
+    }
 }
 
 }  // namespace

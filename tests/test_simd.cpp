@@ -5,6 +5,9 @@
 // implementation would wrap int32), long runs, and — end to end — a
 // whole-network AlexNet simulation whose outputs and counters may not
 // differ by a single bit between the scalar and AVX2 backends.
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -43,6 +46,13 @@ std::vector<std::int16_t> random_s16(i64 n, std::uint64_t seed) {
   return v;
 }
 
+std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> bits(v.size());
+  std::transform(v.begin(), v.end(), bits.begin(),
+                 [](float f) { return std::bit_cast<std::uint32_t>(f); });
+  return bits;
+}
+
 // Independent plain-C++ references (not the scalar backend, so a bug in
 // kernels_scalar.cpp cannot hide by matching itself).
 Fixed16::acc_t ref_dot(const std::int16_t* a, const std::int16_t* b, i64 n) {
@@ -52,8 +62,8 @@ Fixed16::acc_t ref_dot(const std::int16_t* a, const std::int16_t* b, i64 n) {
   return acc;
 }
 
-// One exact dot through the cycle tier's kernel: dot_s16_mrhs with a
-// single column against a single row.
+// One exact dot through the exact kernel: dot_s16_mrhs with a single
+// column against a single row.
 Fixed16::acc_t mrhs_dot(const std::int16_t* d, const std::int16_t* w, i64 n) {
   Fixed16::acc_t out = -1;
   simd::dot_s16_mrhs(d, n, 1, w, n, 1, n, &out, 1);
@@ -100,9 +110,9 @@ TEST(SimdBitExact, DotFuzzLengthsAndMisalignments) {
   }
 }
 
-// dot_s16_mrhs, the exact kernel the cycle tier's conv and FC passes
-// run: every output is one exact dot for any int16 input, including the
-// -32768 weight words a fault upset can produce. Full-range fuzz at
+// dot_s16_mrhs, the exact kernel cycle-tier FC and out-of-contract conv
+// tiles run: every output is one exact dot for any int16 input, including
+// the -32768 weight words a fault upset can produce. Full-range fuzz at
 // unaligned offsets with non-contiguous rows and columns, one weight row
 // of all -32768 and one data column of all -32768 (the pmaddwd pair-wrap
 // case), and the cols=1 shape of an FC lane group.
@@ -233,13 +243,152 @@ TEST(SimdBitExact, AxpyMatchesScalarBackendBitwise) {
         simd::select_backend(b);
         std::vector<float> got(y0.begin() + off, y0.begin() + off + n);
         simd::axpy_f32(alpha, x.data() + off, got.data(), n);
-        // memcmp: identical bits, not merely nearly-equal floats.
-        EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                              static_cast<std::size_t>(n) * sizeof(float)),
-                  0)
+        // Identical bits, not merely nearly-equal floats (and defined at
+        // n == 0, where memcmp on empty vectors' null data() is not).
+        EXPECT_EQ(float_bits(got), float_bits(want))
             << simd::backend_name(b) << " n=" << n << " off=" << off;
       }
     }
+  }
+}
+
+// --- deep-window contract checker -----------------------------------------
+
+// The original lane-by-lane checker, kept as the reference: int64 sums
+// per pmaddwd lane, tested at every window boundary and once more at the
+// end for the final partial window; the n % 16 tail is not looked at.
+bool ref_deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
+                        i64 n) {
+  constexpr i64 kLaneBound = (i64{1} << 31) / 32768 - 1;  // 65535
+  const i64 groups = n / 16;
+  for (i64 l = 0; l < rows; ++l) {
+    const std::int16_t* row = weights + l * row_stride;
+    i64 lane_sum[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    for (i64 g = 0; g < groups; ++g) {
+      for (i64 j = 0; j < 8; ++j) {
+        const i64 a = row[g * 16 + 2 * j];
+        const i64 b = row[g * 16 + 2 * j + 1];
+        lane_sum[j] += (a < 0 ? -a : a) + (b < 0 ? -b : b);
+      }
+      if ((g + 1) % simd::kDeepGroups == 0) {
+        for (i64 j = 0; j < 8; ++j) {
+          if (lane_sum[j] > kLaneBound) return false;
+          lane_sum[j] = 0;
+        }
+      }
+    }
+    for (i64 j = 0; j < 8; ++j)
+      if (lane_sum[j] > kLaneBound) return false;
+  }
+  return true;
+}
+
+// Random rows at magnitudes on both sides of the bound, odd lengths and
+// strides wider than the row: the checker decides exactly as the
+// reference, and both outcomes occur.
+TEST(DeepWindowChecker, MatchesReferenceOnRandomRows) {
+  Rng rng(4242);
+  const int scales[] = {100, 1000, 2047, 2048, 2500, 4000, 32767};
+  int accepted = 0, rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const i64 n = static_cast<i64>(rng.next_u64() % 700);
+    const i64 stride = n + static_cast<i64>(rng.next_u64() % 3) * 19;
+    const i64 rows = 1 + static_cast<i64>(rng.next_u64() % 4);
+    const int scale = scales[rng.next_u64() % std::size(scales)];
+    std::vector<std::int16_t> w(static_cast<std::size_t>(rows * stride + 1));
+    for (auto& v : w)
+      v = static_cast<std::int16_t>(
+          static_cast<int>(rng.next_u64() % (2 * scale + 1)) - scale);
+    const bool want = ref_deep_window_ok(w.data(), stride, rows, n);
+    ASSERT_EQ(simd::deep_window_ok(w.data(), stride, rows, n), want)
+        << "trial " << trial << " n=" << n << " stride=" << stride
+        << " rows=" << rows << " scale=" << scale;
+    (want ? accepted : rejected) += 1;
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+TEST(DeepWindowChecker, MatchesReferenceOnEdgeCases) {
+  constexpr i64 kWindow = 16 * simd::kDeepGroups;  // elements per window
+  struct Case {
+    std::string name;
+    std::vector<std::int16_t> w;
+    i64 stride, rows, n;
+    bool ok;
+  };
+  std::vector<Case> cases;
+  // One lane (elements 2j and 2j+1 of each group) of a two-window row
+  // summing to `total` in window `win`, the rest zero.
+  auto lane_row = [&](i64 lane, i64 win, i64 total) {
+    std::vector<std::int16_t> w(static_cast<std::size_t>(2 * kWindow), 0);
+    for (i64 g = win * simd::kDeepGroups; total > 0; ++g)
+      for (i64 e = 2 * lane; e <= 2 * lane + 1 && total > 0; ++e) {
+        const i64 v = std::min<i64>(total, 32767);
+        w[static_cast<std::size_t>(g * 16 + e)] =
+            static_cast<std::int16_t>(g % 2 == 0 ? v : -v);
+        total -= v;
+      }
+    return w;
+  };
+  for (const i64 lane : {i64{0}, i64{3}, i64{7}})
+    for (const i64 win : {i64{0}, i64{1}}) {
+      const std::string at =
+          " lane " + std::to_string(lane) + " window " + std::to_string(win);
+      cases.push_back({"sum 65535" + at, lane_row(lane, win, 65535),
+                       2 * kWindow, 1, 2 * kWindow, true});
+      cases.push_back({"sum 65536" + at, lane_row(lane, win, 65536),
+                       2 * kWindow, 1, 2 * kWindow, false});
+    }
+  // A window's excess split across two windows passes; the same excess
+  // in the final partial window (3 groups past a full one) fails.
+  {
+    const i64 n = kWindow + 3 * 16;
+    std::vector<std::int16_t> split(static_cast<std::size_t>(n), 0);
+    split[0] = split[1] = 30000;
+    split[kWindow] = split[kWindow + 1] = 30000;
+    cases.push_back({"excess split across windows", split, n, 1, n, true});
+    std::vector<std::int16_t> tail_window = split;
+    tail_window[kWindow + 16] = 30000;
+    cases.push_back({"final partial window", tail_window, n, 1, n, false});
+    std::vector<std::int16_t> short_row(48, 0);
+    short_row[2] = short_row[18] = short_row[35] = 30000;
+    cases.push_back({"partial window only", short_row, 48, 1, 48, false});
+  }
+  // The n % 16 tail is summed exactly by the kernel and never checked.
+  {
+    const i64 n = kWindow + 7;
+    std::vector<std::int16_t> w(static_cast<std::size_t>(n), 5);
+    std::fill(w.begin() + kWindow, w.end(), std::int16_t{-32768});
+    cases.push_back({"n % 16 tail ignored", w, n, 1, n, true});
+  }
+  // A lone -32768 among small weights: 32768 + 3 <= 65535.
+  {
+    std::vector<std::int16_t> w(static_cast<std::size_t>(kWindow), 3);
+    w[5] = -32768;
+    cases.push_back({"lone -32768", w, kWindow, 1, kWindow, true});
+    w[4] = -32768;  // the same lane's pair partner: 65536 + ...
+    cases.push_back({"-32768 pair", w, kWindow, 1, kWindow, false});
+  }
+  // row_stride > n: words between n and the next row are not weights.
+  {
+    const i64 n = 40, stride = 73, rows = 3;
+    std::vector<std::int16_t> w(static_cast<std::size_t>(rows * stride),
+                                -32768);
+    for (i64 r = 0; r < rows; ++r)
+      std::fill_n(w.begin() + r * stride, n, std::int16_t{100});
+    cases.push_back({"row_stride > n, big gap words", w, stride, rows, n,
+                     true});
+    w[static_cast<std::size_t>(2 * stride + 1)] = -32768;
+    w[static_cast<std::size_t>(2 * stride + 17)] = -32768;
+    cases.push_back({"row_stride > n, bad last row", w, stride, rows, n,
+                     false});
+  }
+  cases.push_back({"empty", {}, 0, 0, 0, true});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(ref_deep_window_ok(c.w.data(), c.stride, c.rows, c.n), c.ok);
+    EXPECT_EQ(simd::deep_window_ok(c.w.data(), c.stride, c.rows, c.n), c.ok);
   }
 }
 
