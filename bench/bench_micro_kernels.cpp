@@ -10,7 +10,8 @@
 //
 //   bench_micro_kernels --perf-json[=path] [--quick]
 //
-// times dot_s16_mrhs[_dw] on every supported SIMD backend plus
+// times dot_s16_mrhs[_dw] and the functional tier's depthwise layer at
+// two MobileNetV1 shapes on every supported SIMD backend plus
 // whole-network wall-clock at both execution tiers
 // (cycle: full simulate per backend for AlexNet, VGG16 under the best
 // one; functional: warm weight-resident forward pass, with its speedup
@@ -33,6 +34,7 @@
 #include "cbrain/compiler/compiler.hpp"
 #include "cbrain/core/cbrain.hpp"
 #include "cbrain/engine/engine.hpp"
+#include "cbrain/func/kernels.hpp"
 #include "cbrain/model/network_model.hpp"
 #include "cbrain/nn/workload.hpp"
 #include "cbrain/nn/zoo.hpp"
@@ -229,6 +231,48 @@ KernelResult measure_dot_mrhs(simd::Backend b, bool dw, i64 n, int reps,
                                (kMrhsCols + kMrhsRows)) /
            secs * 1e-9;
   r.mac_per_s = static_cast<double>(n * kMrhsRows * kMrhsCols) / secs;
+  return r;
+}
+
+// The functional tier's depthwise layer path (zero-padded plane staging
+// plus simd::dw_conv_s16) at a MobileNetV1 shape: one image of `ch`
+// planes of side `side`, 3x3, pad 1, under a filter set that satisfies
+// the depthwise contract. Streamed bytes: the input and output planes.
+KernelResult measure_depthwise(simd::Backend b, i64 side, i64 ch, i64 stride,
+                               int reps, i64 iters) {
+  simd::select_backend(b);
+  const ConvParams p{.dout = ch, .k = 3, .stride = stride, .pad = 1,
+                     .groups = ch};
+  const Tensor3<Fixed16> input = random_input<Fixed16>({ch, side, side}, 31);
+  const auto w = random_s16(ch * 16, 32);
+  func::PackedRows rows(static_cast<std::size_t>(ch * 16), 0);
+  for (i64 i = 0; i < ch * 16; ++i)
+    if (i % 16 < 9)
+      rows[static_cast<std::size_t>(i)] =
+          static_cast<std::int16_t>(w[static_cast<std::size_t>(i)] % 512);
+  const func::WeightMode mode =
+      func::classify_weights(rows.data(), ch, 16, /*depthwise=*/true);
+  CBRAIN_CHECK(mode == func::WeightMode::kDepthwise,
+               "depthwise bench weights must satisfy the depthwise contract");
+  const std::vector<Fixed16::acc_t> bias(static_cast<std::size_t>(ch), 0);
+  const i64 out_side = conv_out_extent(side, 3, stride, 1);
+  Tensor3<Fixed16> output({ch, out_side, out_side});
+  func::GemmScratch scratch;
+  const std::vector<const Tensor3<Fixed16>*> ins = {&input};
+  const std::vector<Tensor3<Fixed16>*> outs = {&output};
+  const double secs = best_of(reps, iters, [&] {
+    func::conv2d_func_batch(ins, rows, bias, p, mode, scratch, outs);
+    benchmark::DoNotOptimize(output.raw_data());
+  });
+  KernelResult r;
+  r.name = "depthwise_s" + std::to_string(stride) + "_c" + std::to_string(ch);
+  r.backend = simd::backend_name(b);
+  r.n = side;
+  r.secs = secs;
+  r.gbps = static_cast<double>(sizeof(std::int16_t) * ch *
+                               (side * side + out_side * out_side)) /
+           secs * 1e-9;
+  r.mac_per_s = static_cast<double>(ch * out_side * out_side * 9) / secs;
   return r;
 }
 
@@ -453,6 +497,10 @@ int run_perf_harness(const std::string& path, bool quick) {
       kernels.push_back(measure_dot_mrhs(b, false, n, reps, multi_iters));
       kernels.push_back(measure_dot_mrhs(b, true, n, reps, multi_iters));
     }
+    // MobileNetV1's first two depthwise layers (block2: 112x112x32, s1;
+    // block3: 112x112x64, s2).
+    kernels.push_back(measure_depthwise(b, 112, 32, 1, reps, quick ? 5 : 20));
+    kernels.push_back(measure_depthwise(b, 112, 64, 2, reps, quick ? 5 : 20));
   }
 
   // Whole-network simulator wall-clock: AlexNet once per backend (the
@@ -666,7 +714,7 @@ int run_perf_harness(const std::string& path, bool quick) {
               "%zu serve points)\n",
               path.c_str(), kernels.size(), whole.size(), serve.size());
   for (const KernelResult& k : kernels)
-    std::printf("  %-14s %-6s n=%-5lld %8.2f GB/s %12.0f MAC/s\n",
+    std::printf("  %-16s %-6s n=%-5lld %8.2f GB/s %12.0f MAC/s\n",
                 k.name.c_str(), k.backend.c_str(),
                 static_cast<long long>(k.n), k.gbps, k.mac_per_s);
   for (const WholeNetResult& r : whole) {

@@ -30,29 +30,4 @@ i64 DmaEngine::load(const Dram& dram, DramAddr src, Sram16& dst,
   return cycles;
 }
 
-i64 DmaEngine::store(Sram16& src, i64 src_addr, Dram& dram, DramAddr dst,
-                     i64 words) {
-  if (words <= 0) return 0;
-  bounce_.resize(static_cast<std::size_t>(words));
-  if (fault_ == nullptr) {
-    src.read_block(src_addr, words, bounce_.data());
-  } else {
-    for (i64 attempt = 0;; ++attempt) {
-      src.read_block(src_addr, words, bounce_.data());
-      if (!fault_->on_dma_attempt(bounce_.data(), words, attempt).retry)
-        break;
-      const i64 retry_cycles = config_.transfer_cycles(words);
-      fault_->add_overhead_cycles(retry_cycles);
-      fault_->note_dma_retry_words(words);
-      stats_.busy_cycles += retry_cycles;
-    }
-  }
-  dram.write_block(dst, words, bounce_.data());
-  const i64 cycles = config_.transfer_cycles(words);
-  ++stats_.transfers;
-  stats_.words_out += words;
-  stats_.busy_cycles += cycles;
-  return cycles;
-}
-
 }  // namespace cbrain

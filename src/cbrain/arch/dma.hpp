@@ -15,8 +15,7 @@ namespace cbrain {
 
 struct DmaStats {
   i64 transfers = 0;
-  i64 words_in = 0;   // DRAM -> buffer
-  i64 words_out = 0;  // buffer -> DRAM
+  i64 words_in = 0;  // DRAM -> buffer
   i64 busy_cycles = 0;
 };
 
@@ -27,8 +26,6 @@ class DmaEngine {
   // DRAM -> SRAM. Counts SRAM writes and DRAM words; returns cycles spent.
   i64 load(const Dram& dram, DramAddr src, Sram16& dst, i64 dst_addr,
            i64 words);
-  // SRAM -> DRAM.
-  i64 store(Sram16& src, i64 src_addr, Dram& dram, DramAddr dst, i64 words);
 
   // Pure timing query (used by the analytical model).
   i64 transfer_cycles(i64 words) const {

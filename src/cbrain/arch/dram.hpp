@@ -37,7 +37,7 @@ class Dram {
   // copy, then the fault hook once per word in address order, so memory,
   // FaultStats (code_words included) and the event log match the
   // word-at-a-time loop. write_block instead hands the hook one access
-  // (one code-word count, bursts spanning words) — the DMA's view.
+  // (one code-word count, bursts spanning words).
   void write_words(DramAddr addr, i64 words, const std::int16_t* in);
 
   struct Region {

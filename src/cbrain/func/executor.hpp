@@ -59,13 +59,14 @@ class FuncExecutor {
 
   // One layer's GEMM operands (empty for layers without weights).
   struct PackedLayer {
-    std::vector<std::int16_t> weights;  // GEMM rows, Tensor4 storage order
+    PackedRows weights;  // GEMM rows, Tensor4 storage order
     // Bias promoted to accumulator (Q16.16) scale, zero-padded to dout.
     std::vector<Fixed16::acc_t> bias_acc;
-    // Fastest multi-RHS kernel tier this weight tensor qualifies for
-    // (deep-window, else exact; both bit-identical). Checked once per
-    // pack; a hand-built NetParamsData that fails the deep-window bound
-    // falls back, keeping outputs identical either way.
+    // Fastest kernel this weight tensor qualifies for (depthwise for a
+    // dilation-1 depthwise layer, deep-window for any other, else exact;
+    // all bit-identical). Checked once per pack; a hand-built
+    // NetParamsData that fails the bound falls back, keeping outputs
+    // identical either way.
     WeightMode mode = WeightMode::kExact;
   };
 
@@ -74,7 +75,9 @@ class FuncExecutor {
 
   // Packs each conv/FC layer's weights into contiguous int16 GEMM rows,
   // promotes biases to accumulator scale and classifies each weight
-  // tensor for the fastest admissible multi-RHS kernel. May run again to
+  // tensor for the fastest admissible kernel. The rows of the whole net
+  // are copied and classified in one parallel pass over row chunks, each
+  // page touched once. May run again to
   // hot-swap parameters (engine::Session contract): it builds a fresh
   // pack, so executors sharing the old one are unaffected.
   void load_params(const NetParamsData<Fixed16>& params);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "cbrain/common/check.hpp"
 #include "cbrain/common/thread_pool.hpp"
@@ -12,6 +13,8 @@ namespace cbrain::func {
 
 static_assert(sizeof(Fixed16) == sizeof(std::int16_t),
               "im2row copies Fixed16 rows as raw int16 bytes");
+static_assert(std::is_standard_layout_v<Fixed16>,
+              "a Fixed16 is pointer-interconvertible with its int16 raw");
 
 namespace {
 
@@ -36,6 +39,10 @@ i64 cols_per_band(i64 col_elems, i64 cols) {
   return std::min(cols, by_mem);
 }
 
+// A Fixed16 array as the int16 raws the simd kernels write: Fixed16 is a
+// standard-layout wrapper of exactly one int16.
+std::int16_t* raw_s16(Fixed16* p) { return reinterpret_cast<std::int16_t*>(p); }
+
 using MrhsFn = void (*)(const std::int16_t*, i64, i64, const std::int16_t*,
                         i64, i64, i64, Fixed16::acc_t*, i64);
 
@@ -47,7 +54,11 @@ MrhsFn mrhs_kernel(WeightMode m) {
 }  // namespace
 
 WeightMode classify_weights(const std::int16_t* weights, i64 rows,
-                            i64 row_len) {
+                            i64 row_len, bool depthwise) {
+  if (depthwise)
+    return simd::depthwise_ok(weights, row_len, rows, row_len)
+               ? WeightMode::kDepthwise
+               : WeightMode::kExact;
   return simd::deep_window_ok(weights, row_len, rows, row_len)
              ? WeightMode::kDeepWindow
              : WeightMode::kExact;
@@ -155,14 +166,25 @@ namespace {
 // Depthwise path: one input plane -> one output plane per group. The
 // im2row+GEMM machinery degenerates here (dout_g == 1 means each packed
 // weight panel is a single k*k row, so the multi-RHS kernels amortize
-// nothing), and the per-group loop overhead dominates at groups == din.
-// Direct per-plane loops with the same exact int64 dot per output
-// element are bit-identical and much faster. Parallel grain: one
-// (image, channel) plane per task.
+// nothing), so each plane runs on its own.
+//
+// kDepthwise: each plane is staged into a zero-padded copy, so every
+// output — the border ring included — reads only in-bounds taps, and the
+// whole plane is one simd::dw_conv_s16 call with no bounds checks (the
+// padding is real zeros, which add nothing). Planes narrower than
+// simd::kDwMinCols are staged with zero slack columns and computed that
+// wide into a staging block, keeping the valid columns. The staging
+// buffers come from `scratch`, one set per slice of planes.
+//
+// Any other mode (weights outside the depthwise contract, or dilation
+// above 1) runs the exact per-tap loop, one (image, channel) plane per
+// task. Both sum exactly (the kernel in int32 under the contract, the
+// loop in int64), so outputs are bit-identical either way.
 void depthwise_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
-                          const std::vector<std::int16_t>& packed_weights,
+                          const PackedRows& packed_weights,
                           const std::vector<Fixed16::acc_t>& bias_acc,
-                          const ConvParams& p,
+                          const ConvParams& p, WeightMode mode,
+                          GemmScratch& scratch,
                           const std::vector<Tensor3<Fixed16>*>& outputs) {
   using Tr = ArithTraits<Fixed16>;
   const i64 batch = static_cast<i64>(inputs.size());
@@ -170,8 +192,45 @@ void depthwise_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
   const i64 krow_s = gemm_row_stride(p.k * p.k);
   const i64 oh = conv_out_extent(in.h, p.k_eff(), p.stride, p.pad);
   const i64 ow = conv_out_extent(in.w, p.k_eff(), p.stride, p.pad);
+  const i64 planes = batch * p.dout;
+  if (mode == WeightMode::kDepthwise) {
+    const i64 cols = std::max(ow, simd::kDwMinCols);
+    const i64 pitch = std::max(in.w + 2 * p.pad, (cols - 1) * p.stride + p.k);
+    const i64 staged_in = (in.h + 2 * p.pad) * pitch;
+    const i64 staged = staged_in + (cols > ow ? oh * cols : 0);
+    const i64 slices = std::min(parallel::default_jobs(), planes);
+    std::int16_t* buf = scratch.ensure_band(slices * staged);
+    parallel::parallel_for(slices, [&](i64 s) {
+      std::int16_t* sin = buf + s * staged;
+      std::int16_t* sout = sin + staged_in;
+      // The pad frame stays zero; each plane overwrites only its rows.
+      std::fill(sin, sin + staged_in, std::int16_t{0});
+      for (i64 item = s * planes / slices; item < (s + 1) * planes / slices;
+           ++item) {
+        const i64 b = item / p.dout;
+        const i64 c = item % p.dout;
+        const Fixed16* plane =
+            inputs[static_cast<std::size_t>(b)]->raw_data() + c * in.h * in.w;
+        for (i64 y = 0; y < in.h; ++y)
+          std::memcpy(sin + (y + p.pad) * pitch + p.pad, plane + y * in.w,
+                      static_cast<std::size_t>(in.w) * sizeof(std::int16_t));
+        Fixed16* out = outputs[static_cast<std::size_t>(b)]->raw_data() +
+                       c * oh * ow;
+        const bool narrow = cols > ow;
+        simd::dw_conv_s16(sin, pitch, p.stride,
+                          packed_weights.data() + c * krow_s, p.k, oh, cols,
+                          bias_acc[static_cast<std::size_t>(c)], p.relu,
+                          narrow ? sout : raw_s16(out), narrow ? cols : ow);
+        if (narrow)
+          for (i64 oy = 0; oy < oh; ++oy)
+            for (i64 ox = 0; ox < ow; ++ox)
+              out[oy * ow + ox] = Fixed16::from_raw(sout[oy * cols + ox]);
+      }
+    });
+    return;
+  }
   parallel::parallel_for(
-      batch * p.dout,
+      planes,
       [&](i64 item) {
         const i64 b = item / p.dout;
         const i64 c = item % p.dout;
@@ -205,7 +264,7 @@ void depthwise_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
 }  // namespace
 
 void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
-                       const std::vector<std::int16_t>& packed_weights,
+                       const PackedRows& packed_weights,
                        const std::vector<Fixed16::acc_t>& bias_acc,
                        const ConvParams& p, WeightMode mode,
                        GemmScratch& scratch,
@@ -237,8 +296,9 @@ void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                  "conv2d_func_batch output tensor not pre-shaped");
   }
 
-  if (p.depthwise(in.d) && dout_g == 1) {
-    depthwise_func_batch(inputs, packed_weights, bias_acc, p, outputs);
+  if (per_plane_depthwise(p, in.d)) {
+    depthwise_func_batch(inputs, packed_weights, bias_acc, p, mode, scratch,
+                         outputs);
     return;
   }
 
@@ -352,7 +412,7 @@ void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,
 }
 
 void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
-                   const std::vector<std::int16_t>& packed_weights,
+                   const PackedRows& packed_weights,
                    const std::vector<Fixed16::acc_t>& bias_acc,
                    const FCParams& p, WeightMode mode, GemmScratch& scratch,
                    const std::vector<Tensor3<Fixed16>*>& outputs) {

@@ -17,7 +17,8 @@
 // DRAM once per batch instead of once per request).
 //
 // Bit-exactness: every product is int16*int16 accumulated at int64
-// (Fixed16::acc_t) with no intermediate rounding, so the sum is
+// (Fixed16::acc_t), or at int32 where a pack-time weight contract rules
+// out overflow, with no intermediate rounding, so the sum is
 // independent of accumulation order and blocking — identical to
 // conv2d_ref / fc_ref and therefore to the simulator's outputs
 // (tests/test_fidelity.cpp). Zero-padding contributes zero products, so
@@ -40,6 +41,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "cbrain/fixed/fixed16.hpp"
@@ -48,13 +51,32 @@
 
 namespace cbrain::func {
 
-// Which simd multi-RHS kernel a packed weight tensor qualifies for,
-// decided once at pack time (FuncExecutor::load_params):
-//   kExact      — simd::dot_s16_mrhs, no weight precondition
+// Which simd kernel a packed weight tensor qualifies for, decided once at
+// pack time (FuncExecutor::load_params):
+//   kExact      — simd::dot_s16_mrhs, or the exact per-tap depthwise
+//                 loop; no weight precondition
 //   kDeepWindow — simd::deep_window_ok holds: simd::dot_s16_mrhs_dw's
 //                 32-bit deep accumulation
-// Both produce bit-identical outputs; they differ only in speed.
-enum class WeightMode { kExact = 0, kDeepWindow = 1 };
+//   kDepthwise  — a depthwise layer (one filter per input plane,
+//                 dilation 1) whose filters pass simd::depthwise_ok: its
+//                 zero-padded staged planes run simd::dw_conv_s16
+// All produce bit-identical outputs; they differ only in speed.
+enum class WeightMode { kExact = 0, kDeepWindow = 1, kDepthwise = 2 };
+
+// Packed GEMM rows. The allocator default-initializes, so sizing a pack
+// does not zero it: the packer writes every element once, rows and pad
+// tails alike. (Construction with a value falls back to
+// std::allocator_traits' construct_at.)
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+using PackedRows =
+    std::vector<std::int16_t, DefaultInitAllocator<std::int16_t>>;
 
 // GEMM row stride for a logical row of `row_len` int16 elements: rounded
 // up to the 16-lane SIMD group so every row the multi-RHS kernels see is
@@ -63,11 +85,22 @@ enum class WeightMode { kExact = 0, kDeepWindow = 1 };
 // activation matrix all use this stride.
 inline i64 gemm_row_stride(i64 row_len) { return (row_len + 15) & ~i64{15}; }
 
-// Classifies a packed weight buffer of `rows` GEMM rows of length
-// `row_len` (one pass over the weights; run once per load_params):
-// kDeepWindow exactly when simd::deep_window_ok accepts it.
+// True for a conv whose every output plane filters exactly one input
+// plane (depthwise, channel multiplier 1): conv2d_func_batch runs it per
+// plane instead of through im2row+GEMM, and with dilation 1 its filters
+// can qualify for kDepthwise.
+inline bool per_plane_depthwise(const ConvParams& p, i64 din) {
+  return p.depthwise(din) && p.dout_per_group() == 1;
+}
+
+// Classifies `rows` packed weight rows of length `row_len` (any run of
+// a layer's rows: the contracts are per-row properties, so a layer
+// qualifies when every run of its rows does). Depthwise filters (the
+// `depthwise` flag: a kDepthwise-eligible layer) get kDepthwise when
+// simd::depthwise_ok accepts them, other rows kDeepWindow when
+// simd::deep_window_ok does; everything else kExact.
 WeightMode classify_weights(const std::int16_t* weights, i64 rows,
-                            i64 row_len);
+                            i64 row_len, bool depthwise = false);
 
 // Promotes a bias vector to accumulator (Q16.16) scale, padded with
 // zeros to `dout` entries; adding the promoted bias after the product
@@ -108,7 +141,7 @@ void im2row_s16(const Tensor3<Fixed16>& input, i64 din_begin, i64 din_count,
 // results are bit-identical at any worker count and batch size.
 // Allocates nothing beyond `scratch` growth.
 void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
-                       const std::vector<std::int16_t>& packed_weights,
+                       const PackedRows& packed_weights,
                        const std::vector<Fixed16::acc_t>& bias_acc,
                        const ConvParams& p, WeightMode mode,
                        GemmScratch& scratch,
@@ -130,7 +163,7 @@ void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,
 // column block of images instead of once per image. Same contracts as
 // conv2d_func_batch; outputs[b] must be pre-shaped {dout, 1, 1}.
 void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
-                   const std::vector<std::int16_t>& packed_weights,
+                   const PackedRows& packed_weights,
                    const std::vector<Fixed16::acc_t>& bias_acc,
                    const FCParams& p, WeightMode mode, GemmScratch& scratch,
                    const std::vector<Tensor3<Fixed16>*>& outputs);

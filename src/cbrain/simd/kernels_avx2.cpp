@@ -6,11 +6,11 @@
 // The exact dot kernel avoids _mm256_madd_epi16 — its pairwise i32 sum
 // wraps when both pair products are (-32768)² — and instead widens exact
 // 32-bit products (mullo/mulhi) to 64-bit lanes; only the deep-window
-// path, whose weight contract rules the wrap out, uses madd. Integer
-// accumulation in any lane order is exact, so results are bit-identical
-// to the scalar reference for every input the contracts admit. axpy uses
-// mul+add (never FMA: -mavx2 does not enable it, and a fused rounding
-// would diverge from the scalar path).
+// and depthwise paths, whose weight contracts rule the wrap out, use
+// madd. Integer accumulation in any lane order is exact, so results are
+// bit-identical to the scalar reference for every input the contracts
+// admit. axpy uses mul+add (never FMA: -mavx2 does not enable it, and a
+// fused rounding would diverge from the scalar path).
 #include "cbrain/simd/backend_impl.hpp"
 
 #if defined(__AVX2__)
@@ -21,7 +21,10 @@ namespace cbrain::simd::detail {
 namespace {
 
 using std::int16_t;
+using std::int32_t;
 using std::int64_t;
+using std::uint16_t;
+using std::uint32_t;
 
 // Widens the eight i32 lanes of `a` into the 4×i64 accumulator `s`.
 inline __m256i flush_i32(__m256i s, __m256i a) {
@@ -182,6 +185,181 @@ void dot_s16_mrhs_dw(const int16_t* data, int64_t data_stride, int64_t cols,
   }
 }
 
+// --- depthwise ---------------------------------------------------------------
+// Blocks of 16 outputs of one row (8 for rows of 8..15 outputs), one i32
+// lane each. A tap pair (kx, kx+1) is one madd: its two products land
+// in the same lane, and the depthwise contract (sum |w| <= 65535 per
+// filter) keeps the whole k*k window sum, pairs included, inside int32.
+// Stride 2 needs no shuffle: taps kx and kx+1 of output j are the
+// adjacent elements 2j+kx and 2j+kx+1, so one 16-element load holds the
+// pairs of eight outputs. Stride 1 interleaves two loads offset by one.
+// k is odd (3 or 5, unrolled at compile time), so the last tap pairs with
+// its left neighbour at weight 0 and no load reaches past a window. A
+// row's blocks start at 0, W, 2W, ...; a ragged row ends with a block at
+// cols - W that recomputes some outputs with identical values.
+constexpr int64_t kDwMinCols = 8;  // simd::kDwMinCols
+
+// Pair p covers taps (2p, 2p+1), the last one (k-2, k-1).
+template <int64_t kK>
+constexpr int64_t pair_kx(int64_t p) {
+  return 2 * p + 1 < kK ? 2 * p : kK - 2;
+}
+
+// Four i64 sums v -> round-half-away-from-zero quotients by 256 in the
+// low dwords: floor((v + 128 - [v < 0]) / 256), computed as a logical
+// shift of v + 2^40 (a multiple of 256, so only the dropped high dword
+// sees it). |v| < 2^32, so the quotient fits its low dword exactly.
+inline __m256i round_q8(__m256i v) {
+  const __m256i neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), v);
+  v = _mm256_add_epi64(v, _mm256_set1_epi64x((int64_t{1} << 40) + 128));
+  return _mm256_srli_epi64(_mm256_add_epi64(v, neg), 8);
+}
+
+// Eight i32 tap sums -> their rounded i32 quotients, lanes in place:
+// widen, add the i64 bias, round. packs_epi32 then saturates them to
+// int16 exactly like saturate_to_i16.
+inline __m256i round_8(__m256i acc, __m256i bias) {
+  const __m256i lo = round_q8(_mm256_add_epi64(
+      _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc)), bias));
+  const __m256i hi = round_q8(_mm256_add_epi64(
+      _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc, 1)), bias));
+  // Low dwords, per 128-bit half: [l0 l1 h0 h1 | l2 l3 h2 h3]; the qword
+  // permute restores l0..l3 h0..h3.
+  return _mm256_permute4x64_epi64(
+      _mm256_castps_si256(_mm256_shuffle_ps(_mm256_castsi256_ps(lo),
+                                            _mm256_castsi256_ps(hi),
+                                            _MM_SHUFFLE(2, 0, 2, 0))),
+      _MM_SHUFFLE(3, 1, 2, 0));
+}
+
+// One tap pair's products for 8 outputs starting at `s` (stride 1: the
+// pairs of s[j], s[j+1]; stride 2: s[2j], s[2j+1]).
+template <int64_t kStride>
+inline __m256i pairs_8(const int16_t* s) {
+  if constexpr (kStride == 2) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s));
+  } else {
+    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(s));
+    const __m128i b =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + 1));
+    return _mm256_set_m128i(_mm_unpackhi_epi16(a, b),
+                            _mm_unpacklo_epi16(a, b));
+  }
+}
+
+// 16 outputs from `win` (the first output's window) into out[0..16);
+// w[ky * pairs + p] holds pair p of filter row ky in every i32 lane.
+template <int64_t kStride, int64_t kK>
+inline void dw_block16(const int16_t* win, int64_t in_stride,
+                       const __m256i* w, __m256i bias, bool relu,
+                       int16_t* out) {
+  constexpr int64_t kPairs = (kK + 1) / 2;
+  __m256i a0 = _mm256_setzero_si256(), a1 = _mm256_setzero_si256();
+  for (int64_t ky = 0; ky < kK; ++ky) {
+    const int16_t* src = win + ky * in_stride;
+    for (int64_t p = 0; p < kPairs; ++p) {
+      const int16_t* s = src + pair_kx<kK>(p);
+      const __m256i wp = w[ky * kPairs + p];
+      if constexpr (kStride == 2) {
+        // a0: outputs 0..7, a1: outputs 8..15.
+        a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(pairs_8<2>(s), wp));
+        a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(pairs_8<2>(s + 16), wp));
+      } else {
+        // a0: outputs 0-3 and 8-11, a1: 4-7 and 12-15 (unpack works per
+        // 128-bit half).
+        const __m256i x0 =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s));
+        const __m256i x1 =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + 1));
+        a0 = _mm256_add_epi32(
+            a0, _mm256_madd_epi16(_mm256_unpacklo_epi16(x0, x1), wp));
+        a1 = _mm256_add_epi32(
+            a1, _mm256_madd_epi16(_mm256_unpackhi_epi16(x0, x1), wp));
+      }
+    }
+  }
+  // packs_epi32 interleaves per 128-bit half: for stride 1 that restores
+  // output order, for stride 2 a qword permute does.
+  __m256i v = _mm256_packs_epi32(round_8(a0, bias), round_8(a1, bias));
+  if constexpr (kStride == 2)
+    v = _mm256_permute4x64_epi64(v, _MM_SHUFFLE(3, 1, 2, 0));
+  if (relu) v = _mm256_max_epi16(v, _mm256_setzero_si256());
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), v);
+}
+
+// 8 outputs, for rows of 8..15.
+template <int64_t kStride, int64_t kK>
+inline void dw_block8(const int16_t* win, int64_t in_stride,
+                      const __m256i* w, __m256i bias, bool relu,
+                      int16_t* out) {
+  constexpr int64_t kPairs = (kK + 1) / 2;
+  __m256i a = _mm256_setzero_si256();
+  for (int64_t ky = 0; ky < kK; ++ky)
+    for (int64_t p = 0; p < kPairs; ++p)
+      a = _mm256_add_epi32(
+          a, _mm256_madd_epi16(
+                 pairs_8<kStride>(win + ky * in_stride + pair_kx<kK>(p)),
+                 w[ky * kPairs + p]));
+  const __m256i q = round_8(a, bias);
+  __m128i v = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                              _mm256_extracti128_si256(q, 1));
+  if (relu) v = _mm_max_epi16(v, _mm_setzero_si128());
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), v);
+}
+
+template <int64_t kStride, int64_t kK>
+void dw_conv_blocks(const int16_t* in, int64_t in_stride,
+                    const int16_t* filter, int64_t rows, int64_t cols,
+                    int64_t bias, bool relu, int16_t* out,
+                    int64_t out_stride) {
+  constexpr int64_t kPairs = (kK + 1) / 2;
+  __m256i w[kK * kPairs];
+  for (int64_t ky = 0; ky < kK; ++ky)
+    for (int64_t p = 0; p < kPairs; ++p) {
+      // The last pair's first tap was counted by the pair before it.
+      const int16_t* t = filter + ky * kK + pair_kx<kK>(p);
+      const uint16_t lo = 2 * p + 1 < kK ? static_cast<uint16_t>(t[0]) : 0;
+      const uint16_t hi = static_cast<uint16_t>(t[1]);
+      w[ky * kPairs + p] = _mm256_set1_epi32(static_cast<int32_t>(
+          static_cast<uint32_t>(lo) | (static_cast<uint32_t>(hi) << 16)));
+    }
+  const __m256i vbias = _mm256_set1_epi64x(bias);
+  const int64_t lanes = cols >= 2 * kDwMinCols ? 2 * kDwMinCols : kDwMinCols;
+  for (int64_t r = 0; r < rows; ++r) {
+    const int16_t* in_row = in + r * kStride * in_stride;
+    int16_t* out_row = out + r * out_stride;
+    for (int64_t c = 0;;
+         c = c + 2 * lanes <= cols ? c + lanes : cols - lanes) {
+      if (lanes == 2 * kDwMinCols)
+        dw_block16<kStride, kK>(in_row + c * kStride, in_stride, w, vbias,
+                                relu, out_row + c);
+      else
+        dw_block8<kStride, kK>(in_row + c * kStride, in_stride, w, vbias,
+                               relu, out_row + c);
+      if (c + lanes >= cols) break;
+    }
+  }
+}
+
+void dw_conv_s16(const int16_t* in, int64_t in_stride, int64_t stride,
+                 const int16_t* w, int64_t k, int64_t rows, int64_t cols,
+                 int64_t bias, bool relu, int16_t* out, int64_t out_stride) {
+  using Fn = void (*)(const int16_t*, int64_t, const int16_t*, int64_t,
+                      int64_t, int64_t, bool, int16_t*, int64_t);
+  Fn fn = nullptr;
+  if (cols >= kDwMinCols) {
+    if (stride == 1 && k == 3) fn = dw_conv_blocks<1, 3>;
+    if (stride == 1 && k == 5) fn = dw_conv_blocks<1, 5>;
+    if (stride == 2 && k == 3) fn = dw_conv_blocks<2, 3>;
+    if (stride == 2 && k == 5) fn = dw_conv_blocks<2, 5>;
+  }
+  if (fn == nullptr)
+    dw_conv_rows(in, in_stride, stride, w, k, rows, cols, bias, relu, out,
+                 out_stride);
+  else
+    fn(in, in_stride, w, rows, cols, bias, relu, out, out_stride);
+}
+
 void max_s16(const int16_t* x, int16_t* inout, int64_t n) {
   int64_t i = 0;
   for (; i + 16 <= n; i += 16) {
@@ -207,8 +385,8 @@ void axpy_f32(float a, const float* x, float* y, int64_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-constexpr KernelTable kTable = {dot_s16_mrhs, dot_s16_mrhs_dw, max_s16,
-                                axpy_f32};
+constexpr KernelTable kTable = {dot_s16_mrhs, dot_s16_mrhs_dw, dw_conv_s16,
+                                max_s16, axpy_f32};
 
 }  // namespace
 

@@ -37,8 +37,8 @@ void s_axpy_f32(float a, const float* x, float* y, int64_t n) {
 
 // The deep-window contract is a strict subset of full-range inputs, so
 // the scalar reference serves both multi-RHS slots unchanged.
-constexpr KernelTable kTable = {s_dot_s16_mrhs, s_dot_s16_mrhs, s_max_s16,
-                                s_axpy_f32};
+constexpr KernelTable kTable = {s_dot_s16_mrhs, s_dot_s16_mrhs, dw_conv_rows,
+                                s_max_s16, s_axpy_f32};
 
 }  // namespace
 

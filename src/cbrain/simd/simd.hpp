@@ -7,7 +7,8 @@
 // multi-RHS GEMM tiers — the exact dot_s16_mrhs (cycle-tier FC, conv
 // tiles whose weights break the deep-window contract, and the functional
 // tier's fallback) and the deep-window dot_s16_mrhs_dw (every other conv
-// tile of both tiers) — plus the max-pool reduction and the reference
+// tile of both tiers) — the functional tier's depthwise kernel
+// dw_conv_s16, plus the max-pool reduction and the reference
 // GEMM's float axpy, in two implementations selected at runtime:
 //
 //   * AVX2   — exact widening products / windowed _mm256_madd_epi16 (x86)
@@ -16,7 +17,9 @@
 // Bit-exactness contract: every kernel here performs *integer* arithmetic
 // whose result is independent of evaluation order (addition over Z is
 // associative and commutative, and accumulators are wide enough never to
-// wrap — products of int16 are ≤ 2^30, acc_t is int64). Both backends
+// wrap — products of int16 are ≤ 2^30, acc_t is int64, and the int32
+// sums of the deep-window and depthwise kernels are bounded by their
+// weight contracts). Both backends
 // therefore return bit-identical results for every input, and the
 // simulator's outputs, accumulators and traffic counters are byte-equal
 // under CBRAIN_SIMD=scalar|avx2. tests/test_simd.cpp enforces this.
@@ -127,6 +130,39 @@ void dot_s16_mrhs_dw(const std::int16_t* data, i64 data_stride, i64 cols,
 // -32768 weight among small ones passes.
 bool deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
                     i64 n);
+
+// A block of depthwise-convolution outputs: one k*k filter over one
+// plane whose every tap the block reads is in bounds (the functional
+// tier stages each plane with its zero padding, func/kernels.cpp). For
+// r in [0, rows) and c in [0, cols):
+//
+//   acc = sum_{ky, kx < k} w[ky*k + kx] * in[(r*stride + ky)*in_stride
+//                                            + c*stride + kx]
+//   out[r*out_stride + c] = finalize(acc + bias, relu)
+//
+// where finalize is ArithTraits<Fixed16>::finalize (round half away from
+// zero, saturate, optional ReLU) and bias is a promoted (Q16.16) bias
+// with |bias| < 2^31. The k*k tap sum is accumulated in int32 under the
+// depthwise contract depthwise_ok() checks: sum |w| <= 65535, so
+// |acc| <= 32768 * 65535 < 2^31 for any data, and outputs are exact. AVX2
+// vectorizes k = 3 and 5 at stride 1 and 2 along each output row of at
+// least kDwMinCols outputs; other shapes run the scalar reference loop.
+void dw_conv_s16(const std::int16_t* in, i64 in_stride, i64 stride,
+                 const std::int16_t* w, i64 k, i64 rows, i64 cols,
+                 Fixed16::acc_t bias, bool relu, std::int16_t* out,
+                 i64 out_stride);
+
+// The narrowest row dw_conv_s16 vectorizes: a caller whose planes are
+// narrower can stage rows this wide and drop the surplus outputs.
+inline constexpr i64 kDwMinCols = 8;
+
+// Exact checker for the dw_conv_s16 contract over `rows` filters of n
+// taps at row_stride intervals: every filter's sum of |w| is at most
+// 65535. It differs from deep_window_ok, which bounds each pmaddwd lane
+// pair across a window; a depthwise output sums its whole window into
+// one lane, so the bound is on the whole filter.
+bool depthwise_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
+                  i64 n);
 
 // Vertical max-pool reduction: inout[i] = max(inout[i], x[i]).
 void max_s16(const std::int16_t* x, std::int16_t* inout, i64 n);

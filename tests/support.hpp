@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "cbrain/compiler/compiler.hpp"
+#include "cbrain/func/executor.hpp"
 #include "cbrain/model/network_model.hpp"
 #include "cbrain/nn/zoo.hpp"
 #include "cbrain/ref/executor.hpp"
@@ -98,6 +101,77 @@ inline void expect_counters_match(const TrafficCounters& sim_c,
   EXPECT_COUNTER_EQ(add_ops, sim_c, model_c);
   EXPECT_COUNTER_EQ(compute_cycles, sim_c, model_c);
   EXPECT_COUNTER_EQ(total_cycles, sim_c, model_c);
+}
+
+// Runs `net` through the cycle simulator and the functional tier and
+// asserts every intermediate cube matches: each single-input layer's
+// operand as the functional tier produced it against the cube the
+// simulator read from DRAM (concat consumes pre-assembled operands).
+inline void expect_func_matches_sim_per_layer(
+    const Network& net, const AcceleratorConfig& config,
+    const NetParamsData<Fixed16>& params, const Tensor3<Fixed16>& input) {
+  auto compiled = compile_network(net, Policy::kAdaptive2, config);
+  ASSERT_TRUE(compiled.is_ok());
+  SimExecutor sim(net, compiled.value(), config);
+  sim.run(input, params);
+  func::FuncExecutor func(net, compiled.value(), config);
+  func.load_params(params);
+  func.infer(input);
+  for (const Layer& l : net.layers()) {
+    if (l.kind == LayerKind::kInput || l.inputs.size() != 1) continue;
+    SCOPED_TRACE(l.name);
+    EXPECT_TRUE(tensors_equal(
+        func.output(l.inputs[0]).to_order(DataOrder::kSpatialMajor),
+        sim.read_input_cube(l.id)));
+  }
+}
+
+// The functional tier's packing rule, restated serially: each conv/FC
+// layer's rows copied into zero-padded gemm_row_stride slots, the bias
+// promoted, and the mode decided row by row (both weight contracts are
+// per-row properties): a dilation-1 depthwise layer is kDepthwise when
+// every filter passes, any other layer kDeepWindow when every row does,
+// otherwise kExact. Asserts `packed` (FuncExecutor::load_params's
+// chunked parallel pack) equals it element for element, one row at a
+// time so the biggest zoo layers are not held twice.
+inline void expect_pack_matches_serial(
+    const Network& net, const NetParamsData<Fixed16>& params,
+    const func::FuncExecutor::PackedParams& packed) {
+  ASSERT_EQ(static_cast<i64>(packed.size()), net.size());
+  std::vector<std::int16_t> row;
+  for (const Layer& l : net.layers()) {
+    if (!l.is_conv() && !l.is_fc()) continue;
+    SCOPED_TRACE(l.name);
+    const auto idx = static_cast<std::size_t>(l.id);
+    const auto& pd = params.per_layer[idx];
+    const auto& pl = packed[idx];
+    const i64 dout = l.is_conv() ? l.conv().dout : l.fc().dout;
+    const i64 row_len = pd.weights.dims().count() / dout;
+    const i64 stride = func::gemm_row_stride(row_len);
+    const bool depthwise = l.is_conv() &&
+                           func::per_plane_depthwise(l.conv(), l.in_dims.d) &&
+                           l.conv().dilation == 1;
+    ASSERT_EQ(static_cast<i64>(pl.weights.size()), dout * stride);
+    bool fast = true;
+    row.assign(static_cast<std::size_t>(stride), 0);
+    for (i64 o = 0; o < dout; ++o) {
+      for (i64 i = 0; i < row_len; ++i)
+        row[static_cast<std::size_t>(i)] =
+            pd.weights.raw_data()[o * row_len + i].raw();
+      ASSERT_TRUE(std::equal(row.begin(), row.end(),
+                             pl.weights.begin() + o * stride))
+          << "packed row " << o << " differs";
+      fast = fast && func::classify_weights(row.data(), 1, stride,
+                                            depthwise) !=
+                         func::WeightMode::kExact;
+    }
+    const func::WeightMode want =
+        !fast ? func::WeightMode::kExact
+              : depthwise ? func::WeightMode::kDepthwise
+                          : func::WeightMode::kDeepWindow;
+    EXPECT_EQ(pl.mode, want);
+    EXPECT_EQ(pl.bias_acc, func::promote_bias(pd.bias, dout));
+  }
 }
 
 }  // namespace cbrain::test

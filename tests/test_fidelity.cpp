@@ -156,6 +156,34 @@ TEST_P(ZooWeightMode, EveryLayerPacksDeepWindow) {
   }
 }
 
+// FuncExecutor::load_params packs the whole net in one parallel pass
+// over row chunks; it must equal the serial packing rule (weights,
+// bias_acc, mode) layer for layer, and every layer must land on its fast
+// kernel: MobileNetV1's depthwise layers on kDepthwise, all other conv/FC
+// layers on kDeepWindow.
+TEST_P(ZooWeightMode, ParallelPackMatchesSerialReference) {
+  const ZooEntry& z = kZoo[GetParam()];
+  if (CBRAIN_TEST_SANITIZED && z.heavy)
+    GTEST_SKIP() << "whole-net param synthesis too slow under sanitizers";
+  const Network net = z.make();
+  const AcceleratorConfig config;
+  auto compiled = compile_network(net, Policy::kAdaptive2, config);
+  ASSERT_TRUE(compiled.is_ok());
+  const auto params = init_net_params<Fixed16>(net, kSeed);
+  func::FuncExecutor func(net, compiled.value(), config);
+  func.load_params(params);
+  expect_pack_matches_serial(net, params, *func.packed_params());
+  for (const Layer& l : net.layers()) {
+    if (!l.is_conv() && !l.is_fc()) continue;
+    const bool depthwise =
+        l.is_conv() && func::per_plane_depthwise(l.conv(), l.in_dims.d);
+    EXPECT_EQ((*func.packed_params())[static_cast<std::size_t>(l.id)].mode,
+              depthwise ? func::WeightMode::kDepthwise
+                        : func::WeightMode::kDeepWindow)
+        << l.name;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllNets, ZooWeightMode,
                          ::testing::Range(0, static_cast<int>(std::size(kZoo))),
                          [](const auto& info) {
@@ -256,25 +284,26 @@ INSTANTIATE_TEST_SUITE_P(AllNets, ModelAccuracy,
 
 TEST(LayerFidelity, TinyCnnLayerByLayer) {
   const Network net = zoo::tiny_cnn();
-  const AcceleratorConfig config = tiny_config(4, 4);
-  auto params = init_net_params<Fixed16>(net, 7);
-  auto input = random_input<Fixed16>(net.layer(0).out_dims, 99);
+  expect_func_matches_sim_per_layer(
+      net, tiny_config(4, 4), init_net_params<Fixed16>(net, 7),
+      random_input<Fixed16>(net.layer(0).out_dims, 99));
+}
 
-  auto compiled = compile_network(net, Policy::kAdaptive2, config);
-  ASSERT_TRUE(compiled.is_ok());
-  SimExecutor sim(net, compiled.value(), config);
-  sim.run(input, params);
-  func::FuncExecutor func(net, compiled.value(), config);
-  func.load_params(params);
-  func.infer(input);
-
-  for (const Layer& l : net.layers()) {
-    if (l.kind == LayerKind::kInput || l.inputs.empty()) continue;
-    if (l.inputs.size() != 1) continue;  // concat consumes pre-assembled
-    SCOPED_TRACE(l.name);
-    EXPECT_TRUE(tensors_equal(
-        func.output(l.inputs[0]).to_order(DataOrder::kSpatialMajor),
-        sim.read_input_cube(l.id)));
+// MobileNetV1's 13 depthwise layers run the functional tier's staged
+// dw_conv_s16 path (its widest planes, 112x112, and its narrowest, 7x7,
+// included); every cube must match the simulator's, on both backends.
+TEST(LayerFidelity, MobileNetV1LayerByLayer) {
+  if (CBRAIN_TEST_SANITIZED)
+    GTEST_SKIP() << "whole-net cycle sim too slow under sanitizers";
+  const Network net = zoo::mobilenetv1();
+  const auto params = init_net_params<Fixed16>(net, kSeed);
+  const auto input = random_input<Fixed16>(net.layer(0).out_dims, kSeed + 1);
+  BackendGuard guard;
+  for (const char* backend : {"scalar", "auto"}) {
+    SCOPED_TRACE(backend);
+    ASSERT_TRUE(simd::select_backend(backend));
+    expect_func_matches_sim_per_layer(net, AcceleratorConfig{}, params,
+                                      input);
   }
 }
 

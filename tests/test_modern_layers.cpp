@@ -6,14 +6,21 @@
 // eltwise tiles included. Spec-parser round-trips, garbage-input Status
 // errors and multi-consumer DAG bookkeeping ride along.
 #include <iterator>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "cbrain/common/rng.hpp"
 #include "cbrain/compiler/verifier.hpp"
 #include "cbrain/core/cbrain.hpp"
 #include "cbrain/func/executor.hpp"
+#include "cbrain/func/kernels.hpp"
 #include "cbrain/nn/dot_export.hpp"
 #include "cbrain/nn/spec_parser.hpp"
 #include "cbrain/nn/workload.hpp"
+#include "cbrain/ref/conv_ref.hpp"
+#include "cbrain/simd/simd.hpp"
 #include "support.hpp"
 
 namespace cbrain::test {
@@ -26,8 +33,8 @@ constexpr std::uint64_t kSeed = 2016;
 // every layer the program contains.
 void expect_three_tier_identity(const Network& net, Policy policy,
                                 const AcceleratorConfig& config,
+                                const NetParamsData<Fixed16>& params,
                                 std::uint64_t seed = kSeed) {
-  auto params = init_net_params<Fixed16>(net, seed);
   auto input = random_input<Fixed16>(net.layer(0).out_dims, seed ^ 0x55);
 
   RefExecutor<Fixed16> ref(net, params);
@@ -57,6 +64,13 @@ void expect_three_tier_identity(const Network& net, Policy policy,
     expect_counters_match(s.layer_total(l.id), m.layer(l.id).counters,
                           l.name);
   }
+}
+
+void expect_three_tier_identity(const Network& net, Policy policy,
+                                const AcceleratorConfig& config,
+                                std::uint64_t seed = kSeed) {
+  expect_three_tier_identity(net, policy, config,
+                             init_net_params<Fixed16>(net, seed), seed);
 }
 
 // A toy residual block: conv -> conv(linear) joined with the identity
@@ -212,6 +226,287 @@ TEST(DepthwiseConv, DilatedDepthwiseComposes) {
                              .groups = 4, .dilation = 2});
   net.add_conv(t, "pw", {.dout = 6, .k = 1, .stride = 1});
   expect_three_tier_identity(net, Policy::kAdaptive2, tiny_config(4, 4));
+}
+
+// --- the depthwise kernel on live data ------------------------------------
+
+// Restores the dispatch backend even when an assertion fails mid-test.
+struct BackendGuard {
+  ~BackendGuard() { simd::select_backend("auto"); }
+};
+
+std::vector<simd::Backend> supported_backends() {
+  std::vector<simd::Backend> v;
+  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2})
+    if (simd::backend_supported(b)) v.push_back(b);
+  return v;
+}
+
+std::int16_t draw_s16(Rng& rng, i64 bound) {
+  return static_cast<std::int16_t>(
+      static_cast<i64>(rng.next_u64() % static_cast<std::uint64_t>(
+                                             2 * bound + 1)) -
+      bound);
+}
+
+// Full-range int16 data with every seventh element at -32768.
+Tensor3<Fixed16> live_input(MapDims d, Rng& rng) {
+  Tensor3<Fixed16> t(d);
+  i64 i = 0;
+  for (auto& v : t.storage())
+    v = Fixed16::from_raw(i++ % 7 == 3 ? std::int16_t{-32768}
+                                       : draw_s16(rng, 32767));
+  return t;
+}
+
+// One depthwise layer packed the way FuncExecutor::load_params packs it.
+struct DwPack {
+  func::PackedRows rows;
+  std::vector<Fixed16::acc_t> bias_acc;
+  func::WeightMode mode = func::WeightMode::kExact;
+};
+
+DwPack pack_depthwise(const Tensor4<Fixed16>& w,
+                      const std::vector<Fixed16>& bias) {
+  const i64 dout = w.dims().dout;
+  const i64 taps = w.dims().count() / dout;
+  const i64 stride = func::gemm_row_stride(taps);
+  DwPack pk;
+  pk.rows.assign(static_cast<std::size_t>(dout * stride), 0);
+  for (i64 o = 0; o < dout; ++o)
+    for (i64 i = 0; i < taps; ++i)
+      pk.rows[static_cast<std::size_t>(o * stride + i)] =
+          w.raw_data()[o * taps + i].raw();
+  pk.mode = func::classify_weights(pk.rows.data(), dout, stride,
+                                   /*depthwise=*/true);
+  pk.bias_acc = func::promote_bias(bias, dout);
+  return pk;
+}
+
+// conv2d_func_batch on `inputs` under every supported backend, each
+// image against conv2d_ref.
+void expect_dw_batch_matches_ref(const std::vector<Tensor3<Fixed16>>& inputs,
+                                 const Tensor4<Fixed16>& w,
+                                 const std::vector<Fixed16>& bias,
+                                 const ConvParams& p, const DwPack& pk) {
+  std::vector<const Tensor3<Fixed16>*> in_ptrs;
+  std::vector<Tensor3<Fixed16>> want;
+  for (const auto& t : inputs) {
+    in_ptrs.push_back(&t);
+    want.push_back(conv2d_ref(t, w, bias, p));
+  }
+  BackendGuard guard;
+  for (simd::Backend b : supported_backends()) {
+    simd::select_backend(b);
+    std::vector<Tensor3<Fixed16>> got;
+    for (const auto& t : want) got.emplace_back(t.dims());
+    std::vector<Tensor3<Fixed16>*> out_ptrs;
+    for (auto& t : got) out_ptrs.push_back(&t);
+    func::GemmScratch scratch;
+    func::conv2d_func_batch(in_ptrs, pk.rows, pk.bias_acc, p, pk.mode,
+                            scratch, out_ptrs);
+    for (std::size_t i = 0; i < want.size(); ++i)
+      EXPECT_TRUE(tensors_equal(want[i], got[i]))
+          << simd::backend_name(b) << " image " << i;
+  }
+}
+
+// The vectorized depthwise path (kDepthwise: zero-padded staging plus
+// simd::dw_conv_s16) against conv2d_ref on full-range data, over every
+// kernel size, stride and pad MobileNet-style layers use, plane widths
+// 1..40 (not only multiples of the 8- and 16-lane blocks) and batches of
+// 1..5. Per channel the filter scale is tiny (unsaturated outputs,
+// rounding exercised), mid, or at the contract's edge (saturating).
+TEST(DepthwiseKernel, ScalarAndAvx2MatchReferenceOverShapeGrid) {
+  Rng rng(2016);
+  for (const i64 k : {3, 5})
+    for (const i64 stride : {1, 2})
+      for (const i64 pad : {0, 1, 2})
+        for (i64 width = 1; width <= 40; ++width) {
+          const i64 height = std::max(k, 2 + (width * 5) % 11);
+          if (width + 2 * pad < k) continue;
+          const i64 ch = 2 + width % 3;
+          const i64 batch = 1 + (width + k + stride + pad) % 5;
+          SCOPED_TRACE(::testing::Message()
+                       << "k=" << k << " s=" << stride << " pad=" << pad
+                       << " " << height << "x" << width << " b=" << batch);
+          const ConvParams p{.dout = ch, .k = k, .stride = stride,
+                             .pad = pad, .groups = ch,
+                             .relu = width % 2 == 0};
+          Tensor4<Fixed16> w({ch, 1, k, k});
+          for (i64 o = 0; o < ch; ++o) {
+            const i64 bound = o % 3 == 0   ? 3
+                              : o % 3 == 1 ? 200
+                                           : 65535 / (k * k);
+            for (i64 i = 0; i < k * k; ++i)
+              w.storage()[static_cast<std::size_t>(o * k * k + i)] =
+                  Fixed16::from_raw(draw_s16(rng, bound));
+          }
+          std::vector<Fixed16> bias;
+          for (i64 o = 0; o < ch; ++o)
+            bias.push_back(Fixed16::from_raw(draw_s16(rng, 32767)));
+          std::vector<Tensor3<Fixed16>> inputs;
+          for (i64 b = 0; b < batch; ++b)
+            inputs.push_back(live_input({ch, height, width}, rng));
+          const DwPack pk = pack_depthwise(w, bias);
+          ASSERT_EQ(pk.mode, func::WeightMode::kDepthwise);
+          expect_dw_batch_matches_ref(inputs, w, bias, p, pk);
+        }
+}
+
+// The contract is sum |w| <= 65535 per filter. At exactly 65535 against
+// all -32768 data every window sum is -32768 * (+-65535), one step inside
+// int32: the filter must classify kDepthwise and the kernel must be
+// exact on every backend. One more unit breaks the contract: the layer
+// classifies kExact and runs the exact loop, still matching conv2d_ref.
+TEST(DepthwiseKernel, ContractBoundaryIsExactAndOneMoreFallsBack) {
+  for (const i64 k : {3, 5}) {
+    const i64 taps = k * k;
+    const ConvParams p{.dout = 2, .k = k, .stride = 1, .pad = 1,
+                       .groups = 2, .relu = false};
+    Tensor4<Fixed16> w({2, 1, k, k});
+    for (i64 i = 0; i < taps; ++i) {
+      // 65535 split over the taps, the remainder on tap 0; filter 1 is
+      // filter 0 negated.
+      const i64 v = 65535 / taps + (i == 0 ? 65535 % taps : 0);
+      w.storage()[static_cast<std::size_t>(i)] =
+          Fixed16::from_raw(static_cast<std::int16_t>(v));
+      w.storage()[static_cast<std::size_t>(taps + i)] =
+          Fixed16::from_raw(static_cast<std::int16_t>(-v));
+    }
+    const std::vector<Fixed16> bias = {Fixed16::from_raw(-7),
+                                       Fixed16::from_raw(32767)};
+    Tensor3<Fixed16> in({2, 9, 37});
+    for (auto& v : in.storage()) v = Fixed16::from_raw(-32768);
+
+    const DwPack at_bound = pack_depthwise(w, bias);
+    EXPECT_EQ(at_bound.mode, func::WeightMode::kDepthwise) << "k=" << k;
+    expect_dw_batch_matches_ref({in}, w, bias, p, at_bound);
+
+    // The kernel itself, one row of 21 outputs (a 16-lane block and a
+    // ragged one) of the window sum at the bound, bias added after.
+    const i64 n = 21;
+    std::vector<std::int16_t> row(static_cast<std::size_t>(k * (n + k)),
+                                  -32768);
+    BackendGuard guard;
+    for (simd::Backend b : supported_backends()) {
+      simd::select_backend(b);
+      for (i64 o = 0; o < 2; ++o) {
+        std::vector<std::int16_t> out(static_cast<std::size_t>(n));
+        simd::dw_conv_s16(row.data(), n + k, 1,
+                          at_bound.rows.data() +
+                              o * func::gemm_row_stride(taps),
+                          k, 1, n,
+                          at_bound.bias_acc[static_cast<std::size_t>(o)],
+                          false, out.data(), n);
+        const Fixed16::acc_t sum = (o == 0 ? -1 : 1) * i64{32768} * 65535;
+        const std::int16_t want = ArithTraits<Fixed16>::finalize(
+            sum + at_bound.bias_acc[static_cast<std::size_t>(o)], false)
+                                      .raw();
+        for (i64 c = 0; c < n; ++c)
+          EXPECT_EQ(out[static_cast<std::size_t>(c)], want)
+              << simd::backend_name(b) << " k=" << k << " filter " << o
+              << " col " << c;
+      }
+    }
+
+    Tensor4<Fixed16> over = w;
+    over.storage()[taps] = Fixed16::from_raw(
+        static_cast<std::int16_t>(over.storage()[taps].raw() - 1));
+    const DwPack past_bound = pack_depthwise(over, bias);
+    EXPECT_EQ(past_bound.mode, func::WeightMode::kExact) << "k=" << k;
+    expect_dw_batch_matches_ref({in}, over, bias, p, past_bound);
+  }
+}
+
+// A filter past the depthwise contract (three taps of 30000: sum |w| =
+// 90000 + small) that still passes the deep-window one (no pmaddwd lane
+// pair reaches 65535): its layer packs kExact and runs the exact loop,
+// the other depthwise layer stays on kDepthwise, the pack equals the
+// serial rule, and ref, cycle and functional tiers agree bit for bit.
+TEST(DepthwiseConv, ContractBreakingFilterTakesExactLoop) {
+  const Network net = depthwise_toy();
+  auto params = init_net_params<Fixed16>(net, kSeed);
+  const LayerId dw1 = 1, dw2 = 3;
+  ASSERT_EQ(net.layer(dw1).name, "dw1");
+  auto& w = params.per_layer[static_cast<std::size_t>(dw1)].weights;
+  for (const i64 tap : {0, 2, 4})
+    w.storage()[static_cast<std::size_t>(9 + tap)] =
+        Fixed16::from_raw(30000);
+
+  auto compiled =
+      compile_network(net, Policy::kAdaptive2, AcceleratorConfig{});
+  ASSERT_TRUE(compiled.is_ok());
+  func::FuncExecutor func(net, compiled.value(), AcceleratorConfig{});
+  func.load_params(params);
+  const auto& packed = *func.packed_params();
+  expect_pack_matches_serial(net, params, packed);
+  EXPECT_EQ(packed[static_cast<std::size_t>(dw1)].mode,
+            func::WeightMode::kExact);
+  EXPECT_EQ(packed[static_cast<std::size_t>(dw2)].mode,
+            func::WeightMode::kDepthwise);
+  EXPECT_TRUE(simd::deep_window_ok(
+      packed[static_cast<std::size_t>(dw1)].weights.data(), 16, 4, 16));
+
+  BackendGuard guard;
+  for (simd::Backend b : supported_backends()) {
+    SCOPED_TRACE(simd::backend_name(b));
+    simd::select_backend(b);
+    expect_three_tier_identity(net, Policy::kAdaptive2, tiny_config(4, 4),
+                               params);
+  }
+}
+
+// depthwise_toy cube by cube: both depthwise layers (s1 and s2) on the
+// staged kernel path against the simulator, on every backend.
+TEST(DepthwiseConv, FunctionalMatchesCycleLayerByLayer) {
+  const Network net = depthwise_toy();
+  const auto params = init_net_params<Fixed16>(net, kSeed);
+  const auto input = random_input<Fixed16>(net.layer(0).out_dims, kSeed);
+  BackendGuard guard;
+  for (simd::Backend b : supported_backends()) {
+    SCOPED_TRACE(simd::backend_name(b));
+    simd::select_backend(b);
+    expect_func_matches_sim_per_layer(net, tiny_config(4, 4), params, input);
+  }
+}
+
+// load_params splits big layers into several row chunks and ANDs their
+// contract checks: a breaking row in a later chunk must still demote the
+// whole layer. 4200 depthwise filters and a 10-row FC over 67,200 inputs
+// span several chunks each; one late row of each breaks its contract.
+TEST(DepthwiseConv, LateChunkBreakingRowDemotesWholeLayer) {
+  Network net("chunked");
+  LayerId t = net.add_input({4200, 4, 4});
+  const LayerId dw = net.add_conv(
+      t, "dw", {.dout = 4200, .k = 3, .stride = 1, .pad = 1, .groups = 4200});
+  const LayerId fc = net.add_fc(dw, "fc", {.dout = 10, .relu = false});
+  ASSERT_TRUE(net.validate().is_ok());
+  auto params = init_net_params<Fixed16>(net, kSeed);
+  const auto setup = [&](const NetParamsData<Fixed16>& pd) {
+    auto compiled =
+        compile_network(net, Policy::kAdaptive2, AcceleratorConfig{});
+    EXPECT_TRUE(compiled.is_ok());
+    auto f = std::make_unique<func::FuncExecutor>(net, compiled.value(),
+                                                  AcceleratorConfig{});
+    f->load_params(pd);
+    expect_pack_matches_serial(net, pd, *f->packed_params());
+    return std::make_pair(
+        (*f->packed_params())[static_cast<std::size_t>(dw)].mode,
+        (*f->packed_params())[static_cast<std::size_t>(fc)].mode);
+  };
+  EXPECT_EQ(setup(params), std::make_pair(func::WeightMode::kDepthwise,
+                                          func::WeightMode::kDeepWindow));
+  auto& dww = params.per_layer[static_cast<std::size_t>(dw)].weights;
+  for (const i64 tap : {0, 2, 4})
+    dww.storage()[static_cast<std::size_t>(4150 * 9 + tap)] =
+        Fixed16::from_raw(30000);
+  auto& fcw = params.per_layer[static_cast<std::size_t>(fc)].weights;
+  for (const i64 g : {0, 1, 2})  // one pmaddwd lane, three groups
+    fcw.storage()[static_cast<std::size_t>(7 * 67200 + 16 * g)] =
+        Fixed16::from_raw(30000);
+  EXPECT_EQ(setup(params), std::make_pair(func::WeightMode::kExact,
+                                          func::WeightMode::kExact));
 }
 
 // --- residual (eltwise add) ---------------------------------------------

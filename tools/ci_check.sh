@@ -190,7 +190,7 @@ diff /tmp/cbrain_batched_j1.txt /tmp/cbrain_batched_jn.txt
 
 echo "=== modern layers: dilated/depthwise/residual under sanitizers ==="
 # The modern-layer paths are the newest arithmetic (dilated im2row
-# gather, the per-plane depthwise loop that bypasses GEMM, the eltwise
+# gather, the per-plane depthwise paths that bypass GEMM, the eltwise
 # adder-tree tile): run their three-tier identity suite under ASan+UBSan
 # so the gather indexing and the widening adds are vetted, not just
 # compared. The TSan leg serves ResNet-18 — a residual multi-consumer
@@ -199,6 +199,24 @@ echo "=== modern layers: dilated/depthwise/residual under sanitizers ==="
 ./build-ci-asan/tests/test_modern_layers
 ./build-ci-tsan/tools/cbrain_cli serve-bench resnet18 --requests=2 \
   --jobs=2 --fidelity=functional > /dev/null
+
+echo "=== depthwise: staged vector path under ASan+UBSan and both backends ==="
+# The functional tier runs a depthwise layer whose filters pass the
+# depthwise contract by staging each plane with its zero padding and
+# calling simd::dw_conv_s16 over it (DESIGN.md §12). Serve MobileNetV1 at
+# batch 2 under ASan+UBSan — its 112x112 planes with their padding frame,
+# its 7x7 planes computed 8 wide into slack columns — with --baseline
+# holding the bytes to the per-call path; then cross-check it against
+# the cycle tier (exit 1 on any output mismatch) under the scalar
+# reference and the dispatched backend, which must print identical
+# reports.
+./build-ci-asan/tools/cbrain_cli serve-bench mobilenetv1 \
+  --fidelity=functional --batch=2 --baseline
+for simd in scalar auto; do
+  ./build-ci-release/tools/cbrain_cli fidelity-check mobilenetv1 \
+    --simd="$simd" > "/tmp/cbrain_fidelity_mbv1_$simd.txt"
+done
+diff /tmp/cbrain_fidelity_mbv1_scalar.txt /tmp/cbrain_fidelity_mbv1_auto.txt
 
 echo "=== multi-chip: package identity + sanitizers + trace determinism ==="
 # The multi-chip executor's contract is bit-identity with the single-chip
