@@ -62,7 +62,8 @@ int main() {
 
   // 3. The first few macro-instructions the accelerator executes.
   std::printf("program head:\n%s",
-              disassemble(brain.compile(net, Policy::kAdaptive2).program, 14)
+              disassemble(brain.compile(net, Policy::kAdaptive2).program, net,
+                          14)
                   .c_str());
   return 0;
 }

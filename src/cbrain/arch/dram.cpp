@@ -51,15 +51,6 @@ const std::int16_t* Dram::read_span(DramAddr addr, i64 words) const {
   return mem_.data() + static_cast<std::size_t>(addr);
 }
 
-void Dram::write_block(DramAddr addr, i64 words, const std::int16_t* in) {
-  bounds(addr, words);
-  for (i64 i = 0; i < words; ++i)
-    mem_[static_cast<std::size_t>(addr + i)] = in[i];
-  if (fault_ != nullptr)
-    fault_->on_dram_write(addr, words,
-                          mem_.data() + static_cast<std::size_t>(addr));
-}
-
 void Dram::write_words(DramAddr addr, i64 words, const std::int16_t* in) {
   bounds(addr, words);
   std::int16_t* dst = mem_.data() + static_cast<std::size_t>(addr);

@@ -32,12 +32,10 @@ class Dram {
   // Bounds-checked view of [addr, addr+words): a read with no copy (the
   // fault-free DMA load's source).
   const std::int16_t* read_span(DramAddr addr, i64 words) const;
-  void write_block(DramAddr addr, i64 words, const std::int16_t* in);
   // Bulk equivalent of `words` write() calls at addr, addr+1, ...: one
   // copy, then the fault hook once per word in address order, so memory,
   // FaultStats (code_words included) and the event log match the
-  // word-at-a-time loop. write_block instead hands the hook one access
-  // (one code-word count, bursts spanning words).
+  // word-at-a-time loop.
   void write_words(DramAddr addr, i64 words, const std::int16_t* in);
 
   struct Region {

@@ -35,16 +35,6 @@ void Sram16::write(i64 addr, std::int16_t value) {
   mem_[static_cast<std::size_t>(addr)] = value;
 }
 
-void Sram16::read_block(i64 addr, i64 words, std::int16_t* out) {
-  bounds(addr, words);
-  if (fault_ != nullptr)
-    fault_->on_sram_read(fault_site_, addr, words,
-                         mem_.data() + static_cast<std::size_t>(addr));
-  stats_.reads += words;
-  for (i64 i = 0; i < words; ++i)
-    out[i] = mem_[static_cast<std::size_t>(addr + i)];
-}
-
 void Sram16::write_block(i64 addr, i64 words, const std::int16_t* in) {
   bounds(addr, words);
   stats_.writes += words;

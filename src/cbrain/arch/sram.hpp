@@ -29,9 +29,8 @@ class Sram16 {
 
   std::int16_t read(i64 addr);
   void write(i64 addr, std::int16_t value);
-  // Bulk accessors count one access per word (a wide port moves many words
+  // Bulk write: counts one access per word (a wide port moves many words
   // in one cycle; energy scales with words, timing with cycles elsewhere).
-  void read_block(i64 addr, i64 words, std::int16_t* out);
   void write_block(i64 addr, i64 words, const std::int16_t* in);
 
   // Hot-path escape hatch: bounds-checks [addr, addr+words) once and

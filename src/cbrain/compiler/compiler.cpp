@@ -1,6 +1,5 @@
 #include "cbrain/compiler/compiler.hpp"
 
-#include <charconv>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -12,29 +11,6 @@
 namespace cbrain {
 namespace {
 
-// "<name> g<group> r<row0>+<rows> o<dout0>+<douts> i<din0>+<dins>", the
-// text operator<< would print. Appended with to_chars into one
-// reservation, and built once per tile: MobileNetV1 has ~5k conv tiles
-// per program, so this is on the compile's hot path.
-std::string tile_tag(const Layer& l, const ConvTileSpec& t) {
-  std::string s;
-  s.reserve(l.name.size() + 48);  // short fields fit; long ones grow it
-  s += l.name;
-  const auto put = [&s](const char* sep, i64 v) {
-    char digits[20];  // i64 needs at most 20 chars, sign included
-    s += sep;
-    s.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
-  };
-  put(" g", t.group);
-  put(" r", t.row0);
-  put("+", t.rows);
-  put(" o", t.dout0);
-  put("+", t.douts);
-  put(" i", t.din0);
-  put("+", t.dins);
-  return s;
-}
-
 class CodeGen {
  public:
   CodeGen(const Network& net, const AcceleratorConfig& config,
@@ -44,7 +20,7 @@ class CodeGen {
   Status run() {
     // Tile every layer before emitting any: the plans bound the program's
     // length, so its instruction stream is allocated once instead of
-    // regrown (MobileNetV1's ~25k instructions are ~6 MB of stream).
+    // regrown (MobileNetV1's ~25k instructions are ~4.6 MB of stream).
     out_.conv_plans.resize(static_cast<std::size_t>(net_.size()));
     i64 bound = 0;
     for (const Layer& l : net_.layers()) {
@@ -130,7 +106,7 @@ class CodeGen {
   // Emits a (possibly strided) load; collapses to contiguous when the
   // stride equals the chunk size.
   void load(BufferId dst, i64 dst_addr, DramAddr src, i64 chunks,
-            i64 chunk_words, i64 src_stride, std::string tag) {
+            i64 chunk_words, i64 src_stride) {
     LoadInstr li;
     li.dst = dst;
     li.dst_addr = dst_addr;
@@ -143,7 +119,6 @@ class CodeGen {
     li.chunk_words = chunk_words;
     li.words = chunks * chunk_words;
     li.src_stride = src_stride;
-    li.tag = std::move(tag);
     if (li.words > 0) push(std::move(li));
   }
 
@@ -163,7 +138,6 @@ class CodeGen {
       h.layer = l.id;
       h.kind = HostOpKind::kUnroll;
       h.words = cube.words();
-      h.tag = l.name + " im2col";
       push(std::move(h));
     }
 
@@ -180,9 +154,6 @@ class CodeGen {
     };
     std::optional<WeightKey> loaded_w;
     std::optional<BandKey> loaded_b;
-    const std::string weights_tag = l.name + " weights";
-    const std::string bias_tag = l.name + " bias";
-    const std::string band_tag = l.name + " band";
 
     for (const ConvTileSpec& t : plan.tiles) {
       const i64 dout_abs0 = t.group * g.dout_g + t.dout0;
@@ -194,10 +165,10 @@ class CodeGen {
       if (!loaded_w || !(*loaded_w == wk)) {
         load(BufferId::kWeight, 0,
              lay.weight_addr[idx] + (dout_abs0 * g.din_g + t.din0) * kk_img,
-             t.douts, t.dins * kk_img, g.din_g * kk_img, weights_tag);
+             t.douts, t.dins * kk_img, g.din_g * kk_img);
         // Bias slice for this tile's output maps (relative addressing).
         load(BufferId::kBias, 0, lay.bias_addr[idx] + dout_abs0, 1,
-             t.douts, 0, bias_tag);
+             t.douts, 0);
         loaded_w = wk;
         queued = true;
       }
@@ -205,13 +176,12 @@ class CodeGen {
       // Input band.
       const BandKey bk{t.group, t.row0, t.din0, t.dins};
       if (!loaded_b || !(*loaded_b == bk)) {
-        emit_conv_band_load(scheme, g, cube, t, din_abs0, band_tag);
+        emit_conv_band_load(scheme, g, cube, t, din_abs0);
         loaded_b = bk;
         queued = true;
       }
 
-      std::string tag = tile_tag(l, t);
-      if (queued) push(BarrierInstr{tag});
+      if (queued) push(BarrierInstr{});
 
       ConvTileInstr ci;
       ci.layer = l.id;
@@ -244,15 +214,13 @@ class CodeGen {
       ci.first_din_chunk = (t.din0 == 0);
       ci.last_din_chunk = (t.din0 + t.dins == g.din_g);
       ci.relu = l.conv().relu;
-      if (ci.last_din_chunk) ci.outs = lay.out_maps[idx];
-      ci.tag = std::move(tag);
       push(std::move(ci));
     }
   }
 
   void emit_conv_band_load(Scheme scheme, const ConvGeom& g,
                            const CubeSpec& cube, const ConvTileSpec& t,
-                           i64 din_abs0, const std::string& tag) {
+                           i64 din_abs0) {
     if (scheme == Scheme::kIntraUnroll) {
       // Unrolled window-rows of output rows [row0, row0+rows).
       const i64 npix_total = g.out_h * g.out_w;
@@ -260,7 +228,7 @@ class CodeGen {
       const i64 pix0 = t.row0 * g.out_w;
       const i64 npix = t.rows * g.out_w;
       load(BufferId::kInput, 0, cube.addr + (din_abs0 * npix_total + pix0) * kk,
-           t.dins, npix * kk, npix_total * kk, tag);
+           t.dins, npix * kk, npix_total * kk);
       return;
     }
     const i64 row0 = t.row0 * g.stride;
@@ -268,17 +236,16 @@ class CodeGen {
     if (cube.order == DataOrder::kSpatialMajor) {
       load(BufferId::kInput, 0,
            cube.addr + (din_abs0 * cube.padded.h + row0) * cube.padded.w,
-           t.dins, rows * cube.padded.w, cube.padded.h * cube.padded.w, tag);
+           t.dins, rows * cube.padded.w, cube.padded.h * cube.padded.w);
     } else {
       // Depth-major: each band pixel contributes `dins` adjacent words.
       load(BufferId::kInput, 0,
            cube.addr + row0 * cube.padded.w * cube.padded.d + din_abs0,
-           rows * cube.padded.w, t.dins, cube.padded.d, tag);
+           rows * cube.padded.w, t.dins, cube.padded.d);
     }
   }
 
   void emit_pool(const Layer& l) {
-    const auto idx = static_cast<std::size_t>(l.id);
     const PoolParams& p = l.pool();
     const PoolTilePlan plan = plan_pool_tiles(l, config_);
     const CubeSpec& cube = out_.layout.cube_of(l.id);
@@ -296,9 +263,8 @@ class CodeGen {
         // Depth-major band load: `d1-d0` words per pixel.
         load(BufferId::kInput, 0,
              cube.addr + band_row0 * cube.padded.w * cube.padded.d + d0,
-             band_rows * cube.padded.w, d1 - d0, cube.padded.d,
-             l.name + " band");
-        push(BarrierInstr{l.name});
+             band_rows * cube.padded.w, d1 - d0, cube.padded.d);
+        push(BarrierInstr{});
 
         PoolTileInstr pi;
         pi.layer = l.id;
@@ -318,8 +284,6 @@ class CodeGen {
         pi.band_rows = band_rows;
         pi.band_width = cube.padded.w;
         pi.band_order = cube.order;
-        pi.outs = out_.layout.out_maps[idx];
-        pi.tag = l.name;
         push(std::move(pi));
       }
     }
@@ -334,19 +298,18 @@ class CodeGen {
     for (i64 ct = 0; ct < plan.n_din_chunks; ++ct) {
       const i64 din0 = ct * plan.din_per_chunk;
       const i64 din1 = std::min(din0 + plan.din_per_chunk, plan.din);
-      load(BufferId::kInput, 0, cube.addr + din0, 1, din1 - din0, 0,
-           l.name + " input chunk");
+      load(BufferId::kInput, 0, cube.addr + din0, 1, din1 - din0, 0);
       for (i64 dt = 0; dt < plan.n_tiles; ++dt) {
         const i64 dout0 = dt * plan.dout_per_tile;
         const i64 dout1 = std::min(dout0 + plan.dout_per_tile, l.fc().dout);
         // Weight sub-block: (dout1-dout0) rows of the chunk's columns.
         load(BufferId::kWeight, 0,
              out_.layout.weight_addr[idx] + dout0 * plan.din + din0,
-             dout1 - dout0, din1 - din0, plan.din, l.name + " weights");
+             dout1 - dout0, din1 - din0, plan.din);
         if (ct == 0)
           load(BufferId::kBias, 0, out_.layout.bias_addr[idx] + dout0, 1,
-               dout1 - dout0, 0, l.name + " bias");
-        push(BarrierInstr{l.name});
+               dout1 - dout0, 0);
+        push(BarrierInstr{});
 
         FcTileInstr fi;
         fi.layer = l.id;
@@ -361,15 +324,12 @@ class CodeGen {
         fi.first_din_chunk = (ct == 0);
         fi.last_din_chunk = (ct == plan.n_din_chunks - 1);
         fi.relu = l.fc().relu;
-        if (fi.last_din_chunk) fi.outs = out_.layout.out_maps[idx];
-        fi.tag = l.name;
         push(std::move(fi));
       }
     }
   }
 
   void emit_eltwise(const Layer& l) {
-    const auto idx = static_cast<std::size_t>(l.id);
     const EltwiseTilePlan plan = plan_eltwise_tiles(l, config_);
     const CubeSpec& cube = out_.layout.cube_of(l.id);
     // The stacked cube is raw spatial-major: operand a at depths [0, d),
@@ -388,11 +348,11 @@ class CodeGen {
         // Operand bands, staged back to back in the input buffer.
         load(BufferId::kInput, 0,
              cube.addr + (d0 * cube.padded.h + r0) * cube.padded.w, d1 - d0,
-             rows * cube.padded.w, plane, l.name + " band a");
+             rows * cube.padded.w, plane);
         load(BufferId::kInput, band_words,
              cube.addr + ((d + d0) * cube.padded.h + r0) * cube.padded.w,
-             d1 - d0, rows * cube.padded.w, plane, l.name + " band b");
-        push(BarrierInstr{l.name});
+             d1 - d0, rows * cube.padded.w, plane);
+        push(BarrierInstr{});
 
         EltwiseTileInstr ei;
         ei.layer = l.id;
@@ -407,8 +367,6 @@ class CodeGen {
         ei.band_row0 = r0;
         ei.band_rows = rows;
         ei.band_width = cube.padded.w;
-        ei.outs = out_.layout.out_maps[idx];
-        ei.tag = l.name;
         push(std::move(ei));
       }
     }
@@ -419,7 +377,6 @@ class CodeGen {
     h.layer = l.id;
     h.kind = kind;
     h.words = l.in_dims.count();
-    h.tag = l.name;
     push(std::move(h));
   }
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "cbrain/compiler/tiler.hpp"
+#include "cbrain/isa/disassembler.hpp"
 
 namespace cbrain {
 namespace {
@@ -116,33 +117,30 @@ class Verifier {
       verify_fc(l, idx, *fc);
     } else if (const auto* elt = std::get_if<EltwiseTileInstr>(&instr)) {
       verify_eltwise(l, idx, *elt);
-    } else if (const auto* xfer = std::get_if<ChipXferInstr>(&instr)) {
-      // V7: interconnect transfers (multi-chip streams only) must ship a
-      // non-negative word count for a real layer; single-chip compiles
-      // never emit them, so seeing one here with no multichip context is
-      // still well-formed as long as the payload is sane.
-      if (xfer->words < 0)
-        fail("V7", idx, "chip transfer with negative word count");
-      if (xfer->layer < 0)
-        fail("V7", idx, "chip transfer not attributed to a layer");
     }
   }
 
-  void verify_out_maps(const char* rule, i64 idx,
-                       const std::vector<OutputMap>& outs, i64 d0, i64 d1,
-                       i64 y0, i64 y1, i64 x0, i64 x1) {
-    for (const OutputMap& m : outs) {
+  // V5: the block [d0,d1) x [y0,y1) x [x0,x1) that a tile of `layer`
+  // finalizes lands inside every consumer cube of the layer's out maps.
+  void verify_out_maps(i64 idx, LayerId layer, i64 d0, i64 d1, i64 y0,
+                       i64 y1, i64 x0, i64 x1) {
+    const auto& out_maps = compiled_.layout.out_maps;
+    if (layer < 0 || layer >= static_cast<i64>(out_maps.size())) {
+      fail("V5", idx, "tile stores for an unknown layer");
+      return;
+    }
+    for (const OutputMap& m : out_maps[static_cast<std::size_t>(layer)]) {
       const bool in_range =
           m.d_offset + d0 >= 0 && m.d_offset + d1 <= m.cube_dims.d &&
           m.y_offset + y0 >= 0 && m.y_offset + y1 <= m.cube_dims.h &&
           m.x_offset + x0 >= 0 && m.x_offset + x1 <= m.cube_dims.w;
       if (!in_range) {
-        fail(rule, idx, "output store exceeds the consumer cube");
+        fail("V5", idx, "output store exceeds the consumer cube");
         continue;
       }
       if (m.base < 0 || m.base + m.cube_dims.count() >
                             compiled_.layout.total_words)
-        fail(rule, idx, "consumer cube outside the DRAM footprint");
+        fail("V5", idx, "consumer cube outside the DRAM footprint");
     }
   }
 
@@ -167,11 +165,13 @@ class Verifier {
 
     // V4: combined InOut budget.
     if (band_words + 2 * npix * douts > config_.inout_buf.size_words())
-      fail("V4", idx, "tile exceeds the InOut buffer budget: " + in.tag);
+      fail("V4", idx,
+           "tile exceeds the InOut buffer budget: " +
+               instruction_label(compiled_.program, idx, l));
 
     // V5: stores stay inside consumer cubes.
     if (in.last_din_chunk)
-      verify_out_maps("V5", idx, in.outs, in.dout0, in.dout1, in.out_row0,
+      verify_out_maps(idx, in.layer, in.dout0, in.dout1, in.out_row0,
                       in.out_row1, 0, in.out_w);
 
     // V6 bookkeeping.
@@ -186,8 +186,8 @@ class Verifier {
                    in.input_base + band_words, "pool band");
     if (band_words > config_.inout_buf.size_words())
       fail("V4", idx, "pool band exceeds the InOut buffer");
-    verify_out_maps("V5", idx, in.outs, in.d0, in.d1, in.out_row0,
-                    in.out_row1, 0, in.out_w);
+    verify_out_maps(idx, in.layer, in.d0, in.d1, in.out_row0, in.out_row1,
+                    0, in.out_w);
     record_coverage(l, in.d0, in.d1, in.out_row0, in.out_row1, true, true);
   }
 
@@ -203,7 +203,7 @@ class Verifier {
     if (dins + 2 * douts > config_.inout_buf.size_words())
       fail("V4", idx, "fc chunk exceeds the InOut buffer");
     if (in.last_din_chunk)
-      verify_out_maps("V5", idx, in.outs, in.dout0, in.dout1, 0, 1, 0, 1);
+      verify_out_maps(idx, in.layer, in.dout0, in.dout1, 0, 1, 0, 1);
     record_coverage(l, in.dout0, in.dout1, 0, 1, in.first_din_chunk,
                     in.last_din_chunk);
   }
@@ -217,8 +217,8 @@ class Verifier {
                    in.input_base_b + band_words, "add band b");
     if (2 * band_words > config_.inout_buf.size_words())
       fail("V4", idx, "add bands exceed the InOut buffer");
-    verify_out_maps("V5", idx, in.outs, in.d0, in.d1, in.out_row0,
-                    in.out_row1, 0, in.out_w);
+    verify_out_maps(idx, in.layer, in.d0, in.d1, in.out_row0, in.out_row1,
+                    0, in.out_w);
     record_coverage(l, in.d0, in.d1, in.out_row0, in.out_row1, true, true);
   }
 

@@ -1,11 +1,49 @@
 #include "cbrain/isa/disassembler.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "cbrain/compiler/scheme.hpp"
 
 namespace cbrain {
 namespace {
+
+// What a load fills, named from its destination buffer and, for the
+// input buffer, the owning layer's kind (an add stages operand b after a).
+const char* load_role(const LoadInstr& li, const Layer& owner) {
+  if (li.dst == BufferId::kWeight) return "weights";
+  if (li.dst == BufferId::kBias) return "bias";
+  switch (owner.kind) {
+    case LayerKind::kFC:
+      return "input chunk";
+    case LayerKind::kEltwiseAdd:
+      return li.dst_addr == 0 ? "band a" : "band b";
+    default:
+      return "band";
+  }
+}
+
+// "<name> g<group> r<row0>+<rows> o<dout0>+<douts> i<din0>+<dins>", the
+// map ranges relative to the tile's conv group.
+std::string conv_label(const ConvTileInstr& t, const Layer& owner) {
+  const ConvParams& p = owner.conv();
+  const i64 dout_g = p.dout_per_group();
+  const i64 din_g = p.din_per_group(owner.in_dims.d);
+  const i64 group = t.dout0 / dout_g;
+  std::string s = owner.name;
+  const auto put = [&s](const char* sep, i64 v) {
+    s += sep;
+    s += std::to_string(v);
+  };
+  put(" g", group);
+  put(" r", t.out_row0);
+  put("+", t.out_row1 - t.out_row0);
+  put(" o", t.dout0 - group * dout_g);
+  put("+", t.dout1 - t.dout0);
+  put(" i", t.din0 - group * din_g);
+  put("+", t.din1 - t.din0);
+  return s;
+}
 
 struct Disasm {
   std::ostringstream os;
@@ -14,7 +52,6 @@ struct Disasm {
     os << "LOAD  " << buffer_id_name(i.dst) << "[" << i.dst_addr << ".."
        << i.dst_addr + i.words << ") <- dram[" << i.src << "] ("
        << i.words << "w)";
-    if (!i.tag.empty()) os << "  ; " << i.tag;
   }
   void operator()(const ConvTileInstr& i) {
     os << "CONV  L" << i.layer << " " << scheme_name(i.scheme) << " rows["
@@ -26,50 +63,49 @@ struct Disasm {
       os << " g=" << i.part.g << " ks=" << i.part.ks;
     if (i.first_din_chunk) os << " [init]";
     if (i.last_din_chunk) os << " [fin]";
-    if (!i.tag.empty()) os << "  ; " << i.tag;
   }
   void operator()(const PoolTileInstr& i) {
     os << "POOL  L" << i.layer
        << (i.kind == PoolKind::kMax ? " max" : " avg") << " rows["
        << i.out_row0 << "," << i.out_row1 << ") d[" << i.d0 << "," << i.d1
        << ") p=" << i.p << " s=" << i.stride;
-    if (!i.tag.empty()) os << "  ; " << i.tag;
   }
   void operator()(const FcTileInstr& i) {
     os << "FC    L" << i.layer << " dout[" << i.dout0 << "," << i.dout1
        << ") din=" << i.din;
-    if (!i.tag.empty()) os << "  ; " << i.tag;
   }
   void operator()(const HostOpInstr& i) {
     const char* kind = i.kind == HostOpKind::kLrn       ? "lrn"
                        : i.kind == HostOpKind::kSoftmax ? "softmax"
                                                         : "unroll";
     os << "HOST  L" << i.layer << " " << kind << " " << i.words << "w";
-    if (!i.tag.empty()) os << "  ; " << i.tag;
   }
-  void operator()(const BarrierInstr& i) {
-    os << "BAR";
-    if (!i.tag.empty()) os << "   ; " << i.tag;
-  }
+  void operator()(const BarrierInstr&) { os << "BAR"; }
   void operator()(const EltwiseTileInstr& i) {
     os << "ADD   L" << i.layer << " rows[" << i.out_row0 << ","
        << i.out_row1 << ") d[" << i.d0 << "," << i.d1 << ")";
     if (!i.relu) os << " linear";
-    if (!i.tag.empty()) os << "  ; " << i.tag;
-  }
-  void operator()(const ChipXferInstr& i) {
-    const char* kind = i.kind == ChipXferKind::kSend        ? "send"
-                       : i.kind == ChipXferKind::kRecv      ? "recv"
-                       : i.kind == ChipXferKind::kAllGather ? "allgather"
-                                                            : "bcast";
-    os << "XFER  L" << i.layer << " " << kind;
-    if (i.peer >= 0) os << " chip" << i.peer;
-    os << " " << i.words << "w";
-    if (!i.tag.empty()) os << "  ; " << i.tag;
   }
 };
 
 }  // namespace
+
+std::string instruction_label(const Program& program, i64 index,
+                              const Layer& owner) {
+  const Instruction& instr = program.at(index);
+  if (std::holds_alternative<BarrierInstr>(instr))
+    return index + 1 < program.size()
+               ? instruction_label(program, index + 1, owner)
+               : owner.name;
+  if (const auto* conv = std::get_if<ConvTileInstr>(&instr))
+    return conv_label(*conv, owner);
+  if (const auto* load = std::get_if<LoadInstr>(&instr))
+    return owner.name + " " + load_role(*load, owner);
+  if (const auto* host = std::get_if<HostOpInstr>(&instr);
+      host != nullptr && host->kind == HostOpKind::kUnroll)
+    return owner.name + " im2col";
+  return owner.name;
+}
 
 std::string disassemble(const Instruction& instr) {
   Disasm d;
@@ -77,13 +113,31 @@ std::string disassemble(const Instruction& instr) {
   return d.os.str();
 }
 
-std::string disassemble(const Program& program, i64 max_instructions) {
-  std::ostringstream os;
+std::string disassemble(const Program& program, const Network& net,
+                        i64 max_instructions) {
   const i64 n = max_instructions < 0
                     ? program.size()
                     : std::min(max_instructions, program.size());
-  for (i64 i = 0; i < n; ++i)
-    os << i << ": " << disassemble(program.at(i)) << '\n';
+  // The layer that emitted each listed record; records in no layer's
+  // range print unlabelled.
+  std::vector<const Layer*> owner(static_cast<std::size_t>(n), nullptr);
+  for (const Layer& l : net.layers()) {
+    const auto [b, e] = program.layer_range(l.id);
+    for (i64 i = std::max<i64>(b, 0); i < std::min(e, n); ++i)
+      owner[static_cast<std::size_t>(i)] = &l;
+  }
+  std::ostringstream os;
+  for (i64 i = 0; i < n; ++i) {
+    const Instruction& instr = program.at(i);
+    os << i << ": " << disassemble(instr);
+    if (const Layer* l = owner[static_cast<std::size_t>(i)]) {
+      const std::string label = instruction_label(program, i, *l);
+      if (!label.empty())
+        os << (std::holds_alternative<BarrierInstr>(instr) ? "   ; " : "  ; ")
+           << label;
+    }
+    os << '\n';
+  }
   if (n < program.size())
     os << "... (" << program.size() - n << " more)\n";
   return os.str();

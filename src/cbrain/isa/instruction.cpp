@@ -25,7 +25,6 @@ const char* instruction_name(const Instruction& instr) {
     const char* operator()(const HostOpInstr&) const { return "HOST"; }
     const char* operator()(const BarrierInstr&) const { return "BAR"; }
     const char* operator()(const EltwiseTileInstr&) const { return "ADD"; }
-    const char* operator()(const ChipXferInstr&) const { return "XFER"; }
   };
   return std::visit(Visitor{}, instr);
 }

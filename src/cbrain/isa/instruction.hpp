@@ -11,13 +11,18 @@
 // store-to-DRAM in the order the *next* layer consumes, Algorithm 2 lines
 // 4-5) is the epilogue of the last compute tile rather than a separate
 // scatter instruction — the hardware analogue is the store path behind the
-// activation unit in Fig. 2.
+// activation unit in Fig. 2. The store targets are the layer's, not the
+// tile's: a finalizing tile writes every map of
+// `LayoutPlan::out_maps[layer]` (compiler/layout_planner.hpp).
+//
+// Records hold only what the machine runs. Their human-readable labels
+// ("conv1 g0 r0+55 o0+96 i0+3") are rendered from the fields and the
+// owning layer by isa/disassembler.hpp.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <type_traits>
 #include <variant>
-#include <vector>
 
 #include "cbrain/arch/dram.hpp"
 #include "cbrain/compiler/scheme.hpp"
@@ -56,7 +61,6 @@ struct LoadInstr {
   i64 chunks = 1;
   i64 chunk_words = 0;  // defaults to `words` when chunks == 1
   i64 src_stride = 0;
-  std::string tag;  // for the disassembler ("conv1 in band r0..8")
 };
 
 // One convolution tile under a given scheme. The tile covers output rows
@@ -96,9 +100,6 @@ struct ConvTileInstr {
   bool first_din_chunk = true;  // initialize partials with bias
   bool last_din_chunk = true;   // finalize (activation + store) after
   bool relu = true;
-  std::vector<OutputMap> outs;  // used when last_din_chunk
-
-  std::string tag;
 };
 
 // One pooling tile (depth-major band: lanes read the same pixel across
@@ -116,8 +117,6 @@ struct PoolTileInstr {
   i64 input_base = 0;
   i64 band_row0 = 0, band_rows = 0, band_width = 0;  // padded band
   DataOrder band_order = DataOrder::kDepthMajor;
-  std::vector<OutputMap> outs;
-  std::string tag;
 };
 
 // Fully-connected tile: output neurons [dout0, dout1) against input
@@ -134,8 +133,6 @@ struct FcTileInstr {
   bool first_din_chunk = true;
   bool last_din_chunk = true;
   bool relu = true;
-  std::vector<OutputMap> outs;
-  std::string tag;
 };
 
 // Operations serviced by the activation-function unit or the host
@@ -149,14 +146,11 @@ struct HostOpInstr {
   LayerId layer = -1;
   HostOpKind kind = HostOpKind::kLrn;
   i64 words = 0;  // elements processed (reporting only)
-  std::string tag;
 };
 
 // Double-buffer phase boundary: compute beyond the barrier may not start
 // before transfers preceding it complete (used by the timing model).
-struct BarrierInstr {
-  std::string tag;
-};
+struct BarrierInstr {};
 
 // One elementwise-add tile (residual join): out rows [out_row0, out_row1)
 // x all columns for maps [d0, d1). The two operand bands sit in the input
@@ -171,34 +165,15 @@ struct EltwiseTileInstr {
   i64 input_base_a = 0;
   i64 input_base_b = 0;
   i64 band_row0 = 0, band_rows = 0, band_width = 0;
-  std::vector<OutputMap> outs;
-  std::string tag;
 };
 
-// Chip-to-chip transfer over the package interconnect (multichip/). A
-// partitioned per-chip instruction stream uses these at layer boundaries:
-// kSend/kRecv are the point-to-point halves of a pipeline-stage handoff,
-// kAllGather is the bulk-synchronous exchange that reassembles sharded
-// partial maps, kBroadcast replicates one chip's tensor to all peers.
-// Timing and energy come from multichip::InterconnectConfig, not from the
-// single-chip machine: SimExecutor treats the instruction as a barrier-like
-// no-op (a single-chip compile never emits one), and the multichip
-// orchestrator charges the link cost when it schedules the exchange.
-enum class ChipXferKind { kSend, kRecv, kAllGather, kBroadcast };
-
-struct ChipXferInstr {
-  LayerId layer = -1;            // global layer id of the produced tensor
-  ChipXferKind kind = ChipXferKind::kSend;
-  i64 peer = -1;                 // counterpart chip (-1: all, for gathers)
-  i64 words = 0;                 // 16-bit words crossing this link
-  std::string tag;
-};
-
-// EltwiseTileInstr and ChipXferInstr are appended at the end so the
-// serialized opcodes of the earlier variants stay stable (isa/program.cpp).
+// EltwiseTileInstr is appended at the end so the serialized opcodes of
+// the earlier variants stay stable (isa/program.cpp).
 using Instruction =
     std::variant<LoadInstr, ConvTileInstr, PoolTileInstr, FcTileInstr,
-                 HostOpInstr, BarrierInstr, EltwiseTileInstr, ChipXferInstr>;
+                 HostOpInstr, BarrierInstr, EltwiseTileInstr>;
+// Records are plain values: no record owns heap memory.
+static_assert(std::is_trivially_copyable_v<Instruction>);
 
 const char* instruction_name(const Instruction& instr);
 

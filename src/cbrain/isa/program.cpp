@@ -30,9 +30,6 @@ ProgramStats Program::stats() const {
       ++s.barriers;
     } else if (std::holds_alternative<EltwiseTileInstr>(instr)) {
       ++s.eltwise_tiles;
-    } else if (const auto* xfer = std::get_if<ChipXferInstr>(&instr)) {
-      ++s.chip_xfers;
-      s.xfer_words += xfer->words;
     }
   }
   return s;
@@ -45,7 +42,9 @@ namespace {
 constexpr char kMagic[4] = {'C', 'B', 'R', 'P'};
 // v2: ConvTileInstr gained `dilation`; EltwiseTileInstr added (opcode 6).
 // v3: ChipXferInstr added (opcode 7) for partitioned multi-chip streams.
-constexpr i64 kVersion = 3;
+// v4: records carry no label strings and tiles no OutputMap lists (both
+//     are derived from the network and the layout); opcode 7 removed.
+constexpr i64 kVersion = 4;
 
 void put_i64(std::string& out, i64 v) {
   const u64 u = static_cast<u64>(v);
@@ -58,29 +57,6 @@ void put_u8(std::string& out, unsigned v) {
 }
 
 void put_bool(std::string& out, bool b) { put_u8(out, b ? 1 : 0); }
-
-void put_str(std::string& out, const std::string& s) {
-  put_i64(out, static_cast<i64>(s.size()));
-  out.append(s);
-}
-
-void put_dims(std::string& out, const MapDims& d) {
-  put_i64(out, d.d);
-  put_i64(out, d.h);
-  put_i64(out, d.w);
-}
-
-void put_outs(std::string& out, const std::vector<OutputMap>& outs) {
-  put_i64(out, static_cast<i64>(outs.size()));
-  for (const OutputMap& m : outs) {
-    put_i64(out, m.base);
-    put_dims(out, m.cube_dims);
-    put_u8(out, static_cast<unsigned>(m.order));
-    put_i64(out, m.d_offset);
-    put_i64(out, m.y_offset);
-    put_i64(out, m.x_offset);
-  }
-}
 
 // Bounds-checked little-endian reader. The first failed read latches a
 // Status with the byte offset; every accessor after a failure returns a
@@ -129,57 +105,12 @@ class Reader {
     return v == 1;
   }
 
-  std::string get_str() {
-    const i64 len = get_i64();
-    if (!ok()) return {};
-    if (len < 0 || len > remaining()) {
-      fail("bad string length " + std::to_string(len));
-      return {};
-    }
-    std::string s(data_.substr(pos_, static_cast<std::size_t>(len)));
-    pos_ += static_cast<std::size_t>(len);
-    return s;
-  }
-
   // An enum encoded as one byte, validated against [0, limit).
   template <typename E>
   E get_enum(unsigned limit, const char* what) {
     const unsigned v = get_u8();
     if (ok() && v >= limit) fail(std::string("bad ") + what);
     return static_cast<E>(ok() ? v : 0);
-  }
-
-  MapDims get_dims() {
-    MapDims d;
-    d.d = get_i64();
-    d.h = get_i64();
-    d.w = get_i64();
-    return d;
-  }
-
-  std::vector<OutputMap> get_outs() {
-    std::vector<OutputMap> outs;
-    const i64 n = get_i64();
-    if (!ok()) return outs;
-    // Each OutputMap takes 57 encoded bytes; a count beyond what the
-    // remaining stream could hold is garbage — reject it before
-    // reserving memory for it.
-    if (n < 0 || n > remaining() / 57) {
-      fail("bad OutputMap count " + std::to_string(n));
-      return outs;
-    }
-    outs.reserve(static_cast<std::size_t>(n));
-    for (i64 i = 0; i < n && ok(); ++i) {
-      OutputMap m;
-      m.base = get_i64();
-      m.cube_dims = get_dims();
-      m.order = get_enum<DataOrder>(2, "DataOrder");
-      m.d_offset = get_i64();
-      m.y_offset = get_i64();
-      m.x_offset = get_i64();
-      outs.push_back(m);
-    }
-    return outs;
   }
 
  private:
@@ -202,7 +133,6 @@ void put_instr(std::string& out, const Instruction& instr) {
     put_i64(out, p->chunks);
     put_i64(out, p->chunk_words);
     put_i64(out, p->src_stride);
-    put_str(out, p->tag);
   } else if (const auto* p = std::get_if<ConvTileInstr>(&instr)) {
     put_i64(out, p->layer);
     put_u8(out, static_cast<unsigned>(p->scheme));
@@ -228,8 +158,6 @@ void put_instr(std::string& out, const Instruction& instr) {
     put_bool(out, p->first_din_chunk);
     put_bool(out, p->last_din_chunk);
     put_bool(out, p->relu);
-    put_outs(out, p->outs);
-    put_str(out, p->tag);
   } else if (const auto* p = std::get_if<PoolTileInstr>(&instr)) {
     put_i64(out, p->layer);
     put_u8(out, static_cast<unsigned>(p->kind));
@@ -248,8 +176,6 @@ void put_instr(std::string& out, const Instruction& instr) {
     put_i64(out, p->band_rows);
     put_i64(out, p->band_width);
     put_u8(out, static_cast<unsigned>(p->band_order));
-    put_outs(out, p->outs);
-    put_str(out, p->tag);
   } else if (const auto* p = std::get_if<FcTileInstr>(&instr)) {
     put_i64(out, p->layer);
     put_i64(out, p->din);
@@ -263,15 +189,10 @@ void put_instr(std::string& out, const Instruction& instr) {
     put_bool(out, p->first_din_chunk);
     put_bool(out, p->last_din_chunk);
     put_bool(out, p->relu);
-    put_outs(out, p->outs);
-    put_str(out, p->tag);
   } else if (const auto* p = std::get_if<HostOpInstr>(&instr)) {
     put_i64(out, p->layer);
     put_u8(out, static_cast<unsigned>(p->kind));
     put_i64(out, p->words);
-    put_str(out, p->tag);
-  } else if (const auto* p = std::get_if<BarrierInstr>(&instr)) {
-    put_str(out, p->tag);
   } else if (const auto* p = std::get_if<EltwiseTileInstr>(&instr)) {
     put_i64(out, p->layer);
     put_bool(out, p->relu);
@@ -285,14 +206,6 @@ void put_instr(std::string& out, const Instruction& instr) {
     put_i64(out, p->band_row0);
     put_i64(out, p->band_rows);
     put_i64(out, p->band_width);
-    put_outs(out, p->outs);
-    put_str(out, p->tag);
-  } else if (const auto* p = std::get_if<ChipXferInstr>(&instr)) {
-    put_i64(out, p->layer);
-    put_u8(out, static_cast<unsigned>(p->kind));
-    put_i64(out, p->peer);
-    put_i64(out, p->words);
-    put_str(out, p->tag);
   }
 }
 
@@ -308,7 +221,6 @@ Instruction get_instr(Reader& r) {
       p.chunks = r.get_i64();
       p.chunk_words = r.get_i64();
       p.src_stride = r.get_i64();
-      p.tag = r.get_str();
       return p;
     }
     case 1: {
@@ -337,8 +249,6 @@ Instruction get_instr(Reader& r) {
       p.first_din_chunk = r.get_bool();
       p.last_din_chunk = r.get_bool();
       p.relu = r.get_bool();
-      p.outs = r.get_outs();
-      p.tag = r.get_str();
       return p;
     }
     case 2: {
@@ -360,8 +270,6 @@ Instruction get_instr(Reader& r) {
       p.band_rows = r.get_i64();
       p.band_width = r.get_i64();
       p.band_order = r.get_enum<DataOrder>(2, "DataOrder");
-      p.outs = r.get_outs();
-      p.tag = r.get_str();
       return p;
     }
     case 3: {
@@ -378,8 +286,6 @@ Instruction get_instr(Reader& r) {
       p.first_din_chunk = r.get_bool();
       p.last_din_chunk = r.get_bool();
       p.relu = r.get_bool();
-      p.outs = r.get_outs();
-      p.tag = r.get_str();
       return p;
     }
     case 4: {
@@ -387,14 +293,10 @@ Instruction get_instr(Reader& r) {
       p.layer = r.get_i64();
       p.kind = r.get_enum<HostOpKind>(3, "HostOpKind");
       p.words = r.get_i64();
-      p.tag = r.get_str();
       return p;
     }
-    case 5: {
-      BarrierInstr p;
-      p.tag = r.get_str();
-      return p;
-    }
+    case 5:
+      return BarrierInstr{};
     case 6: {
       EltwiseTileInstr p;
       p.layer = r.get_i64();
@@ -409,17 +311,6 @@ Instruction get_instr(Reader& r) {
       p.band_row0 = r.get_i64();
       p.band_rows = r.get_i64();
       p.band_width = r.get_i64();
-      p.outs = r.get_outs();
-      p.tag = r.get_str();
-      return p;
-    }
-    case 7: {
-      ChipXferInstr p;
-      p.layer = r.get_i64();
-      p.kind = r.get_enum<ChipXferKind>(4, "ChipXferKind");
-      p.peer = r.get_i64();
-      p.words = r.get_i64();
-      p.tag = r.get_str();
       return p;
     }
     default:
@@ -462,8 +353,8 @@ Result<Program> Program::deserialize(std::string_view bytes) {
 
   Program prog;
   const i64 count = body.get_i64();
-  // The shortest instruction (a barrier with an empty tag) is 9 bytes.
-  if (body.ok() && (count < 0 || count > body.remaining() / 9))
+  // The shortest instruction (a barrier, its opcode alone) is 1 byte.
+  if (body.ok() && (count < 0 || count > body.remaining()))
     body.fail("bad instruction count " + std::to_string(count));
   for (i64 i = 0; i < count && body.ok(); ++i)
     prog.instrs_.push_back(get_instr(body));

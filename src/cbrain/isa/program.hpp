@@ -24,9 +24,7 @@ struct ProgramStats {
   i64 eltwise_tiles = 0;
   i64 host_ops = 0;
   i64 barriers = 0;
-  i64 chip_xfers = 0;
   i64 load_words = 0;
-  i64 xfer_words = 0;  // interconnect words (multi-chip streams only)
 };
 
 class Program {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cbrain/arch/phase_clock.hpp"
+#include "cbrain/isa/disassembler.hpp"
 #include "cbrain/model/scheme_models.hpp"
 #include "cbrain/obs/tracer.hpp"
 
@@ -42,11 +43,6 @@ void add_buffer_fill(TrafficCounters& c, BufferId dst, i64 words) {
       c.bias_writes += words;
       break;
   }
-}
-
-const std::string& instr_tag(const Instruction& instr) {
-  return std::visit([](const auto& x) -> const std::string& { return x.tag; },
-                    instr);
 }
 
 obs::Span model_span(int track, int depth, i64 start, i64 dur,
@@ -104,23 +100,33 @@ NetworkModelResult model_network(const Network& net,
     lr.counted = layer_counted(l.kind, options);
 
     const auto [begin, end] = compiled.program.layer_range(l.id);
+    // Consumer cubes every finalized output word is stored to.
+    const i64 ncons = static_cast<i64>(
+        compiled.layout.out_maps[static_cast<std::size_t>(l.id)].size());
     const i64 batch = std::max<i64>(1, options.batch);
     const i64 layer_start = clock.now();
-    const std::string* dma_tag = nullptr;  // first load of the open phase
-    auto retire = [&](i64 compute, i64 serial, const std::string& tag) {
+    i64 dma_first = -1;  // first load of the open phase
+    // Retires the phase whose compute is record `at` (-1: none); spans
+    // are named by the records' labels.
+    auto retire = [&](i64 compute, i64 serial, i64 at) {
       const i64 dma = clock.pending_dma();
       const i64 start = clock.retire(compute, serial);
-      if (spans == nullptr) return;
-      if (dma > 0)
-        spans->spans.push_back(
-            model_span(kDmaTrack, 0, start, dma, *dma_tag, "dma"));
-      if (compute > 0)
-        spans->spans.push_back(
-            model_span(kModelTrack, 2, start, compute, tag, "compute"));
-      if (serial > 0)
-        spans->spans.push_back(model_span(
-            kModelTrack, 2, clock.now() - serial, serial, tag, "host"));
-      dma_tag = nullptr;
+      if (spans != nullptr) {
+        const auto label = [&](i64 i) {
+          return instruction_label(compiled.program, i, l);
+        };
+        if (dma > 0)
+          spans->spans.push_back(model_span(kDmaTrack, 0, start, dma,
+                                            label(dma_first), "dma"));
+        if (compute > 0)
+          spans->spans.push_back(model_span(kModelTrack, 2, start, compute,
+                                            label(at), "compute"));
+        if (serial > 0)
+          spans->spans.push_back(model_span(kModelTrack, 2,
+                                            clock.now() - serial, serial,
+                                            label(at), "host"));
+      }
+      dma_first = -1;
     };
     for (i64 i = begin; i < end; ++i) {
       const Instruction& instr = compiled.program.at(i);
@@ -135,23 +141,20 @@ NetworkModelResult model_network(const Network& net,
         clock.load(config.dram.transfer_cycles_pattern(
                        load->chunks, load->chunk_words, load->src_stride) *
                    repeat);
-        if (dma_tag == nullptr) dma_tag = &load->tag;
+        if (dma_first < 0) dma_first = i;
         continue;
       }
       if (std::holds_alternative<BarrierInstr>(instr)) continue;
-      // Interconnect transfers are costed by the multichip planner
-      // (multichip::InterconnectConfig), not by the per-chip machine.
-      if (std::holds_alternative<ChipXferInstr>(instr)) continue;
 
       TrafficCounters tc;
       if (const auto* conv = std::get_if<ConvTileInstr>(&instr)) {
-        tc = model_conv_tile(*conv, config);
+        tc = model_conv_tile(*conv, config, ncons);
       } else if (const auto* pool = std::get_if<PoolTileInstr>(&instr)) {
-        tc = model_pool_tile(*pool, config);
+        tc = model_pool_tile(*pool, config, ncons);
       } else if (const auto* fc = std::get_if<FcTileInstr>(&instr)) {
-        tc = model_fc_tile(*fc, config);
+        tc = model_fc_tile(*fc, config, ncons);
       } else if (const auto* elt = std::get_if<EltwiseTileInstr>(&instr)) {
-        tc = model_eltwise_tile(*elt, config);
+        tc = model_eltwise_tile(*elt, config, ncons);
       } else if (const auto* host = std::get_if<HostOpInstr>(&instr)) {
         switch (host->kind) {
           case HostOpKind::kUnroll:
@@ -164,25 +167,17 @@ NetworkModelResult model_network(const Network& net,
             tc.total_cycles += config.dram.transfer_cycles(
                 l.in_dims.count() + host->words);
             break;
-          case HostOpKind::kLrn: {
+          case HostOpKind::kLrn:
             // Activation-function unit: Tout elements per cycle, in and
             // out through DRAM (host-adjacent streaming pass).
-            const i64 ncons = static_cast<i64>(
-                compiled.layout.out_maps[static_cast<std::size_t>(l.id)]
-                    .size());
             tc.dram_reads += host->words;
             tc.dram_writes += host->words * std::max<i64>(1, ncons);
             tc.compute_cycles += ceil_div(host->words, config.tout);
             break;
-          }
-          case HostOpKind::kSoftmax: {
-            const i64 ncons = static_cast<i64>(
-                compiled.layout.out_maps[static_cast<std::size_t>(l.id)]
-                    .size());
+          case HostOpKind::kSoftmax:
             tc.dram_reads += host->words;
             tc.dram_writes += host->words * std::max<i64>(1, ncons);
             break;
-          }
         }
       }
       // Per-instruction costs are per image: scale on-chip work by the
@@ -195,11 +190,11 @@ NetworkModelResult model_network(const Network& net,
           std::holds_alternative<HostOpInstr>(instr) ? tc.total_cycles : 0;
       tc.total_cycles = 0;
       lr.counters += tc;
-      retire(compute, serial, instr_tag(instr));
+      retire(compute, serial, i);
     }
     // Transfers with no following compute in this layer (possible for
     // layers whose final loads feed the next layer's first tile).
-    if (clock.pending_dma() > 0) retire(0, 0, "");
+    if (clock.pending_dma() > 0) retire(0, 0, -1);
     lr.counters.total_cycles = clock.now() - layer_start;
 
     if (spans != nullptr && lr.counters.total_cycles > 0) {

@@ -16,7 +16,8 @@ void for_lane_groups(i64 douts, i64 tout, Fn&& fn) {
 }
 
 TrafficCounters model_inter(const ConvTileInstr& in,
-                            const AcceleratorConfig& cfg, bool improved) {
+                            const AcceleratorConfig& cfg, i64 ncons,
+                            bool improved) {
   TrafficCounters c;
   const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
   const i64 douts = in.dout1 - in.dout0;
@@ -24,7 +25,6 @@ TrafficCounters model_inter(const ConvTileInstr& in,
   const i64 kk = in.k * in.k;
   const i64 cdin = ceil_div(dins, cfg.tin);
   const i64 slots = cfg.multipliers();
-  const i64 ncons = static_cast<i64>(in.outs.size());
   const bool multi_tile = !(in.first_din_chunk && in.last_din_chunk);
 
   for_lane_groups(douts, cfg.tout, [&](i64 L) {
@@ -87,7 +87,7 @@ TrafficCounters model_inter(const ConvTileInstr& in,
 }
 
 TrafficCounters model_partition(const ConvTileInstr& in,
-                                const AcceleratorConfig& cfg) {
+                                const AcceleratorConfig& cfg, i64 ncons) {
   TrafficCounters c;
   const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
   const i64 douts = in.dout1 - in.dout0;
@@ -121,7 +121,7 @@ TrafficCounters model_partition(const ConvTileInstr& in,
     c.output_reads += 2 * L * npix * (passes - first_passes);
     if (in.last_din_chunk) {
       c.output_reads += 2 * L * npix;  // finalize
-      c.dram_writes += npix * L * static_cast<i64>(in.outs.size());
+      c.dram_writes += npix * L * ncons;
     }
   });
   c.total_cycles = c.compute_cycles;
@@ -129,7 +129,7 @@ TrafficCounters model_partition(const ConvTileInstr& in,
 }
 
 TrafficCounters model_unroll(const ConvTileInstr& in,
-                             const AcceleratorConfig& cfg) {
+                             const AcceleratorConfig& cfg, i64 ncons) {
   TrafficCounters c;
   const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
   const i64 douts = in.dout1 - in.dout0;
@@ -159,7 +159,7 @@ TrafficCounters model_unroll(const ConvTileInstr& in,
     c.output_reads += 2 * L * npix * (dins - first);
     if (in.last_din_chunk) {
       c.output_reads += 2 * L * npix;
-      c.dram_writes += npix * L * static_cast<i64>(in.outs.size());
+      c.dram_writes += npix * L * ncons;
     }
   });
   c.total_cycles = c.compute_cycles;
@@ -178,27 +178,27 @@ i64 ideal_conv_cycles(i64 macs, const AcceleratorConfig& config) {
 }
 
 TrafficCounters model_conv_tile(const ConvTileInstr& instr,
-                                const AcceleratorConfig& config) {
+                                const AcceleratorConfig& config,
+                                i64 consumers) {
   switch (instr.scheme) {
     case Scheme::kInter:
-      return model_inter(instr, config, /*improved=*/false);
+      return model_inter(instr, config, consumers, /*improved=*/false);
     case Scheme::kInterImproved:
-      return model_inter(instr, config, /*improved=*/true);
+      return model_inter(instr, config, consumers, /*improved=*/true);
     case Scheme::kIntraUnroll:
-      return model_unroll(instr, config);
+      return model_unroll(instr, config, consumers);
     case Scheme::kIntraSliding:
     case Scheme::kPartition:
-      return model_partition(instr, config);
+      return model_partition(instr, config, consumers);
   }
   return {};
 }
 
 TrafficCounters model_pool_tile(const PoolTileInstr& in,
-                                const AcceleratorConfig& cfg) {
+                                const AcceleratorConfig& cfg, i64 ncons) {
   TrafficCounters c;
   const i64 rows = in.out_row1 - in.out_row0;
   const i64 douts = in.d1 - in.d0;
-  const i64 ncons = static_cast<i64>(in.outs.size());
 
   // Valid (clamped) window extents, ceil-mode semantics: separable sums.
   i64 sum_vh = 0;
@@ -228,13 +228,12 @@ TrafficCounters model_pool_tile(const PoolTileInstr& in,
 }
 
 TrafficCounters model_fc_tile(const FcTileInstr& in,
-                              const AcceleratorConfig& cfg) {
+                              const AcceleratorConfig& cfg, i64 ncons) {
   TrafficCounters c;
   const i64 douts = in.dout1 - in.dout0;
   const i64 dins = in.din1 - in.din0;
   const i64 cdin = ceil_div(dins, cfg.tin);
   const i64 slots = cfg.multipliers();
-  const i64 ncons = static_cast<i64>(in.outs.size());
   const bool multi = !(in.first_din_chunk && in.last_din_chunk);
 
   for_lane_groups(douts, cfg.tout, [&](i64 L) {
@@ -267,11 +266,10 @@ TrafficCounters model_fc_tile(const FcTileInstr& in,
 }
 
 TrafficCounters model_eltwise_tile(const EltwiseTileInstr& in,
-                                   const AcceleratorConfig& cfg) {
+                                   const AcceleratorConfig& cfg, i64 ncons) {
   TrafficCounters c;
   const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
   const i64 douts = in.d1 - in.d0;
-  const i64 ncons = static_cast<i64>(in.outs.size());
 
   // Residual join on the adder tree: per lane group, one output pixel
   // per cycle; both operand words stream per lane (the bands sit at two

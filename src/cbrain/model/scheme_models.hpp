@@ -29,17 +29,23 @@
 
 namespace cbrain {
 
+// `consumers` is the number of DRAM cubes a finalized output word is
+// stored to: the size of the layer's LayoutPlan::out_maps entry.
 TrafficCounters model_conv_tile(const ConvTileInstr& instr,
-                                const AcceleratorConfig& config);
+                                const AcceleratorConfig& config,
+                                i64 consumers);
 
 TrafficCounters model_pool_tile(const PoolTileInstr& instr,
-                                const AcceleratorConfig& config);
+                                const AcceleratorConfig& config,
+                                i64 consumers);
 
 TrafficCounters model_fc_tile(const FcTileInstr& instr,
-                              const AcceleratorConfig& config);
+                              const AcceleratorConfig& config,
+                              i64 consumers);
 
 TrafficCounters model_eltwise_tile(const EltwiseTileInstr& instr,
-                                   const AcceleratorConfig& config);
+                                   const AcceleratorConfig& config,
+                                   i64 consumers);
 
 // Number of sub-windows packed per PE op ("when Tin is bigger than ks*ks
 // we map multiple small windows to PE in one operation", §4.2.1).

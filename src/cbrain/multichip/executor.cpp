@@ -579,78 +579,4 @@ MultiChipStats MultiChipExecutor::stats() const {
   return s;
 }
 
-Program MultiChipExecutor::chip_program(i64 chip) const {
-  CBRAIN_CHECK(chip >= 0 && chip < plan_.chips,
-               "chip_program: chip " << chip << " of " << plan_.chips);
-  Program p;
-  if (plan_.strategy == PartitionStrategy::kPipeline) {
-    if (chip >= static_cast<i64>(plan_.stages.size())) return p;
-    const PipelineStage& st = plan_.stages[static_cast<std::size_t>(chip)];
-    if (chip > 0) {
-      ChipXferInstr recv;
-      recv.layer = st.first;
-      recv.kind = ChipXferKind::kRecv;
-      recv.peer = chip - 1;
-      recv.words = net_.layer(st.first - 1).out_dims.count();
-      recv.tag = "stage input";
-      p.push(recv);
-    }
-    const auto compiled =
-        engine_.compile(st.subnet, options_.policy, options_.fidelity);
-    for (const Instruction& i : compiled->program.instructions()) p.push(i);
-    if (st.xfer_words > 0) {
-      ChipXferInstr send;
-      send.layer = st.last;
-      send.kind = ChipXferKind::kSend;
-      send.peer = chip + 1;
-      send.words = st.xfer_words;
-      send.tag = "stage output";
-      p.push(send);
-    }
-    return p;
-  }
-  for (const Layer& l : net_.layers()) {
-    const LayerPartition& lp = plan_.layers[static_cast<std::size_t>(l.id)];
-    const ShardPiece& piece = lp.pieces[static_cast<std::size_t>(chip)];
-    if (piece.subnet.has_value()) {
-      const auto compiled = engine_.compile(*piece.subnet, options_.policy,
-                                            options_.fidelity);
-      for (const Instruction& i : compiled->program.instructions())
-        p.push(i);
-    }
-    if (plan_.chips <= 1 || lp.exchange == ExchangeKind::kNone) continue;
-    ChipXferInstr x;
-    x.layer = l.id;
-    x.tag = exchange_kind_name(lp.exchange);
-    switch (lp.exchange) {
-      case ExchangeKind::kBroadcast: {
-        const bool source =
-            chip == 0 &&
-            (l.kind == LayerKind::kInput || piece.subnet.has_value());
-        x.kind = source ? ChipXferKind::kBroadcast : ChipXferKind::kRecv;
-        x.peer = source ? -1 : 0;
-        x.words = l.out_dims.count();
-        break;
-      }
-      case ExchangeKind::kAllGather:
-        x.kind = ChipXferKind::kAllGather;
-        x.peer = -1;
-        // Words this chip receives: everything it did not produce.
-        x.words = l.out_dims.count() -
-                  (piece.active() ? piece.out_words(l.out_dims) : 0);
-        break;
-      case ExchangeKind::kHalo:
-        x.kind = ChipXferKind::kRecv;
-        x.peer = chip > 0 ? chip - 1 : chip + 1;
-        x.words = lp.halo_words[static_cast<std::size_t>(chip)];
-        if (x.words == 0) continue;  // this chip's band is self-sufficient
-        break;
-      case ExchangeKind::kNone:
-        continue;
-    }
-    p.push(x);
-  }
-  return p;
-}
-
 }  // namespace cbrain::multichip

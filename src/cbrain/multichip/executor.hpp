@@ -97,11 +97,6 @@ class MultiChipExecutor {
 
   MultiChipStats stats() const;
 
-  // The chip's partitioned instruction stream: its pieces'/stage's
-  // compiled programs with ChipXferInstr markers at every interconnect
-  // exchange — the disassemblable per-chip view of the partition.
-  Program chip_program(i64 chip) const;
-
  private:
   struct PieceRun {  // one piece's contribution to one image
     i64 cycles = 0;

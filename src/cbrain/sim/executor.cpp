@@ -125,10 +125,6 @@ class Executor {
           continue;
         }
         if (std::holds_alternative<BarrierInstr>(instr)) continue;
-        // Chip-to-chip transfers belong to the package interconnect; the
-        // multichip orchestrator charges their cost when it schedules the
-        // exchange, so on a single machine they are barrier-like no-ops.
-        if (std::holds_alternative<ChipXferInstr>(instr)) continue;
 
         const i64 pe_ops_before = m_.pe().stats().ops;
         manual_cycles_ = 0;
@@ -414,8 +410,7 @@ class Executor {
     CBRAIN_CHECK(in_layer.kind == LayerKind::kInput,
                  "layer 0 must be the input");
     CBRAIN_CHECK(input.dims() == in_layer.out_dims, "input dims mismatch");
-    for (const OutputMap& m :
-         compiled_.layout.out_maps[static_cast<std::size_t>(in_layer.id)]) {
+    for (const OutputMap& m : out_maps(in_layer.id)) {
       for (i64 d = 0; d < input.dims().d; ++d)
         for (i64 y = 0; y < input.dims().h; ++y)
           for (i64 x = 0; x < input.dims().w; ++x)
@@ -458,6 +453,11 @@ class Executor {
     // extends this transfer's occupancy.
     if (fault_ != nullptr) cycles += fault_->take_overhead_cycles();
     return cycles;
+  }
+
+  // The consumer cubes a layer's finalized outputs are stored to.
+  const std::vector<OutputMap>& out_maps(LayerId id) const {
+    return compiled_.layout.out_maps[static_cast<std::size_t>(id)];
   }
 
   void store_out(const std::vector<OutputMap>& outs, i64 d_abs, i64 oy,
@@ -538,6 +538,7 @@ class Executor {
   }
 
   void exec_conv(const ConvTileInstr& in) {
+    const std::vector<OutputMap>& outs = out_maps(in.layer);
     const i64 tout = m_.config().tout;
     const bool classic = in.scheme == Scheme::kInter;
     const bool padded = in.scheme == Scheme::kPartition ||
@@ -620,7 +621,7 @@ class Executor {
                                                            pix)] +
                             bias_acc[static_cast<std::size_t>(l)];
             if (!buffered) {
-              store_out(in.outs, lane0 + l, oy, ox,
+              store_out(outs, lane0 + l, oy, ox,
                         finalize_value(v, in.relu));
               continue;
             }
@@ -652,6 +653,7 @@ class Executor {
   // Finalize the whole tile's outputs from the output buffer (partials)
   // into DRAM. Used by schemes that accumulate through the buffer.
   void finalize_from_buffer(const ConvTileInstr& in) {
+    const std::vector<OutputMap>& outs = out_maps(in.layer);
     const i64 douts = in.dout1 - in.dout0;
     const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
     // Partials are pixel-major, dout-minor: this loop order walks
@@ -663,7 +665,7 @@ class Executor {
     for (i64 oy = in.out_row0; oy < in.out_row1; ++oy)
       for (i64 ox = 0; ox < in.out_w; ++ox)
         for (i64 d = in.dout0; d < in.dout1; ++d, ++idx)
-          store_out(in.outs, d, oy, ox,
+          store_out(outs, d, oy, ox,
                     finalize_value(partials[idx], in.relu));
   }
 
@@ -739,6 +741,7 @@ class Executor {
   }
 
   void exec_pool(const PoolTileInstr& in) {
+    const std::vector<OutputMap>& outs = out_maps(in.layer);
     const i64 tout = m_.config().tout;
     const i64 dins = in.d1 - in.d0;
 
@@ -801,7 +804,7 @@ class Executor {
               const acc_t num = s >= 0 ? 2 * s + n : 2 * s - n;
               raw = saturate_to_i16(num / (2 * n));
             }
-            store_out(in.outs, lane0 + l, oy, ox, raw);
+            store_out(outs, lane0 + l, oy, ox, raw);
           }
         }
       }
@@ -809,6 +812,7 @@ class Executor {
   }
 
   void exec_eltwise(const EltwiseTileInstr& in) {
+    const std::vector<OutputMap>& outs = out_maps(in.layer);
     const i64 tout = m_.config().tout;
     const i64 dins = in.d1 - in.d0;
     const i64 band_words = in.band_rows * in.band_width * dins;
@@ -837,7 +841,7 @@ class Executor {
             // to Q16.16, one rounding/saturation point at finalize.
             const acc_t sum = bias_to_acc(at(a, lane0 + l, oy, ox)) +
                               bias_to_acc(at(b, lane0 + l, oy, ox));
-            store_out(in.outs, lane0 + l, oy, ox,
+            store_out(outs, lane0 + l, oy, ox,
                       finalize_value(sum, in.relu));
           }
         }
@@ -851,6 +855,7 @@ class Executor {
   }
 
   void exec_fc(const FcTileInstr& in) {
+    const std::vector<OutputMap>& outs = out_maps(in.layer);
     const i64 tin = m_.config().tin;
     const i64 tout = m_.config().tout;
     const i64 dins = in.din1 - in.din0;
@@ -881,7 +886,7 @@ class Executor {
       for (i64 l = 0; l < L; ++l) {
         const acc_t a = acc[static_cast<std::size_t>(l)];
         if (!multi) {
-          store_out(in.outs, lane0 + l, 0, 0, finalize_value(a, in.relu));
+          store_out(outs, lane0 + l, 0, 0, finalize_value(a, in.relu));
           continue;
         }
         const i64 idx = lane0 + l;  // one partial per output neuron
@@ -892,7 +897,7 @@ class Executor {
           m_.pe().count_add(1);
         }
         if (in.last_din_chunk)
-          store_out(in.outs, lane0 + l, 0, 0,
+          store_out(outs, lane0 + l, 0, 0,
                     finalize_value(m_.output_buf().read(idx), in.relu));
       }
     }
@@ -938,8 +943,7 @@ class Executor {
   }
 
   void host_store(const Layer& l, const Tensor3<Fixed16>& t) {
-    const auto& outs = compiled_.layout.out_maps[static_cast<std::size_t>(
-        l.id)];
+    const std::vector<OutputMap>& outs = out_maps(l.id);
     for (i64 d = 0; d < t.dims().d; ++d)
       for (i64 y = 0; y < t.dims().h; ++y)
         for (i64 x = 0; x < t.dims().w; ++x)

@@ -45,8 +45,8 @@ TEST(Sram, AccountingAndBounds) {
   EXPECT_EQ(s.read(0), 42);
   std::int16_t buf[4] = {1, 2, 3, 4};
   s.write_block(8, 4, buf);
-  std::int16_t out[4];
-  s.read_block(8, 4, out);
+  const std::int16_t* out = s.read_span(8, 4);
+  s.count_reads(4);  // read_span leaves the accounting to the caller
   EXPECT_EQ(out[3], 4);
   EXPECT_EQ(s.stats().reads, 5);
   EXPECT_EQ(s.stats().writes, 5);
@@ -113,7 +113,7 @@ TEST(Dma, FaultFreeLoadMatchesZeroRateInjector) {
   for (std::size_t i = 0; i < pattern.size(); ++i)
     pattern[i] = static_cast<std::int16_t>(i * 7919 + 3);
   pattern[9] = -32768;
-  dram.write_block(0, 2048, pattern.data());
+  dram.write_words(0, 2048, pattern.data());
 
   FaultInjector zero_rate(FaultConfig{});
   DmaEngine plain(cfg), hooked(cfg);
@@ -131,9 +131,10 @@ TEST(Dma, FaultFreeLoadMatchesZeroRateInjector) {
   EXPECT_EQ(plain.stats().transfers, 5);
   EXPECT_EQ(a.stats().writes, b.stats().writes);
   EXPECT_EQ(a.stats().writes, 1 + 300 + 324 + 1 + 324);
-  std::vector<std::int16_t> got_a(1024), got_b(1024);
-  a.read_block(0, 1024, got_a.data());
-  b.read_block(0, 1024, got_b.data());
+  const std::int16_t* span_a = a.read_span(0, 1024);
+  const std::int16_t* span_b = b.read_span(0, 1024);
+  const std::vector<std::int16_t> got_a(span_a, span_a + 1024);
+  const std::vector<std::int16_t> got_b(span_b, span_b + 1024);
   EXPECT_EQ(got_a, got_b);
   EXPECT_EQ(got_a[700], pattern[1024]);
   EXPECT_EQ(got_a[1023], pattern[2047]);

@@ -356,9 +356,7 @@ std::string stats_line(const FaultStats& st) {
 // The parameter loader writes rows with Dram::write_words. Under an
 // attached injector that must be indistinguishable from one Dram::write
 // per word: same memory, same FaultStats (code words included), same
-// event log, same pending overhead. write_block's single hook call
-// would count one code word per parity group of the block and let a
-// burst run across words, failing the parity/ECC and burst rows.
+// event log, same pending overhead.
 TEST(FaultInjector, DramWriteWordsMatchesPerWordWrites) {
   std::vector<std::int16_t> data(3000);
   Rng rng(5);

@@ -11,7 +11,6 @@
 
 #include "cbrain/compiler/verifier.hpp"
 #include "cbrain/engine/engine.hpp"
-#include "cbrain/isa/disassembler.hpp"
 #include "cbrain/multichip/executor.hpp"
 #include "support.hpp"
 
@@ -326,26 +325,6 @@ TEST(MultiChip, InterconnectClosedForms) {
   icn.reset_stats();
   EXPECT_EQ(icn.total_transfers(), 0);
   EXPECT_EQ(icn.total_words(), 0);
-}
-
-TEST(MultiChip, ChipProgramsCarryXferMarkers) {
-  engine::Engine engine(tiny_config(4, 4));
-  const Network net = zoo::tiny_cnn();
-  for (const PartitionStrategy s :
-       {PartitionStrategy::kPipeline, PartitionStrategy::kShard}) {
-    MultiChipOptions o;
-    o.chips = 2;
-    o.strategy = s;
-    MultiChipExecutor mc(engine, net, o);
-    i64 xfers = 0;
-    for (i64 c = 0; c < o.chips; ++c) {
-      const Program p = mc.chip_program(c);
-      xfers += p.stats().chip_xfers;
-      // The partitioned stream must disassemble (XFER rows included).
-      EXPECT_FALSE(disassemble(p).empty());
-    }
-    EXPECT_GT(xfers, 0) << multichip::partition_strategy_name(s);
-  }
 }
 
 TEST(MultiChip, InferManyMatchesSequentialAtAnyJobs) {

@@ -10,6 +10,8 @@ namespace {
 
 // A 4x4 PE: Tin = Tout = 4, 16 multiplier slots.
 const AcceleratorConfig kCfg = AcceleratorConfig::with_pe(4, 4);
+// Every tile's layer stores to one consumer cube.
+constexpr i64 kConsumers = 1;
 
 // Common tile: 2 output rows x 3 cols (npix=6), k=2 (kk=4), stride 1,
 // dins=4 (one Tin chunk), douts=4 (one lane group), single din tile.
@@ -30,12 +32,12 @@ ConvTileInstr base_tile(Scheme scheme) {
   t.din1 = 4;
   t.band_rows = 3;
   t.band_width = 4;
-  t.outs.resize(1);  // one consumer
   return t;
 }
 
 TEST(SchemeTraffic, InterClassic) {
-  const TrafficCounters c = model_conv_tile(base_tile(Scheme::kInter), kCfg);
+  const TrafficCounters c =
+      model_conv_tile(base_tile(Scheme::kInter), kCfg, kConsumers);
   // ops = npix * kk * ceil(4/4) = 6*4 = 24 cycles; full 16-slot use.
   EXPECT_EQ(c.compute_cycles, 24);
   EXPECT_EQ(c.mul_ops, 6 * 4 * 4 * 4);  // npix*kk*dins*L = 384 MACs
@@ -55,7 +57,7 @@ TEST(SchemeTraffic, InterClassic) {
 
 TEST(SchemeTraffic, InterImproved) {
   const TrafficCounters c =
-      model_conv_tile(base_tile(Scheme::kInterImproved), kCfg);
+      model_conv_tile(base_tile(Scheme::kInterImproved), kCfg, kConsumers);
   // Same MAC schedule + 1 register-load cycle per (kk * cdin) pass.
   EXPECT_EQ(c.compute_cycles, 24 + 4);
   EXPECT_EQ(c.mul_ops, 384);
@@ -75,7 +77,7 @@ TEST(SchemeTraffic, PartitionSubKernels) {
   // k=2, s=1 -> g=2, ks=1, G=4 one-element sub-kernels; w = Tin = 4
   // windows per op.
   const TrafficCounters c =
-      model_conv_tile(base_tile(Scheme::kPartition), kCfg);
+      model_conv_tile(base_tile(Scheme::kPartition), kCfg, kConsumers);
   // passes = G*dins = 16; ops/pass = ceil(6/4) = 2 -> 32 cycles/lane grp.
   EXPECT_EQ(c.compute_cycles, 32);
   // MACs: padded kernel 2x2 == k (no padding waste here): 384.
@@ -94,7 +96,7 @@ TEST(SchemeTraffic, PartitionSubKernels) {
 TEST(SchemeTraffic, IntraUnrollChunked) {
   // kk = 4 == Tin: exactly one whole window per op (w = 1).
   const TrafficCounters c =
-      model_conv_tile(base_tile(Scheme::kIntraUnroll), kCfg);
+      model_conv_tile(base_tile(Scheme::kIntraUnroll), kCfg, kConsumers);
   // ops = dins * npix * 1 = 24 cycles per lane group.
   EXPECT_EQ(c.compute_cycles, 24);
   EXPECT_EQ(c.mul_ops, 384);
@@ -110,7 +112,7 @@ TEST(SchemeTraffic, LaneGroupRemainders) {
   // douts = 6 on Tout = 4: lane groups of 4 and 2.
   ConvTileInstr t = base_tile(Scheme::kInter);
   t.dout1 = 6;
-  const TrafficCounters c = model_conv_tile(t, kCfg);
+  const TrafficCounters c = model_conv_tile(t, kCfg, kConsumers);
   EXPECT_EQ(c.compute_cycles, 2 * 24);        // two lane-group passes
   EXPECT_EQ(c.mul_ops, 6 * 4 * 4 * 6);        // L sums to 6
   EXPECT_EQ(c.idle_mul_slots, 24 * 16 * 2 - c.mul_ops);
@@ -122,12 +124,11 @@ TEST(SchemeTraffic, MultiDinTilePartials) {
   ConvTileInstr first = base_tile(Scheme::kInter);
   first.din1 = 2;
   first.last_din_chunk = false;
-  first.outs.clear();
   ConvTileInstr last = base_tile(Scheme::kInter);
   last.din0 = 2;
   last.first_din_chunk = false;
-  const TrafficCounters c1 = model_conv_tile(first, kCfg);
-  const TrafficCounters c2 = model_conv_tile(last, kCfg);
+  const TrafficCounters c1 = model_conv_tile(first, kCfg, kConsumers);
+  const TrafficCounters c2 = model_conv_tile(last, kCfg, kConsumers);
   // First tile: write-only partials (6 pixels * 2 words * 4 lanes).
   EXPECT_EQ(c1.output_writes, 48);
   EXPECT_EQ(c1.output_reads, 0);
@@ -150,7 +151,7 @@ TEST(SchemeTraffic, FcChunking) {
   f.dout1 = 4;
   f.first_din_chunk = true;
   f.last_din_chunk = false;
-  const TrafficCounters c = model_fc_tile(f, kCfg);
+  const TrafficCounters c = model_fc_tile(f, kCfg, kConsumers);
   EXPECT_EQ(c.compute_cycles, 2);     // ceil(8/4)
   EXPECT_EQ(c.mul_ops, 8 * 4);
   EXPECT_EQ(c.input_reads, 8);

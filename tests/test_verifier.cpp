@@ -126,9 +126,12 @@ TEST_F(VerifierMutations, BudgetOverrunIsV4) {
 TEST_F(VerifierMutations, StoreEscapeIsV5) {
   const i64 conv = find_instr<ConvTileInstr>();
   ASSERT_GE(conv, 0);
-  auto& c = mutate<ConvTileInstr>(conv);
-  ASSERT_FALSE(c.outs.empty());
-  c.outs[0].d_offset += 1000;
+  // Finalizing tiles store to their layer's out maps; shift one past the
+  // consumer cube.
+  auto& maps = compiled_->layout.out_maps[static_cast<std::size_t>(
+      std::get<ConvTileInstr>(compiled_->program.at(conv)).layer)];
+  ASSERT_FALSE(maps.empty());
+  maps[0].d_offset += 1000;
   EXPECT_TRUE(has_rule(verify_program(net_, *compiled_, config_), "V5"));
 }
 

@@ -362,7 +362,7 @@ int cmd_disasm(const Network& net, const Options& opt) {
   if (!policy) return 2;
   CBrain brain(resolve_config(opt));
   const CompiledNetwork& compiled = brain.compile(net, *policy);
-  std::printf("%s", disassemble(compiled.program,
+  std::printf("%s", disassemble(compiled.program, net,
                                 opt.get_i64("max", 200))
                         .c_str());
   const ProgramStats s = compiled.program.stats();

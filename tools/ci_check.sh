@@ -48,6 +48,15 @@ run_suite build-ci-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 echo "=== AddressSanitizer+UBSan build ==="
 run_suite build-ci-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCBRAIN_SANITIZE=address
+# Record labels are rendered, not stored: a barrier's label looks ahead
+# to the record it guards and a conv tile's divides by its layer's group
+# sizes. Render every record of every zoo net, and the ResNet-18 model
+# timeline, under ASan+UBSan.
+for net in alexnet googlenet vgg16 nin tiny_cnn scheme_mix mini_inception \
+  lenet5 zfnet squeezenet resnet18 mobilenetv1; do
+  ./build-ci-asan/tools/cbrain_cli disasm "$net" --max=-1 > /dev/null
+done
+./build-ci-asan/tools/cbrain_cli timeline resnet18 > /dev/null
 
 echo "=== determinism: --jobs 1 vs --jobs N must print identical tables ==="
 ./build-ci-release/bench/bench_fig7_conv1 --jobs 1 > /tmp/cbrain_fig7_j1.txt
