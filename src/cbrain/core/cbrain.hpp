@@ -14,7 +14,7 @@
 // Compiled programs are cached in a thread-safe engine::Engine cache keyed
 // by a structural hash of (network topology, config, policy) — never by
 // name. For serving many inferences against resident weights, use the
-// engine() directly (open_session / run_many); simulate() is the one-shot
+// engine() directly (open_session / run_batches); simulate() is the one-shot
 // convenience over the same path.
 #pragma once
 

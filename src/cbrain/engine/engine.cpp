@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <exception>
@@ -129,6 +128,20 @@ void mix_config(Fnv1a& f, const AcceleratorConfig& c) {
   f.mix_i64(c.store_port_partials);
 }
 
+// The Status a per-request channel reports for a captured failure: a
+// failed CHECK is a malformed request, anything else an internal error.
+Status status_of(std::exception_ptr failure) {
+  try {
+    std::rethrow_exception(failure);
+  } catch (const CheckError& e) {
+    return Status::invalid_argument(e.what());
+  } catch (const std::exception& e) {
+    return Status::internal(e.what());
+  } catch (...) {
+    return Status::internal("unknown exception");
+  }
+}
+
 }  // namespace
 
 u64 structural_hash(const Network& net, Policy policy,
@@ -198,18 +211,12 @@ std::vector<SimResult> Session::infer_batch(
   std::vector<SimResult> results(inputs.size());
   if (statuses) statuses->assign(inputs.size(), Status::ok());
   for (std::size_t b = 0; b < inputs.size(); ++b) {
-    if (statuses == nullptr) {
-      CBRAIN_CHECK(inputs[b] != nullptr, "infer_batch: null input");
-      results[b] = exec_->infer(*inputs[b]);
-      continue;
-    }
     try {
       CBRAIN_CHECK(inputs[b] != nullptr, "infer_batch: null input");
       results[b] = exec_->infer(*inputs[b]);
-    } catch (const CheckError& e) {
-      (*statuses)[b] = Status::invalid_argument(e.what());
-    } catch (const std::exception& e) {
-      (*statuses)[b] = Status::internal(e.what());
+    } catch (...) {
+      if (statuses == nullptr) throw;
+      (*statuses)[b] = status_of(std::current_exception());
     }
   }
   return results;
@@ -231,33 +238,10 @@ void SessionPool::add(std::unique_ptr<Session> session) {
   sessions_.push_back(std::move(session));
 }
 
-i64 SessionPool::idle() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<i64>(free_.size());
-}
-
 Session* SessionPool::acquire() {
   CBRAIN_CHECK(!sessions_.empty(), "acquire() on an empty SessionPool");
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [&] { return !free_.empty(); });
-  Session* s = free_.back();
-  free_.pop_back();
-  return s;
-}
-
-Result<Session*> SessionPool::acquire_for(i64 timeout_us) {
-  CBRAIN_CHECK(!sessions_.empty(), "acquire_for() on an empty SessionPool");
-  std::unique_lock<std::mutex> lock(mu_);
-  const bool got = cv_.wait_for(
-      lock, std::chrono::microseconds(std::max<i64>(0, timeout_us)),
-      [&] { return !free_.empty(); });
-  if (!got) {
-    obs::Registry::global().counter("engine.pool_acquire_timeouts").inc();
-    return Status::timeout("session pool: no free session within " +
-                           std::to_string(timeout_us) + "us (" +
-                           std::to_string(sessions_.size()) +
-                           " sessions, all busy)");
-  }
   Session* s = free_.back();
   free_.pop_back();
   return s;
@@ -365,161 +349,11 @@ std::vector<SimResult> Engine::run_many(
     const Network& net, Policy policy, const NetParamsData<Fixed16>& params,
     const std::vector<Tensor3<Fixed16>>& inputs, i64 jobs, ServeStats* stats,
     Fidelity fidelity, std::vector<Status>* statuses) {
-  using Clock = std::chrono::steady_clock;
-  const auto n = static_cast<i64>(inputs.size());
-  if (statuses != nullptr)
-    statuses->assign(static_cast<std::size_t>(n), Status::ok());
-  if (n == 0) {
-    if (stats != nullptr) *stats = ServeStats{};
-    return {};
-  }
-  const i64 jobs_eff =
-      std::max<i64>(1, jobs > 0 ? jobs : parallel::default_jobs());
-  const i64 pool_n = std::min(jobs_eff, n);
-
-  // Weight-resident session pool. Sessions are interchangeable for
-  // results (a session's output doesn't depend on its serving history),
-  // so the SessionPool free-list is enough: any idle session serves the
-  // next request, and parallel_map's index-ordered slots give
-  // submission-ordered results regardless of which session ran what.
-  auto pool = open_pool(net, policy, params, pool_n, fidelity);
-
-  // Request-lifecycle telemetry. The histograms record always (request
-  // granularity — a few mutex-guarded observes next to milliseconds of
-  // simulation); wall-domain spans record only while the tracer is on.
-  // Each session gets its own wall track: a session serves one request
-  // at a time, so request spans on a session track never overlap. The
-  // pre-acquire waits (queue, free-session) can overlap across requests
-  // and are reported as span args + histograms instead of spans.
-  auto& reg = obs::Registry::global();
-  reg.counter("engine.run_many_total").inc();
-  reg.counter("engine.requests_total").inc(n);
-  reg.gauge("engine.session_pool").set(static_cast<double>(pool_n));
-  auto& queue_wait_h = reg.histogram("engine.queue_wait_ms");
-  auto& acquire_h = reg.histogram("engine.session_acquire_ms");
-  auto& infer_h = reg.histogram("engine.infer_ms");
-  auto& request_h = reg.histogram("engine.request_latency_ms");
-
-  obs::Tracer& tracer = obs::Tracer::global();
-  const bool tracing = tracer.enabled();
-  std::vector<int> session_track(static_cast<std::size_t>(pool_n), 0);
-  std::unordered_map<const Session*, int> track_of;
-  int batch_track = 0;
-  if (tracing) {
-    batch_track = tracer.add_track(obs::Domain::kWall,
-                                   "engine:" + net.name() + " batch");
-    for (i64 j = 0; j < pool_n; ++j) {
-      session_track[static_cast<std::size_t>(j)] = tracer.add_track(
-          obs::Domain::kWall,
-          "engine:" + net.name() + " session " + std::to_string(j));
-      track_of[pool->at(j)] = session_track[static_cast<std::size_t>(j)];
-    }
-  }
-
-  // Per-request failure isolation: infer() runs under a try so one
-  // malformed request (CHECK-failed input dims, a poisoned spec) cannot
-  // abandon its siblings through parallel_for's first-failure barrier.
-  // Failures surface as per-request Status (or a deferred rethrow of the
-  // lowest index when the caller didn't ask for statuses).
-  std::mutex fail_mu;
-  std::vector<std::pair<i64, std::exception_ptr>> failures;
-
-  std::vector<double> latency_ms(static_cast<std::size_t>(n), 0.0);
-  const auto batch_start = Clock::now();
-  const i64 batch_start_us = tracing ? tracer.wall_now_us() : 0;
-  auto results = parallel::parallel_map<SimResult>(
-      n,
-      [&](i64 i) {
-        const auto task_start = Clock::now();
-        Session* session = pool->acquire();
-        const auto acquired = Clock::now();
-        const i64 acquired_us = tracing ? tracer.wall_now_us() : 0;
-        const auto t0 = Clock::now();
-        SimResult r;
-        try {
-          r = session->infer(inputs[static_cast<std::size_t>(i)]);
-        } catch (...) {
-          // A failed inference leaves no state the next one can read
-          // (infer fully rewrites its inputs), so the session goes
-          // straight back into rotation.
-          pool->release(session);
-          reg.counter("engine.request_failures").inc();
-          std::lock_guard<std::mutex> lock(fail_mu);
-          failures.emplace_back(i, std::current_exception());
-          return r;
-        }
-        const auto t1 = Clock::now();
-        pool->release(session);
-
-        using Ms = std::chrono::duration<double, std::milli>;
-        const double queue_wait = Ms(task_start - batch_start).count();
-        const double acquire = Ms(acquired - task_start).count();
-        const double infer = Ms(t1 - t0).count();
-        latency_ms[static_cast<std::size_t>(i)] = infer;
-        queue_wait_h.observe(queue_wait);
-        acquire_h.observe(acquire);
-        infer_h.observe(infer);
-        request_h.observe(Ms(t1 - task_start).count());
-        if (tracing) {
-          obs::Span s;
-          s.domain = obs::Domain::kWall;
-          s.track = track_of[session];
-          s.start = acquired_us;
-          s.dur = tracer.wall_now_us() - acquired_us;
-          if (s.dur < 0) s.dur = 0;
-          s.name = "request";
-          s.cat = "request";
-          s.args.emplace_back("tier", fidelity_name(fidelity));
-          s.args.emplace_back("index", std::to_string(i));
-          s.args.emplace_back("queue_wait_ms", std::to_string(queue_wait));
-          s.args.emplace_back("session_acquire_ms", std::to_string(acquire));
-          s.args.emplace_back("infer_ms", std::to_string(infer));
-          tracer.record(std::move(s));
-        }
-        return r;
-      },
-      jobs_eff);
-  if (!failures.empty()) {
-    std::sort(failures.begin(), failures.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    // Historical contract: no status channel → the lowest failed index
-    // rethrows (deterministically, independent of scheduling) once every
-    // sibling has drained.
-    if (statuses == nullptr) std::rethrow_exception(failures.front().second);
-    for (auto& [idx, ep] : failures) {
-      Status st = Status::internal("unknown exception");
-      try {
-        std::rethrow_exception(ep);
-      } catch (const CheckError& e) {
-        st = Status::invalid_argument(e.what());
-      } catch (const std::exception& e) {
-        st = Status::internal(e.what());
-      } catch (...) {
-      }
-      (*statuses)[static_cast<std::size_t>(idx)] = std::move(st);
-    }
-  }
-  if (tracing) {
-    obs::Span s;
-    s.domain = obs::Domain::kWall;
-    s.track = batch_track;
-    s.start = batch_start_us;
-    s.dur = tracer.wall_now_us() - batch_start_us;
-    s.name = "run_many:" + net.name();
-    s.cat = "batch";
-    s.args.emplace_back("tier", fidelity_name(fidelity));
-    s.args.emplace_back("requests", std::to_string(n));
-    s.args.emplace_back("sessions", std::to_string(pool_n));
-    tracer.record(std::move(s));
-  }
-  if (stats != nullptr) {
-    stats->latency_ms = std::move(latency_ms);
-    stats->wall_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - batch_start)
-            .count();
-    stats->sessions = pool_n;
-  }
-  return results;
+  std::vector<std::vector<i64>> batches(inputs.size());
+  for (std::size_t i = 0; i < batches.size(); ++i)
+    batches[i].push_back(static_cast<i64>(i));
+  return run_batches(net, policy, params, inputs, batches, jobs, stats,
+                     fidelity, statuses);
 }
 
 std::vector<SimResult> Engine::run_batches(
@@ -528,6 +362,7 @@ std::vector<SimResult> Engine::run_batches(
     const std::vector<std::vector<i64>>& batches, i64 jobs, ServeStats* stats,
     Fidelity fidelity, std::vector<Status>* statuses) {
   using Clock = std::chrono::steady_clock;
+  using Ms = std::chrono::duration<double, std::milli>;
   const auto n = static_cast<i64>(inputs.size());
   if (statuses != nullptr)
     statuses->assign(static_cast<std::size_t>(n), Status::ok());
@@ -555,16 +390,30 @@ std::vector<SimResult> Engine::run_batches(
     return {};
   }
 
+  // Weight-resident session pool. Sessions are interchangeable for
+  // results (a session's output doesn't depend on its serving history),
+  // so the SessionPool free-list is enough: any idle session serves the
+  // next batch, and results land in their submission slots regardless of
+  // which session ran what.
   const auto nb = static_cast<i64>(batches.size());
   const i64 jobs_eff =
       std::max<i64>(1, jobs > 0 ? jobs : parallel::default_jobs());
   const i64 pool_n = std::min(jobs_eff, nb);
   auto pool = open_pool(net, policy, params, pool_n, fidelity);
 
+  // Serving telemetry. The histograms record always (batch granularity —
+  // a few mutex-guarded observes next to milliseconds of inference);
+  // wall-domain spans record only while the tracer is on. Each session
+  // gets its own wall track: a session serves one batch at a time, so
+  // batch spans on a session track never overlap. The pre-acquire waits
+  // (queue, free-session) can overlap across batches and are reported as
+  // span args + histograms instead of spans.
   auto& reg = obs::Registry::global();
   reg.counter("engine.run_batches_total").inc();
   reg.counter("engine.requests_total").inc(n);
   reg.gauge("engine.session_pool").set(static_cast<double>(pool_n));
+  auto& queue_wait_h = reg.histogram("engine.queue_wait_ms");
+  auto& acquire_h = reg.histogram("engine.session_acquire_ms");
   auto& batch_size_h = reg.histogram("engine.batch_size");
   auto& infer_h = reg.histogram("engine.infer_ms");
   auto& request_h = reg.histogram("engine.request_latency_ms");
@@ -572,38 +421,41 @@ std::vector<SimResult> Engine::run_batches(
   obs::Tracer& tracer = obs::Tracer::global();
   const bool tracing = tracer.enabled();
   std::unordered_map<const Session*, int> track_of;
-  int batch_track = 0;
+  int run_track = 0;
   if (tracing) {
-    batch_track = tracer.add_track(obs::Domain::kWall,
-                                   "engine:" + net.name() + " batches");
+    run_track = tracer.add_track(obs::Domain::kWall,
+                                 "engine:" + net.name() + " run");
     for (i64 j = 0; j < pool_n; ++j)
       track_of[pool->at(j)] = tracer.add_track(
           obs::Domain::kWall,
           "engine:" + net.name() + " session " + std::to_string(j));
   }
 
-  // Whole-batch failures (only reachable without a status channel, or
-  // from a non-Check exception): deferred, lowest global index rethrows.
+  // Per-request failure isolation: with a status channel a malformed
+  // input fails only its slot (Session::infer_batch reports it), so one
+  // bad request cannot abandon its siblings through parallel_for's
+  // first-failure barrier. Without one, the lowest failed index rethrows
+  // once every batch has drained.
   std::mutex fail_mu;
   std::vector<std::pair<i64, std::exception_ptr>> failures;
 
   std::vector<SimResult> results(static_cast<std::size_t>(n));
   std::vector<double> latency_ms(static_cast<std::size_t>(n), 0.0);
-  const auto batch_start = Clock::now();
-  const i64 batch_start_us = tracing ? tracer.wall_now_us() : 0;
+  const auto run_start = Clock::now();
+  const i64 run_start_us = tracing ? tracer.wall_now_us() : 0;
   parallel::parallel_for(
       nb,
       [&](i64 bi) {
         const auto& members = batches[static_cast<std::size_t>(bi)];
         const auto bsz = static_cast<i64>(members.size());
-        Session* session = pool->acquire();
-        const i64 acquired_us = tracing ? tracer.wall_now_us() : 0;
-
         std::vector<const Tensor3<Fixed16>*> ptrs;
         ptrs.reserve(members.size());
         for (i64 idx : members)
           ptrs.push_back(&inputs[static_cast<std::size_t>(idx)]);
 
+        const auto task_start = Clock::now();
+        Session* session = pool->acquire();
+        const i64 acquired_us = tracing ? tracer.wall_now_us() : 0;
         const auto t0 = Clock::now();
         std::vector<Status> batch_statuses;
         std::vector<SimResult> batch_results;
@@ -611,21 +463,16 @@ std::vector<SimResult> Engine::run_batches(
           batch_results = session->infer_batch(
               ptrs, statuses != nullptr ? &batch_statuses : nullptr);
         } catch (...) {
+          // A failed inference leaves no state the next one can read
+          // (infer fully rewrites its inputs), so the session goes
+          // straight back into rotation.
           pool->release(session);
           reg.counter("engine.request_failures").inc(bsz);
           if (statuses != nullptr) {
             // Per-request failures never throw through a status channel,
             // so this is an unexpected whole-batch error: report it on
             // every member rather than aborting the sibling batches.
-            Status st = Status::internal("unknown exception");
-            try {
-              throw;
-            } catch (const CheckError& e) {
-              st = Status::invalid_argument(e.what());
-            } catch (const std::exception& e) {
-              st = Status::internal(e.what());
-            } catch (...) {
-            }
+            const Status st = status_of(std::current_exception());
             for (i64 idx : members)
               (*statuses)[static_cast<std::size_t>(idx)] = st;
             return;
@@ -638,8 +485,11 @@ std::vector<SimResult> Engine::run_batches(
         const auto t1 = Clock::now();
         pool->release(session);
 
-        using Ms = std::chrono::duration<double, std::milli>;
+        const double queue_wait = Ms(task_start - run_start).count();
+        const double acquire = Ms(t0 - task_start).count();
         const double infer = Ms(t1 - t0).count();
+        queue_wait_h.observe(queue_wait);
+        acquire_h.observe(acquire);
         batch_size_h.observe(static_cast<double>(bsz));
         infer_h.observe(infer);
         // A member's serving latency is its batch's inference time: the
@@ -648,7 +498,7 @@ std::vector<SimResult> Engine::run_batches(
           const auto idx = static_cast<std::size_t>(members[m]);
           results[idx] = std::move(batch_results[m]);
           latency_ms[idx] = infer;
-          request_h.observe(infer);
+          request_h.observe(acquire + infer);
           if (statuses != nullptr) {
             if (!batch_statuses[m].is_ok())
               reg.counter("engine.request_failures").inc();
@@ -660,12 +510,13 @@ std::vector<SimResult> Engine::run_batches(
           s.domain = obs::Domain::kWall;
           s.track = track_of[session];
           s.start = acquired_us;
-          s.dur = tracer.wall_now_us() - acquired_us;
-          if (s.dur < 0) s.dur = 0;
+          s.dur = std::max<i64>(0, tracer.wall_now_us() - acquired_us);
           s.name = "batch";
           s.cat = "batch";
           s.args.emplace_back("tier", fidelity_name(fidelity));
           s.args.emplace_back("batch_size", std::to_string(bsz));
+          s.args.emplace_back("queue_wait_ms", std::to_string(queue_wait));
+          s.args.emplace_back("session_acquire_ms", std::to_string(acquire));
           s.args.emplace_back("infer_ms", std::to_string(infer));
           tracer.record(std::move(s));
         }
@@ -673,7 +524,7 @@ std::vector<SimResult> Engine::run_batches(
       jobs_eff);
   if (!failures.empty()) {
     // Only reachable without a status channel: the lowest failed global
-    // index rethrows (deterministically) once every batch has drained.
+    // index rethrows (deterministically, independent of scheduling).
     std::sort(failures.begin(), failures.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     std::rethrow_exception(failures.front().second);
@@ -681,11 +532,11 @@ std::vector<SimResult> Engine::run_batches(
   if (tracing) {
     obs::Span s;
     s.domain = obs::Domain::kWall;
-    s.track = batch_track;
-    s.start = batch_start_us;
-    s.dur = tracer.wall_now_us() - batch_start_us;
+    s.track = run_track;
+    s.start = run_start_us;
+    s.dur = tracer.wall_now_us() - run_start_us;
     s.name = "run_batches:" + net.name();
-    s.cat = "batch";
+    s.cat = "run";
     s.args.emplace_back("tier", fidelity_name(fidelity));
     s.args.emplace_back("requests", std::to_string(n));
     s.args.emplace_back("batches", std::to_string(nb));
@@ -694,9 +545,7 @@ std::vector<SimResult> Engine::run_batches(
   }
   if (stats != nullptr) {
     stats->latency_ms = std::move(latency_ms);
-    stats->wall_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - batch_start)
-            .count();
+    stats->wall_ms = Ms(Clock::now() - run_start).count();
     stats->sessions = pool_n;
   }
   return results;

@@ -16,11 +16,12 @@
 //             then streams one input image through with zero
 //             reallocation. infer ×N is bit- and counter-identical to N
 //             independent CBrain::simulate calls (tests/test_engine.cpp).
-//   run_many — fans a request batch across a pool of sessions via the
-//             cbrain::parallel thread pool. Results come back in
-//             submission order and are byte-identical at any --jobs,
-//             because a session's output is independent of what it
-//             served before.
+//   run_batches — fans request batches across a pool of sessions via
+//             the cbrain::parallel thread pool, one Session::infer_batch
+//             call per batch; run_many serves each request as a batch of
+//             one. Results come back in submission order and are
+//             byte-identical at any --jobs, because a session's output is
+//             independent of what it served before.
 //
 // Determinism contract: a Session mutates only state that the next
 // inference fully rewrites before reading (input cubes, SRAM bands,
@@ -53,7 +54,7 @@ u64 structural_hash(const Network& net, Policy policy,
                     Fidelity fidelity = Fidelity::kCycle);
 
 // A weight-resident session at either fidelity. Not thread-safe: one
-// request at a time per session (Engine::run_many pools sessions for
+// batch at a time per session (Engine::run_batches pools sessions for
 // concurrency). Fidelity::kCycle wraps the cycle-exact SimExecutor;
 // Fidelity::kFunctional wraps func::FuncExecutor — bit-identical outputs,
 // analytical counter estimates, ~10x+ faster (DESIGN.md §12).
@@ -126,11 +127,6 @@ class Session {
 // session's output is independent of its serving history — the Session
 // determinism contract above), so acquire() hands back whichever session
 // freed most recently. Thread-safe; sessions are owned by the pool.
-//
-// acquire() blocks indefinitely; acquire_for() is the deadline-aware
-// variant that returns Status kTimeout once the wait budget expires —
-// the primitive the serving front end (serve::Scheduler) and any caller
-// with an SLO uses instead of queuing forever on an exhausted pool.
 class SessionPool {
  public:
   SessionPool() = default;
@@ -142,32 +138,27 @@ class SessionPool {
   void add(std::unique_ptr<Session> session);
 
   i64 size() const { return static_cast<i64>(sessions_.size()); }
-  i64 idle() const;
   // i-th pooled session (diagnostics / track naming); does not acquire.
   Session* at(i64 i) const { return sessions_[static_cast<std::size_t>(i)].get(); }
 
   // Blocks until a session is free. Pool must be non-empty.
   Session* acquire();
-  // Waits at most timeout_us microseconds (<= 0: no wait — poll). On
-  // timeout returns Status::timeout without dequeuing anything; the
-  // caller sheds or retries.
-  Result<Session*> acquire_for(i64 timeout_us);
-  // Returns a session obtained from acquire()/acquire_for(). Safe to call
-  // after a failed infer: the next inference fully rewrites every word it
-  // reads, so a session that threw is indistinguishable from an idle one.
+  // Returns a session obtained from acquire(). Safe to call after a
+  // failed infer: the next inference fully rewrites every word it reads,
+  // so a session that threw is indistinguishable from an idle one.
   void release(Session* session);
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::vector<std::unique_ptr<Session>> sessions_;
   std::vector<Session*> free_;
 };
 
-// Per-batch serving metrics from Engine::run_many.
+// Serving metrics of one Engine::run_batches (or run_many) call.
 struct ServeStats {
   std::vector<double> latency_ms;  // per request, submission order
-  double wall_ms = 0.0;            // whole-batch wall clock
+  double wall_ms = 0.0;            // whole-run wall clock
   i64 sessions = 0;                // pool size used
 
   double infer_per_s() const;
@@ -213,50 +204,41 @@ class Engine {
                                          i64 n,
                                          Fidelity fidelity = Fidelity::kCycle);
 
-  // Serves a request batch across a session pool of min(jobs, #inputs)
-  // weight-resident sessions (jobs <= 0 uses parallel::default_jobs()).
-  // Results land in submission order and are byte-identical at any jobs
-  // count — and, because the tiers are bit-identical, at any fidelity.
-  // `stats`, when given, receives per-request latencies and batch
-  // throughput.
-  //
-  // Failure isolation: a request whose inference throws (e.g. malformed
-  // input dims) does not poison its siblings — every other request still
-  // runs to completion. With `statuses` given, it receives one Status per
-  // request (failed slots keep a default SimResult) and run_many never
-  // throws for per-request failures; with statuses == nullptr the
-  // lowest-index failure is rethrown after the batch drains, preserving
-  // the historical contract.
-  // Layer kernels fan out across the worker pool only when a single
-  // request runs; with several in flight each runs its layers inline
-  // (cbrain::parallel's nesting rule). Outputs are byte-identical either
-  // way.
-  std::vector<SimResult> run_many(const Network& net, Policy policy,
-                                  const NetParamsData<Fixed16>& params,
-                                  const std::vector<Tensor3<Fixed16>>& inputs,
-                                  i64 jobs = 0, ServeStats* stats = nullptr,
-                                  Fidelity fidelity = Fidelity::kCycle,
-                                  std::vector<Status>* statuses = nullptr);
-
   // Serves pre-formed batches: `batches` must partition [0, #inputs)
   // exactly (every index once, no empties). Each batch executes as one
   // Session::infer_batch call on one pooled session — the functional
-  // tier's multi-image GEMM path — with batches fanned across
-  // min(jobs, #batches) sessions. Results land in submission order and
-  // are byte-identical to run_many / sequential infer at any jobs,
-  // batch shape, or fidelity.
+  // tier's multi-image GEMM path, the cycle tier's per-image loop — with
+  // batches fanned across min(jobs, #batches) weight-resident sessions
+  // (jobs <= 0 uses parallel::default_jobs()). Results land in submission
+  // order and are byte-identical to sequential Session::infer at any jobs,
+  // batch shape, or fidelity. `stats`, when given, records each request's
+  // latency as its batch's inference time, and the run's throughput.
   //
-  // Failure isolation: with `statuses`, a malformed input fails only its
-  // slot (its batch siblings still run) and run_batches never throws for
-  // per-request failures; with statuses == nullptr the lowest-index
-  // failure is rethrown after every batch drains. `stats`, when given,
-  // records each request's latency as its batch's inference time.
+  // Failure isolation: a request whose inference fails (e.g. malformed
+  // input dims) does not poison its siblings. With `statuses` given, it
+  // receives one Status per request (failed slots keep a default
+  // SimResult) and run_batches never throws for per-request failures;
+  // with statuses == nullptr the lowest-index failure is rethrown after
+  // every batch drains.
+  //
+  // Layer kernels fan out across the worker pool only when a single
+  // batch runs; with several in flight each runs its layers inline
+  // (cbrain::parallel's nesting rule). Outputs are byte-identical either
+  // way.
   std::vector<SimResult> run_batches(
       const Network& net, Policy policy, const NetParamsData<Fixed16>& params,
       const std::vector<Tensor3<Fixed16>>& inputs,
       const std::vector<std::vector<i64>>& batches, i64 jobs = 0,
       ServeStats* stats = nullptr, Fidelity fidelity = Fidelity::kCycle,
       std::vector<Status>* statuses = nullptr);
+
+  // run_batches with every request in a batch of its own.
+  std::vector<SimResult> run_many(const Network& net, Policy policy,
+                                  const NetParamsData<Fixed16>& params,
+                                  const std::vector<Tensor3<Fixed16>>& inputs,
+                                  i64 jobs = 0, ServeStats* stats = nullptr,
+                                  Fidelity fidelity = Fidelity::kCycle,
+                                  std::vector<Status>* statuses = nullptr);
 
   // Cache observability (diagnostics and tests).
   i64 cache_size() const;

@@ -167,8 +167,6 @@ struct EltwiseTileInstr {
   i64 band_row0 = 0, band_rows = 0, band_width = 0;
 };
 
-// EltwiseTileInstr is appended at the end so the serialized opcodes of
-// the earlier variants stay stable (isa/program.cpp).
 using Instruction =
     std::variant<LoadInstr, ConvTileInstr, PoolTileInstr, FcTileInstr,
                  HostOpInstr, BarrierInstr, EltwiseTileInstr>;

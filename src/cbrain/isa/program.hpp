@@ -4,13 +4,10 @@
 #pragma once
 
 #include <map>
-#include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "cbrain/common/status.hpp"
 #include "cbrain/isa/instruction.hpp"
 
 namespace cbrain {
@@ -58,14 +55,6 @@ class Program {
   std::pair<i64, i64> layer_range(LayerId layer) const;
 
   ProgramStats stats() const;
-
-  // Versioned little-endian byte stream ("CBRP" magic) for caching and
-  // shipping compiled programs. deserialize() is hardened against
-  // truncated or corrupted input: every read is bounds-checked and every
-  // enum/length validated, so arbitrary bytes yield a Status — never a
-  // crash or unbounded allocation (fuzzed in tests/test_isa.cpp).
-  std::string serialize() const;
-  static Result<Program> deserialize(std::string_view bytes);
 
  private:
   std::vector<Instruction> instrs_;

@@ -98,7 +98,7 @@ struct Response {
   i64 enqueue_us = 0;     // admission time (== arrival)
   i64 dispatch_us = 0;    // batch left the queue
   i64 completion_us = 0;  // batch service finished
-  i64 batch_size = 0;     // size of the run_many batch it rode in
+  i64 batch_size = 0;     // size of the dispatched batch it rode in
   i64 server = -1;        // which simulated server executed it
 
   // completion - arrival for admitted requests; reject_us - arrival for

@@ -10,7 +10,7 @@
 // host throughput, not measured live), so the same seed and trace
 // produce byte-identical responses and metrics at any --jobs count and
 // across reruns. The host thread count only parallelizes the *execution*
-// of admitted work (engine::run_many, itself byte-deterministic); it can
+// of admitted work (engine::run_batches, itself byte-deterministic); it can
 // never reorder a decision. Real clocks exist only in the CLI path.
 //
 // Pipeline per request:
@@ -69,7 +69,7 @@ struct SchedulerConfig {
   i64 servers = 4;  // simulated accelerator hosts serving in parallel
 
   // Dynamic batch formation: coalesce same-(model,tier) requests of one
-  // priority class into a run_many batch, dispatching when the batch is
+  // priority class into one batch, dispatching when the batch is
   // full or its oldest member has waited batch_wait_us. The cycle tier
   // gets a smaller cap: its requests are ~17x longer, and a full cycle
   // batch would hog a server against latency-sensitive traffic.

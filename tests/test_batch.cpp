@@ -9,7 +9,7 @@
 // its slot; warm same-shape batches allocate nothing beyond the returned
 // SimResults (pinned with a counting global allocator plus the
 // scratch_growths() hook); Engine::run_batches validates its partition
-// and matches run_many byte for byte.
+// and, like run_many, matches sequential Session::infer byte for byte.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -275,6 +275,8 @@ TEST(BatchExec, WarmBatchesAllocateOnlyTheResults) {
   EXPECT_EQ(cost_a, cost_b);
 }
 
+// run_many is run_batches over batches of one, so both are held to an
+// independent anchor: sequential Session::infer on one session.
 TEST(EngineBatches, RunBatchesMatchesRunManyAndIsRaggedSafe) {
   const Network net = batch_exec_net();
   const auto params = init_net_params<Fixed16>(net, 13);
@@ -283,24 +285,31 @@ TEST(EngineBatches, RunBatchesMatchesRunManyAndIsRaggedSafe) {
     inputs.push_back(random_input<Fixed16>(net.layer(0).out_dims, 80 + s));
 
   engine::Engine eng{AcceleratorConfig{}};
-  engine::ServeStats stats;
-  const auto expected =
-      eng.run_many(net, Policy::kAdaptive2, params, inputs, /*jobs=*/1,
-                   &stats, Fidelity::kFunctional);
+  std::vector<SimResult> expected;
+  {
+    auto session = eng.open_session(net, Policy::kAdaptive2, params,
+                                    Fidelity::kFunctional);
+    for (const auto& input : inputs) expected.push_back(session->infer(input));
+  }
+  const auto expect_matches = [&](const std::vector<SimResult>& got) {
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_TRUE(test::tensors_equal(expected[i].final_output,
+                                      got[i].final_output))
+          << "request " << i;
+  };
 
+  engine::ServeStats stats;
   for (i64 jobs : {1, 4}) {
     for (i64 width : {1, 4}) {
       SCOPED_TRACE("jobs=" + std::to_string(jobs) +
                    " pool width " + std::to_string(width));
       PoolWidth pool(width);
-      const auto got = eng.run_batches(
-          net, Policy::kAdaptive2, params, inputs, {{0, 1, 2}, {3, 4}},
-          jobs, &stats, Fidelity::kFunctional);
-      ASSERT_EQ(got.size(), 5u);
-      for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(test::tensors_equal(expected[i].final_output,
-                                        got[i].final_output))
-            << "request " << i;
+      expect_matches(eng.run_batches(net, Policy::kAdaptive2, params, inputs,
+                                     {{0, 1, 2}, {3, 4}}, jobs, &stats,
+                                     Fidelity::kFunctional));
+      expect_matches(eng.run_many(net, Policy::kAdaptive2, params, inputs,
+                                  jobs, &stats, Fidelity::kFunctional));
     }
   }
 }

@@ -1,9 +1,10 @@
 // The inference-serving engine (engine::Engine / engine::Session) and its
 // contracts: a weight-resident session serves bit-identical results to
 // the single-shot path no matter how many inferences preceded them,
-// run_many is byte-identical and submission-ordered at any jobs count,
-// the compile cache keys on structure (never on name), and sessions
-// compose with the fault-injection subsystem.
+// run_many (run_batches over batches of one) is byte-identical and
+// submission-ordered at any jobs count, the compile cache keys on
+// structure (never on name), and sessions compose with the
+// fault-injection subsystem.
 #include "cbrain/engine/engine.hpp"
 
 #include <set>
@@ -282,10 +283,13 @@ TEST(EngineCache, ConcurrentCompileIsThreadSafe) {
             eng.compile(net, Policy::kAdaptive2).get());
 }
 
-// One malformed request among sixteen good ones: with a status channel,
-// the bad slot gets its own error status, every good sibling completes
-// byte-identically, and nothing throws. The old behavior — the first
-// exception aborting the whole batch — is what this pins against.
+// One malformed request among sixteen good ones, at either tier: with a
+// status channel, the bad slot gets its own kInvalidArgument status,
+// every good sibling completes byte-identically to a fresh simulate at
+// that tier, and nothing throws. The old behavior — the first exception
+// aborting the whole batch — is what this pins against. The cycle tier
+// fails the slot inside its per-image loop, the functional tier in its
+// up-front input validation.
 TEST(EngineRunMany, OneBadRequestDoesNotPoisonTheBatch) {
   const Network net = serving_net("serve_net");
   const AcceleratorConfig config = tiny_config();
@@ -296,83 +300,47 @@ TEST(EngineRunMany, OneBadRequestDoesNotPoisonTheBatch) {
   std::vector<Tensor3<Fixed16>> inputs;
   for (i64 i = 0; i < kRequests; ++i)
     inputs.push_back(input_for(net, 500 + static_cast<u64>(i)));
-  // Wrong input geometry: the simulator CHECKs dims at inference time.
+  // Wrong input geometry: both tiers CHECK dims at inference time.
   inputs[kBad] = Tensor3<Fixed16>({1, 2, 2});
 
-  std::vector<SimResult> expected(static_cast<std::size_t>(kRequests));
-  for (std::size_t i = 0; i < static_cast<std::size_t>(kRequests); ++i) {
-    if (i == kBad) continue;
-    CBrain fresh(config);
-    expected[i] =
-        fresh.simulate(net, Policy::kAdaptive2, inputs[i], params);
-  }
-
   engine::Engine eng(config);
-  for (i64 jobs : {1, 4, 16}) {
-    std::vector<Status> statuses;
-    const auto got = eng.run_many(net, Policy::kAdaptive2, params, inputs,
-                                  jobs, nullptr, Fidelity::kCycle,
-                                  &statuses);
-    ASSERT_EQ(got.size(), static_cast<std::size_t>(kRequests));
-    ASSERT_EQ(statuses.size(), static_cast<std::size_t>(kRequests));
+  for (Fidelity fidelity : {Fidelity::kCycle, Fidelity::kFunctional}) {
+    SCOPED_TRACE(fidelity_name(fidelity));
+    std::vector<SimResult> expected(static_cast<std::size_t>(kRequests));
     for (std::size_t i = 0; i < static_cast<std::size_t>(kRequests); ++i) {
-      if (i == kBad) {
-        EXPECT_FALSE(statuses[i].is_ok());
-        EXPECT_EQ(statuses[i].code(), StatusCode::kInvalidArgument);
-        // Failed slot keeps a default result, not garbage.
-        EXPECT_EQ(got[i].final_output.dims().count(), 0);
-      } else {
-        EXPECT_TRUE(statuses[i].is_ok()) << statuses[i].to_string();
-        expect_results_identical(got[i], expected[i],
-                                 "jobs " + std::to_string(jobs) +
-                                     " request " + std::to_string(i));
+      if (i == kBad) continue;
+      CBrain fresh(config);
+      expected[i] = fresh.simulate(net, Policy::kAdaptive2, inputs[i],
+                                   params, fidelity);
+    }
+
+    for (i64 jobs : {1, 4, 16}) {
+      std::vector<Status> statuses;
+      const auto got = eng.run_many(net, Policy::kAdaptive2, params, inputs,
+                                    jobs, nullptr, fidelity, &statuses);
+      ASSERT_EQ(got.size(), static_cast<std::size_t>(kRequests));
+      ASSERT_EQ(statuses.size(), static_cast<std::size_t>(kRequests));
+      for (std::size_t i = 0; i < static_cast<std::size_t>(kRequests); ++i) {
+        if (i == kBad) {
+          EXPECT_EQ(statuses[i].code(), StatusCode::kInvalidArgument);
+          // Failed slot keeps a default result, not garbage.
+          EXPECT_EQ(got[i].final_output.dims().count(), 0);
+        } else {
+          EXPECT_TRUE(statuses[i].is_ok()) << statuses[i].to_string();
+          expect_results_identical(got[i], expected[i],
+                                   "jobs " + std::to_string(jobs) +
+                                       " request " + std::to_string(i));
+        }
       }
     }
+
+    // Without a status channel the historical contract holds: the lowest-
+    // index failure rethrows — after the batch drains, so good siblings
+    // still ran (observable through the request-failure counter).
+    EXPECT_THROW(eng.run_many(net, Policy::kAdaptive2, params, inputs, 4,
+                              nullptr, fidelity),
+                 CheckError);
   }
-
-  // Without a status channel the historical contract holds: the lowest-
-  // index failure rethrows — after the batch drains, so good siblings
-  // still ran (observable through the request-failure counter).
-  EXPECT_THROW(
-      eng.run_many(net, Policy::kAdaptive2, params, inputs, 4),
-      CheckError);
-}
-
-// Pool exhaustion surfaces as an explicit kTimeout status from a bounded
-// wait — never a hang, never a default-constructed session.
-TEST(EngineSessionPool, AcquireForTimesOutWhenExhausted) {
-  const Network net = serving_net("serve_net");
-  engine::Engine eng(tiny_config());
-  const auto params = init_net_params<Fixed16>(net, 42);
-  auto pool = eng.open_pool(net, Policy::kAdaptive2, params, 2);
-  ASSERT_EQ(pool->size(), 2);
-  EXPECT_EQ(pool->idle(), 2);
-
-  engine::Session* a = pool->acquire();
-  const auto b = pool->acquire_for(0);  // poll: one still free
-  ASSERT_TRUE(b.is_ok());
-  EXPECT_EQ(pool->idle(), 0);
-
-  // Both sessions held: a bounded wait must report kTimeout.
-  const auto denied = pool->acquire_for(2000);
-  ASSERT_FALSE(denied.is_ok());
-  EXPECT_EQ(denied.status().code(), StatusCode::kTimeout);
-
-  // Releasing makes the very same session acquirable again — and it
-  // still serves correct results.
-  pool->release(a);
-  EXPECT_EQ(pool->idle(), 1);
-  const auto again = pool->acquire_for(0);
-  ASSERT_TRUE(again.is_ok());
-  const auto input = input_for(net, 9);
-  CBrain fresh(tiny_config());
-  expect_results_identical(
-      again.value()->infer(input),
-      fresh.simulate(net, Policy::kAdaptive2, input, params),
-      "after release/reacquire");
-  pool->release(again.value());
-  pool->release(b.value());
-  EXPECT_EQ(pool->idle(), 2);
 }
 
 // A functional pool packs the weights once: every session serves from

@@ -297,6 +297,9 @@ TEST(ObsDeterminism, SimSpansNestInsideTheInferSpan) {
 // ---------------------------------------------------------------------------
 // Engine metrics and wall spans
 
+// run_many and run_batches share one serving loop, so both report one
+// schema: one run counter bump per call, per-batch histograms, and one
+// wall span per served batch on its session's track.
 TEST(EngineObs, RunManyPopulatesRegistryAndWallSpans) {
   obs::Tracer& tr = obs::Tracer::global();
   (void)tr.drain();
@@ -309,6 +312,32 @@ TEST(EngineObs, RunManyPopulatesRegistryAndWallSpans) {
   for (u64 i = 0; i < 6; ++i)
     inputs.push_back(random_input<Fixed16>(net.layer(0).out_dims, 100 + i));
 
+  // Wall-domain batch spans: `want` of them, on per-session tracks,
+  // non-overlapping within a track (a session serves one batch at a
+  // time), their batch_size args summing to the request count.
+  const auto expect_batch_spans = [&](std::size_t want) {
+    const obs::TraceData data = tr.drain();
+    std::vector<const obs::Span*> batches;
+    for (const auto& s : data.spans)
+      if (s.domain == obs::Domain::kWall && s.cat == "batch")
+        batches.push_back(&s);
+    ASSERT_EQ(batches.size(), want);
+    i64 served = 0;
+    for (const auto* s : batches)
+      for (const auto& [key, value] : s->args)
+        if (key == "batch_size") served += std::stoll(value);
+    EXPECT_EQ(served, static_cast<i64>(inputs.size()));
+    for (std::size_t i = 0; i < batches.size(); ++i)
+      for (std::size_t j = i + 1; j < batches.size(); ++j) {
+        const auto* a = batches[i];
+        const auto* b = batches[j];
+        if (a->track != b->track) continue;
+        const bool disjoint = a->start + a->dur <= b->start ||
+                              b->start + b->dur <= a->start;
+        EXPECT_TRUE(disjoint) << "overlapping batch spans on one session";
+      }
+  };
+
   tr.enable();
   engine::ServeStats stats;
   auto results =
@@ -317,10 +346,13 @@ TEST(EngineObs, RunManyPopulatesRegistryAndWallSpans) {
   ASSERT_EQ(results.size(), inputs.size());
 
   obs::Registry& reg = obs::Registry::global();
-  EXPECT_EQ(reg.counter("engine.run_many_total").value(), 1);
+  EXPECT_EQ(reg.counter("engine.run_batches_total").value(), 1);
   EXPECT_EQ(reg.counter("engine.requests_total").value(), 6);
   EXPECT_GE(reg.counter("engine.compile_cache_misses").value(), 1);
-  EXPECT_EQ(reg.histogram("engine.infer_ms").count(), 6);
+  for (const char* per_batch :
+       {"engine.queue_wait_ms", "engine.session_acquire_ms",
+        "engine.batch_size", "engine.infer_ms"})
+    EXPECT_EQ(reg.histogram(per_batch).count(), 6) << per_batch;
   EXPECT_EQ(reg.histogram("engine.request_latency_ms").count(), 6);
   EXPECT_EQ(reg.counter("sim.infers_total").value(), 6);
 
@@ -334,24 +366,26 @@ TEST(EngineObs, RunManyPopulatesRegistryAndWallSpans) {
   const double p50 = stats.latency_percentile_ms(0.5);
   EXPECT_GE(p50, lo);
   EXPECT_LE(p50, hi);
+  expect_batch_spans(inputs.size());
 
-  // Wall-domain request spans: one per request, on per-session tracks,
-  // non-overlapping within a track (a session serves one at a time).
-  const obs::TraceData data = tr.drain();
-  std::vector<const obs::Span*> requests;
-  for (const auto& s : data.spans)
-    if (s.domain == obs::Domain::kWall && s.cat == "request")
-      requests.push_back(&s);
-  EXPECT_EQ(requests.size(), inputs.size());
-  for (std::size_t i = 0; i < requests.size(); ++i)
-    for (std::size_t j = i + 1; j < requests.size(); ++j) {
-      const auto* a = requests[i];
-      const auto* b = requests[j];
-      if (a->track != b->track) continue;
-      const bool disjoint = a->start + a->dur <= b->start ||
-                            b->start + b->dur <= a->start;
-      EXPECT_TRUE(disjoint) << "overlapping request spans on one session";
-    }
+  // A ragged partition through run_batches: three batches of 3, 1 and 2
+  // requests, three spans, per-batch histograms advance by three and the
+  // per-request ones by six.
+  tr.enable();
+  results = eng.run_batches(net, Policy::kAdaptive2, params, inputs,
+                            {{0, 1, 2}, {3}, {4, 5}}, 2, &stats);
+  tr.disable();
+  ASSERT_EQ(results.size(), inputs.size());
+  EXPECT_EQ(reg.counter("engine.run_batches_total").value(), 2);
+  EXPECT_EQ(reg.counter("engine.requests_total").value(), 12);
+  for (const char* per_batch :
+       {"engine.queue_wait_ms", "engine.session_acquire_ms",
+        "engine.batch_size", "engine.infer_ms"})
+    EXPECT_EQ(reg.histogram(per_batch).count(), 9) << per_batch;
+  EXPECT_EQ(reg.histogram("engine.batch_size").snapshot().sum, 12.0);
+  EXPECT_EQ(reg.histogram("engine.request_latency_ms").count(), 12);
+  EXPECT_EQ(reg.counter("sim.infers_total").value(), 12);
+  expect_batch_spans(3);
 }
 
 TEST(EngineObs, SimCountersIdenticalAcrossRunManyJobs) {

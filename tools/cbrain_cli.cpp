@@ -127,9 +127,9 @@ int usage() {
       "the\n"
       "       per-call simulate path and report the session speedup)\n"
       "       --fidelity=both (serve at both tiers, report side by side)\n"
-      "       --batch=N (execute requests as N-image infer_batch calls; "
-      "outputs\n"
-      "        byte-identical to unbatched)\n"
+      "       --batch=N (execute requests as N-image infer_batch calls, "
+      "default 1;\n"
+      "        outputs byte-identical at any N)\n"
       "serve-load flags: --qps=a,b,.. (offered ladder; default scales to "
       "capacity)\n"
       "       --duration=S (virtual seconds per point, default 2)  "
@@ -490,9 +490,9 @@ int cmd_serve_bench(const Network& net, const Options& opt) {
   const i64 jobs = opt.get_i64("jobs", 0);
   // --batch=N chunks the request stream into fixed-size groups (ragged
   // last), each executed as one multi-image Session::infer_batch call
-  // via engine::run_batches. 0 keeps the classic one-infer-per-request
-  // run_many path. Outputs are byte-identical either way.
-  const i64 exec_batch = std::max<i64>(0, opt.get_i64("batch", 0));
+  // via engine::run_batches (default 1; 0 reads as 1). Outputs are
+  // byte-identical at any batch size.
+  const i64 exec_batch = std::max<i64>(1, opt.get_i64("batch", 1));
 
   const auto params = init_net_params<Fixed16>(net, seed);
   std::vector<Tensor3<Fixed16>> inputs;
@@ -587,20 +587,15 @@ int cmd_serve_bench(const Network& net, const Options& opt) {
   };
   auto serve_tier = [&](Fidelity f) {
     engine.compile(net, *policy, f);  // warm: serving, not compilation
-    TierRun run;
-    if (exec_batch > 0) {
-      std::vector<std::vector<i64>> batches;
-      for (i64 i = 0; i < requests; i += exec_batch) {
-        batches.emplace_back();
-        for (i64 j = i; j < std::min(requests, i + exec_batch); ++j)
-          batches.back().push_back(j);
-      }
-      run.results = engine.run_batches(net, *policy, params, inputs,
-                                       batches, jobs, &run.stats, f);
-    } else {
-      run.results = engine.run_many(net, *policy, params, inputs, jobs,
-                                    &run.stats, f);
+    std::vector<std::vector<i64>> batches;
+    for (i64 i = 0; i < requests; i += exec_batch) {
+      batches.emplace_back();
+      for (i64 j = i; j < std::min(requests, i + exec_batch); ++j)
+        batches.back().push_back(j);
     }
+    TierRun run;
+    run.results = engine.run_batches(net, *policy, params, inputs, batches,
+                                     jobs, &run.stats, f);
     return run;
   };
   // One request carries one image in this harness, so requests/s and
@@ -633,20 +628,17 @@ int cmd_serve_bench(const Network& net, const Options& opt) {
               static_cast<long long>(jobs > 0 ? jobs
                                               : parallel::default_jobs()),
               static_cast<long long>(stats.sessions));
-  if (exec_batch > 0) {
-    // Realized batch sizes under fixed-size chunking: requests/B full
-    // batches plus at most one ragged remainder.
-    const i64 full = requests / exec_batch;
-    const i64 rag = requests % exec_batch;
-    std::string hist;
-    if (rag > 0) hist = std::to_string(rag) + ":1";
-    if (full > 0)
-      hist += (hist.empty() ? std::string() : std::string(" ")) +
-              std::to_string(exec_batch) + ":" + std::to_string(full);
-    std::printf("  batch=%lld  batch sizes: %s",
-                static_cast<long long>(exec_batch), hist.c_str());
-  }
-  std::printf("\n");
+  // Realized batch sizes under fixed-size chunking: requests/B full
+  // batches plus at most one ragged remainder.
+  const i64 full = requests / exec_batch;
+  const i64 rag = requests % exec_batch;
+  std::string hist;
+  if (rag > 0) hist = std::to_string(rag) + ":1";
+  if (full > 0)
+    hist += (hist.empty() ? std::string() : std::string(" ")) +
+            std::to_string(exec_batch) + ":" + std::to_string(full);
+  std::printf("  batch=%lld  batch sizes: %s\n",
+              static_cast<long long>(exec_batch), hist.c_str());
   if (fid.both) {
     // Side-by-side tier report; the tiers must agree byte-for-byte
     // before any speedup claim means anything.

@@ -3,8 +3,8 @@
 # ThreadSanitizer build that exercises the parallel sweep engine (the
 # thread pool, the bench sweeps, CBrain::compare_policies fan-out, and
 # the engine's shared compile cache + session pool), and an ASan+UBSan
-# build that vets the fault-injection hooks, the spec/program
-# deserialization fuzz tests, and session-reuse lifetimes (test_engine
+# build that vets the fault-injection hooks, the spec-parser tests, and
+# session-reuse lifetimes (test_engine
 # runs in every leg via ctest). The multi-tenant serve-load scheduler
 # gets its own determinism diff plus TSan/ASan legs further down.
 #
@@ -39,7 +39,7 @@ echo "=== ThreadSanitizer build ==="
 run_suite build-ci-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCBRAIN_SANITIZE=thread
 # The observability hot paths (per-thread tracer buffers, registry
-# instruments, the engine's traced run_many) are the newest concurrent
+# instruments, the engine's traced run_batches) are the newest concurrent
 # code; run their suites explicitly under TSan so a ctest sharding or
 # filter change can never silently drop them.
 ./build-ci-tsan/tests/test_engine
@@ -146,18 +146,22 @@ echo "=== fidelity: functional tier cross-validated against the oracle ==="
 # the deep-window kernel's 32-bit window sums are vetted, not just
 # compared. fidelity-check then diffs one net end-to-end through the
 # release CLI (it exits non-zero on any output mismatch), and TSan
-# covers the functional tier under the pooled run_many fan-out.
+# covers the functional tier under the pooled run_batches fan-out, then
+# both tiers through the one serving loop with the cross-tier and
+# per-call byte checks (--baseline).
 ./build-ci-asan/tests/test_fidelity
 ./build-ci-release/tools/cbrain_cli fidelity-check scheme_mix
 ./build-ci-tsan/tools/cbrain_cli serve-bench tiny_cnn --requests=8 \
   --jobs="$JOBS" --fidelity=functional > /dev/null
+./build-ci-tsan/tools/cbrain_cli serve-bench tiny_cnn --requests=7 \
+  --jobs="$JOBS" --fidelity=both --baseline > /dev/null
 
 echo "=== serve-load: scheduler determinism + sanitizer legs ==="
 # The multi-tenant scheduler is a discrete-event simulation: every
 # admission, dispatch, shed, and degrade decision must be a pure function
 # of (trace, config), so a full sweep with per-request responses and real
 # execution must be byte-identical at any --jobs. The TSan leg runs the
-# load generator + deferred run_many fan-out under the race detector, and
+# load generator + deferred run_batches fan-out under the race detector, and
 # the ASan leg vets the response/batch bookkeeping lifetimes.
 ./build-ci-release/tools/cbrain_cli serve-load tiny_cnn --qps=3000,12000 \
   --duration=1 --execute --responses --jobs=1 > /tmp/cbrain_serve_j1.txt
