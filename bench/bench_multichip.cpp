@@ -45,8 +45,8 @@ Point run_point(engine::Engine& engine, const Network& net,
                 const Tensor3<Fixed16>& oracle, i64 chips,
                 multichip::PartitionStrategy strategy) {
   multichip::MultiChipOptions mo;
-  mo.chips = chips;
-  mo.strategy = strategy;
+  mo.plan.chips = chips;
+  mo.plan.strategy = strategy;
   mo.fidelity = Fidelity::kFunctional;
   multichip::MultiChipExecutor mc(engine, net, mo);
   mc.load_params(params);

@@ -32,8 +32,8 @@ int main() {
          {multichip::PartitionStrategy::kPipeline,
           multichip::PartitionStrategy::kShard}) {
       multichip::MultiChipOptions options;
-      options.chips = chips;
-      options.strategy = strategy;
+      options.plan.chips = chips;
+      options.plan.strategy = strategy;
       multichip::MultiChipExecutor mc(engine, net, options);
       mc.load_params(params);
       const SimResult r = mc.infer(input);
@@ -56,7 +56,7 @@ int main() {
   // What the adaptive selector picks at 4 chips, and why it is legible:
   // the plan prints its per-layer/per-stage decisions and exchange costs.
   multichip::MultiChipOptions options;
-  options.chips = 4;
+  options.plan.chips = 4;
   multichip::MultiChipExecutor mc(engine, net, options);
   std::printf("\nauto at 4 chips picks:\n%s", mc.plan().to_string().c_str());
   return 0;

@@ -9,10 +9,8 @@
 //
 // Bandwidths are 16-bit words per cycle and scale with the PE width: the
 // input side feeds Tin words, the weight buffer feeds Tin*Tout words, and
-// the output side retires Tout partial sums per cycle (stores are off the
-// critical path, §4.2.2, but the RMW port width still bounds how many
-// partials can retire per cycle — the constraint that makes
-// kernel-partition unattractive for deep small-kernel layers).
+// the output side retires Tout partial sums per cycle (the adder-tree
+// rate; stores are off the critical path, §4.2.2).
 #pragma once
 
 #include <string>
@@ -74,15 +72,8 @@ struct AcceleratorConfig {
   BufferConfig bias_buf{4 * 1024, 16};
   DramConfig dram;
 
-  // Output-buffer read-modify-write port width in partial sums per cycle;
-  // 0 means "track tout" (the adder-tree retire rate).
-  i64 store_port_partials = 0;
-
   i64 multipliers() const { return tin * tout; }
   i64 adders() const { return tin * tout; }  // Tout trees of Tin adders
-  i64 effective_store_port() const {
-    return store_port_partials > 0 ? store_port_partials : tout;
-  }
 
   double cycles_to_ms(i64 cycles) const {
     return static_cast<double>(cycles) / (clock_ghz * 1e6);

@@ -27,11 +27,6 @@ class DmaEngine {
   i64 load(const Dram& dram, DramAddr src, Sram16& dst, i64 dst_addr,
            i64 words);
 
-  // Pure timing query (used by the analytical model).
-  i64 transfer_cycles(i64 words) const {
-    return config_.transfer_cycles(words);
-  }
-
   const DmaStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 

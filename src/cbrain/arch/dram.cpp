@@ -11,18 +11,6 @@ Dram::Dram(i64 capacity_words)
   CBRAIN_CHECK(capacity_words > 0, "DRAM capacity must be positive");
 }
 
-DramAddr Dram::alloc(i64 words, const std::string& tag) {
-  CBRAIN_CHECK(words >= 0, "negative allocation");
-  CBRAIN_CHECK(next_free_ + words <= capacity_words(),
-               "DRAM exhausted: need " << words << " words beyond "
-                                       << next_free_ << "/"
-                                       << capacity_words());
-  const DramAddr addr = next_free_;
-  next_free_ += words;
-  regions_.push_back({addr, words, tag});
-  return addr;
-}
-
 void Dram::bounds(DramAddr addr, i64 words) const {
   CBRAIN_CHECK(addr >= 0 && words >= 0 && addr + words <= capacity_words(),
                "DRAM access [" << addr << ", " << addr + words

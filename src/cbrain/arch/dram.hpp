@@ -1,12 +1,11 @@
-// External memory model: a flat 16-bit-word space with a bump allocator
-// and access accounting. Timing lives in DmaEngine; this class is the
-// storage + counters. The functional simulator keeps whole networks'
-// activations and weights here, exactly as the paper's host injects "raw
-// image data and weights of the pre-trained model" into external memory.
+// External memory model: a flat 16-bit-word space. The compiler's layout
+// planner places every cube; timing lives in DmaEngine; this class is the
+// storage. The functional simulator keeps whole networks' activations and
+// weights here, exactly as the paper's host injects "raw image data and
+// weights of the pre-trained model" into external memory.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cbrain/common/math_util.hpp"
@@ -21,10 +20,6 @@ class Dram {
   explicit Dram(i64 capacity_words = i64{64} * 1024 * 1024);
 
   i64 capacity_words() const { return static_cast<i64>(mem_.size()); }
-  i64 allocated_words() const { return next_free_; }
-
-  // Bump allocation; regions are never freed (one inference pass).
-  DramAddr alloc(i64 words, const std::string& tag = "");
 
   std::int16_t read(DramAddr addr) const;
   void write(DramAddr addr, std::int16_t value);
@@ -38,13 +33,6 @@ class Dram {
   // word-at-a-time loop.
   void write_words(DramAddr addr, i64 words, const std::int16_t* in);
 
-  struct Region {
-    DramAddr addr = 0;
-    i64 words = 0;
-    std::string tag;
-  };
-  const std::vector<Region>& regions() const { return regions_; }
-
   // Fault-injection hook: at-rest corruption strikes on the write path
   // (what lands in the array is what later reads observe). Detached =
   // one pointer compare per write.
@@ -54,8 +42,6 @@ class Dram {
   void bounds(DramAddr addr, i64 words) const;
 
   std::vector<std::int16_t> mem_;
-  i64 next_free_ = 0;
-  std::vector<Region> regions_;
   FaultInjector* fault_ = nullptr;
 };
 

@@ -125,7 +125,6 @@ void mix_config(Fnv1a& f, const AcceleratorConfig& c) {
   f.mix_bool(c.dram.row_buffer_model);
   f.mix_i64(c.dram.row_words);
   f.mix_i64(c.dram.row_miss_cycles);
-  f.mix_i64(c.store_port_partials);
 }
 
 // The Status a per-request channel reports for a captured failure: a
@@ -147,7 +146,7 @@ Status status_of(std::exception_ptr failure) {
 u64 structural_hash(const Network& net, Policy policy,
                     const AcceleratorConfig& config, Fidelity fidelity) {
   Fnv1a f;
-  f.mix_u64(0xcb7a140002ull);  // key-schema salt; bump when fields change
+  f.mix_u64(0xcb7a140003ull);  // key-schema salt; bump when fields change
   f.mix_i64(static_cast<i64>(policy));
   f.mix_i64(static_cast<i64>(fidelity));
   mix_config(f, config);

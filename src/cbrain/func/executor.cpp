@@ -22,19 +22,6 @@ namespace {
 // spreads over hundreds of tasks.
 constexpr i64 kPackChunkElems = i64{1} << 16;
 
-// Input staging: canonical spatial-major copy into the resident slot.
-void copy_input_into(const Tensor3<Fixed16>& in, Tensor3<Fixed16>& out) {
-  if (in.order() == DataOrder::kSpatialMajor) {
-    std::memcpy(out.raw_data(), in.raw_data(),
-                static_cast<std::size_t>(in.size()) * sizeof(Fixed16));
-  } else {
-    const MapDims d = in.dims();
-    for (i64 c = 0; c < d.d; ++c)
-      for (i64 y = 0; y < d.h; ++y)
-        for (i64 x = 0; x < d.w; ++x) out.at(c, y, x) = in.at(c, y, x);
-  }
-}
-
 }  // namespace
 
 FuncExecutor::FuncExecutor(const Network& net, const CompiledNetwork& compiled,
@@ -128,9 +115,8 @@ Tensor3<Fixed16>& FuncExecutor::slot(std::size_t layer, std::size_t image,
   auto& per_image = outputs_[layer];
   CBRAIN_CHECK(image < per_image.size(), "slot beyond batch");
   Tensor3<Fixed16>& t = per_image[image];
-  if (t.empty() || t.dims() != dims ||
-      t.order() != DataOrder::kSpatialMajor) {
-    t = Tensor3<Fixed16>(dims, DataOrder::kSpatialMajor);
+  if (t.empty() || t.dims() != dims) {
+    t = Tensor3<Fixed16>(dims);
     ++tensor_growths_;
   }
   return t;
@@ -207,8 +193,8 @@ std::vector<SimResult> FuncExecutor::infer_batch(
     switch (l.kind) {
       case LayerKind::kInput:
         for (i64 i = 0; i < nact; ++i)
-          copy_input_into(*inputs[active[static_cast<std::size_t>(i)]],
-                          *out_ptrs_[static_cast<std::size_t>(i)]);
+          *out_ptrs_[static_cast<std::size_t>(i)] =
+              *inputs[active[static_cast<std::size_t>(i)]];
         break;
       case LayerKind::kConv:
         conv2d_func_batch(in_ptrs_, pl.weights, pl.bias_acc, l.conv(),

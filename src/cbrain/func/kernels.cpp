@@ -163,102 +163,61 @@ void im2row_s16(const Tensor3<Fixed16>& input, i64 din_begin, i64 din_count,
 
 namespace {
 
-// Depthwise path: one input plane -> one output plane per group. The
-// im2row+GEMM machinery degenerates here (dout_g == 1 means each packed
-// weight panel is a single k*k row, so the multi-RHS kernels amortize
-// nothing), so each plane runs on its own.
-//
-// kDepthwise: each plane is staged into a zero-padded copy, so every
-// output — the border ring included — reads only in-bounds taps, and the
-// whole plane is one simd::dw_conv_s16 call with no bounds checks (the
-// padding is real zeros, which add nothing). Planes narrower than
-// simd::kDwMinCols are staged with zero slack columns and computed that
-// wide into a staging block, keeping the valid columns. The staging
-// buffers come from `scratch`, one set per slice of planes.
-//
-// Any other mode (weights outside the depthwise contract, or dilation
-// above 1) runs the exact per-tap loop, one (image, channel) plane per
-// task. Both sum exactly (the kernel in int32 under the contract, the
-// loop in int64), so outputs are bit-identical either way.
+// Depthwise path for kDepthwise layers: one input plane -> one output
+// plane per group. The im2row+GEMM machinery degenerates here (dout_g ==
+// 1 means each packed weight panel is a single k*k row, so the multi-RHS
+// kernels amortize nothing), so each plane runs on its own. Each plane is
+// staged into a zero-padded copy, so every output — the border ring
+// included — reads only in-bounds taps, and the whole plane is one
+// simd::dw_conv_s16 call with no bounds checks (the padding is real
+// zeros, which add nothing). Planes narrower than simd::kDwMinCols are
+// staged with zero slack columns and computed that wide into a staging
+// block, keeping the valid columns. The staging buffers come from
+// `scratch`, one set per slice of planes.
 void depthwise_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                           const PackedRows& packed_weights,
                           const std::vector<Fixed16::acc_t>& bias_acc,
-                          const ConvParams& p, WeightMode mode,
-                          GemmScratch& scratch,
+                          const ConvParams& p, GemmScratch& scratch,
                           const std::vector<Tensor3<Fixed16>*>& outputs) {
-  using Tr = ArithTraits<Fixed16>;
   const i64 batch = static_cast<i64>(inputs.size());
   const MapDims in = inputs[0]->dims();
   const i64 krow_s = gemm_row_stride(p.k * p.k);
   const i64 oh = conv_out_extent(in.h, p.k_eff(), p.stride, p.pad);
   const i64 ow = conv_out_extent(in.w, p.k_eff(), p.stride, p.pad);
   const i64 planes = batch * p.dout;
-  if (mode == WeightMode::kDepthwise) {
-    const i64 cols = std::max(ow, simd::kDwMinCols);
-    const i64 pitch = std::max(in.w + 2 * p.pad, (cols - 1) * p.stride + p.k);
-    const i64 staged_in = (in.h + 2 * p.pad) * pitch;
-    const i64 staged = staged_in + (cols > ow ? oh * cols : 0);
-    const i64 slices = std::min(parallel::default_jobs(), planes);
-    std::int16_t* buf = scratch.ensure_band(slices * staged);
-    parallel::parallel_for(slices, [&](i64 s) {
-      std::int16_t* sin = buf + s * staged;
-      std::int16_t* sout = sin + staged_in;
-      // The pad frame stays zero; each plane overwrites only its rows.
-      std::fill(sin, sin + staged_in, std::int16_t{0});
-      for (i64 item = s * planes / slices; item < (s + 1) * planes / slices;
-           ++item) {
-        const i64 b = item / p.dout;
-        const i64 c = item % p.dout;
-        const Fixed16* plane =
-            inputs[static_cast<std::size_t>(b)]->raw_data() + c * in.h * in.w;
-        for (i64 y = 0; y < in.h; ++y)
-          std::memcpy(sin + (y + p.pad) * pitch + p.pad, plane + y * in.w,
-                      static_cast<std::size_t>(in.w) * sizeof(std::int16_t));
-        Fixed16* out = outputs[static_cast<std::size_t>(b)]->raw_data() +
-                       c * oh * ow;
-        const bool narrow = cols > ow;
-        simd::dw_conv_s16(sin, pitch, p.stride,
-                          packed_weights.data() + c * krow_s, p.k, oh, cols,
-                          bias_acc[static_cast<std::size_t>(c)], p.relu,
-                          narrow ? sout : raw_s16(out), narrow ? cols : ow);
-        if (narrow)
-          for (i64 oy = 0; oy < oh; ++oy)
-            for (i64 ox = 0; ox < ow; ++ox)
-              out[oy * ow + ox] = Fixed16::from_raw(sout[oy * cols + ox]);
-      }
-    });
-    return;
-  }
-  parallel::parallel_for(
-      planes,
-      [&](i64 item) {
-        const i64 b = item / p.dout;
-        const i64 c = item % p.dout;
-        const Fixed16* plane =
-            inputs[static_cast<std::size_t>(b)]->raw_data() + c * in.h * in.w;
-        const std::int16_t* w = packed_weights.data() + c * krow_s;
-        const Fixed16::acc_t bias = bias_acc[static_cast<std::size_t>(c)];
-        Fixed16* out = outputs[static_cast<std::size_t>(b)]->raw_data() +
-                       c * oh * ow;
-        for (i64 oy = 0; oy < oh; ++oy) {
-          const i64 base_y = oy * p.stride - p.pad;
-          for (i64 ox = 0; ox < ow; ++ox) {
-            const i64 base_x = ox * p.stride - p.pad;
-            Fixed16::acc_t acc = bias;
-            for (i64 ky = 0; ky < p.k; ++ky) {
-              const i64 y = base_y + ky * p.dilation;
-              if (y < 0 || y >= in.h) continue;
-              for (i64 kx = 0; kx < p.k; ++kx) {
-                const i64 x = base_x + kx * p.dilation;
-                if (x < 0 || x >= in.w) continue;
-                acc += static_cast<Fixed16::acc_t>(w[ky * p.k + kx]) *
-                       plane[y * in.w + x].raw();
-              }
-            }
-            out[oy * ow + ox] = Tr::finalize(acc, p.relu);
-          }
-        }
-      });
+  const i64 cols = std::max(ow, simd::kDwMinCols);
+  const i64 pitch = std::max(in.w + 2 * p.pad, (cols - 1) * p.stride + p.k);
+  const i64 staged_in = (in.h + 2 * p.pad) * pitch;
+  const i64 staged = staged_in + (cols > ow ? oh * cols : 0);
+  const i64 slices = std::min(parallel::default_jobs(), planes);
+  std::int16_t* buf = scratch.ensure_band(slices * staged);
+  parallel::parallel_for(slices, [&](i64 s) {
+    std::int16_t* sin = buf + s * staged;
+    std::int16_t* sout = sin + staged_in;
+    // The pad frame stays zero; each plane overwrites only its rows.
+    std::fill(sin, sin + staged_in, std::int16_t{0});
+    for (i64 item = s * planes / slices; item < (s + 1) * planes / slices;
+         ++item) {
+      const i64 b = item / p.dout;
+      const i64 c = item % p.dout;
+      const Fixed16* plane =
+          inputs[static_cast<std::size_t>(b)]->raw_data() + c * in.h * in.w;
+      for (i64 y = 0; y < in.h; ++y)
+        std::memcpy(sin + (y + p.pad) * pitch + p.pad, plane + y * in.w,
+                    static_cast<std::size_t>(in.w) * sizeof(std::int16_t));
+      Fixed16* out = outputs[static_cast<std::size_t>(b)]->raw_data() +
+                     c * oh * ow;
+      const bool narrow = cols > ow;
+      simd::dw_conv_s16(sin, pitch, p.stride,
+                        packed_weights.data() + c * krow_s, p.k, oh, cols,
+                        bias_acc[static_cast<std::size_t>(c)], p.relu,
+                        narrow ? sout : raw_s16(out), narrow ? cols : ow);
+      if (narrow)
+        for (i64 oy = 0; oy < oh; ++oy)
+          for (i64 ox = 0; ox < ow; ++ox)
+            out[oy * ow + ox] = Fixed16::from_raw(sout[oy * cols + ox]);
+    }
+  });
 }
 
 }  // namespace
@@ -287,17 +246,14 @@ void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
   const i64 cols = oh * ow;
   const MapDims od{p.dout, oh, ow};
   for (std::size_t b = 0; b < inputs.size(); ++b) {
-    CBRAIN_CHECK(inputs[b]->order() == DataOrder::kSpatialMajor &&
-                     inputs[b]->dims() == in,
-                 "conv2d_func_batch inputs must share one spatial-major "
-                 "shape");
-    CBRAIN_CHECK(outputs[b]->order() == DataOrder::kSpatialMajor &&
-                     outputs[b]->dims() == od,
+    CBRAIN_CHECK(inputs[b]->dims() == in,
+                 "conv2d_func_batch inputs must share one shape");
+    CBRAIN_CHECK(outputs[b]->dims() == od,
                  "conv2d_func_batch output tensor not pre-shaped");
   }
 
-  if (per_plane_depthwise(p, in.d)) {
-    depthwise_func_batch(inputs, packed_weights, bias_acc, p, mode, scratch,
+  if (mode == WeightMode::kDepthwise) {
+    depthwise_func_batch(inputs, packed_weights, bias_acc, p, scratch,
                          outputs);
     return;
   }
@@ -384,13 +340,9 @@ void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,
                "eltwise_add_func_batch needs matching operand/output slots");
   const MapDims d = a[0]->dims();
   for (std::size_t i = 0; i < a.size(); ++i) {
-    CBRAIN_CHECK(a[i]->order() == DataOrder::kSpatialMajor &&
-                     b[i]->order() == DataOrder::kSpatialMajor &&
-                     a[i]->dims() == d && b[i]->dims() == d,
-                 "eltwise_add_func_batch operands must share one "
-                 "spatial-major shape");
-    CBRAIN_CHECK(outputs[i]->order() == DataOrder::kSpatialMajor &&
-                     outputs[i]->dims() == d,
+    CBRAIN_CHECK(a[i]->dims() == d && b[i]->dims() == d,
+                 "eltwise_add_func_batch operands must share one shape");
+    CBRAIN_CHECK(outputs[i]->dims() == d,
                  "eltwise_add_func_batch output tensor not pre-shaped");
   }
   const i64 n = d.count();
@@ -428,12 +380,9 @@ void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                "bias_acc size mismatch");
   const MapDims od{p.dout, 1, 1};
   for (std::size_t b = 0; b < inputs.size(); ++b) {
-    CBRAIN_CHECK(inputs[b]->order() == DataOrder::kSpatialMajor &&
-                     inputs[b]->size() == din,
-                 "fc_func_batch expects canonical spatial-major flatten "
-                 "order");
-    CBRAIN_CHECK(outputs[b]->order() == DataOrder::kSpatialMajor &&
-                     outputs[b]->dims() == od,
+    CBRAIN_CHECK(inputs[b]->size() == din,
+                 "fc_func_batch inputs must share one size");
+    CBRAIN_CHECK(outputs[b]->dims() == od,
                  "fc_func_batch output tensor not pre-shaped");
   }
 

@@ -27,10 +27,11 @@
 // size, the column blocking and the worker count can never change an
 // output bit.
 //
-// Layout contract: inputs and outputs are spatial-major Tensor3 cubes —
-// the canonical order RefExecutor and the simulator's result read-back
-// use. Weights arrive pre-packed as raw int16 rows laid out (din, ky,
-// kx) — exactly the Tensor4 storage order, so weight rows line up with
+// Layout contract: inputs and outputs are Tensor3 cubes, which are always
+// spatial-major on the host (the depth-/spatial-major choice is the
+// DRAM-cube layout of tensor/layout.hpp, known only to the compiler, the
+// ISA records and the simulator). Weights arrive pre-packed as raw int16
+// rows laid out (din, ky, kx) — exactly the Tensor4 storage order, so weight rows line up with
 // patch vectors by construction — at a row stride of
 // gemm_row_stride(row_len): rows whose length is not a multiple of the
 // 16-lane SIMD group are zero-padded up to it, so the multi-RHS kernels
@@ -53,8 +54,7 @@ namespace cbrain::func {
 
 // Which simd kernel a packed weight tensor qualifies for, decided once at
 // pack time (FuncExecutor::load_params):
-//   kExact      — simd::dot_s16_mrhs, or the exact per-tap depthwise
-//                 loop; no weight precondition
+//   kExact      — simd::dot_s16_mrhs; no weight precondition
 //   kDeepWindow — simd::deep_window_ok holds: simd::dot_s16_mrhs_dw's
 //                 32-bit deep accumulation
 //   kDepthwise  — a depthwise layer (one filter per input plane,
@@ -86,9 +86,9 @@ using PackedRows =
 inline i64 gemm_row_stride(i64 row_len) { return (row_len + 15) & ~i64{15}; }
 
 // True for a conv whose every output plane filters exactly one input
-// plane (depthwise, channel multiplier 1): conv2d_func_batch runs it per
-// plane instead of through im2row+GEMM, and with dilation 1 its filters
-// can qualify for kDepthwise.
+// plane (depthwise, channel multiplier 1). With dilation 1 its filters can
+// qualify for kDepthwise, which conv2d_func_batch runs per plane; any other
+// such layer runs through the grouped im2row+GEMM path like every conv.
 inline bool per_plane_depthwise(const ConvParams& p, i64 din) {
   return p.depthwise(din) && p.dout_per_group() == 1;
 }
@@ -132,7 +132,8 @@ void im2row_s16(const Tensor3<Fixed16>& input, i64 din_begin, i64 din_count,
                 const ConvParams& p, i64 pix0, i64 npix,
                 std::int16_t* patches, i64 patch_stride);
 
-// Batched convolution via im2row + blocked multi-RHS GEMM. All inputs
+// Batched convolution via im2row + blocked multi-RHS GEMM; a kDepthwise
+// layer runs per plane through simd::dw_conv_s16 instead. All inputs
 // share one shape; `outputs[b]` must be pre-shaped {dout, oh, ow}
 // spatial-major (the executor keeps them resident across inferences).
 // `bias_acc` is promote_bias()'s output (size dout). The output-row

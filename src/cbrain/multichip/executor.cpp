@@ -1,6 +1,7 @@
 #include "cbrain/multichip/executor.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -50,24 +51,15 @@ LayerParamsData<Fixed16> slice_layer_params(
 
 }  // namespace
 
-Status MultiChipExecutor::validate(const MultiChipOptions& options) {
-  return validate_chip_count(options.chips);
-}
-
 MultiChipExecutor::MultiChipExecutor(engine::Engine& engine,
                                      const Network& net,
                                      const MultiChipOptions& options)
     : engine_(engine),
       net_(net),
       options_(options),
-      icn_(options.interconnect, options.chips) {
-  PlanOptions po;
-  po.chips = options.chips;
-  po.strategy = options.strategy;
-  po.interconnect = options.interconnect;
-  po.policy = options.policy;
-  po.force_conv_axis = options.force_conv_axis;
-  Result<MultiChipPlan> plan = plan_multichip(net_, engine_.config(), po);
+      icn_(options.plan.interconnect, options.plan.chips) {
+  Result<MultiChipPlan> plan =
+      plan_multichip(net_, engine_.config(), options.plan);
   CBRAIN_CHECK(plan.is_ok(),
                "multichip plan: " << plan.status().to_string());
   plan_ = std::move(plan).value();
@@ -78,7 +70,7 @@ MultiChipExecutor::MultiChipExecutor(engine::Engine& engine,
   ModelOptions mo;
   mo.include_fc = true;
   mo.include_host_ops = true;
-  model_ = model_network(net_, options_.policy, engine_.config(), mo);
+  model_ = model_network(net_, options_.plan.policy, engine_.config(), mo);
 
   clock_.assign(static_cast<std::size_t>(plan_.chips), 0);
   chip_stats_.assign(static_cast<std::size_t>(plan_.chips), ChipStats{});
@@ -89,7 +81,7 @@ void MultiChipExecutor::build_sessions() {
   if (plan_.strategy == PartitionStrategy::kPipeline) {
     for (const PipelineStage& st : plan_.stages)
       stage_sessions_.push_back(engine_.open_session(
-          st.subnet, options_.policy, options_.fidelity));
+          st.subnet, options_.plan.policy, options_.fidelity));
     return;
   }
   shard_sessions_.resize(static_cast<std::size_t>(net_.size()));
@@ -101,7 +93,7 @@ void MultiChipExecutor::build_sessions() {
       const ShardPiece& piece = lp.pieces[static_cast<std::size_t>(c)];
       if (!piece.subnet.has_value()) continue;
       row[static_cast<std::size_t>(c)] = engine_.open_session(
-          *piece.subnet, options_.policy, options_.fidelity);
+          *piece.subnet, options_.plan.policy, options_.fidelity);
     }
   }
 }
@@ -181,12 +173,14 @@ Tensor3<Fixed16> MultiChipExecutor::piece_input(
       acts[static_cast<std::size_t>(l.inputs[0])];
   if (axis == ShardAxis::kDout) {
     if (piece.in_d0 == 0 && piece.in_d1 == src.dims().d) return src;
+    // Depth planes [in_d0, in_d1) are one contiguous run of the source.
     const MapDims want = piece.subnet->layer(0).out_dims;
+    CBRAIN_DCHECK(want.h == src.dims().h && want.w == src.dims().w &&
+                      piece.in_d0 + want.d <= src.dims().d,
+                  "kDout piece input is not a depth slice of its source");
     Tensor3<Fixed16> out(want);
-    for (i64 d = 0; d < want.d; ++d)
-      for (i64 y = 0; y < want.h; ++y)
-        for (i64 x = 0; x < want.w; ++x)
-          out.at(d, y, x) = src.at(piece.in_d0 + d, y, x);
+    std::copy_n(src.raw_data() + piece.in_d0 * want.pixels_per_map(),
+                want.count(), out.raw_data());
     return out;
   }
   CBRAIN_CHECK(axis == ShardAxis::kSpatial, "piece_input: unexpected axis");
@@ -218,12 +212,17 @@ void MultiChipExecutor::scatter_piece(const Layer& l,
   (void)l;
   (void)axis;
   if (!piece.segs.empty()) {
-    const MapDims pd = piece_out.dims();
-    for (const DepthSeg& s : piece.segs)
-      for (i64 j = 0; j < s.count; ++j)
-        for (i64 y = 0; y < pd.h; ++y)
-          for (i64 x = 0; x < pd.w; ++x)
-            out.at(s.dst0 + j, y, x) = piece_out.at(s.src0 + j, y, x);
+    // Each segment's depth planes are one contiguous run on both sides.
+    const i64 plane = piece_out.dims().pixels_per_map();
+    CBRAIN_DCHECK(out.dims().pixels_per_map() == plane,
+                  "depth segments change the spatial extent");
+    for (const DepthSeg& s : piece.segs) {
+      CBRAIN_DCHECK(s.src0 + s.count <= piece_out.dims().d &&
+                        s.dst0 + s.count <= out.dims().d,
+                    "depth segment out of range");
+      std::copy_n(piece_out.raw_data() + s.src0 * plane, s.count * plane,
+                  out.raw_data() + s.dst0 * plane);
+    }
     return;
   }
   const MapDims pd = piece_out.dims();
@@ -297,8 +296,7 @@ SimResult MultiChipExecutor::infer_shard(const Tensor3<Fixed16>& input) {
                        "multichip infer: input " << input.dims().to_string()
                                                  << " != "
                                                  << l.out_dims.to_string());
-          acts[static_cast<std::size_t>(l.id)] =
-              input.to_order(DataOrder::kSpatialMajor);
+          acts[static_cast<std::size_t>(l.id)] = input;
           break;
         }
         SimResult r =
@@ -432,7 +430,7 @@ SimResult MultiChipExecutor::infer_pipeline(const Tensor3<Fixed16>& input) {
                                                 .to_string());
   SimResult agg;
   agg.per_layer.resize(static_cast<std::size_t>(net_.size()));
-  Tensor3<Fixed16> x = input.to_order(DataOrder::kSpatialMajor);
+  Tensor3<Fixed16> x = input;
   i64 ready = 0;
   for (std::size_t s = 0; s < plan_.stages.size(); ++s) {
     const PipelineStage& st = plan_.stages[s];
@@ -477,8 +475,7 @@ std::vector<SimResult> MultiChipExecutor::infer_many_pipeline(
                        << inputs[static_cast<std::size_t>(t)]
                               .dims().to_string()
                        << " != " << net_.layer(0).out_dims.to_string());
-      f.x = inputs[static_cast<std::size_t>(t)].to_order(
-          DataOrder::kSpatialMajor);
+      f.x = inputs[static_cast<std::size_t>(t)];
       f.img = t;
       f.agg.per_layer.resize(static_cast<std::size_t>(net_.size()));
       round[0] = std::move(f);

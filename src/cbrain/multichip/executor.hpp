@@ -27,7 +27,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cbrain/engine/engine.hpp"
@@ -37,13 +36,8 @@
 namespace cbrain::multichip {
 
 struct MultiChipOptions {
-  i64 chips = 1;
-  PartitionStrategy strategy = PartitionStrategy::kAuto;
-  InterconnectConfig interconnect;
-  Policy policy = Policy::kAdaptive2;
+  PlanOptions plan;
   Fidelity fidelity = Fidelity::kCycle;
-  // Tests: pin the conv shard axis to exercise halo corner shapes.
-  std::optional<ShardAxis> force_conv_axis;
 };
 
 // Per-chip busy/transfer accounting in simulated cycles.
@@ -66,13 +60,11 @@ struct MultiChipStats {
 class MultiChipExecutor {
  public:
   // Plans the partition (CHECK-fails on an invalid option set — callers
-  // wanting a Status should run validate()/plan_multichip first) and
+  // wanting a Status should run plan_multichip first) and
   // opens one weight-resident session per piece/stage through `engine`'s
   // shared compile cache. The engine must outlive the executor.
   MultiChipExecutor(engine::Engine& engine, const Network& net,
                     const MultiChipOptions& options);
-
-  static Status validate(const MultiChipOptions& options);
 
   const Network& net() const { return net_; }
   const MultiChipPlan& plan() const { return plan_; }

@@ -29,7 +29,7 @@ Tensor3<T> conv2d_ref(const Tensor3<T>& input, const Tensor4<T>& weights,
 
   const i64 oh = conv_out_extent(in.h, p.k_eff(), p.stride, p.pad);
   const i64 ow = conv_out_extent(in.w, p.k_eff(), p.stride, p.pad);
-  Tensor3<T> out({p.dout, oh, ow}, input.order());
+  Tensor3<T> out({p.dout, oh, ow});
 
   for (i64 g = 0; g < p.groups; ++g) {
     for (i64 od = 0; od < dout_g; ++od) {

@@ -20,7 +20,7 @@ Tensor3<T> eltwise_add_ref(const Tensor3<T>& a, const Tensor3<T>& b,
                                                       << " vs "
                                                       << b.dims().to_string()
                                                       << ")");
-  Tensor3<T> out(a.dims(), DataOrder::kSpatialMajor);
+  Tensor3<T> out(a.dims());
   const MapDims d = a.dims();
   for (i64 z = 0; z < d.d; ++z)
     for (i64 y = 0; y < d.h; ++y)

@@ -29,8 +29,7 @@ const Tensor3<T>& RefExecutor<T>::run(const Tensor3<T>& input) {
                      "input dims " << input.dims().to_string()
                                    << " != network input "
                                    << l.out_dims.to_string());
-        // Canonicalize to spatial-major so layer kernels see one order.
-        outputs_[idx] = input.to_order(DataOrder::kSpatialMajor);
+        outputs_[idx] = input;
         break;
       case LayerKind::kConv:
         outputs_[idx] = conv2d_ref(output(l.inputs[0]), pdata.weights,

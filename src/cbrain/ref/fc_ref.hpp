@@ -10,23 +10,21 @@
 
 namespace cbrain {
 
-// input: any MapDims cube (flattened in its own memory order; callers must
-// pass kSpatialMajor, the canonical flatten order used by the weights).
-// weights: {dout, din_total, 1, 1}. Output: {dout, 1, 1}.
+// input: any MapDims cube, flattened in its storage order (d, y, x) — the
+// order the weights' din index follows. weights: {dout, din_total, 1, 1}.
+// Output: {dout, 1, 1}.
 template <typename T>
 Tensor3<T> fc_ref(const Tensor3<T>& input, const Tensor4<T>& weights,
                   const std::vector<T>& bias, const FCParams& p) {
   using Tr = ArithTraits<T>;
   const i64 din = input.size();
-  CBRAIN_CHECK(input.order() == DataOrder::kSpatialMajor,
-               "fc_ref expects canonical spatial-major flatten order");
   CBRAIN_CHECK(weights.dims().dout == p.dout && weights.dims().din == din &&
                    weights.dims().kh == 1 && weights.dims().kw == 1,
                "fc weight dims mismatch");
   CBRAIN_CHECK(bias.empty() || static_cast<i64>(bias.size()) == p.dout,
                "fc bias size mismatch");
 
-  Tensor3<T> out({p.dout, 1, 1}, DataOrder::kSpatialMajor);
+  Tensor3<T> out({p.dout, 1, 1});
   const T* in_flat = input.raw_data();
   for (i64 o = 0; o < p.dout; ++o) {
     typename Tr::acc_t acc =

@@ -15,12 +15,12 @@
 namespace cbrain {
 
 // Softmax over the flattened cube, computed in double and re-quantized.
-// In-place variant: `out` must already have the input's dims and order;
-// it is fully rewritten and nothing is allocated.
+// In-place variant: `out` must already have the input's dims; it is fully
+// rewritten and nothing is allocated.
 template <typename T>
 void softmax_ref_into(const Tensor3<T>& input, Tensor3<T>& out) {
   using Tr = ArithTraits<T>;
-  CBRAIN_CHECK(out.dims() == input.dims() && out.order() == input.order(),
+  CBRAIN_CHECK(out.dims() == input.dims(),
                "softmax_ref_into output tensor not pre-shaped");
   double max_v = -1e300;
   for (const auto& v : input.storage())
@@ -35,22 +35,25 @@ void softmax_ref_into(const Tensor3<T>& input, Tensor3<T>& out) {
 
 template <typename T>
 Tensor3<T> softmax_ref(const Tensor3<T>& input) {
-  Tensor3<T> out(input.dims(), input.order());
+  Tensor3<T> out(input.dims());
   softmax_ref_into(input, out);
   return out;
 }
 
 // Depth-stacks `inputs` in order into `out`, whose depth must be the sum
-// of the input depths (spatial extents equal). Any order on either side.
+// of the input depths (spatial extents equal). Each input's storage is
+// one contiguous run of the output's.
 template <typename T>
 void concat_ref_into(const std::vector<const Tensor3<T>*>& inputs,
                      Tensor3<T>& out) {
+  T* dst = out.raw_data();
   i64 d_base = 0;
   for (const Tensor3<T>* in : inputs) {
-    for (i64 d = 0; d < in->dims().d; ++d)
-      for (i64 y = 0; y < in->dims().h; ++y)
-        for (i64 x = 0; x < in->dims().w; ++x)
-          out.at(d_base + d, y, x) = in->at(d, y, x);
+    CBRAIN_CHECK(in->dims().h == out.dims().h &&
+                     in->dims().w == out.dims().w &&
+                     d_base + in->dims().d <= out.dims().d,
+                 "concat input does not fit the output");
+    dst = std::copy(in->storage().begin(), in->storage().end(), dst);
     d_base += in->dims().d;
   }
   CBRAIN_CHECK(d_base == out.dims().d, "concat depth mismatch");
@@ -59,7 +62,7 @@ void concat_ref_into(const std::vector<const Tensor3<T>*>& inputs,
 template <typename T>
 Tensor3<T> concat_ref(const std::vector<const Tensor3<T>*>& inputs,
                       const MapDims& out_dims) {
-  Tensor3<T> out(out_dims, DataOrder::kSpatialMajor);
+  Tensor3<T> out(out_dims);
   concat_ref_into(inputs, out);
   return out;
 }

@@ -66,7 +66,7 @@ Tensor3<float> conv2d_im2col(const Tensor3<float>& input,
   const i64 cols = oh * ow;
   const i64 krows = din_g * p.k * p.k;
 
-  Tensor3<float> out({p.dout, oh, ow}, DataOrder::kSpatialMajor);
+  Tensor3<float> out({p.dout, oh, ow});
   std::vector<float> col;
   std::vector<float> result(static_cast<std::size_t>(dout_g * cols));
 

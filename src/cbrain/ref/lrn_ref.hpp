@@ -14,9 +14,9 @@
 
 namespace cbrain {
 
-// In-place variant: `out` must already have the input's dims and order
-// (the batched functional executor keeps per-layer output tensors
-// resident and fully rewrites them each inference). The spatial rows are
+// In-place variant: `out` must already have the input's dims (the
+// batched functional executor keeps per-layer output tensors resident
+// and fully rewrites them each inference). The spatial rows are
 // partitioned over cbrain::parallel, one row per task — every output
 // element is still computed entirely by one task from the same scratch
 // values, so results are bit-identical at any worker count. Per-thread
@@ -26,8 +26,7 @@ void lrn_ref_into(const Tensor3<T>& input, const LRNParams& p,
                   Tensor3<T>& out) {
   using Tr = ArithTraits<T>;
   const MapDims in = input.dims();
-  CBRAIN_CHECK(out.dims() == in && out.order() == input.order(),
-               "lrn_ref_into output tensor not pre-shaped");
+  CBRAIN_CHECK(out.dims() == in, "lrn_ref_into output tensor not pre-shaped");
   const i64 half = p.local_size / 2;
   // alpha/n is the same double every element; computing it once is the
   // identical value the per-element division produced.
@@ -46,10 +45,8 @@ void lrn_ref_into(const Tensor3<T>& input, const LRNParams& p,
   // this same kernel, so the tier cross-validation contract holds; the
   // win is ~4x on the non-zero elements (two sqrts replace a pow call).
   const bool beta_three_quarters = p.beta == 0.75;
-  // Finalize one element: same arithmetic, same order, on every path
-  // below — the window sum is always accumulated lo→hi, so the two loop
-  // layouts produce bit-identical outputs. The simulator and the
-  // functional tier both run this kernel.
+  // Finalize one element: the simulator and the functional tier both run
+  // this kernel, so they quantize identically.
   const auto finalize = [&](double val, double sum_sq) -> T {
     const double scale = p.bias + alpha_over_n * sum_sq;
     double v;
@@ -63,75 +60,48 @@ void lrn_ref_into(const Tensor3<T>& input, const LRNParams& p,
     }
     return Tr::from_real(v);
   };
-  const bool spatial_major = input.order() == DataOrder::kSpatialMajor;
   parallel::parallel_for(in.h, [&](i64 y) {
-    // Per-element scratch: each channel's real value and square are
-    // computed once instead of once per window they fall in.
-    thread_local std::vector<double> vals;
+    // Each (d, y) row is contiguous in x, so the whole y-row of every
+    // channel is squared once in one linear sweep (instead of once per
+    // window it falls in) and the window sum runs j-outer over contiguous
+    // rows — the x loop has no loop-carried dependence and
+    // auto-vectorizes. Each element's sum accumulates j = lo→hi in order.
+    // The finalize pass re-reads the input row (still cache-hot) rather
+    // than staging a second d*w scratch of converted values.
     thread_local std::vector<double> sq;
     thread_local std::vector<double> acc;
-    if (spatial_major) {
-      // Spatial-major keeps each (d, y) row contiguous in x, so the
-      // whole y-row of every channel is squared in one linear sweep and
-      // the window sum runs j-outer over contiguous rows — the x loop
-      // has no loop-carried dependence and auto-vectorizes. Each
-      // element's sum still accumulates j = lo→hi in order, so the
-      // doubles add in exactly the per-element sequence the naive nest
-      // used and outputs are bit-identical. The finalize pass re-reads
-      // the input row (still cache-hot) rather than staging a second d*w
-      // scratch of converted values.
-      sq.resize(static_cast<std::size_t>(in.d * in.w));
-      acc.resize(static_cast<std::size_t>(in.w));
-      const T* in_base = input.raw_data();
-      T* out_base = out.raw_data();
-      for (i64 d = 0; d < in.d; ++d) {
-        const T* row = in_base + (d * in.h + y) * in.w;
-        double* srow = sq.data() + d * in.w;
-        for (i64 x = 0; x < in.w; ++x) {
-          const double v = Tr::to_real(row[x]);
-          srow[x] = v * v;
-        }
-      }
-      for (i64 d = 0; d < in.d; ++d) {
-        const i64 lo = std::max<i64>(0, d - half);
-        const i64 hi = std::min<i64>(in.d - 1, d + half);
-        const T* irow = in_base + (d * in.h + y) * in.w;
-        T* orow = out_base + (d * in.h + y) * in.w;
-        double* arow = acc.data();
-        for (i64 x = 0; x < in.w; ++x) arow[x] = 0.0;
-        for (i64 j = lo; j <= hi; ++j) {
-          const double* srow = sq.data() + j * in.w;
-          for (i64 x = 0; x < in.w; ++x) arow[x] += srow[x];
-        }
-        for (i64 x = 0; x < in.w; ++x)
-          orow[x] = finalize(Tr::to_real(irow[x]), arow[x]);
-      }
-    } else {
-      vals.resize(static_cast<std::size_t>(in.d));
-      sq.resize(static_cast<std::size_t>(in.d));
+    sq.resize(static_cast<std::size_t>(in.d * in.w));
+    acc.resize(static_cast<std::size_t>(in.w));
+    const T* in_base = input.raw_data();
+    T* out_base = out.raw_data();
+    for (i64 d = 0; d < in.d; ++d) {
+      const T* row = in_base + (d * in.h + y) * in.w;
+      double* srow = sq.data() + d * in.w;
       for (i64 x = 0; x < in.w; ++x) {
-        for (i64 d = 0; d < in.d; ++d) {
-          const double v = Tr::to_real(input.at(d, y, x));
-          vals[static_cast<std::size_t>(d)] = v;
-          sq[static_cast<std::size_t>(d)] = v * v;
-        }
-        for (i64 d = 0; d < in.d; ++d) {
-          double sum_sq = 0.0;
-          const i64 lo = std::max<i64>(0, d - half);
-          const i64 hi = std::min<i64>(in.d - 1, d + half);
-          for (i64 j = lo; j <= hi; ++j)
-            sum_sq += sq[static_cast<std::size_t>(j)];
-          out.at(d, y, x) =
-              finalize(vals[static_cast<std::size_t>(d)], sum_sq);
-        }
+        const double v = Tr::to_real(row[x]);
+        srow[x] = v * v;
       }
+    }
+    for (i64 d = 0; d < in.d; ++d) {
+      const i64 lo = std::max<i64>(0, d - half);
+      const i64 hi = std::min<i64>(in.d - 1, d + half);
+      const T* irow = in_base + (d * in.h + y) * in.w;
+      T* orow = out_base + (d * in.h + y) * in.w;
+      double* arow = acc.data();
+      for (i64 x = 0; x < in.w; ++x) arow[x] = 0.0;
+      for (i64 j = lo; j <= hi; ++j) {
+        const double* srow = sq.data() + j * in.w;
+        for (i64 x = 0; x < in.w; ++x) arow[x] += srow[x];
+      }
+      for (i64 x = 0; x < in.w; ++x)
+        orow[x] = finalize(Tr::to_real(irow[x]), arow[x]);
     }
   });
 }
 
 template <typename T>
 Tensor3<T> lrn_ref(const Tensor3<T>& input, const LRNParams& p) {
-  Tensor3<T> out(input.dims(), input.order());
+  Tensor3<T> out(input.dims());
   lrn_ref_into(input, p, out);
   return out;
 }

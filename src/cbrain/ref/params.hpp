@@ -58,11 +58,10 @@ NetParamsData<T> init_net_params(const Network& net, std::uint64_t seed,
 // Deterministic input cube in [lo, hi).
 template <typename T>
 Tensor3<T> random_input(MapDims dims, std::uint64_t seed, double lo = -1.0,
-                        double hi = 1.0,
-                        DataOrder order = DataOrder::kSpatialMajor) {
+                        double hi = 1.0) {
   using Tr = ArithTraits<T>;
   Rng rng(seed);
-  Tensor3<T> t(dims, order);
+  Tensor3<T> t(dims);
   for (auto& v : t.storage()) v = Tr::from_real(rng.next_double(lo, hi));
   return t;
 }

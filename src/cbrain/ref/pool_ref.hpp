@@ -22,30 +22,24 @@ inline MapDims pool_out_dims(const MapDims& in, const PoolParams& p) {
   return {in.d, oh, ow};
 }
 
-// In-place variant: `out` must already have pool_out_dims(input.dims(), p)
-// and the input's order. The depth planes are partitioned over
-// cbrain::parallel, one plane per task; each output element is computed
-// entirely by one task, so results are bit-identical at any worker count.
-// Allocates nothing.
+// In-place variant: `out` must already have pool_out_dims(input.dims(), p).
+// The depth planes are partitioned over cbrain::parallel, one plane per
+// task; each output element is computed entirely by one task, so results
+// are bit-identical at any worker count. Allocates nothing.
 template <typename T>
 void pool2d_ref_into(const Tensor3<T>& input, const PoolParams& p,
                      Tensor3<T>& out) {
   using Tr = ArithTraits<T>;
   const MapDims in = input.dims();
   const MapDims od = pool_out_dims(in, p);
-  CBRAIN_CHECK(out.dims() == od && out.order() == input.order(),
+  CBRAIN_CHECK(out.dims() == od,
                "pool2d_ref_into output tensor not pre-shaped");
-  // Spatial-major keeps each depth plane contiguous, so the window scan
-  // can walk raw row pointers instead of recomputing at()'s index
-  // multiplies per element. Iteration order over the window (y outer,
-  // x inner) is identical on both paths, so avg's double accumulation —
-  // and therefore every output bit — is unchanged.
-  const bool spatial_major = input.order() == DataOrder::kSpatialMajor;
+  // Each depth plane is contiguous, so the window scan walks raw row
+  // pointers (y outer, x inner) instead of recomputing at()'s index
+  // multiplies per element.
   parallel::parallel_for(in.d, [&](i64 d) {
-    const T* in_plane =
-        spatial_major ? input.raw_data() + d * in.h * in.w : nullptr;
-    T* out_plane =
-        spatial_major ? out.raw_data() + d * od.h * od.w : nullptr;
+    const T* in_plane = input.raw_data() + d * in.h * in.w;
+    T* out_plane = out.raw_data() + d * od.h * od.w;
     for (i64 oy = 0; oy < od.h; ++oy) {
       for (i64 ox = 0; ox < od.w; ++ox) {
         const i64 y0 = std::max<i64>(oy * p.stride - p.pad, 0);
@@ -53,38 +47,21 @@ void pool2d_ref_into(const Tensor3<T>& input, const PoolParams& p,
         const i64 y1 = std::min<i64>(oy * p.stride - p.pad + p.k, in.h);
         const i64 x1 = std::min<i64>(ox * p.stride - p.pad + p.k, in.w);
         CBRAIN_DCHECK(y1 > y0 && x1 > x0, "empty pool window");
-        if (spatial_major) {
-          if (p.kind == PoolKind::kMax) {
-            T best = in_plane[y0 * in.w + x0];
-            for (i64 y = y0; y < y1; ++y) {
-              const T* row = in_plane + y * in.w;
-              for (i64 x = x0; x < x1; ++x)
-                best = std::max(best, row[x]);
-            }
-            out_plane[oy * od.w + ox] = best;
-          } else {
-            double sum = 0.0;
-            for (i64 y = y0; y < y1; ++y) {
-              const T* row = in_plane + y * in.w;
-              for (i64 x = x0; x < x1; ++x) sum += Tr::to_real(row[x]);
-            }
-            const double n =
-                static_cast<double>((y1 - y0) * (x1 - x0));
-            out_plane[oy * od.w + ox] = Tr::from_real(sum / n);
+        if (p.kind == PoolKind::kMax) {
+          T best = in_plane[y0 * in.w + x0];
+          for (i64 y = y0; y < y1; ++y) {
+            const T* row = in_plane + y * in.w;
+            for (i64 x = x0; x < x1; ++x) best = std::max(best, row[x]);
           }
-        } else if (p.kind == PoolKind::kMax) {
-          T best = input.at(d, y0, x0);
-          for (i64 y = y0; y < y1; ++y)
-            for (i64 x = x0; x < x1; ++x)
-              best = std::max(best, input.at(d, y, x));
-          out.at(d, oy, ox) = best;
+          out_plane[oy * od.w + ox] = best;
         } else {
           double sum = 0.0;
-          for (i64 y = y0; y < y1; ++y)
-            for (i64 x = x0; x < x1; ++x)
-              sum += Tr::to_real(input.at(d, y, x));
+          for (i64 y = y0; y < y1; ++y) {
+            const T* row = in_plane + y * in.w;
+            for (i64 x = x0; x < x1; ++x) sum += Tr::to_real(row[x]);
+          }
           const double n = static_cast<double>((y1 - y0) * (x1 - x0));
-          out.at(d, oy, ox) = Tr::from_real(sum / n);
+          out_plane[oy * od.w + ox] = Tr::from_real(sum / n);
         }
       }
     }
@@ -93,7 +70,7 @@ void pool2d_ref_into(const Tensor3<T>& input, const PoolParams& p,
 
 template <typename T>
 Tensor3<T> pool2d_ref(const Tensor3<T>& input, const PoolParams& p) {
-  Tensor3<T> out(pool_out_dims(input.dims(), p), input.order());
+  Tensor3<T> out(pool_out_dims(input.dims(), p));
   pool2d_ref_into(input, p, out);
   return out;
 }

@@ -165,7 +165,7 @@ class Executor {
   }
 
   Tensor3<Fixed16> read_cube(const CubeSpec& cube, MapDims logical) const {
-    Tensor3<Fixed16> t(logical, DataOrder::kSpatialMajor);
+    Tensor3<Fixed16> t(logical);
     for (i64 d = 0; d < logical.d; ++d)
       for (i64 y = 0; y < logical.h; ++y)
         for (i64 x = 0; x < logical.w; ++x)

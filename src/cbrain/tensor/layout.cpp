@@ -2,16 +2,6 @@
 
 namespace cbrain {
 
-const char* data_order_name(DataOrder order) {
-  switch (order) {
-    case DataOrder::kDepthMajor:
-      return "inter-order(depth-major)";
-    case DataOrder::kSpatialMajor:
-      return "intra-order(spatial-major)";
-  }
-  return "?";
-}
-
 i64 linear_offset(const MapDims& dims, DataOrder order, i64 d, i64 y, i64 x) {
   CBRAIN_DCHECK(d >= 0 && d < dims.d, "d out of range");
   CBRAIN_DCHECK(y >= 0 && y < dims.h, "y out of range");

@@ -12,11 +12,11 @@
 //
 // Producing the output directly in the order the *next* layer's scheme
 // consumes is what lets C-Brain drop the data-layout-transform hardware of
-// prior designs.
+// prior designs. DataOrder is the order of a DRAM cube: the compiler plans
+// it (CubeSpec, OutputMap, band orders), the ISA records carry it and the
+// simulator addresses DRAM with linear_offset. Host tensors (Tensor3) are
+// always spatial-major.
 #pragma once
-
-#include <cstdint>
-#include <string>
 
 #include "cbrain/tensor/shape.hpp"
 
@@ -26,8 +26,6 @@ enum class DataOrder {
   kDepthMajor,    // paper: inter-order (consumed by inter-kernel)
   kSpatialMajor,  // paper: intra-order (consumed by intra / partition)
 };
-
-const char* data_order_name(DataOrder order);
 
 // Linear offset of element (d, y, x) of a MapDims cube in the given order.
 i64 linear_offset(const MapDims& dims, DataOrder order, i64 d, i64 y, i64 x);

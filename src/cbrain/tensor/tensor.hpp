@@ -1,13 +1,15 @@
 // Dense tensors for feature maps (Tensor3) and kernel stacks (Tensor4).
-// Logical indexing is always (d, y, x) / (dout, din, ky, kx); Tensor3
-// additionally carries a DataOrder so the same cube can be materialized in
-// either of the two memory orders Algorithm 2 plans between layers.
+// Logical indexing is always (d, y, x) / (dout, din, ky, kx). Host tensors
+// have one memory order: Tensor3 is spatial-major, element (d, y, x) at
+// storage()[(d*h + y)*w + x]. The depth-major/spatial-major choice of
+// Algorithm 2 is the layout of a DRAM cube (tensor/layout.hpp), planned
+// by the compiler and addressed by the simulator.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "cbrain/common/check.hpp"
-#include "cbrain/tensor/layout.hpp"
 #include "cbrain/tensor/shape.hpp"
 
 namespace cbrain {
@@ -16,23 +18,15 @@ template <typename T>
 class Tensor3 {
  public:
   Tensor3() = default;
-  explicit Tensor3(MapDims dims, DataOrder order = DataOrder::kSpatialMajor)
-      : dims_(dims), order_(order),
-        data_(static_cast<std::size_t>(dims.count())) {}
+  explicit Tensor3(MapDims dims)
+      : dims_(dims), data_(static_cast<std::size_t>(dims.count())) {}
 
   const MapDims& dims() const { return dims_; }
-  DataOrder order() const { return order_; }
   i64 size() const { return dims_.count(); }
   bool empty() const { return data_.empty(); }
 
-  T& at(i64 d, i64 y, i64 x) {
-    return data_[static_cast<std::size_t>(
-        linear_offset(dims_, order_, d, y, x))];
-  }
-  const T& at(i64 d, i64 y, i64 x) const {
-    return data_[static_cast<std::size_t>(
-        linear_offset(dims_, order_, d, y, x))];
-  }
+  T& at(i64 d, i64 y, i64 x) { return data_[index(d, y, x)]; }
+  const T& at(i64 d, i64 y, i64 x) const { return data_[index(d, y, x)]; }
 
   // Zero-padded read: coordinates outside the cube return T{} ('0's are
   // padded at the boundary', §4.2.1).
@@ -48,28 +42,20 @@ class Tensor3 {
 
   void fill(const T& v) { data_.assign(data_.size(), v); }
 
-  // Same logical contents re-materialized in `order`.
-  Tensor3<T> to_order(DataOrder order) const {
-    if (order == order_) return *this;
-    Tensor3<T> out(dims_, order);
-    for (i64 d = 0; d < dims_.d; ++d)
-      for (i64 y = 0; y < dims_.h; ++y)
-        for (i64 x = 0; x < dims_.w; ++x) out.at(d, y, x) = at(d, y, x);
-    return out;
-  }
-
   bool logically_equal(const Tensor3<T>& other) const {
-    if (dims_ != other.dims_) return false;
-    for (i64 d = 0; d < dims_.d; ++d)
-      for (i64 y = 0; y < dims_.h; ++y)
-        for (i64 x = 0; x < dims_.w; ++x)
-          if (!(at(d, y, x) == other.at(d, y, x))) return false;
-    return true;
+    return dims_ == other.dims_ && std::equal(data_.begin(), data_.end(),
+                                              other.data_.begin());
   }
 
  private:
+  std::size_t index(i64 d, i64 y, i64 x) const {
+    CBRAIN_DCHECK(d >= 0 && d < dims_.d, "d out of range");
+    CBRAIN_DCHECK(y >= 0 && y < dims_.h, "y out of range");
+    CBRAIN_DCHECK(x >= 0 && x < dims_.w, "x out of range");
+    return static_cast<std::size_t>((d * dims_.h + y) * dims_.w + x);
+  }
+
   MapDims dims_;
-  DataOrder order_ = DataOrder::kSpatialMajor;
   std::vector<T> data_;
 };
 

@@ -41,7 +41,7 @@ Tensor3<T> unroll_input(const Tensor3<T>& input, const ConvGeometry& g) {
   CBRAIN_CHECK(input.dims().h == g.in_h && input.dims().w == g.in_w,
                "geometry does not match input tensor");
   const MapDims out_dims{input.dims().d, g.out_h() * g.out_w(), g.k * g.k};
-  Tensor3<T> out(out_dims, DataOrder::kSpatialMajor);
+  Tensor3<T> out(out_dims);
   for (i64 d = 0; d < input.dims().d; ++d) {
     i64 row = 0;
     for (i64 oy = 0; oy < g.out_h(); ++oy) {

@@ -121,8 +121,7 @@ inline void expect_func_matches_sim_per_layer(
     if (l.kind == LayerKind::kInput || l.inputs.size() != 1) continue;
     SCOPED_TRACE(l.name);
     EXPECT_TRUE(tensors_equal(
-        func.output(l.inputs[0]).to_order(DataOrder::kSpatialMajor),
-        sim.read_input_cube(l.id)));
+        func.output(l.inputs[0]), sim.read_input_cube(l.id)));
   }
 }
 

@@ -220,7 +220,7 @@ TEST(BatchExec, BadInputFailsOnlyItsSlot) {
 
   func::FuncExecutor exec(net, compiled.value(), AcceleratorConfig{});
   exec.load_params(params);
-  const Tensor3<Fixed16> wrong({1, 2, 2}, DataOrder::kSpatialMajor);
+  const Tensor3<Fixed16> wrong({1, 2, 2});
 
   // With statuses: the malformed middle slot fails alone.
   std::vector<Status> statuses;

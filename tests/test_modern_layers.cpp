@@ -358,7 +358,8 @@ TEST(DepthwiseKernel, ScalarAndAvx2MatchReferenceOverShapeGrid) {
 // all -32768 data every window sum is -32768 * (+-65535), one step inside
 // int32: the filter must classify kDepthwise and the kernel must be
 // exact on every backend. One more unit breaks the contract: the layer
-// classifies kExact and runs the exact loop, still matching conv2d_ref.
+// classifies kExact and runs the exact grouped im2row+GEMM path, still
+// matching conv2d_ref.
 TEST(DepthwiseKernel, ContractBoundaryIsExactAndOneMoreFallsBack) {
   for (const i64 k : {3, 5}) {
     const i64 taps = k * k;
@@ -421,10 +422,11 @@ TEST(DepthwiseKernel, ContractBoundaryIsExactAndOneMoreFallsBack) {
 
 // A filter past the depthwise contract (three taps of 30000: sum |w| =
 // 90000 + small) that still passes the deep-window one (no pmaddwd lane
-// pair reaches 65535): its layer packs kExact and runs the exact loop,
-// the other depthwise layer stays on kDepthwise, the pack equals the
-// serial rule, and ref, cycle and functional tiers agree bit for bit.
-TEST(DepthwiseConv, ContractBreakingFilterTakesExactLoop) {
+// pair reaches 65535): its layer packs kExact and runs the exact grouped
+// im2row+GEMM path, the other depthwise layer stays on kDepthwise, the
+// pack equals the serial rule, and ref, cycle and functional tiers agree
+// bit for bit.
+TEST(DepthwiseConv, ContractBreakingFilterTakesExactGemm) {
   const Network net = depthwise_toy();
   auto params = init_net_params<Fixed16>(net, kSeed);
   const LayerId dw1 = 1, dw2 = 3;

@@ -85,7 +85,7 @@ void expect_package_identity(const Network& net,
   mc.load_params(params);
   const SimResult r = mc.infer(input);
   EXPECT_TRUE(tensors_equal(golden, r.final_output))
-      << net.name() << " chips=" << options.chips << " "
+      << net.name() << " chips=" << options.plan.chips << " "
       << multichip::partition_strategy_name(mc.plan().strategy);
 }
 
@@ -94,8 +94,8 @@ TEST(MultiChip, OneChipMatchesOracleEitherStrategy) {
        {PartitionStrategy::kAuto, PartitionStrategy::kPipeline,
         PartitionStrategy::kShard}) {
     MultiChipOptions o;
-    o.chips = 1;
-    o.strategy = s;
+    o.plan.chips = 1;
+    o.plan.strategy = s;
     expect_package_identity(zoo::tiny_cnn(), o);
   }
 }
@@ -108,8 +108,8 @@ TEST(MultiChip, BitIdentityAcrossChipCountsAndStrategies) {
       for (const PartitionStrategy s :
            {PartitionStrategy::kPipeline, PartitionStrategy::kShard}) {
         MultiChipOptions o;
-        o.chips = chips;
-        o.strategy = s;
+        o.plan.chips = chips;
+        o.plan.strategy = s;
         expect_package_identity(net, o);
       }
 }
@@ -128,8 +128,8 @@ TEST(MultiChip, WholeZooBitIdentityBothStrategies) {
     for (const PartitionStrategy s :
          {PartitionStrategy::kPipeline, PartitionStrategy::kShard}) {
       MultiChipOptions o;
-      o.chips = 3;
-      o.strategy = s;
+      o.plan.chips = 3;
+      o.plan.strategy = s;
       o.fidelity = Fidelity::kFunctional;
       expect_package_identity(net, o, kSeed,
                               AcceleratorConfig::paper_16_16());
@@ -141,8 +141,8 @@ TEST(MultiChip, FunctionalFidelityBitIdentity) {
   for (const PartitionStrategy s :
        {PartitionStrategy::kPipeline, PartitionStrategy::kShard}) {
     MultiChipOptions o;
-    o.chips = 3;
-    o.strategy = s;
+    o.plan.chips = 3;
+    o.plan.strategy = s;
     o.fidelity = Fidelity::kFunctional;
     expect_package_identity(zoo::scheme_mix_cnn(), o);
   }
@@ -171,9 +171,9 @@ TEST(MultiChip, SpatialHaloCornerShapes) {
   for (const Case& c : cases)
     for (const i64 chips : {2, 3, 8}) {
       MultiChipOptions o;
-      o.chips = chips;
-      o.strategy = PartitionStrategy::kShard;
-      o.force_conv_axis = ShardAxis::kSpatial;
+      o.plan.chips = chips;
+      o.plan.strategy = PartitionStrategy::kShard;
+      o.plan.force_conv_axis = ShardAxis::kSpatial;
       expect_package_identity(zoo::single_conv(c.in, c.p, c.name), o,
                               kSeed + chips);
     }
@@ -198,9 +198,9 @@ TEST(MultiChip, DoutShardGroupRegimes) {
   for (const auto& [name, net] : nets)
     for (const i64 chips : {2, 3, 5}) {
       MultiChipOptions o;
-      o.chips = chips;
-      o.strategy = PartitionStrategy::kShard;
-      o.force_conv_axis = ShardAxis::kDout;
+      o.plan.chips = chips;
+      o.plan.strategy = PartitionStrategy::kShard;
+      o.plan.force_conv_axis = ShardAxis::kDout;
       expect_package_identity(net, o, kSeed + chips);
     }
 }
@@ -212,9 +212,9 @@ TEST(MultiChip, EltwiseJoinSplitAcrossChips) {
   for (const ShardAxis axis : {ShardAxis::kDout, ShardAxis::kSpatial})
     for (const i64 chips : {2, 3}) {
       MultiChipOptions o;
-      o.chips = chips;
-      o.strategy = PartitionStrategy::kShard;
-      o.force_conv_axis = axis;
+      o.plan.chips = chips;
+      o.plan.strategy = PartitionStrategy::kShard;
+      o.plan.force_conv_axis = axis;
       expect_package_identity(residual_toy(), o, kSeed + chips);
     }
 }
@@ -282,9 +282,7 @@ TEST(MultiChip, PlanShapesAreExactCovers) {
 
 TEST(MultiChip, InvalidChipCountsAreStatusErrors) {
   for (const i64 chips : {i64{0}, i64{-3}, multichip::kMaxChips + 1}) {
-    MultiChipOptions o;
-    o.chips = chips;
-    EXPECT_FALSE(MultiChipExecutor::validate(o).is_ok()) << chips;
+    EXPECT_FALSE(multichip::validate_chip_count(chips).is_ok()) << chips;
     PlanOptions po;
     po.chips = chips;
     EXPECT_FALSE(multichip::plan_multichip(zoo::tiny_cnn(),
@@ -338,8 +336,8 @@ TEST(MultiChip, InferManyMatchesSequentialAtAnyJobs) {
   for (const PartitionStrategy s :
        {PartitionStrategy::kPipeline, PartitionStrategy::kShard}) {
     MultiChipOptions o;
-    o.chips = 3;
-    o.strategy = s;
+    o.plan.chips = 3;
+    o.plan.strategy = s;
     MultiChipExecutor seq(engine, net, o);
     seq.load_params(params);
     std::vector<SimResult> golden;
@@ -369,8 +367,8 @@ TEST(MultiChip, StatsAccountComputeAndTraffic) {
       random_input<Fixed16>(net.layer(0).out_dims, kSeed ^ 0x9);
 
   MultiChipOptions o;
-  o.chips = 4;
-  o.strategy = PartitionStrategy::kShard;
+  o.plan.chips = 4;
+  o.plan.strategy = PartitionStrategy::kShard;
   MultiChipExecutor mc(engine, net, o);
   mc.load_params(params);
   mc.infer(input);

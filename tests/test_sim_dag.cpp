@@ -64,8 +64,7 @@ TEST(DagSim, ConcatAssemblyIsCorrect) {
   }
   ASSERT_GE(head, 0);
   const Tensor3<Fixed16> consumed = sim.read_input_cube(head);
-  EXPECT_TRUE(tensors_equal(
-      ref.output(concat).to_order(DataOrder::kSpatialMajor), consumed));
+  EXPECT_TRUE(tensors_equal(ref.output(concat), consumed));
 }
 
 // A producer with several consumers must deliver identical data to each
@@ -86,8 +85,7 @@ TEST(DagSim, MultiConsumerCubesAgree) {
   LayerId stem = -1;
   for (const Layer& l : net.layers())
     if (l.name == "stem") stem = l.id;
-  const auto& stem_out =
-      ref.output(stem).to_order(DataOrder::kSpatialMajor);
+  const Tensor3<Fixed16>& stem_out = ref.output(stem);
   for (const Layer& l : net.layers()) {
     if (l.inputs.size() == 1 && l.inputs[0] == stem) {
       SCOPED_TRACE(l.name);

@@ -142,8 +142,7 @@ TEST(SimIntermediates, TinyCnnLayerByLayer) {
         l.inputs.size() == 1
             ? ref.output(l.inputs[0])
             : ref.output(l.id);  // concat inputs land pre-assembled
-    EXPECT_TRUE(tensors_equal(expected.to_order(DataOrder::kSpatialMajor),
-                              consumed));
+    EXPECT_TRUE(tensors_equal(expected, consumed));
   }
 }
 

@@ -247,9 +247,9 @@ multichip::MultiChipOptions multichip_options(const MultiChipChoice& mcc,
                                               Policy policy,
                                               Fidelity fidelity) {
   multichip::MultiChipOptions mo;
-  mo.chips = mcc.chips;
-  mo.strategy = mcc.strategy;
-  mo.policy = policy;
+  mo.plan.chips = mcc.chips;
+  mo.plan.strategy = mcc.strategy;
+  mo.plan.policy = policy;
   mo.fidelity = fidelity;
   return mo;
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: build and test the tree three times — a plain Release build, a
+# CI gate: build and test the tree four times — a plain Release build, a
+# Debug build that runs a short list of suites with CBRAIN_DCHECK on, a
 # ThreadSanitizer build that exercises the parallel sweep engine (the
 # thread pool, the bench sweeps, CBrain::compare_policies fan-out, and
 # the engine's shared compile cache + session pool), and an ASan+UBSan
@@ -34,6 +35,22 @@ CBRAIN_SIMD=scalar ctest --test-dir build-ci-release --output-on-failure \
   -j "$JOBS"
 CBRAIN_SIMD=auto ctest --test-dir build-ci-release --output-on-failure \
   -j "$JOBS"
+
+echo "=== Debug build: CBRAIN_DCHECK on ==="
+# Every other leg defines NDEBUG, which compiles CBRAIN_DCHECK out: the
+# Tensor3/Tensor4 at() bounds checks and the simulator's per-cycle
+# invariants never run there. This leg keeps NDEBUG undefined (-O1 keeps
+# it near a minute on 4 cores) and runs the suites that index host
+# tensors hardest: the reference kernels, both simulator cross-checks,
+# the modern layers and the multi-chip slice/scatter paths.
+cmake -B build-ci-debug -S . -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS_DEBUG=-O1 >/dev/null
+DEBUG_TESTS=(test_tensor test_ref test_sim_dag test_sim_vs_ref
+  test_modern_layers test_multichip)
+cmake --build build-ci-debug -j "$JOBS" --target "${DEBUG_TESTS[@]}"
+for t in "${DEBUG_TESTS[@]}"; do
+  "./build-ci-debug/tests/$t"
+done
 
 echo "=== ThreadSanitizer build ==="
 run_suite build-ci-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
