@@ -57,7 +57,7 @@ u64 structural_hash(const Network& net, Policy policy,
 // batch at a time per session (Engine::run_batches pools sessions for
 // concurrency). Fidelity::kCycle wraps the cycle-exact SimExecutor;
 // Fidelity::kFunctional wraps func::FuncExecutor — bit-identical outputs,
-// analytical counter estimates, ~10x+ faster (DESIGN.md §12).
+// analytical counter estimates (DESIGN.md §12).
 class Session {
  public:
   // `compiled` must have been produced for `net` under `config`.

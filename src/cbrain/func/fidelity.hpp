@@ -2,11 +2,11 @@
 //
 //   kCycle      — the sim/ cycle-level machine: every MAC happens on
 //                 simulated buffer contents, counters are exact. The
-//                 oracle tier (~1.5 s per AlexNet inference).
+//                 oracle tier.
 //   kFunctional — the func/ executor: the same fixed-point arithmetic as
 //                 im2col + blocked GEMM on host memory, bit-identical
 //                 outputs, with cycle/energy *estimates* sourced from the
-//                 analytical model. The serving tier (≥10x faster).
+//                 analytical model. The serving tier.
 //
 // Fidelity is part of the engine's compile-cache key (DESIGN.md §12): a
 // program fetched for one tier is never silently served to the other, so

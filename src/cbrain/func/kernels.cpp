@@ -261,72 +261,84 @@ void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
   // Band columns are (image, pixel) pairs: column b*npix + t holds image
   // b's patch for pixel pix0+t, so one packed weight chunk streams
   // through registers once per batch-wide column block.
-  const i64 pix_block = cols_per_band(krow_s * batch, cols);
-  std::int16_t* band = scratch.ensure_band(batch * pix_block * krow_s);
   const MrhsFn mrhs = mrhs_kernel(mode);
   const i64 row_chunks = ceil_div(dout_g, kRowChunk);
+  // With one row chunk per group (a depthwise layer off the kDepthwise
+  // contract has dout_g = 1) a group's GEMM has no grain to split, and
+  // fanning out each small group costs more than it runs. Such a layer
+  // spreads its groups over `lanes` instead, each lane with its own band
+  // and its per-group regions inline; any other layer has one lane.
+  const i64 lanes =
+      row_chunks == 1 ? std::min(parallel::default_jobs(), p.groups) : 1;
+  const i64 pix_block = cols_per_band(krow_s * batch * lanes, cols);
+  const i64 lane_band = batch * pix_block * krow_s;
+  std::int16_t* bands = scratch.ensure_band(lanes * lane_band);
 
-  for (i64 g = 0; g < p.groups; ++g) {
-    for (i64 pix0 = 0; pix0 < cols; pix0 += pix_block) {
-      const i64 npix = std::min(pix_block, cols - pix0);
-      // Gather: batch × pslices disjoint slices of the patch matrix, one
-      // slice per pool lane.
-      const i64 pslices = std::min(parallel::default_jobs(), npix);
-      parallel::parallel_for(
-          batch * pslices,
-          [&](i64 item) {
-            const i64 b = item / pslices;
-            const i64 s = item % pslices;
-            const i64 t0 = s * npix / pslices;
-            const i64 t1 = (s + 1) * npix / pslices;
-            im2row_s16(*inputs[static_cast<std::size_t>(b)], g * din_g,
-                       din_g, p, pix0 + t0, t1 - t0,
-                       band + (b * npix + t0) * krow_s, krow_s);
-          });
-      // GEMM: output-row chunks are the parallel grain; every output
-      // element is one exact dot finalized by exactly one task.
-      const i64 totcols = batch * npix;
-      parallel::parallel_for(
-          row_chunks,
-          [&](i64 chunk) {
-            const i64 od0 = chunk * kRowChunk;
-            const i64 rows = std::min(kRowChunk, dout_g - od0);
-            const std::int16_t* wchunk =
-                packed_weights.data() + (g * dout_g + od0) * krow_s;
-            Fixed16::acc_t accs[kRowChunk * kColChunk];
-            for (i64 c0 = 0; c0 < totcols; c0 += kColChunk) {
-              const i64 nc = std::min(kColChunk, totcols - c0);
-              mrhs(band + c0 * krow_s, krow_s, nc, wchunk, krow_s, rows,
-                   krow_s, accs, kColChunk);
-              for (i64 l = 0; l < rows; ++l) {
-                const i64 dout_abs = g * dout_g + od0 + l;
-                const Fixed16::acc_t bias =
-                    bias_acc[static_cast<std::size_t>(dout_abs)];
-                // A column block may straddle an image boundary; walk the
-                // (image, pixel) pair incrementally — a divide per output
-                // element is measurable against the GEMM itself.
-                i64 b = c0 / npix;
-                i64 t = c0 - b * npix;
-                Fixed16* out_row = outputs[static_cast<std::size_t>(b)]
-                                       ->raw_data() +
-                                   dout_abs * cols + pix0;
-                for (i64 cc = 0; cc < nc; ++cc) {
-                  out_row[t] =
-                      Tr::finalize(accs[l * kColChunk + cc] + bias, p.relu);
-                  if (++t == npix) {
-                    t = 0;
-                    ++b;
-                    if (cc + 1 < nc)
-                      out_row = outputs[static_cast<std::size_t>(b)]
-                                    ->raw_data() +
-                                dout_abs * cols + pix0;
+  parallel::parallel_for(lanes, [&](i64 lane) {
+    std::int16_t* band = bands + lane * lane_band;
+    for (i64 g = lane * p.groups / lanes; g < (lane + 1) * p.groups / lanes;
+         ++g) {
+      for (i64 pix0 = 0; pix0 < cols; pix0 += pix_block) {
+        const i64 npix = std::min(pix_block, cols - pix0);
+        // Gather: batch × pslices disjoint slices of the patch matrix, one
+        // slice per pool lane.
+        const i64 pslices = std::min(parallel::default_jobs(), npix);
+        parallel::parallel_for(
+            batch * pslices,
+            [&](i64 item) {
+              const i64 b = item / pslices;
+              const i64 s = item % pslices;
+              const i64 t0 = s * npix / pslices;
+              const i64 t1 = (s + 1) * npix / pslices;
+              im2row_s16(*inputs[static_cast<std::size_t>(b)], g * din_g,
+                         din_g, p, pix0 + t0, t1 - t0,
+                         band + (b * npix + t0) * krow_s, krow_s);
+            });
+        // GEMM: output-row chunks are the parallel grain; every output
+        // element is one exact dot finalized by exactly one task.
+        const i64 totcols = batch * npix;
+        parallel::parallel_for(
+            row_chunks,
+            [&](i64 chunk) {
+              const i64 od0 = chunk * kRowChunk;
+              const i64 rows = std::min(kRowChunk, dout_g - od0);
+              const std::int16_t* wchunk =
+                  packed_weights.data() + (g * dout_g + od0) * krow_s;
+              Fixed16::acc_t accs[kRowChunk * kColChunk];
+              for (i64 c0 = 0; c0 < totcols; c0 += kColChunk) {
+                const i64 nc = std::min(kColChunk, totcols - c0);
+                mrhs(band + c0 * krow_s, krow_s, nc, wchunk, krow_s, rows,
+                     krow_s, accs, kColChunk);
+                for (i64 l = 0; l < rows; ++l) {
+                  const i64 dout_abs = g * dout_g + od0 + l;
+                  const Fixed16::acc_t bias =
+                      bias_acc[static_cast<std::size_t>(dout_abs)];
+                  // A column block may straddle an image boundary; walk the
+                  // (image, pixel) pair incrementally — a divide per output
+                  // element is measurable against the GEMM itself.
+                  i64 b = c0 / npix;
+                  i64 t = c0 - b * npix;
+                  Fixed16* out_row = outputs[static_cast<std::size_t>(b)]
+                                         ->raw_data() +
+                                     dout_abs * cols + pix0;
+                  for (i64 cc = 0; cc < nc; ++cc) {
+                    out_row[t] =
+                        Tr::finalize(accs[l * kColChunk + cc] + bias, p.relu);
+                    if (++t == npix) {
+                      t = 0;
+                      ++b;
+                      if (cc + 1 < nc)
+                        out_row = outputs[static_cast<std::size_t>(b)]
+                                      ->raw_data() +
+                                  dout_abs * cols + pix0;
+                    }
                   }
                 }
               }
-            }
-          });
+            });
+      }
     }
-  }
+  });
 }
 
 void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,

@@ -137,9 +137,10 @@ void im2row_s16(const Tensor3<Fixed16>& input, i64 din_begin, i64 din_count,
 // share one shape; `outputs[b]` must be pre-shaped {dout, oh, ow}
 // spatial-major (the executor keeps them resident across inferences).
 // `bias_acc` is promote_bias()'s output (size dout). The output-row
-// chunks (and the im2row gather) are partitioned over cbrain::parallel —
-// each output element is still one exact dot computed by one task, so
-// results are bit-identical at any worker count and batch size.
+// chunks and the im2row gather are partitioned over cbrain::parallel, or
+// the groups when a group has one row chunk — each output element is
+// still one exact dot computed by one task, so results are bit-identical
+// at any worker count and batch size.
 // Allocates nothing beyond `scratch` growth.
 void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                        const PackedRows& packed_weights,

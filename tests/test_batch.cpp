@@ -276,7 +276,8 @@ TEST(BatchExec, WarmBatchesAllocateOnlyTheResults) {
 }
 
 // run_many is run_batches over batches of one, so both are held to an
-// independent anchor: sequential Session::infer on one session.
+// independent anchor: sequential Session::infer on one session. One
+// Engine serves the net at both tiers through the same ragged partition.
 TEST(EngineBatches, RunBatchesMatchesRunManyAndIsRaggedSafe) {
   const Network net = batch_exec_net();
   const auto params = init_net_params<Fixed16>(net, 13);
@@ -300,16 +301,19 @@ TEST(EngineBatches, RunBatchesMatchesRunManyAndIsRaggedSafe) {
   };
 
   engine::ServeStats stats;
-  for (i64 jobs : {1, 4}) {
-    for (i64 width : {1, 4}) {
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " pool width " + std::to_string(width));
-      PoolWidth pool(width);
-      expect_matches(eng.run_batches(net, Policy::kAdaptive2, params, inputs,
-                                     {{0, 1, 2}, {3, 4}}, jobs, &stats,
-                                     Fidelity::kFunctional));
-      expect_matches(eng.run_many(net, Policy::kAdaptive2, params, inputs,
-                                  jobs, &stats, Fidelity::kFunctional));
+  for (Fidelity tier : {Fidelity::kFunctional, Fidelity::kCycle}) {
+    for (i64 jobs : {1, 4}) {
+      for (i64 width : {1, 4}) {
+        SCOPED_TRACE(std::string(fidelity_name(tier)) + " jobs=" +
+                     std::to_string(jobs) + " pool width " +
+                     std::to_string(width));
+        PoolWidth pool(width);
+        expect_matches(eng.run_batches(net, Policy::kAdaptive2, params,
+                                       inputs, {{0, 1, 2}, {3, 4}}, jobs,
+                                       &stats, tier));
+        expect_matches(eng.run_many(net, Policy::kAdaptive2, params, inputs,
+                                    jobs, &stats, tier));
+      }
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cbrain/common/rng.hpp"
+#include "cbrain/common/thread_pool.hpp"
 #include "cbrain/compiler/verifier.hpp"
 #include "cbrain/core/cbrain.hpp"
 #include "cbrain/func/executor.hpp"
@@ -425,7 +426,9 @@ TEST(DepthwiseKernel, ContractBoundaryIsExactAndOneMoreFallsBack) {
 // pair reaches 65535): its layer packs kExact and runs the exact grouped
 // im2row+GEMM path, the other depthwise layer stays on kDepthwise, the
 // pack equals the serial rule, and ref, cycle and functional tiers agree
-// bit for bit.
+// bit for bit. With dout_g = 1 each group is one row chunk, so the layer
+// spreads its groups over the pool, and every layer's bytes match at
+// jobs 1 and 4.
 TEST(DepthwiseConv, ContractBreakingFilterTakesExactGemm) {
   const Network net = depthwise_toy();
   auto params = init_net_params<Fixed16>(net, kSeed);
@@ -457,6 +460,22 @@ TEST(DepthwiseConv, ContractBreakingFilterTakesExactGemm) {
     expect_three_tier_identity(net, Policy::kAdaptive2, tiny_config(4, 4),
                                params);
   }
+
+  const auto input = random_input<Fixed16>(net.layer(0).out_dims, kSeed);
+  const i64 jobs_before = parallel::default_jobs();
+  std::vector<std::vector<Tensor3<Fixed16>>> by_jobs;
+  for (const i64 jobs : {1, 4}) {
+    parallel::set_default_jobs(jobs);
+    func.infer(input);
+    by_jobs.emplace_back();
+    for (const Layer& l : net.layers())
+      by_jobs.back().push_back(func.output(l.id));
+  }
+  parallel::set_default_jobs(jobs_before);
+  for (const Layer& l : net.layers())
+    EXPECT_TRUE(tensors_equal(by_jobs[0][static_cast<std::size_t>(l.id)],
+                              by_jobs[1][static_cast<std::size_t>(l.id)]))
+        << l.name;
 }
 
 // depthwise_toy cube by cube: both depthwise layers (s1 and s2) on the

@@ -3,15 +3,22 @@
 
 usage: bench_compare.py BASELINE.json CURRENT.json [--threshold=0.8]
 
-Prints a side-by-side ratio table for every kernel point and whole-net
-run (its wall time, and its setup and infer times where the file splits
-them) present in BOTH files (extra points on either side are listed, not
-compared — a --quick run legitimately omits VGG16, and a baseline from
-before the two-tier split simply has no functional-tier entries; those
-show up as "new entry", never as regressions). whole_net/serve points
-are keyed by execution tier, with missing "tier" fields defaulting to
-"cycle" so old baselines stay comparable. A point whose current
-throughput falls below threshold * baseline is flagged as a REGRESSION.
+Prints a side-by-side ratio table for every point present in BOTH
+files. The file has four sections of points:
+  kernels    — SIMD kernel throughput (gbps);
+  whole_net  — one whole-net run: its wall time, and its setup and infer
+               times where the file splits them;
+  serve      — Engine::run_batches serving throughput (infer_per_s);
+  multichip  — simulated multi-chip scaling (sim_images_per_s).
+Any other section is ignored, so a baseline written with sections this
+script does not read still compares.
+Extra points on either side are listed, not compared — a --quick run
+legitimately omits VGG16, and a baseline from before the two-tier split
+simply has no functional-tier entries; those show up as "new entry",
+never as regressions. whole_net/serve points are keyed by execution
+tier, with missing "tier" fields defaulting to "cycle" so old baselines
+stay comparable. A point whose current throughput falls below
+threshold * baseline is flagged as a REGRESSION.
 
 This is an *informational* CI leg: machine load and CPU frequency swings
 make wall-clock comparisons noisy, so the exit code is 0 unless a file
@@ -64,20 +71,6 @@ def multichip_key(r):
     return ("multichip", r["net"], r["chips"], r["partition"])
 
 
-# serve-load ladder points (from `cbrain_cli serve-load --perf-json`) are
-# virtual-time measurements: goodput at a given offered load is exactly
-# reproducible, so regressions here are scheduler behavior changes, not
-# machine noise. The knee entry tracks where the saturation curve breaks.
-def serve_load_key(r):
-    return ("serve_load", r["net"], r.get("scenario", "mixed"),
-            r["servers"], round(r["offered_qps"], 1))
-
-
-def serve_knee_key(r):
-    return ("serve_load_knee", r["net"], r.get("scenario", "mixed"),
-            r["servers"])
-
-
 def index(doc):
     points = {}
     for k in doc.get("kernels", []):
@@ -100,12 +93,6 @@ def index(doc):
     for r in doc.get("serve", []):
         if "infer_per_s" in r:
             points[serve_key(r)] = ("infer_per_s", r["infer_per_s"])
-    for r in doc.get("serve_load", []):
-        if "goodput_qps" in r:
-            points[serve_load_key(r)] = ("goodput_qps", r["goodput_qps"])
-    for r in doc.get("serve_load_knee", []):
-        if "knee_qps" in r:
-            points[serve_knee_key(r)] = ("knee_qps", r["knee_qps"])
     for r in doc.get("multichip", []):
         if "sim_images_per_s" in r:
             points[multichip_key(r)] = ("sim_images_per_s",
@@ -125,10 +112,6 @@ def fmt_key(key):
         return s
     if key[0] == "multichip":
         return f"mchip {key[1]:<9} chips={key[2]} {key[3]}"
-    if key[0] == "serve_load":
-        return f"load {key[1]:<8} {key[2]}/s{key[3]} @{key[4]:g}qps"
-    if key[0] == "serve_load_knee":
-        return f"knee {key[1]:<8} {key[2]}/s{key[3]}"
     if key[0] in ("infer", "setup"):
         return f"{key[0]} {key[1]:<8} {key[2]:<6} [{key[3]}]"
     return f"sim {key[1]:<10} {key[2]:<6} [{key[3]}]"

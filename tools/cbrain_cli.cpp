@@ -12,11 +12,6 @@
 //                          [--seed=N] [--baseline]
 //                          [--fidelity=cycle|functional|both]
 //                          [--chips=N --partition=auto|pipeline|shard]
-//   cbrain_cli serve-load  <net> [--policy=P] [--qps=a,b,..] [--duration=S]
-//                          [--mix=NET2 (second model served concurrently)]
-//                          [--servers=N] [--jobs=N] [--seed=N] [--execute]
-//                          [--responses] [--closed-loop --clients=N]
-//                          [--perf-json=FILE]
 //   cbrain_cli fidelity-check <net> [--policy=P] [--seed=N]
 //   cbrain_cli oracle    <net> [--metric=cycles|energy]
 //   cbrain_cli fault-campaign <net[,net...]> [--site=S,..] [--rate=R,..]
@@ -56,12 +51,7 @@
 #include "cbrain/report/json_export.hpp"
 #include "cbrain/report/table.hpp"
 #include "cbrain/report/timeline.hpp"
-#include "cbrain/serve/loadgen.hpp"
 #include "cbrain/simd/simd.hpp"
-
-#include <fstream>
-
-#include "cbrain/common/json.hpp"
 
 namespace cbrain::cli {
 namespace {
@@ -86,19 +76,17 @@ struct Options {
 // error, so a misspelled or retired flag fails loudly instead of being
 // silently ignored.
 constexpr const char* kKnownFlags[] = {
-    "baseline", "batch", "batch-wait", "chips", "clients", "closed-loop",
-    "csv", "dram", "duration", "events", "execute", "fc", "fidelity",
-    "jobs", "json", "max", "max-batch", "metric", "metrics-out", "mix",
-    "partition", "pe", "perf-json", "policy", "qps", "rate", "recovery",
-    "requests", "responses", "seed", "servers", "simd", "site", "think",
-    "trace-out", "width"};
+    "baseline", "batch", "chips", "csv", "dram", "events", "fc",
+    "fidelity", "jobs", "json", "max", "metric", "metrics-out",
+    "partition", "pe", "policy", "rate", "recovery", "requests", "seed",
+    "simd", "site", "trace-out", "width"};
 
 int usage() {
   std::fprintf(
       stderr,
       "usage: cbrain_cli <command> [<net>] [--flag=value ...]\n"
       "commands: list | show | evaluate | compare | disasm | simulate | "
-      "serve-bench | serve-load | fidelity-check | oracle | timeline | "
+      "serve-bench | fidelity-check | oracle | timeline | "
       "verify | dot | fault-campaign\n"
       "flags: --policy=inter|intra|partition|adap-1|adap-2  --pe=16x16\n"
       "       --dram=<words/cycle>  --fc  --batch=N  --json  --seed=N  "
@@ -130,22 +118,6 @@ int usage() {
       "       --batch=N (execute requests as N-image infer_batch calls, "
       "default 1;\n"
       "        outputs byte-identical at any N)\n"
-      "serve-load flags: --qps=a,b,.. (offered ladder; default scales to "
-      "capacity)\n"
-      "       --duration=S (virtual seconds per point, default 2)  "
-      "--servers=N\n"
-      "       --execute (run admitted work for real; decisions are "
-      "identical either way)\n"
-      "       --responses (per-request decision log — byte-stable across "
-      "--jobs)\n"
-      "       --closed-loop --clients=N --think=US (self-throttling "
-      "clients instead\n"
-      "        of the open-loop sweep)  --max-batch=N  --batch-wait=US\n"
-      "       --perf-json=FILE (serve_load curve + knee for "
-      "bench_compare.py)\n"
-      "       --mix=NET2 (serve a second model concurrently; the spiky "
-      "and batch\n"
-      "        tenants move to it)\n"
       "fidelity-check: cross-validate the tiers — bit-compare outputs and "
       "print the\n"
       "       per-layer model-vs-sim cycle/energy error table (exit 1 on "
@@ -712,308 +684,6 @@ int cmd_serve_bench(const Network& net, const Options& opt) {
   return 0;
 }
 
-// The mixed-tenant scenario the serving docs and bench curve use: four
-// tenants across the three priority classes, deadlines scaled to the
-// net's own service times so the same scenario saturates any zoo net at
-// a comparable point on its ladder. The "spiky" tenant's quota is filled
-// in by the caller once fleet capacity is known.
-std::vector<serve::TenantLoad> mixed_scenario(
-    const serve::Scheduler& sched, i64 model,
-    const serve::SchedulerConfig& sc) {
-  const i64 unit_f = sched.unit_us(model, Fidelity::kFunctional);
-  const i64 unit_c = sched.unit_us(model, Fidelity::kCycle);
-  const auto overhead = static_cast<i64>(sc.service.batch_overhead_us);
-  // Deadline floor per tier: batching may hold a request batch_wait_us,
-  // then it rides a full batch — that is the structural latency a
-  // request pays before any queueing delay at all.
-  const i64 slack_f =
-      sc.batch_wait_us + overhead + sc.max_batch * unit_f;
-  const i64 slack_c =
-      sc.batch_wait_us + overhead + sc.max_batch_cycle * unit_c;
-
-  std::vector<serve::TenantLoad> loads;
-  {
-    // Latency-sensitive production traffic: the SLO the scheduler exists
-    // to protect. Tight deadline, no quota (it is the paying customer).
-    serve::TenantLoad t;
-    t.config = {"prod", serve::Priority::kHigh, 0.0, 8.0, 64};
-    t.share = 0.35;
-    t.model = model;
-    t.tier = Fidelity::kFunctional;
-    t.deadline_us = slack_f + 4 * unit_f;
-    loads.push_back(t);
-  }
-  {
-    // A noisy neighbor: normal priority but throttled to a fraction of
-    // fleet capacity — its bursts surface as kQuota rejections instead
-    // of queue pressure on everyone else.
-    serve::TenantLoad t;
-    t.config = {"spiky", serve::Priority::kNormal, /*quota:caller*/ 1.0,
-                8.0, 64};
-    t.share = 0.15;
-    t.model = model;
-    t.tier = Fidelity::kFunctional;
-    t.deadline_us = slack_f + 10 * unit_f;
-    loads.push_back(t);
-  }
-  {
-    // Throughput-oriented batch analytics: loose deadline, no quota.
-    serve::TenantLoad t;
-    t.config = {"batch", serve::Priority::kNormal, 0.0, 8.0, 64};
-    t.share = 0.25;
-    t.model = model;
-    t.tier = Fidelity::kFunctional;
-    t.deadline_us = slack_f + 20 * unit_f;
-    loads.push_back(t);
-  }
-  {
-    // Best-effort research traffic asking for the expensive cycle-exact
-    // tier — the degradation candidate: under pressure it reroutes to
-    // the functional tier (bit-identical outputs) before being shed.
-    serve::TenantLoad t;
-    t.config = {"scavenger", serve::Priority::kBestEffort, 0.0, 8.0, 64};
-    t.share = 0.25;
-    t.model = model;
-    t.tier = Fidelity::kCycle;
-    t.deadline_us = slack_c + 2 * unit_c;
-    loads.push_back(t);
-  }
-  return loads;
-}
-
-// Sustainable throughput of the scenario mix: share-weighted service
-// cost per request (batch overhead amortized over a full batch) across
-// the fleet. The offered-QPS ladder and the spiky tenant's quota are
-// expressed relative to this.
-double scenario_capacity_qps(const serve::Scheduler& sched,
-                             const std::vector<serve::TenantLoad>& loads,
-                             const serve::SchedulerConfig& sc) {
-  double total_share = 0.0, weighted_us = 0.0;
-  for (const serve::TenantLoad& t : loads) {
-    const i64 cap = t.tier == Fidelity::kCycle ? sc.max_batch_cycle
-                                               : sc.max_batch;
-    const double amortized =
-        static_cast<double>(sched.unit_us(t.model, t.tier)) +
-        sc.service.batch_overhead_us / static_cast<double>(cap);
-    weighted_us += t.share * amortized;
-    total_share += t.share;
-  }
-  return static_cast<double>(sc.servers) * 1e6 * total_share / weighted_us;
-}
-
-int cmd_serve_load(const Network& net, const Options& opt) {
-  const auto policy = resolve_policy(opt.get("policy", "adap-2"));
-  if (!policy) return 2;
-  const AcceleratorConfig config = resolve_config(opt);
-  const auto seed = static_cast<u64>(opt.get_i64("seed", 1));
-  const i64 jobs = opt.get_i64("jobs", 0);
-
-  engine::Engine engine(config);
-  serve::SchedulerConfig sc;
-  sc.servers = std::max<i64>(1, opt.get_i64("servers", 4));
-  sc.execute = opt.has("execute");
-  if (opt.has("max-batch"))
-    sc.max_batch = std::max<i64>(1, opt.get_i64("max-batch", 8));
-  if (opt.has("batch-wait"))
-    sc.batch_wait_us = std::max<i64>(0, opt.get_i64("batch-wait", 2000));
-  serve::Scheduler sched(engine, sc);
-  const i64 model = sched.add_model(net, *policy, seed);
-
-  // --mix=NET2: a second model served concurrently from the same fleet.
-  // The spiky and batch tenants move onto it (deadlines rescaled to its
-  // own service times) while prod and scavenger stay on the primary —
-  // the mixed-model contention scenario.
-  std::optional<Network> mix;
-  if (opt.has("mix")) {
-    mix = resolve_net(opt.get("mix", ""));
-    if (!mix) return 3;
-  }
-
-  const i64 unit_f = sched.unit_us(model, Fidelity::kFunctional);
-  const i64 unit_c = sched.unit_us(model, Fidelity::kCycle);
-
-  auto loads = mixed_scenario(sched, model, sc);
-  const std::string scenario = mix ? "mixed2" : "mixed";
-  if (mix) {
-    const i64 model2 = sched.add_model(*mix, *policy, seed + 1);
-    const i64 unit2 = sched.unit_us(model2, Fidelity::kFunctional);
-    const i64 slack2 =
-        sc.batch_wait_us +
-        static_cast<i64>(sc.service.batch_overhead_us) +
-        sc.max_batch * unit2;
-    loads[1].model = model2;  // spiky
-    loads[1].deadline_us = slack2 + 10 * unit2;
-    loads[2].model = model2;  // batch
-    loads[2].deadline_us = slack2 + 20 * unit2;
-  }
-  const double capacity = scenario_capacity_qps(sched, loads, sc);
-  loads[1].config.quota_qps = std::max(1.0, 0.25 * capacity);
-  for (const serve::TenantLoad& t : loads) sched.add_tenant(t.config);
-
-  std::printf("serve-load %s%s%s under %s: servers=%lld unit=%lldus "
-              "(cycle %lldus)  capacity~%.1f qps  scenario=%s\n",
-              net.name().c_str(), mix ? " + " : "",
-              mix ? mix->name().c_str() : "", policy_name(*policy),
-              static_cast<long long>(sc.servers),
-              static_cast<long long>(unit_f),
-              static_cast<long long>(unit_c), capacity,
-              scenario.c_str());
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    const serve::TenantLoad& t = loads[i];
-    std::printf("  tenant %-9s %-11s share=%.2f tier=%s deadline=%lldus"
-                "%s\n",
-                t.config.name.c_str(),
-                serve::priority_name(t.config.priority), t.share,
-                fidelity_name(t.tier),
-                static_cast<long long>(t.deadline_us),
-                t.config.quota_qps > 0.0 ? " (quota-limited)" : "");
-  }
-
-  if (opt.has("closed-loop")) {
-    // Closed loop: N clients per tenant slot, each keeping one request
-    // in flight. Offered load self-throttles at capacity, so this mode
-    // reports sustainable throughput rather than overload behavior.
-    const i64 clients = std::max<i64>(1, opt.get_i64("clients", 8));
-    const i64 duration_us = static_cast<i64>(
-        1e6 * std::stod(opt.get("duration", "2")));
-    std::vector<serve::ClosedLoopSource::Client> cs;
-    for (i64 i = 0; i < clients; ++i) {
-      serve::ClosedLoopSource::Client c;
-      c.load = loads[static_cast<std::size_t>(i) % loads.size()];
-      c.load.config.name += "-cl";
-      c.think_time_us = opt.get_i64("think", 2 * unit_f);
-      c.tenant = sched.add_tenant(c.load.config);
-      cs.push_back(std::move(c));
-    }
-    serve::ClosedLoopSource source(cs, duration_us, seed);
-    serve::RunResult run = sched.run(source, jobs);
-    std::printf("\nclosed loop: %lld clients, think=%lldus\n%s",
-                static_cast<long long>(clients),
-                static_cast<long long>(opt.get_i64("think", 2 * unit_f)),
-                run.stats.to_string().c_str());
-    const double secs =
-        static_cast<double>(run.stats.horizon_us) / 1e6;
-    const double rps =
-        secs > 0.0 ? static_cast<double>(run.stats.admitted) / secs : 0.0;
-    std::printf("throughput: %.1f requests/s (%.1f images/s)  avg batch "
-                "%.2f  batch sizes: %s\n",
-                rps, rps, run.stats.avg_batch(),
-                run.stats.batch_hist_string().c_str());
-    return 0;
-  }
-
-  // Open-loop sweep across the offered-QPS ladder.
-  serve::SweepConfig sw;
-  sw.seed = seed;
-  sw.duration_us =
-      static_cast<i64>(1e6 * std::stod(opt.get("duration", "2")));
-  if (opt.has("qps")) {
-    for (const std::string& q : split(opt.get("qps", ""), ','))
-      sw.qps_ladder.push_back(std::stod(q));
-  } else {
-    for (double f : {0.3, 0.5, 0.7, 0.9, 1.1, 1.4, 1.8, 2.4, 3.2, 4.5})
-      sw.qps_ladder.push_back(f * capacity);
-  }
-
-  const serve::SweepResult result = serve::sweep(sched, loads, sw, jobs);
-  std::printf("\n%s", result.to_table().c_str());
-  if (result.knee >= 0) {
-    const serve::SweepPoint& k =
-        result.points[static_cast<std::size_t>(result.knee)];
-    const serve::SweepPoint& base = result.points.front();
-    std::printf("\nsaturation knee at %.1f qps: hi-p99 %lldus (unloaded "
-                "%lldus), shed %.1f%%, degrade %.1f%%\n",
-                k.offered_qps, static_cast<long long>(k.hi_p99_us),
-                static_cast<long long>(base.hi_p99_us),
-                100.0 * k.shed_rate, 100.0 * k.degrade_rate);
-  } else {
-    std::printf("\nno saturation knee inside the ladder\n");
-  }
-  const serve::SweepPoint& last = result.points.back();
-  std::printf("past-knee pressure: %lld degrade transitions, %lld shed "
-              "transitions, %lld evictions, peak queue %lld\n",
-              static_cast<long long>(last.stats.degrade_transitions),
-              static_cast<long long>(last.stats.shed_transitions),
-              static_cast<long long>(last.stats.evictions),
-              static_cast<long long>(last.stats.peak_queue_depth));
-  // Realized batching at the most interesting ladder point (the knee if
-  // one exists, else the heaviest point): what dynamic batch formation
-  // actually delivered to the multi-image execution path.
-  {
-    const serve::SweepPoint& hp =
-        result.knee >= 0
-            ? result.points[static_cast<std::size_t>(result.knee)]
-            : last;
-    const double secs = static_cast<double>(hp.stats.horizon_us) / 1e6;
-    const double rps =
-        secs > 0.0 ? static_cast<double>(hp.stats.admitted) / secs : 0.0;
-    std::printf("at %.1f qps: %.1f requests/s (%.1f images/s)  avg batch "
-                "%.2f  batch sizes: %s\n",
-                hp.offered_qps, rps, rps, hp.stats.avg_batch(),
-                hp.stats.batch_hist_string().c_str());
-  }
-
-  if (opt.has("responses")) {
-    // Full per-request decision log (determinism diffs byte-compare it
-    // across --jobs). Re-runs the last ladder point.
-    auto trace = serve::open_loop_trace(loads, sw.qps_ladder.back(),
-                                        sw.duration_us, sw.seed);
-    const serve::RunResult rr = sched.run(trace, jobs);
-    for (const serve::Response& r : rr.responses)
-      std::printf("%s\n", r.to_string().c_str());
-  }
-
-  const std::string perf_path = opt.get("perf-json", "");
-  if (!perf_path.empty()) {
-    JsonWriter w;
-    w.begin_object();
-    w.key("serve_load").begin_array();
-    for (const serve::SweepPoint& p : result.points) {
-      w.begin_object();
-      w.kv("net", net.name());
-      w.kv("scenario", scenario);
-      if (mix) w.kv("mix_net", mix->name());
-      w.kv("policy", std::string(policy_name(*policy)));
-      w.kv("servers", sc.servers);
-      w.kv("offered_qps", p.offered_qps);
-      w.kv("goodput_qps", p.goodput_qps);
-      w.kv("p50_us", p.p50_us);
-      w.kv("p99_us", p.p99_us);
-      w.kv("p999_us", p.p999_us);
-      w.kv("hi_p99_us", p.hi_p99_us);
-      w.kv("shed_rate", p.shed_rate);
-      w.kv("degrade_rate", p.degrade_rate);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("serve_load_knee").begin_array();
-    if (result.knee >= 0) {
-      const serve::SweepPoint& k =
-          result.points[static_cast<std::size_t>(result.knee)];
-      w.begin_object();
-      w.kv("net", net.name());
-      w.kv("scenario", scenario);
-      if (mix) w.kv("mix_net", mix->name());
-      w.kv("servers", sc.servers);
-      w.kv("knee_qps", k.offered_qps);
-      w.kv("p999_us", k.p999_us);
-      w.kv("shed_rate", k.shed_rate);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    std::ofstream f(perf_path);
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write %s\n", perf_path.c_str());
-      return 1;
-    }
-    f << w.str() << "\n";
-    std::printf("wrote %s (%zu sweep points)\n", perf_path.c_str(),
-                result.points.size());
-  }
-  return 0;
-}
-
 // Cross-validates the two execution tiers on one net: bit-compares the
 // functional executor's output against the cycle-exact simulator and
 // prints the per-layer model-vs-sim cycle/energy error table. Exit 1 on
@@ -1195,7 +865,6 @@ int dispatch(const Options& opt) {
   if (opt.command == "disasm") return cmd_disasm(*net, opt);
   if (opt.command == "simulate") return cmd_simulate(*net, opt);
   if (opt.command == "serve-bench") return cmd_serve_bench(*net, opt);
-  if (opt.command == "serve-load") return cmd_serve_load(*net, opt);
   if (opt.command == "fidelity-check") return cmd_fidelity_check(*net, opt);
   if (opt.command == "oracle") return cmd_oracle(*net, opt);
   if (opt.command == "timeline") return cmd_timeline(*net, opt);
