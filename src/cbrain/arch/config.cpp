@@ -10,11 +10,10 @@ namespace cbrain {
 std::string AcceleratorConfig::to_string() const {
   std::ostringstream os;
   os << "PE " << tin << "-" << tout << " @" << clock_ghz << "GHz, InOut "
-     << inout_buf.size_bytes / 1024 << "KiB/" << inout_buf.words_per_cycle
-     << "wpc, Weight " << weight_buf.size_bytes / 1024 << "KiB/"
-     << weight_buf.words_per_cycle << "wpc, Bias "
-     << bias_buf.size_bytes / 1024 << "KiB/" << bias_buf.words_per_cycle
-     << "wpc, DRAM " << dram.words_per_cycle << "wpc";
+     << inout_buf.size_bytes / 1024 << "KiB, Weight "
+     << weight_buf.size_bytes / 1024 << "KiB, Bias "
+     << bias_buf.size_bytes / 1024 << "KiB, DRAM " << dram.words_per_cycle
+     << "wpc";
   return os.str();
 }
 
@@ -57,11 +56,6 @@ AcceleratorConfig AcceleratorConfig::with_pe(i64 tin, i64 tout) {
   AcceleratorConfig c;
   c.tin = tin;
   c.tout = tout;
-  // Table-3 scaling: data-side ports track Tin, the weight port feeds the
-  // full multiplier array (16-16 -> 256 wpc, 32-32 -> 1024 wpc).
-  c.inout_buf.words_per_cycle = tin;
-  c.weight_buf.words_per_cycle = tin * tout;
-  c.bias_buf.words_per_cycle = tout;
   return c;
 }
 

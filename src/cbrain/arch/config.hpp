@@ -10,7 +10,9 @@
 // Bandwidths are 16-bit words per cycle and scale with the PE width: the
 // input side feeds Tin words, the weight buffer feeds Tin*Tout words, and
 // the output side retires Tout partial sums per cycle (the adder-tree
-// rate; stores are off the critical path, §4.2.2).
+// rate; stores are off the critical path, §4.2.2). Each port feeds the PE
+// array every cycle, so buffer bandwidth never sets the timing and is not
+// configured here; DRAM bandwidth does, and is.
 #pragma once
 
 #include <string>
@@ -21,7 +23,6 @@ namespace cbrain {
 
 struct BufferConfig {
   i64 size_bytes = 0;
-  i64 words_per_cycle = 0;  // 16-bit words
   i64 size_words() const { return size_bytes / 2; }
 };
 
@@ -67,9 +68,9 @@ struct AcceleratorConfig {
   i64 tout = 16;  // parallel output neurons (adder trees)
   double clock_ghz = 1.0;
 
-  BufferConfig inout_buf{2 * 1024 * 1024, 16};   // shared In/Out data buffer
-  BufferConfig weight_buf{1 * 1024 * 1024, 256};
-  BufferConfig bias_buf{4 * 1024, 16};
+  BufferConfig inout_buf{2 * 1024 * 1024};  // shared In/Out data buffer
+  BufferConfig weight_buf{1 * 1024 * 1024};
+  BufferConfig bias_buf{4 * 1024};
   DramConfig dram;
 
   i64 multipliers() const { return tin * tout; }

@@ -2,9 +2,9 @@
 
 namespace cbrain {
 
-i64 DmaEngine::load(const Dram& dram, DramAddr src, Sram16& dst,
-                    i64 dst_addr, i64 words) {
-  if (words <= 0) return 0;
+void DmaEngine::load(const Dram& dram, DramAddr src, Sram16& dst,
+                     i64 dst_addr, i64 words) {
+  if (words <= 0) return;
   if (fault_ == nullptr) {
     // Nothing can upset the burst in flight: copy DRAM straight into the
     // buffer, no staging.
@@ -19,15 +19,9 @@ i64 DmaEngine::load(const Dram& dram, DramAddr src, Sram16& dst,
       const i64 retry_cycles = config_.transfer_cycles(words);
       fault_->add_overhead_cycles(retry_cycles);
       fault_->note_dma_retry_words(words);
-      stats_.busy_cycles += retry_cycles;
     }
     dst.write_block(dst_addr, words, bounce_.data());
   }
-  const i64 cycles = config_.transfer_cycles(words);
-  ++stats_.transfers;
-  stats_.words_in += words;
-  stats_.busy_cycles += cycles;
-  return cycles;
 }
 
 }  // namespace cbrain

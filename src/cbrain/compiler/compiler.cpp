@@ -283,7 +283,6 @@ class CodeGen {
         pi.band_row0 = band_row0;
         pi.band_rows = band_rows;
         pi.band_width = cube.padded.w;
-        pi.band_order = cube.order;
         push(std::move(pi));
       }
     }

@@ -108,18 +108,13 @@ void mix_layer(Fnv1a& f, const Layer& l) {
   }
 }
 
-void mix_buffer(Fnv1a& f, const BufferConfig& b) {
-  f.mix_i64(b.size_bytes);
-  f.mix_i64(b.words_per_cycle);
-}
-
 void mix_config(Fnv1a& f, const AcceleratorConfig& c) {
   f.mix_i64(c.tin);
   f.mix_i64(c.tout);
   f.mix_double(c.clock_ghz);
-  mix_buffer(f, c.inout_buf);
-  mix_buffer(f, c.weight_buf);
-  mix_buffer(f, c.bias_buf);
+  f.mix_i64(c.inout_buf.size_bytes);
+  f.mix_i64(c.weight_buf.size_bytes);
+  f.mix_i64(c.bias_buf.size_bytes);
   f.mix_double(c.dram.words_per_cycle);
   f.mix_i64(c.dram.latency_cycles);
   f.mix_bool(c.dram.row_buffer_model);
@@ -146,7 +141,7 @@ Status status_of(std::exception_ptr failure) {
 u64 structural_hash(const Network& net, Policy policy,
                     const AcceleratorConfig& config, Fidelity fidelity) {
   Fnv1a f;
-  f.mix_u64(0xcb7a140003ull);  // key-schema salt; bump when fields change
+  f.mix_u64(0xcb7a140004ull);  // key-schema salt; bump when fields change
   f.mix_i64(static_cast<i64>(policy));
   f.mix_i64(static_cast<i64>(fidelity));
   mix_config(f, config);

@@ -124,8 +124,7 @@ FaultPointResult run_faulty_half(const Network& net,
   FaultConfig fc;
   fc.seed = spec.seed;
   fc.recovery = spec.recovery;
-  fc.site(spec.site).per_mword = spec.rate_per_mword;
-  fc.site(spec.site).mode = spec.mode;
+  fc.rate(spec.site) = spec.rate_per_mword;
   FaultInjector injector(fc);
 
   SimExecutor faulty(net, *ctx.compiled, config);
@@ -167,17 +166,6 @@ FaultPointResult run_faulty_half(const Network& net,
 }
 
 }  // namespace
-
-FaultMode default_fault_mode(FaultSite site) {
-  switch (site) {
-    case FaultSite::kDma:
-      return FaultMode::kBurstCorrupt;
-    case FaultSite::kPeLane:
-      return FaultMode::kStuckAt;
-    default:
-      return FaultMode::kBitFlip;
-  }
-}
 
 double FaultPointResult::cycle_overhead() const {
   if (baseline_cycles <= 0) return 0.0;
@@ -237,7 +225,6 @@ Result<std::vector<FaultPointResult>> run_fault_campaign(
           Point p;
           p.net_index = ni;
           p.fp.site = site;
-          p.fp.mode = default_fault_mode(site);
           p.fp.rate_per_mword = rate;
           p.fp.recovery = recovery;
           p.fp.seed = mix_seed(spec.seed, grid.size());
@@ -264,7 +251,7 @@ Table campaign_table(const std::vector<FaultPointResult>& points) {
     if (!last_net.empty() && p.net != last_net) t.add_rule();
     last_net = p.net;
     t.add_row({p.net, fault_site_name(p.spec.site),
-               fault_mode_name(p.spec.mode),
+               fault_mode_name(p.spec.site),
                fmt("%.3g", p.spec.rate_per_mword),
                recovery_policy_name(p.spec.recovery),
                std::to_string(p.stats.total_injected()),

@@ -17,15 +17,9 @@
 
 namespace cbrain {
 
-// The per-site fault mode a campaign uses unless overridden: bursts on the
-// DMA link, stuck-at for multiplier lanes, single-bit flips everywhere
-// else (the dominant physical mechanism per site).
-FaultMode default_fault_mode(FaultSite site);
-
 // One grid point of a campaign.
 struct FaultPointSpec {
   FaultSite site = FaultSite::kInputSram;
-  FaultMode mode = FaultMode::kBitFlip;
   double rate_per_mword = 0.0;  // expected faults per million words touched
   RecoveryPolicy recovery = RecoveryPolicy::kNone;
   u64 seed = 1;  // injector seed (already mixed per point by the campaign)
@@ -36,7 +30,7 @@ struct FaultPointResult {
   FaultPointSpec spec;
   std::vector<CompileFallback> fallbacks;
   FaultStats stats;
-  std::vector<FaultEvent> events;  // truncated per FaultConfig
+  std::vector<FaultEvent> events;  // at most kMaxLoggedEvents
 
   i64 baseline_cycles = 0;
   i64 faulty_cycles = 0;
@@ -61,10 +55,10 @@ Result<FaultPointResult> run_fault_point(const Network& net, Policy policy,
                                          const FaultPointSpec& spec,
                                          const EnergyParams& energy = {});
 
-// The full grid: nets × sites × rates × recoveries, mode defaulted per
-// site, per-point seeds mixed deterministically from `seed`. Points run
-// through cbrain::parallel in grid order; results come back in that same
-// order regardless of worker count.
+// The full grid: nets × sites × rates × recoveries, per-point seeds
+// mixed deterministically from `seed`. Points run through
+// cbrain::parallel in grid order; results come back in that same order
+// regardless of worker count.
 struct CampaignSpec {
   std::vector<Network> nets;
   Policy policy = Policy::kAdaptive2;

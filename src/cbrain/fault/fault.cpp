@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <type_traits>
 
 #include "cbrain/common/check.hpp"
 #include "cbrain/common/math_util.hpp"
@@ -13,27 +14,27 @@ constexpr const char* kSiteNames[kFaultSiteCount] = {
     "input_sram", "weight_sram", "bias_sram", "accum_sram",
     "dram",       "dma",         "pe_lane"};
 
-std::int16_t corrupt16(FaultMode mode, int bit, int stuck_value,
-                       std::int16_t v) {
-  auto u = static_cast<std::uint16_t>(v);
-  const auto mask = static_cast<std::uint16_t>(1u << bit);
-  if (mode == FaultMode::kStuckAt)
-    u = stuck_value ? static_cast<std::uint16_t>(u | mask)
-                    : static_cast<std::uint16_t>(u & ~mask);
-  else  // kBitFlip and kBurstCorrupt both flip the drawn bit per word
-    u = static_cast<std::uint16_t>(u ^ mask);
-  return static_cast<std::int16_t>(u);
+// What protection does to a word a storage or transfer fault changed.
+enum class Guard {
+  kNone,     // the change lands silently
+  kRestore,  // SECDED (or in-DRAM ECC) rewrites the word in place
+  kReplay,   // parity flags the word; the executor replays the instruction
+  kRetry,    // the DMA CRC fails; the burst is re-read and re-sent
+};
+
+Guard guard_for(FaultSite site, RecoveryPolicy recovery) {
+  if (recovery == RecoveryPolicy::kNone) return Guard::kNone;
+  if (site == FaultSite::kDma) return Guard::kRetry;
+  // DRAM scrubs at-rest corruption under either protected policy.
+  if (site == FaultSite::kDram || recovery == RecoveryPolicy::kEcc)
+    return Guard::kRestore;
+  return Guard::kReplay;
 }
 
-Fixed16::acc_t corrupt64(FaultMode mode, int bit, int stuck_value,
-                         Fixed16::acc_t v) {
-  auto u = static_cast<std::uint64_t>(v);
-  const std::uint64_t mask = std::uint64_t{1} << bit;
-  if (mode == FaultMode::kStuckAt)
-    u = stuck_value ? (u | mask) : (u & ~mask);
-  else
-    u ^= mask;
-  return static_cast<Fixed16::acc_t>(u);
+template <typename Word>
+Word flip_bit(Word v, int bit) {
+  using U = std::make_unsigned_t<Word>;
+  return static_cast<Word>(static_cast<U>(v) ^ (U{1} << bit));
 }
 
 }  // namespace
@@ -61,18 +62,15 @@ bool fault_site_from_name(const std::string& name, FaultSite* out) {
   return false;
 }
 
-const char* fault_mode_name(FaultMode mode) {
-  switch (mode) {
-    case FaultMode::kBitFlip:
-      return "bit_flip";
-    case FaultMode::kStuckAt:
-      return "stuck_at";
-    case FaultMode::kBurstCorrupt:
+const char* fault_mode_name(FaultSite site) {
+  switch (site) {
+    case FaultSite::kDma:
       return "burst";
-    case FaultMode::kDmaStall:
-      return "dma_stall";
+    case FaultSite::kPeLane:
+      return "stuck_at";
+    default:
+      return "bit_flip";
   }
-  return "?";
 }
 
 const char* recovery_policy_name(RecoveryPolicy policy) {
@@ -106,7 +104,7 @@ bool recovery_policy_from_name(const std::string& name,
 
 std::string FaultEvent::to_string() const {
   std::ostringstream os;
-  os << fault_site_name(site) << " " << fault_mode_name(mode) << " addr="
+  os << fault_site_name(site) << " " << fault_mode_name(site) << " addr="
      << addr << " bit=" << bit << " before=" << before << " after=" << after;
   if (detected) os << " detected";
   if (corrected) os << " corrected";
@@ -115,27 +113,17 @@ std::string FaultEvent::to_string() const {
 
 FaultInjector::FaultInjector(FaultConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
-  CBRAIN_CHECK(config_.parity_group_words > 0 && config_.max_retries >= 0,
-               "invalid fault recovery configuration");
   for (int i = 0; i < kFaultSiteCount; ++i) {
     const auto site = static_cast<FaultSite>(i);
-    const SiteFaultSpec& spec = config_.site(site);
-    CBRAIN_CHECK(spec.per_mword >= 0.0 && spec.burst_words > 0 &&
-                     spec.bit < 64,
-                 "invalid fault spec for " << fault_site_name(site));
-    CBRAIN_CHECK(spec.mode != FaultMode::kDmaStall || site == FaultSite::kDma,
-                 "kDmaStall is only meaningful on the DMA site");
-    CBRAIN_CHECK(site != FaultSite::kPeLane ||
-                     spec.mode == FaultMode::kBitFlip ||
-                     spec.mode == FaultMode::kStuckAt,
-                 "PE lane faults are bit_flip or stuck_at");
+    CBRAIN_CHECK(config_.rate(site) >= 0.0,
+                 "negative fault rate for " << fault_site_name(site));
     countdown_[static_cast<std::size_t>(i)] =
-        spec.per_mword > 0.0 ? draw_gap(site) : -1;
+        config_.rate(site) > 0.0 ? draw_gap(site) : -1;
   }
 }
 
 i64 FaultInjector::draw_gap(FaultSite s) {
-  const double rate = config_.site(s).per_mword;
+  const double rate = config_.rate(s);
   const i64 mean =
       std::max<i64>(1, static_cast<i64>(1e6 / rate + 0.5));
   // Uniform on [1, 2*mean]: integer draw, mean gap = mean + 0.5 units.
@@ -152,13 +140,12 @@ void FaultInjector::advance(FaultSite s, i64 units) {
   c -= units;
 }
 
-int FaultInjector::draw_bit(const SiteFaultSpec& spec, int width) {
-  if (spec.bit >= 0) return spec.bit < width ? spec.bit : width - 1;
+int FaultInjector::draw_bit(int width) {
   return static_cast<int>(rng_.next_below(static_cast<std::uint64_t>(width)));
 }
 
 void FaultInjector::log_event(const FaultEvent& ev) {
-  if (static_cast<i64>(events_.size()) < config_.max_logged_events)
+  if (static_cast<i64>(events_.size()) < kMaxLoggedEvents)
     events_.push_back(ev);
   else
     ++dropped_events_;
@@ -183,263 +170,103 @@ i64 FaultInjector::take_overhead_cycles() {
   return c;
 }
 
-void FaultInjector::on_sram_read(FaultSite site, i64 addr, i64 words,
-                                 std::int16_t* data) {
-  if (!site_enabled(site) || words <= 0) return;
+template <typename Word>
+i64 FaultInjector::strike(FaultSite site, i64 addr, Word* data, i64 n,
+                          i64 attempt) {
+  // An int64 partial models a 32-bit accumulator word: two 16-bit units.
+  constexpr i64 kUnits = std::is_same_v<Word, std::int16_t> ? 1 : 2;
+  constexpr int kWidth = 16 * kUnits;
   const auto si = static_cast<std::size_t>(site);
-  if (config_.recovery != RecoveryPolicy::kNone)
-    stats_.code_words[si] += ceil_div(words, config_.parity_group_words);
+  const Guard guard = guard_for(site, config_.recovery);
+  if (guard != Guard::kNone)
+    stats_.code_words[si] += ceil_div(kUnits * n, kParityGroupWords);
   fired_.clear();
-  advance(site, words);
-  const SiteFaultSpec& spec = config_.site(site);
-  for (const i64 off : fired_) {
+  advance(site, kUnits * n);
+  for (const i64 unit : fired_) {
+    const i64 off = std::min(unit / kUnits, n - 1);
     ++stats_.injected[si];
-    const int bit = draw_bit(spec, 16);
-    const i64 run = spec.mode == FaultMode::kBurstCorrupt
-                        ? std::min(spec.burst_words, words - off)
-                        : 1;
+    const int bit = draw_bit(kWidth);
+    const i64 run =
+        site == FaultSite::kDma ? std::min(kDmaBurstWords, n - off) : 1;
     FaultEvent ev;
     ev.site = site;
-    ev.mode = spec.mode;
     ev.addr = addr + off;
     ev.bit = bit;
     ev.before = data[off];
-    i64 changed = 0;
-    for (i64 r = 0; r < run; ++r) {
-      const std::int16_t before = data[off + r];
-      const std::int16_t after =
-          corrupt16(spec.mode, bit, spec.stuck_value, before);
-      if (after == before) continue;
-      data[off + r] = after;
-      ++changed;
-      if (config_.recovery == RecoveryPolicy::kEcc) {
-        data[off + r] = before;  // SECDED corrects in place per code word
-        add_overhead_cycles(config_.ecc_correct_cycles);
-      } else if (config_.recovery == RecoveryPolicy::kParityRetry) {
-        pending_.push_back({&data[off + r], nullptr, before, 0});
+    for (Word* w = data + off; w != data + off + run; ++w) {
+      const Word before = *w;
+      *w = flip_bit(before, bit);
+      if (guard == Guard::kRestore) {
+        *w = before;
+        add_overhead_cycles(kEccCorrectCycles);
+      } else if (guard == Guard::kReplay) {
+        if constexpr (kUnits == 1)
+          pending_.push_back({w, nullptr, before, 0});
+        else
+          pending_.push_back({nullptr, w, 0, before});
       }
     }
     ev.after = data[off];
-    if (changed == 0) {
-      ++stats_.masked;
-    } else {
-      stats_.corrupted_words += changed;
-      switch (config_.recovery) {
-        case RecoveryPolicy::kNone:
-          ++stats_.silent;
-          break;
-        case RecoveryPolicy::kEcc:
-          ev.detected = ev.corrected = true;
-          ev.after = ev.before;
-          ++stats_.detected;
+    stats_.corrupted_words += run;
+    switch (guard) {
+      case Guard::kNone:
+        ++stats_.silent;
+        break;
+      case Guard::kRestore:
+        ev.detected = ev.corrected = true;
+        ++stats_.detected;
+        ++stats_.corrected;
+        break;
+      case Guard::kReplay:
+        ev.detected = true;
+        ++stats_.detected;
+        ++pending_faults_;
+        add_overhead_cycles(kDetectLatencyCycles);
+        break;
+      case Guard::kRetry:
+        ev.detected = true;
+        ++stats_.detected;
+        // The retransmit re-reads clean data from DRAM.
+        ev.corrected = attempt < kMaxRetries;
+        if (ev.corrected)
           ++stats_.corrected;
-          break;
-        case RecoveryPolicy::kParityRetry:
-          ev.detected = true;
-          ++stats_.detected;
-          ++pending_faults_;
-          add_overhead_cycles(config_.detect_latency_cycles);
-          break;
-      }
+        else
+          ++stats_.uncorrected;
+        break;
     }
     log_event(ev);
   }
+  return static_cast<i64>(fired_.size());
+}
+
+void FaultInjector::on_sram_read(FaultSite site, i64 addr, i64 words,
+                                 std::int16_t* data) {
+  if (site_enabled(site) && words > 0) strike(site, addr, data, words);
 }
 
 void FaultInjector::on_accum_access(i64 index, i64 partials,
                                     Fixed16::acc_t* data) {
-  constexpr FaultSite site = FaultSite::kAccumSram;
-  if (!site_enabled(site) || partials <= 0) return;
-  const auto si = static_cast<std::size_t>(site);
-  const i64 words = 2 * partials;  // traffic unit: 16-bit words
-  if (config_.recovery != RecoveryPolicy::kNone)
-    stats_.code_words[si] += ceil_div(words, config_.parity_group_words);
-  fired_.clear();
-  advance(site, words);
-  const SiteFaultSpec& spec = config_.site(site);
-  for (const i64 off_w : fired_) {
-    const i64 off = std::min(off_w / 2, partials - 1);
-    ++stats_.injected[si];
-    const int bit = draw_bit(spec, 32);
-    const i64 run = spec.mode == FaultMode::kBurstCorrupt
-                        ? std::min(spec.burst_words, partials - off)
-                        : 1;
-    FaultEvent ev;
-    ev.site = site;
-    ev.mode = spec.mode;
-    ev.addr = index + off;
-    ev.bit = bit;
-    ev.before = data[off];
-    i64 changed = 0;
-    for (i64 r = 0; r < run; ++r) {
-      const Fixed16::acc_t before = data[off + r];
-      const Fixed16::acc_t after =
-          corrupt64(spec.mode, bit, spec.stuck_value, before);
-      if (after == before) continue;
-      data[off + r] = after;
-      ++changed;
-      if (config_.recovery == RecoveryPolicy::kEcc) {
-        data[off + r] = before;
-        add_overhead_cycles(config_.ecc_correct_cycles);
-      } else if (config_.recovery == RecoveryPolicy::kParityRetry) {
-        pending_.push_back({nullptr, &data[off + r], 0, before});
-      }
-    }
-    ev.after = data[off];
-    if (changed == 0) {
-      ++stats_.masked;
-    } else {
-      stats_.corrupted_words += changed;
-      switch (config_.recovery) {
-        case RecoveryPolicy::kNone:
-          ++stats_.silent;
-          break;
-        case RecoveryPolicy::kEcc:
-          ev.detected = ev.corrected = true;
-          ev.after = ev.before;
-          ++stats_.detected;
-          ++stats_.corrected;
-          break;
-        case RecoveryPolicy::kParityRetry:
-          ev.detected = true;
-          ++stats_.detected;
-          ++pending_faults_;
-          add_overhead_cycles(config_.detect_latency_cycles);
-          break;
-      }
-    }
-    log_event(ev);
-  }
+  if (site_enabled(FaultSite::kAccumSram) && partials > 0)
+    strike(FaultSite::kAccumSram, index, data, partials);
 }
 
 void FaultInjector::on_dram_write(i64 addr, i64 words, std::int16_t* data) {
-  constexpr FaultSite site = FaultSite::kDram;
-  if (!site_enabled(site) || words <= 0) return;
-  const auto si = static_cast<std::size_t>(site);
-  if (config_.recovery != RecoveryPolicy::kNone)
-    stats_.code_words[si] += ceil_div(words, config_.parity_group_words);
-  fired_.clear();
-  advance(site, words);
-  const SiteFaultSpec& spec = config_.site(site);
-  for (const i64 off : fired_) {
-    ++stats_.injected[si];
-    const int bit = draw_bit(spec, 16);
-    const i64 run = spec.mode == FaultMode::kBurstCorrupt
-                        ? std::min(spec.burst_words, words - off)
-                        : 1;
-    FaultEvent ev;
-    ev.site = site;
-    ev.mode = spec.mode;
-    ev.addr = addr + off;
-    ev.bit = bit;
-    ev.before = data[off];
-    i64 changed = 0;
-    for (i64 r = 0; r < run; ++r) {
-      const std::int16_t before = data[off + r];
-      const std::int16_t after =
-          corrupt16(spec.mode, bit, spec.stuck_value, before);
-      if (after == before) continue;
-      ++changed;
-      // In-DRAM ECC scrubs at-rest corruption under either recovery
-      // policy; without recovery the corrupted value lands.
-      if (config_.recovery == RecoveryPolicy::kNone) {
-        data[off + r] = after;
-      } else {
-        add_overhead_cycles(config_.ecc_correct_cycles);
-      }
-    }
-    ev.after = data[off];
-    if (changed == 0) {
-      ++stats_.masked;
-    } else {
-      stats_.corrupted_words += changed;
-      if (config_.recovery == RecoveryPolicy::kNone) {
-        ++stats_.silent;
-      } else {
-        ev.detected = ev.corrected = true;
-        ++stats_.detected;
-        ++stats_.corrected;
-      }
-    }
-    log_event(ev);
-  }
+  if (site_enabled(FaultSite::kDram) && words > 0)
+    strike(FaultSite::kDram, addr, data, words);
 }
 
 FaultInjector::DmaAttempt FaultInjector::on_dma_attempt(std::int16_t* data,
                                                         i64 words,
                                                         i64 attempt) {
-  constexpr FaultSite site = FaultSite::kDma;
-  DmaAttempt out;
-  if (!site_enabled(site) || words <= 0) return out;
-  const auto si = static_cast<std::size_t>(site);
-  if (config_.recovery != RecoveryPolicy::kNone) {
-    stats_.code_words[si] += ceil_div(words, config_.parity_group_words);
-    add_overhead_cycles(config_.dma_crc_cycles);
-  }
-  fired_.clear();
-  advance(site, words);
-  const SiteFaultSpec& spec = config_.site(site);
-  bool corrupted = false;
-  for (const i64 off : fired_) {
-    ++stats_.injected[si];
-    if (spec.mode == FaultMode::kDmaStall) {
-      ++stats_.dma_stalls;
-      add_overhead_cycles(spec.stall_cycles);
-      FaultEvent ev;
-      ev.site = site;
-      ev.mode = spec.mode;
-      ev.addr = off;
-      log_event(ev);
-      continue;
-    }
-    const int bit = draw_bit(spec, 16);
-    const i64 run = spec.mode == FaultMode::kBurstCorrupt
-                        ? std::min(spec.burst_words, words - off)
-                        : 1;
-    FaultEvent ev;
-    ev.site = site;
-    ev.mode = spec.mode;
-    ev.addr = off;
-    ev.bit = bit;
-    ev.before = data[off];
-    i64 changed = 0;
-    for (i64 r = 0; r < run; ++r) {
-      const std::int16_t before = data[off + r];
-      const std::int16_t after =
-          corrupt16(spec.mode, bit, spec.stuck_value, before);
-      if (after == before) continue;
-      data[off + r] = after;
-      ++changed;
-    }
-    ev.after = data[off];
-    if (changed == 0) {
-      ++stats_.masked;
-    } else {
-      stats_.corrupted_words += changed;
-      corrupted = true;
-      if (config_.recovery == RecoveryPolicy::kNone) {
-        ++stats_.silent;
-      } else {
-        ev.detected = true;
-        ++stats_.detected;
-        if (attempt < config_.max_retries) {
-          // The retransmit re-reads clean data from DRAM.
-          ev.corrected = true;
-          ++stats_.corrected;
-        } else {
-          ++stats_.uncorrected;
-        }
-      }
-    }
-    log_event(ev);
-  }
-  if (corrupted && config_.recovery != RecoveryPolicy::kNone &&
-      attempt < config_.max_retries) {
-    out.retry = true;
-    ++stats_.dma_retries;
-    add_overhead_cycles(config_.dma_retry_backoff_cycles << attempt);
-  }
-  return out;
+  if (!site_enabled(FaultSite::kDma) || words <= 0) return {};
+  const bool crc = config_.recovery != RecoveryPolicy::kNone;
+  if (crc) add_overhead_cycles(kDmaCrcCycles);
+  // Burst offsets are logged relative to the transfer.
+  const i64 fired = strike(FaultSite::kDma, 0, data, words, attempt);
+  if (fired == 0 || !crc || attempt >= kMaxRetries) return {};
+  ++stats_.dma_retries;
+  add_overhead_cycles(kDmaRetryBackoffCycles << attempt);
+  return {true};
 }
 
 void FaultInjector::on_pe_ops(i64 ops, i64 tout) {
@@ -448,12 +275,11 @@ void FaultInjector::on_pe_ops(i64 ops, i64 tout) {
   fired_.clear();
   advance(site, ops);
   if (fired_.empty() || pe_active_) return;  // one latch per instruction
-  const SiteFaultSpec& spec = config_.site(site);
   pe_active_ = true;
   pe_tout_ = std::max<i64>(1, tout);
   pe_lane_ = static_cast<i64>(
       rng_.next_below(static_cast<std::uint64_t>(pe_tout_)));
-  pe_bit_ = draw_bit(spec, 16);
+  pe_bit_ = draw_bit(16);
   pe_logged_ = false;
   ++stats_.injected[static_cast<std::size_t>(site)];
   // Compute faults bypass the storage/transfer protection — always silent.
@@ -462,15 +288,15 @@ void FaultInjector::on_pe_ops(i64 ops, i64 tout) {
 
 std::int16_t FaultInjector::apply_pe_fault(i64 dout_abs, std::int16_t raw) {
   if (!pe_active_ || (dout_abs % pe_tout_) != pe_lane_) return raw;
-  const SiteFaultSpec& spec = config_.site(FaultSite::kPeLane);
-  const std::int16_t out =
-      corrupt16(spec.mode, pe_bit_, spec.stuck_value, raw);
+  // The lane's drawn bit is stuck at 0.
+  const auto out = static_cast<std::int16_t>(
+      static_cast<std::uint16_t>(raw) &
+      static_cast<std::uint16_t>(~(1u << pe_bit_)));
   if (out != raw) {
     ++stats_.corrupted_words;
     if (!pe_logged_) {
       FaultEvent ev;
       ev.site = FaultSite::kPeLane;
-      ev.mode = spec.mode;
       ev.addr = pe_lane_;
       ev.bit = pe_bit_;
       ev.before = raw;
@@ -487,7 +313,6 @@ void FaultInjector::pe_instruction_end() {
   if (!pe_logged_) {
     FaultEvent ev;  // lane latched but no output crossed it
     ev.site = FaultSite::kPeLane;
-    ev.mode = config_.site(FaultSite::kPeLane).mode;
     ev.addr = pe_lane_;
     ev.bit = pe_bit_;
     log_event(ev);

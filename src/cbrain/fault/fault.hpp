@@ -37,21 +37,19 @@ enum class FaultSite : int {
   kBiasSram,
   kAccumSram,  // 32-bit partials; rate counts their 16-bit word traffic
   kDram,       // at-rest corruption, injected on the write path
-  kDma,        // in-flight burst corruption / stalls
-  kPeLane,     // a stuck/flipping multiplier lane
+  kDma,        // in-flight burst corruption
+  kPeLane,     // a multiplier lane with a stuck bit
 };
 inline constexpr int kFaultSiteCount = 7;
 const char* fault_site_name(FaultSite site);
 // nullptr-free lookup for the CLI; returns false on unknown names.
 bool fault_site_from_name(const std::string& name, FaultSite* out);
 
-enum class FaultMode : int {
-  kBitFlip,       // transient single-bit upset
-  kStuckAt,       // a bit forced to `stuck_value`
-  kBurstCorrupt,  // `burst_words` consecutive words flipped (DMA/storage)
-  kDmaStall,      // transfer stalls `stall_cycles` (kDma only; no data harm)
-};
-const char* fault_mode_name(FaultMode mode);
+// What a fault does, which follows from the site (the dominant physical
+// mechanism there): "burst" flips one bit in kDmaBurstWords consecutive
+// words of a DMA transfer, "stuck_at" holds one bit of a multiplier lane
+// at 0, and "bit_flip" upsets one bit of one word everywhere else.
+const char* fault_mode_name(FaultSite site);
 
 enum class RecoveryPolicy : int {
   kNone,         // faults land silently
@@ -63,43 +61,33 @@ enum class RecoveryPolicy : int {
 const char* recovery_policy_name(RecoveryPolicy policy);
 bool recovery_policy_from_name(const std::string& name, RecoveryPolicy* out);
 
-struct SiteFaultSpec {
-  double per_mword = 0.0;  // expected faults per million touched units
-  FaultMode mode = FaultMode::kBitFlip;
-  int bit = -1;            // fault bit; -1 draws one per fault
-  int stuck_value = 0;     // kStuckAt: the value the bit is forced to
-  i64 stall_cycles = 256;  // kDmaStall: added per stall
-  i64 burst_words = 8;     // kBurstCorrupt: corrupted run length
-};
+// Detection/recovery cost model. Cycles accumulate into the affected
+// instruction's total; code-word traffic is priced by the campaign
+// against the existing EnergyParams constants.
+inline constexpr i64 kParityGroupWords = 8;        // data words per code word
+inline constexpr i64 kDetectLatencyCycles = 4;     // raising a parity alarm
+inline constexpr i64 kEccCorrectCycles = 16;       // one SECDED correction
+inline constexpr i64 kDmaCrcCycles = 8;            // CRC check per attempt
+inline constexpr i64 kDmaRetryBackoffCycles = 32;  // doubles per retry
+inline constexpr i64 kMaxRetries = 3;  // DMA retries / instruction replays
+inline constexpr i64 kDmaBurstWords = 8;  // words one DMA burst fault flips
+inline constexpr i64 kMaxLoggedEvents = 4096;
 
 struct FaultConfig {
   std::uint64_t seed = 1;
   RecoveryPolicy recovery = RecoveryPolicy::kNone;
-  std::array<SiteFaultSpec, kFaultSiteCount> sites;
+  // Expected faults per million touched units, per site; 0 disarms it.
+  std::array<double, kFaultSiteCount> per_mword{};
 
-  // Detection/recovery cost model. Cycles accumulate into the affected
-  // instruction's total; code-word traffic is priced by the campaign
-  // against the existing EnergyParams constants.
-  i64 parity_group_words = 8;       // data words guarded per code word
-  i64 detect_latency_cycles = 4;    // raising a parity/CRC alarm
-  i64 ecc_correct_cycles = 16;      // one SECDED in-place correction
-  i64 dma_crc_cycles = 8;           // CRC check per burst attempt
-  i64 dma_retry_backoff_cycles = 32;  // doubles per retry attempt
-  i64 max_retries = 3;              // DMA retries / instruction replays
-  i64 max_logged_events = 4096;
-
-  SiteFaultSpec& site(FaultSite s) {
-    return sites[static_cast<std::size_t>(s)];
-  }
-  const SiteFaultSpec& site(FaultSite s) const {
-    return sites[static_cast<std::size_t>(s)];
+  double& rate(FaultSite s) { return per_mword[static_cast<std::size_t>(s)]; }
+  double rate(FaultSite s) const {
+    return per_mword[static_cast<std::size_t>(s)];
   }
 };
 
 // One injected fault, as it will appear in the campaign's event log.
 struct FaultEvent {
   FaultSite site = FaultSite::kInputSram;
-  FaultMode mode = FaultMode::kBitFlip;
   i64 addr = 0;  // word address / partial index / burst offset / PE lane
   int bit = 0;
   std::int64_t before = 0;
@@ -112,16 +100,14 @@ struct FaultEvent {
 struct FaultStats {
   std::array<i64, kFaultSiteCount> injected{};  // faults fired, per site
   i64 corrupted_words = 0;  // words actually altered
-  i64 masked = 0;      // fired but left the value unchanged (stuck-at)
   i64 detected = 0;    // parity/CRC alarms raised
   i64 corrected = 0;   // repaired (ECC, replay, or DMA retransmit)
   i64 silent = 0;      // delivered with no detection machinery
   i64 uncorrected = 0;  // detected, but retries/replays exhausted
-  i64 dma_stalls = 0;
   i64 dma_retries = 0;
   i64 dma_retry_words = 0;  // retransmitted DRAM words
   i64 instruction_replays = 0;
-  i64 overhead_cycles = 0;  // detection + correction + stall + backoff
+  i64 overhead_cycles = 0;  // detection + correction + backoff
   std::array<i64, kFaultSiteCount> code_words{};  // parity/ECC/CRC words
 
   i64 total_injected() const {
@@ -135,7 +121,6 @@ class FaultInjector {
  public:
   explicit FaultInjector(FaultConfig config);
 
-  const FaultConfig& config() const { return config_; }
   const FaultStats& stats() const { return stats_; }
   const std::vector<FaultEvent>& events() const { return events_; }
   // One line per logged event — byte-identical for identical seeds, the
@@ -151,8 +136,8 @@ class FaultInjector {
   // DRAM write path (at-rest corruption; in-DRAM ECC scrubs if enabled).
   void on_dram_write(i64 addr, i64 words, std::int16_t* data);
 
-  // One DMA transfer attempt over the staging buffer. Applies stalls and
-  // burst corruption; `retry` asks the engine to re-read and retransmit.
+  // One DMA transfer attempt over the staging buffer. Applies burst
+  // corruption; `retry` asks the engine to re-read and retransmit.
   struct DmaAttempt {
     bool retry = false;
   };
@@ -201,9 +186,16 @@ class FaultInjector {
   i64 draw_gap(FaultSite s);
   // Advances `s` by `units`; appends intra-call fire offsets to fired_.
   void advance(FaultSite s, i64 units);
-  int draw_bit(const SiteFaultSpec& spec, int width);
+  int draw_bit(int width);
   void log_event(const FaultEvent& ev);
-  void record_outcome(FaultEvent ev, std::int16_t* p16, Fixed16::acc_t* p64);
+  // The strike loop of every storage and transfer site. Advances `site`
+  // over the 16-bit words of `data[0, n)` (an int64 partial is two words
+  // and takes faults in its low 32 bits), flips a drawn bit at each fire
+  // and applies the site's protection to the changed word. `addr` is the
+  // address of data[0]; `attempt` is the DMA attempt. Returns the number
+  // of faults fired.
+  template <typename Word>
+  i64 strike(FaultSite site, i64 addr, Word* data, i64 n, i64 attempt = 0);
 
   FaultConfig config_;
   Rng rng_;

@@ -2,8 +2,8 @@
 // path behind FuncExecutor (DESIGN.md §12, batched execution §14).
 //
 // The cycle-level simulator computes every layer on simulated buffer
-// contents, which is what makes it an oracle and what makes it slow
-// (~1.5 s per AlexNet inference). These kernels compute the *same*
+// contents, which is what makes it an oracle and what keeps its counters
+// exact. These kernels compute the *same*
 // fixed-point arithmetic directly on host memory: im2col ("im2row",
 // patch-major) gathers + a blocked GEMM whose inner product is the
 // simd:: multi-RHS dot kernels — with bias promotion and single-point

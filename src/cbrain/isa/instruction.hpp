@@ -116,7 +116,6 @@ struct PoolTileInstr {
   i64 d0 = 0, d1 = 0;
   i64 input_base = 0;
   i64 band_row0 = 0, band_rows = 0, band_width = 0;  // padded band
-  DataOrder band_order = DataOrder::kDepthMajor;
 };
 
 // Fully-connected tile: output neurons [dout0, dout1) against input

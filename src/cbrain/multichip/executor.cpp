@@ -204,13 +204,9 @@ Tensor3<Fixed16> MultiChipExecutor::piece_input(
   return out;
 }
 
-void MultiChipExecutor::scatter_piece(const Layer& l,
-                                      const ShardPiece& piece,
-                                      ShardAxis axis,
+void MultiChipExecutor::scatter_piece(const ShardPiece& piece,
                                       const Tensor3<Fixed16>& piece_out,
                                       Tensor3<Fixed16>& out) const {
-  (void)l;
-  (void)axis;
   if (!piece.segs.empty()) {
     // Each segment's depth planes are one contiguous run on both sides.
     const i64 plane = piece_out.dims().pixels_per_map();
@@ -327,7 +323,7 @@ SimResult MultiChipExecutor::infer_shard(const Tensor3<Fixed16>& input) {
           runs[static_cast<std::size_t>(c)].counters = sum_counters(r);
           runs[static_cast<std::size_t>(c)].cycles =
               runs[static_cast<std::size_t>(c)].counters.total_cycles;
-          scatter_piece(l, piece, lp.axis, r.final_output, out);
+          scatter_piece(piece, r.final_output, out);
         });
         for (i64 c = 0; c < plan_.chips; ++c) {
           const PieceRun& run = runs[static_cast<std::size_t>(c)];
@@ -422,34 +418,6 @@ i64 MultiChipExecutor::schedule_stage(const PipelineStage& st, i64 ready,
   return ready;
 }
 
-SimResult MultiChipExecutor::infer_pipeline(const Tensor3<Fixed16>& input) {
-  CBRAIN_CHECK(input.dims() == net_.layer(0).out_dims,
-               "multichip infer: input " << input.dims().to_string()
-                                         << " != "
-                                         << net_.layer(0).out_dims
-                                                .to_string());
-  SimResult agg;
-  agg.per_layer.resize(static_cast<std::size_t>(net_.size()));
-  Tensor3<Fixed16> x = input;
-  i64 ready = 0;
-  for (std::size_t s = 0; s < plan_.stages.size(); ++s) {
-    const PipelineStage& st = plan_.stages[s];
-    SimResult r = stage_sessions_[s]->infer(x);
-    for (i64 local = 1; local < st.subnet.size(); ++local)
-      agg.per_layer[static_cast<std::size_t>(st.first + local - 1)] +=
-          r.per_layer[static_cast<std::size_t>(local)];
-    std::ostringstream name;
-    name << "L" << st.first << "..L" << st.last;
-    ready =
-        schedule_stage(st, ready, sum_counters(r).total_cycles, name.str());
-    x = std::move(r.final_output);
-  }
-  makespan_ = std::max(makespan_, ready);
-  agg.final_output = std::move(x);
-  ++images_;
-  return agg;
-}
-
 std::vector<SimResult> MultiChipExecutor::infer_many_pipeline(
     const std::vector<Tensor3<Fixed16>>& inputs, i64 jobs) {
   struct Inflight {
@@ -485,14 +453,18 @@ std::vector<SimResult> MultiChipExecutor::infer_many_pipeline(
           std::move(cur[static_cast<std::size_t>(s)]);
       cur[static_cast<std::size_t>(s)].reset();
     }
+    // Only the busy stages enter the parallel region, so a lone busy
+    // stage (a single image, a stream's fill and drain) still fans its
+    // layer kernels out across the pool.
+    std::vector<std::size_t> busy;
+    for (std::size_t s = 0; s < round.size(); ++s)
+      if (round[s]) busy.push_back(s);
     std::vector<SimResult> outs(static_cast<std::size_t>(S));
     parallel::parallel_for(
-        S,
-        [&](i64 s) {
-          if (!round[static_cast<std::size_t>(s)]) return;
-          outs[static_cast<std::size_t>(s)] =
-              stage_sessions_[static_cast<std::size_t>(s)]->infer(
-                  round[static_cast<std::size_t>(s)]->x);
+        static_cast<i64>(busy.size()),
+        [&](i64 i) {
+          const std::size_t s = busy[static_cast<std::size_t>(i)];
+          outs[s] = stage_sessions_[s]->infer(round[s]->x);
         },
         jobs);
     // Serial bookkeeping in stage order keeps clocks, interconnect
@@ -524,17 +496,7 @@ std::vector<SimResult> MultiChipExecutor::infer_many_pipeline(
 }
 
 SimResult MultiChipExecutor::infer(const Tensor3<Fixed16>& input) {
-  CBRAIN_CHECK(params_loaded_, "multichip infer before load_params");
-  ensure_tracks();
-  const i64 w0 = icn_.total_words();
-  SimResult r = plan_.strategy == PartitionStrategy::kShard
-                    ? infer_shard(input)
-                    : infer_pipeline(input);
-  obs::Registry::global().counter("mc.infers_total").inc();
-  obs::Registry::global()
-      .counter("mc.xfer_words_total")
-      .inc(icn_.total_words() - w0);
-  return r;
+  return infer_many({input}).front();
 }
 
 std::vector<SimResult> MultiChipExecutor::infer_many(

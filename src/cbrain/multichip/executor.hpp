@@ -75,9 +75,10 @@ class MultiChipExecutor {
   // the first infer; may run again to hot-swap.
   void load_params(const NetParamsData<Fixed16>& params);
 
-  // Runs one image across the package. final_output and every byte of it
-  // are identical to a single-chip Session::infer of the same input;
-  // per_layer counters aggregate the chips' pieces per global layer.
+  // Runs one image across the package: infer_many of a stream of one.
+  // final_output and every byte of it are identical to a single-chip
+  // Session::infer of the same input; per_layer counters aggregate the
+  // chips' pieces per global layer.
   SimResult infer(const Tensor3<Fixed16>& input);
 
   // Runs a stream of images. Pipeline plans overlap images across stages
@@ -101,11 +102,10 @@ class MultiChipExecutor {
                                ShardAxis axis,
                                const std::vector<Tensor3<Fixed16>>& acts)
       const;
-  void scatter_piece(const Layer& l, const ShardPiece& piece,
-                     ShardAxis axis, const Tensor3<Fixed16>& piece_out,
+  void scatter_piece(const ShardPiece& piece,
+                     const Tensor3<Fixed16>& piece_out,
                      Tensor3<Fixed16>& out) const;
   SimResult infer_shard(const Tensor3<Fixed16>& input);
-  SimResult infer_pipeline(const Tensor3<Fixed16>& input);
   std::vector<SimResult> infer_many_pipeline(
       const std::vector<Tensor3<Fixed16>>& inputs, i64 jobs);
   void record_span(i64 chip, i64 start, i64 dur, const std::string& name,

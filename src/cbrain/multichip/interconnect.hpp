@@ -58,7 +58,7 @@ struct InterconnectConfig {
   }
 };
 
-// Aggregate and per-link transfer counters (DmaStats analogue).
+// Aggregate and per-link transfer counters.
 struct LinkStats {
   i64 transfers = 0;
   i64 words = 0;

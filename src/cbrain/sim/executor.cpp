@@ -239,7 +239,7 @@ class Executor {
       dispatch(l, instr);
       fault_->pe_instruction_end();
       if (!fault_->replay_pending()) break;
-      if (attempt >= fault_->config().max_retries) {
+      if (attempt >= kMaxRetries) {
         fault_->abandon_pending();
         if (trace_) trace_fault_event(l, "replay-abandoned");
         break;
@@ -449,8 +449,8 @@ class Executor {
     i64 cycles = m_.config().dram.transfer_cycles_pattern(li.chunks,
                                                           li.chunk_words,
                                                           li.src_stride);
-    // DMA fault overhead (CRC checks, stalls, retransmits with backoff)
-    // extends this transfer's occupancy.
+    // DMA fault overhead (CRC checks, retransmits with backoff) extends
+    // this transfer's occupancy.
     if (fault_ != nullptr) cycles += fault_->take_overhead_cycles();
     return cycles;
   }

@@ -15,16 +15,12 @@ namespace {
 TEST(Config, Table3ScalingRules) {
   const AcceleratorConfig c16 = AcceleratorConfig::paper_16_16();
   EXPECT_EQ(c16.multipliers(), 256);
-  EXPECT_EQ(c16.inout_buf.words_per_cycle, 16);
-  EXPECT_EQ(c16.weight_buf.words_per_cycle, 256);
   EXPECT_EQ(c16.inout_buf.size_bytes, 2 * 1024 * 1024);
   EXPECT_EQ(c16.weight_buf.size_bytes, 1024 * 1024);
   EXPECT_EQ(c16.bias_buf.size_bytes, 4 * 1024);
 
   const AcceleratorConfig c32 = AcceleratorConfig::paper_32_32();
   EXPECT_EQ(c32.multipliers(), 1024);
-  EXPECT_EQ(c32.inout_buf.words_per_cycle, 32);
-  EXPECT_EQ(c32.weight_buf.words_per_cycle, 1024);
 
   const AcceleratorConfig z = AcceleratorConfig::with_pe(16, 28);
   EXPECT_EQ(z.multipliers(), 448);  // the Fig. 9 equal-resource point
@@ -86,16 +82,14 @@ TEST(Dma, TransferTimingModel) {
   Sram16 sram("s", 128);
   DmaEngine dma(cfg);
   dram.write(10, 99);
-  const i64 cycles = dma.load(dram, 10, sram, 0, 4);
-  EXPECT_EQ(cycles, 64 + 2);
+  dma.load(dram, 10, sram, 0, 4);
   EXPECT_EQ(sram.read(0), 99);
-  EXPECT_EQ(dma.stats().words_in, 4);
-  EXPECT_EQ(dma.stats().transfers, 1);
+  EXPECT_EQ(sram.stats().writes, 4);
 }
 
 // With no injector the load copies DRAM straight into the buffer; it
-// must leave the same words, DmaStats, SRAM counts and cycles as the
-// staged path under an attached injector that never fires.
+// must leave the same words and SRAM counts as the staged path under an
+// attached injector that never fires.
 TEST(Dma, FaultFreeLoadMatchesZeroRateInjector) {
   DramConfig cfg;
   cfg.words_per_cycle = 4.0;
@@ -113,14 +107,10 @@ TEST(Dma, FaultFreeLoadMatchesZeroRateInjector) {
   Sram16 a("a", 2048), b("b", 2048);
   const i64 bursts[][3] = {{9, 0, 1}, {17, 5, 300}, {1024, 700, 324},
                            {2047, 1023, 1}, {0, 0, 0}, {1724, 0, 324}};
-  for (const auto& [src, dst, words] : bursts)
-    EXPECT_EQ(plain.load(dram, src, a, dst, words),
-              hooked.load(dram, src, b, dst, words))
-        << "burst at " << src;
-  EXPECT_EQ(plain.stats().transfers, hooked.stats().transfers);
-  EXPECT_EQ(plain.stats().words_in, hooked.stats().words_in);
-  EXPECT_EQ(plain.stats().busy_cycles, hooked.stats().busy_cycles);
-  EXPECT_EQ(plain.stats().transfers, 5);
+  for (const auto& [src, dst, words] : bursts) {
+    plain.load(dram, src, a, dst, words);
+    hooked.load(dram, src, b, dst, words);
+  }
   EXPECT_EQ(a.stats().writes, b.stats().writes);
   EXPECT_EQ(a.stats().writes, 1 + 300 + 324 + 1 + 324);
   const std::int16_t* span_a = a.read_span(0, 1024);
@@ -135,7 +125,6 @@ TEST(Dma, FaultFreeLoadMatchesZeroRateInjector) {
   // buffer word or counter changes.
   EXPECT_THROW(plain.load(dram, 2000, a, 0, 49), CheckError);
   EXPECT_THROW(plain.load(dram, -1, a, 0, 4), CheckError);
-  EXPECT_EQ(plain.stats().transfers, 5);
   EXPECT_EQ(a.stats().writes, b.stats().writes);
 }
 

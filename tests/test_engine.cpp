@@ -169,8 +169,7 @@ TEST(EngineSession, ComposesWithFaultInjector) {
   FaultConfig fc;
   fc.seed = 77;
   fc.recovery = RecoveryPolicy::kEcc;
-  fc.site(FaultSite::kWeightSram).per_mword = 2000;
-  fc.site(FaultSite::kWeightSram).mode = FaultMode::kBitFlip;
+  fc.rate(FaultSite::kWeightSram) = 2000;
 
   engine::Engine eng(config);
   FaultInjector session_injector(fc);

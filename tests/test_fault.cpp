@@ -6,6 +6,9 @@
 // degrades gracefully instead of failing.
 #include "support.hpp"
 
+#include <iterator>
+#include <sstream>
+
 #include "cbrain/arch/dram.hpp"
 #include "cbrain/common/thread_pool.hpp"
 #include "cbrain/fault/campaign.hpp"
@@ -18,11 +21,10 @@ const Network& tiny() {
   return net;
 }
 
-FaultPointSpec make_spec(FaultSite site, FaultMode mode, double rate,
+FaultPointSpec make_spec(FaultSite site, double rate,
                          RecoveryPolicy recovery, u64 seed) {
   FaultPointSpec s;
   s.site = site;
-  s.mode = mode;
   s.rate_per_mword = rate;
   s.recovery = recovery;
   s.seed = seed;
@@ -78,8 +80,7 @@ TEST(FaultInjector, ZeroRateIsBitAndCounterIdentical) {
 
 TEST(FaultInjector, FixedSeedReproducesIdenticalLogsAndStats) {
   const FaultPointSpec spec = make_spec(
-      FaultSite::kWeightSram, FaultMode::kBitFlip, 1000,
-      RecoveryPolicy::kParityRetry, 77);
+      FaultSite::kWeightSram, 1000, RecoveryPolicy::kParityRetry, 77);
   const FaultPointResult a = point(spec);
   const FaultPointResult b = point(spec);
   EXPECT_GT(a.stats.total_injected(), 0);
@@ -91,8 +92,8 @@ TEST(FaultInjector, FixedSeedReproducesIdenticalLogsAndStats) {
 }
 
 TEST(FaultInjector, DifferentSeedsDiverge) {
-  const auto base = make_spec(FaultSite::kWeightSram, FaultMode::kBitFlip,
-                              1000, RecoveryPolicy::kNone, 1);
+  const auto base =
+      make_spec(FaultSite::kWeightSram, 1000, RecoveryPolicy::kNone, 1);
   auto other = base;
   other.seed = 2;
   EXPECT_NE(log_of(point(base)), log_of(point(other)));
@@ -103,8 +104,7 @@ TEST(FaultInjector, DifferentSeedsDiverge) {
 // acceptance scenario of this subsystem).
 TEST(FaultRecovery, EccCorrectsWithAccountedOverhead) {
   const FaultPointSpec spec =
-      make_spec(FaultSite::kWeightSram, FaultMode::kBitFlip, 2000,
-                RecoveryPolicy::kEcc, 7);
+      make_spec(FaultSite::kWeightSram, 2000, RecoveryPolicy::kEcc, 7);
   const FaultPointResult r = point(spec);
   EXPECT_GT(r.stats.total_injected(), 0);
   EXPECT_GT(r.stats.corrected, 0);
@@ -117,8 +117,7 @@ TEST(FaultRecovery, EccCorrectsWithAccountedOverhead) {
 
 TEST(FaultRecovery, ParityReplayReExecutesInstructions) {
   const FaultPointSpec spec =
-      make_spec(FaultSite::kWeightSram, FaultMode::kBitFlip, 500,
-                RecoveryPolicy::kParityRetry, 7);
+      make_spec(FaultSite::kWeightSram, 500, RecoveryPolicy::kParityRetry, 7);
   const FaultPointResult r = point(spec);
   EXPECT_GT(r.stats.detected, 0);
   EXPECT_GT(r.stats.instruction_replays, 0);
@@ -128,8 +127,7 @@ TEST(FaultRecovery, ParityReplayReExecutesInstructions) {
 
 TEST(FaultRecovery, DmaCrcRetriesWithBackoff) {
   const FaultPointSpec spec =
-      make_spec(FaultSite::kDma, FaultMode::kBurstCorrupt, 500,
-                RecoveryPolicy::kEcc, 7);
+      make_spec(FaultSite::kDma, 500, RecoveryPolicy::kEcc, 7);
   const FaultPointResult r = point(spec);
   EXPECT_GT(r.stats.total_injected(), 0);
   EXPECT_GT(r.stats.dma_retries, 0);
@@ -141,9 +139,8 @@ TEST(FaultRecovery, DmaCrcRetriesWithBackoff) {
 TEST(FaultRecovery, UnprotectedFaultsLandSilently) {
   bool damaged = false;
   for (u64 seed = 1; seed <= 6 && !damaged; ++seed) {
-    const FaultPointResult r = point(make_spec(
-        FaultSite::kDram, FaultMode::kBitFlip, 1000,
-        RecoveryPolicy::kNone, seed));
+    const FaultPointResult r = point(
+        make_spec(FaultSite::kDram, 1000, RecoveryPolicy::kNone, seed));
     EXPECT_EQ(r.stats.detected, 0);
     EXPECT_EQ(r.stats.corrected, 0);
     EXPECT_EQ(r.stats.overhead_cycles, 0);
@@ -160,9 +157,8 @@ TEST(FaultRecovery, UnprotectedFaultsLandSilently) {
 TEST(FaultRecovery, PeLaneFaultsBypassStorageProtection) {
   bool fired = false;
   for (u64 seed = 1; seed <= 6 && !fired; ++seed) {
-    const FaultPointResult r = point(make_spec(
-        FaultSite::kPeLane, FaultMode::kStuckAt, 3000,
-        RecoveryPolicy::kEcc, seed));
+    const FaultPointResult r = point(
+        make_spec(FaultSite::kPeLane, 3000, RecoveryPolicy::kEcc, seed));
     EXPECT_EQ(r.stats.detected, 0);
     if (r.stats.total_injected() > 0) {
       fired = true;
@@ -313,8 +309,7 @@ TEST(FaultInjector, SchemeMixAllSitesAnchor) {
     for (const FaultSite site :
          {FaultSite::kInputSram, FaultSite::kWeightSram,
           FaultSite::kBiasSram, FaultSite::kAccumSram, FaultSite::kPeLane}) {
-      fc.site(site).per_mword = 2000;
-      fc.site(site).mode = default_fault_mode(site);
+      fc.rate(site) = 2000;
     }
     FaultInjector injector(fc);
     SimExecutor hooked(net, compiled.value(), config);
@@ -340,14 +335,142 @@ TEST(FaultInjector, SchemeMixAllSitesAnchor) {
   }
 }
 
+u64 fnv1a(const std::string& s) {
+  u64 h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Golden anchor for the storage strike path: every site under every
+// recovery policy, at a light and a heavy rate, on scheme_mix (adap-2).
+// Each point pins its campaign table row (counts, damage and the cycle
+// and energy cost of protection) and an FNV-1a digest of its event log
+// (the word, bit and outcome of every fault). Values were captured with
+// one hand-written strike loop per storage site and must survive any
+// rewrite of the injector.
+TEST(FaultCampaign, EverySiteEveryRecoveryAnchor) {
+  struct Expected {
+    const char* row;  // campaign_table CSV row after the net column
+    u64 log_digest;
+  };
+  static const Expected kAnchors[] = {
+      {"input_sram,bit_flip,500,none,6,0,0,0,6,0,0,"
+       "0,0,0.000,0.000", 0x72dcb206d9a43b38ull},
+      {"input_sram,bit_flip,500,parity,18,18,13,5,0,9,0,"
+       "0,0,39.155,124.570", 0x4a3b708568be87a3ull},
+      {"input_sram,bit_flip,500,ecc,5,5,5,0,0,0,0,"
+       "0,0,0.411,0.061", 0xab4e1fa86ea2bd81ull},
+      {"input_sram,bit_flip,2e+04,none,271,0,0,0,271,0,0,"
+       "0,0,0.000,0.000", 0xd81d86d3e55e3e9eull},
+      {"input_sram,bit_flip,2e+04,parity,1060,1060,798,262,0,15,0,"
+       "0,0,78.722,172.072", 0x4647cc8d54406e83ull},
+      {"input_sram,bit_flip,2e+04,ecc,275,275,275,0,0,0,0,"
+       "0,0,22.609,0.061", 0xc0a58458a658f758ull},
+      {"weight_sram,bit_flip,500,none,11,0,0,0,11,0,0,"
+       "0,0,0.000,0.000", 0x21b2d0e21424c481ull},
+      {"weight_sram,bit_flip,500,parity,41,41,33,8,0,11,0,"
+       "0,0,44.181,138.287", 0xb1afc190c34b4e52ull},
+      {"weight_sram,bit_flip,500,ecc,12,12,12,0,0,0,0,"
+       "0,0,0.987,0.082", 0x21c198b7fdf4632full},
+      {"weight_sram,bit_flip,2e+04,none,469,0,0,0,469,0,0,"
+       "10,0.1016,0.000,0.000", 0x5427d3b87950d0d9ull},
+      {"weight_sram,bit_flip,2e+04,parity,1829,1829,1378,451,0,12,0,"
+       "10,0.1016,94.528,169.795", 0x94168bd4cbc674beull},
+      {"weight_sram,bit_flip,2e+04,ecc,451,451,451,0,0,0,0,"
+       "0,0,37.079,0.082", 0x5f772e73605f477bull},
+      {"bias_sram,bit_flip,500,none,0,0,0,0,0,0,0,"
+       "0,0,0.000,0.000", 0xcbf29ce484222325ull},
+      {"bias_sram,bit_flip,500,parity,0,0,0,0,0,0,0,"
+       "0,0,0.000,0.000", 0xcbf29ce484222325ull},
+      {"bias_sram,bit_flip,500,ecc,0,0,0,0,0,0,0,"
+       "0,0,0.000,0.000", 0xcbf29ce484222325ull},
+      {"bias_sram,bit_flip,2e+04,none,3,0,0,0,3,0,0,"
+       "0,0,0.000,0.000", 0x3711c85ab07d99c2ull},
+      {"bias_sram,bit_flip,2e+04,parity,2,2,2,0,0,2,0,"
+       "0,0,4.316,31.031", 0xa57299e537bec12cull},
+      {"bias_sram,bit_flip,2e+04,ecc,1,1,1,0,0,0,0,"
+       "0,0,0.082,0.000", 0xc51f94db95dfa5c6ull},
+      {"accum_sram,bit_flip,500,none,18,0,0,0,18,0,0,"
+       "0,0,0.000,0.000", 0xbd09662917ceea8aull},
+      {"accum_sram,bit_flip,500,parity,66,66,49,17,0,9,0,"
+       "0,0,58.291,169.151", 0xcd6b633368f27083ull},
+      {"accum_sram,bit_flip,500,ecc,12,12,12,0,0,0,0,"
+       "0,0,0.987,0.149", 0xa56238147d7c6ac0ull},
+      {"accum_sram,bit_flip,2e+04,none,641,0,0,0,641,0,0,"
+       "0,0,0.000,0.000", 0x2b8a51ff080d48cdull},
+      {"accum_sram,bit_flip,2e+04,parity,2608,2608,1962,646,0,9,0,"
+       "0,0,110.539,169.151", 0x7d3a8ae607407abaull},
+      {"accum_sram,bit_flip,2e+04,ecc,642,642,642,0,0,0,0,"
+       "0,0,52.782,0.149", 0x76c7182ad62d27f9ull},
+      {"dram,bit_flip,500,none,20,0,0,0,20,0,0,"
+       "0,0,0.000,0.000", 0xad6c2082a31e0ea9ull},
+      {"dram,bit_flip,500,parity,21,21,21,0,0,0,0,"
+       "0,0,1.727,39.763", 0x11ceffa1900ce07bull},
+      {"dram,bit_flip,500,ecc,19,19,19,0,0,0,0,"
+       "0,0,1.562,39.763", 0xc13e1779d431a6dfull},
+      {"dram,bit_flip,2e+04,none,704,0,0,0,704,0,0,"
+       "10,0.1016,0.000,0.000", 0xd8a98559ae654a64ull},
+      {"dram,bit_flip,2e+04,parity,680,680,680,0,0,0,0,"
+       "0,0,55.907,39.763", 0x0c26f562716db840ull},
+      {"dram,bit_flip,2e+04,ecc,695,695,695,0,0,0,0,"
+       "0,0,57.140,39.763", 0x92a8940fdf0cbeffull},
+      {"dma,burst,500,none,21,0,0,0,21,0,0,"
+       "10,0.8945,0.000,0.000", 0xf047757542e22e5full},
+      {"dma,burst,500,parity,84,84,67,17,0,0,26,"
+       "10,0.1016,304.568,144.232", 0x71915e3e71882e08ull},
+      {"dma,burst,500,ecc,71,71,50,21,0,0,21,"
+       "10,0.8516,277.807,132.870", 0x9a09736a49477396ull},
+      {"dma,burst,2e+04,none,702,0,0,0,702,0,0,"
+       "10,0.1016,0.000,0.000", 0xfe9d494a02a2a8e8ull},
+      {"dma,burst,2e+04,parity,2919,2919,2182,737,0,0,30,"
+       "10,0.1016,309.809,145.186", 0x4bead195f9c228f5ull},
+      {"dma,burst,2e+04,ecc,2939,2939,2195,744,0,0,30,"
+       "10,0.1016,309.275,145.166", 0x5f17759786a8bf78ull},
+      {"pe_lane,stuck_at,500,none,2,0,0,0,2,0,0,"
+       "0,0,0.000,0.000", 0x4a48414bffaa8a31ull},
+      {"pe_lane,stuck_at,500,parity,2,0,0,0,2,0,0,"
+       "0,0,0.000,0.000", 0x12f10e07bf2c9680ull},
+      {"pe_lane,stuck_at,500,ecc,1,0,0,0,1,0,0,"
+       "0,0,0.000,0.000", 0xeff7e20a65079d57ull},
+      {"pe_lane,stuck_at,2e+04,none,4,0,0,0,4,0,0,"
+       "0,0,0.000,0.000", 0xfcc7c512d9c7dc0bull},
+      {"pe_lane,stuck_at,2e+04,parity,4,0,0,0,4,0,0,"
+       "0,0,0.000,0.000", 0x8935d2d42b93f688ull},
+      {"pe_lane,stuck_at,2e+04,ecc,4,0,0,0,4,0,0,"
+       "0,0,0.000,0.000", 0x8511352d111282b2ull},
+  };
+  CampaignSpec cs;
+  cs.nets = {zoo::scheme_mix_cnn()};
+  cs.config = AcceleratorConfig::paper_16_16();
+  for (int i = 0; i < kFaultSiteCount; ++i)
+    cs.sites.push_back(static_cast<FaultSite>(i));
+  cs.rates_per_mword = {500, 20000};
+  cs.recoveries = {RecoveryPolicy::kNone, RecoveryPolicy::kParityRetry,
+                   RecoveryPolicy::kEcc};
+  const auto r = run_fault_campaign(cs);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  std::istringstream csv(campaign_table(r.value()).to_csv());
+  std::string row;
+  std::getline(csv, row);  // header
+  ASSERT_EQ(r.value().size(), std::size(kAnchors));
+  for (std::size_t i = 0; i < r.value().size(); ++i) {
+    std::getline(csv, row);
+    EXPECT_EQ(row, std::string("scheme_mix_cnn,") + kAnchors[i].row);
+    EXPECT_EQ(fnv1a(log_of(r.value()[i])), kAnchors[i].log_digest) << row;
+  }
+}
+
 // Every FaultStats field, one line, for whole-struct comparisons.
 std::string stats_line(const FaultStats& st) {
   std::string s;
   for (const i64 v : st.injected) s += std::to_string(v) + " ";
   for (const i64 v : st.code_words) s += std::to_string(v) + " ";
   for (const i64 v :
-       {st.corrupted_words, st.masked, st.detected, st.corrected, st.silent,
-        st.uncorrected, st.dma_stalls, st.dma_retries, st.dma_retry_words,
+       {st.corrupted_words, st.detected, st.corrected, st.silent,
+        st.uncorrected, st.dma_retries, st.dma_retry_words,
         st.instruction_replays, st.overhead_cycles})
     s += std::to_string(v) + " ";
   return s;
@@ -363,39 +486,35 @@ TEST(FaultInjector, DramWriteWordsMatchesPerWordWrites) {
   for (auto& v : data)
     v = static_cast<std::int16_t>(rng.next_int(-32768, 32767));
   const i64 rows[] = {1, 7, 64, 500, 2428};  // sums to data.size()
-  for (const FaultMode mode : {FaultMode::kBitFlip, FaultMode::kBurstCorrupt})
-    for (const RecoveryPolicy rec :
-         {RecoveryPolicy::kNone, RecoveryPolicy::kParityRetry,
-          RecoveryPolicy::kEcc}) {
-      SCOPED_TRACE(std::string(fault_mode_name(mode)) + "/" +
-                   recovery_policy_name(rec));
-      FaultConfig fc;
-      fc.seed = 9;
-      fc.recovery = rec;
-      fc.site(FaultSite::kDram).per_mword = 20000;
-      fc.site(FaultSite::kDram).mode = mode;
-      fc.site(FaultSite::kDram).burst_words = 4;
-      FaultInjector bulk_inj(fc), word_inj(fc);
-      Dram bulk(4096), word(4096);
-      bulk.attach_fault(&bulk_inj);
-      word.attach_fault(&word_inj);
-      i64 a = 100;
-      for (const i64 n : rows) {
-        bulk.write_words(a, n, data.data() + (a - 100));
-        for (i64 i = 0; i < n; ++i)
-          word.write(a + i, data[static_cast<std::size_t>(a - 100 + i)]);
-        a += n;
-      }
-      std::vector<std::int16_t> got(4096), want(4096);
-      bulk.read_block(0, 4096, got.data());
-      word.read_block(0, 4096, want.data());
-      EXPECT_EQ(got, want);
-      EXPECT_GT(word_inj.stats().total_injected(), 10);
-      EXPECT_EQ(stats_line(bulk_inj.stats()), stats_line(word_inj.stats()));
-      EXPECT_EQ(bulk_inj.event_log(), word_inj.event_log());
-      EXPECT_EQ(bulk_inj.take_overhead_cycles(),
-                word_inj.take_overhead_cycles());
+  for (const RecoveryPolicy rec :
+       {RecoveryPolicy::kNone, RecoveryPolicy::kParityRetry,
+        RecoveryPolicy::kEcc}) {
+    SCOPED_TRACE(recovery_policy_name(rec));
+    FaultConfig fc;
+    fc.seed = 9;
+    fc.recovery = rec;
+    fc.rate(FaultSite::kDram) = 20000;
+    FaultInjector bulk_inj(fc), word_inj(fc);
+    Dram bulk(4096), word(4096);
+    bulk.attach_fault(&bulk_inj);
+    word.attach_fault(&word_inj);
+    i64 a = 100;
+    for (const i64 n : rows) {
+      bulk.write_words(a, n, data.data() + (a - 100));
+      for (i64 i = 0; i < n; ++i)
+        word.write(a + i, data[static_cast<std::size_t>(a - 100 + i)]);
+      a += n;
     }
+    std::vector<std::int16_t> got(4096), want(4096);
+    bulk.read_block(0, 4096, got.data());
+    word.read_block(0, 4096, want.data());
+    EXPECT_EQ(got, want);
+    EXPECT_GT(word_inj.stats().total_injected(), 10);
+    EXPECT_EQ(stats_line(bulk_inj.stats()), stats_line(word_inj.stats()));
+    EXPECT_EQ(bulk_inj.event_log(), word_inj.event_log());
+    EXPECT_EQ(bulk_inj.take_overhead_cycles(),
+              word_inj.take_overhead_cycles());
+  }
 }
 
 TEST(FaultCampaign, FailsWithStatusOnImpossibleConfig) {

@@ -360,7 +360,8 @@ int cmd_simulate(const Network& net, const Options& opt) {
   // AlexNet-scale nets (~724M MACs, a second or two of host time) are in
   // scope — tracing a full AlexNet inference is the observability demo.
   // VGG-scale (15.5G MACs) stays out of the cycle tier; the functional
-  // tier computes the same bytes ~10x+ faster, so it takes any net.
+  // tier computes the same bytes without simulated buffers, so it takes
+  // any net.
   if (fid.fidelity == Fidelity::kCycle && w.total_macs > 2'000'000'000) {
     std::fprintf(stderr,
                  "error: %s has %lld MACs — too large for cycle-level "

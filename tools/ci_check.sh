@@ -141,18 +141,22 @@ diff /tmp/cbrain_trace_scalar.json /tmp/cbrain_trace_auto.json
 diff /tmp/cbrain_fault_scalar.txt /tmp/cbrain_fault_auto.txt
 diff /tmp/cbrain_wfault_scalar.txt /tmp/cbrain_wfault_auto.txt
 
-echo "=== DRAM faults: ASan+UBSan campaign matches the Release bytes ==="
-# Weights and biases reach simulated DRAM through the bulk row writer,
-# which runs the fault hook once per word. Run DRAM-site campaigns with
-# the event log under ASan+UBSan (vets the row staging and the in-place
-# corruption) and require the exact Release output: tables, fault
-# addresses, bits and recovery outcomes.
+echo "=== every fault site: ASan+UBSan campaign matches the Release bytes ==="
+# One strike loop serves every storage and transfer site, over int16
+# words (SRAM reads, DRAM writes through the bulk row writer's per-word
+# hook, DMA bursts) and int64 accumulator partials; the PE lanes latch
+# their own stuck bit. Run every site under every recovery policy with
+# the event log under ASan+UBSan (vets the in-place corruption, the
+# burst runs, the replay queue and the row staging) and require the
+# exact Release output: tables, fault addresses, bits and recovery
+# outcomes.
 for build in release asan; do
   "./build-ci-$build/tools/cbrain_cli" fault-campaign \
-    tiny_cnn,lenet5,scheme_mix --site=dram --recovery=none,parity,ecc \
-    --rate=500,20000 --events > "/tmp/cbrain_dram_fault_$build.txt"
+    tiny_cnn,lenet5,scheme_mix --site=input,weight,bias,accum,dram,dma,pe \
+    --recovery=none,parity,ecc --rate=500,20000 --events \
+    > "/tmp/cbrain_site_fault_$build.txt"
 done
-diff /tmp/cbrain_dram_fault_release.txt /tmp/cbrain_dram_fault_asan.txt
+diff /tmp/cbrain_site_fault_release.txt /tmp/cbrain_site_fault_asan.txt
 
 echo "=== fidelity: functional tier cross-validated against the oracle ==="
 # The two execution tiers must stay bit-identical (DESIGN.md §12). The
