@@ -10,8 +10,9 @@
 //
 //   bench_micro_kernels --perf-json[=path] [--quick]
 //
-// times dot_s16_mrhs[_dw] and the functional tier's depthwise layer at
-// two MobileNetV1 shapes on every supported SIMD backend plus
+// times dot_s16_mrhs[_dw], the functional tier's depthwise layer at two
+// MobileNetV1 shapes and its tile conv at three zoo shapes on every
+// supported SIMD backend plus
 // whole-network wall-clock at both execution tiers
 // (cycle: full simulate per backend for AlexNet, VGG16 under the best
 // one; functional: warm weight-resident forward pass, with its speedup
@@ -194,7 +195,7 @@ struct KernelResult {
 
 // The multi-RHS GEMM kernels behind both tiers (the exact one runs
 // cycle-tier FC and out-of-contract tiles): one kMrhsRows-row weight
-// panel against kMrhsCols im2row columns per call. Both tiers share the
+// panel against kMrhsCols data columns per call. Both tiers share the
 // measurement shape; `dw` picks the deep-window entry point and shrinks
 // the weights to honour its magnitude bound (checked with
 // simd::deep_window_ok rather than assumed).
@@ -244,20 +245,18 @@ KernelResult measure_depthwise(simd::Backend b, i64 side, i64 ch, i64 stride,
   const ConvParams p{.dout = ch, .k = 3, .stride = stride, .pad = 1,
                      .groups = ch};
   const Tensor3<Fixed16> input = random_input<Fixed16>({ch, side, side}, 31);
-  const auto w = random_s16(ch * 16, 32);
-  func::PackedRows rows(static_cast<std::size_t>(ch * 16), 0);
-  for (i64 i = 0; i < ch * 16; ++i)
-    if (i % 16 < 9)
-      rows[static_cast<std::size_t>(i)] =
-          static_cast<std::int16_t>(w[static_cast<std::size_t>(i)] % 512);
-  const func::WeightMode mode =
-      func::classify_weights(rows.data(), ch, 16, /*depthwise=*/true);
+  const auto w = random_s16(ch * 9, 32);
+  func::PackedRows rows(static_cast<std::size_t>(ch * 9));
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    rows[i] = static_cast<std::int16_t>(w[i] % 512);
+  const func::WeightMode mode = func::classify_weights(
+      rows.data(), ch, 9, func::WeightMode::kDepthwise);
   CBRAIN_CHECK(mode == func::WeightMode::kDepthwise,
-               "depthwise bench weights must satisfy the depthwise contract");
+               "depthwise bench weights must satisfy the filter-sum contract");
   const std::vector<Fixed16::acc_t> bias(static_cast<std::size_t>(ch), 0);
   const i64 out_side = conv_out_extent(side, 3, stride, 1);
   Tensor3<Fixed16> output({ch, out_side, out_side});
-  func::GemmScratch scratch;
+  func::KernelScratch scratch;
   const std::vector<const Tensor3<Fixed16>*> ins = {&input};
   const std::vector<Tensor3<Fixed16>*> outs = {&output};
   const double secs = best_of(reps, iters, [&] {
@@ -273,6 +272,52 @@ KernelResult measure_depthwise(simd::Backend b, i64 side, i64 ch, i64 stride,
                                (side * side + out_side * out_side)) /
            secs * 1e-9;
   r.mac_per_s = static_cast<double>(ch * out_side * out_side * 9) / secs;
+  return r;
+}
+
+// The functional tier's tile conv path (staging plus simd::conv_tile_s16)
+// at a zoo shape: one image of `din` channels of side `side`, `dout` k×k
+// filters at `stride` (pad (k - 1) / 2), under weights that satisfy the
+// filter-sum contract. Streamed bytes: the input and output cubes.
+KernelResult measure_conv_tile(simd::Backend b, i64 side, i64 din, i64 dout,
+                               i64 k, i64 stride, int reps, i64 iters) {
+  simd::select_backend(b);
+  const ConvParams p{.dout = dout, .k = k, .stride = stride,
+                     .pad = (k - 1) / 2};
+  Network net("conv_tile");
+  const LayerId id = net.add_conv(net.add_input({din, side, side}), "conv", p);
+  const Layer& l = net.layer(id);
+  Tensor4<Fixed16> w(l.weight_dims());
+  const auto raw = random_s16(w.size(), 33);
+  for (std::size_t i = 0; i < raw.size(); ++i)
+    w.storage()[i] = Fixed16::from_raw(static_cast<std::int16_t>(raw[i] % 32));
+  const func::PackPlan plan = func::pack_plan(l);
+  func::PackedRows pack(static_cast<std::size_t>(plan.units * plan.unit_elems));
+  const func::WeightMode mode =
+      func::pack_units(l, plan, w.raw_data(), 0, plan.units, pack.data());
+  CBRAIN_CHECK(mode == func::WeightMode::kTile,
+               "conv_tile bench weights must satisfy the filter-sum contract");
+  const std::vector<Fixed16::acc_t> bias(static_cast<std::size_t>(dout), 0);
+  const Tensor3<Fixed16> input = random_input<Fixed16>(l.in_dims, 34);
+  Tensor3<Fixed16> output(l.out_dims);
+  func::KernelScratch scratch;
+  const std::vector<const Tensor3<Fixed16>*> ins = {&input};
+  const std::vector<Tensor3<Fixed16>*> outs = {&output};
+  const double secs = best_of(reps, iters, [&] {
+    func::conv2d_func_batch(ins, pack, bias, p, mode, scratch, outs);
+    benchmark::DoNotOptimize(output.raw_data());
+  });
+  KernelResult r;
+  r.name = "conv_tile_k" + std::to_string(k) + "_s" + std::to_string(stride) +
+           "_c" + std::to_string(din);
+  r.backend = simd::backend_name(b);
+  r.n = side;
+  r.secs = secs;
+  r.gbps = static_cast<double>(sizeof(std::int16_t) *
+                               (l.in_dims.count() + l.out_dims.count())) /
+           secs * 1e-9;
+  r.mac_per_s =
+      static_cast<double>(l.out_dims.count() * din * k * k) / secs;
   return r;
 }
 
@@ -366,9 +411,8 @@ struct ServeResult {
   double per_call_infer_per_s = 0.0;  // 0 when not measured (jobs > 1)
   double speedup_vs_per_call = 0.0;
   double speedup_vs_cycle = 0.0;  // functional tier: warm-vs-warm, same jobs
-  i64 b = 1;           // execution batch size (infer_batch multi-image calls)
-  i64 intra_jobs = 1;  // pool width a lone request's layers fan out to
-  double speedup_vs_base = 0.0;  // ladder point vs its (b=1, intra=1) base
+  i64 b = 1;  // execution batch size (infer_batch multi-image calls)
+  double speedup_vs_base = 0.0;  // ladder point vs its b=1 base
 };
 
 std::vector<Tensor3<Fixed16>> serve_inputs(const Network& net, i64 n) {
@@ -423,15 +467,12 @@ ServeResult measure_serve(const Network& net, simd::Backend b, i64 jobs,
 
 // Batched serving throughput: the same warm weight-resident session, but
 // requests chunked into fixed-size groups executed as one multi-image
-// infer_batch each (engine::run_batches). jobs=1 throughout — the point
-// is the per-call amortization (weight panels stream once per layer per
-// batch), not pool parallelism. With one batch in flight, each layer call
-// fans out across the worker pool, so `pool_width` sets the intra-op
-// fan-out; outputs are byte-identical at any (b, pool_width).
+// infer_batch each (engine::run_batches). jobs=1 and a pool width of one
+// (run_perf_harness pins it) throughout — the point is the per-call
+// amortization (weight blocks stream once per layer per batch), not pool
+// parallelism; outputs are byte-identical at any batch size.
 ServeResult measure_serve_batched(const Network& net, simd::Backend b,
-                                  i64 batch, i64 pool_width, i64 requests) {
-  const i64 width_before = parallel::default_jobs();
-  parallel::set_default_jobs(pool_width);
+                                  i64 batch, i64 requests) {
   simd::select_backend(b);
   const AcceleratorConfig config = AcceleratorConfig::paper_16_16();
   const auto params = init_net_params<Fixed16>(net, 42);
@@ -457,7 +498,6 @@ ServeResult measure_serve_batched(const Network& net, simd::Backend b,
       eng.run_batches(net, Policy::kAdaptive2, params, inputs, batches, 1,
                       &stats, Fidelity::kFunctional);
   benchmark::DoNotOptimize(results.size());
-  parallel::set_default_jobs(width_before);
 
   ServeResult r;
   r.net = net.name();
@@ -466,7 +506,6 @@ ServeResult measure_serve_batched(const Network& net, simd::Backend b,
   r.jobs = 1;
   r.requests = requests;
   r.b = batch;
-  r.intra_jobs = pool_width;
   r.infer_per_s = stats.infer_per_s();
   return r;
 }
@@ -481,8 +520,7 @@ std::vector<simd::Backend> supported_backends() {
 int run_perf_harness(const std::string& path, bool quick) {
   const simd::Backend original = simd::active_backend();
   // A lone request's layer kernels fan out to the pool width. Pin it to
-  // one lane so single-request points time serial layers; the intra-op
-  // ladder widens it per point.
+  // one lane so every point times serial layers.
   const i64 original_width = parallel::default_jobs();
   parallel::set_default_jobs(1);
   const std::vector<simd::Backend> backends = supported_backends();
@@ -501,6 +539,14 @@ int run_perf_harness(const std::string& path, bool quick) {
     // block3: 112x112x64, s2).
     kernels.push_back(measure_depthwise(b, 112, 32, 1, reps, quick ? 5 : 20));
     kernels.push_back(measure_depthwise(b, 112, 64, 2, reps, quick ? 5 : 20));
+    // Three tile-conv zoo shapes: ResNet-18's conv2_x 3x3 (C64 at 56x56),
+    // MobileNetV1's 1x1 pointwise at C512 14x14, and ResNet-18's 7x7 s2
+    // conv1 on the 224x224 RGB input. One call is ~50-120M MACs.
+    const i64 tile_iters = b == simd::Backend::kScalar ? 1 : (quick ? 2 : 5);
+    kernels.push_back(measure_conv_tile(b, 56, 64, 64, 3, 1, reps, tile_iters));
+    kernels.push_back(
+        measure_conv_tile(b, 14, 512, 512, 1, 1, reps, tile_iters));
+    kernels.push_back(measure_conv_tile(b, 224, 3, 64, 7, 2, reps, tile_iters));
   }
 
   // Whole-network simulator wall-clock: AlexNet once per backend (the
@@ -579,30 +625,20 @@ int run_perf_harness(const std::string& path, bool quick) {
 
   // Batched execution ladders (functional tier, jobs=1): B=1/2/4/8 on
   // AlexNet (and VGG16 in full mode) through engine::run_batches — the
-  // acceptance curve for the multi-image GEMM path — plus intra-op
-  // scaling at B=1. The intra curve is recorded whatever this host's
-  // core count is; on a single-core machine it is honestly flat.
-  {
-    auto ladder = [&](const Network& net, i64 requests) {
-      double base = 0.0;
-      for (i64 bsz : {1, 2, 4, 8}) {
-        ServeResult r = measure_serve_batched(net, backends.back(), bsz,
-                                              /*pool_width=*/1, requests);
-        if (bsz == 1)
-          base = r.infer_per_s;
-        else
-          r.speedup_vs_base = base > 0.0 ? r.infer_per_s / base : 0.0;
-        serve.push_back(std::move(r));
-      }
-      return base;
-    };
-    const double alex_b1 = ladder(anet, quick ? 8 : 16);
-    if (!quick) ladder(zoo::vgg16(), 8);
-    for (i64 ij : {2, 4, 8}) {
-      ServeResult r = measure_serve_batched(anet, backends.back(),
-                                            /*batch=*/1, ij, quick ? 8 : 16);
-      r.speedup_vs_base =
-          alex_b1 > 0.0 ? r.infer_per_s / alex_b1 : 0.0;
+  // acceptance curve for the multi-image path.
+  for (const Network& net :
+       quick ? std::vector<Network>{anet}
+             : std::vector<Network>{anet, zoo::vgg16()}) {
+    double base = 0.0;
+    for (i64 bsz : {1, 2, 4, 8}) {
+      ServeResult r = measure_serve_batched(net, backends.back(), bsz,
+                                            net.name() == "vgg16" ? 8
+                                            : quick              ? 8
+                                                                 : 16);
+      if (bsz == 1)
+        base = r.infer_per_s;
+      else
+        r.speedup_vs_base = base > 0.0 ? r.infer_per_s / base : 0.0;
       serve.push_back(std::move(r));
     }
   }
@@ -692,10 +728,10 @@ int run_perf_harness(const std::string& path, bool quick) {
     }
     if (r.speedup_vs_cycle > 0.0)
       w.kv("speedup_vs_cycle", r.speedup_vs_cycle);
-    // Batched-ladder points: keys omitted at 1 so pre-batching baselines
-    // keep matching the unbatched entries (bench_compare missing-key=1).
+    // Batched-ladder points: the key is omitted at 1 so pre-batching
+    // baselines keep matching the unbatched entries (bench_compare
+    // missing-key=1).
     if (r.b != 1) w.kv("b", r.b);
-    if (r.intra_jobs != 1) w.kv("intra_jobs", r.intra_jobs);
     if (r.speedup_vs_base > 0.0)
       w.kv("speedup_vs_base", r.speedup_vs_base);
     w.end_object();
@@ -732,9 +768,7 @@ int run_perf_harness(const std::string& path, bool quick) {
     std::printf("  serve %-7s %-6s [%-10s] jobs=%-2lld %7.3f inf/s",
                 r.net.c_str(), r.backend.c_str(), r.tier.c_str(),
                 static_cast<long long>(r.jobs), r.infer_per_s);
-    if (r.b != 1 || r.intra_jobs != 1)
-      std::printf("  b=%lld ij=%lld", static_cast<long long>(r.b),
-                  static_cast<long long>(r.intra_jobs));
+    if (r.b != 1) std::printf("  b=%lld", static_cast<long long>(r.b));
     if (r.per_call_infer_per_s > 0.0)
       std::printf("  (per-call %.3f inf/s, session %.2fx)",
                   r.per_call_infer_per_s, r.speedup_vs_per_call);

@@ -135,6 +135,7 @@ FaultPointResult run_faulty_half(const Network& net,
                   protection_pj(injector.stats(), energy);
   out.stats = injector.stats();
   out.events = injector.events();
+  out.dropped_events = injector.dropped_events();
 
   // Campaign-wide recovery telemetry: per-point integer deltas summed
   // into the registry, so campaign totals are identical at any --jobs.

@@ -31,6 +31,7 @@ struct FaultPointResult {
   std::vector<CompileFallback> fallbacks;
   FaultStats stats;
   std::vector<FaultEvent> events;  // at most kMaxLoggedEvents
+  i64 dropped_events = 0;          // injected past the log cap
 
   i64 baseline_cycles = 0;
   i64 faulty_cycles = 0;

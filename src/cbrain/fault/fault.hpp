@@ -123,6 +123,8 @@ class FaultInjector {
 
   const FaultStats& stats() const { return stats_; }
   const std::vector<FaultEvent>& events() const { return events_; }
+  // Events injected past the kMaxLoggedEvents log cap (not in events()).
+  i64 dropped_events() const { return dropped_events_; }
   // One line per logged event — byte-identical for identical seeds, the
   // determinism witness the campaign tests diff across --jobs counts.
   std::string event_log() const;

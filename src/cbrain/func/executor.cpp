@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -17,7 +16,7 @@
 namespace cbrain::func {
 namespace {
 
-// Packed int16 elements one load_params task copies and classifies: big
+// Packed int16 elements one load_params task packs and classifies: big
 // enough to amortize the task, small enough that AlexNet's fc6 alone
 // spreads over hundreds of tasks.
 constexpr i64 kPackChunkElems = i64{1} << 16;
@@ -37,63 +36,43 @@ void FuncExecutor::load_params(const NetParamsData<Fixed16>& params) {
                "parameter table does not match network");
   auto packed = std::make_shared<PackedParams>(
       static_cast<std::size_t>(net_.size()));
-  // A run of one layer's rows, copied and classified by one task.
+  // A run of one layer's pack units, packed and classified by one task.
   struct Chunk {
     std::size_t layer;
-    i64 row0, rows;
+    i64 first, count;
   };
   std::vector<Chunk> chunks;
+  std::vector<PackPlan> plans(static_cast<std::size_t>(net_.size()));
   for (const Layer& l : net_.layers()) {
     if (!l.is_conv() && !l.is_fc()) continue;
     const auto idx = static_cast<std::size_t>(l.id);
     const auto& pdata = params.per_layer[idx];
-    const KernelDims wd = pdata.weights.dims();
-    CBRAIN_CHECK(wd == l.weight_dims(),
+    CBRAIN_CHECK(pdata.weights.dims() == l.weight_dims(),
                  "weight dims mismatch for layer " << l.name);
     PackedLayer& pl = (*packed)[idx];
-    const i64 dout = l.is_conv() ? l.conv().dout : l.fc().dout;
-    const i64 stride = gemm_row_stride(wd.count() / dout);
-    // Sized, not zeroed: each chunk task writes its rows and pad tails.
-    pl.weights.resize(static_cast<std::size_t>(dout * stride));
-    pl.bias_acc = promote_bias(pdata.bias, dout);
-    const i64 rows_per_chunk = std::max<i64>(1, kPackChunkElems / stride);
-    for (i64 r = 0; r < dout; r += rows_per_chunk)
-      chunks.push_back({idx, r, std::min(rows_per_chunk, dout - r)});
+    const PackPlan& plan = plans[idx] = pack_plan(l);
+    // Sized, not zeroed: each chunk task writes its units, pads included.
+    pl.weights.resize(static_cast<std::size_t>(plan.units * plan.unit_elems));
+    pl.bias_acc = promote_bias(pdata.bias,
+                               l.is_conv() ? l.conv().dout : l.fc().dout);
+    const i64 per_chunk = std::max<i64>(1, kPackChunkElems / plan.unit_elems);
+    for (i64 u = 0; u < plan.units; u += per_chunk)
+      chunks.push_back({idx, u, std::min(per_chunk, plan.units - u)});
   }
-  // Tensor4 storage is already contiguous (din, ky, kx) rows per output
-  // map — exactly the GEMM row layout — so packing re-types each row into
-  // its zero-padded gemm_row_stride slot (the padding keeps the multi-RHS
-  // kernels out of their scalar remainder loop; padded taps multiply the
-  // matching zero-padded patch tail, contributing 0). Each chunk is
-  // classified while it is cache-hot.
+  // Each chunk is re-laid from the Tensor4 storage into its kernel's
+  // layout (pack_units) and classified while it is cache-hot.
   std::vector<WeightMode> chunk_mode(chunks.size());
   parallel::parallel_for(static_cast<i64>(chunks.size()), [&](i64 i) {
     const Chunk& ch = chunks[static_cast<std::size_t>(i)];
-    const Layer& l = net_.layer(static_cast<LayerId>(ch.layer));
-    PackedLayer& pl = (*packed)[ch.layer];
-    const i64 dout = l.is_conv() ? l.conv().dout : l.fc().dout;
-    const i64 row_len = params.per_layer[ch.layer].weights.dims().count() /
-                        dout;
-    const i64 stride = gemm_row_stride(row_len);
-    const Fixed16* src =
-        params.per_layer[ch.layer].weights.raw_data() + ch.row0 * row_len;
-    std::int16_t* dst = pl.weights.data() + ch.row0 * stride;
-    for (i64 o = 0; o < ch.rows; ++o) {
-      std::memcpy(dst + o * stride, src + o * row_len,
-                  static_cast<std::size_t>(row_len) * sizeof(std::int16_t));
-      std::fill(dst + o * stride + row_len, dst + (o + 1) * stride,
-                std::int16_t{0});
-    }
-    const bool depthwise = l.is_conv() &&
-                           per_plane_depthwise(l.conv(), l.in_dims.d) &&
-                           l.conv().dilation == 1;
-    chunk_mode[static_cast<std::size_t>(i)] =
-        classify_weights(dst, ch.rows, stride, depthwise);
+    chunk_mode[static_cast<std::size_t>(i)] = pack_units(
+        net_.layer(static_cast<LayerId>(ch.layer)), plans[ch.layer],
+        params.per_layer[ch.layer].weights.raw_data(), ch.first, ch.count,
+        (*packed)[ch.layer].weights.data());
   });
   // A layer keeps its fast mode only if every chunk qualified.
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     PackedLayer& pl = (*packed)[chunks[i].layer];
-    if (chunks[i].row0 == 0)
+    if (chunks[i].first == 0)
       pl.mode = chunk_mode[i];
     else if (chunk_mode[i] != pl.mode)
       pl.mode = WeightMode::kExact;

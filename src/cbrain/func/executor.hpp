@@ -13,16 +13,16 @@
 // fidelity, not a looser contract.
 //
 // Batched execution (DESIGN.md §14): infer_batch runs B images through
-// the layer graph one *layer* at a time, so each conv/FC weight panel
+// the layer graph one *layer* at a time, so each conv/FC weight block
 // streams through cache once per layer per batch instead of once per
-// image. Every output element is still one exact int64 dot computed by
+// image. Every output element is still one exact integer sum computed by
 // one task, so each per-request SimResult is bit-identical to what a
 // sequential infer() of that input would return, at any batch size,
 // worker count, or SIMD backend. A malformed input fails only its
 // slot (Status isolation) when `statuses` is provided.
 //
 // Steady-state allocation: per-layer per-image output tensors and the
-// GEMM scratch arena are owned by the executor and sized on first use;
+// kernel scratch arena are owned by the executor and sized on first use;
 // warm infer_batch calls at a stable batch size allocate only the
 // returned SimResults (tests/test_batch.cpp pins this with a counting
 // allocator and the scratch_growths() hook).
@@ -57,27 +57,27 @@ class FuncExecutor {
   FuncExecutor(const Network& net, const CompiledNetwork& compiled,
                const AcceleratorConfig& config);
 
-  // One layer's GEMM operands (empty for layers without weights).
+  // One layer's kernel operands (empty for layers without weights).
   struct PackedLayer {
-    PackedRows weights;  // GEMM rows, Tensor4 storage order
+    PackedRows weights;  // pack_units' layout for the layer (pack_plan)
     // Bias promoted to accumulator (Q16.16) scale, zero-padded to dout.
     std::vector<Fixed16::acc_t> bias_acc;
-    // Fastest kernel this weight tensor qualifies for (depthwise for a
-    // dilation-1 depthwise layer, deep-window for any other, else exact;
-    // all bit-identical). Checked once per pack; a hand-built
-    // NetParamsData that fails the bound falls back, keeping outputs
-    // identical either way.
+    // Fastest kernel this weight tensor qualifies for (fast_mode when
+    // every filter passes its contract, else exact; all bit-identical).
+    // Checked once per pack; a hand-built NetParamsData that fails the
+    // bound falls back, keeping outputs identical either way.
     WeightMode mode = WeightMode::kExact;
   };
 
   // Indexed by LayerId; immutable once built.
   using PackedParams = std::vector<PackedLayer>;
 
-  // Packs each conv/FC layer's weights into contiguous int16 GEMM rows,
-  // promotes biases to accumulator scale and classifies each weight
-  // tensor for the fastest admissible kernel. The rows of the whole net
-  // are copied and classified in one parallel pass over row chunks, each
-  // page touched once. May run again to
+  // Packs each conv/FC layer's weights into its kernel's layout (conv
+  // tile blocks, depthwise filters or FC rows; pack_plan), promotes biases
+  // to accumulator scale and classifies each weight tensor for the
+  // fastest admissible kernel. The whole net is packed and classified in
+  // one parallel pass over chunks of pack units, each page touched once,
+  // and only the packed copy stays resident. May run again to
   // hot-swap parameters (engine::Session contract): it builds a fresh
   // pack, so executors sharing the old one are unaffected.
   void load_params(const NetParamsData<Fixed16>& params);
@@ -107,7 +107,7 @@ class FuncExecutor {
       std::vector<Status>* statuses = nullptr);
 
   // Total buffer (re)allocation events across the executor's resident
-  // state: GEMM scratch growth + per-layer output tensor reconstruction.
+  // state: kernel scratch growth + per-layer output tensor reconstruction.
   // Stable across warm same-shape calls — test hook for the zero
   // steady-state-allocation contract.
   i64 scratch_growths() const { return scratch_.growths + tensor_growths_; }
@@ -132,7 +132,7 @@ class FuncExecutor {
   std::shared_ptr<const PackedParams> packed_;
   // outputs_[layer][image] — never shrunk, rewritten every batch.
   std::vector<std::vector<Tensor3<Fixed16>>> outputs_;
-  GemmScratch scratch_;
+  KernelScratch scratch_;
   // Reused pointer staging for the batched layer calls (in_b_ptrs_ is
   // the second operand of two-input layers — eltwise add).
   std::vector<const Tensor3<Fixed16>*> in_ptrs_;

@@ -12,36 +12,42 @@
 namespace cbrain::func {
 
 static_assert(sizeof(Fixed16) == sizeof(std::int16_t),
-              "im2row copies Fixed16 rows as raw int16 bytes");
+              "staging copies Fixed16 rows as raw int16 bytes");
 static_assert(std::is_standard_layout_v<Fixed16>,
               "a Fixed16 is pointer-interconvertible with its int16 raw");
 
 namespace {
 
-// Weight rows handed to one multi-RHS call: a band of ~16 rows × a
-// few-hundred-word patch stays L2-resident while the patches stream.
+// FC weight rows handed to one multi-RHS call: a band of ~16 rows × a
+// few-hundred-word row stays L2-resident while the images stream.
 constexpr i64 kRowChunk = 16;
 
-// Patch columns per multi-RHS call: each weight chunk loaded into
+// Image columns per multi-RHS call: each weight chunk loaded into
 // registers is amortized over this many right-hand sides. 8 keeps the
 // accumulator tile (16×8 int64) within a stack cache line budget and
 // matches the AVX2 kernels' 2×2 register blocking.
 constexpr i64 kColChunk = 8;
 
-// Elements (int16) per im2row band buffer: bounds the gather scratch at
-// ~2 MB and amortizes each weight chunk over thousands of columns.
-constexpr i64 kBandElems = i64{1} << 20;
+// Staged bytes of one image a tile task's pixel range spans, per tap
+// shift: the range's pixels of every channel pair stay L2-resident while
+// the layer's output-channel blocks and the batch's images pass over it.
+constexpr i64 kRangeBytes = i64{64} << 10;
 
-// How many columns of `col_elems` int16 each fit in one band.
-i64 cols_per_band(i64 col_elems, i64 cols) {
-  const i64 by_mem =
-      std::max<i64>(i64{1}, kBandElems / std::max<i64>(i64{1}, col_elems));
-  return std::min(cols, by_mem);
-}
+// Staging bytes one tile-conv pass may hold: every zoo layer stages a
+// 4-image batch in one pass (MobileNetV1's 112x112x32 pointwise input,
+// ~0.8 MB an image, is the largest); VGG-16's 224x224x64 layers, ~6.5 MB
+// an image, stage one image per pass.
+constexpr i64 kStageBytes = i64{8} << 20;
 
-// A Fixed16 array as the int16 raws the simd kernels write: Fixed16 is a
-// standard-layout wrapper of exactly one int16.
+using simd::kTileOuts;
+using simd::kTilePixels;
+
+// A Fixed16 array as the int16 raws the simd kernels read and write:
+// Fixed16 is a standard-layout wrapper of exactly one int16.
 std::int16_t* raw_s16(Fixed16* p) { return reinterpret_cast<std::int16_t*>(p); }
+const std::int16_t* raw_s16(const Fixed16* p) {
+  return reinterpret_cast<const std::int16_t*>(p);
+}
 
 using MrhsFn = void (*)(const std::int16_t*, i64, i64, const std::int16_t*,
                         i64, i64, i64, Fixed16::acc_t*, i64);
@@ -51,17 +57,113 @@ MrhsFn mrhs_kernel(WeightMode m) {
                                       : simd::dot_s16_mrhs;
 }
 
+// A tile-kernel conv's per-group extents: channel pairs, taps and
+// kTileOuts-wide output-channel blocks.
+struct TileShape {
+  i64 din_g, dout_g, pairs, taps, blocks;
+  i64 block_elems() const { return pairs * taps * kTileOuts * 2; }
+};
+
+TileShape tile_shape(const ConvParams& p, i64 din) {
+  const i64 din_g = p.din_per_group(din);
+  const i64 dout_g = p.dout_per_group();
+  return {din_g, dout_g, ceil_div(din_g, 2), p.k * p.k,
+          ceil_div(dout_g, kTileOuts)};
+}
+
+// The first filter of tile block b and the end of its filters.
+i64 block_filter_begin(const TileShape& ts, i64 b) {
+  return (b / ts.blocks) * ts.dout_g + (b % ts.blocks) * kTileOuts;
+}
+i64 block_filter_end(const TileShape& ts, i64 b) {
+  return (b / ts.blocks) * ts.dout_g +
+         std::min(ts.dout_g, (b % ts.blocks + 1) * kTileOuts);
+}
+
+WeightMode conv_fast_mode(const ConvParams& p, i64 din) {
+  return per_plane_depthwise(p, din) && p.dilation == 1
+             ? WeightMode::kDepthwise
+             : WeightMode::kTile;
+}
+
+template <typename T>
+T* ensure(std::vector<T>& v, i64 n, i64& growths) {
+  if (static_cast<i64>(v.size()) < n) {
+    v.resize(static_cast<std::size_t>(n));
+    ++growths;
+  }
+  return v.data();
+}
+
 }  // namespace
 
+WeightMode fast_mode(const Layer& l) {
+  return l.is_conv() ? conv_fast_mode(l.conv(), l.in_dims.d)
+                     : WeightMode::kDeepWindow;
+}
+
 WeightMode classify_weights(const std::int16_t* weights, i64 rows,
-                            i64 row_len, bool depthwise) {
-  if (depthwise)
-    return simd::depthwise_ok(weights, row_len, rows, row_len)
-               ? WeightMode::kDepthwise
-               : WeightMode::kExact;
-  return simd::deep_window_ok(weights, row_len, rows, row_len)
-             ? WeightMode::kDeepWindow
-             : WeightMode::kExact;
+                            i64 row_len, WeightMode fast) {
+  const bool ok =
+      fast == WeightMode::kDeepWindow
+          ? simd::deep_window_ok(weights, row_len, rows, row_len)
+          : simd::filter_sum_ok(weights, row_len, rows, row_len);
+  return ok ? fast : WeightMode::kExact;
+}
+
+PackPlan pack_plan(const Layer& l) {
+  CBRAIN_CHECK(l.is_conv() || l.is_fc(), "only conv and FC layers pack");
+  const WeightMode fast = fast_mode(l);
+  if (fast == WeightMode::kTile) {
+    const TileShape ts = tile_shape(l.conv(), l.in_dims.d);
+    return {fast, l.conv().groups * ts.blocks, ts.block_elems()};
+  }
+  const i64 dout = l.is_conv() ? l.conv().dout : l.fc().dout;
+  const i64 row_len = l.weight_dims().count() / dout;
+  return {fast, dout,
+          fast == WeightMode::kDepthwise ? row_len : gemm_row_stride(row_len)};
+}
+
+WeightMode pack_units(const Layer& l, const PackPlan& plan, const Fixed16* w,
+                      i64 first, i64 count, std::int16_t* pack) {
+  const std::int16_t* src = raw_s16(w);
+  if (plan.fast != WeightMode::kTile) {
+    // One row per unit: a straight copy (depthwise) or a copy with a zero
+    // tail up to the GEMM stride (FC), classified on what the kernel
+    // reads — the deep-window windows include the padded tail group.
+    const i64 row_len = l.weight_dims().count() / plan.units;
+    const i64 stride = plan.unit_elems;
+    std::int16_t* dst = pack + first * stride;
+    for (i64 o = 0; o < count; ++o) {
+      std::memcpy(dst + o * stride, src + (first + o) * row_len,
+                  static_cast<std::size_t>(row_len) * sizeof(std::int16_t));
+      std::fill(dst + o * stride + row_len, dst + (o + 1) * stride,
+                std::int16_t{0});
+    }
+    return classify_weights(dst, count, stride, plan.fast);
+  }
+  const ConvParams& p = l.conv();
+  const TileShape ts = tile_shape(p, l.in_dims.d);
+  const i64 row_len = ts.din_g * ts.taps;  // one Tensor4 filter
+  for (i64 b = first; b < first + count; ++b) {
+    const i64 f0 = block_filter_begin(ts, b);
+    const i64 nf = block_filter_end(ts, b) - f0;
+    std::int16_t* dst = pack + b * plan.unit_elems;
+    for (i64 pr = 0; pr < ts.pairs; ++pr)
+      for (i64 t = 0; t < ts.taps; ++t)
+        for (i64 o = 0; o < kTileOuts; ++o)
+          for (i64 h = 0; h < 2; ++h) {
+            const i64 c = 2 * pr + h;
+            *dst++ = o < nf && c < ts.din_g
+                         ? src[(f0 + o) * row_len + c * ts.taps + t]
+                         : std::int16_t{0};
+          }
+  }
+  // The blocks cover one contiguous run of filters.
+  const i64 f0 = block_filter_begin(ts, first);
+  return classify_weights(src + f0 * row_len,
+                          block_filter_end(ts, first + count - 1) - f0,
+                          row_len, plan.fast);
 }
 
 std::vector<Fixed16::acc_t> promote_bias(const std::vector<Fixed16>& bias,
@@ -75,113 +177,38 @@ std::vector<Fixed16::acc_t> promote_bias(const std::vector<Fixed16>& bias,
   return acc;
 }
 
-std::int16_t* GemmScratch::ensure_band(i64 elems) {
-  if (static_cast<i64>(band.size()) < elems) {
-    band.resize(static_cast<std::size_t>(elems));
-    ++growths;
-  }
-  return band.data();
+std::int16_t* KernelScratch::ensure_stage(i64 elems) {
+  return ensure(stage, elems, growths);
 }
 
-std::int16_t* GemmScratch::ensure_flat(i64 elems) {
-  if (static_cast<i64>(flat.size()) < elems) {
-    flat.resize(static_cast<std::size_t>(elems));
-    ++growths;
-  }
-  return flat.data();
-}
+i64* KernelScratch::ensure_taps(i64 n) { return ensure(taps, n, growths); }
 
-void im2row_s16(const Tensor3<Fixed16>& input, i64 din_begin, i64 din_count,
-                const ConvParams& p, i64 pix0, i64 npix,
-                std::int16_t* patches, i64 patch_stride) {
-  const MapDims in = input.dims();
-  const i64 ow = conv_out_extent(in.w, p.k_eff(), p.stride, p.pad);
-  const i64 krow = din_count * p.k * p.k;
-  CBRAIN_CHECK(patch_stride >= krow, "im2row patch stride below row length");
-  const Fixed16* base = input.raw_data();
-  if (p.dilation != 1) {
-    // Dilated taps are never contiguous, so there is no row-copy to
-    // exploit: gather per tap, with out-of-bounds taps as exact zeros
-    // (matching at_padded() in the golden loop nest).
-    for (i64 t = 0; t < npix; ++t) {
-      const i64 pix = pix0 + t;
-      const i64 base_y = (pix / ow) * p.stride - p.pad;
-      const i64 base_x = (pix % ow) * p.stride - p.pad;
-      std::int16_t* patch = patches + t * patch_stride;
-      std::fill(patch, patch + patch_stride, std::int16_t{0});
-      for (i64 id = 0; id < din_count; ++id) {
-        const Fixed16* plane = base + (din_begin + id) * in.h * in.w;
-        std::int16_t* dst_plane = patch + id * p.k * p.k;
-        for (i64 ky = 0; ky < p.k; ++ky) {
-          const i64 y = base_y + ky * p.dilation;
-          if (y < 0 || y >= in.h) continue;
-          for (i64 kx = 0; kx < p.k; ++kx) {
-            const i64 x = base_x + kx * p.dilation;
-            if (x < 0 || x >= in.w) continue;
-            dst_plane[ky * p.k + kx] = plane[y * in.w + x].raw();
-          }
-        }
-      }
-    }
-    return;
-  }
-  for (i64 t = 0; t < npix; ++t) {
-    const i64 pix = pix0 + t;
-    const i64 base_y = (pix / ow) * p.stride - p.pad;
-    const i64 base_x = (pix % ow) * p.stride - p.pad;
-    // Clip the kernel window against the input once per pixel; the
-    // interior (no-pad) common case copies whole kx rows.
-    const i64 ky_lo = std::max<i64>(i64{0}, -base_y);
-    const i64 ky_hi = std::min(p.k, in.h - base_y);
-    const i64 kx_lo = std::max<i64>(i64{0}, -base_x);
-    const i64 kx_hi = std::min(p.k, in.w - base_x);
-    std::int16_t* patch = patches + t * patch_stride;
-    // Interior pixels overwrite every patch byte with row copies below;
-    // only clipped (padded) windows need the zero fill that makes padded
-    // taps contribute exact zero products — the same value at_padded()
-    // feeds the golden loop nest. The SIMD-alignment tail always zeroes
-    // (its products pair padded weight zeros, contributing nothing).
-    if (ky_lo > 0 || ky_hi < p.k || kx_lo > 0 || kx_hi < p.k)
-      std::fill(patch, patch + krow, std::int16_t{0});
-    if (patch_stride > krow)
-      std::fill(patch + krow, patch + patch_stride, std::int16_t{0});
-    for (i64 id = 0; id < din_count; ++id) {
-      const Fixed16* plane =
-          base + (din_begin + id) * in.h * in.w;
-      std::int16_t* dst_plane = patch + id * p.k * p.k;
-      for (i64 ky = ky_lo; ky < ky_hi; ++ky) {
-        const Fixed16* row = plane + (base_y + ky) * in.w + base_x;
-        // Fixed16 is a single int16 (standard layout), so a whole clipped
-        // kx row copies as raw bytes.
-        std::memcpy(dst_plane + ky * p.k + kx_lo, row + kx_lo,
-                    static_cast<std::size_t>(kx_hi - kx_lo) *
-                        sizeof(std::int16_t));
-      }
-    }
-  }
+std::int16_t* KernelScratch::ensure_flat(i64 elems) {
+  return ensure(flat, elems, growths);
 }
 
 namespace {
 
-// Depthwise path for kDepthwise layers: one input plane -> one output
-// plane per group. The im2row+GEMM machinery degenerates here (dout_g ==
-// 1 means each packed weight panel is a single k*k row, so the multi-RHS
-// kernels amortize nothing), so each plane runs on its own. Each plane is
-// staged into a zero-padded copy, so every output — the border ring
-// included — reads only in-bounds taps, and the whole plane is one
-// simd::dw_conv_s16 call with no bounds checks (the padding is real
-// zeros, which add nothing). Planes narrower than simd::kDwMinCols are
-// staged with zero slack columns and computed that wide into a staging
-// block, keeping the valid columns. The staging buffers come from
-// `scratch`, one set per slice of planes.
+// Depthwise path for kDepthwise-layout layers: one input plane -> one
+// output plane per group. Each plane is staged into a zero-padded copy,
+// so every output — the border ring included — reads only in-bounds taps,
+// and the whole plane is one dw_conv_s16 call (or, off the filter-sum
+// contract, one dw_conv_s16_exact call) with no bounds checks (the
+// padding is real zeros, which add nothing). Planes narrower than
+// simd::kDwMinCols are staged with zero slack columns and computed that
+// wide into a staging block, keeping the valid columns. (image, plane)
+// items are sliced over the workers, one staging set per slice.
 void depthwise_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                           const PackedRows& packed_weights,
                           const std::vector<Fixed16::acc_t>& bias_acc,
-                          const ConvParams& p, GemmScratch& scratch,
+                          const ConvParams& p, bool exact,
+                          KernelScratch& scratch,
                           const std::vector<Tensor3<Fixed16>*>& outputs) {
   const i64 batch = static_cast<i64>(inputs.size());
   const MapDims in = inputs[0]->dims();
-  const i64 krow_s = gemm_row_stride(p.k * p.k);
+  const i64 taps = p.k * p.k;
+  CBRAIN_CHECK(static_cast<i64>(packed_weights.size()) == p.dout * taps,
+               "packed depthwise weight size mismatch");
   const i64 oh = conv_out_extent(in.h, p.k_eff(), p.stride, p.pad);
   const i64 ow = conv_out_extent(in.w, p.k_eff(), p.stride, p.pad);
   const i64 planes = batch * p.dout;
@@ -190,7 +217,8 @@ void depthwise_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
   const i64 staged_in = (in.h + 2 * p.pad) * pitch;
   const i64 staged = staged_in + (cols > ow ? oh * cols : 0);
   const i64 slices = std::min(parallel::default_jobs(), planes);
-  std::int16_t* buf = scratch.ensure_band(slices * staged);
+  const auto kernel = exact ? simd::dw_conv_s16_exact : simd::dw_conv_s16;
+  std::int16_t* buf = scratch.ensure_stage(slices * staged);
   parallel::parallel_for(slices, [&](i64 s) {
     std::int16_t* sin = buf + s * staged;
     std::int16_t* sout = sin + staged_in;
@@ -208,10 +236,9 @@ void depthwise_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
       Fixed16* out = outputs[static_cast<std::size_t>(b)]->raw_data() +
                      c * oh * ow;
       const bool narrow = cols > ow;
-      simd::dw_conv_s16(sin, pitch, p.stride,
-                        packed_weights.data() + c * krow_s, p.k, oh, cols,
-                        bias_acc[static_cast<std::size_t>(c)], p.relu,
-                        narrow ? sout : raw_s16(out), narrow ? cols : ow);
+      kernel(sin, pitch, p.stride, packed_weights.data() + c * taps, p.k, oh,
+             cols, bias_acc[static_cast<std::size_t>(c)], p.relu,
+             narrow ? sout : raw_s16(out), narrow ? cols : ow);
       if (narrow)
         for (i64 oy = 0; oy < oh; ++oy)
           for (i64 ox = 0; ox < ow; ++ox)
@@ -220,30 +247,144 @@ void depthwise_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
   });
 }
 
+// Stages one channel pair of an image: channels a and b (b null for the
+// zero partner of an odd last channel), each h × w, into `dst` — the
+// pair's s² phase planes of `plane` pixels, `pitch` pixels a row, already
+// zeroed. Padded pixel (y + pad, x + pad) lands in phase plane
+// ((y + pad) % s, (x + pad) % s) at row (y + pad) / s, column (x + pad) / s.
+void stage_pair(const std::int16_t* a, const std::int16_t* b, i64 h, i64 w,
+                i64 pad, i64 s, i64 pitch, i64 plane, std::int16_t* dst) {
+  for (i64 y = 0; y < h; ++y) {
+    const i64 yp = y + pad;
+    const std::int16_t* ra = a + y * w;
+    const std::int16_t* rb = b == nullptr ? nullptr : b + y * w;
+    for (i64 px = 0; px < s; ++px) {
+      // The first x in this column phase.
+      const i64 x0 = ((px - pad) % s + s) % s;
+      if (x0 >= w) continue;
+      std::int16_t* d = dst + 2 * (((yp % s) * s + px) * plane +
+                                   (yp / s) * pitch + (x0 + pad) / s);
+      const i64 n = (w - x0 + s - 1) / s;
+      if (rb != nullptr)
+        for (i64 i = 0; i < n; ++i) {
+          d[2 * i] = ra[x0 + i * s];
+          d[2 * i + 1] = rb[x0 + i * s];
+        }
+      else
+        for (i64 i = 0; i < n; ++i) d[2 * i] = ra[x0 + i * s];
+    }
+  }
+}
+
+// Tile path for every other conv. Staging: each (image, group, channel
+// pair) is zero-filled and staged into its s² phase planes of `plane`
+// pixels, `pitch` = ceil((w + 2 pad) / s) pixels a row. Tap (ky, kx) is
+// then the phase plane ((ky d) % s, (kx d) % s) shifted by
+// ((ky d) / s) * pitch + (kx d) / s, and output (oy, ox) is flat pixel
+// oy * pitch + ox of the run [0, oh * pitch). A plane holds its staged
+// rows and everything the rounded-up run reads past them. Compute:
+// (group, pixel range, block, image) tasks, the image fastest so a
+// block's weights serve the staged images while they are cache-hot.
+void tile_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
+                     const PackedRows& packed_weights,
+                     const std::vector<Fixed16::acc_t>& bias_acc,
+                     const ConvParams& p, bool exact, KernelScratch& scratch,
+                     const std::vector<Tensor3<Fixed16>*>& outputs) {
+  const i64 batch = static_cast<i64>(inputs.size());
+  const MapDims in = inputs[0]->dims();
+  const TileShape ts = tile_shape(p, in.d);
+  CBRAIN_CHECK(static_cast<i64>(packed_weights.size()) ==
+                   p.groups * ts.blocks * ts.block_elems(),
+               "packed tile weight size mismatch");
+  const i64 s = p.stride;
+  const i64 oh = conv_out_extent(in.h, p.k_eff(), s, p.pad);
+  const i64 ow = conv_out_extent(in.w, p.k_eff(), s, p.pad);
+  const i64 pitch = ceil_div(in.w + 2 * p.pad, s);
+  const i64 run = oh * pitch;
+  const i64 reach = (p.k - 1) * p.dilation / s;  // largest tap shift
+  const i64 plane =
+      round_up(std::max(ceil_div(in.h + 2 * p.pad, s) * pitch,
+                        round_up(run, kTilePixels) + reach * pitch + reach),
+               kTilePixels);
+  const i64 pair_stride = s * s * plane;
+  i64* taps = scratch.ensure_taps(ts.taps);
+  for (i64 ky = 0; ky < p.k; ++ky)
+    for (i64 kx = 0; kx < p.k; ++kx) {
+      const i64 ty = ky * p.dilation, tx = kx * p.dilation;
+      taps[ky * p.k + kx] =
+          ((ty % s) * s + tx % s) * plane + (ty / s) * pitch + tx / s;
+    }
+  const i64 image_pairs = p.groups * ts.pairs;
+  const i64 image_elems = 2 * image_pairs * pair_stride;
+  // Images staged per pass: the whole batch unless that passes
+  // kStageBytes.
+  const i64 per_pass = std::clamp<i64>(
+      kStageBytes / (image_elems * i64{sizeof(std::int16_t)}), 1, batch);
+  std::int16_t* stage = scratch.ensure_stage(per_pass * image_elems);
+  const auto kernel = exact ? simd::conv_tile_s16_exact : simd::conv_tile_s16;
+  const i64 range = std::max(
+      kTilePixels, kRangeBytes / (4 * ts.pairs) / kTilePixels * kTilePixels);
+  const i64 ranges = ceil_div(run, range);
+
+  for (i64 b0 = 0; b0 < batch; b0 += per_pass) {
+    const i64 nb = std::min(per_pass, batch - b0);
+    parallel::parallel_for(nb * image_pairs, [&](i64 item) {
+      const i64 g = (item % image_pairs) / ts.pairs;
+      const i64 c = g * ts.din_g + 2 * ((item % image_pairs) % ts.pairs);
+      std::int16_t* dst = stage + 2 * item * pair_stride;
+      std::fill(dst, dst + 2 * pair_stride, std::int16_t{0});
+      const std::int16_t* base = raw_s16(
+          inputs[static_cast<std::size_t>(b0 + item / image_pairs)]
+              ->raw_data());
+      stage_pair(base + c * in.h * in.w,
+                 c + 1 < (g + 1) * ts.din_g ? base + (c + 1) * in.h * in.w
+                                             : nullptr,
+                 in.h, in.w, p.pad, s, pitch, plane, dst);
+    });
+    parallel::parallel_for(p.groups * ranges * ts.blocks * nb, [&](i64 item) {
+      const i64 b = item % nb;
+      const i64 j = (item / nb) % ts.blocks;
+      const i64 r = (item / (nb * ts.blocks)) % ranges;
+      const i64 g = item / (nb * ts.blocks * ranges);
+      const i64 o0 = g * ts.dout_g + j * kTileOuts;
+      simd::ConvTile t;
+      t.in = stage + 2 * (b * image_pairs + g * ts.pairs) * pair_stride;
+      t.pair_stride = pair_stride;
+      t.pairs = ts.pairs;
+      t.taps = taps;
+      t.ntaps = ts.taps;
+      t.w = packed_weights.data() + (g * ts.blocks + j) * ts.block_elems();
+      t.bias = bias_acc.data() + o0;
+      t.outs = std::min(kTileOuts, ts.dout_g - j * kTileOuts);
+      t.relu = p.relu;
+      t.q0 = r * range;
+      t.q1 = std::min(run, t.q0 + range);
+      t.pitch = pitch;
+      t.ow = ow;
+      t.out = raw_s16(outputs[static_cast<std::size_t>(b0 + b)]->raw_data()) +
+              o0 * oh * ow;
+      t.out_plane = oh * ow;
+      kernel(t);
+    });
+  }
+}
+
 }  // namespace
 
 void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                        const PackedRows& packed_weights,
                        const std::vector<Fixed16::acc_t>& bias_acc,
                        const ConvParams& p, WeightMode mode,
-                       GemmScratch& scratch,
+                       KernelScratch& scratch,
                        const std::vector<Tensor3<Fixed16>*>& outputs) {
-  using Tr = ArithTraits<Fixed16>;
   const i64 batch = static_cast<i64>(inputs.size());
   CBRAIN_CHECK(batch > 0 && outputs.size() == inputs.size(),
                "conv2d_func_batch needs matching input/output slots");
   const MapDims in = inputs[0]->dims();
-  const i64 din_g = p.din_per_group(in.d);
-  const i64 dout_g = p.dout_per_group();
-  const i64 krow = din_g * p.k * p.k;
-  const i64 krow_s = gemm_row_stride(krow);
-  CBRAIN_CHECK(static_cast<i64>(packed_weights.size()) == p.dout * krow_s,
-               "packed weight size mismatch (expect gemm_row_stride rows)");
   CBRAIN_CHECK(static_cast<i64>(bias_acc.size()) == p.dout,
                "bias_acc size mismatch");
   const i64 oh = conv_out_extent(in.h, p.k_eff(), p.stride, p.pad);
   const i64 ow = conv_out_extent(in.w, p.k_eff(), p.stride, p.pad);
-  const i64 cols = oh * ow;
   const MapDims od{p.dout, oh, ow};
   for (std::size_t b = 0; b < inputs.size(); ++b) {
     CBRAIN_CHECK(inputs[b]->dims() == in,
@@ -251,94 +392,16 @@ void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
     CBRAIN_CHECK(outputs[b]->dims() == od,
                  "conv2d_func_batch output tensor not pre-shaped");
   }
-
-  if (mode == WeightMode::kDepthwise) {
-    depthwise_func_batch(inputs, packed_weights, bias_acc, p, scratch,
+  const WeightMode fast = conv_fast_mode(p, in.d);
+  CBRAIN_CHECK(mode == fast || mode == WeightMode::kExact,
+               "conv weights classified for another kernel");
+  const bool exact = mode == WeightMode::kExact;
+  if (fast == WeightMode::kDepthwise)
+    depthwise_func_batch(inputs, packed_weights, bias_acc, p, exact, scratch,
                          outputs);
-    return;
-  }
-
-  // Band columns are (image, pixel) pairs: column b*npix + t holds image
-  // b's patch for pixel pix0+t, so one packed weight chunk streams
-  // through registers once per batch-wide column block.
-  const MrhsFn mrhs = mrhs_kernel(mode);
-  const i64 row_chunks = ceil_div(dout_g, kRowChunk);
-  // With one row chunk per group (a depthwise layer off the kDepthwise
-  // contract has dout_g = 1) a group's GEMM has no grain to split, and
-  // fanning out each small group costs more than it runs. Such a layer
-  // spreads its groups over `lanes` instead, each lane with its own band
-  // and its per-group regions inline; any other layer has one lane.
-  const i64 lanes =
-      row_chunks == 1 ? std::min(parallel::default_jobs(), p.groups) : 1;
-  const i64 pix_block = cols_per_band(krow_s * batch * lanes, cols);
-  const i64 lane_band = batch * pix_block * krow_s;
-  std::int16_t* bands = scratch.ensure_band(lanes * lane_band);
-
-  parallel::parallel_for(lanes, [&](i64 lane) {
-    std::int16_t* band = bands + lane * lane_band;
-    for (i64 g = lane * p.groups / lanes; g < (lane + 1) * p.groups / lanes;
-         ++g) {
-      for (i64 pix0 = 0; pix0 < cols; pix0 += pix_block) {
-        const i64 npix = std::min(pix_block, cols - pix0);
-        // Gather: batch × pslices disjoint slices of the patch matrix, one
-        // slice per pool lane.
-        const i64 pslices = std::min(parallel::default_jobs(), npix);
-        parallel::parallel_for(
-            batch * pslices,
-            [&](i64 item) {
-              const i64 b = item / pslices;
-              const i64 s = item % pslices;
-              const i64 t0 = s * npix / pslices;
-              const i64 t1 = (s + 1) * npix / pslices;
-              im2row_s16(*inputs[static_cast<std::size_t>(b)], g * din_g,
-                         din_g, p, pix0 + t0, t1 - t0,
-                         band + (b * npix + t0) * krow_s, krow_s);
-            });
-        // GEMM: output-row chunks are the parallel grain; every output
-        // element is one exact dot finalized by exactly one task.
-        const i64 totcols = batch * npix;
-        parallel::parallel_for(
-            row_chunks,
-            [&](i64 chunk) {
-              const i64 od0 = chunk * kRowChunk;
-              const i64 rows = std::min(kRowChunk, dout_g - od0);
-              const std::int16_t* wchunk =
-                  packed_weights.data() + (g * dout_g + od0) * krow_s;
-              Fixed16::acc_t accs[kRowChunk * kColChunk];
-              for (i64 c0 = 0; c0 < totcols; c0 += kColChunk) {
-                const i64 nc = std::min(kColChunk, totcols - c0);
-                mrhs(band + c0 * krow_s, krow_s, nc, wchunk, krow_s, rows,
-                     krow_s, accs, kColChunk);
-                for (i64 l = 0; l < rows; ++l) {
-                  const i64 dout_abs = g * dout_g + od0 + l;
-                  const Fixed16::acc_t bias =
-                      bias_acc[static_cast<std::size_t>(dout_abs)];
-                  // A column block may straddle an image boundary; walk the
-                  // (image, pixel) pair incrementally — a divide per output
-                  // element is measurable against the GEMM itself.
-                  i64 b = c0 / npix;
-                  i64 t = c0 - b * npix;
-                  Fixed16* out_row = outputs[static_cast<std::size_t>(b)]
-                                         ->raw_data() +
-                                     dout_abs * cols + pix0;
-                  for (i64 cc = 0; cc < nc; ++cc) {
-                    out_row[t] =
-                        Tr::finalize(accs[l * kColChunk + cc] + bias, p.relu);
-                    if (++t == npix) {
-                      t = 0;
-                      ++b;
-                      if (cc + 1 < nc)
-                        out_row = outputs[static_cast<std::size_t>(b)]
-                                      ->raw_data() +
-                                  dout_abs * cols + pix0;
-                    }
-                  }
-                }
-              }
-            });
-      }
-    }
-  });
+  else
+    tile_func_batch(inputs, packed_weights, bias_acc, p, exact, scratch,
+                    outputs);
 }
 
 void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,
@@ -378,7 +441,7 @@ void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,
 void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                    const PackedRows& packed_weights,
                    const std::vector<Fixed16::acc_t>& bias_acc,
-                   const FCParams& p, WeightMode mode, GemmScratch& scratch,
+                   const FCParams& p, WeightMode mode, KernelScratch& scratch,
                    const std::vector<Tensor3<Fixed16>*>& outputs) {
   using Tr = ArithTraits<Fixed16>;
   const i64 batch = static_cast<i64>(inputs.size());

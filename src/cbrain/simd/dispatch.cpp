@@ -197,6 +197,19 @@ bool deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
   return true;
 }
 
+bool filter_sum_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
+                   i64 n) {
+  // 32768 * sum|w| <= 32768 * 65535 = 2^31 - 32768 bounds |acc| for any
+  // int16 data. Each sum is at most n * 32768, kept in int64.
+  for (i64 l = 0; l < rows; ++l) {
+    const std::int16_t* row = weights + l * row_stride;
+    i64 sum = 0;
+    for (i64 i = 0; i < n; ++i) sum += row[i] < 0 ? -i64{row[i]} : row[i];
+    if (sum > kFilterSumBound) return false;
+  }
+  return true;
+}
+
 void dw_conv_s16(const std::int16_t* in, i64 in_stride, i64 stride,
                  const std::int16_t* w, i64 k, i64 rows, i64 cols,
                  Fixed16::acc_t bias, bool relu, std::int16_t* out,
@@ -205,19 +218,17 @@ void dw_conv_s16(const std::int16_t* in, i64 in_stride, i64 stride,
                        out, out_stride);
 }
 
-bool depthwise_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
-                  i64 n) {
-  // 32768 * sum|w| <= 32768 * 65535 = 2^31 - 32768 bounds |acc| for any
-  // int16 data. Each sum is at most n * 32768, kept in int64.
-  constexpr i64 kFilterBound = 65535;
-  for (i64 l = 0; l < rows; ++l) {
-    const std::int16_t* row = weights + l * row_stride;
-    i64 sum = 0;
-    for (i64 i = 0; i < n; ++i) sum += row[i] < 0 ? -i64{row[i]} : row[i];
-    if (sum > kFilterBound) return false;
-  }
-  return true;
+void dw_conv_s16_exact(const std::int16_t* in, i64 in_stride, i64 stride,
+                       const std::int16_t* w, i64 k, i64 rows, i64 cols,
+                       Fixed16::acc_t bias, bool relu, std::int16_t* out,
+                       i64 out_stride) {
+  detail::dw_conv_rows(in, in_stride, stride, w, k, rows, cols, bias, relu,
+                       out, out_stride);
 }
+
+void conv_tile_s16(const ConvTile& t) { table()->conv_tile_s16(t); }
+
+void conv_tile_s16_exact(const ConvTile& t) { detail::conv_tile_rows(t); }
 
 void max_s16(const std::int16_t* x, std::int16_t* inout, i64 n) {
   table()->max_s16(x, inout, n);

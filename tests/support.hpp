@@ -15,6 +15,7 @@
 #include "cbrain/nn/zoo.hpp"
 #include "cbrain/ref/executor.hpp"
 #include "cbrain/sim/executor.hpp"
+#include "cbrain/simd/simd.hpp"
 
 namespace cbrain::test {
 
@@ -125,14 +126,18 @@ inline void expect_func_matches_sim_per_layer(
   }
 }
 
-// The functional tier's packing rule, restated serially: each conv/FC
-// layer's rows copied into zero-padded gemm_row_stride slots, the bias
-// promoted, and the mode decided row by row (both weight contracts are
-// per-row properties): a dilation-1 depthwise layer is kDepthwise when
-// every filter passes, any other layer kDeepWindow when every row does,
-// otherwise kExact. Asserts `packed` (FuncExecutor::load_params's
-// chunked parallel pack) equals it element for element, one row at a
-// time so the biggest zoo layers are not held twice.
+// The functional tier's packing rule, restated serially from each layer's
+// shape. FC: every row copied into a zero-padded gemm_row_stride slot,
+// kDeepWindow when every padded row passes simd::deep_window_ok. A
+// dilation-1 per-plane depthwise conv: its k*k filters back to back,
+// kDepthwise when every filter passes simd::filter_sum_ok. Any other conv:
+// per group, ceil(dout_g / kTileOuts) blocks of simd::kTileOuts output
+// channels, each laid out (channel pair, tap, output, pair half) with
+// zeros past dout_g and for the partner of an odd last channel, kTile
+// when every filter passes simd::filter_sum_ok. Otherwise kExact. Asserts
+// `packed` (FuncExecutor::load_params's chunked parallel pack) equals it
+// element for element, one row or block at a time so the biggest zoo
+// layers are not held twice.
 inline void expect_pack_matches_serial(
     const Network& net, const NetParamsData<Fixed16>& params,
     const func::FuncExecutor::PackedParams& packed) {
@@ -146,29 +151,67 @@ inline void expect_pack_matches_serial(
     const auto& pl = packed[idx];
     const i64 dout = l.is_conv() ? l.conv().dout : l.fc().dout;
     const i64 row_len = pd.weights.dims().count() / dout;
-    const i64 stride = func::gemm_row_stride(row_len);
-    const bool depthwise = l.is_conv() &&
-                           func::per_plane_depthwise(l.conv(), l.in_dims.d) &&
-                           l.conv().dilation == 1;
-    ASSERT_EQ(static_cast<i64>(pl.weights.size()), dout * stride);
+    const auto weight = [&](i64 o, i64 i) {
+      return pd.weights.raw_data()[o * row_len + i].raw();
+    };
     bool fast = true;
-    row.assign(static_cast<std::size_t>(stride), 0);
-    for (i64 o = 0; o < dout; ++o) {
-      for (i64 i = 0; i < row_len; ++i)
-        row[static_cast<std::size_t>(i)] =
-            pd.weights.raw_data()[o * row_len + i].raw();
-      ASSERT_TRUE(std::equal(row.begin(), row.end(),
-                             pl.weights.begin() + o * stride))
-          << "packed row " << o << " differs";
-      fast = fast && func::classify_weights(row.data(), 1, stride,
-                                            depthwise) !=
-                         func::WeightMode::kExact;
+    func::WeightMode kernel = func::WeightMode::kDeepWindow;
+    if (l.is_fc()) {
+      const i64 stride = func::gemm_row_stride(row_len);
+      ASSERT_EQ(static_cast<i64>(pl.weights.size()), dout * stride);
+      row.assign(static_cast<std::size_t>(stride), 0);
+      for (i64 o = 0; o < dout; ++o) {
+        for (i64 i = 0; i < row_len; ++i)
+          row[static_cast<std::size_t>(i)] = weight(o, i);
+        ASSERT_TRUE(std::equal(row.begin(), row.end(),
+                               pl.weights.begin() + o * stride))
+            << "packed row " << o << " differs";
+        fast = fast && simd::deep_window_ok(row.data(), stride, 1, stride);
+      }
+    } else {
+      const ConvParams& p = l.conv();
+      row.resize(static_cast<std::size_t>(row_len));
+      for (i64 o = 0; o < dout; ++o) {
+        for (i64 i = 0; i < row_len; ++i)
+          row[static_cast<std::size_t>(i)] = weight(o, i);
+        fast = fast && simd::filter_sum_ok(row.data(), row_len, 1, row_len);
+      }
+      if (func::per_plane_depthwise(p, l.in_dims.d) && p.dilation == 1) {
+        kernel = func::WeightMode::kDepthwise;
+        ASSERT_EQ(static_cast<i64>(pl.weights.size()), dout * row_len);
+        for (i64 i = 0; i < dout * row_len; ++i)
+          ASSERT_EQ(pl.weights[static_cast<std::size_t>(i)],
+                    pd.weights.raw_data()[i].raw())
+              << "packed depthwise word " << i << " differs";
+      } else {
+        kernel = func::WeightMode::kTile;
+        const i64 din_g = p.din_per_group(l.in_dims.d);
+        const i64 dout_g = p.dout_per_group();
+        const i64 taps = p.k * p.k;
+        const i64 pairs = (din_g + 1) / 2;
+        const i64 blocks = (dout_g + simd::kTileOuts - 1) / simd::kTileOuts;
+        ASSERT_EQ(static_cast<i64>(pl.weights.size()),
+                  p.groups * blocks * pairs * taps * simd::kTileOuts * 2);
+        auto it = pl.weights.begin();
+        for (i64 g = 0; g < p.groups; ++g)
+          for (i64 j = 0; j < blocks; ++j) {
+            row.clear();
+            for (i64 pr = 0; pr < pairs; ++pr)
+              for (i64 t = 0; t < taps; ++t)
+                for (i64 o = 0; o < simd::kTileOuts; ++o)
+                  for (i64 c = 2 * pr; c < 2 * pr + 2; ++c) {
+                    const i64 oc = j * simd::kTileOuts + o;
+                    row.push_back(oc < dout_g && c < din_g
+                                      ? weight(g * dout_g + oc, c * taps + t)
+                                      : std::int16_t{0});
+                  }
+            ASSERT_TRUE(std::equal(row.begin(), row.end(), it))
+                << "packed block " << j << " of group " << g << " differs";
+            it += static_cast<std::ptrdiff_t>(row.size());
+          }
+      }
     }
-    const func::WeightMode want =
-        !fast ? func::WeightMode::kExact
-              : depthwise ? func::WeightMode::kDepthwise
-                          : func::WeightMode::kDeepWindow;
-    EXPECT_EQ(pl.mode, want);
+    EXPECT_EQ(pl.mode, fast ? kernel : func::WeightMode::kExact);
     EXPECT_EQ(pl.bias_acc, func::promote_bias(pd.bias, dout));
   }
 }

@@ -116,7 +116,7 @@ TEST(Batch, ConvOnlyNetworksGainLittle) {
 // --- execution level: the batched functional tier ----------------------
 
 // A small net covering every batched-kernel path at once: grouped conv
-// with padding (clipped im2row + group loop), LRN, pool, FC, softmax.
+// with padding (staged pad frame + group grain), LRN, pool, FC, softmax.
 Network batch_exec_net() {
   Network net("batch_exec_net");
   LayerId t = net.add_input({4, 14, 14});

@@ -517,6 +517,26 @@ TEST(FaultInjector, DramWriteWordsMatchesPerWordWrites) {
   }
 }
 
+// The event log keeps kMaxLoggedEvents events and counts the rest. The
+// lenet5 weight_sram point at 2e4/Mword under parity, at the seed the
+// seven-site CI campaign grid (tiny_cnn,lenet5,scheme_mix, rates
+// 500,20000, recoveries none,parity,ecc, campaign seed 1) gives it,
+// injects 4,877 faults, logs 4,096 and carries the other 781 as
+// dropped_events, the count fault-campaign --events prints after the log.
+TEST(FaultCampaign, EventLogCapCountsDroppedEvents) {
+  FaultPointSpec spec;
+  spec.site = FaultSite::kWeightSram;
+  spec.rate_per_mword = 20000;
+  spec.recovery = RecoveryPolicy::kParityRetry;
+  spec.seed = 0x536000f4bd6ae8f8ull;
+  const auto r = run_fault_point(zoo::lenet5(), Policy::kAdaptive2,
+                                 AcceleratorConfig::paper_16_16(), spec);
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(r.value().stats.total_injected(), 4877);
+  EXPECT_EQ(static_cast<i64>(r.value().events.size()), kMaxLoggedEvents);
+  EXPECT_EQ(r.value().dropped_events, 781);
+}
+
 TEST(FaultCampaign, FailsWithStatusOnImpossibleConfig) {
   CampaignSpec cs;
   cs.nets = {zoo::single_conv({3, 32, 32},

@@ -121,11 +121,13 @@ INSTANTIATE_TEST_SUITE_P(AllNets, ZooFidelity,
 // --- the fast path, pinned across the zoo ---------------------------------
 
 // Every conv/FC layer of every zoo net under the default init_net_params
-// scale packs onto the deep-window kernel, at several seeds. A silent
-// fall to the exact kernel would keep every output bit and cost ~3x in
-// functional serving, so only this test would notice. Rows are packed one
-// at a time (deep_window_ok is a per-row property) so VGG-16's FC layers
-// do not double peak memory.
+// scale passes the deep-window contract (the kernel of the cycle tier's
+// conv tiles and of functional FC), and every conv filter the filter-sum
+// contract (the functional tier's tile and depthwise kernels), at several
+// seeds. A silent fall to an exact kernel would keep every output bit and
+// cost several-fold in serving, so only this test would notice. Rows are
+// checked one at a time (both contracts are per-row properties) so
+// VGG-16's FC layers do not double peak memory.
 class ZooWeightMode : public ::testing::TestWithParam<int> {};
 
 TEST_P(ZooWeightMode, EveryLayerPacksDeepWindow) {
@@ -151,16 +153,22 @@ TEST_P(ZooWeightMode, EveryLayerPacksDeepWindow) {
         ASSERT_EQ(func::classify_weights(row.data(), 1, stride),
                   func::WeightMode::kDeepWindow)
             << "seed " << seed << " layer " << l.name << " row " << o;
+        if (l.is_conv()) {
+          ASSERT_EQ(func::classify_weights(row.data(), 1, row_len,
+                                           func::fast_mode(l)),
+                    func::fast_mode(l))
+              << "seed " << seed << " layer " << l.name << " filter " << o;
+        }
       }
     }
   }
 }
 
 // FuncExecutor::load_params packs the whole net in one parallel pass
-// over row chunks; it must equal the serial packing rule (weights,
-// bias_acc, mode) layer for layer, and every layer must land on its fast
-// kernel: MobileNetV1's depthwise layers on kDepthwise, all other conv/FC
-// layers on kDeepWindow.
+// over chunks of pack units; it must equal the serial packing rule
+// (weights, bias_acc, mode) layer for layer, and every layer must land on
+// its fast kernel: MobileNetV1's depthwise layers on kDepthwise, every
+// other conv on kTile and every FC on kDeepWindow.
 TEST_P(ZooWeightMode, ParallelPackMatchesSerialReference) {
   const ZooEntry& z = kZoo[GetParam()];
   if (CBRAIN_TEST_SANITIZED && z.heavy)
@@ -178,8 +186,9 @@ TEST_P(ZooWeightMode, ParallelPackMatchesSerialReference) {
     const bool depthwise =
         l.is_conv() && func::per_plane_depthwise(l.conv(), l.in_dims.d);
     EXPECT_EQ((*func.packed_params())[static_cast<std::size_t>(l.id)].mode,
-              depthwise ? func::WeightMode::kDepthwise
-                        : func::WeightMode::kDeepWindow)
+              depthwise      ? func::WeightMode::kDepthwise
+              : l.is_conv() ? func::WeightMode::kTile
+                             : func::WeightMode::kDeepWindow)
         << l.name;
   }
 }
@@ -459,13 +468,14 @@ TEST(FidelityKnob, FaultInjectionRequiresCycleTier) {
 
 // --- pmaddwd fast-path fallback ------------------------------------------
 
-// The functional GEMM takes the pmaddwd deep-window kernel
-// (simd::dot_s16_mrhs_dw) only when a layer's packed weights pass
-// simd::deep_window_ok (checked at pack time). Poisoning every 7th weight
-// word with -32768 raws flips each layer whose lane windows collect two
-// of them onto the full-range dot_s16_mrhs, while a lone -32768 per lane
-// stays on _dw. Either way the outputs must be bit-identical to the
-// simulator's.
+// The functional tier takes its int32 kernels only when a layer's weights
+// pass their contract (checked at pack time): FC the deep-window dot
+// (simd::deep_window_ok), conv the tile kernel (simd::filter_sum_ok).
+// Poisoning every 7th weight word with -32768 raws breaks the filter-sum
+// contract of every conv filter with two of them and flips each FC layer
+// whose lane windows collect two onto the full-range dot_s16_mrhs, while
+// a lone -32768 per lane stays on _dw. Either way the outputs must be
+// bit-identical to the simulator's.
 TEST(FastPathFallback, MinRawWeightsStayBitIdentical) {
   const Network net = zoo::tiny_cnn();
   auto params = init_net_params<Fixed16>(net, kSeed);

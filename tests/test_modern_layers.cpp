@@ -260,7 +260,8 @@ Tensor3<Fixed16> live_input(MapDims d, Rng& rng) {
   return t;
 }
 
-// One depthwise layer packed the way FuncExecutor::load_params packs it.
+// One depthwise layer packed the way FuncExecutor::load_params packs it:
+// its k*k filters back to back.
 struct DwPack {
   func::PackedRows rows;
   std::vector<Fixed16::acc_t> bias_acc;
@@ -271,15 +272,10 @@ DwPack pack_depthwise(const Tensor4<Fixed16>& w,
                       const std::vector<Fixed16>& bias) {
   const i64 dout = w.dims().dout;
   const i64 taps = w.dims().count() / dout;
-  const i64 stride = func::gemm_row_stride(taps);
   DwPack pk;
-  pk.rows.assign(static_cast<std::size_t>(dout * stride), 0);
-  for (i64 o = 0; o < dout; ++o)
-    for (i64 i = 0; i < taps; ++i)
-      pk.rows[static_cast<std::size_t>(o * stride + i)] =
-          w.raw_data()[o * taps + i].raw();
-  pk.mode = func::classify_weights(pk.rows.data(), dout, stride,
-                                   /*depthwise=*/true);
+  for (const Fixed16 v : w.storage()) pk.rows.push_back(v.raw());
+  pk.mode = func::classify_weights(pk.rows.data(), dout, taps,
+                                   func::WeightMode::kDepthwise);
   pk.bias_acc = func::promote_bias(bias, dout);
   return pk;
 }
@@ -303,7 +299,7 @@ void expect_dw_batch_matches_ref(const std::vector<Tensor3<Fixed16>>& inputs,
     for (const auto& t : want) got.emplace_back(t.dims());
     std::vector<Tensor3<Fixed16>*> out_ptrs;
     for (auto& t : got) out_ptrs.push_back(&t);
-    func::GemmScratch scratch;
+    func::KernelScratch scratch;
     func::conv2d_func_batch(in_ptrs, pk.rows, pk.bias_acc, p, pk.mode,
                             scratch, out_ptrs);
     for (std::size_t i = 0; i < want.size(); ++i)
@@ -359,8 +355,8 @@ TEST(DepthwiseKernel, ScalarAndAvx2MatchReferenceOverShapeGrid) {
 // all -32768 data every window sum is -32768 * (+-65535), one step inside
 // int32: the filter must classify kDepthwise and the kernel must be
 // exact on every backend. One more unit breaks the contract: the layer
-// classifies kExact and runs the exact grouped im2row+GEMM path, still
-// matching conv2d_ref.
+// classifies kExact and runs the same staged planes through the exact
+// int64 loop, still matching conv2d_ref.
 TEST(DepthwiseKernel, ContractBoundaryIsExactAndOneMoreFallsBack) {
   for (const i64 k : {3, 5}) {
     const i64 taps = k * k;
@@ -396,8 +392,7 @@ TEST(DepthwiseKernel, ContractBoundaryIsExactAndOneMoreFallsBack) {
       for (i64 o = 0; o < 2; ++o) {
         std::vector<std::int16_t> out(static_cast<std::size_t>(n));
         simd::dw_conv_s16(row.data(), n + k, 1,
-                          at_bound.rows.data() +
-                              o * func::gemm_row_stride(taps),
+                          at_bound.rows.data() + o * taps,
                           k, 1, n,
                           at_bound.bias_acc[static_cast<std::size_t>(o)],
                           false, out.data(), n);
@@ -421,15 +416,15 @@ TEST(DepthwiseKernel, ContractBoundaryIsExactAndOneMoreFallsBack) {
   }
 }
 
-// A filter past the depthwise contract (three taps of 30000: sum |w| =
-// 90000 + small) that still passes the deep-window one (no pmaddwd lane
-// pair reaches 65535): its layer packs kExact and runs the exact grouped
-// im2row+GEMM path, the other depthwise layer stays on kDepthwise, the
-// pack equals the serial rule, and ref, cycle and functional tiers agree
-// bit for bit. With dout_g = 1 each group is one row chunk, so the layer
-// spreads its groups over the pool, and every layer's bytes match at
-// jobs 1 and 4.
-TEST(DepthwiseConv, ContractBreakingFilterTakesExactGemm) {
+// A filter past the filter-sum contract (three taps of 30000: sum |w| =
+// 90000 + small) that still passes the deep-window one the cycle tier
+// checks (no pmaddwd lane pair reaches 65535): its layer packs kExact and
+// runs the same staged planes through the exact int64 loop, the other
+// depthwise layer stays on kDepthwise, the pack equals the serial rule,
+// and ref, cycle and functional tiers agree bit for bit. The layer's
+// planes spread over the pool, and every layer's bytes match at jobs 1
+// and 4.
+TEST(DepthwiseConv, ContractBreakingFilterTakesExactPlanes) {
   const Network net = depthwise_toy();
   auto params = init_net_params<Fixed16>(net, kSeed);
   const LayerId dw1 = 1, dw2 = 3;
@@ -450,8 +445,13 @@ TEST(DepthwiseConv, ContractBreakingFilterTakesExactGemm) {
             func::WeightMode::kExact);
   EXPECT_EQ(packed[static_cast<std::size_t>(dw2)].mode,
             func::WeightMode::kDepthwise);
-  EXPECT_TRUE(simd::deep_window_ok(
-      packed[static_cast<std::size_t>(dw1)].weights.data(), 16, 4, 16));
+  // The cycle tier stages the filters as 16-wide rows.
+  std::vector<std::int16_t> rows(4 * 16, 0);
+  for (i64 o = 0; o < 4; ++o)
+    for (i64 t = 0; t < 9; ++t)
+      rows[static_cast<std::size_t>(o * 16 + t)] =
+          w.raw_data()[o * 9 + t].raw();
+  EXPECT_TRUE(simd::deep_window_ok(rows.data(), 16, 4, 16));
 
   BackendGuard guard;
   for (simd::Backend b : supported_backends()) {
@@ -492,42 +492,92 @@ TEST(DepthwiseConv, FunctionalMatchesCycleLayerByLayer) {
   }
 }
 
-// load_params splits big layers into several row chunks and ANDs their
-// contract checks: a breaking row in a later chunk must still demote the
-// whole layer. 4200 depthwise filters and a 10-row FC over 67,200 inputs
-// span several chunks each; one late row of each breaks its contract.
+// load_params splits big layers into several chunks of pack units and
+// ANDs their contract checks: a breaking filter in a later chunk must
+// still demote the whole layer. 8400 depthwise filters, a 10-row FC over
+// 134,400 inputs and a 1x1 tile conv of 24 filters over 8400 channels (4
+// blocks of 50,400 packed words) span several chunks each; one late
+// filter of each breaks its contract.
 TEST(DepthwiseConv, LateChunkBreakingRowDemotesWholeLayer) {
   Network net("chunked");
-  LayerId t = net.add_input({4200, 4, 4});
+  LayerId t = net.add_input({8400, 4, 4});
   const LayerId dw = net.add_conv(
-      t, "dw", {.dout = 4200, .k = 3, .stride = 1, .pad = 1, .groups = 4200});
+      t, "dw", {.dout = 8400, .k = 3, .stride = 1, .pad = 1, .groups = 8400});
   const LayerId fc = net.add_fc(dw, "fc", {.dout = 10, .relu = false});
   ASSERT_TRUE(net.validate().is_ok());
+  Network net2("chunked_tile");
+  const LayerId pw = net2.add_conv(net2.add_input({8400, 2, 2}), "pw",
+                                   {.dout = 24, .k = 1, .stride = 1});
+  ASSERT_TRUE(net2.validate().is_ok());
   auto params = init_net_params<Fixed16>(net, kSeed);
-  const auto setup = [&](const NetParamsData<Fixed16>& pd) {
+  auto params2 = init_net_params<Fixed16>(net2, kSeed);
+  const auto modes = [](const Network& n, const NetParamsData<Fixed16>& pd,
+                        std::vector<LayerId> ids) {
     auto compiled =
-        compile_network(net, Policy::kAdaptive2, AcceleratorConfig{});
+        compile_network(n, Policy::kAdaptive2, AcceleratorConfig{});
     EXPECT_TRUE(compiled.is_ok());
-    auto f = std::make_unique<func::FuncExecutor>(net, compiled.value(),
+    auto f = std::make_unique<func::FuncExecutor>(n, compiled.value(),
                                                   AcceleratorConfig{});
     f->load_params(pd);
-    expect_pack_matches_serial(net, pd, *f->packed_params());
-    return std::make_pair(
-        (*f->packed_params())[static_cast<std::size_t>(dw)].mode,
-        (*f->packed_params())[static_cast<std::size_t>(fc)].mode);
+    expect_pack_matches_serial(n, pd, *f->packed_params());
+    std::vector<func::WeightMode> m;
+    for (const LayerId id : ids)
+      m.push_back((*f->packed_params())[static_cast<std::size_t>(id)].mode);
+    return m;
   };
-  EXPECT_EQ(setup(params), std::make_pair(func::WeightMode::kDepthwise,
-                                          func::WeightMode::kDeepWindow));
+  using func::WeightMode;
+  EXPECT_EQ(modes(net, params, {dw, fc}),
+            (std::vector{WeightMode::kDepthwise, WeightMode::kDeepWindow}));
+  EXPECT_EQ(modes(net2, params2, {pw}), (std::vector{WeightMode::kTile}));
   auto& dww = params.per_layer[static_cast<std::size_t>(dw)].weights;
   for (const i64 tap : {0, 2, 4})
-    dww.storage()[static_cast<std::size_t>(4150 * 9 + tap)] =
+    dww.storage()[static_cast<std::size_t>(8350 * 9 + tap)] =
         Fixed16::from_raw(30000);
   auto& fcw = params.per_layer[static_cast<std::size_t>(fc)].weights;
   for (const i64 g : {0, 1, 2})  // one pmaddwd lane, three groups
-    fcw.storage()[static_cast<std::size_t>(7 * 67200 + 16 * g)] =
+    fcw.storage()[static_cast<std::size_t>(7 * 134400 + 16 * g)] =
         Fixed16::from_raw(30000);
-  EXPECT_EQ(setup(params), std::make_pair(func::WeightMode::kExact,
-                                          func::WeightMode::kExact));
+  auto& pww = params2.per_layer[static_cast<std::size_t>(pw)].weights;
+  for (const i64 c : {0, 2, 4})  // filter 20, in the last block
+    pww.storage()[static_cast<std::size_t>(20 * 8400 + c)] =
+        Fixed16::from_raw(30000);
+  EXPECT_EQ(modes(net, params, {dw, fc}),
+            (std::vector{WeightMode::kExact, WeightMode::kExact}));
+  EXPECT_EQ(modes(net2, params2, {pw}), (std::vector{WeightMode::kExact}));
+}
+
+// A MobileNetV1-shaped depthwise layer (block3: 64 planes of 112x112,
+// 3x3 s2 pad 1) with one filter past the filter-sum contract: the layer
+// classifies kExact, and its staged planes through the exact int64 loop
+// are byte-equal to conv2d_ref at jobs 1 and 4 on every backend, on
+// full-range data.
+TEST(DepthwiseConv, MobileNetShapedOffContractLayerMatchesReference) {
+  const i64 ch = 64;
+  const ConvParams p{.dout = ch, .k = 3, .stride = 2, .pad = 1,
+                     .groups = ch, .relu = true};
+  Rng rng(kSeed);
+  Tensor4<Fixed16> w({ch, 1, 3, 3});
+  for (auto& v : w.storage()) v = Fixed16::from_raw(draw_s16(rng, 900));
+  // Filter 17: 65535 / 9 = 7281 on every tap, plus one unit on tap 4 and
+  // the rest of the 65535 on tap 0, then one more: sum |w| = 65536.
+  for (i64 t = 0; t < 9; ++t)
+    w.storage()[static_cast<std::size_t>(17 * 9 + t)] = Fixed16::from_raw(
+        static_cast<std::int16_t>(-(65535 / 9 + (t == 0 ? 65535 % 9 : 0) +
+                                    (t == 4 ? 1 : 0))));
+  std::vector<Fixed16> bias;
+  for (i64 o = 0; o < ch; ++o)
+    bias.push_back(Fixed16::from_raw(draw_s16(rng, 4000)));
+  const DwPack pk = pack_depthwise(w, bias);
+  ASSERT_EQ(pk.mode, func::WeightMode::kExact);
+  std::vector<Tensor3<Fixed16>> inputs;
+  inputs.push_back(live_input({ch, 112, 112}, rng));
+  const i64 jobs_before = parallel::default_jobs();
+  for (const i64 jobs : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "jobs " << jobs);
+    parallel::set_default_jobs(jobs);
+    expect_dw_batch_matches_ref(inputs, w, bias, p, pk);
+  }
+  parallel::set_default_jobs(jobs_before);
 }
 
 // --- residual (eltwise add) ---------------------------------------------

@@ -6,6 +6,7 @@
 // whole-network AlexNet simulation whose outputs and counters may not
 // differ by a single bit between the scalar and AVX2 backends.
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -14,6 +15,7 @@
 
 #include "cbrain/common/rng.hpp"
 #include "cbrain/core/cbrain.hpp"
+#include "cbrain/ref/conv_ref.hpp"
 #include "cbrain/simd/simd.hpp"
 #include "support.hpp"
 
@@ -390,6 +392,232 @@ TEST(DeepWindowChecker, MatchesReferenceOnEdgeCases) {
     EXPECT_EQ(ref_deep_window_ok(c.w.data(), c.stride, c.rows, c.n), c.ok);
     EXPECT_EQ(simd::deep_window_ok(c.w.data(), c.stride, c.rows, c.n), c.ok);
   }
+}
+
+// --- filter-sum contract checker --------------------------------------------
+
+// Random filters with their |w| sums on both sides of 65535, odd lengths
+// and strides wider than the filter: the checker decides exactly as a
+// plain int64 sum, and both outcomes occur; the bound itself passes and
+// one more unit fails.
+TEST(FilterSumChecker, MatchesPlainSumAndBoundIsExact) {
+  Rng rng(65535);
+  int accepted = 0, rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const i64 n = 1 + static_cast<i64>(rng.next_u64() % 300);
+    const i64 stride = n + static_cast<i64>(rng.next_u64() % 3) * 7;
+    const i64 rows = 1 + static_cast<i64>(rng.next_u64() % 4);
+    const i64 scale = std::min<i64>(32767, 2 * 65535 / n + 1);
+    std::vector<std::int16_t> w(static_cast<std::size_t>(rows * stride));
+    for (auto& v : w)
+      v = static_cast<std::int16_t>(
+          static_cast<i64>(rng.next_u64() % (2 * scale + 1)) - scale);
+    bool want = true;
+    for (i64 r = 0; r < rows; ++r) {
+      i64 sum = 0;
+      for (i64 i = 0; i < n; ++i) sum += std::abs(i64{w[r * stride + i]});
+      want = want && sum <= 65535;
+    }
+    ASSERT_EQ(simd::filter_sum_ok(w.data(), stride, rows, n), want)
+        << "trial " << trial << " n=" << n << " rows=" << rows;
+    (want ? accepted : rejected) += 1;
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+  std::vector<std::int16_t> edge = {-32768, 32767};
+  EXPECT_TRUE(simd::filter_sum_ok(edge.data(), 2, 1, 2));
+  edge[1] = -32768;
+  EXPECT_FALSE(simd::filter_sum_ok(edge.data(), 2, 1, 2));
+}
+
+// --- conv tile kernel ------------------------------------------------------
+
+// One conv layer with its input, packed the way FuncExecutor::load_params
+// packs it.
+struct TileConv {
+  Network net{"tile_conv"};
+  LayerId id = 0;
+  func::PackedRows pack;
+  func::WeightMode mode = func::WeightMode::kExact;
+
+  TileConv(MapDims in, const ConvParams& p, const Tensor4<Fixed16>& w) {
+    id = net.add_conv(net.add_input(in), "conv", p);
+    const Layer& l = net.layer(id);
+    const func::PackPlan plan = func::pack_plan(l);
+    pack.resize(static_cast<std::size_t>(plan.units * plan.unit_elems));
+    mode = func::pack_units(l, plan, w.raw_data(), 0, plan.units,
+                            pack.data());
+  }
+};
+
+// Full-range data: every seventh element -32768, every fifth 32767, the
+// rest uniform.
+Tensor3<Fixed16> extreme_input(MapDims d, Rng& rng) {
+  Tensor3<Fixed16> t(d);
+  i64 i = 0;
+  for (auto& v : t.storage()) {
+    const i64 k = i++;
+    v = Fixed16::from_raw(k % 7 == 3   ? std::int16_t{-32768}
+                          : k % 5 == 1 ? std::int16_t{32767}
+                                       : static_cast<std::int16_t>(
+                                             rng.next_u64()));
+  }
+  return t;
+}
+
+// conv2d_func_batch over `inputs` on the scalar and every vector backend
+// under the pack's mode, and under kExact (the exact kernel shares the
+// layout), each image byte-equal to conv2d_ref.
+void expect_tile_conv_matches_ref(const ConvParams& p,
+                                  const Tensor4<Fixed16>& w,
+                                  const std::vector<Fixed16>& bias,
+                                  const std::vector<Tensor3<Fixed16>>& inputs,
+                                  func::WeightMode want_mode) {
+  const TileConv tc(inputs[0].dims(), p, w);
+  ASSERT_EQ(tc.mode, want_mode);
+  const auto bias_acc = func::promote_bias(bias, p.dout);
+  std::vector<const Tensor3<Fixed16>*> in_ptrs;
+  std::vector<Tensor3<Fixed16>> want;
+  for (const auto& t : inputs) {
+    in_ptrs.push_back(&t);
+    want.push_back(conv2d_ref(t, w, bias, p));
+  }
+  BackendGuard guard;
+  std::vector<Backend> backends = vector_backends();
+  backends.insert(backends.begin(), Backend::kScalar);
+  for (const Backend b : backends)
+    for (const func::WeightMode m : {tc.mode, func::WeightMode::kExact}) {
+      simd::select_backend(b);
+      std::vector<Tensor3<Fixed16>> got;
+      std::vector<Tensor3<Fixed16>*> out_ptrs;
+      for (const auto& t : want) got.emplace_back(t.dims());
+      for (auto& t : got) out_ptrs.push_back(&t);
+      func::KernelScratch scratch;
+      func::conv2d_func_batch(in_ptrs, tc.pack, bias_acc, p, m, scratch,
+                              out_ptrs);
+      for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_TRUE(test::tensors_equal(want[i], got[i]))
+            << simd::backend_name(b) << " mode " << static_cast<int>(m)
+            << " image " << i;
+    }
+}
+
+// The tile kernel (staging, phase split, packed blocks and both backends)
+// and its exact twin against conv2d_ref over every kernel size, stride
+// and dilation the zoo and the spec grammar produce, pads 0..3, odd
+// per-group channel counts (the zero partner), one and two groups,
+// output-channel counts off the kTileOuts block, output widths 1..40 and
+// batches of 1..2, on full-range data. Filters alternate between small,
+// mid and exactly-at-bound |w| sums. (The grid's dilation-1 one-channel
+// two-group shapes are depthwise and check that kernel instead.)
+TEST(ConvTileKernel, ScalarAvx2AndExactMatchReferenceOverShapeGrid) {
+  Rng rng(2016);
+  i64 case_index = 0, ran = 0;
+  for (const i64 k : {1, 3, 5, 7, 11})
+    for (const i64 stride : {1, 2, 4})
+      for (const i64 dilation : {1, 2})
+        for (i64 c = 0; c < 4; ++c, ++case_index) {
+          const i64 k_eff = (k - 1) * dilation + 1;
+          const i64 pad = std::min(k_eff - 1, (k + stride + dilation + c) % 4);
+          const i64 groups = 1 + c % 2;
+          const i64 din_g = 1 + 2 * ((k + c) % 3);
+          const i64 dout_g =
+              std::array<i64, 5>{1, 5, 7, 11, 13}[(k + stride + c) % 5];
+          const i64 ow = 1 + (case_index * 7) % 40;
+          const i64 oh = 1 + case_index % 3;
+          const i64 width = (ow - 1) * stride + k_eff - 2 * pad;
+          const i64 height = (oh - 1) * stride + k_eff - 2 * pad;
+          if (width < 1 || height < 1) continue;
+          ++ran;
+          const ConvParams p{.dout = dout_g * groups, .k = k,
+                             .stride = stride, .pad = pad, .groups = groups,
+                             .dilation = dilation, .relu = c % 2 == 0};
+          const MapDims in{din_g * groups, height, width};
+          SCOPED_TRACE(::testing::Message()
+                       << "k=" << k << " s=" << stride << " d=" << dilation
+                       << " pad=" << pad << " g=" << groups << " din_g="
+                       << din_g << " dout_g=" << dout_g << " in " << height
+                       << "x" << width);
+          const i64 row_len = din_g * k * k;
+          Tensor4<Fixed16> w({p.dout, din_g, k, k});
+          for (i64 o = 0; o < p.dout; ++o) {
+            const i64 kind = o % 3;
+            for (i64 i = 0; i < row_len; ++i) {
+              i64 v;
+              if (kind == 2) {
+                // |w| sum exactly at the bound where row_len allows it.
+                v = std::min<i64>(32767, 65535 / row_len +
+                                             (i == 0 ? 65535 % row_len : 0));
+                if ((o + i) % 2 == 1) v = -v;
+              } else {
+                const i64 bound =
+                    kind == 0 ? 3 : std::min<i64>(200, 65535 / row_len);
+                v = static_cast<i64>(rng.next_u64() % (2 * bound + 1)) - bound;
+              }
+              w.storage()[static_cast<std::size_t>(o * row_len + i)] =
+                  Fixed16::from_raw(static_cast<std::int16_t>(v));
+            }
+          }
+          std::vector<Fixed16> bias;
+          for (i64 o = 0; o < p.dout; ++o)
+            bias.push_back(Fixed16::from_raw(
+                static_cast<std::int16_t>(rng.next_u64())));
+          std::vector<Tensor3<Fixed16>> inputs;
+          for (i64 b = 0; b < 1 + c % 2; ++b)
+            inputs.push_back(extreme_input(in, rng));
+          // A dilation-1 per-plane depthwise shape runs the depthwise
+          // kernel over the same staged planes idea.
+          const bool depthwise =
+              groups > 1 && din_g == 1 && dout_g == 1 && dilation == 1;
+          expect_tile_conv_matches_ref(p, w, bias, inputs,
+                                       depthwise ? func::WeightMode::kDepthwise
+                                                 : func::WeightMode::kTile);
+        }
+  EXPECT_GE(ran, 100);
+}
+
+// The contract edge: filters with sum |w| = 65535 against all -32768 data
+// sum to -32768 * (+-65535), inside int32, and take the tile kernel; one
+// more unit on a negative filter (whose int32 sum would then reach +2^31)
+// classifies the layer kExact, and the exact kernel still matches
+// conv2d_ref. Odd din (a zero partner channel) and dout off the block.
+TEST(ConvTileKernel, FilterSumBoundTakesTileAndOneMoreTakesExact) {
+  const ConvParams p{.dout = 7, .k = 3, .stride = 1, .pad = 1, .groups = 1};
+  const i64 din = 5, row_len = din * 9;
+  Tensor4<Fixed16> w({p.dout, din, 3, 3});
+  for (i64 o = 0; o < p.dout; ++o)
+    for (i64 i = 0; i < row_len; ++i) {
+      const i64 v = 65535 / row_len + (i == 0 ? 65535 % row_len : 0);
+      w.storage()[static_cast<std::size_t>(o * row_len + i)] =
+          Fixed16::from_raw(static_cast<std::int16_t>(o % 2 == 0 ? v : -v));
+    }
+  const std::vector<Fixed16> bias(static_cast<std::size_t>(p.dout),
+                                  Fixed16::from_raw(-5));
+  Tensor3<Fixed16> in({din, 9, 37});
+  for (auto& v : in.storage()) v = Fixed16::from_raw(-32768);
+  expect_tile_conv_matches_ref(p, w, bias, {in}, func::WeightMode::kTile);
+
+  Tensor4<Fixed16> over = w;
+  over.storage()[static_cast<std::size_t>(row_len)] = Fixed16::from_raw(
+      static_cast<std::int16_t>(over.storage()[row_len].raw() - 1));
+  expect_tile_conv_matches_ref(p, over, bias, {in}, func::WeightMode::kExact);
+}
+
+// A batch whose staged images pass the tile path's staging budget (8 MB
+// a pass; one 2x1030x1030 image stages ~4.3 MB) is staged and computed
+// in several passes, each image still byte-equal to conv2d_ref.
+TEST(ConvTileKernel, LargeImagesStageInSeveralPasses) {
+  Rng rng(8);
+  const ConvParams p{.dout = 3, .k = 3, .stride = 1, .pad = 1};
+  Tensor4<Fixed16> w({3, 2, 3, 3});
+  for (auto& v : w.storage())
+    v = Fixed16::from_raw(static_cast<std::int16_t>(rng.next_u64() % 2001) -
+                          1000);
+  const std::vector<Fixed16> bias(3, Fixed16::from_raw(77));
+  std::vector<Tensor3<Fixed16>> inputs;
+  for (int b = 0; b < 2; ++b)
+    inputs.push_back(extreme_input({2, 1030, 1030}, rng));
+  expect_tile_conv_matches_ref(p, w, bias, inputs, func::WeightMode::kTile);
 }
 
 // The end-to-end guarantee the CLI smoke check relies on: a whole-network

@@ -51,10 +51,11 @@ def wholenet_key(r):
 
 
 # Batched serving points (the infer_batch ladder) carry "b" (execution
-# batch size) and "intra_jobs" (the pool width a lone request's layers
-# fan out to); files written before the batched path simply omit both,
-# defaulting to 1 so the unbatched points keep lining up with old
-# baselines. Multi-chip serving
+# batch size); files written before the batched path omit it, defaulting
+# to 1 so the unbatched points keep lining up with old baselines. Files
+# written before the pool-width ladder was dropped also carry
+# "intra_jobs" points, which stay apart from every current point (and
+# show as baseline-only) through the same default. Multi-chip serving
 # points additionally carry "chips" and "partition"; missing keys default
 # to the single-chip package (chips=1, partition="single") for the same
 # reason.

@@ -849,6 +849,9 @@ int cmd_fault_campaign(const Options& opt) {
                   recovery_policy_name(p.spec.recovery));
       for (const FaultEvent& ev : p.events)
         std::printf("  %s\n", ev.to_string().c_str());
+      if (p.dropped_events > 0)
+        std::printf("  (+%lld events beyond the log cap)\n",
+                    static_cast<long long>(p.dropped_events));
     }
   }
   return 0;

@@ -161,9 +161,9 @@ diff /tmp/cbrain_site_fault_release.txt /tmp/cbrain_site_fault_asan.txt
 echo "=== fidelity: functional tier cross-validated against the oracle ==="
 # The two execution tiers must stay bit-identical (DESIGN.md §12). The
 # cross-validation suite runs the whole zoo through both executors; run
-# it under ASan+UBSan so the packed-GEMM buffers, the im2row copies and
-# the deep-window kernel's 32-bit window sums are vetted, not just
-# compared. fidelity-check then diffs one net end-to-end through the
+# it under ASan+UBSan so the packed weights, the staged conv inputs and
+# the tile kernel's flat-run reads past each plane's rows are vetted, not
+# just compared. fidelity-check then diffs one net end-to-end through the
 # release CLI (it exits non-zero on any output mismatch), and TSan
 # covers the functional tier under the pooled run_batches fan-out, then
 # both tiers through the one serving loop with the cross-tier and
@@ -176,13 +176,14 @@ echo "=== fidelity: functional tier cross-validated against the oracle ==="
   --jobs="$JOBS" --fidelity=both --baseline > /dev/null
 
 echo "=== batched execution: identity under sanitizers + any-jobs digests ==="
-# Batched multi-image inference shares one im2row band and packed weight
-# matrix across images. A lone request fans its layer kernels (conv
-# pixel bands, GEMM row chunks, pool planes, LRN rows) out over the
-# worker pool; concurrent requests run their layers inline. --baseline
-# asserts the outputs are byte-identical to per-call Session::infer;
-# TSan runs one AlexNet request so the layer fan-out is race-checked,
-# and ASan vets the shared-band indexing and the ragged last batch.
+# Batched multi-image inference stages every image of a layer and shares
+# one packed weight tensor across them. A lone request fans its layer
+# kernels (conv staging and tile tasks, FC row chunks, pool planes, LRN
+# rows) out over the worker pool; concurrent requests run their layers
+# inline. --baseline asserts the outputs are byte-identical to per-call
+# Session::infer; TSan runs one AlexNet request so the layer fan-out is
+# race-checked, and ASan vets the shared staging indexing and the ragged
+# last batch.
 # test_batch carries the bitwise-identity, bad-slot isolation, and
 # steady-state-allocation tests. The release leg runs at --jobs=1 and
 # --jobs=N: --baseline holds both to the per-call bytes, so the outputs
@@ -198,11 +199,11 @@ done
 ./build-ci-asan/tests/test_batch
 
 echo "=== modern layers: dilated/depthwise/residual under sanitizers ==="
-# The modern-layer paths are the newest arithmetic (dilated im2row
-# gather, the per-plane depthwise paths that bypass GEMM, the eltwise
-# adder-tree tile): run their three-tier identity suite under ASan+UBSan
-# so the gather indexing and the widening adds are vetted, not just
-# compared. The TSan leg serves ResNet-18 — a residual multi-consumer
+# The modern-layer paths are the newest arithmetic (dilated taps as
+# phase-plane shifts, the per-plane depthwise paths and their exact
+# twin, the eltwise adder-tree tile): run their three-tier identity suite
+# under ASan+UBSan so the staging indexing and the widening adds are
+# vetted, not just compared. The TSan leg serves ResNet-18 — a residual multi-consumer
 # DAG — through the functional tier's pooled fan-out to race-check the
 # depth-stacked operand staging under concurrent sessions.
 ./build-ci-asan/tests/test_modern_layers
@@ -211,7 +212,7 @@ echo "=== modern layers: dilated/depthwise/residual under sanitizers ==="
 
 echo "=== depthwise: staged vector path under ASan+UBSan and both backends ==="
 # The functional tier runs a depthwise layer whose filters pass the
-# depthwise contract by staging each plane with its zero padding and
+# filter-sum contract by staging each plane with its zero padding and
 # calling simd::dw_conv_s16 over it (DESIGN.md §12). Serve MobileNetV1 at
 # batch 2 under ASan+UBSan — its 112x112 planes with their padding frame,
 # its 7x7 planes computed 8 wide into slack columns — with --baseline
@@ -276,5 +277,14 @@ if command -v python3 >/dev/null 2>&1 && [ -f BENCH_kernels.json ]; then
 else
   echo "bench_compare skipped (no python3 or no committed baseline)"
 fi
+# The tier gap: both tiers serve the same warm requests at --jobs=1,
+# batch 4, and serve-bench prints the functional/cycle throughput ratio
+# (README, Serving). Informational like the diff above: the
+# ratio is printed, never compared.
+for net in alexnet resnet18; do
+  echo "--- $net: functional vs cycle, warm, --jobs=1 --batch=4"
+  ./build-ci-release/tools/cbrain_cli serve-bench "$net" --fidelity=both \
+    --jobs=1 --batch=4 --requests=8 | grep -E "^(cycle|functional)" || true
+done
 
 echo "ci_check: all suites passed"
