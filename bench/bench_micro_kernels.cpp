@@ -20,10 +20,14 @@
 // weight-resident engine sessions at jobs 1 and N, at both fidelities,
 // vs the per-call simulate path), and writes the results as JSON
 // (default: BENCH_kernels.json in the working directory). --quick drops
-// VGG16 and shortens reps. CI runs the quick mode and diffs against the
-// committed baseline; the diff is informational, not a gate.
+// VGG16 and shortens reps. Each tile conv and serve point runs
+// kSpreadRuns times and reports its median with the min and max, so a
+// single slow run on a shared host does not read as a regression. CI runs
+// the quick mode and diffs against the committed baseline; the diff is
+// informational, not a gate.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -184,13 +188,31 @@ double best_of(int reps, i64 iters, Fn&& fn) {
   return best;
 }
 
+// Runs of each tile conv and serve point (odd, so the median is one
+// run); the median is the point's value, min and max its spread.
+constexpr int kSpreadRuns = 5;
+
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return {v[v.size() / 2], v.front(), v.back()};
+}
+
 struct KernelResult {
   std::string name;
   std::string backend;
   i64 n = 0;
-  double gbps = 0.0;
+  double gbps = 0.0;  // the median run's, for a point with runs > 0
   double mac_per_s = 0.0;
   double secs = 0.0;
+  int runs = 0;  // 0: best of reps, no spread
+  double gbps_min = 0.0;
+  double gbps_max = 0.0;
 };
 
 // The multi-RHS GEMM kernels behind both tiers (the exact one runs
@@ -280,7 +302,7 @@ KernelResult measure_depthwise(simd::Backend b, i64 side, i64 ch, i64 stride,
 // filters at `stride` (pad (k - 1) / 2), under weights that satisfy the
 // filter-sum contract. Streamed bytes: the input and output cubes.
 KernelResult measure_conv_tile(simd::Backend b, i64 side, i64 din, i64 dout,
-                               i64 k, i64 stride, int reps, i64 iters) {
+                               i64 k, i64 stride, i64 iters) {
   simd::select_backend(b);
   const ConvParams p{.dout = dout, .k = k, .stride = stride,
                      .pad = (k - 1) / 2};
@@ -303,21 +325,27 @@ KernelResult measure_conv_tile(simd::Backend b, i64 side, i64 din, i64 dout,
   func::KernelScratch scratch;
   const std::vector<const Tensor3<Fixed16>*> ins = {&input};
   const std::vector<Tensor3<Fixed16>*> outs = {&output};
-  const double secs = best_of(reps, iters, [&] {
-    func::conv2d_func_batch(ins, pack, bias, p, mode, scratch, outs);
-    benchmark::DoNotOptimize(output.raw_data());
-  });
+  std::vector<double> run_secs;
+  for (int run = 0; run < kSpreadRuns; ++run)
+    run_secs.push_back(best_of(1, iters, [&] {
+      func::conv2d_func_batch(ins, pack, bias, p, mode, scratch, outs);
+      benchmark::DoNotOptimize(output.raw_data());
+    }));
+  const Spread secs = spread_of(run_secs);
+  const double bytes = static_cast<double>(
+      sizeof(std::int16_t) * (l.in_dims.count() + l.out_dims.count()));
   KernelResult r;
   r.name = "conv_tile_k" + std::to_string(k) + "_s" + std::to_string(stride) +
            "_c" + std::to_string(din);
   r.backend = simd::backend_name(b);
   r.n = side;
-  r.secs = secs;
-  r.gbps = static_cast<double>(sizeof(std::int16_t) *
-                               (l.in_dims.count() + l.out_dims.count())) /
-           secs * 1e-9;
+  r.secs = secs.median;
+  r.gbps = bytes / secs.median * 1e-9;
   r.mac_per_s =
-      static_cast<double>(l.out_dims.count() * din * k * k) / secs;
+      static_cast<double>(l.out_dims.count() * din * k * k) / secs.median;
+  r.runs = kSpreadRuns;
+  r.gbps_min = bytes / secs.max * 1e-9;
+  r.gbps_max = bytes / secs.min * 1e-9;
   return r;
 }
 
@@ -407,7 +435,9 @@ struct ServeResult {
   std::string tier = "cycle";
   i64 jobs = 0;
   i64 requests = 0;
-  double infer_per_s = 0.0;
+  double infer_per_s = 0.0;  // median of kSpreadRuns runs
+  double infer_per_s_min = 0.0;
+  double infer_per_s_max = 0.0;
   double per_call_infer_per_s = 0.0;  // 0 when not measured (jobs > 1)
   double speedup_vs_per_call = 0.0;
   double speedup_vs_cycle = 0.0;  // functional tier: warm-vs-warm, same jobs
@@ -425,6 +455,13 @@ std::vector<Tensor3<Fixed16>> serve_inputs(const Network& net, i64 n) {
   return v;
 }
 
+void set_spread(ServeResult& r, const std::vector<double>& infer_per_s) {
+  const Spread s = spread_of(infer_per_s);
+  r.infer_per_s = s.median;
+  r.infer_per_s_min = s.min;
+  r.infer_per_s_max = s.max;
+}
+
 ServeResult measure_serve(const Network& net, simd::Backend b, i64 jobs,
                           i64 requests, bool with_per_call,
                           Fidelity fidelity = Fidelity::kCycle) {
@@ -435,10 +472,14 @@ ServeResult measure_serve(const Network& net, simd::Backend b, i64 jobs,
 
   engine::Engine eng(config);
   eng.compile(net, Policy::kAdaptive2, fidelity);  // warm: serving, not compile
-  engine::ServeStats stats;
-  const auto results = eng.run_many(net, Policy::kAdaptive2, params, inputs,
-                                    jobs, &stats, fidelity);
-  benchmark::DoNotOptimize(results.size());
+  std::vector<double> runs;
+  for (int run = 0; run < kSpreadRuns; ++run) {
+    engine::ServeStats stats;
+    const auto results = eng.run_many(net, Policy::kAdaptive2, params, inputs,
+                                      jobs, &stats, fidelity);
+    benchmark::DoNotOptimize(results.size());
+    runs.push_back(stats.infer_per_s());
+  }
 
   ServeResult r;
   r.net = net.name();
@@ -446,7 +487,7 @@ ServeResult measure_serve(const Network& net, simd::Backend b, i64 jobs,
   r.tier = fidelity_name(fidelity);
   r.jobs = jobs;
   r.requests = requests;
-  r.infer_per_s = stats.infer_per_s();
+  set_spread(r, runs);
   if (with_per_call) {
     CBrain brain(config);
     brain.compile(net, Policy::kAdaptive2);
@@ -493,11 +534,15 @@ ServeResult measure_serve_batched(const Network& net, simd::Backend b,
       eng.run_batches(net, Policy::kAdaptive2, params, inputs, batches, 1,
                       &warm, Fidelity::kFunctional)
           .size());
-  engine::ServeStats stats;
-  const auto results =
-      eng.run_batches(net, Policy::kAdaptive2, params, inputs, batches, 1,
-                      &stats, Fidelity::kFunctional);
-  benchmark::DoNotOptimize(results.size());
+  std::vector<double> runs;
+  for (int run = 0; run < kSpreadRuns; ++run) {
+    engine::ServeStats stats;
+    const auto results =
+        eng.run_batches(net, Policy::kAdaptive2, params, inputs, batches, 1,
+                        &stats, Fidelity::kFunctional);
+    benchmark::DoNotOptimize(results.size());
+    runs.push_back(stats.infer_per_s());
+  }
 
   ServeResult r;
   r.net = net.name();
@@ -506,7 +551,7 @@ ServeResult measure_serve_batched(const Network& net, simd::Backend b,
   r.jobs = 1;
   r.requests = requests;
   r.b = batch;
-  r.infer_per_s = stats.infer_per_s();
+  set_spread(r, runs);
   return r;
 }
 
@@ -543,10 +588,9 @@ int run_perf_harness(const std::string& path, bool quick) {
     // MobileNetV1's 1x1 pointwise at C512 14x14, and ResNet-18's 7x7 s2
     // conv1 on the 224x224 RGB input. One call is ~50-120M MACs.
     const i64 tile_iters = b == simd::Backend::kScalar ? 1 : (quick ? 2 : 5);
-    kernels.push_back(measure_conv_tile(b, 56, 64, 64, 3, 1, reps, tile_iters));
-    kernels.push_back(
-        measure_conv_tile(b, 14, 512, 512, 1, 1, reps, tile_iters));
-    kernels.push_back(measure_conv_tile(b, 224, 3, 64, 7, 2, reps, tile_iters));
+    kernels.push_back(measure_conv_tile(b, 56, 64, 64, 3, 1, tile_iters));
+    kernels.push_back(measure_conv_tile(b, 14, 512, 512, 1, 1, tile_iters));
+    kernels.push_back(measure_conv_tile(b, 224, 3, 64, 7, 2, tile_iters));
   }
 
   // Whole-network simulator wall-clock: AlexNet once per backend (the
@@ -671,6 +715,11 @@ int run_perf_harness(const std::string& path, bool quick) {
     w.kv("n", k.n);
     w.kv("gbps", k.gbps);
     w.kv("mac_per_s", k.mac_per_s);
+    if (k.runs > 0) {
+      w.kv("runs", k.runs);
+      w.kv("gbps_min", k.gbps_min);
+      w.kv("gbps_max", k.gbps_max);
+    }
     w.end_object();
   }
   w.end_array();
@@ -722,6 +771,9 @@ int run_perf_harness(const std::string& path, bool quick) {
     w.kv("jobs", r.jobs);
     w.kv("requests", r.requests);
     w.kv("infer_per_s", r.infer_per_s);
+    w.kv("runs", kSpreadRuns);
+    w.kv("infer_per_s_min", r.infer_per_s_min);
+    w.kv("infer_per_s_max", r.infer_per_s_max);
     if (r.per_call_infer_per_s > 0.0) {
       w.kv("per_call_infer_per_s", r.per_call_infer_per_s);
       w.kv("speedup_vs_per_call", r.speedup_vs_per_call);
@@ -749,10 +801,15 @@ int run_perf_harness(const std::string& path, bool quick) {
   std::printf("wrote %s (%zu kernel points, %zu whole-net runs, "
               "%zu serve points)\n",
               path.c_str(), kernels.size(), whole.size(), serve.size());
-  for (const KernelResult& k : kernels)
-    std::printf("  %-16s %-6s n=%-5lld %8.2f GB/s %12.0f MAC/s\n",
+  for (const KernelResult& k : kernels) {
+    std::printf("  %-16s %-6s n=%-5lld %8.2f GB/s %12.0f MAC/s",
                 k.name.c_str(), k.backend.c_str(),
                 static_cast<long long>(k.n), k.gbps, k.mac_per_s);
+    if (k.runs > 0)
+      std::printf("  (median of %d, %.2f-%.2f GB/s)", k.runs, k.gbps_min,
+                  k.gbps_max);
+    std::printf("\n");
+  }
   for (const WholeNetResult& r : whole) {
     std::printf("  sim %-9s %-6s [%-10s] %10.1f ms %14.0f MAC/s",
                 r.net.c_str(), r.backend.c_str(), r.tier.c_str(), r.wall_ms,
@@ -765,9 +822,11 @@ int run_perf_harness(const std::string& path, bool quick) {
     std::printf("\n");
   }
   for (const ServeResult& r : serve) {
-    std::printf("  serve %-7s %-6s [%-10s] jobs=%-2lld %7.3f inf/s",
+    std::printf("  serve %-7s %-6s [%-10s] jobs=%-2lld %7.3f inf/s "
+                "(median of %d, %.3f-%.3f)",
                 r.net.c_str(), r.backend.c_str(), r.tier.c_str(),
-                static_cast<long long>(r.jobs), r.infer_per_s);
+                static_cast<long long>(r.jobs), r.infer_per_s, kSpreadRuns,
+                r.infer_per_s_min, r.infer_per_s_max);
     if (r.b != 1) std::printf("  b=%lld", static_cast<long long>(r.b));
     if (r.per_call_infer_per_s > 0.0)
       std::printf("  (per-call %.3f inf/s, session %.2fx)",

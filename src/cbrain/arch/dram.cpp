@@ -17,19 +17,6 @@ void Dram::bounds(DramAddr addr, i64 words) const {
                                << ") out of range");
 }
 
-std::int16_t Dram::read(DramAddr addr) const {
-  bounds(addr, 1);
-  return mem_[static_cast<std::size_t>(addr)];
-}
-
-void Dram::write(DramAddr addr, std::int16_t value) {
-  bounds(addr, 1);
-  mem_[static_cast<std::size_t>(addr)] = value;
-  if (fault_ != nullptr)
-    fault_->on_dram_write(addr, 1,
-                          mem_.data() + static_cast<std::size_t>(addr));
-}
-
 void Dram::read_block(DramAddr addr, i64 words, std::int16_t* out) const {
   std::copy_n(read_span(addr, words), words, out);
 }
@@ -46,6 +33,17 @@ void Dram::write_words(DramAddr addr, i64 words, const std::int16_t* in) {
   if (fault_ != nullptr)
     for (i64 i = 0; i < words; ++i)
       fault_->on_dram_write(addr + i, 1, dst + i);
+}
+
+Dram::StridedRun Dram::strided_run(DramAddr addr, i64 stride, i64 words) {
+  CBRAIN_CHECK(stride >= 1, "DRAM run stride " << stride << " must be >= 1");
+  bounds(addr, words > 0 ? (words - 1) * stride + 1 : 0);
+  StridedRun run;
+  run.base_ = mem_.data() + static_cast<std::size_t>(addr);
+  run.addr_ = addr;
+  run.stride_ = stride;
+  run.fault_ = fault_;
+  return run;
 }
 
 }  // namespace cbrain

@@ -21,17 +21,36 @@ class Dram {
 
   i64 capacity_words() const { return static_cast<i64>(mem_.size()); }
 
-  std::int16_t read(DramAddr addr) const;
-  void write(DramAddr addr, std::int16_t value);
   void read_block(DramAddr addr, i64 words, std::int16_t* out) const;
   // Bounds-checked view of [addr, addr+words): a read with no copy (the
   // fault-free DMA load's source).
   const std::int16_t* read_span(DramAddr addr, i64 words) const;
-  // Bulk equivalent of `words` write() calls at addr, addr+1, ...: one
-  // copy, then the fault hook once per word in address order, so memory,
-  // FaultStats (code_words included) and the event log match the
+  // Bulk equivalent of `words` StridedRun::put calls at addr, addr+1,
+  // ...: one copy, then the fault hook once per word in address order, so
+  // memory, FaultStats (code_words included) and the event log match the
   // word-at-a-time loop.
   void write_words(DramAddr addr, i64 words, const std::int16_t* in);
+
+  // A strided destination, bounds-checked once: word i of the run lands
+  // at addr + i*stride. put() stores one word and then calls the fault
+  // hook on it, so a caller that interleaves several runs word by word
+  // keeps the hook order of one write per word.
+  class StridedRun {
+   public:
+    void put(i64 i, std::int16_t value) const {
+      std::int16_t* w = base_ + i * stride_;
+      *w = value;
+      if (fault_ != nullptr) fault_->on_dram_write(addr_ + i * stride_, 1, w);
+    }
+
+   private:
+    friend class Dram;
+    std::int16_t* base_ = nullptr;
+    DramAddr addr_ = 0;
+    i64 stride_ = 1;
+    FaultInjector* fault_ = nullptr;
+  };
+  StridedRun strided_run(DramAddr addr, i64 stride, i64 words);
 
   // Fault-injection hook: at-rest corruption strikes on the write path
   // (what lands in the array is what later reads observe). Detached =

@@ -1,9 +1,11 @@
 #include "cbrain/sim/executor.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "cbrain/arch/phase_clock.hpp"
 #include "cbrain/common/logging.hpp"
+#include "cbrain/common/thread_pool.hpp"
 #include "cbrain/compiler/scheme.hpp"
 #include "cbrain/func/kernels.hpp"
 #include "cbrain/obs/metrics.hpp"
@@ -15,6 +17,10 @@
 
 namespace cbrain {
 namespace {
+
+static_assert(sizeof(Fixed16) == sizeof(std::int16_t) &&
+                  std::is_standard_layout_v<Fixed16>,
+              "a staged Fixed16 cube is written to DRAM as its int16 raws");
 
 // Snapshot of all stat sources, used to attribute deltas to layers.
 struct StatSnapshot {
@@ -164,14 +170,20 @@ class Executor {
     return result;
   }
 
+  // One bounds-checked span per x-row of each map.
   Tensor3<Fixed16> read_cube(const CubeSpec& cube, MapDims logical) const {
     Tensor3<Fixed16> t(logical);
+    const i64 stride = run_stride(cube.padded, cube.order, RunAxis::kX);
+    Fixed16* out = t.raw_data();
     for (i64 d = 0; d < logical.d; ++d)
-      for (i64 y = 0; y < logical.h; ++y)
+      for (i64 y = 0; y < logical.h; ++y) {
+        const std::int16_t* row = m_.dram().read_span(
+            cube.addr + linear_offset(cube.padded, cube.order, d,
+                                      y + cube.off_y, cube.off_x),
+            (logical.w - 1) * stride + 1);
         for (i64 x = 0; x < logical.w; ++x)
-          t.at(d, y, x) = Fixed16::from_raw(m_.dram().read(
-              cube.addr + linear_offset(cube.padded, cube.order, d,
-                                        y + cube.off_y, x + cube.off_x)));
+          *out++ = Fixed16::from_raw(row[x * stride]);
+      }
     return t;
   }
 
@@ -410,15 +422,8 @@ class Executor {
     CBRAIN_CHECK(in_layer.kind == LayerKind::kInput,
                  "layer 0 must be the input");
     CBRAIN_CHECK(input.dims() == in_layer.out_dims, "input dims mismatch");
-    for (const OutputMap& m : out_maps(in_layer.id)) {
-      for (i64 d = 0; d < input.dims().d; ++d)
-        for (i64 y = 0; y < input.dims().h; ++y)
-          for (i64 x = 0; x < input.dims().w; ++x)
-            m_.dram().write(
-                m.base + linear_offset(m.cube_dims, m.order, d + m.d_offset,
-                                       y + m.y_offset, x + m.x_offset),
-                input.at(d, y, x).raw());
-    }
+    // The whole image to one map, then to the next.
+    for (const OutputMap& m : out_maps(in_layer.id)) store_cube({&m, 1}, input);
   }
 
   // --- instruction handlers -----------------------------------------------
@@ -460,20 +465,59 @@ class Executor {
     return compiled_.layout.out_maps[static_cast<std::size_t>(id)];
   }
 
-  void store_out(const std::vector<OutputMap>& outs, i64 d_abs, i64 oy,
-                 i64 ox, std::int16_t raw) {
-    // A latched stuck multiplier lane corrupts the outputs it produced
-    // (conv/fc only — pool and host ops bypass the multipliers).
-    if (pe_filter_ && fault_->pe_fault_active())
-      raw = fault_->apply_pe_fault(d_abs, raw);
+  // --- output runs --------------------------------------------------------
+  //
+  // Outputs reach DRAM by runs: the lanes of one output pixel (conv, pool,
+  // FC and eltwise tiles step along depth) or one x-row of one map (host
+  // ops and the input image step along x).
+  enum class RunAxis { kDepth, kX };
+
+  static i64 run_stride(const MapDims& cube, DataOrder order, RunAxis axis) {
+    if (axis == RunAxis::kDepth)
+      return order == DataOrder::kDepthMajor ? 1 : cube.h * cube.w;
+    return order == DataOrder::kDepthMajor ? cube.d : 1;
+  }
+
+  // Stores the n-word run that starts at output word (d, y, x) and steps
+  // along `axis` to every map of `outs`. Each map's base and stride are
+  // computed and bounds-checked once. Then, word by word in order,
+  // word(i) yields the value, a latched stuck multiplier lane filters it
+  // (conv/fc only: pool and host ops bypass the multipliers), and every
+  // map stores it and runs its DRAM fault hook. The PE event log, the
+  // DRAM strike stream and any hooks word(i) runs itself interleave per
+  // word, so the hook order is that of one write per word (DESIGN.md §8).
+  template <typename WordFn>
+  void store_run(std::span<const OutputMap> outs, RunAxis axis, i64 d, i64 y,
+                 i64 x, i64 n, WordFn&& word) {
+    runs_.clear();
     for (const OutputMap& m : outs) {
-      m_.dram().write(m.base + linear_offset(m.cube_dims, m.order,
-                                             d_abs + m.d_offset,
-                                             oy + m.y_offset,
-                                             ox + m.x_offset),
-                      raw);
-      ++manual_dram_writes_;
+      CBRAIN_DCHECK(axis == RunAxis::kDepth
+                        ? d + n + m.d_offset <= m.cube_dims.d
+                        : x + n + m.x_offset <= m.cube_dims.w,
+                    "output run leaves its cube");
+      runs_.push_back(m_.dram().strided_run(
+          m.base + linear_offset(m.cube_dims, m.order, d + m.d_offset,
+                                 y + m.y_offset, x + m.x_offset),
+          run_stride(m.cube_dims, m.order, axis), n));
     }
+    const bool pe_filter = pe_filter_;
+    for (i64 i = 0; i < n; ++i) {
+      std::int16_t raw = word(i);
+      if (pe_filter && fault_->pe_fault_active())
+        raw = fault_->apply_pe_fault(axis == RunAxis::kDepth ? d + i : d, raw);
+      for (const Dram::StridedRun& r : runs_) r.put(i, raw);
+    }
+    manual_dram_writes_ += n * static_cast<i64>(outs.size());
+  }
+
+  // A host tensor to every map of `outs`, one x-row run at a time.
+  void store_cube(std::span<const OutputMap> outs, const Tensor3<Fixed16>& t) {
+    const MapDims dims = t.dims();
+    const Fixed16* v = t.raw_data();
+    for (i64 d = 0; d < dims.d; ++d)
+      for (i64 y = 0; y < dims.h; ++y, v += dims.w)
+        store_run(outs, RunAxis::kX, d, y, 0, dims.w,
+                  [v](i64 x) { return v[x].raw(); });
   }
 
   static std::int16_t finalize_value(acc_t acc, bool relu) {
@@ -591,18 +635,24 @@ class Executor {
     const auto dot = simd::deep_window_ok(wrows_.data(), rs, douts, rs)
                          ? simd::dot_s16_mrhs_dw
                          : simd::dot_s16_mrhs;
-    patches_.assign(static_cast<std::size_t>(in.out_w * rs), 0);
+    // One task per output row (DESIGN.md §6): it gathers the row's
+    // patches into its own scratch and writes only that row's sums, so
+    // the result does not depend on which lane ran it. Under the nesting
+    // rule the rows fan out only for a lone inference.
     sums_.resize(static_cast<std::size_t>(douts * npix));
-    for (i64 oy = in.out_row0; oy < in.out_row1; ++oy) {
-      const std::int16_t* row = band + map.row0 + oy * map.row_step;
+    parallel::parallel_for(in.out_row1 - in.out_row0, [&](i64 r) {
+      std::vector<std::int16_t> patches(
+          static_cast<std::size_t>(in.out_w * rs), 0);
+      const std::int16_t* row =
+          band + map.row0 + (in.out_row0 + r) * map.row_step;
       for (i64 ox = 0; ox < in.out_w; ++ox) {
         const std::int16_t* src = row + ox * map.x_step;
-        std::int16_t* dst = patches_.data() + ox * rs;
+        std::int16_t* dst = patches.data() + ox * rs;
         for (i64 j = 0; j < n; ++j) dst[j] = src[map.tap[j]];
       }
-      dot(patches_.data(), rs, in.out_w, wrows_.data(), rs, douts, rs,
-          sums_.data() + (oy - in.out_row0) * in.out_w, npix);
-    }
+      dot(patches.data(), rs, in.out_w, wrows_.data(), rs, douts, rs,
+          sums_.data() + r * in.out_w, npix);
+    });
 
     std::vector<acc_t> bias_acc(static_cast<std::size_t>(tout), 0);
     for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout) {
@@ -616,17 +666,20 @@ class Executor {
       i64 pix = 0;
       for (i64 oy = in.out_row0; oy < in.out_row1; ++oy) {
         for (i64 ox = 0; ox < in.out_w; ++ox, ++pix) {
+          const acc_t* sum = sums_.data() + l0 * npix + pix;
+          if (!buffered) {
+            store_run(outs, RunAxis::kDepth, lane0, oy, ox, L, [&](i64 l) {
+              return finalize_value(
+                  sum[l * npix] + bias_acc[static_cast<std::size_t>(l)],
+                  in.relu);
+            });
+            continue;
+          }
+          acc_t* p = partials + pix * douts + l0;
           for (i64 l = 0; l < L; ++l) {
-            const acc_t v = sums_[static_cast<std::size_t>((l0 + l) * npix +
-                                                           pix)] +
-                            bias_acc[static_cast<std::size_t>(l)];
-            if (!buffered) {
-              store_out(outs, lane0 + l, oy, ox,
-                        finalize_value(v, in.relu));
-              continue;
-            }
-            acc_t& p = partials[pix * douts + l0 + l];
-            p = in.first_din_chunk ? v : p + v;
+            const acc_t v =
+                sum[l * npix] + bias_acc[static_cast<std::size_t>(l)];
+            p[l] = in.first_din_chunk ? v : p[l] + v;
           }
         }
       }
@@ -661,12 +714,10 @@ class Executor {
     // the whole pass.
     const acc_t* partials = m_.output_buf().span(0, npix * douts);
     m_.output_buf().count_reads(npix * douts);
-    i64 idx = 0;
     for (i64 oy = in.out_row0; oy < in.out_row1; ++oy)
-      for (i64 ox = 0; ox < in.out_w; ++ox)
-        for (i64 d = in.dout0; d < in.dout1; ++d, ++idx)
-          store_out(outs, d, oy, ox,
-                    finalize_value(partials[idx], in.relu));
+      for (i64 ox = 0; ox < in.out_w; ++ox, partials += douts)
+        store_run(outs, RunAxis::kDepth, in.dout0, oy, ox, douts,
+                  [&](i64 d) { return finalize_value(partials[d], in.relu); });
   }
 
   // Per-lane-group counter blocks, in closed form: totals identical to
@@ -793,19 +844,15 @@ class Executor {
           manual_cycles_ += n;
           if (n > 1) manual_adds((n - 1) * L);
           if (in.kind == PoolKind::kAvg) manual_muls(L);  // the 1/n scale
-          for (i64 l = 0; l < L; ++l) {
-            std::int16_t raw;
-            if (in.kind == PoolKind::kMax) {
-              raw = best[static_cast<std::size_t>(l)];
-            } else {
-              // Round-half-away-from-zero integer mean — matches the
-              // double-precision reference exactly for int16 sums.
-              const acc_t s = acc[static_cast<std::size_t>(l)];
-              const acc_t num = s >= 0 ? 2 * s + n : 2 * s - n;
-              raw = saturate_to_i16(num / (2 * n));
-            }
-            store_out(outs, lane0 + l, oy, ox, raw);
-          }
+          store_run(outs, RunAxis::kDepth, lane0, oy, ox, L, [&](i64 l) {
+            if (in.kind == PoolKind::kMax)
+              return best[static_cast<std::size_t>(l)];
+            // Round-half-away-from-zero integer mean — matches the
+            // double-precision reference exactly for int16 sums.
+            const acc_t s = acc[static_cast<std::size_t>(l)];
+            const acc_t num = s >= 0 ? 2 * s + n : 2 * s - n;
+            return saturate_to_i16(num / (2 * n));
+          });
         }
       }
     }
@@ -836,14 +883,13 @@ class Executor {
       const i64 L = std::min(tout, in.d1 - lane0);
       for (i64 oy = in.out_row0; oy < in.out_row1; ++oy) {
         for (i64 ox = 0; ox < in.out_w; ++ox) {
-          for (i64 l = 0; l < L; ++l) {
+          store_run(outs, RunAxis::kDepth, lane0, oy, ox, L, [&](i64 l) {
             // Same arithmetic as eltwise_add_ref: both operands promoted
             // to Q16.16, one rounding/saturation point at finalize.
             const acc_t sum = bias_to_acc(at(a, lane0 + l, oy, ox)) +
                               bias_to_acc(at(b, lane0 + l, oy, ox));
-            store_out(outs, lane0 + l, oy, ox,
-                      finalize_value(sum, in.relu));
-          }
+            return finalize_value(sum, in.relu);
+          });
         }
       }
       // Batched accounting: one adder-tree cycle per pixel position, L
@@ -883,23 +929,32 @@ class Executor {
       m_.input_buf().count_reads(dins);
       m_.weight_buf().count_reads(dins * L);
       m_.pe().count_mac(dins * L, dins * L);
-      for (i64 l = 0; l < L; ++l) {
+      if (!multi) {
+        store_run(outs, RunAxis::kDepth, lane0, 0, 0, L, [&](i64 l) {
+          return finalize_value(acc[static_cast<std::size_t>(l)], in.relu);
+        });
+        continue;
+      }
+      // One partial per output neuron. A finalizing chunk updates each
+      // partial inside the store loop, so its accumulator hooks run
+      // before that word's store, as with one store per word.
+      const auto update = [&](i64 l) {
         const acc_t a = acc[static_cast<std::size_t>(l)];
-        if (!multi) {
-          store_out(outs, lane0 + l, 0, 0, finalize_value(a, in.relu));
-          continue;
-        }
-        const i64 idx = lane0 + l;  // one partial per output neuron
         if (in.first_din_chunk) {
-          m_.output_buf().write(idx, a);
+          m_.output_buf().write(lane0 + l, a);
         } else {
-          m_.output_buf().accumulate(idx, a);
+          m_.output_buf().accumulate(lane0 + l, a);
           m_.pe().count_add(1);
         }
-        if (in.last_din_chunk)
-          store_out(outs, lane0 + l, 0, 0,
-                    finalize_value(m_.output_buf().read(idx), in.relu));
+      };
+      if (!in.last_din_chunk) {
+        for (i64 l = 0; l < L; ++l) update(l);
+        continue;
       }
+      store_run(outs, RunAxis::kDepth, lane0, 0, 0, L, [&](i64 l) {
+        update(l);
+        return finalize_value(m_.output_buf().read(lane0 + l), in.relu);
+      });
     }
   }
 
@@ -913,10 +968,9 @@ class Executor {
         const ConvGeometry geom{l.in_dims.h, l.in_dims.w, p.k, p.stride,
                                 p.pad, p.dilation};
         const Tensor3<Fixed16> unrolled = unroll_input(raw, geom);
-        const CubeSpec& dst = compiled_.layout.unroll_cube[idx];
-        i64 a = dst.addr;
-        for (const Fixed16& v : unrolled.storage())
-          m_.dram().write(a++, v.raw());
+        m_.dram().write_words(
+            compiled_.layout.unroll_cube[idx].addr, unrolled.size(),
+            reinterpret_cast<const std::int16_t*>(unrolled.raw_data()));
         manual_dram_reads_ += raw.size();
         manual_dram_writes_ += unrolled.size();
         // Serial host staging at DRAM speed (see model/network_model).
@@ -927,7 +981,7 @@ class Executor {
       case HostOpKind::kLrn: {
         const Tensor3<Fixed16> x = read_cube(src, l.in_dims);
         const Tensor3<Fixed16> y = lrn_ref(x, l.lrn());
-        host_store(l, y);
+        store_cube(out_maps(l.id), y);
         manual_dram_reads_ += x.size();
         // Activation-function unit streaming pass.
         manual_cycles_ += ceil_div(x.size(), m_.config().tout);
@@ -935,19 +989,11 @@ class Executor {
       }
       case HostOpKind::kSoftmax: {
         const Tensor3<Fixed16> x = read_cube(src, l.in_dims);
-        host_store(l, softmax_ref(x));
+        store_cube(out_maps(l.id), softmax_ref(x));
         manual_dram_reads_ += x.size();
         break;
       }
     }
-  }
-
-  void host_store(const Layer& l, const Tensor3<Fixed16>& t) {
-    const std::vector<OutputMap>& outs = out_maps(l.id);
-    for (i64 d = 0; d < t.dims().d; ++d)
-      for (i64 y = 0; y < t.dims().h; ++y)
-        for (i64 x = 0; x < t.dims().w; ++x)
-          store_out(outs, d, y, x, t.at(d, y, x).raw());
   }
 
   void manual_adds(i64 n) { m_.pe().count_add(n); }
@@ -962,8 +1008,8 @@ class Executor {
   bool pe_filter_ = false;
   // exec_conv scratch, reused across tiles.
   std::vector<std::int16_t> wrows_;
-  std::vector<std::int16_t> patches_;
   std::vector<acc_t> sums_;
+  std::vector<Dram::StridedRun> runs_;  // store_run's per-map destinations
   i64 manual_cycles_ = 0;
   i64 manual_dram_writes_ = 0;
   i64 manual_dram_reads_ = 0;

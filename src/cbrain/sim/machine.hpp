@@ -21,6 +21,7 @@ class SimMachine {
   const AcceleratorConfig& config() const { return config_; }
 
   Dram& dram() { return dram_; }
+  const Dram& dram() const { return dram_; }
   Sram16& input_buf() { return input_; }
   Sram16& weight_buf() { return weight_; }
   Sram16& bias_buf() { return bias_; }

@@ -65,9 +65,17 @@ TEST(AccumSram, PartialsAreTwoWordsEach) {
 
 TEST(Dram, ReadWriteAndBounds) {
   Dram d(1024);
-  d.write(150, -7);
-  EXPECT_EQ(d.read(150), -7);
-  EXPECT_THROW(d.read(1024), CheckError);
+  const std::int16_t v = -7;
+  d.write_words(150, 1, &v);
+  EXPECT_EQ(d.read_span(150, 1)[0], -7);
+  EXPECT_THROW(d.read_span(1024, 1), CheckError);
+  // Word i of a strided run lands at addr + i*stride; the run is checked
+  // once, from its first word to its last.
+  d.strided_run(200, 3, 4).put(3, 5);
+  EXPECT_EQ(d.read_span(209, 1)[0], 5);
+  EXPECT_NO_THROW(d.strided_run(999, 8, 4));
+  EXPECT_THROW(d.strided_run(1000, 8, 4), CheckError);
+  EXPECT_THROW(d.strided_run(-1, 1, 1), CheckError);
 }
 
 TEST(Dma, TransferTimingModel) {
@@ -81,7 +89,8 @@ TEST(Dma, TransferTimingModel) {
   Dram dram(256);
   Sram16 sram("s", 128);
   DmaEngine dma(cfg);
-  dram.write(10, 99);
+  const std::int16_t word = 99;
+  dram.write_words(10, 1, &word);
   dma.load(dram, 10, sram, 0, 4);
   EXPECT_EQ(sram.read(0), 99);
   EXPECT_EQ(sram.stats().writes, 4);

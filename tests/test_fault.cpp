@@ -477,9 +477,10 @@ std::string stats_line(const FaultStats& st) {
 }
 
 // The parameter loader writes rows with Dram::write_words. Under an
-// attached injector that must be indistinguishable from one Dram::write
-// per word: same memory, same FaultStats (code words included), same
-// event log, same pending overhead.
+// attached injector that must be indistinguishable from one
+// StridedRun::put per word (the executor's output store path): same
+// memory, same FaultStats (code words included), same event log, same
+// pending overhead.
 TEST(FaultInjector, DramWriteWordsMatchesPerWordWrites) {
   std::vector<std::int16_t> data(3000);
   Rng rng(5);
@@ -501,8 +502,9 @@ TEST(FaultInjector, DramWriteWordsMatchesPerWordWrites) {
     i64 a = 100;
     for (const i64 n : rows) {
       bulk.write_words(a, n, data.data() + (a - 100));
+      const Dram::StridedRun run = word.strided_run(a, 1, n);
       for (i64 i = 0; i < n; ++i)
-        word.write(a + i, data[static_cast<std::size_t>(a - 100 + i)]);
+        run.put(i, data[static_cast<std::size_t>(a - 100 + i)]);
       a += n;
     }
     std::vector<std::int16_t> got(4096), want(4096);
@@ -514,6 +516,66 @@ TEST(FaultInjector, DramWriteWordsMatchesPerWordWrites) {
     EXPECT_EQ(bulk_inj.event_log(), word_inj.event_log());
     EXPECT_EQ(bulk_inj.take_overhead_cycles(),
               word_inj.take_overhead_cycles());
+  }
+}
+
+// A layer whose outputs land in several consumer cubes stores each word to
+// every cube before the next word, after the PE stuck-lane filter, so the
+// PE event log and the DRAM strike stream interleave word by word. With
+// the DRAM, PE and accumulator sites armed hard on mini_inception (its
+// stem feeds four branches) under a classic and an adaptive policy, the
+// DRAM image, FaultStats and event log are pinned to values captured with
+// the word-at-a-time store path.
+TEST(FaultInjector, MultiMapStoresKeepTheHookOrder) {
+  struct Expected {
+    Policy policy;
+    u64 dram_digest;
+    const char* stats;
+    u64 log_digest;
+  };
+  static const Expected kAnchors[] = {
+      {Policy::kFixedInter, 0xffebc2833dc5da25ull,
+       "0 0 0 0 426 0 8 0 0 0 0 0 0 0 426 0 0 434 0 0 0 0 0 ",
+       0x9aa0ca4902bdb9d8ull},
+      {Policy::kAdaptive2, 0xa0221ebde82d89e3ull,
+       "0 0 0 831 403 0 8 0 0 0 0 0 0 0 1370 0 0 1242 0 0 0 0 0 ",
+       0x05040d311a2c999full},
+  };
+  const Network net = zoo::mini_inception();
+  const AcceleratorConfig config = AcceleratorConfig::paper_16_16();
+  const auto params = init_net_params<Fixed16>(net, 42);
+  const auto input = random_input<Fixed16>(net.layer(0).out_dims, 43);
+  for (const Expected& want : kAnchors) {
+    SCOPED_TRACE(policy_name(want.policy));
+    const auto compiled = compile_network(net, want.policy, config);
+    ASSERT_TRUE(compiled.is_ok());
+    std::size_t max_maps = 0;
+    for (const auto& maps : compiled.value().layout.out_maps)
+      max_maps = std::max(max_maps, maps.size());
+    ASSERT_GE(max_maps, 2u);
+
+    FaultConfig fc;
+    fc.seed = 11;
+    fc.recovery = RecoveryPolicy::kNone;
+    for (const FaultSite site :
+         {FaultSite::kDram, FaultSite::kPeLane, FaultSite::kAccumSram})
+      fc.rate(site) = 20000;
+    FaultInjector injector(fc);
+    SimExecutor sim(net, compiled.value(), config);
+    sim.attach_fault(&injector);
+    (void)sim.run(input, params);
+
+    const FaultStats& st = injector.stats();
+    EXPECT_GT(st.injected[static_cast<std::size_t>(FaultSite::kDram)], 0);
+    EXPECT_GT(st.injected[static_cast<std::size_t>(FaultSite::kPeLane)], 0);
+    const Dram& dram = sim.machine().dram();
+    const std::int16_t* image = dram.read_span(0, dram.capacity_words());
+    const std::string bytes(
+        reinterpret_cast<const char*>(image),
+        static_cast<std::size_t>(dram.capacity_words()) * sizeof(*image));
+    EXPECT_EQ(fnv1a(bytes), want.dram_digest);
+    EXPECT_EQ(stats_line(st), want.stats);
+    EXPECT_EQ(fnv1a(injector.event_log()), want.log_digest);
   }
 }
 

@@ -245,6 +245,85 @@ TEST(ObsDeterminism, CycleSpansAndCountersIdenticalAcrossJobsAndSimd) {
   ASSERT_TRUE(simd::select_backend("auto"));
 }
 
+std::string counters_line(const TrafficCounters& c) {
+  std::string s;
+  for (const i64 v :
+       {c.input_reads, c.input_writes, c.output_reads, c.output_writes,
+        c.weight_reads, c.weight_writes, c.bias_reads, c.bias_writes,
+        c.dram_reads, c.dram_writes, c.mul_ops, c.idle_mul_slots, c.add_ops,
+        c.compute_cycles, c.total_cycles})
+    s += std::to_string(v) + " ";
+  return s;
+}
+
+// The cycle tier's conv value pass fans out over output rows for a lone
+// inference; its epilogue and every fault hook stay serial. scheme_mix
+// under the five compiling policies runs every scheme's value pass and
+// both conv epilogues (straight from the PE and through the partials
+// buffer); at pool widths 1, 2 and 4, with and without a weight+PE
+// injector (parity replays re-run the pass), the output, per-layer
+// counters, cycle trace and fault event log must not depend on the width.
+TEST(ObsDeterminism, CycleValuePassIdenticalAcrossWorkerCounts) {
+  const i64 jobs_before = parallel::default_jobs();
+  const Network net = zoo::scheme_mix_cnn();
+  const AcceleratorConfig config = AcceleratorConfig::paper_16_16();
+  const auto params = init_net_params<Fixed16>(net, 42);
+  const auto input = random_input<Fixed16>(net.layer(0).out_dims, 43);
+  obs::Tracer& tr = obs::Tracer::global();
+
+  // Everything one run shows, as text: output raws, per-layer counters,
+  // the Chrome trace and the fault stats and event log.
+  const auto run = [&](const CompiledNetwork& compiled, bool faulty) {
+    FaultConfig fc;
+    fc.seed = 5;
+    fc.recovery = RecoveryPolicy::kParityRetry;
+    fc.rate(FaultSite::kWeightSram) = 2000;
+    fc.rate(FaultSite::kPeLane) = 2000;
+    FaultInjector injector(fc);
+    SimExecutor sim(net, compiled, config);
+    if (faulty) sim.attach_fault(&injector);
+    (void)tr.drain();
+    tr.enable();
+    const SimResult r = sim.run(input, params);
+    tr.disable();
+    std::vector<std::string> seen(4);
+    for (const Fixed16 v : r.final_output.storage())
+      seen[0] += std::to_string(v.raw()) + " ";
+    for (const TrafficCounters& c : r.per_layer)
+      seen[1] += counters_line(c) + "\n";
+    seen[2] = obs::to_chrome_trace_json(tr.drain());
+    seen[3] = std::to_string(injector.stats().total_injected()) + " " +
+              std::to_string(injector.stats().instruction_replays) + "\n" +
+              injector.event_log();
+    return seen;
+  };
+
+  for (const Policy policy :
+       {Policy::kFixedInter, Policy::kFixedIntra, Policy::kFixedPartition,
+        Policy::kAdaptive1, Policy::kAdaptive2}) {
+    const auto compiled = compile_network(net, policy, config);
+    ASSERT_TRUE(compiled.is_ok());
+    for (const bool faulty : {false, true}) {
+      parallel::set_default_jobs(1);
+      const std::vector<std::string> reference = run(compiled.value(), faulty);
+      if (faulty) {
+        EXPECT_FALSE(reference[3].starts_with("0 ")) << "no fault injected";
+      }
+      for (const i64 jobs : {i64{2}, i64{4}}) {
+        SCOPED_TRACE(std::string(policy_name(policy)) + " jobs=" +
+                     std::to_string(jobs) + (faulty ? " faulty" : ""));
+        parallel::set_default_jobs(jobs);
+        const std::vector<std::string> seen = run(compiled.value(), faulty);
+        EXPECT_EQ(seen[0], reference[0]) << "final_output";
+        EXPECT_EQ(seen[1], reference[1]) << "per-layer counters";
+        EXPECT_EQ(seen[2], reference[2]) << "cycle trace";
+        EXPECT_EQ(seen[3], reference[3]) << "fault stats and event log";
+      }
+    }
+  }
+  parallel::set_default_jobs(jobs_before);
+}
+
 TEST(ObsDeterminism, SimSpansNestInsideTheInferSpan) {
   obs::Tracer& tr = obs::Tracer::global();
   (void)tr.drain();

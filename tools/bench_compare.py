@@ -12,6 +12,11 @@ files. The file has four sections of points:
   multichip  — simulated multi-chip scaling (sim_images_per_s).
 Any other section is ignored, so a baseline written with sections this
 script does not read still compares.
+Points the harness runs several times (every serve point and every
+conv_tile kernel point) carry "runs" and a <metric>_min/_max spread; their
+<metric> is the median run, so the diff is median against median, and the
+current spread is printed beside the ratio. A one-run point from an older
+baseline still compares by its single value.
 Extra points on either side are listed, not compared — a --quick run
 legitimately omits VGG16, and a baseline from before the two-tier split
 simply has no functional-tier entries; those show up as "new entry",
@@ -72,17 +77,23 @@ def multichip_key(r):
     return ("multichip", r["net"], r["chips"], r["partition"])
 
 
+def spread(r, metric):
+    lo, hi = r.get(metric + "_min"), r.get(metric + "_max")
+    return (lo, hi) if lo is not None and hi is not None else None
+
+
 def index(doc):
     points = {}
     for k in doc.get("kernels", []):
         # Higher is better for throughput. Entries missing their metric
         # (older harness versions) are skipped rather than fatal.
         if "gbps" in k:
-            points[kernel_key(k)] = ("gbps", k["gbps"])
+            points[kernel_key(k)] = ("gbps", k["gbps"], spread(k, "gbps"))
     for r in doc.get("whole_net", []):
         # Convert wall_ms to a rate so "higher is better" holds uniformly.
         if r.get("wall_ms"):
-            points[wholenet_key(r)] = ("1/wall_ms", 1.0 / r["wall_ms"])
+            points[wholenet_key(r)] = ("1/wall_ms", 1.0 / r["wall_ms"],
+                                       None)
         # Cycle points also split wall_ms into setup and infer; files
         # written before the split have neither, so these keys show up as
         # new entries against such a baseline, never as regressions.
@@ -90,14 +101,15 @@ def index(doc):
             ms = r.get(phase + "_ms")
             if ms:
                 points[(phase,) + wholenet_key(r)[1:]] = (f"1/{phase}_ms",
-                                                         1.0 / ms)
+                                                         1.0 / ms, None)
     for r in doc.get("serve", []):
         if "infer_per_s" in r:
-            points[serve_key(r)] = ("infer_per_s", r["infer_per_s"])
+            points[serve_key(r)] = ("infer_per_s", r["infer_per_s"],
+                                    spread(r, "infer_per_s"))
     for r in doc.get("multichip", []):
         if "sim_images_per_s" in r:
             points[multichip_key(r)] = ("sim_images_per_s",
-                                        r["sim_images_per_s"])
+                                        r["sim_images_per_s"], None)
     return points
 
 
@@ -135,16 +147,19 @@ def main(argv):
     common = sorted(set(base) & set(cur), key=str)
     regressions = []
 
-    print(f"{'point':<34} {'baseline':>12} {'current':>12} {'ratio':>7}")
+    print(f"{'point':<34} {'baseline':>12} {'current':>12} {'ratio':>7}"
+          f"  current spread")
     for key in common:
-        metric, b = base[key]
-        _, c = cur[key]
+        _, b, _ = base[key]
+        _, c, c_spread = cur[key]
         ratio = c / b if b > 0 else float("inf")
         flag = ""
         if ratio < threshold:
             flag = "  REGRESSION"
             regressions.append(key)
-        print(f"{fmt_key(key):<34} {b:>12.4g} {c:>12.4g} {ratio:>6.2f}x{flag}")
+        span = f"  [{c_spread[0]:.4g}, {c_spread[1]:.4g}]" if c_spread else ""
+        print(f"{fmt_key(key):<34} {b:>12.4g} {c:>12.4g} {ratio:>6.2f}x"
+              f"{span}{flag}")
 
     for key in sorted(set(base) - set(cur), key=str):
         print(f"{fmt_key(key):<34} (only in baseline)")

@@ -59,6 +59,12 @@ run_suite build-ci-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # filter change can never silently drop them.
 ./build-ci-tsan/tests/test_engine
 ./build-ci-tsan/tests/test_obs
+# A lone cycle-tier request fans its conv value pass out over output rows
+# (one task per row, its own patch scratch, disjoint rows of the sums)
+# while the epilogue and every hook stay on the caller: race-check it on
+# AlexNet, whose every conv layer takes the fan-out.
+./build-ci-tsan/tools/cbrain_cli serve-bench alexnet --requests=1 \
+  --jobs="$JOBS" > /dev/null
 
 echo "=== AddressSanitizer+UBSan build ==="
 run_suite build-ci-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -157,6 +163,18 @@ for build in release asan; do
     > "/tmp/cbrain_site_fault_$build.txt"
 done
 diff /tmp/cbrain_site_fault_release.txt /tmp/cbrain_site_fault_asan.txt
+# The same grid at --jobs=1 (every point and its value pass serial) and
+# at --jobs=N (points spread over the pool, each point's value pass
+# inline under the nesting rule) must print the same bytes.
+./build-ci-release/tools/cbrain_cli fault-campaign \
+  tiny_cnn,lenet5,scheme_mix --site=input,weight,bias,accum,dram,dma,pe \
+  --recovery=none,parity,ecc --rate=500,20000 --events --jobs=1 \
+  > /tmp/cbrain_site_fault_j1.txt
+./build-ci-release/tools/cbrain_cli fault-campaign \
+  tiny_cnn,lenet5,scheme_mix --site=input,weight,bias,accum,dram,dma,pe \
+  --recovery=none,parity,ecc --rate=500,20000 --events --jobs="$JOBS" \
+  > /tmp/cbrain_site_fault_jn.txt
+diff /tmp/cbrain_site_fault_j1.txt /tmp/cbrain_site_fault_jn.txt
 
 echo "=== fidelity: functional tier cross-validated against the oracle ==="
 # The two execution tiers must stay bit-identical (DESIGN.md §12). The
