@@ -156,8 +156,7 @@ void run_dot_bench(benchmark::State& state, simd::Backend b, i64 n) {
 }
 
 void register_simd_benches() {
-  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2}) {
-    if (!simd::backend_supported(b)) continue;
+  for (simd::Backend b : simd::supported_backends()) {
     const std::string name = simd::backend_name(b);
     for (i64 n : {64, 256, 1024}) {
       benchmark::RegisterBenchmark(
@@ -555,20 +554,13 @@ ServeResult measure_serve_batched(const Network& net, simd::Backend b,
   return r;
 }
 
-std::vector<simd::Backend> supported_backends() {
-  std::vector<simd::Backend> v;
-  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2})
-    if (simd::backend_supported(b)) v.push_back(b);
-  return v;
-}
-
 int run_perf_harness(const std::string& path, bool quick) {
   const simd::Backend original = simd::active_backend();
   // A lone request's layer kernels fan out to the pool width. Pin it to
   // one lane so every point times serial layers.
   const i64 original_width = parallel::default_jobs();
   parallel::set_default_jobs(1);
-  const std::vector<simd::Backend> backends = supported_backends();
+  const std::vector<simd::Backend> backends = simd::supported_backends();
   const int reps = quick ? 2 : 5;
   // Iteration counts sized so each rep runs long enough (>~1 ms even on
   // the scalar backend) for steady_clock to resolve the kernel.

@@ -1,9 +1,9 @@
 // Internal to cbrain::simd — the function table one backend translation
 // unit exports. Each backend lives in its own .cpp so the build can apply
-// per-file ISA flags (-mavx2) without letting vector codegen leak into
-// the rest of the library; this header therefore depends on nothing but
-// the standard <cstdint> and <cstring> and the plain data of
-// conv_tile.hpp (a TU compiled with -mavx2 must not instantiate inline
+// per-file ISA flags (-mavx2, -mavxvnni) without letting vector codegen
+// leak into the rest of the library; this header therefore depends on
+// nothing but the standard <cstdint> and <cstring> and the plain data of
+// conv_tile.hpp (a TU compiled with ISA flags must not instantiate inline
 // functions shared with plainly-compiled TUs; the helpers below are
 // `static`, so each backend compiles its own private copy).
 #pragma once
@@ -127,10 +127,14 @@ struct KernelTable {
   void (*axpy_f32)(float, const float*, float*, std::int64_t);
 };
 
-// Always present; the behavioural reference AVX2 must match.
+// Always present; the behavioural reference the vector backends must
+// match.
 const KernelTable* scalar_table();
 // nullptr when AVX2 is not compiled into this build (non-x86 target, or
 // a compiler without -mavx2).
 const KernelTable* avx2_table();
+// The same kernels with AVX-VNNI; nullptr when the compiler lacks
+// -mavxvnni (or -mavx2).
+const KernelTable* avxvnni_table();
 
 }  // namespace cbrain::simd::detail

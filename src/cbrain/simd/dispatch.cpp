@@ -26,6 +26,8 @@ const KernelTable* table_for(Backend b) {
       return detail::scalar_table();
     case Backend::kAvx2:
       return detail::avx2_table();
+    case Backend::kAvxVnni:
+      return detail::avxvnni_table();
   }
   return nullptr;
 }
@@ -37,6 +39,9 @@ bool cpu_supports(Backend b) {
       return true;
     case Backend::kAvx2:
       return __builtin_cpu_supports("avx2");
+    case Backend::kAvxVnni:
+      return __builtin_cpu_supports("avx2") &&
+             __builtin_cpu_supports("avxvnni");
   }
   return false;
 #else
@@ -44,10 +49,11 @@ bool cpu_supports(Backend b) {
 #endif
 }
 
-Backend best_supported() {
-  if (backend_supported(Backend::kAvx2)) return Backend::kAvx2;
-  return Backend::kScalar;
-}
+// Every backend, slowest first.
+constexpr Backend kBackends[] = {Backend::kScalar, Backend::kAvx2,
+                                 Backend::kAvxVnni};
+
+Backend best_supported() { return supported_backends().back(); }
 
 std::atomic<const KernelTable*> g_table{nullptr};
 std::atomic<int> g_backend{static_cast<int>(Backend::kScalar)};
@@ -58,8 +64,8 @@ void install(Backend b) {
 }
 
 bool parse_backend(const std::string& name, Backend* out) {
-  if (name == "scalar") return *out = Backend::kScalar, true;
-  if (name == "avx2") return *out = Backend::kAvx2, true;
+  for (Backend b : kBackends)
+    if (name == backend_name(b)) return *out = b, true;
   return false;
 }
 
@@ -70,7 +76,7 @@ Backend resolve_from_env() {
   Backend b;
   if (!parse_backend(env, &b)) {
     CBRAIN_LOG(kWarn) << "CBRAIN_SIMD='" << env
-                      << "' is not auto|avx2|scalar; using "
+                      << "' is not auto|avx2|avxvnni|scalar; using "
                       << backend_name(best_supported());
     return best_supported();
   }
@@ -119,12 +125,21 @@ const char* backend_name(Backend b) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
+    case Backend::kAvxVnni:
+      return "avxvnni";
   }
   return "?";
 }
 
 bool backend_supported(Backend b) {
   return table_for(b) != nullptr && cpu_supports(b);
+}
+
+std::vector<Backend> supported_backends() {
+  std::vector<Backend> v;
+  for (Backend b : kBackends)
+    if (backend_supported(b)) v.push_back(b);
+  return v;
 }
 
 Backend active_backend() {

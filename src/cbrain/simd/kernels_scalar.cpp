@@ -1,5 +1,5 @@
-// Portable scalar backend — the behavioural reference for the AVX2
-// backend and the only one compiled on non-x86 targets. Plain loops the
+// Portable scalar backend — the behavioural reference for the x86
+// backends and the only one compiled on non-x86 targets. Plain loops the
 // optimizer can still auto-vectorize where legal; correctness never
 // depends on that.
 #include "cbrain/simd/backend_impl.hpp"

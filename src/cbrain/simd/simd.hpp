@@ -16,10 +16,17 @@
 //     each with an exact int64 twin for weights off their contract;
 //
 // plus the max-pool reduction and the reference GEMM's float axpy, in
-// two implementations selected at runtime:
+// three implementations selected at runtime:
 //
-//   * AVX2   — exact widening products / windowed _mm256_madd_epi16 (x86)
-//   * scalar — portable fallback, the behavioural reference
+//   * AVX-VNNI — the AVX2 kernels with every madd + add_epi32 fused into
+//                one vpdpwssd (x86 with AVX-VNNI)
+//   * AVX2     — exact widening products / windowed _mm256_madd_epi16 (x86)
+//   * scalar   — portable fallback, the behavioural reference
+//
+// The two x86 backends are one kernel source (kernels_avx2.inc) compiled
+// in two units, -mavx2 and -mavx2 -mavxvnni; no kernel body is copied.
+// vpdpwssd without saturation is exactly acc + madd(x, w) with wrapping
+// int32 adds, so the contracts below admit both alike.
 //
 // Two weight contracts admit the int32 fast paths, each with an exact
 // checker: deep_window_ok (the dot form's lane windows) and filter_sum_ok
@@ -31,10 +38,10 @@
 // associative and commutative, and accumulators are wide enough never to
 // wrap — products of int16 are ≤ 2^30, acc_t is int64, and the int32
 // sums of the deep-window and pixel-form kernels are bounded by their
-// weight contracts). Both backends
-// therefore return bit-identical results for every input, and the
-// simulator's outputs, accumulators and traffic counters are byte-equal
-// under CBRAIN_SIMD=scalar|avx2. tests/test_simd.cpp enforces this.
+// weight contracts). Every backend therefore returns bit-identical
+// results for every input, and the simulator's outputs, accumulators and
+// traffic counters are byte-equal under CBRAIN_SIMD=scalar|avx2|avxvnni.
+// The tests enforce this over supported_backends().
 // The float axpy kernel keeps the same guarantee by computing each
 // element independently as y[i] + a*x[i] (no FMA, no reassociation).
 //
@@ -44,14 +51,16 @@
 // uses unaligned loads/stores exclusively.
 //
 // Backend selection: resolved once, on first kernel call, from the
-// CBRAIN_SIMD environment variable (auto|avx2|scalar; auto = best
-// supported, the default). An unsupported request logs a warning and
-// falls back to the best supported backend. The CLI's --simd flag and
-// tests override programmatically via select_backend().
+// CBRAIN_SIMD environment variable (auto|avx2|avxvnni|scalar; auto =
+// best supported, the default: avxvnni, then avx2, then scalar). An
+// unsupported request logs a warning and falls back to the best
+// supported backend. The CLI's --simd flag and tests override
+// programmatically via select_backend().
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cbrain/common/math_util.hpp"
 #include "cbrain/fixed/fixed16.hpp"
@@ -59,13 +68,21 @@
 
 namespace cbrain::simd {
 
-enum class Backend { kScalar = 0, kAvx2 = 1 };
+// kAvx2 stays beside kAvxVnni: it is the only fast path of an x86 host
+// without AVX-VNNI.
+enum class Backend { kScalar = 0, kAvx2 = 1, kAvxVnni = 2 };
 
+// "scalar", "avx2" or "avxvnni": the names CBRAIN_SIMD and --simd take.
 const char* backend_name(Backend b);
 
 // True when the backend is both compiled in (x86 build with the matching
 // compiler support) and usable on this CPU. kScalar is always supported.
 bool backend_supported(Backend b);
+
+// Every supported backend, slowest first: kScalar, then whichever of
+// kAvx2 and kAvxVnni this build and CPU support. The back is what "auto"
+// resolves to. Equivalence tests and benches loop over this list.
+std::vector<Backend> supported_backends();
 
 // The backend every kernel below currently dispatches to. Resolves the
 // CBRAIN_SIMD environment variable on first use.
@@ -171,9 +188,9 @@ bool filter_sum_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
 // where finalize is ArithTraits<Fixed16>::finalize (round half away from
 // zero, saturate, optional ReLU) and bias is a promoted (Q16.16) bias
 // with |bias| < 2^31. Under the filter-sum contract the tap sum is
-// accumulated in int32. AVX2 vectorizes k = 3 and 5 at stride 1 and 2
-// along each output row of at least kDwMinCols outputs; other shapes run
-// the scalar reference loop.
+// accumulated in int32. The x86 backends vectorize k = 3 and 5 at
+// stride 1 and 2 along each output row of at least kDwMinCols outputs;
+// other shapes run the scalar reference loop.
 void dw_conv_s16(const std::int16_t* in, i64 in_stride, i64 stride,
                  const std::int16_t* w, i64 k, i64 rows, i64 cols,
                  Fixed16::acc_t bias, bool relu, std::int16_t* out,

@@ -372,12 +372,11 @@ TEST(DeepWindow, BoundIsExactAtTheThreshold) {
     want += static_cast<Fixed16::acc_t>(data[static_cast<std::size_t>(i)]) *
             2047;
   BackendGuard guard;
-  for (auto b : {simd::Backend::kScalar, simd::Backend::kAvx2}) {
-    if (!simd::backend_supported(b)) continue;
+  for (auto b : simd::supported_backends()) {
     simd::select_backend(b);
     Fixed16::acc_t got = 0;
     simd::dot_s16_mrhs_dw(data.data(), n, 1, pass.data(), n, 1, n, &got, 1);
-    EXPECT_EQ(got, want) << "backend " << static_cast<int>(b);
+    EXPECT_EQ(got, want) << simd::backend_name(b);
   }
 }
 
@@ -405,8 +404,7 @@ TEST(DeepWindow, LoneMinWeightStaysOnDeepWindow) {
       Fixed16::acc_t want = 0;
       for (std::size_t i = 0; i < data.size(); ++i)
         want += static_cast<Fixed16::acc_t>(data[i]) * w[i];
-      for (auto b : {simd::Backend::kScalar, simd::Backend::kAvx2}) {
-        if (!simd::backend_supported(b)) continue;
+      for (auto b : simd::supported_backends()) {
         simd::select_backend(b);
         Fixed16::acc_t got = 0;
         simd::dot_s16_mrhs_dw(data.data(), n, 1, w.data(), n, 1, n, &got, 1);
@@ -441,11 +439,10 @@ TEST(MrhsKernels, AllTiersMatchScalarReferenceAtOddShapes) {
         want[static_cast<std::size_t>(r * cols + c)] = acc;
       }
     const bool dw_ok = simd::deep_window_ok(w.data(), ws, rows, n);
-    for (auto b : {simd::Backend::kScalar, simd::Backend::kAvx2}) {
-      if (!simd::backend_supported(b)) continue;
+    for (auto b : simd::supported_backends()) {
       simd::select_backend(b);
       SCOPED_TRACE("n=" + std::to_string(n) + " backend " +
-                   std::to_string(static_cast<int>(b)));
+                   simd::backend_name(b));
       std::vector<Fixed16::acc_t> got(want.size());
       simd::dot_s16_mrhs(data.data(), ds, cols, w.data(), ws, rows, n,
                          got.data(), cols);

@@ -236,13 +236,6 @@ struct BackendGuard {
   ~BackendGuard() { simd::select_backend("auto"); }
 };
 
-std::vector<simd::Backend> supported_backends() {
-  std::vector<simd::Backend> v;
-  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2})
-    if (simd::backend_supported(b)) v.push_back(b);
-  return v;
-}
-
 std::int16_t draw_s16(Rng& rng, i64 bound) {
   return static_cast<std::int16_t>(
       static_cast<i64>(rng.next_u64() % static_cast<std::uint64_t>(
@@ -293,7 +286,7 @@ void expect_dw_batch_matches_ref(const std::vector<Tensor3<Fixed16>>& inputs,
     want.push_back(conv2d_ref(t, w, bias, p));
   }
   BackendGuard guard;
-  for (simd::Backend b : supported_backends()) {
+  for (simd::Backend b : simd::supported_backends()) {
     simd::select_backend(b);
     std::vector<Tensor3<Fixed16>> got;
     for (const auto& t : want) got.emplace_back(t.dims());
@@ -387,7 +380,7 @@ TEST(DepthwiseKernel, ContractBoundaryIsExactAndOneMoreFallsBack) {
     std::vector<std::int16_t> row(static_cast<std::size_t>(k * (n + k)),
                                   -32768);
     BackendGuard guard;
-    for (simd::Backend b : supported_backends()) {
+    for (simd::Backend b : simd::supported_backends()) {
       simd::select_backend(b);
       for (i64 o = 0; o < 2; ++o) {
         std::vector<std::int16_t> out(static_cast<std::size_t>(n));
@@ -454,7 +447,7 @@ TEST(DepthwiseConv, ContractBreakingFilterTakesExactPlanes) {
   EXPECT_TRUE(simd::deep_window_ok(rows.data(), 16, 4, 16));
 
   BackendGuard guard;
-  for (simd::Backend b : supported_backends()) {
+  for (simd::Backend b : simd::supported_backends()) {
     SCOPED_TRACE(simd::backend_name(b));
     simd::select_backend(b);
     expect_three_tier_identity(net, Policy::kAdaptive2, tiny_config(4, 4),
@@ -485,7 +478,7 @@ TEST(DepthwiseConv, FunctionalMatchesCycleLayerByLayer) {
   const auto params = init_net_params<Fixed16>(net, kSeed);
   const auto input = random_input<Fixed16>(net.layer(0).out_dims, kSeed);
   BackendGuard guard;
-  for (simd::Backend b : supported_backends()) {
+  for (simd::Backend b : simd::supported_backends()) {
     SCOPED_TRACE(simd::backend_name(b));
     simd::select_backend(b);
     expect_func_matches_sim_per_layer(net, tiny_config(4, 4), params, input);

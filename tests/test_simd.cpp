@@ -35,12 +35,6 @@ class BackendGuard {
   Backend saved_;
 };
 
-std::vector<Backend> vector_backends() {
-  std::vector<Backend> v;
-  if (simd::backend_supported(Backend::kAvx2)) v.push_back(Backend::kAvx2);
-  return v;
-}
-
 std::vector<std::int16_t> random_s16(i64 n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<std::int16_t> v(static_cast<std::size_t>(n));
@@ -76,6 +70,44 @@ TEST(SimdDispatch, ScalarAlwaysSupportedAndNamed) {
   EXPECT_TRUE(simd::backend_supported(Backend::kScalar));
   EXPECT_STREQ(simd::backend_name(Backend::kScalar), "scalar");
   EXPECT_STREQ(simd::backend_name(Backend::kAvx2), "avx2");
+  EXPECT_STREQ(simd::backend_name(Backend::kAvxVnni), "avxvnni");
+}
+
+// Scalar first, then each vector backend this build and CPU support,
+// once each and in preference order.
+TEST(SimdDispatch, SupportedBackendsListsEverySupportedOnce) {
+  const std::vector<Backend> v = simd::supported_backends();
+  ASSERT_FALSE(v.empty());
+  EXPECT_EQ(v.front(), Backend::kScalar);
+  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kAvxVnni})
+    EXPECT_EQ(std::count(v.begin(), v.end(), b),
+              simd::backend_supported(b) ? 1 : 0)
+        << simd::backend_name(b);
+  EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
+}
+
+// Every backend's name parses. select_backend takes it exactly when the
+// backend is supported; otherwise it returns false and the active
+// backend stays what it was.
+TEST(SimdDispatch, EveryBackendNameSelectsIffSupported) {
+  BackendGuard guard;
+  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kAvxVnni}) {
+    ASSERT_TRUE(simd::select_backend("scalar"));
+    const bool ok = simd::select_backend(simd::backend_name(b));
+    EXPECT_EQ(ok, simd::backend_supported(b)) << simd::backend_name(b);
+    EXPECT_EQ(simd::active_backend(), ok ? b : Backend::kScalar)
+        << simd::backend_name(b);
+  }
+}
+
+// auto resolves to avxvnni exactly when it is supported, else to the
+// best backend left.
+TEST(SimdDispatch, AutoPrefersAvxVnni) {
+  BackendGuard guard;
+  ASSERT_TRUE(simd::select_backend("auto"));
+  EXPECT_EQ(simd::active_backend() == Backend::kAvxVnni,
+            simd::backend_supported(Backend::kAvxVnni));
+  EXPECT_EQ(simd::active_backend(), simd::supported_backends().back());
 }
 
 TEST(SimdDispatch, SelectByNameRejectsUnknown) {
@@ -96,7 +128,7 @@ TEST(SimdBitExact, DotFuzzLengthsAndMisalignments) {
   BackendGuard guard;
   const std::vector<std::int16_t> data = random_s16(257 + 8, 101);
   const std::vector<std::int16_t> weights = random_s16(257 + 8, 202);
-  for (Backend b : vector_backends()) {
+  for (Backend b : simd::supported_backends()) {
     simd::select_backend(b);
     for (i64 n = 0; n <= 257; ++n) {
       for (i64 da = 0; da < 4; ++da) {
@@ -124,7 +156,7 @@ TEST(SimdBitExact, DotMrhsMatchesRowwiseReference) {
   constexpr i64 kCols = 3;
   constexpr i64 kMaxN = 130;
   constexpr std::int16_t kMin = std::numeric_limits<std::int16_t>::min();
-  for (Backend b : vector_backends()) {
+  for (Backend b : simd::supported_backends()) {
     simd::select_backend(b);
     for (i64 n : {i64{0}, i64{1}, i64{7}, i64{16}, i64{33}, i64{130}}) {
       const i64 ds = n + 5, ws = n + 3;  // non-contiguous columns and rows
@@ -166,7 +198,7 @@ TEST(SimdBitExact, ExtremeValuesNoIntermediateOverflow) {
   std::vector<std::int16_t> alt(257);
   for (std::size_t i = 0; i < alt.size(); ++i)
     alt[i] = (i % 2 == 0) ? kMin : kMax;
-  for (Backend b : vector_backends()) {
+  for (Backend b : simd::supported_backends()) {
     simd::select_backend(b);
     for (i64 n = 0; n <= 257; ++n) {
       EXPECT_EQ(mrhs_dot(all_min.data(), all_min.data(), n),
@@ -188,7 +220,7 @@ TEST(SimdBitExact, LongRunNearAccumulatorScale) {
   constexpr std::int16_t kMin = std::numeric_limits<std::int16_t>::min();
   std::vector<std::int16_t> v(static_cast<std::size_t>(kN), kMin);
   const Fixed16::acc_t expect = static_cast<Fixed16::acc_t>(kN) * (1LL << 30);
-  for (Backend b : vector_backends()) {
+  for (Backend b : simd::supported_backends()) {
     simd::select_backend(b);
     EXPECT_EQ(mrhs_dot(v.data(), v.data(), kN), expect)
         << simd::backend_name(b);
@@ -197,7 +229,7 @@ TEST(SimdBitExact, LongRunNearAccumulatorScale) {
   const std::vector<std::int16_t> a = random_s16(kN, 505);
   const std::vector<std::int16_t> w = random_s16(kN, 606);
   const Fixed16::acc_t want = ref_dot(a.data(), w.data(), kN);
-  for (Backend b : vector_backends()) {
+  for (Backend b : simd::supported_backends()) {
     simd::select_backend(b);
     EXPECT_EQ(mrhs_dot(a.data(), w.data(), kN), want)
         << simd::backend_name(b);
@@ -212,7 +244,7 @@ TEST(SimdBitExact, ElementwiseKernelsFuzz) {
   std::vector<std::int16_t> b = random_s16(257 + 4, 808);
   b[0] = a[0] = std::numeric_limits<std::int16_t>::max();
   b[1] = a[1] = std::numeric_limits<std::int16_t>::min();
-  for (Backend back : vector_backends()) {
+  for (Backend back : simd::supported_backends()) {
     for (i64 n = 0; n <= 257; n += (n < 20 ? 1 : 13)) {
       for (i64 off = 0; off < 3; ++off) {
         std::vector<std::int16_t> max_io(b.begin() + off, b.begin() + off + n);
@@ -241,7 +273,7 @@ TEST(SimdBitExact, AxpyMatchesScalarBackendBitwise) {
       simd::select_backend(Backend::kScalar);
       std::vector<float> want(y0.begin() + off, y0.begin() + off + n);
       simd::axpy_f32(alpha, x.data() + off, want.data(), n);
-      for (Backend b : vector_backends()) {
+      for (Backend b : simd::supported_backends()) {
         simd::select_backend(b);
         std::vector<float> got(y0.begin() + off, y0.begin() + off + n);
         simd::axpy_f32(alpha, x.data() + off, got.data(), n);
@@ -483,9 +515,7 @@ void expect_tile_conv_matches_ref(const ConvParams& p,
     want.push_back(conv2d_ref(t, w, bias, p));
   }
   BackendGuard guard;
-  std::vector<Backend> backends = vector_backends();
-  backends.insert(backends.begin(), Backend::kScalar);
-  for (const Backend b : backends)
+  for (const Backend b : simd::supported_backends())
     for (const func::WeightMode m : {tc.mode, func::WeightMode::kExact}) {
       simd::select_backend(b);
       std::vector<Tensor3<Fixed16>> got;
@@ -621,11 +651,12 @@ TEST(ConvTileKernel, LargeImagesStageInSeveralPasses) {
 }
 
 // The end-to-end guarantee the CLI smoke check relies on: a whole-network
-// AlexNet simulation under the scalar backend and under AVX2 produces the
-// same output tensor and the same counters, bit for bit.
-TEST(SimdWholeNet, AlexNetScalarVsAvx2Identical) {
-  if (!simd::backend_supported(Backend::kAvx2))
-    GTEST_SKIP() << "AVX2 not available on this build/CPU";
+// AlexNet simulation under every supported backend produces the output
+// tensor and the counters of the scalar run, bit for bit.
+TEST(SimdWholeNet, AlexNetEveryBackendMatchesScalar) {
+  const std::vector<Backend> backends = simd::supported_backends();
+  if (backends.size() < 2)
+    GTEST_SKIP() << "no vector backend on this build/CPU";
   BackendGuard guard;
   const Network net = zoo::alexnet();
   const AcceleratorConfig config = AcceleratorConfig::paper_16_16();
@@ -636,19 +667,22 @@ TEST(SimdWholeNet, AlexNetScalarVsAvx2Identical) {
     return brain.simulate(net, Policy::kAdaptive2, 42);
   };
   const SimResult scalar = run(Backend::kScalar);
-  const SimResult avx2 = run(Backend::kAvx2);
-
-  ASSERT_EQ(scalar.per_layer.size(), avx2.per_layer.size());
-  for (std::size_t l = 0; l < scalar.per_layer.size(); ++l)
-    EXPECT_EQ(std::memcmp(&scalar.per_layer[l], &avx2.per_layer[l],
-                          sizeof(TrafficCounters)),
-              0)
-        << "layer " << l;
-  ASSERT_EQ(scalar.final_output.size(), avx2.final_output.size());
-  for (i64 i = 0; i < scalar.final_output.size(); ++i)
-    ASSERT_EQ(scalar.final_output.storage()[static_cast<std::size_t>(i)].raw(),
-              avx2.final_output.storage()[static_cast<std::size_t>(i)].raw())
-        << "element " << i;
+  for (std::size_t k = 1; k < backends.size(); ++k) {
+    SCOPED_TRACE(simd::backend_name(backends[k]));
+    const SimResult got = run(backends[k]);
+    ASSERT_EQ(scalar.per_layer.size(), got.per_layer.size());
+    for (std::size_t l = 0; l < scalar.per_layer.size(); ++l)
+      EXPECT_EQ(std::memcmp(&scalar.per_layer[l], &got.per_layer[l],
+                            sizeof(TrafficCounters)),
+                0)
+          << "layer " << l;
+    ASSERT_EQ(scalar.final_output.size(), got.final_output.size());
+    for (i64 i = 0; i < scalar.final_output.size(); ++i)
+      ASSERT_EQ(
+          scalar.final_output.storage()[static_cast<std::size_t>(i)].raw(),
+          got.final_output.storage()[static_cast<std::size_t>(i)].raw())
+          << "element " << i;
+  }
 }
 
 }  // namespace

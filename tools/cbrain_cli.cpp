@@ -95,8 +95,8 @@ int usage() {
       "hardware concurrency, 1 = serial;\n"
       "        requests fill the pool first, a lone request's layers fan "
       "out across it)\n"
-      "       --simd=auto|avx2|scalar (kernel backend; both produce "
-      "bit-identical results;\n"
+      "       --simd=auto|avx2|avxvnni|scalar (kernel backend; all "
+      "produce bit-identical results;\n"
       "        default: CBRAIN_SIMD env var, else best supported)\n"
       "       --trace-out=FILE (Chrome trace-event JSON of the run — load "
       "in Perfetto)\n"
@@ -905,11 +905,11 @@ int run(int argc, char** argv) {
   if (opt.command.empty()) return usage();
   // 0 = unset → hardware concurrency; --jobs=1 restores fully serial runs.
   parallel::set_default_jobs(opt.get_i64("jobs", 0));
-  // --simd overrides the CBRAIN_SIMD env var; both backends are
+  // --simd overrides the CBRAIN_SIMD env var; every backend is
   // bit-identical, so this only affects host-side speed.
   if (opt.has("simd") && !simd::select_backend(opt.get("simd", "auto"))) {
     std::fprintf(stderr,
-                 "error: --simd=%s is not auto|avx2|scalar or not "
+                 "error: --simd=%s is not auto|avx2|avxvnni|scalar or not "
                  "supported on this build/CPU\n",
                  opt.get("simd", "auto").c_str());
     return 2;
