@@ -11,8 +11,9 @@
 //   bench_micro_kernels --perf-json[=path] [--quick]
 //
 // times dot_s16_mrhs[_dw], the functional tier's depthwise layer at two
-// MobileNetV1 shapes and its tile conv at three zoo shapes on every
-// supported SIMD backend plus
+// MobileNetV1 shapes, its tile conv at three zoo shapes and its host-side
+// ops (LRN, max pool, residual add) at four on every supported SIMD
+// backend, the backends taking turns point by point, plus
 // whole-network wall-clock at both execution tiers
 // (cycle: full simulate per backend for AlexNet, VGG16 under the best
 // one; functional: warm weight-resident forward pass, with its speedup
@@ -31,6 +32,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,7 @@
 #include "cbrain/nn/zoo.hpp"
 #include "cbrain/ref/im2col_gemm.hpp"
 #include "cbrain/ref/params.hpp"
+#include "cbrain/ref/pool_ref.hpp"
 #include "cbrain/sim/executor.hpp"
 #include "cbrain/simd/simd.hpp"
 #include "cbrain/tensor/unroll.hpp"
@@ -554,6 +557,75 @@ ServeResult measure_serve_batched(const Network& net, simd::Backend b,
   return r;
 }
 
+// The ops beside the MAC array (func/kernels.hpp), one image at a zoo
+// shape: streamed bytes are the operands and the output, and mac_per_s
+// holds output elements per second.
+KernelResult time_host_op(simd::Backend b, const std::string& name, i64 n,
+                          i64 bytes, i64 elems, int reps, i64 iters,
+                          const std::function<void()>& fn) {
+  simd::select_backend(b);
+  const double secs = best_of(reps, iters, fn);
+  KernelResult r;
+  r.name = name;
+  r.backend = simd::backend_name(b);
+  r.n = n;
+  r.secs = secs;
+  r.gbps = static_cast<double>(sizeof(std::int16_t) * bytes) / secs * 1e-9;
+  r.mac_per_s = static_cast<double>(elems) / secs;
+  return r;
+}
+
+// Post-ReLU-like activations: half zeros, the rest up to +-8.0 in Q7.8.
+Tensor3<Fixed16> live_cube(const MapDims& dims, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor3<Fixed16> t(dims);
+  for (auto& v : t.storage()) {
+    const std::uint64_t r = rng.next_u64();
+    v = Fixed16::from_raw(static_cast<std::int16_t>(
+        r % 2 == 0 ? 0 : static_cast<i64>((r >> 8) % 4097) - 2048));
+  }
+  return t;
+}
+
+// AlexNet's norm1: LRN, local size 5, over 96 maps of 55x55.
+KernelResult measure_lrn(simd::Backend b, int reps, i64 iters) {
+  const Tensor3<Fixed16> in = live_cube({96, 55, 55}, 41);
+  Tensor3<Fixed16> out(in.dims());
+  const LRNParams p{.local_size = 5, .alpha = 1e-4, .beta = 0.75};
+  return time_host_op(b, "lrn_l5_c96", 55, 2 * in.size(), out.size(), reps,
+                      iters, [&] {
+                        func::lrn_func_batch({&in}, p, {&out});
+                        benchmark::DoNotOptimize(out.raw_data());
+                      });
+}
+
+// Max pooling, 3x3 at stride 2: AlexNet's pool1 (96 maps of 55x55) and
+// ResNet-18's pool1 (64 maps of 112x112, pad 1).
+KernelResult measure_max_pool(simd::Backend b, i64 ch, i64 side, i64 pad,
+                              int reps, i64 iters) {
+  const Tensor3<Fixed16> in = live_cube({ch, side, side}, 42);
+  const PoolParams p{.kind = PoolKind::kMax, .k = 3, .stride = 2, .pad = pad};
+  Tensor3<Fixed16> out(pool_out_dims(in.dims(), p));
+  return time_host_op(b, "max_pool_k3_s2_c" + std::to_string(ch), side,
+                      in.size() + out.size(), out.size(), reps, iters, [&] {
+                        func::pool_func_batch({&in}, p, {&out});
+                        benchmark::DoNotOptimize(out.raw_data());
+                      });
+}
+
+// ResNet-18's conv2_x residual join with ReLU: 64 maps of 56x56.
+KernelResult measure_add(simd::Backend b, int reps, i64 iters) {
+  const Tensor3<Fixed16> x = live_cube({64, 56, 56}, 43);
+  const Tensor3<Fixed16> y = live_cube({64, 56, 56}, 44);
+  Tensor3<Fixed16> out(x.dims());
+  return time_host_op(b, "add_relu_c64", 56, 3 * out.size(), out.size(),
+                      reps, iters, [&] {
+                        func::eltwise_add_func_batch({&x}, {&y}, {true},
+                                                     {&out});
+                        benchmark::DoNotOptimize(out.raw_data());
+                      });
+}
+
 int run_perf_harness(const std::string& path, bool quick) {
   const simd::Backend original = simd::active_backend();
   // A lone request's layer kernels fan out to the pool width. Pin it to
@@ -566,24 +638,56 @@ int run_perf_harness(const std::string& path, bool quick) {
   // the scalar backend) for steady_clock to resolve the kernel.
   const i64 multi_iters = quick ? 2'000 : 10'000;
 
-  std::vector<KernelResult> kernels;
-  for (simd::Backend b : backends) {
-    for (i64 n : {64, 256, 1024}) {
-      kernels.push_back(measure_dot_mrhs(b, false, n, reps, multi_iters));
-      kernels.push_back(measure_dot_mrhs(b, true, n, reps, multi_iters));
-    }
-    // MobileNetV1's first two depthwise layers (block2: 112x112x32, s1;
-    // block3: 112x112x64, s2).
-    kernels.push_back(measure_depthwise(b, 112, 32, 1, reps, quick ? 5 : 20));
-    kernels.push_back(measure_depthwise(b, 112, 64, 2, reps, quick ? 5 : 20));
-    // Three tile-conv zoo shapes: ResNet-18's conv2_x 3x3 (C64 at 56x56),
-    // MobileNetV1's 1x1 pointwise at C512 14x14, and ResNet-18's 7x7 s2
-    // conv1 on the 224x224 RGB input. One call is ~50-120M MACs.
-    const i64 tile_iters = b == simd::Backend::kScalar ? 1 : (quick ? 2 : 5);
-    kernels.push_back(measure_conv_tile(b, 56, 64, 64, 3, 1, tile_iters));
-    kernels.push_back(measure_conv_tile(b, 14, 512, 512, 1, 1, tile_iters));
-    kernels.push_back(measure_conv_tile(b, 224, 3, 64, 7, 2, tile_iters));
+  // Point by point, every backend in turn, so a change of host phase
+  // between points cannot read as a backend difference.
+  std::vector<std::function<KernelResult(simd::Backend)>> points;
+  for (i64 n : {64, 256, 1024}) {
+    points.push_back([=](simd::Backend b) {
+      return measure_dot_mrhs(b, false, n, reps, multi_iters);
+    });
+    points.push_back([=](simd::Backend b) {
+      return measure_dot_mrhs(b, true, n, reps, multi_iters);
+    });
   }
+  // MobileNetV1's first two depthwise layers (block2: 112x112x32, s1;
+  // block3: 112x112x64, s2).
+  const i64 dw_iters = quick ? 5 : 20;
+  points.push_back([=](simd::Backend b) {
+    return measure_depthwise(b, 112, 32, 1, reps, dw_iters);
+  });
+  points.push_back([=](simd::Backend b) {
+    return measure_depthwise(b, 112, 64, 2, reps, dw_iters);
+  });
+  // Three tile-conv zoo shapes: ResNet-18's conv2_x 3x3 (C64 at 56x56),
+  // MobileNetV1's 1x1 pointwise at C512 14x14, and ResNet-18's 7x7 s2
+  // conv1 on the 224x224 RGB input. One call is ~50-120M MACs.
+  const auto tile_iters = [=](simd::Backend b) -> i64 {
+    return b == simd::Backend::kScalar ? 1 : (quick ? 2 : 5);
+  };
+  points.push_back([=](simd::Backend b) {
+    return measure_conv_tile(b, 56, 64, 64, 3, 1, tile_iters(b));
+  });
+  points.push_back([=](simd::Backend b) {
+    return measure_conv_tile(b, 14, 512, 512, 1, 1, tile_iters(b));
+  });
+  points.push_back([=](simd::Backend b) {
+    return measure_conv_tile(b, 224, 3, 64, 7, 2, tile_iters(b));
+  });
+  // The host-side ops: one call is ~0.3-1 M output elements.
+  const i64 host_iters = quick ? 5 : 20;
+  points.push_back(
+      [=](simd::Backend b) { return measure_lrn(b, reps, host_iters); });
+  points.push_back([=](simd::Backend b) {
+    return measure_max_pool(b, 96, 55, 0, reps, host_iters);
+  });
+  points.push_back([=](simd::Backend b) {
+    return measure_max_pool(b, 64, 112, 1, reps, host_iters);
+  });
+  points.push_back(
+      [=](simd::Backend b) { return measure_add(b, reps, host_iters); });
+  std::vector<KernelResult> kernels;
+  for (const auto& point : points)
+    for (simd::Backend b : backends) kernels.push_back(point(b));
 
   // Whole-network simulator wall-clock: AlexNet once per backend (the
   // cross-backend speedup is the headline number), VGG16 only on the best

@@ -10,14 +10,6 @@ std::int16_t saturate_to_i16(std::int64_t v) {
 
 Fixed16 Fixed16::from_float(float v) { return from_double(v); }
 
-float Fixed16::to_float() const {
-  return static_cast<float>(raw_) / static_cast<float>(kOne);
-}
-
-double Fixed16::to_double() const {
-  return static_cast<double>(raw_) / static_cast<double>(kOne);
-}
-
 Fixed16 Fixed16::sat_add(Fixed16 other) const {
   return from_raw(saturate_to_i16(static_cast<std::int64_t>(raw_) +
                                   other.raw_));

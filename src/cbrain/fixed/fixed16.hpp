@@ -53,8 +53,15 @@ class Fixed16 {
   }
 
   constexpr raw_t raw() const { return raw_; }
-  float to_float() const;
-  double to_double() const;
+  // Inline: the scalar LRN, avg-pool and softmax loops convert every
+  // element. Division by a power of two is exact, so these are the same
+  // values as raw * 2^-8.
+  constexpr float to_float() const {
+    return static_cast<float>(raw_) / static_cast<float>(kOne);
+  }
+  constexpr double to_double() const {
+    return static_cast<double>(raw_) / static_cast<double>(kOne);
+  }
 
   static constexpr Fixed16 max() { return Fixed16(kRawMax); }
   static constexpr Fixed16 min() { return Fixed16(kRawMin); }

@@ -10,8 +10,6 @@
 #include "cbrain/obs/metrics.hpp"
 #include "cbrain/obs/tracer.hpp"
 #include "cbrain/ref/host_ops_ref.hpp"
-#include "cbrain/ref/lrn_ref.hpp"
-#include "cbrain/ref/pool_ref.hpp"
 
 namespace cbrain::func {
 namespace {
@@ -184,19 +182,10 @@ std::vector<SimResult> FuncExecutor::infer_batch(
                       scratch_, out_ptrs_);
         break;
       case LayerKind::kPool:
-        // An image per task. One image runs inline, so the kernel's own
-        // per-plane fan-out takes over; several run their planes inline.
-        // Either way each output element is computed by one task.
-        parallel::parallel_for(nact, [&](i64 i) {
-          pool2d_ref_into(*in_ptrs_[static_cast<std::size_t>(i)], l.pool(),
-                          *out_ptrs_[static_cast<std::size_t>(i)]);
-        });
+        pool_func_batch(in_ptrs_, l.pool(), out_ptrs_);
         break;
       case LayerKind::kLRN:
-        parallel::parallel_for(nact, [&](i64 i) {
-          lrn_ref_into(*in_ptrs_[static_cast<std::size_t>(i)], l.lrn(),
-                       *out_ptrs_[static_cast<std::size_t>(i)]);
-        });
+        lrn_func_batch(in_ptrs_, l.lrn(), out_ptrs_);
         break;
       case LayerKind::kConcat:
         for (i64 i = 0; i < nact; ++i) {

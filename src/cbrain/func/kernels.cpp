@@ -7,6 +7,8 @@
 #include "cbrain/common/check.hpp"
 #include "cbrain/common/thread_pool.hpp"
 #include "cbrain/ref/arith_traits.hpp"
+#include "cbrain/ref/lrn_ref.hpp"
+#include "cbrain/ref/pool_ref.hpp"
 #include "cbrain/simd/simd.hpp"
 
 namespace cbrain::func {
@@ -404,38 +406,131 @@ void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                     outputs);
 }
 
+namespace {
+
+// Checks that every operand list has the batch's length, that the inputs
+// share one shape and that every output has `out_dims(shape)`; returns
+// the input shape.
+template <typename OutDims>
+MapDims check_batch(const char* op,
+                    const std::vector<const Tensor3<Fixed16>*>& inputs,
+                    const std::vector<Tensor3<Fixed16>*>& outputs,
+                    OutDims out_dims) {
+  CBRAIN_CHECK(!inputs.empty() && outputs.size() == inputs.size(),
+               op << " needs matching input/output slots");
+  const MapDims d = inputs[0]->dims();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    CBRAIN_CHECK(inputs[i]->dims() == d,
+                 op << " inputs must share one shape");
+    CBRAIN_CHECK(outputs[i]->dims() == out_dims(d),
+                 op << " output tensor not pre-shaped");
+  }
+  return d;
+}
+
+const std::int16_t* raw16(const Tensor3<Fixed16>& t) {
+  return reinterpret_cast<const std::int16_t*>(t.raw_data());
+}
+
+std::int16_t* raw16(Tensor3<Fixed16>& t) {
+  return reinterpret_cast<std::int16_t*>(t.raw_data());
+}
+
+}  // namespace
+
 void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,
                             const std::vector<const Tensor3<Fixed16>*>& b,
                             const EltwiseAddParams& p,
                             const std::vector<Tensor3<Fixed16>*>& outputs) {
-  using Tr = ArithTraits<Fixed16>;
-  const i64 batch = static_cast<i64>(a.size());
-  CBRAIN_CHECK(batch > 0 && b.size() == a.size() &&
-                   outputs.size() == a.size(),
-               "eltwise_add_func_batch needs matching operand/output slots");
-  const MapDims d = a[0]->dims();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    CBRAIN_CHECK(a[i]->dims() == d && b[i]->dims() == d,
+  const MapDims d = check_batch("eltwise_add_func_batch", a, outputs,
+                                [](const MapDims& m) { return m; });
+  CBRAIN_CHECK(b.size() == a.size(),
+               "eltwise_add_func_batch needs matching operand slots");
+  for (const Tensor3<Fixed16>* t : b)
+    CBRAIN_CHECK(t->dims() == d,
                  "eltwise_add_func_batch operands must share one shape");
-    CBRAIN_CHECK(outputs[i]->dims() == d,
-                 "eltwise_add_func_batch output tensor not pre-shaped");
+  parallel::parallel_for(static_cast<i64>(a.size()), [&](i64 img) {
+    const auto i = static_cast<std::size_t>(img);
+    simd::add_s16(raw16(*a[i]), raw16(*b[i]), raw16(*outputs[i]), d.count(),
+                  p.relu);
+  });
+}
+
+void pool_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
+                     const PoolParams& p,
+                     const std::vector<Tensor3<Fixed16>*>& outputs) {
+  const MapDims in = check_batch(
+      "pool_func_batch", inputs, outputs,
+      [&](const MapDims& m) { return pool_out_dims(m, p); });
+  const i64 batch = static_cast<i64>(inputs.size());
+  if (p.kind != PoolKind::kMax) {
+    parallel::parallel_for(batch, [&](i64 i) {
+      pool2d_ref_into(*inputs[static_cast<std::size_t>(i)], p,
+                      *outputs[static_cast<std::size_t>(i)]);
+    });
+    return;
   }
-  const i64 n = d.count();
-  // Both operands promote to accumulator scale, sum once, and round at
-  // one point — the identical integer sequence to eltwise_add_ref and
-  // the simulator's adder-tree handler, so outputs are bit-identical.
-  parallel::parallel_for(
-      batch,
-      [&](i64 img) {
-        const Fixed16* pa = a[static_cast<std::size_t>(img)]->raw_data();
-        const Fixed16* pb = b[static_cast<std::size_t>(img)]->raw_data();
-        Fixed16* po = outputs[static_cast<std::size_t>(img)]->raw_data();
-        for (i64 i = 0; i < n; ++i) {
-          const Fixed16::acc_t sum =
-              Tr::from_value(pa[i]) + Tr::from_value(pb[i]);
-          po[i] = Tr::finalize(sum, p.relu);
-        }
-      });
+  const MapDims od = pool_out_dims(in, p);
+  // Padded row coordinates: input column x sits at x + pad, and output
+  // ox's window is [ox * stride, ox * stride + k). `span` positions hold
+  // every window start the subsample at the stride reads.
+  const i64 span = (od.w - 1) * p.stride + 1;
+  const i64 len = std::max(in.w + p.pad, span + p.k - 1);
+  parallel::parallel_for(batch * in.d, [&](i64 t) {
+    const auto img = static_cast<std::size_t>(t / in.d);
+    const i64 d = t % in.d;
+    const std::int16_t* plane = raw16(*inputs[img]) + d * in.h * in.w;
+    std::int16_t* oplane = raw16(*outputs[img]) + d * od.h * od.w;
+    // Every window holds at least one input pixel (pool_out_dims clips
+    // the empty ones), so the -32768 padding never wins over it.
+    thread_local std::vector<std::int16_t> buf;
+    buf.assign(static_cast<std::size_t>(len + span), Fixed16::kRawMin);
+    std::int16_t* vmax = buf.data();
+    std::int16_t* hmax = buf.data() + len;
+    const auto bytes = [](i64 n) {
+      return static_cast<std::size_t>(n) * sizeof(std::int16_t);
+    };
+    for (i64 oy = 0; oy < od.h; ++oy) {
+      const i64 y0 = std::max<i64>(oy * p.stride - p.pad, 0);
+      const i64 y1 = std::min<i64>(oy * p.stride - p.pad + p.k, in.h);
+      std::memcpy(vmax + p.pad, plane + y0 * in.w, bytes(in.w));
+      simd::max_s16(plane + (y0 + 1) * in.w, vmax + p.pad, in.w, y1 - y0 - 1,
+                    in.w);
+      std::int16_t* orow = oplane + oy * od.w;
+      std::int16_t* h = p.stride == 1 ? orow : hmax;
+      std::memcpy(h, vmax, bytes(span));
+      simd::max_s16(vmax + 1, h, span, p.k - 1, 1);
+      if (p.stride != 1)
+        for (i64 ox = 0; ox < od.w; ++ox) orow[ox] = hmax[ox * p.stride];
+    }
+  });
+}
+
+void lrn_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
+                    const LRNParams& p,
+                    const std::vector<Tensor3<Fixed16>*>& outputs) {
+  const MapDims d = check_batch("lrn_func_batch", inputs, outputs,
+                                [](const MapDims& m) { return m; });
+  const i64 batch = static_cast<i64>(inputs.size());
+  if (p.beta != 0.75) {
+    parallel::parallel_for(batch, [&](i64 i) {
+      lrn_ref_into(*inputs[static_cast<std::size_t>(i)], p,
+                   *outputs[static_cast<std::size_t>(i)]);
+    });
+    return;
+  }
+  // alpha/n once: the same double lrn_ref_into computes.
+  const double alpha_over_n = p.alpha / static_cast<double>(p.local_size);
+  parallel::parallel_for(batch * d.h, [&](i64 t) {
+    const auto img = static_cast<std::size_t>(t / d.h);
+    const i64 row = (t % d.h) * d.w;
+    thread_local std::vector<double> scratch;
+    scratch.resize(
+        static_cast<std::size_t>(simd::lrn_scratch_doubles(d.d, d.w)));
+    simd::lrn_s16(raw16(*inputs[img]) + row, raw16(*outputs[img]) + row,
+                  d.h * d.w, d.d, d.w, p.local_size / 2, alpha_over_n, p.bias,
+                  scratch.data());
+  });
 }
 
 void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,

@@ -171,15 +171,34 @@ void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                        KernelScratch& scratch,
                        const std::vector<Tensor3<Fixed16>*>& outputs);
 
-// Batched residual join: out[i] = finalize(a[i] + b[i]) at accumulator
-// scale with one rounding point — the exact integer sequence of
-// eltwise_add_ref and the simulator's adder-tree handler. All operands
-// and outputs share one spatial-major shape; grain is one image per
-// task, so results are bit-identical at any worker count.
+// The ops the paper runs beside the MAC array, batched: the residual
+// join and max pooling on the adder tree, LRN on the activation-function
+// unit. Each runs one simd kernel that is bit-identical to its ref/
+// oracle (eltwise_add_ref, pool2d_ref, lrn_ref; DESIGN.md §9), and the
+// cycle tier runs these same functions for its host LRN. All operands
+// and outputs share one spatial-major shape, outputs pre-shaped; each
+// output element is computed by one task, so results are bit-identical
+// at any worker count.
+
+// Residual join through simd::add_s16, one image per task.
 void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,
                             const std::vector<const Tensor3<Fixed16>*>& b,
                             const EltwiseAddParams& p,
                             const std::vector<Tensor3<Fixed16>*>& outputs);
+
+// Pooling, one (image, plane) per task. Max pooling is separable: each
+// output row takes simd::max_s16 over its window's input rows into a row
+// padded with -32768, then over the window's columns as shifted views of
+// that row. Avg pooling keeps pool2d_ref_into's double sum.
+void pool_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
+                     const PoolParams& p,
+                     const std::vector<Tensor3<Fixed16>*>& outputs);
+
+// LRN, one (image, row) per task through simd::lrn_s16 when beta is
+// 0.75; any other beta runs lrn_ref_into's pow path.
+void lrn_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
+                    const LRNParams& p,
+                    const std::vector<Tensor3<Fixed16>*>& outputs);
 
 // Batched fully-connected layer over the flattened (spatial-major) input
 // cubes: one B×din activation matrix against the dout×din weight matrix,

@@ -9,8 +9,8 @@
 #include "cbrain/common/thread_pool.hpp"
 #include "cbrain/obs/metrics.hpp"
 #include "cbrain/obs/tracer.hpp"
-#include "cbrain/ref/eltwise_ref.hpp"
 #include "cbrain/ref/host_ops_ref.hpp"
+#include "cbrain/simd/simd.hpp"
 
 namespace cbrain::multichip {
 
@@ -345,26 +345,25 @@ SimResult MultiChipExecutor::infer_shard(const Tensor3<Fixed16>& input) {
             acts[static_cast<std::size_t>(l.inputs[0])];
         const Tensor3<Fixed16>& b =
             acts[static_cast<std::size_t>(l.inputs[1])];
-        Tensor3<Fixed16> out(l.out_dims);
+        const MapDims& od = l.out_dims;
+        CBRAIN_CHECK(a.dims() == od && b.dims() == od,
+                     "eltwise add: operand dims mismatch");
+        Tensor3<Fixed16> out(od);
         for (i64 c = 0; c < plan_.chips; ++c) {
           const ShardPiece& piece = lp.pieces[static_cast<std::size_t>(c)];
           if (piece.row1 <= piece.row0) continue;
-          const MapDims sd{l.out_dims.d, piece.row1 - piece.row0,
-                           l.out_dims.w};
-          Tensor3<Fixed16> sa(sd), sb(sd);
-          for (i64 d = 0; d < sd.d; ++d)
-            for (i64 y = 0; y < sd.h; ++y)
-              for (i64 x = 0; x < sd.w; ++x) {
-                sa.at(d, y, x) = a.at(d, piece.row0 + y, x);
-                sb.at(d, y, x) = b.at(d, piece.row0 + y, x);
-              }
-          // The shared adder arithmetic: same ref kernel both executors
-          // use, applied to this chip's row band.
-          const Tensor3<Fixed16> sum = eltwise_add_ref(sa, sb, l.eltwise());
-          for (i64 d = 0; d < sd.d; ++d)
-            for (i64 y = 0; y < sd.h; ++y)
-              for (i64 x = 0; x < sd.w; ++x)
-                out.at(d, piece.row0 + y, x) = sum.at(d, y, x);
+          // The functional tier's adder kernel over this chip's row band:
+          // one contiguous run of rows per plane.
+          const i64 run0 = piece.row0 * od.w;
+          const i64 n = (piece.row1 - piece.row0) * od.w;
+          for (i64 d = 0; d < od.d; ++d) {
+            const i64 at = d * od.h * od.w + run0;
+            simd::add_s16(
+                reinterpret_cast<const std::int16_t*>(a.raw_data()) + at,
+                reinterpret_cast<const std::int16_t*>(b.raw_data()) + at,
+                reinterpret_cast<std::int16_t*>(out.raw_data()) + at, n,
+                l.eltwise().relu);
+          }
           record_span(c, clock_[static_cast<std::size_t>(c)],
                       piece.est_cycles, l.name, "layer");
           clock_[static_cast<std::size_t>(c)] += piece.est_cycles;

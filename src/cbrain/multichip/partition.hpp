@@ -62,7 +62,7 @@ enum class ShardAxis {
   kSpatial,      // map shard: output-row band + input halo band
   kHostConcat,   // depth-stack copy; pure data movement, no compute
   kHostEltwise,  // residual join: row bands through the shared adder
-                 // arithmetic (ref/eltwise_ref.hpp) on each chip
+                 // kernel (simd::add_s16) on each chip
 };
 const char* shard_axis_name(ShardAxis a);
 

@@ -11,7 +11,6 @@
 #include "cbrain/obs/metrics.hpp"
 #include "cbrain/obs/tracer.hpp"
 #include "cbrain/ref/host_ops_ref.hpp"
-#include "cbrain/ref/lrn_ref.hpp"
 #include "cbrain/simd/simd.hpp"
 #include "cbrain/tensor/unroll.hpp"
 
@@ -980,7 +979,8 @@ class Executor {
       }
       case HostOpKind::kLrn: {
         const Tensor3<Fixed16> x = read_cube(src, l.in_dims);
-        const Tensor3<Fixed16> y = lrn_ref(x, l.lrn());
+        Tensor3<Fixed16> y(l.in_dims);
+        func::lrn_func_batch({&x}, l.lrn(), {&y});
         store_cube(out_maps(l.id), y);
         manual_dram_reads_ += x.size();
         // Activation-function unit streaming pass.

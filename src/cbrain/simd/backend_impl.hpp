@@ -28,6 +28,25 @@ static inline std::int16_t finalize_acc(std::int64_t acc, bool relu) {
   return static_cast<std::int16_t>(q);
 }
 
+// The max-pool and residual-add references (simd.hpp max_s16, add_s16),
+// which also finish the x86 kernels' short or ragged runs.
+static inline void max_rows(const std::int16_t* x, std::int16_t* inout,
+                            std::int64_t n, std::int64_t rows,
+                            std::int64_t row_stride) {
+  for (std::int64_t r = 0; r < rows; ++r)
+    for (std::int64_t i = 0; i < n; ++i)
+      if (x[r * row_stride + i] > inout[i]) inout[i] = x[r * row_stride + i];
+}
+
+static inline void add_run(const std::int16_t* a, const std::int16_t* b,
+                           std::int16_t* out, std::int64_t n, bool relu) {
+  const std::int32_t lo = relu ? 0 : -32768;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int32_t v = std::int32_t{a[i]} + b[i];
+    out[i] = static_cast<std::int16_t>(v < lo ? lo : (v > 32767 ? 32767 : v));
+  }
+}
+
 // The depthwise kernel's behavioural reference (simd.hpp dw_conv_s16):
 // each output sums its k*k taps in int64, exact for any weights and
 // data, then adds the bias and finalizes. It is also the exact kernel
@@ -123,7 +142,13 @@ struct KernelTable {
                       std::int64_t, std::int64_t, bool, std::int16_t*,
                       std::int64_t);
   void (*conv_tile_s16)(const ConvTile&);
-  void (*max_s16)(const std::int16_t*, std::int16_t*, std::int64_t);
+  void (*max_s16)(const std::int16_t*, std::int16_t*, std::int64_t,
+                  std::int64_t, std::int64_t);
+  void (*add_s16)(const std::int16_t*, const std::int16_t*, std::int16_t*,
+                  std::int64_t, bool);
+  void (*lrn_s16)(const std::int16_t*, std::int16_t*, std::int64_t,
+                  std::int64_t, std::int64_t, std::int64_t, double, double,
+                  double*);
   void (*axpy_f32)(float, const float*, float*, std::int64_t);
 };
 

@@ -245,8 +245,21 @@ void conv_tile_s16(const ConvTile& t) { table()->conv_tile_s16(t); }
 
 void conv_tile_s16_exact(const ConvTile& t) { detail::conv_tile_rows(t); }
 
-void max_s16(const std::int16_t* x, std::int16_t* inout, i64 n) {
-  table()->max_s16(x, inout, n);
+void max_s16(const std::int16_t* x, std::int16_t* inout, i64 n, i64 rows,
+             i64 row_stride) {
+  table()->max_s16(x, inout, n, rows, row_stride);
+}
+
+void add_s16(const std::int16_t* a, const std::int16_t* b, std::int16_t* out,
+             i64 n, bool relu) {
+  table()->add_s16(a, b, out, n, relu);
+}
+
+void lrn_s16(const std::int16_t* in, std::int16_t* out, i64 plane_stride,
+             i64 depth, i64 w, i64 half, double alpha_over_n, double bias,
+             double* scratch) {
+  table()->lrn_s16(in, out, plane_stride, depth, w, half, alpha_over_n, bias,
+                   scratch);
 }
 
 void axpy_f32(float a, const float* x, float* y, i64 n) {

@@ -15,8 +15,9 @@
 //     dilation-1 per-plane depthwise one, dw_conv_s16 for those planes,
 //     each with an exact int64 twin for weights off their contract;
 //
-// plus the max-pool reduction and the reference GEMM's float axpy, in
-// three implementations selected at runtime:
+// plus the host-side ops the paper runs beside the MAC array (the
+// max-pool reduction, the residual add and LRN) and the reference GEMM's
+// float axpy, in three implementations selected at runtime:
 //
 //   * AVX-VNNI — the AVX2 kernels with every madd + add_epi32 fused into
 //                one vpdpwssd (x86 with AVX-VNNI)
@@ -226,8 +227,49 @@ void conv_tile_s16(const ConvTile& t);
 // int64 on every backend.
 void conv_tile_s16_exact(const ConvTile& t);
 
-// Vertical max-pool reduction: inout[i] = max(inout[i], x[i]).
-void max_s16(const std::int16_t* x, std::int16_t* inout, i64 n);
+// Max-pool reduction over `rows` rows of x at row_stride intervals:
+//   inout[i] = max(inout[i], x[r * row_stride + i] for every r < rows)
+// No row of x may overlap inout. Max pooling runs it twice per output
+// row (func/kernels.cpp): down the window's input rows, then across its
+// columns as rows = k - 1 shifted views (row_stride 1) of the row
+// maximum. Max is associative, commutative and idempotent, so any
+// evaluation order, overlapping vector tails included, gives these bits.
+void max_s16(const std::int16_t* x, std::int16_t* inout, i64 n, i64 rows = 1,
+             i64 row_stride = 0);
+
+// Residual add: out[i] = saturate_int16(a[i] + b[i]), then max(., 0)
+// when relu is set. This is ArithTraits<Fixed16>::finalize of the two
+// operands promoted to Q16.16 and summed: the sum is 256 * (a + b), which
+// from_acc's half-offset and truncation return unchanged before they
+// saturate. out may be a or b.
+void add_s16(const std::int16_t* a, const std::int16_t* b, std::int16_t* out,
+             i64 n, bool relu);
+
+// Doubles of scratch lrn_s16 needs for a row of `depth` channels of `w`
+// pixels.
+inline i64 lrn_scratch_doubles(i64 depth, i64 w) {
+  return (depth + 1) * ((w + 3) / 4 * 4);
+}
+
+// Local response normalization across channels with beta = 0.75 over one
+// spatial row: lrn_ref's beta-0.75 path bit for bit. With
+// in(d, x) = in[d * plane_stride + x] / 256 (out likewise), for d < depth
+// and x < w:
+//
+//   sum   = sum of in(j, x)^2 for j = max(0, d - half) up to
+//           min(depth - 1, d + half), added in that order
+//   scale = bias + alpha_over_n * sum
+//   r     = sqrt(scale)
+//   out(d, x) = Fixed16::from_double(in(d, x) / (r * sqrt(r)))
+//
+// Every step is one correctly rounded IEEE double operation in a fixed
+// order, so the vector backends compute the scalar values lane by lane
+// (DESIGN.md §9). The library builds with -ffp-contract=off so that no
+// backend fuses bias + alpha_over_n * sum into one rounding. `scratch`
+// holds lrn_scratch_doubles(depth, w) doubles.
+void lrn_s16(const std::int16_t* in, std::int16_t* out, i64 plane_stride,
+             i64 depth, i64 w, i64 half, double alpha_over_n, double bias,
+             double* scratch);
 
 // y[i] += a * x[i], each element rounded independently (no FMA): the
 // cache-blocked sgemm micro-kernel of ref/im2col_gemm.

@@ -1,10 +1,11 @@
-// cbrain::simd — the bit-exactness contract of the kernel layer. Both
-// backends (scalar reference, AVX2) must return identical bits for
-// every input: fuzzed lengths 0..257 at every pointer misalignment,
+// cbrain::simd — the bit-exactness contract of the kernel layer. Every
+// backend (scalar reference, AVX2, AVX-VNNI) must return identical bits
+// for every input: fuzzed lengths 0..257 at every pointer misalignment,
 // extreme values (INT16_MIN * INT16_MIN pairs, where a pairwise-madd
-// implementation would wrap int32), long runs, and — end to end — a
-// whole-network AlexNet simulation whose outputs and counters may not
-// differ by a single bit between the scalar and AVX2 backends.
+// implementation would wrap int32), long runs, the host-op kernels
+// (residual add, max pool, LRN) against their ref/ oracles, and — end
+// to end — a whole-network AlexNet simulation whose outputs and counters
+// may not differ by a single bit between the backends.
 #include <algorithm>
 #include <array>
 #include <bit>
@@ -15,7 +16,11 @@
 
 #include "cbrain/common/rng.hpp"
 #include "cbrain/core/cbrain.hpp"
+#include "cbrain/func/kernels.hpp"
 #include "cbrain/ref/conv_ref.hpp"
+#include "cbrain/ref/eltwise_ref.hpp"
+#include "cbrain/ref/lrn_ref.hpp"
+#include "cbrain/ref/pool_ref.hpp"
 #include "cbrain/simd/simd.hpp"
 #include "support.hpp"
 
@@ -237,24 +242,36 @@ TEST(SimdBitExact, LongRunNearAccumulatorScale) {
 }
 
 // max_s16, the max-pool reduction: elementwise max at every length and
-// misalignment, with the int16 extremes seeded into both operands.
+// misalignment over one to five rows at row strides of 1 (the shifted
+// views of the horizontal pass) and wider, with the int16 extremes
+// seeded into both operands.
 TEST(SimdBitExact, ElementwiseKernelsFuzz) {
   BackendGuard guard;
-  std::vector<std::int16_t> a = random_s16(257 + 4, 707);
+  std::vector<std::int16_t> a = random_s16(5 * 300, 707);
   std::vector<std::int16_t> b = random_s16(257 + 4, 808);
   b[0] = a[0] = std::numeric_limits<std::int16_t>::max();
   b[1] = a[1] = std::numeric_limits<std::int16_t>::min();
+  a[300] = a[601] = std::numeric_limits<std::int16_t>::min();
   for (Backend back : simd::supported_backends()) {
-    for (i64 n = 0; n <= 257; n += (n < 20 ? 1 : 13)) {
-      for (i64 off = 0; off < 3; ++off) {
-        std::vector<std::int16_t> max_io(b.begin() + off, b.begin() + off + n);
-        simd::select_backend(back);
-        simd::max_s16(a.data() + off, max_io.data(), n);
-        for (i64 i = 0; i < n; ++i) {
-          const std::size_t s = static_cast<std::size_t>(i);
-          const std::int16_t x = a[s + off], y = b[s + off];
-          EXPECT_EQ(max_io[s], std::max(x, y))
-              << simd::backend_name(back) << " max n=" << n << " i=" << i;
+    for (i64 rows : {1, 2, 5}) {
+      for (i64 row_stride : {i64{1}, i64{290}}) {
+        for (i64 n = 0; n <= 257; n += (n < 40 ? 1 : 13)) {
+          for (i64 off = 0; off < 3; ++off) {
+            std::vector<std::int16_t> max_io(b.begin() + off,
+                                             b.begin() + off + n);
+            simd::select_backend(back);
+            simd::max_s16(a.data() + off, max_io.data(), n, rows, row_stride);
+            for (i64 i = 0; i < n; ++i) {
+              const std::size_t s = static_cast<std::size_t>(i);
+              std::int16_t want = b[s + off];
+              for (i64 r = 0; r < rows; ++r)
+                want = std::max(want, a[static_cast<std::size_t>(
+                                          r * row_stride + i + off)]);
+              ASSERT_EQ(max_io[s], want)
+                  << simd::backend_name(back) << " max n=" << n << " i=" << i
+                  << " rows=" << rows << " row_stride=" << row_stride;
+            }
+          }
         }
       }
     }
@@ -648,6 +665,268 @@ TEST(ConvTileKernel, LargeImagesStageInSeveralPasses) {
   for (int b = 0; b < 2; ++b)
     inputs.push_back(extreme_input({2, 1030, 1030}, rng));
   expect_tile_conv_matches_ref(p, w, bias, inputs, func::WeightMode::kTile);
+}
+
+// --- host-op kernels: residual add, max pool, LRN ---------------------------
+//
+// Each is fuzzed under every supported backend against its ref/ oracle
+// (eltwise_add_ref, pool2d_ref, lrn_ref), on live data: ROADMAP item 1's
+// zoo feeds LRN all-zero maps, so the zoo alone would not exercise it.
+
+template <typename Draw>
+Tensor3<Fixed16> cube_of(const MapDims& dims, Draw&& draw) {
+  Tensor3<Fixed16> t(dims);
+  for (auto& v : t.storage()) v = Fixed16::from_raw(draw());
+  return t;
+}
+
+// Index of the first element where a and b differ, or -1.
+i64 first_mismatch(const Tensor3<Fixed16>& a, const Tensor3<Fixed16>& b) {
+  if (a.dims() != b.dims()) return 0;
+  for (i64 i = 0; i < a.size(); ++i)
+    if (a.storage()[static_cast<std::size_t>(i)] !=
+        b.storage()[static_cast<std::size_t>(i)])
+      return i;
+  return -1;
+}
+
+i64 nonzeros(const Tensor3<Fixed16>& t) {
+  return std::count_if(t.storage().begin(), t.storage().end(),
+                       [](Fixed16 v) { return v.raw() != 0; });
+}
+
+// Runs a batched func:: op (`fn(inputs, outputs)`) on `ins` under
+// backend `b`, into outputs of `out_dims`.
+template <typename Fn>
+std::vector<Tensor3<Fixed16>> run_batch(
+    Backend b, const std::vector<Tensor3<Fixed16>>& ins,
+    const MapDims& out_dims, Fn&& fn) {
+  simd::select_backend(b);
+  std::vector<Tensor3<Fixed16>> outs(ins.size(), Tensor3<Fixed16>(out_dims));
+  std::vector<const Tensor3<Fixed16>*> in_ptrs;
+  std::vector<Tensor3<Fixed16>*> out_ptrs;
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    in_ptrs.push_back(&ins[i]);
+    out_ptrs.push_back(&outs[i]);
+  }
+  fn(in_ptrs, out_ptrs);
+  return outs;
+}
+
+std::vector<Tensor3<Fixed16>> lrn_batch(
+    Backend b, const std::vector<Tensor3<Fixed16>>& ins, const LRNParams& p) {
+  return run_batch(b, ins, ins[0].dims(), [&](auto& in, auto& out) {
+    func::lrn_func_batch(in, p, out);
+  });
+}
+
+void expect_lrn_matches_ref(const std::vector<Tensor3<Fixed16>>& ins,
+                            const LRNParams& p, const std::string& what) {
+  for (Backend b : simd::supported_backends()) {
+    const std::vector<Tensor3<Fixed16>> got = lrn_batch(b, ins, p);
+    for (std::size_t i = 0; i < ins.size(); ++i)
+      ASSERT_EQ(first_mismatch(got[i], lrn_ref(ins[i], p)), -1)
+          << simd::backend_name(b) << " " << what << " image " << i;
+  }
+}
+
+// Window sizes 3/5/7 over depths below, at and past the window, widths
+// 1..37 (every vector tail), both exponent paths (0.75: the simd kernel;
+// 0.5: the pow path) and biases 1 and 0.5 (the zero skip on and off), on
+// post-ReLU-like data: half zeros, the rest up to +-8.0.
+TEST(HostOpKernels, LrnMatchesRefOverShapesAndParams) {
+  BackendGuard guard;
+  Rng rng(1212);
+  const auto live = [&] {
+    const std::uint64_t r = rng.next_u64();
+    return static_cast<std::int16_t>(
+        r % 2 == 0 ? 0 : static_cast<i64>((r >> 8) % 4097) - 2048);
+  };
+  const double alphas[] = {1e-4, 0.05, 3.0};
+  i64 cases = 0, nonzero = 0, total = 0;
+  for (i64 local : {3, 5, 7}) {
+    for (i64 depth : {i64{1}, i64{2}, local - 1, local + 4}) {
+      for (i64 w = 1; w <= 37; ++w) {
+        const std::vector<Tensor3<Fixed16>> ins = {
+            cube_of({depth, 3, w}, live), cube_of({depth, 3, w}, live)};
+        for (double beta : {0.75, 0.5}) {
+          for (double bias : {1.0, 0.5}) {
+            const LRNParams p{.local_size = local,
+                              .alpha = alphas[cases++ % 3],
+                              .beta = beta,
+                              .bias = bias};
+            expect_lrn_matches_ref(ins, p,
+                                   "local=" + std::to_string(local) +
+                                       " depth=" + std::to_string(depth) +
+                                       " w=" + std::to_string(w) +
+                                       " beta=" + std::to_string(beta) +
+                                       " bias=" + std::to_string(bias));
+            const Tensor3<Fixed16> out = lrn_ref(ins[0], p);
+            nonzero += nonzeros(out);
+            total += out.size();
+          }
+        }
+      }
+    }
+  }
+  // Live outputs: about half the inputs are nonzero, and LRN keeps them.
+  EXPECT_GT(nonzero * 3, total);
+}
+
+// All-zero maps (the zero skip everywhere, and 0 / 0 at bias 0), the
+// int16 extremes, and scales that are NaN (alpha NaN, inf * 0) or
+// negative (sqrt of a negative): every non-finite quotient quantizes to 0.
+TEST(HostOpKernels, LrnExtremesZerosAndNonFiniteScales) {
+  BackendGuard guard;
+  Rng rng(1313);
+  const MapDims dims{9, 2, 21};
+  const Tensor3<Fixed16> zeros = cube_of(dims, [] { return std::int16_t{0}; });
+  const std::int16_t extremes[] = {32767, -32768, -32767, 0, 1, -1};
+  i64 k = 0;
+  const Tensor3<Fixed16> extreme =
+      cube_of(dims, [&] { return extremes[k++ % 6]; });
+  const Tensor3<Fixed16> live = cube_of(dims, [&] {
+    return static_cast<std::int16_t>(static_cast<i64>(rng.next_u64() % 8193) -
+                                     4096);
+  });
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Tensor3<Fixed16>* in : {&zeros, &extreme, &live}) {
+    for (const auto& [alpha, bias] :
+         std::vector<std::pair<double, double>>{{1e-4, 1.0},
+                                                {1e-4, 0.0},
+                                                {1.0, 1.0},
+                                                {1e-4, 0.5},
+                                                {nan, 1.0},
+                                                {1e-4, nan},
+                                                {inf, 1.0},
+                                                {1e-4, -2.0}}) {
+      const LRNParams p{.local_size = 5, .alpha = alpha, .bias = bias};
+      expect_lrn_matches_ref({*in}, p,
+                             "alpha=" + std::to_string(alpha) +
+                                 " bias=" + std::to_string(bias));
+    }
+  }
+  // A NaN or negative scale leaves no nonzero output.
+  for (const double bias : {nan, -2.0}) {
+    const LRNParams p{.local_size = 5, .alpha = 1e-4, .bias = bias};
+    for (Backend b : simd::supported_backends())
+      EXPECT_EQ(nonzeros(lrn_batch(b, {live}, p)[0]), 0)
+          << simd::backend_name(b) << " bias=" << bias;
+  }
+  // Saturation: a full-scale input over a tiny scale clamps at both ends.
+  const LRNParams tiny{.local_size = 3, .alpha = 1e-9, .bias = 0.01};
+  for (Backend b : simd::supported_backends()) {
+    const Tensor3<Fixed16> out = lrn_batch(b, {extreme}, tiny)[0];
+    EXPECT_EQ(out.storage()[0].raw(), 32767) << simd::backend_name(b);
+    EXPECT_EQ(out.storage()[1].raw(), -32768) << simd::backend_name(b);
+  }
+}
+
+std::vector<Tensor3<Fixed16>> pool_batch(
+    Backend b, const std::vector<Tensor3<Fixed16>>& ins, const PoolParams& p) {
+  return run_batch(b, ins, pool_out_dims(ins[0].dims(), p),
+                   [&](auto& in, auto& out) {
+                     func::pool_func_batch(in, p, out);
+                   });
+}
+
+// Every k in 1..11, stride 1..4 and pad 0..k-1 over widths from the
+// narrowest legal one up past one vector, with and without a ceil-mode
+// window hanging past the input's edge, on full-range data that includes
+// -32768 (the padding value). Avg pooling takes the same grid at k <= 3.
+TEST(HostOpKernels, PoolMatchesRefOverGeometryGrid) {
+  BackendGuard guard;
+  Rng rng(1414);
+  const auto full = [&] {
+    const std::uint64_t r = rng.next_u64();
+    return static_cast<std::int16_t>(r % 16 == 0 ? -32768 : r >> 16);
+  };
+  i64 overhanging = 0;
+  for (i64 k = 1; k <= 11; ++k) {
+    for (i64 stride = 1; stride <= 4; ++stride) {
+      for (i64 pad = 0; pad < k; ++pad) {
+        const i64 narrow = std::max<i64>(1, k - 2 * pad);
+        for (i64 w : {narrow, narrow + 1, narrow + 2, i64{7}, i64{13},
+                      i64{16}, i64{23}}) {
+          if (w < narrow) continue;
+          const i64 h = std::max<i64>(narrow, (w * 3) % 11);
+          const std::vector<Tensor3<Fixed16>> ins = {
+              cube_of({3, h, w}, full), cube_of({3, h, w}, full)};
+          for (PoolKind kind : {PoolKind::kMax, PoolKind::kAvg}) {
+            if (kind == PoolKind::kAvg && k > 3) continue;
+            const PoolParams p{.kind = kind, .k = k, .stride = stride,
+                               .pad = pad};
+            const MapDims od = pool_out_dims(ins[0].dims(), p);
+            if ((od.w - 1) * stride + k > w + 2 * pad) ++overhanging;
+            for (Backend b : simd::supported_backends()) {
+              const std::vector<Tensor3<Fixed16>> got = pool_batch(b, ins, p);
+              for (std::size_t i = 0; i < ins.size(); ++i)
+                ASSERT_EQ(first_mismatch(got[i], pool2d_ref(ins[i], p)), -1)
+                    << simd::backend_name(b) << " k=" << k
+                    << " stride=" << stride << " pad=" << pad << " w=" << w
+                    << " h=" << h << " avg=" << (kind == PoolKind::kAvg);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(overhanging, 100);
+}
+
+// add_s16 saturates at both ends with and without ReLU, at every length
+// and misalignment, in place too; the batched join matches
+// eltwise_add_ref.
+TEST(HostOpKernels, AddSaturatesAndMatchesRef) {
+  using Tr = ArithTraits<Fixed16>;
+  BackendGuard guard;
+  std::vector<std::int16_t> a = random_s16(257 + 4, 1515);
+  std::vector<std::int16_t> b = random_s16(257 + 4, 1616);
+  const std::int16_t hi = 32767, lo = -32768;
+  const std::int16_t pairs[][2] = {{hi, 1},  {hi, hi}, {lo, -1}, {lo, lo},
+                                   {lo, hi}, {1, -1},  {-5, 3},  {0, 0}};
+  for (std::size_t i = 0; i < std::size(pairs); ++i) {
+    a[i] = a[i + 20] = pairs[i][0];
+    b[i] = b[i + 20] = pairs[i][1];
+  }
+  for (Backend back : simd::supported_backends()) {
+    simd::select_backend(back);
+    for (bool relu : {false, true}) {
+      for (i64 n = 0; n <= 257; n += (n < 40 ? 1 : 13)) {
+        for (i64 off = 0; off < 3; ++off) {
+          std::vector<std::int16_t> out(static_cast<std::size_t>(n));
+          std::vector<std::int16_t> in_place(a.begin() + off,
+                                             a.begin() + off + n);
+          simd::add_s16(a.data() + off, b.data() + off, out.data(), n, relu);
+          simd::add_s16(in_place.data(), b.data() + off, in_place.data(), n,
+                        relu);
+          for (i64 i = 0; i < n; ++i) {
+            const std::size_t s = static_cast<std::size_t>(i + off);
+            const std::int16_t want =
+                Tr::finalize(Tr::from_value(Fixed16::from_raw(a[s])) +
+                                 Tr::from_value(Fixed16::from_raw(b[s])),
+                             relu)
+                    .raw();
+            ASSERT_EQ(out[static_cast<std::size_t>(i)], want)
+                << simd::backend_name(back) << " n=" << n << " i=" << i
+                << " relu=" << relu;
+            ASSERT_EQ(in_place[static_cast<std::size_t>(i)], want);
+          }
+        }
+      }
+    }
+    Rng rng(1717);
+    const auto draw = [&] { return static_cast<std::int16_t>(rng.next_u64()); };
+    const Tensor3<Fixed16> x = cube_of({5, 7, 9}, draw);
+    const Tensor3<Fixed16> y = cube_of({5, 7, 9}, draw);
+    for (bool relu : {false, true}) {
+      Tensor3<Fixed16> got(x.dims());
+      func::eltwise_add_func_batch({&x}, {&y}, EltwiseAddParams{relu}, {&got});
+      EXPECT_EQ(first_mismatch(got, eltwise_add_ref(x, y, {relu})), -1)
+          << simd::backend_name(back) << " relu=" << relu;
+    }
+  }
 }
 
 // The end-to-end guarantee the CLI smoke check relies on: a whole-network
