@@ -1,6 +1,8 @@
 #include "cbrain/sim/executor.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <map>
 #include <span>
 
 #include "cbrain/arch/phase_clock.hpp"
@@ -48,15 +50,150 @@ void apply_delta(TrafficCounters& c, const StatSnapshot& a,
   c.add_ops += b.pe.add_ops - a.pe.add_ops;
 }
 
+// Kernel side of a conv tile's weight run: padded_k for partition/sliding
+// tiles, whose zero-padded weight words are real weight-SRAM words (an
+// upset there must still reach the sum).
+i64 conv_taps(const ConvTileInstr& in) {
+  const bool padded = in.scheme == Scheme::kPartition ||
+                      in.scheme == Scheme::kIntraSliding;
+  return padded ? in.part.padded_k() : in.k;
+}
+
+// The weight-SRAM words [base, base + words) a tile reads; empty for
+// instructions that read no weights.
+struct WeightWindow {
+  i64 base = 0;
+  i64 words = 0;
+};
+
+WeightWindow weight_window(const Instruction& instr) {
+  if (const auto* conv = std::get_if<ConvTileInstr>(&instr)) {
+    const i64 kt = conv_taps(*conv);
+    return {conv->weight_base, (conv->dout1 - conv->dout0) *
+                                   (conv->din1 - conv->din0) * kt * kt};
+  }
+  if (const auto* fc = std::get_if<FcTileInstr>(&instr))
+    return {fc->weight_base, (fc->dout1 - fc->dout0) * (fc->din1 - fc->din0)};
+  return {};
+}
+
+// Which weight loads an injector-free run may leave in DRAM, by program
+// index. A candidate is the last weight load before an FC tile (loads and
+// barriers between) that fills exactly that tile's weight window with
+// whole rows at one DRAM stride: one contiguous chunk, or one chunk per
+// row. The tile then reads the rows from DRAM and the copy is skipped.
+// Skipping leaves the load's window holding stale words, so a candidate
+// is kept only if no other tile reads a word of its window before a
+// later weight load rewrites that word. The walk follows infer()'s order
+// twice: the second lap sees the window state one inference leaves for
+// the next.
+std::vector<bool> in_place_weight_loads(const Network& net,
+                                        const Program& prog) {
+  std::vector<i64> order;
+  for (const Layer& l : net.layers()) {
+    const auto [begin, end] = prog.layer_range(l.id);
+    for (i64 i = begin; i < end; ++i) order.push_back(i);
+  }
+  const auto weight_load = [&](i64 i) {
+    const auto* li = std::get_if<LoadInstr>(&prog.at(i));
+    return li != nullptr && li->dst == BufferId::kWeight ? li : nullptr;
+  };
+
+  std::vector<bool> in_place(static_cast<std::size_t>(prog.size()), false);
+  i64 last = -1;
+  for (const i64 i : order) {
+    const Instruction& instr = prog.at(i);
+    if (std::holds_alternative<LoadInstr>(instr)) {
+      if (weight_load(i) != nullptr) last = i;
+      continue;
+    }
+    if (std::holds_alternative<BarrierInstr>(instr)) continue;
+    if (const auto* fc = std::get_if<FcTileInstr>(&instr); fc && last >= 0) {
+      const LoadInstr& li = *weight_load(last);
+      const i64 dins = fc->din1 - fc->din0;
+      in_place[static_cast<std::size_t>(last)] =
+          dins > 0 && li.dst_addr == fc->weight_base &&
+          li.chunks * li.chunk_words == (fc->dout1 - fc->dout0) * dins &&
+          (li.chunks == 1 || li.chunk_words == dins);
+    }
+    last = -1;
+  }
+
+  // Stale windows: first word -> {end, the load that skipped its copy}.
+  struct Stale {
+    i64 end = 0;
+    i64 owner = 0;
+  };
+  std::map<i64, Stale> stale;
+  const auto first_overlap = [&](i64 b) {
+    auto it = stale.lower_bound(b);
+    if (it != stale.begin() && std::prev(it)->second.end > b) --it;
+    return it;
+  };
+  const auto rewrite = [&](i64 b, i64 e) {
+    for (auto it = first_overlap(b); it != stale.end() && it->first < e;) {
+      const i64 s = it->first;
+      const Stale v = it->second;
+      it = stale.erase(it);
+      if (s < b) stale.emplace(s, Stale{b, v.owner});
+      if (v.end > e) stale.emplace(e, Stale{v.end, v.owner});
+    }
+  };
+  for (int lap = 0; lap < 2; ++lap) {
+    i64 pending = -1;  // the in-place load the next FC tile reads
+    for (const i64 i : order) {
+      if (const LoadInstr* li = weight_load(i)) {
+        rewrite(li->dst_addr, li->dst_addr + li->chunks * li->chunk_words);
+        pending = in_place[static_cast<std::size_t>(i)] ? i : -1;
+        if (pending >= 0)
+          stale.emplace(li->dst_addr,
+                        Stale{li->dst_addr + li->chunks * li->chunk_words, i});
+        continue;
+      }
+      const Instruction& instr = prog.at(i);
+      if (std::holds_alternative<LoadInstr>(instr) ||
+          std::holds_alternative<BarrierInstr>(instr))
+        continue;
+      const WeightWindow w = weight_window(instr);
+      if (!(std::holds_alternative<FcTileInstr>(instr) && pending >= 0))
+        for (auto it = first_overlap(w.base);
+             it != stale.end() && it->first < w.base + w.words; ++it)
+          in_place[static_cast<std::size_t>(it->second.owner)] = false;
+      pending = -1;
+    }
+  }
+  return in_place;
+}
+
+// Per-thread scratch of the conv value pass and the DRAM stores, kept
+// across tiles: each pool lane gathers its patch rows and builds its
+// store runs here, so no task shares a buffer with another.
+struct LaneScratch {
+  std::vector<std::int16_t> patches;
+  std::vector<Dram::StridedRun> runs;
+};
+
+LaneScratch& lane_scratch() {
+  thread_local LaneScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 
 class Executor {
  public:
+  // `in_place` flags the weight loads an injector-free run leaves in
+  // DRAM (in_place_weight_loads); nullptr copies every load.
   Executor(const Network& net, const CompiledNetwork& compiled,
-           SimMachine& m, FaultInjector* fault = nullptr)
-      : net_(net), compiled_(compiled), m_(m), fault_(fault) {}
+           SimMachine& m, FaultInjector* fault = nullptr,
+           const std::vector<bool>* in_place = nullptr)
+      : net_(net),
+        compiled_(compiled),
+        m_(m),
+        fault_(fault),
+        in_place_(fault == nullptr ? in_place : nullptr) {}
 
   // Writes every layer's weights and biases into simulated DRAM, once
   // per weight-resident session (with the machine construction); inputs
@@ -114,8 +251,11 @@ class Executor {
     SimResult result;
     result.per_layer.resize(static_cast<std::size_t>(net_.size()));
 
+    using Clock = std::chrono::steady_clock;
+    auto& reg = obs::Registry::global();
     clock_ = PhaseClock{};
     for (const Layer& l : net_.layers()) {
+      const Clock::time_point t0 = Clock::now();
       TrafficCounters& lc =
           result.per_layer[static_cast<std::size_t>(l.id)];
       const auto [begin, end] = compiled_.program.layer_range(l.id);
@@ -124,7 +264,7 @@ class Executor {
       for (i64 i = begin; i < end; ++i) {
         const Instruction& instr = compiled_.program.at(i);
         if (const auto* load = std::get_if<LoadInstr>(&instr)) {
-          const i64 t = exec_load(*load, lc);
+          const i64 t = exec_load(i, *load, lc);
           const i64 start = clock_.load(t);
           if (trace_) trace_dma(*load, start, t);
           continue;
@@ -160,6 +300,12 @@ class Executor {
       lc.total_cycles = clock_.now() - layer_start;
       if (trace_) trace_layer(l, layer_start);
       apply_delta(lc, layer_before, StatSnapshot::take(m_));
+      // Per-kind host wall time, the functional tier's func.wall_us
+      // mirrored: where the simulator spends its milliseconds.
+      reg.counter(std::string("sim.wall_us.") + layer_kind_name(l.kind))
+          .inc(std::chrono::duration_cast<std::chrono::microseconds>(
+                   Clock::now() - t0)
+                   .count());
     }
 
     result.final_output = read_cube(compiled_.layout.result_cube,
@@ -427,7 +573,7 @@ class Executor {
 
   // --- instruction handlers -----------------------------------------------
 
-  i64 exec_load(const LoadInstr& li, TrafficCounters& lc) {
+  i64 exec_load(i64 index, const LoadInstr& li, TrafficCounters& lc) {
     Sram16* dst = nullptr;
     switch (li.dst) {
       case BufferId::kInput:
@@ -442,9 +588,15 @@ class Executor {
       case BufferId::kOutput:
         CBRAIN_CHECK(false, "partials are never DMA-loaded");
     }
-    for (i64 c = 0; c < li.chunks; ++c) {
-      m_.dma().load(m_.dram(), li.src + c * li.src_stride, *dst,
-                    li.dst_addr + c * li.chunk_words, li.chunk_words);
+    if (in_place_ != nullptr && (*in_place_)[static_cast<std::size_t>(index)]) {
+      // The next FC tile reads these rows straight from DRAM: the buffer
+      // counts the writes the copy would make, and nothing is copied.
+      dst->count_writes(li.chunks * li.chunk_words);
+      fc_weights_ = &li;
+    } else {
+      for (i64 c = 0; c < li.chunks; ++c)
+        m_.dma().load(m_.dram(), li.src + c * li.src_stride, *dst,
+                      li.dst_addr + c * li.chunk_words, li.chunk_words);
     }
     lc.dram_reads += li.words;
     // Pattern-aware timing, identical to the analytical model (under the
@@ -488,13 +640,25 @@ class Executor {
   template <typename WordFn>
   void store_run(std::span<const OutputMap> outs, RunAxis axis, i64 d, i64 y,
                  i64 x, i64 n, WordFn&& word) {
-    runs_.clear();
+    put_run(outs, axis, d, y, x, n, word);
+    manual_dram_writes_ += n * static_cast<i64>(outs.size());
+  }
+
+  // store_run without the write count, which the caller owns. Its run
+  // scratch is the calling thread's, so with no injector attached (no
+  // hooks, no PE filter) tasks that store disjoint words may run it
+  // concurrently.
+  template <typename WordFn>
+  void put_run(std::span<const OutputMap> outs, RunAxis axis, i64 d, i64 y,
+               i64 x, i64 n, WordFn&& word) {
+    std::vector<Dram::StridedRun>& runs = lane_scratch().runs;
+    runs.clear();
     for (const OutputMap& m : outs) {
       CBRAIN_DCHECK(axis == RunAxis::kDepth
                         ? d + n + m.d_offset <= m.cube_dims.d
                         : x + n + m.x_offset <= m.cube_dims.w,
                     "output run leaves its cube");
-      runs_.push_back(m_.dram().strided_run(
+      runs.push_back(m_.dram().strided_run(
           m.base + linear_offset(m.cube_dims, m.order, d + m.d_offset,
                                  y + m.y_offset, x + m.x_offset),
           run_stride(m.cube_dims, m.order, axis), n));
@@ -504,9 +668,8 @@ class Executor {
       std::int16_t raw = word(i);
       if (pe_filter && fault_->pe_fault_active())
         raw = fault_->apply_pe_fault(axis == RunAxis::kDepth ? d + i : d, raw);
-      for (const Dram::StridedRun& r : runs_) r.put(i, raw);
+      for (const Dram::StridedRun& r : runs) r.put(i, raw);
     }
-    manual_dram_writes_ += n * static_cast<i64>(outs.size());
   }
 
   // A host tensor to every map of `outs`, one x-row run at a time.
@@ -544,9 +707,7 @@ class Executor {
     std::vector<i64> tap;
   };
 
-  // `kt` taps per kernel side: padded_k for partition/sliding tiles, whose
-  // zero-padded weight words are real weight-SRAM words (an upset there
-  // must still reach the sum).
+  // `kt` taps per kernel side (conv_taps).
   static BandMap band_map(const ConvTileInstr& in, i64 kt) {
     const i64 dins = in.din1 - in.din0;
     BandMap m;
@@ -581,12 +742,9 @@ class Executor {
   }
 
   void exec_conv(const ConvTileInstr& in) {
-    const std::vector<OutputMap>& outs = out_maps(in.layer);
     const i64 tout = m_.config().tout;
     const bool classic = in.scheme == Scheme::kInter;
-    const bool padded = in.scheme == Scheme::kPartition ||
-                        in.scheme == Scheme::kIntraSliding;
-    const i64 kt = padded ? in.part.padded_k() : in.k;
+    const i64 kt = conv_taps(in);
     const i64 dins = in.din1 - in.din0;
     const i64 douts = in.dout1 - in.dout0;
     const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
@@ -595,6 +753,7 @@ class Executor {
     // other tile accumulates through the output buffer.
     const bool buffered = !(classic && in.first_din_chunk &&
                             in.last_din_chunk);
+    const bool finalize = buffered && in.last_din_chunk;
 
     // Spans, in the fault hooks' order: an injector with several sites
     // armed draws them all from one RNG stream, so reordering the hooks
@@ -634,53 +793,53 @@ class Executor {
     const auto dot = simd::deep_window_ok(wrows_.data(), rs, douts, rs)
                          ? simd::dot_s16_mrhs_dw
                          : simd::dot_s16_mrhs;
+
+    // The epilogue adds the bias on the first din chunk. With no injector
+    // attached the whole tile's bias is read up front (the counts are the
+    // same) and each row's epilogue runs in its value-pass task: its
+    // partials and DRAM words belong to that row alone. With one, every
+    // hook must keep its order, so the epilogue runs serially below.
+    const bool fan_out = fault_ == nullptr;
+    const auto read_bias = [&](i64 l0, i64 L) {
+      if (!in.first_din_chunk) return;
+      for (i64 l = l0; l < l0 + L; ++l)
+        bias_acc_[static_cast<std::size_t>(l)] = bias_to_acc(
+            classic ? bias_span[l] : m_.bias_buf().read(l));
+    };
+    bias_acc_.assign(static_cast<std::size_t>(douts), 0);
+    if (fan_out) read_bias(0, douts);
+
     // One task per output row (DESIGN.md §6): it gathers the row's
-    // patches into its own scratch and writes only that row's sums, so
-    // the result does not depend on which lane ran it. Under the nesting
-    // rule the rows fan out only for a lone inference.
+    // patches into its lane's scratch and writes only that row's sums,
+    // so the result does not depend on which lane ran it. Under the
+    // nesting rule the rows fan out only for a lone inference.
     sums_.resize(static_cast<std::size_t>(douts * npix));
     parallel::parallel_for(in.out_row1 - in.out_row0, [&](i64 r) {
-      std::vector<std::int16_t> patches(
-          static_cast<std::size_t>(in.out_w * rs), 0);
+      std::vector<std::int16_t>& patches = lane_scratch().patches;
+      patches.resize(static_cast<std::size_t>(in.out_w * rs));
       const std::int16_t* row =
           band + map.row0 + (in.out_row0 + r) * map.row_step;
       for (i64 ox = 0; ox < in.out_w; ++ox) {
         const std::int16_t* src = row + ox * map.x_step;
         std::int16_t* dst = patches.data() + ox * rs;
         for (i64 j = 0; j < n; ++j) dst[j] = src[map.tap[j]];
+        std::fill(dst + n, dst + rs, std::int16_t{0});
       }
       dot(patches.data(), rs, in.out_w, wrows_.data(), rs, douts, rs,
           sums_.data() + r * in.out_w, npix);
+      if (!fan_out) return;
+      for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout)
+        conv_epilogue_row(in, lane0, std::min(tout, in.dout1 - lane0),
+                          in.out_row0 + r, partials);
+      if (finalize) finalize_row(in, partials, in.out_row0 + r);
     });
 
-    std::vector<acc_t> bias_acc(static_cast<std::size_t>(tout), 0);
     for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout) {
       const i64 L = std::min(tout, in.dout1 - lane0);
-      const i64 l0 = lane0 - in.dout0;
-      if (in.first_din_chunk)
-        for (i64 l = 0; l < L; ++l)
-          bias_acc[static_cast<std::size_t>(l)] =
-              bias_to_acc(classic ? bias_span[l0 + l]
-                                  : m_.bias_buf().read(l0 + l));
-      i64 pix = 0;
-      for (i64 oy = in.out_row0; oy < in.out_row1; ++oy) {
-        for (i64 ox = 0; ox < in.out_w; ++ox, ++pix) {
-          const acc_t* sum = sums_.data() + l0 * npix + pix;
-          if (!buffered) {
-            store_run(outs, RunAxis::kDepth, lane0, oy, ox, L, [&](i64 l) {
-              return finalize_value(
-                  sum[l * npix] + bias_acc[static_cast<std::size_t>(l)],
-                  in.relu);
-            });
-            continue;
-          }
-          acc_t* p = partials + pix * douts + l0;
-          for (i64 l = 0; l < L; ++l) {
-            const acc_t v =
-                sum[l * npix] + bias_acc[static_cast<std::size_t>(l)];
-            p[l] = in.first_din_chunk ? v : p[l] + v;
-          }
-        }
+      if (!fan_out) {
+        read_bias(lane0 - in.dout0, L);
+        for (i64 oy = in.out_row0; oy < in.out_row1; ++oy)
+          conv_epilogue_row(in, lane0, L, oy, partials);
       }
       switch (in.scheme) {
         case Scheme::kInter:
@@ -699,24 +858,58 @@ class Executor {
           break;
       }
     }
-    if (buffered && in.last_din_chunk) finalize_from_buffer(in);
+    if (finalize) {
+      // The finalize pass reads the tile's partials once, pixel-major and
+      // dout-minor: [0, npix*douts) in order, one span and one count.
+      if (!fan_out) {
+        const acc_t* fin = m_.output_buf().span(0, npix * douts);
+        for (i64 oy = in.out_row0; oy < in.out_row1; ++oy)
+          finalize_row(in, fin, oy);
+      }
+      m_.output_buf().count_reads(npix * douts);
+    }
+    if (!buffered || finalize)
+      manual_dram_writes_ +=
+          npix * douts * static_cast<i64>(out_maps(in.layer).size());
   }
 
-  // Finalize the whole tile's outputs from the output buffer (partials)
-  // into DRAM. Used by schemes that accumulate through the buffer.
-  void finalize_from_buffer(const ConvTileInstr& in) {
+  // The epilogue of lane group [lane0, lane0 + L) on output row oy: the
+  // bias onto each pixel's sums, then either a store straight from the
+  // PE (`partials` null: a classic single-chunk tile) or an update of the
+  // pixel's partials.
+  void conv_epilogue_row(const ConvTileInstr& in, i64 lane0, i64 L, i64 oy,
+                         acc_t* partials) {
     const std::vector<OutputMap>& outs = out_maps(in.layer);
     const i64 douts = in.dout1 - in.dout0;
     const i64 npix = (in.out_row1 - in.out_row0) * in.out_w;
-    // Partials are pixel-major, dout-minor: this loop order walks
-    // [0, npix*douts) sequentially, so one span + one batched count covers
-    // the whole pass.
-    const acc_t* partials = m_.output_buf().span(0, npix * douts);
-    m_.output_buf().count_reads(npix * douts);
-    for (i64 oy = in.out_row0; oy < in.out_row1; ++oy)
-      for (i64 ox = 0; ox < in.out_w; ++ox, partials += douts)
-        store_run(outs, RunAxis::kDepth, in.dout0, oy, ox, douts,
-                  [&](i64 d) { return finalize_value(partials[d], in.relu); });
+    const i64 l0 = lane0 - in.dout0;
+    const acc_t* bias = bias_acc_.data() + l0;
+    i64 pix = (oy - in.out_row0) * in.out_w;
+    for (i64 ox = 0; ox < in.out_w; ++ox, ++pix) {
+      const acc_t* sum = sums_.data() + l0 * npix + pix;
+      if (partials == nullptr) {
+        put_run(outs, RunAxis::kDepth, lane0, oy, ox, L, [&](i64 l) {
+          return finalize_value(sum[l * npix] + bias[l], in.relu);
+        });
+        continue;
+      }
+      acc_t* p = partials + pix * douts + l0;
+      for (i64 l = 0; l < L; ++l) {
+        const acc_t v = sum[l * npix] + bias[l];
+        p[l] = in.first_din_chunk ? v : p[l] + v;
+      }
+    }
+  }
+
+  // Finalizes output row oy of a tile that accumulates through the
+  // output buffer: each pixel's douts partials to DRAM in one run.
+  void finalize_row(const ConvTileInstr& in, const acc_t* partials, i64 oy) {
+    const std::vector<OutputMap>& outs = out_maps(in.layer);
+    const i64 douts = in.dout1 - in.dout0;
+    const acc_t* p = partials + (oy - in.out_row0) * in.out_w * douts;
+    for (i64 ox = 0; ox < in.out_w; ++ox, p += douts)
+      put_run(outs, RunAxis::kDepth, in.dout0, oy, ox, douts,
+              [&](i64 d) { return finalize_value(p[d], in.relu); });
   }
 
   // Per-lane-group counter blocks, in closed form: totals identical to
@@ -910,19 +1103,34 @@ class Executor {
 
     const std::int16_t* ivec =
         m_.input_buf().read_span(in.input_base, dins);
+    // Weight sub-block layout: (dout-rel, din), one row per dout. A load
+    // left in DRAM (exec_load) is read there, its rows one stride apart.
     const std::int16_t* wbuf =
         m_.weight_buf().read_span(in.weight_base, douts * dins);
+    i64 wstride = dins;
+    if (fc_weights_ != nullptr) {
+      if (fc_weights_->chunks > 1) wstride = fc_weights_->src_stride;
+      wbuf = m_.dram().read_span(fc_weights_->src,
+                                 (douts - 1) * wstride + dins);
+      fc_weights_ = nullptr;
+    }
 
-    std::vector<acc_t> acc(static_cast<std::size_t>(tout));
+    // The spans' hooks have fixed the dots' inputs, so every lane group's
+    // dot runs up front, one task per group; bias, partials, counters and
+    // stores then follow serially in lane-group order.
+    fc_acc_.resize(static_cast<std::size_t>(douts));
+    parallel::parallel_for(ceil_div(douts, tout), [&](i64 g) {
+      const i64 l0 = g * tout;
+      simd::dot_s16_mrhs(ivec, dins, 1, wbuf + l0 * wstride, wstride,
+                         std::min(tout, douts - l0), dins,
+                         fc_acc_.data() + l0, 1);
+    });
     for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout) {
       const i64 L = std::min(tout, in.dout1 - lane0);
-      // Weight sub-block layout: (dout-rel, din) row-major.
-      simd::dot_s16_mrhs(ivec, dins, 1, wbuf + (lane0 - in.dout0) * dins,
-                         dins, L, dins, acc.data(), 1);
+      acc_t* acc = fc_acc_.data() + (lane0 - in.dout0);
       if (in.first_din_chunk)
         for (i64 l = 0; l < L; ++l)
-          acc[static_cast<std::size_t>(l)] +=
-              bias_to_acc(m_.bias_buf().read(lane0 + l - in.dout0));
+          acc[l] += bias_to_acc(m_.bias_buf().read(lane0 + l - in.dout0));
       // Batched accounting for this lane group's dins-long dot products.
       m_.pe().begin_ops(nchunks, dins * L);
       m_.input_buf().count_reads(dins);
@@ -930,7 +1138,7 @@ class Executor {
       m_.pe().count_mac(dins * L, dins * L);
       if (!multi) {
         store_run(outs, RunAxis::kDepth, lane0, 0, 0, L, [&](i64 l) {
-          return finalize_value(acc[static_cast<std::size_t>(l)], in.relu);
+          return finalize_value(acc[l], in.relu);
         });
         continue;
       }
@@ -938,7 +1146,7 @@ class Executor {
       // partial inside the store loop, so its accumulator hooks run
       // before that word's store, as with one store per word.
       const auto update = [&](i64 l) {
-        const acc_t a = acc[static_cast<std::size_t>(l)];
+        const acc_t a = acc[l];
         if (in.first_din_chunk) {
           m_.output_buf().write(lane0 + l, a);
         } else {
@@ -1005,11 +1213,14 @@ class Executor {
   FaultInjector* fault_ = nullptr;
   std::unique_ptr<Tracing> trace_;
   PhaseClock clock_;  // one inference's timeline, reset by infer()
+  const std::vector<bool>* in_place_ = nullptr;
+  const LoadInstr* fc_weights_ = nullptr;  // an in-place load, until its FC
   bool pe_filter_ = false;
-  // exec_conv scratch, reused across tiles.
+  // exec_conv and exec_fc scratch, reused across tiles.
   std::vector<std::int16_t> wrows_;
   std::vector<acc_t> sums_;
-  std::vector<Dram::StridedRun> runs_;  // store_run's per-map destinations
+  std::vector<acc_t> bias_acc_;
+  std::vector<acc_t> fc_acc_;
   i64 manual_cycles_ = 0;
   i64 manual_dram_writes_ = 0;
   i64 manual_dram_reads_ = 0;
@@ -1021,10 +1232,16 @@ class Executor {
 
 SimExecutor::SimExecutor(const Network& net, const CompiledNetwork& compiled,
                          const AcceleratorConfig& config)
-    : net_(net), compiled_(compiled) {
+    : net_(net),
+      compiled_(compiled),
+      in_place_(in_place_weight_loads(net, compiled.program)) {
   // Generous slack beyond the planner's footprint for alignment.
   machine_ = std::make_unique<SimMachine>(
       config, compiled.layout.total_words + 1024);
+}
+
+i64 SimExecutor::in_place_loads() const {
+  return std::count(in_place_.begin(), in_place_.end(), true);
 }
 
 SimResult SimExecutor::run(const Tensor3<Fixed16>& input,
@@ -1046,7 +1263,7 @@ SimResult SimExecutor::infer(const Tensor3<Fixed16>& input) {
   // counters start at zero, and all machine stats are attributed via
   // before/after deltas, so infer ×N on one machine is counter-identical
   // to N single-shot runs.
-  Executor ex(net_, compiled_, *machine_, fault_);
+  Executor ex(net_, compiled_, *machine_, fault_, &in_place_);
   return ex.infer(input);
 }
 

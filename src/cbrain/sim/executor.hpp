@@ -51,6 +51,13 @@ class SimExecutor {
 
   bool params_loaded() const { return params_loaded_; }
 
+  // Weight loads an injector-free inference leaves in DRAM: each feeds
+  // one FC tile that reads its rows there, and no other tile reads the
+  // load's buffer window before a later load rewrites it. Counters,
+  // traces and outputs are those of the copy, which every other load,
+  // and every load of a run with an injector attached, still makes.
+  i64 in_place_loads() const;
+
   // Attaches a fault injector to every machine component and enables the
   // executor's macro-instruction checkpoint/replay recovery. Pass nullptr
   // to detach; with no injector the simulation is bit- and
@@ -66,6 +73,7 @@ class SimExecutor {
  private:
   const Network& net_;
   const CompiledNetwork& compiled_;
+  std::vector<bool> in_place_;  // by program index
   std::unique_ptr<SimMachine> machine_;
   FaultInjector* fault_ = nullptr;
   bool params_loaded_ = false;

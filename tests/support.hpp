@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,44 @@ inline AcceleratorConfig tiny_config(i64 tin = 4, i64 tout = 4) {
   c.weight_buf.size_bytes = 2 * 1024;
   c.bias_buf.size_bytes = 1024;
   return c;
+}
+
+// He-uniform parameters (He et al. 2015, arXiv:1502.01852), drawn as
+// Q7.8 integers: weights uniform in +-round(256 * sqrt(6 / fan_in)),
+// biases in +-26 (about +-0.1). Unlike init_net_params' +-1/fan_in they
+// keep every zoo layer live, so an equivalence check compares real
+// activations instead of zeros.
+inline NetParamsData<Fixed16> he_uniform_params(const Network& net,
+                                                std::uint64_t seed) {
+  Rng rng(seed);
+  NetParamsData<Fixed16> out;
+  out.per_layer.resize(static_cast<std::size_t>(net.size()));
+  for (const Layer& l : net.layers()) {
+    const KernelDims wd = l.weight_dims();
+    if (wd.count() == 0) continue;
+    auto& data = out.per_layer[static_cast<std::size_t>(l.id)];
+    data.weights = Tensor4<Fixed16>(wd);
+    const auto bound = static_cast<std::int64_t>(std::llround(
+        256.0 * std::sqrt(6.0 / static_cast<double>(wd.din * wd.kh * wd.kw))));
+    for (auto& w : data.weights.storage())
+      w = Fixed16::from_raw(static_cast<std::int16_t>(rng.next_int(-bound, bound)));
+    data.bias.resize(static_cast<std::size_t>(wd.dout));
+    for (auto& b : data.bias)
+      b = Fixed16::from_raw(static_cast<std::int16_t>(rng.next_int(-26, 26)));
+  }
+  return out;
+}
+
+// Every TrafficCounters field of one layer, space-separated.
+inline std::string counters_line(const TrafficCounters& c) {
+  std::string s;
+  for (const i64 v :
+       {c.input_reads, c.input_writes, c.output_reads, c.output_writes,
+        c.weight_reads, c.weight_writes, c.bias_reads, c.bias_writes,
+        c.dram_reads, c.dram_writes, c.mul_ops, c.idle_mul_slots, c.add_ops,
+        c.compute_cycles, c.total_cycles})
+    s += std::to_string(v) + " ";
+  return s;
 }
 
 struct RunResult {

@@ -21,6 +21,7 @@
 namespace cbrain {
 namespace {
 
+using test::counters_line;
 using test::tiny_config;
 
 // ---------------------------------------------------------------------------
@@ -219,6 +220,12 @@ std::pair<std::string, std::string> traced_run() {
   (void)sim.run(input, params);
   tr.disable();
 
+  // Host wall time per layer kind is the one registry entry a run does
+  // not determine; zero it so the dump holds the cycle-domain counters.
+  for (const Layer& l : net.layers())
+    obs::Registry::global()
+        .counter(std::string("sim.wall_us.") + layer_kind_name(l.kind))
+        .reset();
   return {obs::to_chrome_trace_json(tr.drain()),
           obs::Registry::global().to_json()};
 }
@@ -245,24 +252,15 @@ TEST(ObsDeterminism, CycleSpansAndCountersIdenticalAcrossJobsAndSimd) {
   ASSERT_TRUE(simd::select_backend("auto"));
 }
 
-std::string counters_line(const TrafficCounters& c) {
-  std::string s;
-  for (const i64 v :
-       {c.input_reads, c.input_writes, c.output_reads, c.output_writes,
-        c.weight_reads, c.weight_writes, c.bias_reads, c.bias_writes,
-        c.dram_reads, c.dram_writes, c.mul_ops, c.idle_mul_slots, c.add_ops,
-        c.compute_cycles, c.total_cycles})
-    s += std::to_string(v) + " ";
-  return s;
-}
-
-// The cycle tier's conv value pass fans out over output rows for a lone
-// inference; its epilogue and every fault hook stay serial. scheme_mix
-// under the five compiling policies runs every scheme's value pass and
-// both conv epilogues (straight from the PE and through the partials
-// buffer); at pool widths 1, 2 and 4, with and without a weight+PE
-// injector (parity replays re-run the pass), the output, per-layer
-// counters, cycle trace and fault event log must not depend on the width.
+// The cycle tier's conv rows fan out for a lone inference, each with its
+// epilogue when no injector is attached; with one, the epilogue and
+// every fault hook stay serial, and FC lane-group dots fan out either
+// way. scheme_mix under the five compiling policies runs every scheme's
+// value pass and both conv epilogues (straight from the PE and through
+// the partials buffer); at pool widths 1, 2 and 4, with and without a
+// weight+PE injector (parity replays re-run the pass), the output,
+// per-layer counters, cycle trace and fault event log must not depend on
+// the width.
 TEST(ObsDeterminism, CycleValuePassIdenticalAcrossWorkerCounts) {
   const i64 jobs_before = parallel::default_jobs();
   const Network net = zoo::scheme_mix_cnn();
@@ -322,6 +320,42 @@ TEST(ObsDeterminism, CycleValuePassIdenticalAcrossWorkerCounts) {
     }
   }
   parallel::set_default_jobs(jobs_before);
+}
+
+// The cycle tier's host time per layer kind (sim.wall_us.<kind>, one
+// clock read per layer) advances for every kind an AlexNet inference
+// runs, while the cycle-domain trace stays byte-identical from one
+// inference to the next.
+TEST(ObsSimWall, AlexNetInferAdvancesPerKindWallCounters) {
+  obs::Tracer& tr = obs::Tracer::global();
+  (void)tr.drain();
+  const Network net = zoo::alexnet();
+  const AcceleratorConfig config = AcceleratorConfig::paper_16_16();
+  const auto params = init_net_params<Fixed16>(net, 7);
+  const auto input = random_input<Fixed16>(net.layer(0).out_dims, 11);
+  auto compiled = compile_network(net, Policy::kAdaptive2, config);
+  ASSERT_TRUE(compiled.is_ok());
+  SimExecutor sim(net, compiled.value(), config);
+  sim.load_params(params);
+
+  obs::Registry& reg = obs::Registry::global();
+  const std::vector<std::string> kinds = {"conv", "fc", "pool", "lrn",
+                                          "softmax"};
+  std::vector<std::string> traces;
+  for (int run = 0; run < 2; ++run) {
+    std::vector<i64> before;
+    for (const std::string& k : kinds)
+      before.push_back(reg.counter("sim.wall_us." + k).value());
+    tr.enable();
+    (void)sim.infer(input);
+    tr.disable();
+    traces.push_back(obs::to_chrome_trace_json(tr.drain()));
+    for (std::size_t i = 0; i < kinds.size(); ++i)
+      EXPECT_GT(reg.counter("sim.wall_us." + kinds[i]).value(), before[i])
+          << kinds[i] << " run " << run;
+  }
+  ASSERT_NE(traces[0].find("\"infer:alexnet\""), std::string::npos);
+  EXPECT_EQ(traces[0], traces[1]);
 }
 
 TEST(ObsDeterminism, SimSpansNestInsideTheInferSpan) {

@@ -7,6 +7,9 @@
 // and the tiler are *correct*, not merely fast.
 #include <algorithm>
 
+#include "cbrain/common/thread_pool.hpp"
+#include "cbrain/obs/chrome_trace.hpp"
+#include "cbrain/obs/tracer.hpp"
 #include "cbrain/simd/simd.hpp"
 #include "support.hpp"
 
@@ -188,6 +191,176 @@ TEST(SimDeepWindow, ContractBreakingTileFallsBackToExactKernel) {
             << simd::backend_name(backend);
       }
     }
+}
+
+// Everything one cycle-tier inference shows: the final output, then
+// every layer's consumed cube in layer order, every layer's counters and
+// the cycle trace.
+struct SimView {
+  std::vector<Tensor3<Fixed16>> cubes;
+  std::string counters;
+  std::string trace;
+};
+
+SimView infer_view(const Network& net, SimExecutor& sim,
+                   const Tensor3<Fixed16>& input) {
+  obs::Tracer& tr = obs::Tracer::global();
+  (void)tr.drain();
+  tr.enable();
+  const SimResult r = sim.infer(input);
+  tr.disable();
+  SimView v;
+  v.cubes.push_back(r.final_output);
+  for (const Layer& l : net.layers())
+    if (l.kind != LayerKind::kInput) v.cubes.push_back(sim.read_input_cube(l.id));
+  for (const TrafficCounters& c : r.per_layer) v.counters += counters_line(c) + "\n";
+  v.trace = obs::to_chrome_trace_json(tr.drain());
+  return v;
+}
+
+// One inference with no injector (weights the scan proved safe read in
+// place) and one under an attached zero-rate injector (every load
+// copied, every hook run) must show the same bytes.
+void expect_copy_path_identical(const Network& net, SimExecutor& sim,
+                                const Tensor3<Fixed16>& input) {
+  const SimView fast = infer_view(net, sim, input);
+  FaultInjector zero_rate{FaultConfig{}};
+  sim.attach_fault(&zero_rate);
+  const SimView copy = infer_view(net, sim, input);
+  sim.attach_fault(nullptr);
+  ASSERT_EQ(fast.cubes.size(), copy.cubes.size());
+  for (std::size_t i = 0; i < fast.cubes.size(); ++i)
+    EXPECT_TRUE(tensors_equal(fast.cubes[i], copy.cubes[i]))
+        << (i == 0 ? "final output" : "consumed cube " + std::to_string(i));
+  EXPECT_EQ(fast.counters, copy.counters) << "per-layer counters";
+  EXPECT_EQ(fast.trace, copy.trace) << "cycle trace";
+}
+
+LayerId layer_named(const Network& net, const std::string& name) {
+  for (const Layer& l : net.layers())
+    if (l.name == name) return l.id;
+  ADD_FAILURE() << "no layer " << name;
+  return 0;
+}
+
+i64 fc_tiles(const Program& program) {
+  return std::count_if(
+      program.instructions().begin(), program.instructions().end(),
+      [](const Instruction& i) { return std::holds_alternative<FcTileInstr>(i); });
+}
+
+// FC weights read in place from DRAM are the copied weights: AlexNet on
+// live He-uniform weights, under the paper config (one din chunk, fc6-fc8
+// lane groups across the pool) and under a 32 KiB InOut buffer that
+// din-chunks every FC layer into strided weight loads, equals the copy
+// path under every supported backend, serially and on the pool.
+TEST(SimFcInPlace, MatchesCopyPath) {
+  struct Restore {
+    simd::Backend backend = simd::active_backend();
+    i64 jobs = parallel::default_jobs();
+    ~Restore() {
+      simd::select_backend(backend);
+      parallel::set_default_jobs(jobs);
+    }
+  } restore;
+  const Network net = zoo::alexnet();
+  const auto params = he_uniform_params(net, 5);
+  const auto input = random_input<Fixed16>(net.layer(0).out_dims, 6);
+  AcceleratorConfig small = AcceleratorConfig::paper_16_16();
+  small.inout_buf.size_bytes = 32 * 1024;
+
+  for (const AcceleratorConfig& config :
+       {AcceleratorConfig::paper_16_16(), small}) {
+    SCOPED_TRACE("inout " + std::to_string(config.inout_buf.size_bytes));
+    auto compiled = compile_network(net, Policy::kAdaptive2, config);
+    ASSERT_TRUE(compiled.is_ok()) << compiled.status().to_string();
+    const Program& program = compiled.value().program;
+    SimExecutor sim(net, compiled.value(), config);
+    EXPECT_EQ(sim.in_place_loads(), fc_tiles(program));
+    const bool chunked = std::any_of(
+        program.instructions().begin(), program.instructions().end(),
+        [](const Instruction& i) {
+          const auto* fc = std::get_if<FcTileInstr>(&i);
+          return fc != nullptr && !fc->last_din_chunk;
+        });
+    EXPECT_EQ(chunked, config.inout_buf.size_bytes == small.inout_buf.size_bytes);
+    sim.load_params(params);
+    for (const simd::Backend backend : simd::supported_backends())
+      for (const i64 jobs : {i64{1}, i64{4}}) {
+        SCOPED_TRACE(std::string(simd::backend_name(backend)) + " jobs " +
+                     std::to_string(jobs));
+        simd::select_backend(backend);
+        parallel::set_default_jobs(jobs);
+        expect_copy_path_identical(net, sim, input);
+      }
+
+    // The FC layers are live: at least 30% of fc7's outputs are nonzero.
+    (void)sim.infer(input);
+    const Tensor3<Fixed16> fc7 = sim.read_input_cube(layer_named(net, "fc8"));
+    const auto nonzero = std::count_if(
+        fc7.storage().begin(), fc7.storage().end(),
+        [](Fixed16 v) { return v.raw() != 0; });
+    EXPECT_GE(nonzero * 10, fc7.size() * 3) << nonzero << " of " << fc7.size();
+  }
+}
+
+// `compiled` with `extra` inserted right after instruction `after`.
+CompiledNetwork with_inserted(const Network& net,
+                              const CompiledNetwork& compiled, i64 after,
+                              const Instruction& extra) {
+  CompiledNetwork out = compiled;
+  Program program;
+  for (const Layer& l : net.layers()) {
+    const auto [begin, end] = compiled.program.layer_range(l.id);
+    program.begin_layer(l.id);
+    for (i64 i = begin; i < end; ++i) {
+      program.push(compiled.program.at(i));
+      if (i == after) program.push(extra);
+    }
+    program.end_layer(l.id);
+  }
+  out.program = std::move(program);
+  return out;
+}
+
+// A load stays in DRAM only while no other tile reads its window before
+// a later load rewrites it. Two hand-edited tiny_cnn programs re-read
+// fc3's weight window right after its FC tile, with no load between:
+// once by a second copy of that FC tile (an idempotent first-chunk
+// store) and once by a copy of a conv2 tile. fc3's load must then be
+// copied (fc4's alone stays in place), and each run must match the
+// reference output and, cube for cube, the all-copy path.
+TEST(SimFcInPlace, ReReadWindowTakesTheCopyPath) {
+  const Network net = zoo::tiny_cnn();
+  const AcceleratorConfig config = AcceleratorConfig::paper_16_16();
+  const auto params = he_uniform_params(net, 9);
+  const auto input = random_input<Fixed16>(net.layer(0).out_dims, 10);
+  const Tensor3<Fixed16> want = RefExecutor<Fixed16>(net, params).run(input);
+  auto compiled = compile_network(net, Policy::kAdaptive2, config);
+  ASSERT_TRUE(compiled.is_ok());
+  const Program& program = compiled.value().program;
+  ASSERT_EQ(SimExecutor(net, compiled.value(), config).in_place_loads(), 2);
+
+  const auto first_of = [&](LayerId layer, auto tag) {
+    const auto [begin, end] = program.layer_range(layer);
+    for (i64 i = begin; i < end; ++i)
+      if (std::holds_alternative<decltype(tag)>(program.at(i))) return i;
+    return i64{-1};
+  };
+  const i64 fc3 = first_of(layer_named(net, "fc3"), FcTileInstr{});
+  const i64 conv2 = first_of(layer_named(net, "conv2"), ConvTileInstr{});
+  ASSERT_GE(fc3, 0);
+  ASSERT_GE(conv2, 0);
+  for (const i64 reread : {fc3, conv2}) {
+    SCOPED_TRACE(reread == fc3 ? "second fc3 tile" : "conv2 tile");
+    const CompiledNetwork edited =
+        with_inserted(net, compiled.value(), fc3, program.at(reread));
+    SimExecutor sim(net, edited, config);
+    EXPECT_EQ(sim.in_place_loads(), 1);
+    sim.load_params(params);
+    EXPECT_TRUE(tensors_equal(want, sim.infer(input).final_output));
+    expect_copy_path_identical(net, sim, input);
+  }
 }
 
 }  // namespace

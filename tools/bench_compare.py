@@ -12,11 +12,12 @@ files. The file has four sections of points:
   multichip  — simulated multi-chip scaling (sim_images_per_s).
 Any other section is ignored, so a baseline written with sections this
 script does not read still compares.
-Points the harness runs several times (every serve point and every
-conv_tile kernel point) carry "runs" and a <metric>_min/_max spread; their
-<metric> is the median run, so the diff is median against median, and the
-current spread is printed beside the ratio. A one-run point from an older
-baseline still compares by its single value.
+Points the harness runs several times (every serve point, every
+conv_tile kernel point and a cycle whole_net point's infer phase) carry
+"runs" and a <metric>_min/_max spread; their <metric> is the median run,
+so the diff is median against median, and the current spread is printed
+beside the ratio. A one-run point from an older baseline still compares
+by its single value.
 Extra points on either side are listed, not compared — a --quick run
 legitimately omits VGG16, and a baseline from before the two-tier split
 simply has no functional-tier entries; those show up as "new entry",
@@ -100,8 +101,12 @@ def index(doc):
         for phase in ("infer", "setup"):
             ms = r.get(phase + "_ms")
             if ms:
+                ms_spread = spread(r, phase + "_ms")
+                rate_spread = (1.0 / ms_spread[1], 1.0 / ms_spread[0]) \
+                    if ms_spread else None
                 points[(phase,) + wholenet_key(r)[1:]] = (f"1/{phase}_ms",
-                                                         1.0 / ms, None)
+                                                         1.0 / ms,
+                                                         rate_spread)
     for r in doc.get("serve", []):
         if "infer_per_s" in r:
             points[serve_key(r)] = ("infer_per_s", r["infer_per_s"],

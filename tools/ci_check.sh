@@ -67,11 +67,17 @@ run_suite build-ci-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # filter change can never silently drop them.
 ./build-ci-tsan/tests/test_engine
 ./build-ci-tsan/tests/test_obs
-# A lone cycle-tier request fans its conv value pass out over output rows
-# (one task per row, its own patch scratch, disjoint rows of the sums)
-# while the epilogue and every hook stay on the caller: race-check it on
-# AlexNet, whose every conv layer takes the fan-out.
+# A lone cycle-tier request fans out over the pool: each conv row task
+# runs the row's value pass and, with no injector, its epilogue (partials
+# and DRAM stores of that row alone, store runs in its lane's scratch);
+# FC lane-group dots run one task per group, reading weights in place
+# from DRAM. Every hook and counter block stays on the caller.
+# Race-check it on AlexNet, whose every conv and FC layer takes the
+# fan-out, and on mini_inception, whose stem conv stores each output
+# to four consumer maps.
 ./build-ci-tsan/tools/cbrain_cli serve-bench alexnet --requests=1 \
+  --jobs="$JOBS" > /dev/null
+./build-ci-tsan/tools/cbrain_cli serve-bench mini_inception --requests=1 \
   --jobs="$JOBS" > /dev/null
 
 echo "=== AddressSanitizer+UBSan build ==="
