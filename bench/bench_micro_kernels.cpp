@@ -13,21 +13,22 @@
 // times dot_s16_mrhs[_dw], the functional tier's depthwise layer at two
 // MobileNetV1 shapes, its tile conv at three zoo shapes and its host-side
 // ops (LRN, max pool, residual add) at four on every supported SIMD
-// backend, the backends taking turns point by point, plus
-// whole-network wall-clock at both execution tiers
-// (cycle: full simulate per backend for AlexNet, VGG16 under the best
-// one; functional: warm weight-resident forward pass, with its speedup
-// over the cycle tier) and the serving path (AlexNet through
+// backend, plus whole-network wall-clock at both execution tiers (cycle:
+// setup plus a warm inference, on every backend for AlexNet, VGG16 under
+// the best one; functional: warm weight-resident forward pass, with its
+// speedup over the cycle tier) and the serving path (AlexNet through
 // weight-resident engine sessions at jobs 1 and N, at both fidelities,
 // vs the per-call simulate path), and writes the results as JSON
 // (default: BENCH_kernels.json in the working directory). --quick drops
-// VGG16 and shortens reps. Each tile conv and serve point runs
-// kSpreadRuns times and reports its median with the min and max, so a
-// single slow run on a shared host does not read as a regression. CI runs
-// the quick mode and diffs against the committed baseline; the diff is
-// informational, not a gate. A cycle whole-net point's infer_ms is the
-// median of kSpreadRuns warm inferences on its session, after one cold
-// one, with the min and max.
+// VGG16 and shortens the runs. Every point is the median of kSpreadRuns
+// runs, reported with their min and max; where a point has a value per
+// backend, the backends take turns run by run. So a single slow run on a
+// shared host does not read as a regression, and tools/bench_compare.py
+// flags one only when the two files' ranges do not overlap. CI runs the
+// quick mode and diffs against the committed baseline; the diff is
+// informational, not a gate. A cycle whole-net point times its setup
+// kSpreadRuns times and its warm inferences kSpreadRuns times, after
+// one cold one.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -179,21 +180,16 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Best-of-`reps` wall time of `fn()` with `iters` inner calls per rep.
+// Mean wall time of one call of fn() over `iters` calls.
 template <typename Fn>
-double best_of(int reps, i64 iters, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const Clock::time_point t0 = Clock::now();
-    for (i64 i = 0; i < iters; ++i) fn();
-    const double dt = seconds_since(t0) / static_cast<double>(iters);
-    if (dt < best) best = dt;
-  }
-  return best;
+double time_calls(i64 iters, Fn&& fn) {
+  const Clock::time_point t0 = Clock::now();
+  for (i64 i = 0; i < iters; ++i) fn();
+  return seconds_since(t0) / static_cast<double>(iters);
 }
 
-// Runs of each tile conv and serve point (odd, so the median is one
-// run); the median is the point's value, min and max its spread.
+// Runs behind every point (odd, so the median is one run); the median is
+// the point's value, min and max its spread.
 constexpr int kSpreadRuns = 5;
 
 struct Spread {
@@ -207,214 +203,274 @@ Spread spread_of(std::vector<double> v) {
   return {v[v.size() / 2], v.front(), v.back()};
 }
 
+// kSpreadRuns runs of time_once() (seconds) on each backend, the backends
+// taking turns run by run, so a change of host load during a point hits
+// every backend alike. One spread per backend, in `backends` order.
+std::vector<Spread> alternate_backends(
+    const std::vector<simd::Backend>& backends,
+    const std::function<double()>& time_once) {
+  std::vector<std::vector<double>> secs(backends.size());
+  for (int run = 0; run < kSpreadRuns; ++run)
+    for (std::size_t i = 0; i < backends.size(); ++i) {
+      simd::select_backend(backends[i]);
+      secs[i].push_back(time_once());
+    }
+  std::vector<Spread> out;
+  for (std::vector<double>& v : secs) out.push_back(spread_of(std::move(v)));
+  return out;
+}
+
 struct KernelResult {
   std::string name;
   std::string backend;
   i64 n = 0;
-  double gbps = 0.0;  // the median run's, for a point with runs > 0
-  double mac_per_s = 0.0;
-  double secs = 0.0;
-  int runs = 0;  // 0: best of reps, no spread
+  double gbps = 0.0;  // the median run's, with the runs' range
   double gbps_min = 0.0;
   double gbps_max = 0.0;
+  double mac_per_s = 0.0;
+  double secs = 0.0;  // the median run's seconds per call
 };
 
+// One kernel point: the bytes it streams and the work (MACs, or output
+// elements for a host op) it does per call, and one timed run — mean
+// seconds per call — on the active backend. Its operands are built once
+// and shared by every backend and run.
+struct KernelPoint {
+  std::string name;
+  i64 n = 0;
+  double bytes = 0.0;
+  double work = 0.0;
+  std::function<double()> time_once;
+};
+
+std::vector<KernelResult> run_point(
+    const KernelPoint& p, const std::vector<simd::Backend>& backends) {
+  const std::vector<Spread> spreads = alternate_backends(backends, p.time_once);
+  std::vector<KernelResult> out;
+  for (std::size_t i = 0; i < backends.size(); ++i) {
+    const Spread& s = spreads[i];
+    KernelResult r;
+    r.name = p.name;
+    r.backend = simd::backend_name(backends[i]);
+    r.n = p.n;
+    r.secs = s.median;
+    r.gbps = p.bytes / s.median * 1e-9;
+    r.gbps_min = p.bytes / s.max * 1e-9;
+    r.gbps_max = p.bytes / s.min * 1e-9;
+    r.mac_per_s = p.work / s.median;
+    out.push_back(r);
+  }
+  return out;
+}
+
 // The multi-RHS GEMM kernels behind both tiers (the exact one runs
-// cycle-tier FC and out-of-contract tiles): one kMrhsRows-row weight
-// panel against kMrhsCols data columns per call. Both tiers share the
-// measurement shape; `dw` picks the deep-window entry point and shrinks
-// the weights to honour its magnitude bound (checked with
-// simd::deep_window_ok rather than assumed).
+// cycle-tier FC): one kMrhsRows-row weight panel against kMrhsCols data
+// columns per call. Both tiers share the measurement shape; `dw` picks
+// the deep-window entry point and shrinks the weights to honour its
+// magnitude bound (checked with simd::deep_window_ok rather than
+// assumed).
 constexpr i64 kMrhsRows = 16;
 constexpr i64 kMrhsCols = 8;
 
-KernelResult measure_dot_mrhs(simd::Backend b, bool dw, i64 n, int reps,
-                              i64 iters) {
-  simd::select_backend(b);
-  const auto data = random_s16(n * kMrhsCols, 27);
-  auto weights = random_s16(n * kMrhsRows, 28);
+KernelPoint dot_mrhs_point(bool dw, i64 n, i64 iters) {
+  struct State {
+    std::vector<std::int16_t> data, weights;
+    std::vector<Fixed16::acc_t> out;
+  };
+  auto st = std::make_shared<State>();
+  st->data = random_s16(n * kMrhsCols, 27);
+  st->weights = random_s16(n * kMrhsRows, 28);
   if (dw) {
     // Trained-net magnitudes: small enough that every 16-group window
     // stays under the 32-bit lane bound.
-    for (auto& w : weights) w = static_cast<std::int16_t>(w % 1024);
-    CBRAIN_CHECK(simd::deep_window_ok(weights.data(), n, kMrhsRows, n),
+    for (auto& w : st->weights) w = static_cast<std::int16_t>(w % 1024);
+    CBRAIN_CHECK(simd::deep_window_ok(st->weights.data(), n, kMrhsRows, n),
                  "dw bench weights must satisfy the deep-window bound");
   }
-  std::vector<Fixed16::acc_t> out(
-      static_cast<std::size_t>(kMrhsRows * kMrhsCols));
-  auto fn = dw ? simd::dot_s16_mrhs_dw : simd::dot_s16_mrhs;
-  const double secs = best_of(reps, iters, [&] {
-    fn(data.data(), n, kMrhsCols, weights.data(), n, kMrhsRows, n,
-       out.data(), kMrhsCols);
-    benchmark::DoNotOptimize(out.data());
-  });
-  KernelResult r;
-  r.name = dw ? "dot_s16_mrhs_dw" : "dot_s16_mrhs";
-  r.backend = simd::backend_name(b);
-  r.n = n;
-  r.secs = secs;
+  st->out.resize(static_cast<std::size_t>(kMrhsRows * kMrhsCols));
+  KernelPoint p;
+  p.name = dw ? "dot_s16_mrhs_dw" : "dot_s16_mrhs";
+  p.n = n;
   // Bytes streamed: kMrhsCols data columns + kMrhsRows weight rows.
-  r.gbps = static_cast<double>(sizeof(std::int16_t) * n *
-                               (kMrhsCols + kMrhsRows)) /
-           secs * 1e-9;
-  r.mac_per_s = static_cast<double>(n * kMrhsRows * kMrhsCols) / secs;
-  return r;
+  p.bytes = static_cast<double>(sizeof(std::int16_t) * n *
+                                (kMrhsCols + kMrhsRows));
+  p.work = static_cast<double>(n * kMrhsRows * kMrhsCols);
+  p.time_once = [st, dw, n, iters] {
+    const auto fn = dw ? simd::dot_s16_mrhs_dw : simd::dot_s16_mrhs;
+    return time_calls(iters, [&] {
+      fn(st->data.data(), n, kMrhsCols, st->weights.data(), n, kMrhsRows, n,
+         st->out.data(), kMrhsCols);
+      benchmark::DoNotOptimize(st->out.data());
+    });
+  };
+  return p;
 }
+
+// One functional conv layer over one image: conv2d_func_batch on packed
+// weights, resident output and kernel scratch.
+struct FuncConv {
+  ConvParams p;
+  Tensor3<Fixed16> input;
+  Tensor3<Fixed16> output;
+  func::PackedRows pack;
+  func::WeightMode mode = func::WeightMode::kExact;
+  std::vector<Fixed16::acc_t> bias;
+  func::KernelScratch scratch;
+
+  void run() {
+    func::conv2d_func_batch({&input}, pack, bias, p, mode, scratch,
+                            {&output});
+    benchmark::DoNotOptimize(output.raw_data());
+  }
+};
 
 // The functional tier's depthwise layer path (zero-padded plane staging
 // plus simd::dw_conv_s16) at a MobileNetV1 shape: one image of `ch`
 // planes of side `side`, 3x3, pad 1, under a filter set that satisfies
 // the depthwise contract. Streamed bytes: the input and output planes.
-KernelResult measure_depthwise(simd::Backend b, i64 side, i64 ch, i64 stride,
-                               int reps, i64 iters) {
-  simd::select_backend(b);
-  const ConvParams p{.dout = ch, .k = 3, .stride = stride, .pad = 1,
-                     .groups = ch};
-  const Tensor3<Fixed16> input = random_input<Fixed16>({ch, side, side}, 31);
+KernelPoint depthwise_point(i64 side, i64 ch, i64 stride, i64 iters) {
+  auto c = std::make_shared<FuncConv>();
+  c->p = {.dout = ch, .k = 3, .stride = stride, .pad = 1, .groups = ch};
+  c->input = random_input<Fixed16>({ch, side, side}, 31);
   const auto w = random_s16(ch * 9, 32);
-  func::PackedRows rows(static_cast<std::size_t>(ch * 9));
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    rows[i] = static_cast<std::int16_t>(w[i] % 512);
-  const func::WeightMode mode = func::classify_weights(
-      rows.data(), ch, 9, func::WeightMode::kDepthwise);
-  CBRAIN_CHECK(mode == func::WeightMode::kDepthwise,
+  c->pack.resize(static_cast<std::size_t>(ch * 9));
+  for (std::size_t i = 0; i < c->pack.size(); ++i)
+    c->pack[i] = static_cast<std::int16_t>(w[i] % 512);
+  c->mode = func::classify_weights(c->pack.data(), ch, 9,
+                                   func::WeightMode::kDepthwise);
+  CBRAIN_CHECK(c->mode == func::WeightMode::kDepthwise,
                "depthwise bench weights must satisfy the filter-sum contract");
-  const std::vector<Fixed16::acc_t> bias(static_cast<std::size_t>(ch), 0);
+  c->bias.assign(static_cast<std::size_t>(ch), 0);
   const i64 out_side = conv_out_extent(side, 3, stride, 1);
-  Tensor3<Fixed16> output({ch, out_side, out_side});
-  func::KernelScratch scratch;
-  const std::vector<const Tensor3<Fixed16>*> ins = {&input};
-  const std::vector<Tensor3<Fixed16>*> outs = {&output};
-  const double secs = best_of(reps, iters, [&] {
-    func::conv2d_func_batch(ins, rows, bias, p, mode, scratch, outs);
-    benchmark::DoNotOptimize(output.raw_data());
-  });
-  KernelResult r;
-  r.name = "depthwise_s" + std::to_string(stride) + "_c" + std::to_string(ch);
-  r.backend = simd::backend_name(b);
-  r.n = side;
-  r.secs = secs;
-  r.gbps = static_cast<double>(sizeof(std::int16_t) * ch *
-                               (side * side + out_side * out_side)) /
-           secs * 1e-9;
-  r.mac_per_s = static_cast<double>(ch * out_side * out_side * 9) / secs;
-  return r;
+  c->output = Tensor3<Fixed16>({ch, out_side, out_side});
+  KernelPoint p;
+  p.name = "depthwise_s" + std::to_string(stride) + "_c" + std::to_string(ch);
+  p.n = side;
+  p.bytes = static_cast<double>(sizeof(std::int16_t) * ch *
+                                (side * side + out_side * out_side));
+  p.work = static_cast<double>(ch * out_side * out_side * 9);
+  p.time_once = [c, iters] { return time_calls(iters, [&] { c->run(); }); };
+  return p;
 }
 
 // The functional tier's tile conv path (staging plus simd::conv_tile_s16)
 // at a zoo shape: one image of `din` channels of side `side`, `dout` k×k
 // filters at `stride` (pad (k - 1) / 2), under weights that satisfy the
-// filter-sum contract. Streamed bytes: the input and output cubes.
-KernelResult measure_conv_tile(simd::Backend b, i64 side, i64 din, i64 dout,
-                               i64 k, i64 stride, i64 iters) {
-  simd::select_backend(b);
-  const ConvParams p{.dout = dout, .k = k, .stride = stride,
-                     .pad = (k - 1) / 2};
+// filter-sum contract. Streamed bytes: the input and output cubes. The
+// scalar backend runs one call per run, the vector backends `iters`.
+KernelPoint conv_tile_point(i64 side, i64 din, i64 dout, i64 k, i64 stride,
+                            i64 iters) {
+  auto c = std::make_shared<FuncConv>();
+  c->p = {.dout = dout, .k = k, .stride = stride, .pad = (k - 1) / 2};
   Network net("conv_tile");
-  const LayerId id = net.add_conv(net.add_input({din, side, side}), "conv", p);
+  const LayerId id =
+      net.add_conv(net.add_input({din, side, side}), "conv", c->p);
   const Layer& l = net.layer(id);
   Tensor4<Fixed16> w(l.weight_dims());
   const auto raw = random_s16(w.size(), 33);
   for (std::size_t i = 0; i < raw.size(); ++i)
     w.storage()[i] = Fixed16::from_raw(static_cast<std::int16_t>(raw[i] % 32));
   const func::PackPlan plan = func::pack_plan(l);
-  func::PackedRows pack(static_cast<std::size_t>(plan.units * plan.unit_elems));
-  const func::WeightMode mode =
-      func::pack_units(l, plan, w.raw_data(), 0, plan.units, pack.data());
-  CBRAIN_CHECK(mode == func::WeightMode::kTile,
+  c->pack.resize(static_cast<std::size_t>(plan.units * plan.unit_elems));
+  c->mode = func::pack_units(l, plan, w.raw_data(), 0, plan.units,
+                             c->pack.data());
+  CBRAIN_CHECK(c->mode == func::WeightMode::kTile,
                "conv_tile bench weights must satisfy the filter-sum contract");
-  const std::vector<Fixed16::acc_t> bias(static_cast<std::size_t>(dout), 0);
-  const Tensor3<Fixed16> input = random_input<Fixed16>(l.in_dims, 34);
-  Tensor3<Fixed16> output(l.out_dims);
-  func::KernelScratch scratch;
-  const std::vector<const Tensor3<Fixed16>*> ins = {&input};
-  const std::vector<Tensor3<Fixed16>*> outs = {&output};
-  std::vector<double> run_secs;
-  for (int run = 0; run < kSpreadRuns; ++run)
-    run_secs.push_back(best_of(1, iters, [&] {
-      func::conv2d_func_batch(ins, pack, bias, p, mode, scratch, outs);
-      benchmark::DoNotOptimize(output.raw_data());
-    }));
-  const Spread secs = spread_of(run_secs);
-  const double bytes = static_cast<double>(
-      sizeof(std::int16_t) * (l.in_dims.count() + l.out_dims.count()));
-  KernelResult r;
-  r.name = "conv_tile_k" + std::to_string(k) + "_s" + std::to_string(stride) +
+  c->bias.assign(static_cast<std::size_t>(dout), 0);
+  c->input = random_input<Fixed16>(l.in_dims, 34);
+  c->output = Tensor3<Fixed16>(l.out_dims);
+  KernelPoint p;
+  p.name = "conv_tile_k" + std::to_string(k) + "_s" + std::to_string(stride) +
            "_c" + std::to_string(din);
-  r.backend = simd::backend_name(b);
-  r.n = side;
-  r.secs = secs.median;
-  r.gbps = bytes / secs.median * 1e-9;
-  r.mac_per_s =
-      static_cast<double>(l.out_dims.count() * din * k * k) / secs.median;
-  r.runs = kSpreadRuns;
-  r.gbps_min = bytes / secs.max * 1e-9;
-  r.gbps_max = bytes / secs.min * 1e-9;
-  return r;
+  p.n = side;
+  p.bytes = static_cast<double>(
+      sizeof(std::int16_t) * (l.in_dims.count() + l.out_dims.count()));
+  p.work = static_cast<double>(l.out_dims.count() * din * k * k);
+  p.time_once = [c, iters] {
+    const i64 n =
+        simd::active_backend() == simd::Backend::kScalar ? 1 : iters;
+    return time_calls(n, [&] { c->run(); });
+  };
+  return p;
 }
 
 struct WholeNetResult {
   std::string net;
   std::string backend;
   std::string tier = "cycle";
-  double wall_ms = 0.0;
-  double setup_ms = 0.0;  // cycle tier: wall_ms = setup_ms + infer_ms
-  double infer_ms = 0.0;  // cycle tier: median warm inference
-  double infer_ms_min = 0.0;
-  double infer_ms_max = 0.0;
+  Spread wall_ms;   // cycle tier: setup + infer, run by run
+  Spread setup_ms;  // cycle tier only
+  Spread infer_ms;  // cycle tier only: warm inferences
   double sim_mac_per_s = 0.0;
   double cycle_wall_ms = 0.0;      // functional tier: the cycle wall it beats
   double speedup_vs_cycle = 0.0;   // functional tier only
 };
 
-// Cycle-tier whole-net wall: setup — param synthesis, compile, session
-// open, DRAM weight load — and then one inference on the session. The
-// first inference is cold (it faults in the simulated memories), so it
-// is run untimed, and infer_ms is the median of kSpreadRuns warm ones.
-// wall_ms stays setup + infer: the single-shot cost, with a warm infer.
-WholeNetResult measure_whole_net(const Network& net, simd::Backend b) {
-  simd::select_backend(b);
-  engine::Engine eng(AcceleratorConfig::paper_16_16());
-  const NetworkWorkload w = analyze_workload(net);
-  const Clock::time_point t0 = Clock::now();
-  const auto params = init_net_params<Fixed16>(net, 42);
-  const auto input =
-      random_input<Fixed16>(net.layer(0).out_dims, 42 ^ 0x1234);
-  auto session = eng.open_session(net, Policy::kAdaptive2, params);
-  const double setup_secs = seconds_since(t0);
-  benchmark::DoNotOptimize(session->infer(input).final_output.size());
-  std::vector<double> infer_secs;
-  for (int run = 0; run < kSpreadRuns; ++run) {
-    const Clock::time_point t1 = Clock::now();
-    benchmark::DoNotOptimize(session->infer(input).final_output.size());
-    infer_secs.push_back(seconds_since(t1));
-  }
-  const Spread infer = spread_of(infer_secs);
-  WholeNetResult r;
-  r.net = net.name();
-  r.backend = simd::backend_name(b);
-  r.setup_ms = setup_secs * 1e3;
-  r.infer_ms = infer.median * 1e3;
-  r.infer_ms_min = infer.min * 1e3;
-  r.infer_ms_max = infer.max * 1e3;
-  r.wall_ms = r.setup_ms + r.infer_ms;
-  r.sim_mac_per_s = static_cast<double>(w.total_macs) /
-                    (setup_secs + infer.median);
-  return r;
+Spread to_ms(const Spread& s) {
+  return {s.median * 1e3, s.min * 1e3, s.max * 1e3};
 }
 
-// Functional-tier whole-net wall: one warm forward pass through a
-// weight-resident session. The speedup basis is deliberate: the cycle
-// number above is the per-inference cost of the status-quo single-shot
-// path (machine build + param materialization + simulate — what each
-// request paid before the tier split), and the functional number is what
-// a request pays on the new tier once weights are resident. The
-// warm-vs-warm ratio (both tiers session-resident) is the serve-tier
-// comparison below — both bases are recorded side by side.
-WholeNetResult measure_whole_net_functional(const Network& net,
-                                            simd::Backend b,
-                                            double cycle_wall_ms) {
-  simd::select_backend(b);
+// Cycle-tier whole-net wall: setup — param synthesis, compile, session
+// open, DRAM weight load — and then one inference on the session. Setup
+// runs no SIMD kernel, so it is timed kSpreadRuns times once per net and
+// shared by every backend's point. The first inference on the last
+// session is cold (it faults in the simulated memories) and runs untimed;
+// then each backend times kSpreadRuns warm ones, the backends taking
+// turns. wall_ms is setup + infer: the single-shot cost, with a warm
+// infer.
+std::vector<WholeNetResult> measure_whole_net(
+    const Network& net, const std::vector<simd::Backend>& backends) {
+  const NetworkWorkload w = analyze_workload(net);
+  std::unique_ptr<engine::Engine> eng;
+  std::unique_ptr<engine::Session> session;
+  Tensor3<Fixed16> input;
+  std::vector<double> setup_secs;
+  for (int run = 0; run < kSpreadRuns; ++run) {
+    session.reset();
+    eng.reset();
+    const Clock::time_point t0 = Clock::now();
+    eng = std::make_unique<engine::Engine>(AcceleratorConfig::paper_16_16());
+    const auto params = init_net_params<Fixed16>(net, 42);
+    input = random_input<Fixed16>(net.layer(0).out_dims, 42 ^ 0x1234);
+    session = eng->open_session(net, Policy::kAdaptive2, params);
+    setup_secs.push_back(seconds_since(t0));
+  }
+  const Spread setup = spread_of(setup_secs);
+  benchmark::DoNotOptimize(session->infer(input).final_output.size());
+  const std::vector<Spread> infer = alternate_backends(backends, [&] {
+    const Clock::time_point t1 = Clock::now();
+    benchmark::DoNotOptimize(session->infer(input).final_output.size());
+    return seconds_since(t1);
+  });
+  std::vector<WholeNetResult> out;
+  for (std::size_t i = 0; i < backends.size(); ++i) {
+    WholeNetResult r;
+    r.net = net.name();
+    r.backend = simd::backend_name(backends[i]);
+    r.setup_ms = to_ms(setup);
+    r.infer_ms = to_ms(infer[i]);
+    r.wall_ms = {r.setup_ms.median + r.infer_ms.median,
+                 r.setup_ms.min + r.infer_ms.min,
+                 r.setup_ms.max + r.infer_ms.max};
+    r.sim_mac_per_s = static_cast<double>(w.total_macs) /
+                      (setup.median + infer[i].median);
+    out.push_back(r);
+  }
+  return out;
+}
+
+// Functional-tier whole-net wall: warm forward passes through one
+// weight-resident session, the backends taking turns. The speedup basis
+// is deliberate: the paired cycle number (cycle[i], for backends[i]; none
+// when `cycle` is null) is the per-inference cost of the status-quo
+// single-shot path (machine build + param materialization + simulate —
+// what each request paid before the tier split), and the functional
+// number is what a request pays on the new tier once weights are
+// resident. The warm-vs-warm ratio (both tiers session-resident) is the
+// serve-tier comparison below — both bases are recorded side by side.
+std::vector<WholeNetResult> measure_whole_net_functional(
+    const Network& net, const std::vector<simd::Backend>& backends,
+    const std::vector<WholeNetResult>* cycle) {
   const NetworkWorkload w = analyze_workload(net);
   engine::Engine eng(AcceleratorConfig::paper_16_16());
   const auto params = init_net_params<Fixed16>(net, 42);
@@ -423,18 +479,26 @@ WholeNetResult measure_whole_net_functional(const Network& net,
   const auto input =
       random_input<Fixed16>(net.layer(0).out_dims, 42 ^ 0x1234);
   benchmark::DoNotOptimize(session->infer(input).final_output.size());  // warm
-  const double secs = best_of(2, 1, [&] {
+  const std::vector<Spread> wall = alternate_backends(backends, [&] {
+    const Clock::time_point t0 = Clock::now();
     benchmark::DoNotOptimize(session->infer(input).final_output.size());
+    return seconds_since(t0);
   });
-  WholeNetResult r;
-  r.net = net.name();
-  r.backend = simd::backend_name(b);
-  r.tier = "functional";
-  r.wall_ms = secs * 1e3;
-  r.sim_mac_per_s = static_cast<double>(w.total_macs) / secs;
-  r.cycle_wall_ms = cycle_wall_ms;
-  r.speedup_vs_cycle = r.wall_ms > 0.0 ? cycle_wall_ms / r.wall_ms : 0.0;
-  return r;
+  std::vector<WholeNetResult> out;
+  for (std::size_t i = 0; i < backends.size(); ++i) {
+    WholeNetResult r;
+    r.net = net.name();
+    r.backend = simd::backend_name(backends[i]);
+    r.tier = "functional";
+    r.wall_ms = to_ms(wall[i]);
+    r.sim_mac_per_s = static_cast<double>(w.total_macs) / wall[i].median;
+    if (cycle != nullptr) {
+      r.cycle_wall_ms = (*cycle)[i].wall_ms.median;
+      r.speedup_vs_cycle = r.cycle_wall_ms / r.wall_ms.median;
+    }
+    out.push_back(r);
+  }
+  return out;
 }
 
 // Serving throughput: requests through a weight-resident session pool
@@ -568,24 +632,6 @@ ServeResult measure_serve_batched(const Network& net, simd::Backend b,
   return r;
 }
 
-// The ops beside the MAC array (func/kernels.hpp), one image at a zoo
-// shape: streamed bytes are the operands and the output, and mac_per_s
-// holds output elements per second.
-KernelResult time_host_op(simd::Backend b, const std::string& name, i64 n,
-                          i64 bytes, i64 elems, int reps, i64 iters,
-                          const std::function<void()>& fn) {
-  simd::select_backend(b);
-  const double secs = best_of(reps, iters, fn);
-  KernelResult r;
-  r.name = name;
-  r.backend = simd::backend_name(b);
-  r.n = n;
-  r.secs = secs;
-  r.gbps = static_cast<double>(sizeof(std::int16_t) * bytes) / secs * 1e-9;
-  r.mac_per_s = static_cast<double>(elems) / secs;
-  return r;
-}
-
 // Post-ReLU-like activations: half zeros, the rest up to +-8.0 in Q7.8.
 Tensor3<Fixed16> live_cube(const MapDims& dims, std::uint64_t seed) {
   Rng rng(seed);
@@ -598,43 +644,66 @@ Tensor3<Fixed16> live_cube(const MapDims& dims, std::uint64_t seed) {
   return t;
 }
 
+// The ops beside the MAC array (func/kernels.hpp), one image at a zoo
+// shape: streamed bytes are the operands and the output, and the work is
+// output elements. `fn(in, out)` runs the op on the point's live cubes.
+KernelPoint host_op_point(
+    const std::string& name, i64 n, const MapDims& in_dims,
+    const MapDims& out_dims, i64 operands, i64 iters,
+    std::function<void(const std::vector<Tensor3<Fixed16>>&,
+                       Tensor3<Fixed16>&)>
+        fn) {
+  struct State {
+    std::vector<Tensor3<Fixed16>> in;
+    Tensor3<Fixed16> out;
+  };
+  auto st = std::make_shared<State>();
+  for (i64 i = 0; i < operands; ++i)
+    st->in.push_back(live_cube(in_dims, static_cast<std::uint64_t>(41 + i)));
+  st->out = Tensor3<Fixed16>(out_dims);
+  KernelPoint p;
+  p.name = name;
+  p.n = n;
+  p.bytes = static_cast<double>(
+      sizeof(std::int16_t) * (operands * in_dims.count() + out_dims.count()));
+  p.work = static_cast<double>(out_dims.count());
+  p.time_once = [st, fn, iters] {
+    return time_calls(iters, [&] {
+      fn(st->in, st->out);
+      benchmark::DoNotOptimize(st->out.raw_data());
+    });
+  };
+  return p;
+}
+
 // AlexNet's norm1: LRN, local size 5, over 96 maps of 55x55.
-KernelResult measure_lrn(simd::Backend b, int reps, i64 iters) {
-  const Tensor3<Fixed16> in = live_cube({96, 55, 55}, 41);
-  Tensor3<Fixed16> out(in.dims());
+KernelPoint lrn_point(i64 iters) {
   const LRNParams p{.local_size = 5, .alpha = 1e-4, .beta = 0.75};
-  return time_host_op(b, "lrn_l5_c96", 55, 2 * in.size(), out.size(), reps,
-                      iters, [&] {
-                        func::lrn_func_batch({&in}, p, {&out});
-                        benchmark::DoNotOptimize(out.raw_data());
-                      });
+  return host_op_point("lrn_l5_c96", 55, {96, 55, 55}, {96, 55, 55}, 1, iters,
+                       [p](const auto& in, auto& out) {
+                         func::lrn_func_batch({&in[0]}, p, {&out});
+                       });
 }
 
 // Max pooling, 3x3 at stride 2: AlexNet's pool1 (96 maps of 55x55) and
 // ResNet-18's pool1 (64 maps of 112x112, pad 1).
-KernelResult measure_max_pool(simd::Backend b, i64 ch, i64 side, i64 pad,
-                              int reps, i64 iters) {
-  const Tensor3<Fixed16> in = live_cube({ch, side, side}, 42);
+KernelPoint max_pool_point(i64 ch, i64 side, i64 pad, i64 iters) {
   const PoolParams p{.kind = PoolKind::kMax, .k = 3, .stride = 2, .pad = pad};
-  Tensor3<Fixed16> out(pool_out_dims(in.dims(), p));
-  return time_host_op(b, "max_pool_k3_s2_c" + std::to_string(ch), side,
-                      in.size() + out.size(), out.size(), reps, iters, [&] {
-                        func::pool_func_batch({&in}, p, {&out});
-                        benchmark::DoNotOptimize(out.raw_data());
-                      });
+  const MapDims in{ch, side, side};
+  return host_op_point("max_pool_k3_s2_c" + std::to_string(ch), side, in,
+                       pool_out_dims(in, p), 1, iters,
+                       [p](const auto& ins, auto& out) {
+                         func::pool_func_batch({&ins[0]}, p, {&out});
+                       });
 }
 
 // ResNet-18's conv2_x residual join with ReLU: 64 maps of 56x56.
-KernelResult measure_add(simd::Backend b, int reps, i64 iters) {
-  const Tensor3<Fixed16> x = live_cube({64, 56, 56}, 43);
-  const Tensor3<Fixed16> y = live_cube({64, 56, 56}, 44);
-  Tensor3<Fixed16> out(x.dims());
-  return time_host_op(b, "add_relu_c64", 56, 3 * out.size(), out.size(),
-                      reps, iters, [&] {
-                        func::eltwise_add_func_batch({&x}, {&y}, {true},
-                                                     {&out});
-                        benchmark::DoNotOptimize(out.raw_data());
-                      });
+KernelPoint add_point(i64 iters) {
+  return host_op_point("add_relu_c64", 56, {64, 56, 56}, {64, 56, 56}, 2,
+                       iters, [](const auto& in, auto& out) {
+                         func::eltwise_add_func_batch({&in[0]}, {&in[1]},
+                                                      {true}, {&out});
+                       });
 }
 
 int run_perf_harness(const std::string& path, bool quick) {
@@ -644,102 +713,78 @@ int run_perf_harness(const std::string& path, bool quick) {
   const i64 original_width = parallel::default_jobs();
   parallel::set_default_jobs(1);
   const std::vector<simd::Backend> backends = simd::supported_backends();
-  const int reps = quick ? 2 : 5;
-  // Iteration counts sized so each rep runs long enough (>~1 ms even on
+  // Iteration counts sized so each run lasts long enough (>~1 ms even on
   // the scalar backend) for steady_clock to resolve the kernel.
   const i64 multi_iters = quick ? 2'000 : 10'000;
 
-  // Point by point, every backend in turn, so a change of host phase
-  // between points cannot read as a backend difference.
-  std::vector<std::function<KernelResult(simd::Backend)>> points;
+  // Point by point, each point's runs alternating the backends
+  // (alternate_backends), so a change of host load cannot read as a
+  // backend difference.
+  std::vector<KernelPoint> points;
   for (i64 n : {64, 256, 1024}) {
-    points.push_back([=](simd::Backend b) {
-      return measure_dot_mrhs(b, false, n, reps, multi_iters);
-    });
-    points.push_back([=](simd::Backend b) {
-      return measure_dot_mrhs(b, true, n, reps, multi_iters);
-    });
+    points.push_back(dot_mrhs_point(false, n, multi_iters));
+    points.push_back(dot_mrhs_point(true, n, multi_iters));
   }
   // MobileNetV1's first two depthwise layers (block2: 112x112x32, s1;
   // block3: 112x112x64, s2).
   const i64 dw_iters = quick ? 5 : 20;
-  points.push_back([=](simd::Backend b) {
-    return measure_depthwise(b, 112, 32, 1, reps, dw_iters);
-  });
-  points.push_back([=](simd::Backend b) {
-    return measure_depthwise(b, 112, 64, 2, reps, dw_iters);
-  });
+  points.push_back(depthwise_point(112, 32, 1, dw_iters));
+  points.push_back(depthwise_point(112, 64, 2, dw_iters));
   // Three tile-conv zoo shapes: ResNet-18's conv2_x 3x3 (C64 at 56x56),
   // MobileNetV1's 1x1 pointwise at C512 14x14, and ResNet-18's 7x7 s2
   // conv1 on the 224x224 RGB input. One call is ~50-120M MACs.
-  const auto tile_iters = [=](simd::Backend b) -> i64 {
-    return b == simd::Backend::kScalar ? 1 : (quick ? 2 : 5);
-  };
-  points.push_back([=](simd::Backend b) {
-    return measure_conv_tile(b, 56, 64, 64, 3, 1, tile_iters(b));
-  });
-  points.push_back([=](simd::Backend b) {
-    return measure_conv_tile(b, 14, 512, 512, 1, 1, tile_iters(b));
-  });
-  points.push_back([=](simd::Backend b) {
-    return measure_conv_tile(b, 224, 3, 64, 7, 2, tile_iters(b));
-  });
+  const i64 tile_iters = quick ? 2 : 5;
+  points.push_back(conv_tile_point(56, 64, 64, 3, 1, tile_iters));
+  points.push_back(conv_tile_point(14, 512, 512, 1, 1, tile_iters));
+  points.push_back(conv_tile_point(224, 3, 64, 7, 2, tile_iters));
   // The host-side ops: one call is ~0.3-1 M output elements.
   const i64 host_iters = quick ? 5 : 20;
-  points.push_back(
-      [=](simd::Backend b) { return measure_lrn(b, reps, host_iters); });
-  points.push_back([=](simd::Backend b) {
-    return measure_max_pool(b, 96, 55, 0, reps, host_iters);
-  });
-  points.push_back([=](simd::Backend b) {
-    return measure_max_pool(b, 64, 112, 1, reps, host_iters);
-  });
-  points.push_back(
-      [=](simd::Backend b) { return measure_add(b, reps, host_iters); });
+  points.push_back(lrn_point(host_iters));
+  points.push_back(max_pool_point(96, 55, 0, host_iters));
+  points.push_back(max_pool_point(64, 112, 1, host_iters));
+  points.push_back(add_point(host_iters));
   std::vector<KernelResult> kernels;
-  for (const auto& point : points)
-    for (simd::Backend b : backends) kernels.push_back(point(b));
+  for (const KernelPoint& point : points)
+    for (KernelResult& r : run_point(point, backends))
+      kernels.push_back(std::move(r));
 
-  // Whole-network simulator wall-clock: AlexNet once per backend (the
+  // Whole-network simulator wall-clock: AlexNet on every backend (the
   // cross-backend speedup is the headline number), VGG16 only on the best
   // backend — at ~15.5G simulated MACs a scalar VGG16 run would dominate
-  // harness time without adding information. --quick drops VGG16.
+  // harness time without adding information. --quick drops VGG16. The
+  // functional tier then runs the same nets, each paired with the cycle
+  // wall just measured on the same backend.
   std::vector<WholeNetResult> whole;
   const Network anet = zoo::alexnet();
-  for (simd::Backend b : backends) whole.push_back(measure_whole_net(anet, b));
+  const std::vector<WholeNetResult> anet_cycle =
+      measure_whole_net(anet, backends);
+  std::vector<WholeNetResult> vgg_cycle;
+  if (!quick) vgg_cycle = measure_whole_net(zoo::vgg16(), {backends.back()});
+  whole.insert(whole.end(), anet_cycle.begin(), anet_cycle.end());
+  whole.insert(whole.end(), vgg_cycle.begin(), vgg_cycle.end());
+  for (const WholeNetResult& r :
+       measure_whole_net_functional(anet, backends, &anet_cycle))
+    whole.push_back(r);
   if (!quick)
-    whole.push_back(measure_whole_net(zoo::vgg16(), backends.back()));
-
-  // Functional tier: same nets, warm weight-resident forward pass, paired
-  // with the cycle wall just measured on the same backend.
-  {
-    const std::size_t cycle_count = whole.size();
-    for (std::size_t i = 0; i < cycle_count; ++i) {
-      const Network& net = whole[i].net == "vgg16" ? zoo::vgg16() : anet;
-      simd::Backend b = simd::Backend::kScalar;
-      for (simd::Backend cand : backends)
-        if (simd::backend_name(cand) == whole[i].backend) b = cand;
-      whole.push_back(
-          measure_whole_net_functional(net, b, whole[i].wall_ms));
-    }
-  }
+    for (const WholeNetResult& r : measure_whole_net_functional(
+             zoo::vgg16(), {backends.back()}, &vgg_cycle))
+      whole.push_back(r);
 
   // Modern zoo: ResNet-18 (residual eltwise joins) and MobileNetV1 (13
   // depthwise layers on the partition scheme) on the best backend. The
-  // functional tier runs always — one warm pass each is cheap — but the
-  // cycle tier only outside --quick (ResNet-18 simulates 1.8G MACs).
+  // functional tier runs always — a few warm passes each are cheap — but
+  // the cycle tier only outside --quick (ResNet-18 simulates 1.8G MACs).
   // Without the paired cycle run speedup_vs_cycle stays 0 and the JSON
   // omits the comparison fields, which bench_compare treats as a plain
   // new entry.
   for (Network (*make)() : {zoo::resnet18, zoo::mobilenetv1}) {
     const Network mnet = make();
-    double cycle_ms = 0.0;
-    if (!quick) {
-      whole.push_back(measure_whole_net(mnet, backends.back()));
-      cycle_ms = whole.back().wall_ms;
-    }
-    whole.push_back(
-        measure_whole_net_functional(mnet, backends.back(), cycle_ms));
+    std::vector<WholeNetResult> cycle;
+    if (!quick) cycle = measure_whole_net(mnet, {backends.back()});
+    whole.insert(whole.end(), cycle.begin(), cycle.end());
+    for (const WholeNetResult& r : measure_whole_net_functional(
+             mnet, {backends.back()}, quick ? nullptr : &cycle))
+      whole.push_back(r);
   }
 
   // Serving: AlexNet through weight-resident sessions on the best
@@ -822,11 +867,9 @@ int run_perf_harness(const std::string& path, bool quick) {
     w.kv("n", k.n);
     w.kv("gbps", k.gbps);
     w.kv("mac_per_s", k.mac_per_s);
-    if (k.runs > 0) {
-      w.kv("runs", k.runs);
-      w.kv("gbps_min", k.gbps_min);
-      w.kv("gbps_max", k.gbps_max);
-    }
+    w.kv("runs", kSpreadRuns);
+    w.kv("gbps_min", k.gbps_min);
+    w.kv("gbps_max", k.gbps_max);
     w.end_object();
   }
   w.end_array();
@@ -853,13 +896,17 @@ int run_perf_harness(const std::string& path, bool quick) {
     w.kv("policy", "adap-2");
     w.kv("backend", r.backend);
     w.kv("tier", r.tier);
-    w.kv("wall_ms", r.wall_ms);
+    w.kv("runs", kSpreadRuns);
+    w.kv("wall_ms", r.wall_ms.median);
+    w.kv("wall_ms_min", r.wall_ms.min);
+    w.kv("wall_ms_max", r.wall_ms.max);
     if (r.tier == "cycle") {
-      w.kv("setup_ms", r.setup_ms);
-      w.kv("infer_ms", r.infer_ms);
-      w.kv("runs", kSpreadRuns);
-      w.kv("infer_ms_min", r.infer_ms_min);
-      w.kv("infer_ms_max", r.infer_ms_max);
+      w.kv("setup_ms", r.setup_ms.median);
+      w.kv("setup_ms_min", r.setup_ms.min);
+      w.kv("setup_ms_max", r.setup_ms.max);
+      w.kv("infer_ms", r.infer_ms.median);
+      w.kv("infer_ms_min", r.infer_ms.min);
+      w.kv("infer_ms_max", r.infer_ms.max);
     }
     w.kv("sim_mac_per_s", r.sim_mac_per_s);
     if (r.speedup_vs_cycle > 0.0) {
@@ -912,23 +959,24 @@ int run_perf_harness(const std::string& path, bool quick) {
               "%zu serve points)\n",
               path.c_str(), kernels.size(), whole.size(), serve.size());
   for (const KernelResult& k : kernels) {
-    std::printf("  %-16s %-6s n=%-5lld %8.2f GB/s %12.0f MAC/s",
+    std::printf("  %-16s %-6s n=%-5lld %8.2f GB/s %12.0f MAC/s"
+                "  (median of %d, %.2f-%.2f GB/s)\n",
                 k.name.c_str(), k.backend.c_str(),
-                static_cast<long long>(k.n), k.gbps, k.mac_per_s);
-    if (k.runs > 0)
-      std::printf("  (median of %d, %.2f-%.2f GB/s)", k.runs, k.gbps_min,
-                  k.gbps_max);
-    std::printf("\n");
+                static_cast<long long>(k.n), k.gbps, k.mac_per_s,
+                kSpreadRuns, k.gbps_min, k.gbps_max);
   }
   for (const WholeNetResult& r : whole) {
     std::printf("  sim %-9s %-6s [%-10s] %10.1f ms %14.0f MAC/s",
-                r.net.c_str(), r.backend.c_str(), r.tier.c_str(), r.wall_ms,
-                r.sim_mac_per_s);
+                r.net.c_str(), r.backend.c_str(), r.tier.c_str(),
+                r.wall_ms.median, r.sim_mac_per_s);
     if (r.tier == "cycle")
-      std::printf("  (setup %.1f ms + infer %.1f ms, median of %d warm, "
+      std::printf("  (setup %.1f ms + infer %.1f ms, medians of %d, infer "
                   "%.1f-%.1f)",
-                  r.setup_ms, r.infer_ms, kSpreadRuns, r.infer_ms_min,
-                  r.infer_ms_max);
+                  r.setup_ms.median, r.infer_ms.median, kSpreadRuns,
+                  r.infer_ms.min, r.infer_ms.max);
+    else
+      std::printf("  (median of %d, %.1f-%.1f)", kSpreadRuns, r.wall_ms.min,
+                  r.wall_ms.max);
     if (r.speedup_vs_cycle > 0.0)
       std::printf("  (%.1fx vs cycle single-shot)", r.speedup_vs_cycle);
     std::printf("\n");

@@ -58,9 +58,7 @@ CubeSpec consumed_cube(const Layer& l, Scheme scheme) {
 i64 conv_weight_image_words(const Layer& conv, Scheme scheme) {
   const ConvParams& p = conv.conv();
   const i64 din_g = p.din_per_group(conv.in_dims.d);
-  const i64 kw = (scheme == Scheme::kPartition)
-                     ? PartitionSpec::from(p.k, p.stride).padded_k()
-                     : p.k;
+  const i64 kw = conv_geom(conv, scheme).kw_eff();
   return p.dout * din_g * kw * kw;
 }
 

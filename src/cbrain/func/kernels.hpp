@@ -12,11 +12,13 @@
 // zero-padded input whose input channels are interleaved in pairs (an odd
 // per-group count gets a zero partner) and split into stride² phase
 // planes, so a tap (ky, kx) is a contiguous shift of one phase plane and
-// strided and dilated convs need no gather. simd::conv_tile_s16 then runs a register
-// tile of output channels × pixels over the flat oh × pitch run of the
-// planes, dropping the pad columns at store time. A depthwise conv
-// (dilation 1, one filter per plane) stages each zero-padded plane on its
-// own and runs simd::dw_conv_s16. FC stays in the dot form: a B×din
+// strided and dilated convs need no gather. simd::conv_tile_s16 then runs
+// a register tile of output channels × pixels over the flat oh × pitch
+// run of the planes, dropping the pad columns at store time. The cycle
+// tier's conv value pass runs the same stager, packer and kernel on each
+// tile's band (tile_staging below). A depthwise conv (dilation 1, one
+// filter per plane) stages each zero-padded plane on its own and runs
+// simd::dw_conv_s16. FC stays in the dot form: a B×din
 // activation matrix against the packed rows through the multi-RHS dot
 // kernels, so the weight stream is paid once per column block of images.
 //
@@ -85,8 +87,7 @@ using PackedRows =
 // GEMM row stride for a logical row of `row_len` int16 elements: rounded
 // up to the 16-lane SIMD group so every row the multi-RHS kernels see is
 // an exact vector multiple (the padding is zeros on both operands). FC
-// weight packing, the FC activation matrix and the cycle tier's staged
-// weight rows use this stride.
+// weight packing and the FC activation matrix use this stride.
 inline i64 gemm_row_stride(i64 row_len) { return (row_len + 15) & ~i64{15}; }
 
 // True for a conv whose every output plane filters exactly one input
@@ -131,6 +132,56 @@ PackPlan pack_plan(const Layer& l);
 // plan.fast when every one passes its contract, else kExact.
 WeightMode pack_units(const Layer& l, const PackPlan& plan, const Fixed16* w,
                       i64 first, i64 count, std::int16_t* pack);
+
+// --- the tile kernel's stager and packer, shared by both tiers -----------
+//
+// The functional tier stages each zero-padded input image; the cycle tier
+// (sim/executor.cpp) stages each conv tile's band, which the compiler has
+// already padded, and packs the tile's weight words as the buffer holds
+// them.
+
+// The staged layout of one conv input (DESIGN.md §12): every channel
+// pair is split into stride² phase planes of `plane` pixels, `pitch`
+// pixels a row, and output (oy, ox) is flat pixel oy * pitch + ox of the
+// run [0, run). A plane holds its staged rows and everything a tile
+// kernel call over any [q0, q1) inside the run reads past them.
+struct TileStaging {
+  i64 stride = 1;
+  i64 pitch = 0;
+  i64 plane = 0;
+  i64 run = 0;
+  i64 pair_stride() const { return stride * stride * plane; }
+};
+
+// The layout of a rows × cols padded input (pad included) read by
+// `out_rows` output rows of k × k taps at `stride` and `dilation`.
+TileStaging tile_staging(i64 rows, i64 cols, i64 out_rows, i64 k, i64 stride,
+                         i64 dilation);
+
+// The k × k tap offsets (simd::ConvTile::taps) of that layout: tap
+// (ky, kx) is phase plane ((ky d) % s, (kx d) % s) shifted by
+// ((ky d) / s) * pitch + (kx d) / s.
+void tile_taps(const TileStaging& st, i64 k, i64 dilation, i64* taps);
+
+// Stages one channel pair into the 2 * pair_stride() elements at `dst`,
+// zeros everywhere no pixel lands: channels a and b (b null for the zero
+// partner of an odd last channel), h × w pixels each, pixel (y, x) at
+// y * row_stride + x * col_stride — a Tensor3 plane (w, 1), a
+// depth-major band (band width × channels, channels) or a spatial-major
+// one (band width, 1). Source pixel (y, x) lands at padded position
+// (y + pad, x + pad).
+void stage_pair(const std::int16_t* a, const std::int16_t* b, i64 h, i64 w,
+                i64 row_stride, i64 col_stride, i64 pad,
+                const TileStaging& st, std::int16_t* dst);
+
+// Packs one block of nf <= simd::kTileOuts filters into the layout
+// simd::ConvTile reads: filter f's weight for channel c, tap t is
+// filters[f * row_len + c * taps + t]; the `channels` channels pair up
+// (channel pair, tap, output, pair half), and filters past nf and the
+// partner of an odd last channel are zeros. Writes
+// ceil(channels / 2) * taps * kTileOuts * 2 elements.
+void pack_tile_block(const std::int16_t* filters, i64 nf, i64 row_len,
+                     i64 channels, i64 taps, std::int16_t* dst);
 
 // Promotes a bias vector to accumulator (Q16.16) scale, padded with
 // zeros to `dout` entries; adding the promoted bias after the product

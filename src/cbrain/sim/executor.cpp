@@ -9,6 +9,7 @@
 #include "cbrain/common/logging.hpp"
 #include "cbrain/common/thread_pool.hpp"
 #include "cbrain/compiler/scheme.hpp"
+#include "cbrain/compiler/tiler.hpp"
 #include "cbrain/func/kernels.hpp"
 #include "cbrain/obs/metrics.hpp"
 #include "cbrain/obs/tracer.hpp"
@@ -165,17 +166,30 @@ std::vector<bool> in_place_weight_loads(const Network& net,
   return in_place;
 }
 
-// Per-thread scratch of the conv value pass and the DRAM stores, kept
-// across tiles: each pool lane gathers its patch rows and builds its
-// store runs here, so no task shares a buffer with another.
+// Per-thread scratch, kept across tiles and inferences: the thread that
+// runs a conv tile stages its band, packs its weights and collects its
+// sums here, and each pool lane builds its DRAM store runs here, so no
+// two concurrent tiles or tasks share a buffer.
 struct LaneScratch {
-  std::vector<std::int16_t> patches;
+  std::vector<std::int16_t> stage;
+  std::vector<std::int16_t> packed;
+  std::vector<i64> taps;
+  std::vector<char> block_fast;  // per block: passes filter_sum_ok
+  std::vector<Fixed16::acc_t> sums;
   std::vector<Dram::StridedRun> runs;
 };
 
 LaneScratch& lane_scratch() {
   thread_local LaneScratch scratch;
   return scratch;
+}
+
+// v's storage for n elements. It only grows, so a tile after a larger
+// one neither reallocates nor refills what it overwrites anyway.
+template <typename T>
+T* grown(std::vector<T>& v, i64 n) {
+  if (static_cast<i64>(v.size()) < n) v.resize(static_cast<std::size_t>(n));
+  return v.data();
 }
 
 }  // namespace
@@ -209,11 +223,12 @@ class Executor {
       const auto idx = static_cast<std::size_t>(l.id);
       const auto& pd = params.per_layer[idx];
       const KernelDims wd = l.weight_dims();
-      // Partition-scheme kernels sit in DRAM zero-padded to the scheme's
-      // padded_k square; every other layer's row is its Tensor4 row.
+      // Partition and sliding kernels sit in DRAM zero-padded to the
+      // scheme's padded_k square (conv_geom's kw_eff, the footprint the
+      // compiler loads); every other layer's row is its Tensor4 row.
       const i64 kp =
-          l.is_conv() && compiled_.layout.scheme_of(l.id) == Scheme::kPartition
-              ? PartitionSpec::from(wd.kw, l.conv().stride).padded_k()
+          l.is_conv()
+              ? conv_geom(l, compiled_.layout.scheme_of(l.id)).kw_eff()
               : wd.kw;
       const i64 src_len = wd.din * wd.kh * wd.kw;
       const i64 dst_len = wd.din * kp * kp;
@@ -692,53 +707,59 @@ class Executor {
     return static_cast<acc_t>(raw) << Fixed16::kFracBits;
   }
 
-  // --- conv: one value pass, per-scheme address maps and counters ---------
+  // --- conv: one value pass, per-scheme counters -------------------------
   //
   // The four §4.2 dataflows read different buffer words but compute the
-  // same exact int64 dot per (output pixel, dout). A tile's patch for
-  // output (oy, ox) is the band words
-  //   row0 + oy*row_step + ox*x_step + tap[j]
-  // with j running over (din, ky, kx) — the order of each dout's weight
-  // run — so one multi-RHS dot per output row computes the tile.
-  struct BandMap {
-    i64 row0 = 0;
-    i64 row_step = 0;
-    i64 x_step = 0;
-    std::vector<i64> tap;
+  // same exact int64 sum per (output pixel, dout). The value pass stages
+  // the tile's band for the tile kernel (func::stage_pair), packs its
+  // weight words (func::pack_tile_block) and runs simd::conv_tile_s16 in
+  // raw-sum mode into sums_; the counters follow each dataflow in closed
+  // form.
+
+  // A conv tile's band as the tile kernel's input: `channels` channels of
+  // rows × cols pixels from band row `row0` on, channel c's pixel (y, x)
+  // at word chan(c) + (row0 + y) * row_stride + x * col_stride, read by
+  // k × k taps at `stride` and `dilation`.
+  struct BandView {
+    i64 channels = 0;
+    // Channel c starts at word (c / chan_groups) * pd + c % chan_groups.
+    i64 chan_groups = 1;
+    i64 pd = 0;
+    i64 row0 = 0, rows = 0, cols = 0;
+    i64 row_stride = 0, col_stride = 0;
+    i64 k = 1, stride = 1, dilation = 1;
+    i64 chan(i64 c) const { return (c / chan_groups) * pd + c % chan_groups; }
   };
 
-  // `kt` taps per kernel side (conv_taps).
-  static BandMap band_map(const ConvTileInstr& in, i64 kt) {
+  // kIntraUnroll's band is a 1×1 conv over dins·k² channels: channel
+  // (d, j), window word j, at d * pd + j, its pixels k² words apart. Every
+  // other band is a padded cube swept by `kt` taps a side (conv_taps). Both
+  // start at the tile's first output row.
+  static BandView band_view(const ConvTileInstr& in, i64 kt) {
     const i64 dins = in.din1 - in.din0;
-    BandMap m;
-    m.tap.reserve(static_cast<std::size_t>(dins * kt * kt));
+    BandView v;
     if (in.scheme == Scheme::kIntraUnroll) {
-      // Unrolled band: (din, output pixel, k*k window), pixels counted
-      // from band_row0 (the tile's first output row).
       const i64 kk = in.k * in.k;
-      const i64 pd = in.band_rows * in.out_w * kk;
-      m.row_step = in.out_w * kk;
-      m.x_step = kk;
-      m.row0 = -in.band_row0 * m.row_step;
-      for (i64 d = 0; d < dins; ++d)
-        for (i64 j = 0; j < kk; ++j) m.tap.push_back(d * pd + j);
-      return m;
+      v.channels = dins * kk;
+      v.chan_groups = kk;
+      v.pd = in.band_rows * in.out_w * kk;
+      v.row0 = in.out_row0 - in.band_row0;
+      v.cols = in.out_w;
+      v.col_stride = kk;
+    } else {
+      const bool depth_major = in.band_order == DataOrder::kDepthMajor;
+      v.channels = dins;
+      v.pd = depth_major ? 1 : in.band_rows * in.band_width;
+      v.row0 = in.out_row0 * in.stride - in.band_row0;
+      v.cols = in.band_width;
+      v.col_stride = depth_major ? dins : 1;
+      v.k = kt;
+      v.stride = in.stride;
+      v.dilation = in.dilation;
     }
-    // Band cube in padded coordinates y = oy*stride + ky*dilation (and the
-    // same in x): px/py/pd are the word strides of a column, a row and a
-    // map.
-    const bool depth_major = in.band_order == DataOrder::kDepthMajor;
-    const i64 px = depth_major ? dins : 1;
-    const i64 py = in.band_width * px;
-    const i64 pd = depth_major ? 1 : in.band_rows * in.band_width;
-    m.row_step = in.stride * py;
-    m.x_step = in.stride * px;
-    m.row0 = -in.band_row0 * py;
-    for (i64 d = 0; d < dins; ++d)
-      for (i64 ky = 0; ky < kt; ++ky)
-        for (i64 kx = 0; kx < kt; ++kx)
-          m.tap.push_back(d * pd + (ky * py + kx * px) * in.dilation);
-    return m;
+    v.rows = in.band_rows - v.row0;
+    v.row_stride = v.cols * v.col_stride;
+    return v;
   }
 
   void exec_conv(const ConvTileInstr& in) {
@@ -772,27 +793,50 @@ class Executor {
     acc_t* partials =
         buffered ? m_.output_buf().span(0, npix * douts) : nullptr;
 
-    // Value pass — the only arithmetic. Weight runs and patches sit in
-    // zero-padded rows so the dots have no scalar tails.
-    const BandMap map = band_map(in, kt);
-    const auto [tap_lo, tap_hi] =
-        std::minmax_element(map.tap.begin(), map.tap.end());
-    CBRAIN_CHECK(map.row0 + in.out_row0 * map.row_step + *tap_lo >= 0 &&
-                     map.row0 + (in.out_row1 - 1) * map.row_step +
-                             (in.out_w - 1) * map.x_step + *tap_hi <
-                         band_words,
-                 "conv address map leaves the band");
-    const i64 rs = func::gemm_row_stride(n);
-    wrows_.assign(static_cast<std::size_t>(douts * rs), 0);
-    for (i64 o = 0; o < douts; ++o)
-      std::copy(wbuf + o * n, wbuf + (o + 1) * n, wrows_.data() + o * rs);
-    // The staged rows hold the weight words as the fault hooks left them,
-    // and the deep-window contract is on weight values only: a tile that
-    // passes gets the fast kernel's exact result for any band data, and
-    // one whose weights (upset or not) break it takes the exact kernel.
-    const auto dot = simd::deep_window_ok(wrows_.data(), rs, douts, rs)
-                         ? simd::dot_s16_mrhs_dw
-                         : simd::dot_s16_mrhs;
+    // Value pass — the only arithmetic. The band and weight words are
+    // staged as the fault hooks left them, and the filter-sum contract is
+    // on weight values only: a tile that passes gets the tile kernel's
+    // exact sums for any band data, and one whose weights (upset or not)
+    // break it takes the exact kernel.
+    const BandView bv = band_view(in, kt);
+    const i64 out_rows = in.out_row1 - in.out_row0;
+    const i64 reach = (bv.k - 1) * bv.dilation;
+    CBRAIN_CHECK(bv.row0 >= 0 && (out_rows - 1) * bv.stride + reach < bv.rows &&
+                     (in.out_w - 1) * bv.stride + reach < bv.cols,
+                 "conv taps leave the band");
+    const func::TileStaging st = func::tile_staging(
+        bv.rows, bv.cols, out_rows, bv.k, bv.stride, bv.dilation);
+    const i64 ntaps = bv.k * bv.k;
+    const i64 pairs = ceil_div(bv.channels, 2);
+    const i64 blocks = ceil_div(douts, simd::kTileOuts);
+    const i64 block_elems = pairs * ntaps * simd::kTileOuts * 2;
+    const i64 pair_stride = st.pair_stride();
+    LaneScratch& sc = lane_scratch();
+    std::int16_t* stage = grown(sc.stage, 2 * pairs * pair_stride);
+    std::int16_t* packed = grown(sc.packed, blocks * block_elems);
+    i64* taps = grown(sc.taps, ntaps);
+    char* block_fast = grown(sc.block_fast, blocks);
+    func::tile_taps(st, bv.k, bv.dilation, taps);
+    // One task per channel pair staged and per output block packed; a
+    // block runs the tile kernel when its filters pass filter_sum_ok.
+    const std::int16_t* band_base = band + bv.row0 * bv.row_stride;
+    parallel::parallel_for(pairs + blocks, [&](i64 item) {
+      if (item < pairs) {
+        const i64 c = 2 * item;
+        func::stage_pair(
+            band_base + bv.chan(c),
+            c + 1 < bv.channels ? band_base + bv.chan(c + 1) : nullptr,
+            bv.rows, bv.cols, bv.row_stride, bv.col_stride, 0, st,
+            stage + 2 * item * pair_stride);
+        return;
+      }
+      const i64 j = item - pairs;
+      const std::int16_t* filters = wbuf + j * simd::kTileOuts * n;
+      const i64 nf = std::min(simd::kTileOuts, douts - j * simd::kTileOuts);
+      func::pack_tile_block(filters, nf, n, bv.channels, ntaps,
+                            packed + j * block_elems);
+      block_fast[j] = simd::filter_sum_ok(filters, n, nf, n);
+    });
 
     // The epilogue adds the bias on the first din chunk. With no injector
     // attached the whole tile's bias is read up front (the counts are the
@@ -809,29 +853,40 @@ class Executor {
     bias_acc_.assign(static_cast<std::size_t>(douts), 0);
     if (fan_out) read_bias(0, douts);
 
-    // One task per output row (DESIGN.md §6): it gathers the row's
-    // patches into its lane's scratch and writes only that row's sums,
-    // so the result does not depend on which lane ran it. Under the
-    // nesting rule the rows fan out only for a lone inference.
-    sums_.resize(static_cast<std::size_t>(douts * npix));
-    parallel::parallel_for(in.out_row1 - in.out_row0, [&](i64 r) {
-      std::vector<std::int16_t>& patches = lane_scratch().patches;
-      patches.resize(static_cast<std::size_t>(in.out_w * rs));
-      const std::int16_t* row =
-          band + map.row0 + (in.out_row0 + r) * map.row_step;
-      for (i64 ox = 0; ox < in.out_w; ++ox) {
-        const std::int16_t* src = row + ox * map.x_step;
-        std::int16_t* dst = patches.data() + ox * rs;
-        for (i64 j = 0; j < n; ++j) dst[j] = src[map.tap[j]];
-        std::fill(dst + n, dst + rs, std::int16_t{0});
+    // One task per output row (DESIGN.md §6), or per as many rows as fit
+    // one kernel step when rows are narrower: it runs every output block
+    // over its rows, writing only their sums, so the result does not
+    // depend on which lane ran it. Under the nesting rule the rows fan
+    // out only for a lone inference.
+    sums_ = grown(sc.sums, douts * npix);
+    const i64 task_rows = std::max<i64>(1, simd::kTilePixels / st.pitch);
+    parallel::parallel_for(ceil_div(out_rows, task_rows), [&](i64 task) {
+      const i64 r0 = task * task_rows;
+      const i64 r1 = std::min(out_rows, r0 + task_rows);
+      for (i64 j = 0; j < blocks; ++j) {
+        simd::ConvTile t;
+        t.in = stage;
+        t.pair_stride = pair_stride;
+        t.pairs = pairs;
+        t.taps = taps;
+        t.ntaps = ntaps;
+        t.w = packed + j * block_elems;
+        t.outs = std::min(simd::kTileOuts, douts - j * simd::kTileOuts);
+        t.q0 = r0 * st.pitch;
+        t.q1 = r1 * st.pitch;
+        t.pitch = st.pitch;
+        t.ow = in.out_w;
+        t.out_plane = npix;
+        t.sums = sums_ + j * simd::kTileOuts * npix;
+        (block_fast[j] ? simd::conv_tile_s16 : simd::conv_tile_s16_exact)(t);
       }
-      dot(patches.data(), rs, in.out_w, wrows_.data(), rs, douts, rs,
-          sums_.data() + r * in.out_w, npix);
       if (!fan_out) return;
-      for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout)
-        conv_epilogue_row(in, lane0, std::min(tout, in.dout1 - lane0),
-                          in.out_row0 + r, partials);
-      if (finalize) finalize_row(in, partials, in.out_row0 + r);
+      for (i64 r = r0; r < r1; ++r) {
+        for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout)
+          conv_epilogue_row(in, lane0, std::min(tout, in.dout1 - lane0),
+                            in.out_row0 + r, partials);
+        if (finalize) finalize_row(in, partials, in.out_row0 + r);
+      }
     });
 
     for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout) {
@@ -886,7 +941,7 @@ class Executor {
     const acc_t* bias = bias_acc_.data() + l0;
     i64 pix = (oy - in.out_row0) * in.out_w;
     for (i64 ox = 0; ox < in.out_w; ++ox, ++pix) {
-      const acc_t* sum = sums_.data() + l0 * npix + pix;
+      const acc_t* sum = sums_ + l0 * npix + pix;
       if (partials == nullptr) {
         put_run(outs, RunAxis::kDepth, lane0, oy, ox, L, [&](i64 l) {
           return finalize_value(sum[l * npix] + bias[l], in.relu);
@@ -1216,9 +1271,9 @@ class Executor {
   const std::vector<bool>* in_place_ = nullptr;
   const LoadInstr* fc_weights_ = nullptr;  // an in-place load, until its FC
   bool pe_filter_ = false;
+  // The current conv tile's sums, in the calling thread's lane scratch.
+  acc_t* sums_ = nullptr;
   // exec_conv and exec_fc scratch, reused across tiles.
-  std::vector<std::int16_t> wrows_;
-  std::vector<acc_t> sums_;
   std::vector<acc_t> bias_acc_;
   std::vector<acc_t> fc_acc_;
   i64 manual_cycles_ = 0;

@@ -81,15 +81,17 @@ static inline std::int64_t tile_run(const ConvTile& a, std::int64_t q,
   return a.pitch == a.ow || x + n <= a.ow ? y * a.ow + x : -1;
 }
 
-// Stores the finalized outputs vals[o * kTilePixels + i] of flat pixels
-// [q, q + n) of a conv tile, dropping the pad columns (x >= ow).
+// Stores the values vals[o * kTilePixels + i] of flat pixels [q, q + n)
+// of a conv tile to `out` (a.out, or a.sums in raw-sum mode), dropping
+// the pad columns (x >= ow).
+template <typename T>
 static inline void store_tile(const ConvTile& a, std::int64_t q,
-                              std::int64_t n, const std::int16_t* vals) {
+                              std::int64_t n, const T* vals, T* out) {
   const std::int64_t run = tile_run(a, q, n);
   if (run >= 0) {
     for (std::int64_t o = 0; o < a.outs; ++o)
-      std::memcpy(a.out + o * a.out_plane + run, vals + o * kTilePixels,
-                  static_cast<std::size_t>(n) * sizeof(std::int16_t));
+      std::memcpy(out + o * a.out_plane + run, vals + o * kTilePixels,
+                  static_cast<std::size_t>(n) * sizeof(T));
     return;
   }
   std::int64_t y = q / a.pitch;
@@ -97,7 +99,7 @@ static inline void store_tile(const ConvTile& a, std::int64_t q,
   for (std::int64_t i = 0; i < n; ++i) {
     if (x < a.ow)
       for (std::int64_t o = 0; o < a.outs; ++o)
-        a.out[o * a.out_plane + y * a.ow + x] = vals[o * kTilePixels + i];
+        out[o * a.out_plane + y * a.ow + x] = vals[o * kTilePixels + i];
     if (++x == a.pitch) x = 0, ++y;
   }
 }
@@ -106,8 +108,11 @@ static inline void store_tile(const ConvTile& a, std::int64_t q,
 // same staged layout and packed weights, each output summed in int64,
 // exact for any weights and data. It is also the exact kernel
 // (conv_tile_s16_exact) that weights off the filter-sum contract run.
-static inline void conv_tile_rows(const ConvTile& a) {
+// kRaw is the raw-sum mode (a.sums set), chosen once per call.
+template <bool kRaw>
+static inline void conv_tile_rows_body(const ConvTile& a) {
   std::int16_t vals[kTileOuts * kTilePixels];
+  std::int64_t sums[kTileOuts * kTilePixels];
   for (std::int64_t q = a.q0; q < a.q1; q += kTilePixels) {
     const std::int64_t n = a.q1 - q < kTilePixels ? a.q1 - q : kTilePixels;
     std::int64_t acc[kTileOuts][kTilePixels] = {};
@@ -124,10 +129,25 @@ static inline void conv_tile_rows(const ConvTile& a) {
       }
     }
     for (std::int64_t o = 0; o < a.outs; ++o)
-      for (std::int64_t i = 0; i < n; ++i)
-        vals[o * kTilePixels + i] = finalize_acc(acc[o][i] + a.bias[o], a.relu);
-    store_tile(a, q, n, vals);
+      for (std::int64_t i = 0; i < n; ++i) {
+        if constexpr (kRaw)
+          sums[o * kTilePixels + i] = acc[o][i];
+        else
+          vals[o * kTilePixels + i] =
+              finalize_acc(acc[o][i] + a.bias[o], a.relu);
+      }
+    if constexpr (kRaw)
+      store_tile(a, q, n, sums, a.sums);
+    else
+      store_tile(a, q, n, vals, a.out);
   }
+}
+
+static inline void conv_tile_rows(const ConvTile& a) {
+  if (a.sums != nullptr)
+    conv_tile_rows_body<true>(a);
+  else
+    conv_tile_rows_body<false>(a);
 }
 
 struct KernelTable {

@@ -13,12 +13,12 @@ inline constexpr std::int64_t kTileOuts = 6;
 inline constexpr std::int64_t kTilePixels = 16;
 
 // One output-channel block of a conv over a staged input
-// (func/kernels.cpp stages and packs; DESIGN.md §12). A staged pixel is
-// an (even, odd) input-channel pair of int16, so pixel i of pair p is
-// in[2 * (p * pair_stride + i)] and the element after it. Output pixel q
-// of the flat run reads pixel q + taps[t] of every pair for tap t, and
-// is output (q / pitch, q % pitch): it is stored when q % pitch < ow and
-// dropped otherwise (the staged pad columns).
+// (func/kernels.hpp stages and packs for both tiers; DESIGN.md §12). A
+// staged pixel is an (even, odd) input-channel pair of int16, so pixel i
+// of pair p is in[2 * (p * pair_stride + i)] and the element after it.
+// Output pixel q of the flat run reads pixel q + taps[t] of every pair
+// for tap t, and is output (q / pitch, q % pitch): it is stored when
+// q % pitch < ow and dropped otherwise (the staged pad columns).
 struct ConvTile {
   const std::int16_t* in;
   std::int64_t pair_stride;  // pixels from one pair's block to the next
@@ -36,6 +36,11 @@ struct ConvTile {
   // Output o, pixel (y, x) at out[o * out_plane + y * ow + x].
   std::int16_t* out;
   std::int64_t out_plane;
+  // Raw-sum mode (the cycle tier's value pass): when set, each output's
+  // exact sum, widened to int64 with no bias and no finalize, goes to
+  // sums[o * out_plane + y * ow + x] instead; bias, relu and out are
+  // unused.
+  std::int64_t* sums = nullptr;
 };
 
 }  // namespace cbrain::simd

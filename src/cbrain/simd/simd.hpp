@@ -7,13 +7,14 @@
 // two data axes the paper's schemes put in the parallel lanes:
 //
 //   * dot form (input channels across the lanes) — the multi-RHS GEMM
-//     tiles dot_s16_mrhs (exact: FC and the cycle tier's off-contract
-//     conv tiles) and dot_s16_mrhs_dw (deep-window: functional FC and
-//     the cycle tier's conv tiles);
-//   * pixel form (pixels across the lanes) — the functional tier's conv
-//     kernels over a staged input: conv_tile_s16 for every conv but a
-//     dilation-1 per-plane depthwise one, dw_conv_s16 for those planes,
-//     each with an exact int64 twin for weights off their contract;
+//     tiles dot_s16_mrhs (exact: cycle-tier FC and functional FC off the
+//     deep-window contract) and dot_s16_mrhs_dw (deep-window: functional
+//     FC);
+//   * pixel form (pixels across the lanes) — the conv kernels over a
+//     staged input: conv_tile_s16 for every cycle-tier conv tile (in its
+//     raw-sum mode) and every functional conv but a dilation-1 per-plane
+//     depthwise one, dw_conv_s16 for those planes, each with an exact
+//     int64 twin for weights off their contract;
 //
 // plus the host-side ops the paper runs beside the MAC array (the
 // max-pool reduction, the residual add and LRN) and the reference GEMM's
@@ -110,9 +111,8 @@ int env_resolve_count();
 // data + c*data_stride) against `rows` weight rows (row l starts at
 // weights + l*row_stride):
 //   out[l*out_stride + c] = dot(data_c, row_l, n)
-// This serves cycle-tier FC (one call per lane group), cycle-tier conv
-// tiles whose weights fail deep_window_ok (one call per output row), and
-// functional-tier FC weights that fail it. Streaming each weight vector
+// This serves cycle-tier FC (one call per lane group) and functional-tier
+// FC weights that fail deep_window_ok. Streaming each weight vector
 // once per *block of columns* instead of once per column cuts the
 // L2/DRAM weight traffic per MAC by the column-block factor — the
 // dimension dynamic batching (multiple images) and pixel blocking (one
@@ -142,9 +142,9 @@ inline constexpr i64 kDeepGroups = 16;
 // once per group — the i32→i64 widening chain (the ALU bottleneck of a
 // per-group pmaddwd kernel) drops ~16x. deep_window_ok() is the exact
 // checker; fan-in-scaled weights (ref/params.hpp) pass it with orders of
-// magnitude to spare, and weights that fail it (a parameter set, or a
-// cycle-tier tile with upset weight words) stay on dot_s16_mrhs. The
-// contract is on weights only: for any data, the result is exact.
+// magnitude to spare, and weights that fail it stay on dot_s16_mrhs. Its
+// one caller is functional-tier FC. The contract is on weights only: for
+// any data, the result is exact.
 // Every output element is still one exact integer dot, so results are
 // bit-identical to the scalar reference for every input satisfying the
 // contract.
@@ -155,10 +155,9 @@ void dot_s16_mrhs_dw(const std::int16_t* data, i64 data_stride, i64 cols,
 // Exact checker for the dot_s16_mrhs_dw contract over `rows` weight rows
 // of length n starting at row_stride intervals (the n % 16 tail, which
 // the kernel sums exactly, is not checked). O(rows * n) and vectorized:
-// the functional tier runs it once per packed FC weight tensor, the cycle
-// tier once per conv tile on the weight words as the fault hooks left
-// them. The contract also rules out the pmaddwd pair wrap, so a lone
-// -32768 weight among small ones passes.
+// the functional tier runs it once per packed FC weight tensor. The
+// contract also rules out the pmaddwd pair wrap, so a lone -32768 weight
+// among small ones passes.
 bool deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
                     i64 n);
 
@@ -173,7 +172,9 @@ inline constexpr i64 kFilterSumBound = 65535;
 // Exact checker for the filter-sum contract over `rows` filters of n
 // weights at row_stride intervals. It differs from deep_window_ok, which
 // bounds each madd lane pair across a window of the dot form: here the
-// bound is on the whole filter.
+// bound is on the whole filter. The functional tier runs it once per
+// packed conv layer, the cycle tier once per conv tile block on the
+// weight words as the fault hooks left them.
 bool filter_sum_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
                    i64 n);
 
@@ -220,11 +221,18 @@ inline constexpr i64 kDwMinCols = 8;
 // lane sums exact; outputs past t.outs are computed on the block's zero
 // filters and dropped. The caller keeps every staged pixel the rounded-up
 // run [q0, q0 + kTilePixels * ceil((q1 - q0) / kTilePixels)) reads
-// inside the staging buffer.
+// inside the staging buffer (func::tile_staging sizes the planes so).
+//
+// Raw-sum mode (t.sums set): each output's exact sum, widened to int64,
+// goes to t.sums at the same offset, with no bias and no finalize. The
+// cycle tier's value pass runs it (its epilogue adds the bias, keeps the
+// din-chunk partials and finalizes); the functional tier finalizes in
+// the kernel. The mode is a compile-time parameter of the kernel body,
+// chosen once per call.
 void conv_tile_s16(const ConvTile& t);
 
-// conv_tile_s16 for any weights: the scalar reference, which sums in
-// int64 on every backend.
+// conv_tile_s16 for any weights, raw-sum mode included: the scalar
+// reference, which sums in int64 on every backend.
 void conv_tile_s16_exact(const ConvTile& t);
 
 // Max-pool reduction over `rows` rows of x at row_stride intervals:

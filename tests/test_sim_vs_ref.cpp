@@ -149,10 +149,10 @@ TEST(SimIntermediates, TinyCnnLayerByLayer) {
   }
 }
 
-// A conv tile whose weights break the deep-window contract must take the
+// A conv tile whose weights break the filter-sum contract must take the
 // exact kernel. Every weight and every input word is -32768, so each
-// pmaddwd pair sums to 2^31 and wraps int32: a tile wrongly sent to
-// dot_s16_mrhs_dw would finalize a wrapped sum (an even number of wrapped
+// madd pair sums to 2^31 and wraps int32: a tile wrongly sent to
+// conv_tile_s16 would finalize a wrapped sum (an even number of wrapped
 // pairs per lane cancels to 0) where the exact sum saturates. Every
 // policy, with and without din chunking, must match the reference
 // executor under every supported backend.
@@ -171,7 +171,7 @@ TEST(SimDeepWindow, ContractBreakingTileFallsBackToExactKernel) {
             Fixed16::from_raw(-32768));
   const i64 n = 16 * 4 * 4;
   std::vector<std::int16_t> row(static_cast<std::size_t>(n), -32768);
-  ASSERT_FALSE(simd::deep_window_ok(row.data(), n, 1, n));
+  ASSERT_FALSE(simd::filter_sum_ok(row.data(), n, 1, n));
   Tensor3<Fixed16> input(net.layer(0).out_dims);
   input.fill(Fixed16::from_raw(-32768));
   RefExecutor<Fixed16> ref(net, params);
@@ -191,6 +191,96 @@ TEST(SimDeepWindow, ContractBreakingTileFallsBackToExactKernel) {
             << simd::backend_name(backend);
       }
     }
+}
+
+// A conv chain with every stride 1-4 and a dilation-2 layer, each layer
+// with an odd input depth (the staged zero partner) and an output depth
+// off the tile kernel's six-output block.
+Network every_scheme_net() {
+  Network net("every_scheme");
+  LayerId x = net.add_input({5, 67, 67});
+  x = net.add_conv(x, "c1_s1", {.dout = 7, .k = 5, .stride = 1, .pad = 2});
+  x = net.add_conv(x, "c2_s2", {.dout = 11, .k = 3, .stride = 2, .pad = 1});
+  x = net.add_conv(x, "c3_d2",
+                   {.dout = 13, .k = 3, .stride = 1, .pad = 2, .dilation = 2});
+  x = net.add_conv(x, "c4_s3", {.dout = 9, .k = 5, .stride = 3, .pad = 1});
+  net.add_conv(x, "c5_s4",
+               {.dout = 8, .k = 4, .stride = 4, .pad = 3, .relu = false});
+  return net;
+}
+
+// The cycle tier's conv value pass (staged band, packed weights, the tile
+// kernel in raw-sum mode) on live He-uniform data under every scheme:
+// five rotated scheme lists put each scheme on each layer, covering both
+// band orders (depth-major for the inter schemes, spatial-major for the
+// rest), once under the paper's buffers and once under a tiny config
+// that chunks the input depth and bands the output rows. Under every
+// supported backend, every layer's consumed cube and the final output
+// equal the reference executor's, and every conv output is at least 10%
+// nonzero, so the comparison cannot pass on dead data.
+TEST(SimConvTile, EverySchemeMatchesReferenceLayerByLayer) {
+  struct RestoreBackend {
+    simd::Backend saved = simd::active_backend();
+    ~RestoreBackend() { simd::select_backend(saved); }
+  } restore;
+  const Network net = every_scheme_net();
+  const auto params = he_uniform_params(net, 11);
+  const auto input = random_input<Fixed16>(net.layer(0).out_dims, 12);
+  RefExecutor<Fixed16> ref(net, params);
+  ref.run(input);
+  const std::vector<LayerId> convs = net.conv_layer_ids();
+  for (const LayerId id : convs) {
+    const Tensor3<Fixed16>& out = ref.output(id);
+    const auto nonzero =
+        std::count_if(out.storage().begin(), out.storage().end(),
+                      [](Fixed16 v) { return v.raw() != 0; });
+    EXPECT_GE(nonzero * 10, out.size()) << net.layer(id).name;
+  }
+
+  constexpr Scheme kSchemes[] = {Scheme::kInter, Scheme::kInterImproved,
+                                 Scheme::kIntraUnroll, Scheme::kIntraSliding,
+                                 Scheme::kPartition};
+  bool depth_major = false, spatial_major = false, chunked = false,
+       banded = false;
+  for (const AcceleratorConfig& config :
+       {AcceleratorConfig::paper_16_16(), tiny_config(4, 4)})
+    for (std::size_t r = 0; r < std::size(kSchemes); ++r) {
+      std::vector<Scheme> schemes(static_cast<std::size_t>(net.size()),
+                                  Scheme::kInter);
+      std::string label = "tin " + std::to_string(config.tin) + ":";
+      for (std::size_t i = 0; i < convs.size(); ++i) {
+        const Scheme s = kSchemes[(i + r) % std::size(kSchemes)];
+        schemes[static_cast<std::size_t>(convs[i])] = s;
+        label += std::string(" ") + scheme_name(s);
+      }
+      SCOPED_TRACE(label);
+      auto compiled = compile_network(net, schemes, config, Policy::kAdaptive2);
+      ASSERT_TRUE(compiled.is_ok()) << compiled.status().to_string();
+      for (const Instruction& instr : compiled.value().program.instructions())
+        if (const auto* c = std::get_if<ConvTileInstr>(&instr)) {
+          (c->band_order == DataOrder::kDepthMajor ? depth_major
+                                                   : spatial_major) = true;
+          chunked = chunked || !c->last_din_chunk;
+          banded = banded || c->out_row0 > 0;
+        }
+      SimExecutor sim(net, compiled.value(), config);
+      sim.load_params(params);
+      for (const simd::Backend backend : simd::supported_backends()) {
+        SCOPED_TRACE(simd::backend_name(backend));
+        simd::select_backend(backend);
+        const SimResult result = sim.infer(input);
+        EXPECT_TRUE(tensors_equal(ref.output(convs.back()),
+                                  result.final_output));
+        for (const Layer& l : net.layers()) {
+          if (l.kind == LayerKind::kInput) continue;
+          EXPECT_TRUE(tensors_equal(ref.output(l.inputs[0]),
+                                    sim.read_input_cube(l.id)))
+              << l.name;
+        }
+      }
+    }
+  EXPECT_TRUE(depth_major && spatial_major);
+  EXPECT_TRUE(chunked && banded);
 }
 
 // Everything one cycle-tier inference shows: the final output, then

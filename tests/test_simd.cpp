@@ -667,6 +667,171 @@ TEST(ConvTileKernel, LargeImagesStageInSeveralPasses) {
   expect_tile_conv_matches_ref(p, w, bias, inputs, func::WeightMode::kTile);
 }
 
+// --- raw-sum mode ------------------------------------------------------------
+
+// One block of `nf` filters over a staged input of `ch` channels (k x k
+// taps, stride s, dilation d, no pad), run through conv_tile_s16 or its
+// exact twin in raw-sum mode over [0, run) split at `split`: the sums of
+// outputs [0, nf) at o * npix + y * ow + x, the rest of `sums` (filled
+// with a sentinel) untouched.
+std::vector<Fixed16::acc_t> raw_tile_sums(
+    void (*kernel)(const simd::ConvTile&), const std::vector<std::int16_t>& in,
+    i64 ch, i64 rows, i64 cols, const std::vector<std::int16_t>& w, i64 nf,
+    i64 k, i64 s, i64 d, i64 oh, i64 ow, i64 split) {
+  const func::TileStaging st = func::tile_staging(rows, cols, oh, k, s, d);
+  const i64 pairs = (ch + 1) / 2;
+  std::vector<std::int16_t> stage(
+      static_cast<std::size_t>(2 * pairs * st.pair_stride()), 0);
+  for (i64 p = 0; p < pairs; ++p)
+    func::stage_pair(in.data() + 2 * p * rows * cols,
+                     2 * p + 1 < ch ? in.data() + (2 * p + 1) * rows * cols
+                                    : nullptr,
+                     rows, cols, cols, 1, 0, st,
+                     stage.data() + 2 * p * st.pair_stride());
+  std::vector<std::int16_t> pack(
+      static_cast<std::size_t>(pairs * k * k * simd::kTileOuts * 2));
+  func::pack_tile_block(w.data(), nf, ch * k * k, ch, k * k, pack.data());
+  std::vector<i64> taps(static_cast<std::size_t>(k * k));
+  func::tile_taps(st, k, d, taps.data());
+  std::vector<Fixed16::acc_t> sums(
+      static_cast<std::size_t>(simd::kTileOuts * oh * ow), 0x5A5A5A5A5A5A);
+  for (const auto& [q0, q1] :
+       {std::pair<i64, i64>{0, split}, std::pair<i64, i64>{split, st.run}}) {
+    simd::ConvTile t;
+    t.in = stage.data();
+    t.pair_stride = st.pair_stride();
+    t.pairs = pairs;
+    t.taps = taps.data();
+    t.ntaps = k * k;
+    t.w = pack.data();
+    t.outs = nf;
+    t.q0 = q0;
+    t.q1 = q1;
+    t.pitch = st.pitch;
+    t.ow = ow;
+    t.out_plane = oh * ow;
+    t.sums = sums.data();
+    kernel(t);
+  }
+  return sums;
+}
+
+// The raw-sum mode the cycle tier's value pass runs: conv_tile_s16's raw
+// sums equal conv_tile_s16_exact's and a plain int64 dot per output, bit
+// for bit, on every backend, with the run split mid-row and mid-step and
+// outputs past the block's filters left untouched. Strides 1-3 and
+// dilation 2 over an odd channel count (the zero partner), filters
+// exactly at sum |w| = 65535 (one of each sign, so -32768 data drives the
+// int32 lane sums to +-(2^31 - 32768)) beside random ones, on data of
+// +-32767, all -32768 and full-range noise.
+TEST(ConvTileKernel, RawSumsMatchExactTwinAndInt64Dot) {
+  BackendGuard guard;
+  Rng rng(4242);
+  const i64 ch = 5, k = 3, nf = 5, row_len = ch * k * k;
+  std::vector<std::int16_t> w(static_cast<std::size_t>(nf * row_len));
+  for (i64 o = 0; o < nf; ++o)
+    for (i64 i = 0; i < row_len; ++i) {
+      const i64 at_bound = 65535 / row_len + (i == 0 ? 65535 % row_len : 0);
+      const i64 v = o == 0   ? at_bound
+                    : o == 1 ? -at_bound
+                             : static_cast<i64>(rng.next_u64() % 2001) - 1000;
+      w[static_cast<std::size_t>(o * row_len + i)] =
+          static_cast<std::int16_t>(v);
+    }
+  ASSERT_TRUE(simd::filter_sum_ok(w.data(), row_len, nf, row_len));
+  i64 checked = 0;
+  for (const i64 s : {1, 2, 3})
+    for (const i64 d : {1, 2})
+      for (int data = 0; data < 3; ++data) {
+        const i64 oh = 4, ow = 9;
+        const i64 rows = (oh - 1) * s + (k - 1) * d + 1;
+        const i64 cols = (ow - 1) * s + (k - 1) * d + 1 + s;  // a pad column
+        std::vector<std::int16_t> in(
+            static_cast<std::size_t>(ch * rows * cols));
+        for (std::size_t i = 0; i < in.size(); ++i)
+          in[i] = data == 0   ? static_cast<std::int16_t>(i % 3 == 0 ? -32767
+                                                                    : 32767)
+                  : data == 1 ? std::int16_t{-32768}
+                              : static_cast<std::int16_t>(rng.next_u64());
+        std::vector<Fixed16::acc_t> want(
+            static_cast<std::size_t>(simd::kTileOuts * oh * ow),
+            0x5A5A5A5A5A5A);
+        for (i64 o = 0; o < nf; ++o)
+          for (i64 y = 0; y < oh; ++y)
+            for (i64 x = 0; x < ow; ++x) {
+              Fixed16::acc_t acc = 0;
+              for (i64 c = 0; c < ch; ++c)
+                for (i64 ky = 0; ky < k; ++ky)
+                  for (i64 kx = 0; kx < k; ++kx)
+                    acc += Fixed16::acc_t{w[static_cast<std::size_t>(
+                               o * row_len + (c * k + ky) * k + kx)]} *
+                           in[static_cast<std::size_t>(
+                               (c * rows + y * s + ky * d) * cols + x * s +
+                               kx * d)];
+              want[static_cast<std::size_t>(o * oh * ow + y * ow + x)] = acc;
+            }
+        const i64 pitch = func::tile_staging(rows, cols, oh, k, s, d).pitch;
+        const i64 split = pitch + 5;  // mid-row, mid-step
+        SCOPED_TRACE(::testing::Message()
+                     << "s=" << s << " d=" << d << " data=" << data);
+        for (const Backend b : simd::supported_backends()) {
+          simd::select_backend(b);
+          EXPECT_EQ(raw_tile_sums(simd::conv_tile_s16, in, ch, rows, cols, w,
+                                  nf, k, s, d, oh, ow, split),
+                    want)
+              << simd::backend_name(b);
+          EXPECT_EQ(raw_tile_sums(simd::conv_tile_s16_exact, in, ch, rows,
+                                  cols, w, nf, k, s, d, oh, ow, split),
+                    want)
+              << simd::backend_name(b) << " exact";
+          ++checked;
+        }
+      }
+  EXPECT_GE(checked, 18);
+}
+
+// A cycle-tier conv tile one unit past the filter-sum bound takes the
+// exact kernel inside SimExecutor. The filter is two -32768 weights, the
+// two halves of one channel pair (sum |w| = 65536), over all -32768 data:
+// each output's sum is 2^31, which finalizes to 32767, while the tile
+// kernel's int32 madd pair would wrap it to -2^31 and finalize -32768.
+// One weight at -32767 (sum 65535) stays on the tile kernel and is exact
+// too. Every policy, every supported backend.
+TEST(ConvTileKernel, SimTileOnePastTheBoundTakesExactKernel) {
+  BackendGuard guard;
+  const Network net = zoo::single_conv(
+      {2, 5, 7}, {.dout = 1, .k = 1, .stride = 1, .relu = false}, "pair");
+  const LayerId id = net.conv_layer_ids().front();
+  Tensor3<Fixed16> input(net.layer(0).out_dims);
+  input.fill(Fixed16::from_raw(-32768));
+  for (const std::int16_t second :
+       {std::int16_t{-32768}, std::int16_t{-32767}}) {
+    SCOPED_TRACE(second);
+    auto params = init_net_params<Fixed16>(net, 1);
+    auto& layer = params.per_layer[static_cast<std::size_t>(id)];
+    layer.weights.storage()[0] = Fixed16::from_raw(-32768);
+    layer.weights.storage()[1] = Fixed16::from_raw(second);
+    std::fill(layer.bias.begin(), layer.bias.end(), Fixed16::from_raw(0));
+    const std::int16_t w[2] = {-32768, second};
+    ASSERT_EQ(simd::filter_sum_ok(w, 2, 1, 2), second != -32768);
+    const Tensor3<Fixed16> want = RefExecutor<Fixed16>(net, params).run(input);
+    EXPECT_EQ(want.storage()[0].raw(), 32767);
+    for (const Policy policy : {Policy::kFixedInter, Policy::kFixedIntra,
+                                Policy::kFixedPartition, Policy::kAdaptive2}) {
+      const AcceleratorConfig config = AcceleratorConfig::paper_16_16();
+      auto compiled = compile_network(net, policy, config);
+      ASSERT_TRUE(compiled.is_ok()) << compiled.status().to_string();
+      for (const Backend b : simd::supported_backends()) {
+        simd::select_backend(b);
+        SimExecutor sim(net, compiled.value(), config);
+        EXPECT_TRUE(
+            test::tensors_equal(want, sim.run(input, params).final_output))
+            << policy_name(policy) << " " << simd::backend_name(b);
+      }
+    }
+  }
+}
+
 // --- host-op kernels: residual add, max pool, LRN ---------------------------
 //
 // Each is fuzzed under every supported backend against its ref/ oracle
@@ -821,6 +986,45 @@ TEST(HostOpKernels, LrnExtremesZerosAndNonFiniteScales) {
     EXPECT_EQ(out.storage()[0].raw(), 32767) << simd::backend_name(b);
     EXPECT_EQ(out.storage()[1].raw(), -32768) << simd::backend_name(b);
   }
+}
+
+// Tie-adjacent LRN: one-channel rows whose reference quotient
+// v = x / (r * sqrt(r)), r = sqrt(bias + alpha/n * x^2), sits within a
+// few ulps of a Q7.8 rounding tie, so that a kernel computing scale^0.75
+// any other way — sqrt(scale * r), say, one rounding different — lands on
+// the other side of the tie. The search solves for a bias that puts v on
+// the tie m + 1/2 (in 1/256 units), walks it ulp by ulp, and keeps the
+// cases where that alternative quantizes differently; each backend must
+// then match lrn_ref on all of them (at every vector lane and the tail).
+TEST(HostOpKernels, LrnTieAdjacentCasesSeeALastBitChange) {
+  BackendGuard guard;
+  const double alpha = 1e-4;
+  const i64 local = 5;
+  const double aon = alpha / static_cast<double>(local);
+  i64 found = 0;
+  for (i64 raw = 97; raw < 32000 && found < 24; raw += 1031) {
+    const double x =
+        Fixed16::from_raw(static_cast<std::int16_t>(raw)).to_double();
+    const double tie = (std::floor(0.8 * static_cast<double>(raw)) + 0.5) / 256;
+    const double bias0 = std::pow(x / tie, 4.0 / 3.0) - aon * (x * x);
+    double bias = bias0;
+    for (int step = 0; step < 64; ++step)
+      bias = std::nextafter(bias, -1.0);
+    for (int step = 0; step < 128; ++step, bias = std::nextafter(bias, 2.0)) {
+      const double scale = bias + aon * (x * x);
+      const double r = std::sqrt(scale);
+      const Fixed16 want = Fixed16::from_double(x / (r * std::sqrt(r)));
+      if (want == Fixed16::from_double(x / std::sqrt(scale * r))) continue;
+      ++found;
+      const LRNParams p{.local_size = local, .alpha = alpha, .beta = 0.75,
+                        .bias = bias};
+      const Tensor3<Fixed16> in =
+          cube_of({1, 1, 7}, [&] { return static_cast<std::int16_t>(raw); });
+      ASSERT_EQ(lrn_ref(in, p).storage()[0], want) << "raw=" << raw;
+      expect_lrn_matches_ref({in}, p, "raw=" + std::to_string(raw));
+    }
+  }
+  EXPECT_GE(found, 8);
 }
 
 std::vector<Tensor3<Fixed16>> pool_batch(

@@ -12,19 +12,21 @@ files. The file has four sections of points:
   multichip  — simulated multi-chip scaling (sim_images_per_s).
 Any other section is ignored, so a baseline written with sections this
 script does not read still compares.
-Points the harness runs several times (every serve point, every
-conv_tile kernel point and a cycle whole_net point's infer phase) carry
-"runs" and a <metric>_min/_max spread; their <metric> is the median run,
-so the diff is median against median, and the current spread is printed
-beside the ratio. A one-run point from an older baseline still compares
-by its single value.
+Every point the harness writes is the median of several runs and
+carries "runs" and a <metric>_min/_max spread (a whole_net point one per
+phase: wall, setup, infer); the diff is median against median, and the
+current spread is printed beside the ratio. A one-run point from an
+older baseline still compares by its single value.
 Extra points on either side are listed, not compared — a --quick run
 legitimately omits VGG16, and a baseline from before the two-tier split
 simply has no functional-tier entries; those show up as "new entry",
 never as regressions. whole_net/serve points are keyed by execution
 tier, with missing "tier" fields defaulting to "cycle" so old baselines
-stay comparable. A point whose current throughput falls below
-threshold * baseline is flagged as a REGRESSION.
+stay comparable. A point is flagged as a REGRESSION when its current
+range lies wholly below the baseline's (no overlap: the best current run
+is slower than the worst baseline run). A point without a range on
+either side, such as an older one-run baseline, is flagged when its
+current throughput falls below threshold * baseline.
 
 This is an *informational* CI leg: machine load and CPU frequency swings
 make wall-clock comparisons noisy, so the exit code is 0 unless a file
@@ -83,6 +85,12 @@ def spread(r, metric):
     return (lo, hi) if lo is not None and hi is not None else None
 
 
+# A milliseconds spread as a rate spread (higher is better).
+def rate_spread(r, metric):
+    ms = spread(r, metric)
+    return (1.0 / ms[1], 1.0 / ms[0]) if ms and ms[0] > 0 else None
+
+
 def index(doc):
     points = {}
     for k in doc.get("kernels", []):
@@ -94,19 +102,15 @@ def index(doc):
         # Convert wall_ms to a rate so "higher is better" holds uniformly.
         if r.get("wall_ms"):
             points[wholenet_key(r)] = ("1/wall_ms", 1.0 / r["wall_ms"],
-                                       None)
+                                       rate_spread(r, "wall_ms"))
         # Cycle points also split wall_ms into setup and infer; files
         # written before the split have neither, so these keys show up as
         # new entries against such a baseline, never as regressions.
         for phase in ("infer", "setup"):
             ms = r.get(phase + "_ms")
             if ms:
-                ms_spread = spread(r, phase + "_ms")
-                rate_spread = (1.0 / ms_spread[1], 1.0 / ms_spread[0]) \
-                    if ms_spread else None
-                points[(phase,) + wholenet_key(r)[1:]] = (f"1/{phase}_ms",
-                                                         1.0 / ms,
-                                                         rate_spread)
+                points[(phase,) + wholenet_key(r)[1:]] = (
+                    f"1/{phase}_ms", 1.0 / ms, rate_spread(r, phase + "_ms"))
     for r in doc.get("serve", []):
         if "infer_per_s" in r:
             points[serve_key(r)] = ("infer_per_s", r["infer_per_s"],
@@ -155,11 +159,15 @@ def main(argv):
     print(f"{'point':<34} {'baseline':>12} {'current':>12} {'ratio':>7}"
           f"  current spread")
     for key in common:
-        _, b, _ = base[key]
+        _, b, b_spread = base[key]
         _, c, c_spread = cur[key]
         ratio = c / b if b > 0 else float("inf")
         flag = ""
-        if ratio < threshold:
+        if b_spread and c_spread:
+            slower = c_spread[1] < b_spread[0]
+        else:
+            slower = ratio < threshold
+        if slower:
             flag = "  REGRESSION"
             regressions.append(key)
         span = f"  [{c_spread[0]:.4g}, {c_spread[1]:.4g}]" if c_spread else ""
@@ -174,11 +182,13 @@ def main(argv):
         print(f"{fmt_key(key):<34} (new entry — no baseline yet)")
 
     if regressions:
-        print(f"\nbench_compare: {len(regressions)} point(s) below "
-              f"{threshold:.0%} of baseline (informational)")
+        print(f"\nbench_compare: {len(regressions)} point(s) regressed: "
+              "range wholly below the baseline's, or, without ranges, "
+              f"below {threshold:.0%} of it (informational)")
     else:
         print("\nbench_compare: no regressions "
-              f"(threshold {threshold:.0%}, {len(common)} points)")
+              f"({len(common)} points; ranges, else threshold "
+              f"{threshold:.0%})")
     return 0
 
 

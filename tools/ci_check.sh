@@ -67,14 +67,19 @@ run_suite build-ci-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # filter change can never silently drop them.
 ./build-ci-tsan/tests/test_engine
 ./build-ci-tsan/tests/test_obs
-# A lone cycle-tier request fans out over the pool: each conv row task
-# runs the row's value pass and, with no injector, its epilogue (partials
+# A lone cycle-tier request fans out over the pool: a conv tile stages
+# its band per channel pair and packs its weights per output block, runs
+# the tile kernel per (block, pixel range) into its own sums, and, with
+# no injector, runs each output row's epilogue in a row task (partials
 # and DRAM stores of that row alone, store runs in its lane's scratch);
 # FC lane-group dots run one task per group, reading weights in place
 # from DRAM. Every hook and counter block stays on the caller.
-# Race-check it on AlexNet, whose every conv and FC layer takes the
-# fan-out, and on mini_inception, whose stem conv stores each output
-# to four consumer maps.
+# Race-check the conv fan-out under every scheme, band order, stride and
+# din chunking (SimConvTile), then AlexNet, whose every conv and FC
+# layer takes the fan-out, and mini_inception, whose stem conv stores
+# each output to four consumer maps.
+./build-ci-tsan/tests/test_sim_vs_ref --gtest_filter='SimConvTile.*'
+
 ./build-ci-tsan/tools/cbrain_cli serve-bench alexnet --requests=1 \
   --jobs="$JOBS" > /dev/null
 ./build-ci-tsan/tools/cbrain_cli serve-bench mini_inception --requests=1 \
@@ -83,6 +88,10 @@ run_suite build-ci-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 echo "=== AddressSanitizer+UBSan build ==="
 run_suite build-ci-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCBRAIN_SANITIZE=address
+# The cycle tier's conv staging reads each band through its row and
+# column strides and the tile kernel reads the staged planes past their
+# rows: bounds-check both under every scheme and band order.
+./build-ci-asan/tests/test_sim_vs_ref --gtest_filter='SimConvTile.*'
 # Record labels are rendered, not stored: a barrier's label looks ahead
 # to the record it guards and a conv tile's divides by its layer's group
 # sizes. Render every record of every zoo net, and the ResNet-18 model
