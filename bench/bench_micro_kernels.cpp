@@ -10,7 +10,7 @@
 //
 //   bench_micro_kernels --perf-json[=path] [--quick]
 //
-// times dot_s16_mrhs[_dw], the functional tier's depthwise layer at two
+// times dot_s16_mrhs[_exact], the functional tier's depthwise layer at two
 // MobileNetV1 shapes, its tile conv at three zoo shapes and its host-side
 // ops (LRN, max pool, residual add) at four on every supported SIMD
 // backend, plus whole-network wall-clock at both execution tiers (cycle:
@@ -133,8 +133,8 @@ BENCHMARK(BM_AnalyticalModel);
 // --- cbrain::simd kernel layer, per backend --------------------------------
 //
 // Registered at runtime (main) so only backends this build/CPU supports
-// appear: BM_DotS16Mrhs/<backend>/n, one exact dot per call (the
-// single-column, single-row shape of an FC lane group).
+// appear: BM_DotS16MrhsExact/<backend>/n, one exact dot per call (the
+// single-column, single-row shape of a cycle-tier FC lane group).
 
 std::vector<std::int16_t> random_s16(i64 n, std::uint64_t seed) {
   Rng rng(seed);
@@ -149,7 +149,8 @@ void run_dot_bench(benchmark::State& state, simd::Backend b, i64 n) {
   const auto weights = random_s16(n, 12);
   for (auto _ : state) {
     Fixed16::acc_t acc = 0;
-    simd::dot_s16_mrhs(data.data(), n, 1, weights.data(), n, 1, n, &acc, 1);
+    simd::dot_s16_mrhs_exact(data.data(), n, 1, weights.data(), n, 1, n, &acc,
+                             1);
     benchmark::DoNotOptimize(acc);
   }
   state.counters["GB/s"] = benchmark::Counter(
@@ -166,7 +167,7 @@ void register_simd_benches() {
     const std::string name = simd::backend_name(b);
     for (i64 n : {64, 256, 1024}) {
       benchmark::RegisterBenchmark(
-          ("BM_DotS16Mrhs/" + name + "/" + std::to_string(n)).c_str(),
+          ("BM_DotS16MrhsExact/" + name + "/" + std::to_string(n)).c_str(),
           [b, n](benchmark::State& s) { run_dot_bench(s, b, n); });
     }
   }
@@ -264,15 +265,15 @@ std::vector<KernelResult> run_point(
 }
 
 // The multi-RHS GEMM kernels behind both tiers (the exact one runs
-// cycle-tier FC): one kMrhsRows-row weight panel against kMrhsCols data
-// columns per call. Both tiers share the measurement shape; `dw` picks
-// the deep-window entry point and shrinks the weights to honour its
-// magnitude bound (checked with simd::deep_window_ok rather than
+// cycle-tier FC, the fast one functional FC): one kMrhsRows-row weight
+// panel against kMrhsCols data columns per call. Both share the
+// measurement shape; the fast one's weights are shrunk to honour the
+// filter-sum contract (checked with simd::filter_sum_ok rather than
 // assumed).
 constexpr i64 kMrhsRows = 16;
 constexpr i64 kMrhsCols = 8;
 
-KernelPoint dot_mrhs_point(bool dw, i64 n, i64 iters) {
+KernelPoint dot_mrhs_point(bool exact, i64 n, i64 iters) {
   struct State {
     std::vector<std::int16_t> data, weights;
     std::vector<Fixed16::acc_t> out;
@@ -280,23 +281,23 @@ KernelPoint dot_mrhs_point(bool dw, i64 n, i64 iters) {
   auto st = std::make_shared<State>();
   st->data = random_s16(n * kMrhsCols, 27);
   st->weights = random_s16(n * kMrhsRows, 28);
-  if (dw) {
-    // Trained-net magnitudes: small enough that every 16-group window
-    // stays under the 32-bit lane bound.
-    for (auto& w : st->weights) w = static_cast<std::int16_t>(w % 1024);
-    CBRAIN_CHECK(simd::deep_window_ok(st->weights.data(), n, kMrhsRows, n),
-                 "dw bench weights must satisfy the deep-window bound");
+  if (!exact) {
+    // |w| <= kFilterSumBound / n keeps every row's sum inside the bound.
+    for (auto& w : st->weights)
+      w = static_cast<std::int16_t>(w % (simd::kFilterSumBound / n + 1));
+    CBRAIN_CHECK(simd::filter_sum_ok(st->weights.data(), n, kMrhsRows, n),
+                 "mrhs bench weights must satisfy the filter-sum contract");
   }
   st->out.resize(static_cast<std::size_t>(kMrhsRows * kMrhsCols));
   KernelPoint p;
-  p.name = dw ? "dot_s16_mrhs_dw" : "dot_s16_mrhs";
+  p.name = exact ? "dot_s16_mrhs_exact" : "dot_s16_mrhs";
   p.n = n;
   // Bytes streamed: kMrhsCols data columns + kMrhsRows weight rows.
   p.bytes = static_cast<double>(sizeof(std::int16_t) * n *
                                 (kMrhsCols + kMrhsRows));
   p.work = static_cast<double>(n * kMrhsRows * kMrhsCols);
-  p.time_once = [st, dw, n, iters] {
-    const auto fn = dw ? simd::dot_s16_mrhs_dw : simd::dot_s16_mrhs;
+  p.time_once = [st, exact, n, iters] {
+    const auto fn = exact ? simd::dot_s16_mrhs_exact : simd::dot_s16_mrhs;
     return time_calls(iters, [&] {
       fn(st->data.data(), n, kMrhsCols, st->weights.data(), n, kMrhsRows, n,
          st->out.data(), kMrhsCols);
@@ -313,12 +314,12 @@ struct FuncConv {
   Tensor3<Fixed16> input;
   Tensor3<Fixed16> output;
   func::PackedRows pack;
-  func::WeightMode mode = func::WeightMode::kExact;
+  bool exact = true;
   std::vector<Fixed16::acc_t> bias;
   func::KernelScratch scratch;
 
   void run() {
-    func::conv2d_func_batch({&input}, pack, bias, p, mode, scratch,
+    func::conv2d_func_batch({&input}, pack, bias, p, exact, scratch,
                             {&output});
     benchmark::DoNotOptimize(output.raw_data());
   }
@@ -336,9 +337,8 @@ KernelPoint depthwise_point(i64 side, i64 ch, i64 stride, i64 iters) {
   c->pack.resize(static_cast<std::size_t>(ch * 9));
   for (std::size_t i = 0; i < c->pack.size(); ++i)
     c->pack[i] = static_cast<std::int16_t>(w[i] % 512);
-  c->mode = func::classify_weights(c->pack.data(), ch, 9,
-                                   func::WeightMode::kDepthwise);
-  CBRAIN_CHECK(c->mode == func::WeightMode::kDepthwise,
+  c->exact = !simd::filter_sum_ok(c->pack.data(), 9, ch, 9);
+  CBRAIN_CHECK(!c->exact,
                "depthwise bench weights must satisfy the filter-sum contract");
   c->bias.assign(static_cast<std::size_t>(ch), 0);
   const i64 out_side = conv_out_extent(side, 3, stride, 1);
@@ -372,9 +372,9 @@ KernelPoint conv_tile_point(i64 side, i64 din, i64 dout, i64 k, i64 stride,
     w.storage()[i] = Fixed16::from_raw(static_cast<std::int16_t>(raw[i] % 32));
   const func::PackPlan plan = func::pack_plan(l);
   c->pack.resize(static_cast<std::size_t>(plan.units * plan.unit_elems));
-  c->mode = func::pack_units(l, plan, w.raw_data(), 0, plan.units,
-                             c->pack.data());
-  CBRAIN_CHECK(c->mode == func::WeightMode::kTile,
+  c->exact = func::pack_units(l, plan, w.raw_data(), 0, plan.units,
+                              c->pack.data());
+  CBRAIN_CHECK(!c->exact,
                "conv_tile bench weights must satisfy the filter-sum contract");
   c->bias.assign(static_cast<std::size_t>(dout), 0);
   c->input = random_input<Fixed16>(l.in_dims, 34);
@@ -722,8 +722,8 @@ int run_perf_harness(const std::string& path, bool quick) {
   // backend difference.
   std::vector<KernelPoint> points;
   for (i64 n : {64, 256, 1024}) {
-    points.push_back(dot_mrhs_point(false, n, multi_iters));
     points.push_back(dot_mrhs_point(true, n, multi_iters));
+    points.push_back(dot_mrhs_point(false, n, multi_iters));
   }
   // MobileNetV1's first two depthwise layers (block2: 112x112x32, s1;
   // block3: 112x112x64, s2).
@@ -841,12 +841,11 @@ int run_perf_harness(const std::string& path, bool quick) {
   simd::select_backend(original);
   parallel::set_default_jobs(original_width);
 
-  // Exact dot_s16_mrhs speedup of the vector backend over scalar at the
-  // same n — the kernel both tiers' exact paths run, tracked across
-  // commits.
+  // dot_s16_mrhs_exact speedup of the vector backend over scalar at the
+  // same n — the kernel cycle-tier FC runs, tracked across commits.
   auto mrhs_secs = [&](const std::string& backend, i64 n) {
     for (const KernelResult& k : kernels)
-      if (k.name == "dot_s16_mrhs" && k.backend == backend && k.n == n)
+      if (k.name == "dot_s16_mrhs_exact" && k.backend == backend && k.n == n)
         return k.secs;
     return 0.0;
   };
@@ -881,7 +880,7 @@ int run_perf_harness(const std::string& path, bool quick) {
       const double v = mrhs_secs(simd::backend_name(b), n);
       if (s <= 0.0 || v <= 0.0) continue;
       w.begin_object();
-      w.kv("kernel", "dot_s16_mrhs");
+      w.kv("kernel", "dot_s16_mrhs_exact");
       w.kv("backend", simd::backend_name(b));
       w.kv("n", n);
       w.kv("speedup", s / v);

@@ -477,6 +477,9 @@ std::vector<SimResult> Engine::run_batches(
           return;
         }
         const auto t1 = Clock::now();
+        // Stamped before the release: the next batch on this session
+        // cannot start its span before this one ends.
+        const i64 end_us = tracing ? tracer.wall_now_us() : 0;
         pool->release(session);
 
         const double queue_wait = Ms(task_start - run_start).count();
@@ -504,7 +507,7 @@ std::vector<SimResult> Engine::run_batches(
           s.domain = obs::Domain::kWall;
           s.track = track_of[session];
           s.start = acquired_us;
-          s.dur = std::max<i64>(0, tracer.wall_now_us() - acquired_us);
+          s.dur = std::max<i64>(0, end_us - acquired_us);
           s.name = "batch";
           s.cat = "batch";
           s.args.emplace_back("tier", fidelity_name(fidelity));

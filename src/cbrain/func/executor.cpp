@@ -14,7 +14,7 @@
 namespace cbrain::func {
 namespace {
 
-// Packed int16 elements one load_params task packs and classifies: big
+// Packed int16 elements one load_params task packs and checks: big
 // enough to amortize the task, small enough that AlexNet's fc6 alone
 // spreads over hundreds of tasks.
 constexpr i64 kPackChunkElems = i64{1} << 16;
@@ -34,7 +34,7 @@ void FuncExecutor::load_params(const NetParamsData<Fixed16>& params) {
                "parameter table does not match network");
   auto packed = std::make_shared<PackedParams>(
       static_cast<std::size_t>(net_.size()));
-  // A run of one layer's pack units, packed and classified by one task.
+  // A run of one layer's pack units, packed and checked by one task.
   struct Chunk {
     std::size_t layer;
     i64 first, count;
@@ -58,23 +58,19 @@ void FuncExecutor::load_params(const NetParamsData<Fixed16>& params) {
       chunks.push_back({idx, u, std::min(per_chunk, plan.units - u)});
   }
   // Each chunk is re-laid from the Tensor4 storage into its kernel's
-  // layout (pack_units) and classified while it is cache-hot.
-  std::vector<WeightMode> chunk_mode(chunks.size());
+  // layout (pack_units) and checked while it is cache-hot. One char per
+  // chunk, not a bit: the tasks write their flags concurrently.
+  std::vector<char> chunk_exact(chunks.size());
   parallel::parallel_for(static_cast<i64>(chunks.size()), [&](i64 i) {
     const Chunk& ch = chunks[static_cast<std::size_t>(i)];
-    chunk_mode[static_cast<std::size_t>(i)] = pack_units(
+    chunk_exact[static_cast<std::size_t>(i)] = pack_units(
         net_.layer(static_cast<LayerId>(ch.layer)), plans[ch.layer],
         params.per_layer[ch.layer].weights.raw_data(), ch.first, ch.count,
         (*packed)[ch.layer].weights.data());
   });
-  // A layer keeps its fast mode only if every chunk qualified.
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    PackedLayer& pl = (*packed)[chunks[i].layer];
-    if (chunks[i].first == 0)
-      pl.mode = chunk_mode[i];
-    else if (chunk_mode[i] != pl.mode)
-      pl.mode = WeightMode::kExact;
-  }
+  // A layer runs exact when any of its chunks does.
+  for (std::size_t i = 0; i < chunks.size(); ++i)
+    (*packed)[chunks[i].layer].exact |= chunk_exact[i] != 0;
   packed_ = std::move(packed);
 }
 
@@ -175,10 +171,10 @@ std::vector<SimResult> FuncExecutor::infer_batch(
         break;
       case LayerKind::kConv:
         conv2d_func_batch(in_ptrs_, pl.weights, pl.bias_acc, l.conv(),
-                          pl.mode, scratch_, out_ptrs_);
+                          pl.exact, scratch_, out_ptrs_);
         break;
       case LayerKind::kFC:
-        fc_func_batch(in_ptrs_, pl.weights, pl.bias_acc, l.fc(), pl.mode,
+        fc_func_batch(in_ptrs_, pl.weights, pl.bias_acc, l.fc(), pl.exact,
                       scratch_, out_ptrs_);
         break;
       case LayerKind::kPool:

@@ -62,11 +62,11 @@ class FuncExecutor {
     PackedRows weights;  // pack_units' layout for the layer (pack_plan)
     // Bias promoted to accumulator (Q16.16) scale, zero-padded to dout.
     std::vector<Fixed16::acc_t> bias_acc;
-    // Fastest kernel this weight tensor qualifies for (fast_mode when
-    // every filter passes its contract, else exact; all bit-identical).
-    // Checked once per pack; a hand-built NetParamsData that fails the
-    // bound falls back, keeping outputs identical either way.
-    WeightMode mode = WeightMode::kExact;
+    // Set when some filter fails simd::filter_sum_ok: the layer runs its
+    // kernel's int64 twin on the same layout (bit-identical, slower).
+    // Checked once per pack, so a hand-built NetParamsData that breaks
+    // the bound keeps outputs identical.
+    bool exact = false;
   };
 
   // Indexed by LayerId; immutable once built.
@@ -74,8 +74,8 @@ class FuncExecutor {
 
   // Packs each conv/FC layer's weights into its kernel's layout (conv
   // tile blocks, depthwise filters or FC rows; pack_plan), promotes biases
-  // to accumulator scale and classifies each weight tensor for the
-  // fastest admissible kernel. The whole net is packed and classified in
+  // to accumulator scale and checks each filter against
+  // simd::filter_sum_ok. The whole net is packed and checked in
   // one parallel pass over chunks of pack units, each page touched once,
   // and only the packed copy stays resident. May run again to
   // hot-swap parameters (engine::Session contract): it builds a fresh

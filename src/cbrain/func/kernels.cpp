@@ -51,14 +51,6 @@ const std::int16_t* raw_s16(const Fixed16* p) {
   return reinterpret_cast<const std::int16_t*>(p);
 }
 
-using MrhsFn = void (*)(const std::int16_t*, i64, i64, const std::int16_t*,
-                        i64, i64, i64, Fixed16::acc_t*, i64);
-
-MrhsFn mrhs_kernel(WeightMode m) {
-  return m == WeightMode::kDeepWindow ? simd::dot_s16_mrhs_dw
-                                      : simd::dot_s16_mrhs;
-}
-
 // A tile-kernel conv's per-group extents: channel pairs, taps and
 // kTileOuts-wide output-channel blocks.
 struct TileShape {
@@ -82,10 +74,10 @@ i64 block_filter_end(const TileShape& ts, i64 b) {
          std::min(ts.dout_g, (b % ts.blocks + 1) * kTileOuts);
 }
 
-WeightMode conv_fast_mode(const ConvParams& p, i64 din) {
-  return per_plane_depthwise(p, din) && p.dilation == 1
-             ? WeightMode::kDepthwise
-             : WeightMode::kTile;
+// True for a layer packed in tile-kernel blocks: any conv but a
+// per-plane depthwise one.
+bool tile_layout(const Layer& l) {
+  return l.is_conv() && !per_plane_depthwise(l.conv(), l.in_dims.d);
 }
 
 template <typename T>
@@ -99,40 +91,23 @@ T* ensure(std::vector<T>& v, i64 n, i64& growths) {
 
 }  // namespace
 
-WeightMode fast_mode(const Layer& l) {
-  return l.is_conv() ? conv_fast_mode(l.conv(), l.in_dims.d)
-                     : WeightMode::kDeepWindow;
-}
-
-WeightMode classify_weights(const std::int16_t* weights, i64 rows,
-                            i64 row_len, WeightMode fast) {
-  const bool ok =
-      fast == WeightMode::kDeepWindow
-          ? simd::deep_window_ok(weights, row_len, rows, row_len)
-          : simd::filter_sum_ok(weights, row_len, rows, row_len);
-  return ok ? fast : WeightMode::kExact;
-}
-
 PackPlan pack_plan(const Layer& l) {
   CBRAIN_CHECK(l.is_conv() || l.is_fc(), "only conv and FC layers pack");
-  const WeightMode fast = fast_mode(l);
-  if (fast == WeightMode::kTile) {
+  if (tile_layout(l)) {
     const TileShape ts = tile_shape(l.conv(), l.in_dims.d);
-    return {fast, l.conv().groups * ts.blocks, ts.block_elems()};
+    return {l.conv().groups * ts.blocks, ts.block_elems()};
   }
   const i64 dout = l.is_conv() ? l.conv().dout : l.fc().dout;
   const i64 row_len = l.weight_dims().count() / dout;
-  return {fast, dout,
-          fast == WeightMode::kDepthwise ? row_len : gemm_row_stride(row_len)};
+  return {dout, l.is_fc() ? gemm_row_stride(row_len) : row_len};
 }
 
-WeightMode pack_units(const Layer& l, const PackPlan& plan, const Fixed16* w,
-                      i64 first, i64 count, std::int16_t* pack) {
+bool pack_units(const Layer& l, const PackPlan& plan, const Fixed16* w,
+                i64 first, i64 count, std::int16_t* pack) {
   const std::int16_t* src = raw_s16(w);
-  if (plan.fast != WeightMode::kTile) {
+  if (!tile_layout(l)) {
     // One row per unit: a straight copy (depthwise) or a copy with a zero
-    // tail up to the GEMM stride (FC), classified on what the kernel
-    // reads — the deep-window windows include the padded tail group.
+    // tail up to the GEMM stride (FC), checked on what the kernel reads.
     const i64 row_len = l.weight_dims().count() / plan.units;
     const i64 stride = plan.unit_elems;
     std::int16_t* dst = pack + first * stride;
@@ -142,7 +117,7 @@ WeightMode pack_units(const Layer& l, const PackPlan& plan, const Fixed16* w,
       std::fill(dst + o * stride + row_len, dst + (o + 1) * stride,
                 std::int16_t{0});
     }
-    return classify_weights(dst, count, stride, plan.fast);
+    return !simd::filter_sum_ok(dst, stride, count, stride);
   }
   const TileShape ts = tile_shape(l.conv(), l.in_dims.d);
   const i64 row_len = ts.din_g * ts.taps;  // one Tensor4 filter
@@ -153,9 +128,9 @@ WeightMode pack_units(const Layer& l, const PackPlan& plan, const Fixed16* w,
   }
   // The blocks cover one contiguous run of filters.
   const i64 f0 = block_filter_begin(ts, first);
-  return classify_weights(src + f0 * row_len,
-                          block_filter_end(ts, first + count - 1) - f0,
-                          row_len, plan.fast);
+  return !simd::filter_sum_ok(src + f0 * row_len, row_len,
+                              block_filter_end(ts, first + count - 1) - f0,
+                              row_len);
 }
 
 TileStaging tile_staging(i64 rows, i64 cols, i64 out_rows, i64 k, i64 stride,
@@ -404,7 +379,7 @@ void tile_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
 void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                        const PackedRows& packed_weights,
                        const std::vector<Fixed16::acc_t>& bias_acc,
-                       const ConvParams& p, WeightMode mode,
+                       const ConvParams& p, bool exact,
                        KernelScratch& scratch,
                        const std::vector<Tensor3<Fixed16>*>& outputs) {
   const i64 batch = static_cast<i64>(inputs.size());
@@ -422,11 +397,7 @@ void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
     CBRAIN_CHECK(outputs[b]->dims() == od,
                  "conv2d_func_batch output tensor not pre-shaped");
   }
-  const WeightMode fast = conv_fast_mode(p, in.d);
-  CBRAIN_CHECK(mode == fast || mode == WeightMode::kExact,
-               "conv weights classified for another kernel");
-  const bool exact = mode == WeightMode::kExact;
-  if (fast == WeightMode::kDepthwise)
+  if (per_plane_depthwise(p, in.d))
     depthwise_func_batch(inputs, packed_weights, bias_acc, p, exact, scratch,
                          outputs);
   else
@@ -564,7 +535,7 @@ void lrn_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
 void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                    const PackedRows& packed_weights,
                    const std::vector<Fixed16::acc_t>& bias_acc,
-                   const FCParams& p, WeightMode mode, KernelScratch& scratch,
+                   const FCParams& p, bool exact, KernelScratch& scratch,
                    const std::vector<Tensor3<Fixed16>*>& outputs) {
   using Tr = ArithTraits<Fixed16>;
   const i64 batch = static_cast<i64>(inputs.size());
@@ -597,7 +568,7 @@ void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                 std::int16_t{0});
   }
 
-  const MrhsFn mrhs = mrhs_kernel(mode);
+  const auto mrhs = exact ? simd::dot_s16_mrhs_exact : simd::dot_s16_mrhs;
   const i64 row_chunks = ceil_div(p.dout, kRowChunk);
   parallel::parallel_for(
       row_chunks,

@@ -19,11 +19,12 @@
 // tile's band (tile_staging below). A depthwise conv (dilation 1, one
 // filter per plane) stages each zero-padded plane on its own and runs
 // simd::dw_conv_s16. FC stays in the dot form: a B×din
-// activation matrix against the packed rows through the multi-RHS dot
-// kernels, so the weight stream is paid once per column block of images.
+// activation matrix against the packed rows through simd::dot_s16_mrhs,
+// so the weight stream is paid once per column block of images.
 //
 // Bit-exactness: every product is int16*int16, summed exactly — at int32
-// where a pack-time weight contract rules out overflow, else at int64 —
+// where the pack-time filter-sum check (simd::filter_sum_ok) rules out
+// overflow, else at int64 by the kernel's _exact twin —
 // with no intermediate rounding, so the sum is independent of
 // accumulation order and blocking: identical to conv2d_ref / fc_ref and
 // therefore to the simulator's outputs (tests/test_fidelity.cpp). Staged
@@ -50,25 +51,6 @@
 
 namespace cbrain::func {
 
-// The kernel a packed weight tensor runs on, decided once at pack time
-// (FuncExecutor::load_params):
-//   kDeepWindow — FC rows passing simd::deep_window_ok:
-//                 simd::dot_s16_mrhs_dw
-//   kDepthwise  — a dilation-1 depthwise conv whose filters pass
-//                 simd::filter_sum_ok: simd::dw_conv_s16 over staged planes
-//   kTile       — any other conv whose filters pass simd::filter_sum_ok:
-//                 simd::conv_tile_s16 over the staged phase planes
-//   kExact      — weights off their kernel's contract: the same layout
-//                 through the exact int64 kernel (dot_s16_mrhs,
-//                 dw_conv_s16_exact or conv_tile_s16_exact)
-// All produce bit-identical outputs; they differ only in speed.
-enum class WeightMode {
-  kExact = 0,
-  kDeepWindow = 1,
-  kDepthwise = 2,
-  kTile = 3
-};
-
 // Packed weights. The allocator default-initializes, so sizing a pack
 // does not zero it: the packer writes every element once, pad elements
 // included. (Construction with a value falls back to
@@ -90,37 +72,26 @@ using PackedRows =
 // weight packing and the FC activation matrix use this stride.
 inline i64 gemm_row_stride(i64 row_len) { return (row_len + 15) & ~i64{15}; }
 
-// True for a conv whose every output plane filters exactly one input
-// plane (depthwise, channel multiplier 1).
+// True for a conv that runs simd::dw_conv_s16: dilation 1 and every
+// output plane filtering exactly one input plane (depthwise, channel
+// multiplier 1). Every other conv runs simd::conv_tile_s16.
 inline bool per_plane_depthwise(const ConvParams& p, i64 din) {
-  return p.depthwise(din) && p.dout_per_group() == 1;
+  return p.depthwise(din) && p.dout_per_group() == 1 && p.dilation == 1;
 }
 
-// The fast kernel a conv or FC layer runs when its weights pass that
-// kernel's contract: kDeepWindow for FC, kDepthwise for a dilation-1
-// per-plane depthwise conv, kTile for every other conv. It also fixes the
-// layer's pack layout, which kExact shares.
-WeightMode fast_mode(const Layer& l);
-
-// `fast` when all `rows` weight rows of length `row_len` (contiguous)
-// pass its contract — simd::deep_window_ok for kDeepWindow,
-// simd::filter_sum_ok for kDepthwise and kTile — else kExact. Both
-// contracts are per-row properties, so a layer qualifies when every run
-// of its rows does.
-WeightMode classify_weights(const std::int16_t* weights, i64 rows,
-                            i64 row_len,
-                            WeightMode fast = WeightMode::kDeepWindow);
-
-// A layer's packed weights are `units` runs of `unit_elems` int16:
-//   FC          — one row per output, at gemm_row_stride(din), zero tail;
-//   kDepthwise  — one k*k filter per output plane;
-//   kTile       — per group, ceil(dout_g / simd::kTileOuts) blocks of
-//                 kTileOuts output channels, each laid out (channel pair,
-//                 tap, output, pair half) as simd::ConvTile reads it;
-//                 filters past dout_g and the partner of an odd last
-//                 channel are zeros.
+// A layer's packed weights are `units` runs of `unit_elems` int16, laid
+// out for the kernel the layer runs:
+//   FC                  — one row per output, at gemm_row_stride(din),
+//                         zero tail (simd::dot_s16_mrhs);
+//   per_plane_depthwise — one k*k filter per output plane
+//                         (simd::dw_conv_s16);
+//   any other conv      — per group, ceil(dout_g / simd::kTileOuts)
+//                         blocks of kTileOuts output channels, each laid
+//                         out (channel pair, tap, output, pair half) as
+//                         simd::ConvTile reads it (simd::conv_tile_s16);
+//                         filters past dout_g and the partner of an odd
+//                         last channel are zeros.
 struct PackPlan {
-  WeightMode fast = WeightMode::kExact;
   i64 units = 0;
   i64 unit_elems = 0;
 };
@@ -128,10 +99,12 @@ PackPlan pack_plan(const Layer& l);
 
 // Packs units [first, first + count) of layer `l` from its Tensor4
 // weights `w` into `pack` (the layer's whole pack, plan.units *
-// plan.unit_elems elements) and classifies the filters they cover:
-// plan.fast when every one passes its contract, else kExact.
-WeightMode pack_units(const Layer& l, const PackPlan& plan, const Fixed16* w,
-                      i64 first, i64 count, std::int16_t* pack);
+// plan.unit_elems elements) and checks the filters they cover against
+// simd::filter_sum_ok. Returns true — the layer must run its kernel's
+// _exact twin, on the same layout — when any of them fails. The contract
+// is per filter, so a layer packed in chunks is exact when any chunk is.
+bool pack_units(const Layer& l, const PackPlan& plan, const Fixed16* w,
+                i64 first, i64 count, std::int16_t* pack);
 
 // --- the tile kernel's stager and packer, shared by both tiers -----------
 //
@@ -208,17 +181,17 @@ struct KernelScratch {
 // Batched convolution on the staged pixel-form kernels: every image is
 // staged once, then (image, group, output-channel block, pixel range)
 // tasks run the tile kernel, or (image, plane) slices the depthwise one.
-// `packed_weights` is pack_units' layout for this layer and `mode` its
-// classification. All inputs share one shape; `outputs[b]` must be
-// pre-shaped {dout, oh, ow} spatial-major (the executor keeps them
-// resident across inferences). `bias_acc` is promote_bias()'s output
+// `packed_weights` is pack_units' layout for this layer; with `exact`
+// (what pack_units returned for it) the kernel's int64 twin runs. All
+// inputs share one shape; `outputs[b]` must be pre-shaped {dout, oh, ow}
+// spatial-major (the executor keeps them resident across inferences). `bias_acc` is promote_bias()'s output
 // (size dout). Each output element is one exact sum computed by one task,
 // so results are bit-identical at any worker count and batch size.
 // Allocates nothing beyond `scratch` growth.
 void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                        const PackedRows& packed_weights,
                        const std::vector<Fixed16::acc_t>& bias_acc,
-                       const ConvParams& p, WeightMode mode,
+                       const ConvParams& p, bool exact,
                        KernelScratch& scratch,
                        const std::vector<Tensor3<Fixed16>*>& outputs);
 
@@ -260,7 +233,7 @@ void lrn_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
 void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
                    const PackedRows& packed_weights,
                    const std::vector<Fixed16::acc_t>& bias_acc,
-                   const FCParams& p, WeightMode mode, KernelScratch& scratch,
+                   const FCParams& p, bool exact, KernelScratch& scratch,
                    const std::vector<Tensor3<Fixed16>*>& outputs);
 
 }  // namespace cbrain::func

@@ -1176,9 +1176,9 @@ class Executor {
     fc_acc_.resize(static_cast<std::size_t>(douts));
     parallel::parallel_for(ceil_div(douts, tout), [&](i64 g) {
       const i64 l0 = g * tout;
-      simd::dot_s16_mrhs(ivec, dins, 1, wbuf + l0 * wstride, wstride,
-                         std::min(tout, douts - l0), dins,
-                         fc_acc_.data() + l0, 1);
+      simd::dot_s16_mrhs_exact(ivec, dins, 1, wbuf + l0 * wstride, wstride,
+                               std::min(tout, douts - l0), dins,
+                               fc_acc_.data() + l0, 1);
     });
     for (i64 lane0 = in.dout0; lane0 < in.dout1; lane0 += tout) {
       const i64 L = std::min(tout, in.dout1 - lane0);

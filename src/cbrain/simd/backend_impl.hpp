@@ -154,9 +154,10 @@ struct KernelTable {
   void (*dot_s16_mrhs)(const std::int16_t*, std::int64_t, std::int64_t,
                        const std::int16_t*, std::int64_t, std::int64_t,
                        std::int64_t, std::int64_t*, std::int64_t);
-  void (*dot_s16_mrhs_dw)(const std::int16_t*, std::int64_t, std::int64_t,
-                          const std::int16_t*, std::int64_t, std::int64_t,
-                          std::int64_t, std::int64_t*, std::int64_t);
+  void (*dot_s16_mrhs_exact)(const std::int16_t*, std::int64_t,
+                             std::int64_t, const std::int16_t*, std::int64_t,
+                             std::int64_t, std::int64_t, std::int64_t*,
+                             std::int64_t);
   void (*dw_conv_s16)(const std::int16_t*, std::int64_t, std::int64_t,
                       const std::int16_t*, std::int64_t, std::int64_t,
                       std::int64_t, std::int64_t, bool, std::int16_t*,

@@ -172,54 +172,37 @@ void dot_s16_mrhs(const std::int16_t* data, i64 data_stride, i64 cols,
                         out, out_stride);
 }
 
-void dot_s16_mrhs_dw(const std::int16_t* data, i64 data_stride, i64 cols,
-                     const std::int16_t* weights, i64 row_stride, i64 rows,
-                     i64 n, Fixed16::acc_t* out, i64 out_stride) {
-  table()->dot_s16_mrhs_dw(data, data_stride, cols, weights, row_stride, rows,
-                           n, out, out_stride);
-}
-
-bool deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
-                    i64 n) {
-  // Per pmaddwd lane, the pairwise products summed over an aligned window
-  // of kDeepGroups 16-element groups must stay inside int32 for *any*
-  // int16 data, i.e. 32768 * sum(|w_2j| + |w_2j+1|) <= 2^31 - 1, so the
-  // per-lane window abs-sum bound is (2^31 - 1) / 32768 = 65535. Each
-  // window sums |w| per group element in int32 (at most
-  // kDeepGroups * 32768 = 2^19, no overflow) so the compiler vectorizes
-  // the inner loops; the final partial window (groups % kDeepGroups,
-  // covered by the kernel's last flush) is checked like a full one, and
-  // the n % 16 tail, which the kernel sums exactly, is ignored.
-  constexpr std::int32_t kLaneBound = 65535;
-  const i64 groups = n / 16;
-  for (i64 l = 0; l < rows; ++l) {
-    const std::int16_t* row = weights + l * row_stride;
-    for (i64 g0 = 0; g0 < groups; g0 += kDeepGroups) {
-      const std::int16_t* end =
-          row + std::min(groups, g0 + kDeepGroups) * 16;
-      std::int32_t elem[16] = {};
-      for (const std::int16_t* grp = row + g0 * 16; grp < end; grp += 16)
-        for (int e = 0; e < 16; ++e) {
-          const std::int32_t v = grp[e];
-          elem[e] += v < 0 ? -v : v;
-        }
-      bool over = false;
-      for (int j = 0; j < 8; ++j)
-        over |= elem[2 * j] + elem[2 * j + 1] > kLaneBound;
-      if (over) return false;
-    }
-  }
-  return true;
+void dot_s16_mrhs_exact(const std::int16_t* data, i64 data_stride, i64 cols,
+                        const std::int16_t* weights, i64 row_stride, i64 rows,
+                        i64 n, Fixed16::acc_t* out, i64 out_stride) {
+  table()->dot_s16_mrhs_exact(data, data_stride, cols, weights, row_stride,
+                              rows, n, out, out_stride);
 }
 
 bool filter_sum_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
                    i64 n) {
   // 32768 * sum|w| <= 32768 * 65535 = 2^31 - 32768 bounds |acc| for any
-  // int16 data. Each sum is at most n * 32768, kept in int64.
+  // int16 data. Each row sums |w| in 16 int32 lanes over blocks of
+  // kBlock elements, the shape the compiler vectorizes: a lane collects at
+  // most kBlock / 16 * 32768 = 2^25 per block, so none can overflow. The
+  // blocks add into an int64 sum, and a row stops at the first block that
+  // takes it past the bound.
+  constexpr i64 kBlock = 16 * 1024;
   for (i64 l = 0; l < rows; ++l) {
     const std::int16_t* row = weights + l * row_stride;
     i64 sum = 0;
-    for (i64 i = 0; i < n; ++i) sum += row[i] < 0 ? -i64{row[i]} : row[i];
+    for (i64 b = 0; b < n && sum <= kFilterSumBound; b += kBlock) {
+      const i64 end = std::min(n, b + kBlock);
+      std::int32_t lane[16] = {};
+      i64 i = b;
+      for (; i + 16 <= end; i += 16)
+        for (int e = 0; e < 16; ++e) {
+          const std::int32_t v = row[i + e];
+          lane[e] += v < 0 ? -v : v;
+        }
+      for (; i < end; ++i) sum += row[i] < 0 ? -i64{row[i]} : row[i];
+      for (const std::int32_t s : lane) sum += s;
+    }
     if (sum > kFilterSumBound) return false;
   }
   return true;

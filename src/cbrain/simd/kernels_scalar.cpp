@@ -70,9 +70,8 @@ void s_axpy_f32(float a, const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-// The deep-window and filter-sum contracts are strict subsets of
-// full-range inputs, so the exact references serve the contract slots
-// unchanged.
+// The filter-sum contract admits a strict subset of full-range inputs, so
+// the exact references serve its slots unchanged.
 constexpr KernelTable kTable = {
     s_dot_s16_mrhs, s_dot_s16_mrhs, dw_conv_rows, conv_tile_rows,
     max_rows,       add_run,        s_lrn_s16,    s_axpy_f32};

@@ -7,14 +7,12 @@
 // two data axes the paper's schemes put in the parallel lanes:
 //
 //   * dot form (input channels across the lanes) — the multi-RHS GEMM
-//     tiles dot_s16_mrhs (exact: cycle-tier FC and functional FC off the
-//     deep-window contract) and dot_s16_mrhs_dw (deep-window: functional
-//     FC);
+//     tile dot_s16_mrhs for functional FC, and dot_s16_mrhs_exact for
+//     cycle-tier FC;
 //   * pixel form (pixels across the lanes) — the conv kernels over a
 //     staged input: conv_tile_s16 for every cycle-tier conv tile (in its
 //     raw-sum mode) and every functional conv but a dilation-1 per-plane
-//     depthwise one, dw_conv_s16 for those planes, each with an exact
-//     int64 twin for weights off their contract;
+//     depthwise one, dw_conv_s16 for those planes;
 //
 // plus the host-side ops the paper runs beside the MAC array (the
 // max-pool reduction, the residual add and LRN) and the reference GEMM's
@@ -22,27 +20,27 @@
 //
 //   * AVX-VNNI — the AVX2 kernels with every madd + add_epi32 fused into
 //                one vpdpwssd (x86 with AVX-VNNI)
-//   * AVX2     — exact widening products / windowed _mm256_madd_epi16 (x86)
+//   * AVX2     — exact widening products / int32 _mm256_madd_epi16 (x86)
 //   * scalar   — portable fallback, the behavioural reference
 //
 // The two x86 backends are one kernel source (kernels_avx2.inc) compiled
 // in two units, -mavx2 and -mavx2 -mavxvnni; no kernel body is copied.
 // vpdpwssd without saturation is exactly acc + madd(x, w) with wrapping
-// int32 adds, so the contracts below admit both alike.
+// int32 adds, so the contract below admits both alike.
 //
-// Two weight contracts admit the int32 fast paths, each with an exact
-// checker: deep_window_ok (the dot form's lane windows) and filter_sum_ok
-// (both pixel-form kernels: one output sums its whole filter in one
-// lane). The exact kernels take any weights.
+// One weight contract admits every int32 fast path: filter_sum_ok, a
+// filter's (or an FC row's) sum of |w| at most kFilterSumBound, under
+// which one output's whole sum fits one int32 lane. Each fast kernel X
+// has a twin X_exact that takes any weights and sums in int64.
 //
 // Bit-exactness contract: every kernel here performs *integer* arithmetic
 // whose result is independent of evaluation order (addition over Z is
 // associative and commutative, and accumulators are wide enough never to
 // wrap — products of int16 are ≤ 2^30, acc_t is int64, and the int32
-// sums of the deep-window and pixel-form kernels are bounded by their
-// weight contracts). Every backend therefore returns bit-identical
-// results for every input, and the simulator's outputs, accumulators and
-// traffic counters are byte-equal under CBRAIN_SIMD=scalar|avx2|avxvnni.
+// sums of the fast kernels are bounded by the filter-sum contract). Every
+// backend therefore returns bit-identical results for every input, and
+// the simulator's outputs, accumulators and traffic counters are
+// byte-equal under CBRAIN_SIMD=scalar|avx2|avxvnni.
 // The tests enforce this over supported_backends().
 // The float axpy kernel keeps the same guarantee by computing each
 // element independently as y[i] + a*x[i] (no FMA, no reassociation).
@@ -111,70 +109,38 @@ int env_resolve_count();
 // data + c*data_stride) against `rows` weight rows (row l starts at
 // weights + l*row_stride):
 //   out[l*out_stride + c] = dot(data_c, row_l, n)
-// This serves cycle-tier FC (one call per lane group) and functional-tier
-// FC weights that fail deep_window_ok. Streaming each weight vector
-// once per *block of columns* instead of once per column cuts the
-// L2/DRAM weight traffic per MAC by the column-block factor — the
-// dimension dynamic batching (multiple images) and pixel blocking (one
-// image) both map onto. Every output element is one exact int64 dot, so
-// results are bit-identical to the scalar reference element by element
-// on every backend.
+// Every weight row's first n elements must pass filter_sum_ok: each dot
+// then accumulates in int32 lanes and widens to int64 once. Functional FC
+// runs it. Streaming each weight vector once per *block of columns*
+// instead of once per column cuts the L2/DRAM weight traffic per MAC by
+// the column-block factor — the dimension dynamic batching (multiple
+// images) and pixel blocking (one image) both map onto. Every output
+// element is one exact integer dot, so results are bit-identical to the
+// scalar reference element by element on every backend.
 void dot_s16_mrhs(const std::int16_t* data, i64 data_stride, i64 cols,
                   const std::int16_t* weights, i64 row_stride, i64 rows,
                   i64 n, Fixed16::acc_t* out, i64 out_stride);
 
-// Groups of 16 int16 elements (one pmaddwd vector) per deep-accumulation
-// flush window; the contract below is stated over aligned windows of this
-// many groups.
-inline constexpr i64 kDeepGroups = 16;
+// dot_s16_mrhs for any weights, vectorized with exact widening products on
+// the x86 backends. Cycle-tier FC runs it (one call per lane group, on the
+// weight words as the fault hooks left them), and functional FC whose
+// rows fail filter_sum_ok.
+void dot_s16_mrhs_exact(const std::int16_t* data, i64 data_stride, i64 cols,
+                        const std::int16_t* weights, i64 row_stride, i64 rows,
+                        i64 n, Fixed16::acc_t* out, i64 out_stride);
 
-// dot_s16_mrhs under the strongest weight contract — the deep-window
-// path. The caller guarantees, for every weight row, every pmaddwd lane
-// j in [0, 8) and every aligned window of kDeepGroups consecutive
-// 16-element groups g:
-//
-//   32768 * sum_{g in window} (|w[g*16 + 2j]| + |w[g*16 + 2j + 1]|) < 2^31
-//
-// i.e. even with every data element at the int16 magnitude extreme, the
-// lane's pairwise products summed across the whole window stay inside
-// int32. That lets the kernel accumulate kDeepGroups pmaddwd results
-// with plain 32-bit adds and widen to int64 once per window instead of
-// once per group — the i32→i64 widening chain (the ALU bottleneck of a
-// per-group pmaddwd kernel) drops ~16x. deep_window_ok() is the exact
-// checker; fan-in-scaled weights (ref/params.hpp) pass it with orders of
-// magnitude to spare, and weights that fail it stay on dot_s16_mrhs. Its
-// one caller is functional-tier FC. The contract is on weights only: for
-// any data, the result is exact.
-// Every output element is still one exact integer dot, so results are
-// bit-identical to the scalar reference for every input satisfying the
-// contract.
-void dot_s16_mrhs_dw(const std::int16_t* data, i64 data_stride, i64 cols,
-                     const std::int16_t* weights, i64 row_stride, i64 rows,
-                     i64 n, Fixed16::acc_t* out, i64 out_stride);
-
-// Exact checker for the dot_s16_mrhs_dw contract over `rows` weight rows
-// of length n starting at row_stride intervals (the n % 16 tail, which
-// the kernel sums exactly, is not checked). O(rows * n) and vectorized:
-// the functional tier runs it once per packed FC weight tensor. The
-// contract also rules out the pmaddwd pair wrap, so a lone -32768 weight
-// among small ones passes.
-bool deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
-                    i64 n);
-
-// The filter-sum contract of both pixel-form kernels: every filter's
-// sum of |w| is at most kFilterSumBound. A pixel-form output sums its
-// whole filter in one i32 lane, so |acc| <= 32768 * 65535 < 2^31 for any
-// int16 data, and so is every partial sum; no madd pair can wrap either
-// (that needs two -32768 weights, a sum of 65536). He-uniform weights
-// reach ~21k at fan-in 4608, the fan-in-scaled zoo weights far less.
+// The filter-sum contract of every fast kernel: every filter's (FC row's)
+// sum of |w| is at most kFilterSumBound. One output sums its whole filter
+// in one i32 lane, so |acc| <= 32768 * 65535 < 2^31 for any int16 data,
+// and so is every partial sum; no madd pair can wrap either (that needs
+// two -32768 weights, a sum of 65536). He-uniform weights reach ~21k at
+// fan-in 4608, the fan-in-scaled zoo weights far less.
 inline constexpr i64 kFilterSumBound = 65535;
 
 // Exact checker for the filter-sum contract over `rows` filters of n
-// weights at row_stride intervals. It differs from deep_window_ok, which
-// bounds each madd lane pair across a window of the dot form: here the
-// bound is on the whole filter. The functional tier runs it once per
-// packed conv layer, the cycle tier once per conv tile block on the
-// weight words as the fault hooks left them.
+// weights at row_stride intervals, vectorized. The functional tier runs it
+// once per packed conv or FC layer, the cycle tier once per conv tile
+// block on the weight words as the fault hooks left them.
 bool filter_sum_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
                    i64 n);
 

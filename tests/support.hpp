@@ -166,14 +166,13 @@ inline void expect_func_matches_sim_per_layer(
 }
 
 // The functional tier's packing rule, restated serially from each layer's
-// shape. FC: every row copied into a zero-padded gemm_row_stride slot,
-// kDeepWindow when every padded row passes simd::deep_window_ok. A
-// dilation-1 per-plane depthwise conv: its k*k filters back to back,
-// kDepthwise when every filter passes simd::filter_sum_ok. Any other conv:
-// per group, ceil(dout_g / kTileOuts) blocks of simd::kTileOuts output
-// channels, each laid out (channel pair, tap, output, pair half) with
-// zeros past dout_g and for the partner of an odd last channel, kTile
-// when every filter passes simd::filter_sum_ok. Otherwise kExact. Asserts
+// shape. FC: every row copied into a zero-padded gemm_row_stride slot. A
+// dilation-1 per-plane depthwise conv: its k*k filters back to back. Any
+// other conv: per group, ceil(dout_g / kTileOuts) blocks of
+// simd::kTileOuts output channels, each laid out (channel pair, tap,
+// output, pair half) with zeros past dout_g and for the partner of an odd
+// last channel. Every layout runs exact when some filter or row fails
+// simd::filter_sum_ok, checked here one row at a time. Asserts
 // `packed` (FuncExecutor::load_params's chunked parallel pack) equals it
 // element for element, one row or block at a time so the biggest zoo
 // layers are not held twice.
@@ -194,7 +193,6 @@ inline void expect_pack_matches_serial(
       return pd.weights.raw_data()[o * row_len + i].raw();
     };
     bool fast = true;
-    func::WeightMode kernel = func::WeightMode::kDeepWindow;
     if (l.is_fc()) {
       const i64 stride = func::gemm_row_stride(row_len);
       ASSERT_EQ(static_cast<i64>(pl.weights.size()), dout * stride);
@@ -205,7 +203,7 @@ inline void expect_pack_matches_serial(
         ASSERT_TRUE(std::equal(row.begin(), row.end(),
                                pl.weights.begin() + o * stride))
             << "packed row " << o << " differs";
-        fast = fast && simd::deep_window_ok(row.data(), stride, 1, stride);
+        fast = fast && simd::filter_sum_ok(row.data(), stride, 1, stride);
       }
     } else {
       const ConvParams& p = l.conv();
@@ -215,15 +213,14 @@ inline void expect_pack_matches_serial(
           row[static_cast<std::size_t>(i)] = weight(o, i);
         fast = fast && simd::filter_sum_ok(row.data(), row_len, 1, row_len);
       }
-      if (func::per_plane_depthwise(p, l.in_dims.d) && p.dilation == 1) {
-        kernel = func::WeightMode::kDepthwise;
+      if (p.depthwise(l.in_dims.d) && p.dout_per_group() == 1 &&
+          p.dilation == 1) {
         ASSERT_EQ(static_cast<i64>(pl.weights.size()), dout * row_len);
         for (i64 i = 0; i < dout * row_len; ++i)
           ASSERT_EQ(pl.weights[static_cast<std::size_t>(i)],
                     pd.weights.raw_data()[i].raw())
               << "packed depthwise word " << i << " differs";
       } else {
-        kernel = func::WeightMode::kTile;
         const i64 din_g = p.din_per_group(l.in_dims.d);
         const i64 dout_g = p.dout_per_group();
         const i64 taps = p.k * p.k;
@@ -250,7 +247,7 @@ inline void expect_pack_matches_serial(
           }
       }
     }
-    EXPECT_EQ(pl.mode, fast ? kernel : func::WeightMode::kExact);
+    EXPECT_EQ(pl.exact, !fast);
     EXPECT_EQ(pl.bias_acc, func::promote_bias(pd.bias, dout));
   }
 }

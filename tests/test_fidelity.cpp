@@ -120,17 +120,16 @@ INSTANTIATE_TEST_SUITE_P(AllNets, ZooFidelity,
 
 // --- the fast path, pinned across the zoo ---------------------------------
 
-// Every conv/FC layer of every zoo net under the default init_net_params
-// scale passes the deep-window contract (the kernel of the cycle tier's
-// conv tiles and of functional FC), and every conv filter the filter-sum
-// contract (the functional tier's tile and depthwise kernels), at several
-// seeds. A silent fall to an exact kernel would keep every output bit and
-// cost several-fold in serving, so only this test would notice. Rows are
-// checked one at a time (both contracts are per-row properties) so
-// VGG-16's FC layers do not double peak memory.
-class ZooWeightMode : public ::testing::TestWithParam<int> {};
+// Every conv filter and FC row of every zoo net under the default
+// init_net_params scale passes the filter-sum contract, so every layer
+// packs for its fast kernel (tile, depthwise or the multi-RHS dot), at
+// several seeds. A silent fall to an exact kernel would keep every output
+// bit and cost several-fold in serving, so only this test would notice.
+// Rows are checked one at a time so VGG-16's FC layers do not double peak
+// memory.
+class ZooPack : public ::testing::TestWithParam<int> {};
 
-TEST_P(ZooWeightMode, EveryLayerPacksDeepWindow) {
+TEST_P(ZooPack, EveryLayerPacksFast) {
   const ZooEntry& z = kZoo[GetParam()];
   if (CBRAIN_TEST_SANITIZED && z.heavy)
     GTEST_SKIP() << "whole-net param synthesis too slow under sanitizers";
@@ -144,21 +143,13 @@ TEST_P(ZooWeightMode, EveryLayerPacksDeepWindow) {
           params.per_layer[static_cast<std::size_t>(l.id)].weights;
       const i64 dout = l.is_conv() ? l.conv().dout : l.fc().dout;
       const i64 row_len = w.dims().count() / dout;
-      const i64 stride = func::gemm_row_stride(row_len);
-      row.assign(static_cast<std::size_t>(stride), 0);
+      row.resize(static_cast<std::size_t>(row_len));
       for (i64 o = 0; o < dout; ++o) {
         for (i64 i = 0; i < row_len; ++i)
           row[static_cast<std::size_t>(i)] =
               w.raw_data()[o * row_len + i].raw();
-        ASSERT_EQ(func::classify_weights(row.data(), 1, stride),
-                  func::WeightMode::kDeepWindow)
+        ASSERT_TRUE(simd::filter_sum_ok(row.data(), row_len, 1, row_len))
             << "seed " << seed << " layer " << l.name << " row " << o;
-        if (l.is_conv()) {
-          ASSERT_EQ(func::classify_weights(row.data(), 1, row_len,
-                                           func::fast_mode(l)),
-                    func::fast_mode(l))
-              << "seed " << seed << " layer " << l.name << " filter " << o;
-        }
       }
     }
   }
@@ -166,10 +157,9 @@ TEST_P(ZooWeightMode, EveryLayerPacksDeepWindow) {
 
 // FuncExecutor::load_params packs the whole net in one parallel pass
 // over chunks of pack units; it must equal the serial packing rule
-// (weights, bias_acc, mode) layer for layer, and every layer must land on
-// its fast kernel: MobileNetV1's depthwise layers on kDepthwise, every
-// other conv on kTile and every FC on kDeepWindow.
-TEST_P(ZooWeightMode, ParallelPackMatchesSerialReference) {
+// (weights, bias_acc, exact) layer for layer, and no layer may pack
+// exact.
+TEST_P(ZooPack, ParallelPackMatchesSerialReference) {
   const ZooEntry& z = kZoo[GetParam()];
   if (CBRAIN_TEST_SANITIZED && z.heavy)
     GTEST_SKIP() << "whole-net param synthesis too slow under sanitizers";
@@ -181,19 +171,12 @@ TEST_P(ZooWeightMode, ParallelPackMatchesSerialReference) {
   func::FuncExecutor func(net, compiled.value(), config);
   func.load_params(params);
   expect_pack_matches_serial(net, params, *func.packed_params());
-  for (const Layer& l : net.layers()) {
-    if (!l.is_conv() && !l.is_fc()) continue;
-    const bool depthwise =
-        l.is_conv() && func::per_plane_depthwise(l.conv(), l.in_dims.d);
-    EXPECT_EQ((*func.packed_params())[static_cast<std::size_t>(l.id)].mode,
-              depthwise      ? func::WeightMode::kDepthwise
-              : l.is_conv() ? func::WeightMode::kTile
-                             : func::WeightMode::kDeepWindow)
+  for (const Layer& l : net.layers())
+    EXPECT_FALSE((*func.packed_params())[static_cast<std::size_t>(l.id)].exact)
         << l.name;
-  }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllNets, ZooWeightMode,
+INSTANTIATE_TEST_SUITE_P(AllNets, ZooPack,
                          ::testing::Range(0, static_cast<int>(std::size(kZoo))),
                          [](const auto& info) {
                            return std::string(kZoo[info.param].name);
@@ -469,13 +452,12 @@ TEST(FidelityKnob, FaultInjectionRequiresCycleTier) {
 // --- pmaddwd fast-path fallback ------------------------------------------
 
 // The functional tier takes its int32 kernels only when a layer's weights
-// pass their contract (checked at pack time): FC the deep-window dot
-// (simd::deep_window_ok), conv the tile kernel (simd::filter_sum_ok).
-// Poisoning every 7th weight word with -32768 raws breaks the filter-sum
-// contract of every conv filter with two of them and flips each FC layer
-// whose lane windows collect two onto the full-range dot_s16_mrhs, while
-// a lone -32768 per lane stays on _dw. Either way the outputs must be
-// bit-identical to the simulator's.
+// pass the filter-sum contract (simd::filter_sum_ok, checked at pack
+// time), else their exact twins. Poisoning every 7th weight word with
+// -32768 raws breaks the contract of every conv filter and FC row with
+// two of them, which then run dot_s16_mrhs_exact or the exact conv
+// kernels. Either way the outputs must be bit-identical to the
+// simulator's.
 TEST(FastPathFallback, MinRawWeightsStayBitIdentical) {
   const Network net = zoo::tiny_cnn();
   auto params = init_net_params<Fixed16>(net, kSeed);

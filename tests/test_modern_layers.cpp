@@ -254,11 +254,12 @@ Tensor3<Fixed16> live_input(MapDims d, Rng& rng) {
 }
 
 // One depthwise layer packed the way FuncExecutor::load_params packs it:
-// its k*k filters back to back.
+// its k*k filters back to back, exact when one fails the filter-sum
+// contract.
 struct DwPack {
   func::PackedRows rows;
   std::vector<Fixed16::acc_t> bias_acc;
-  func::WeightMode mode = func::WeightMode::kExact;
+  bool exact = true;
 };
 
 DwPack pack_depthwise(const Tensor4<Fixed16>& w,
@@ -267,8 +268,7 @@ DwPack pack_depthwise(const Tensor4<Fixed16>& w,
   const i64 taps = w.dims().count() / dout;
   DwPack pk;
   for (const Fixed16 v : w.storage()) pk.rows.push_back(v.raw());
-  pk.mode = func::classify_weights(pk.rows.data(), dout, taps,
-                                   func::WeightMode::kDepthwise);
+  pk.exact = !simd::filter_sum_ok(pk.rows.data(), taps, dout, taps);
   pk.bias_acc = func::promote_bias(bias, dout);
   return pk;
 }
@@ -293,7 +293,7 @@ void expect_dw_batch_matches_ref(const std::vector<Tensor3<Fixed16>>& inputs,
     std::vector<Tensor3<Fixed16>*> out_ptrs;
     for (auto& t : got) out_ptrs.push_back(&t);
     func::KernelScratch scratch;
-    func::conv2d_func_batch(in_ptrs, pk.rows, pk.bias_acc, p, pk.mode,
+    func::conv2d_func_batch(in_ptrs, pk.rows, pk.bias_acc, p, pk.exact,
                             scratch, out_ptrs);
     for (std::size_t i = 0; i < want.size(); ++i)
       EXPECT_TRUE(tensors_equal(want[i], got[i]))
@@ -301,7 +301,7 @@ void expect_dw_batch_matches_ref(const std::vector<Tensor3<Fixed16>>& inputs,
   }
 }
 
-// The vectorized depthwise path (kDepthwise: zero-padded staging plus
+// The vectorized depthwise path (zero-padded staging plus
 // simd::dw_conv_s16) against conv2d_ref on full-range data, over every
 // kernel size, stride and pad MobileNet-style layers use, plane widths
 // 1..40 (not only multiples of the 8- and 16-lane blocks) and batches of
@@ -339,17 +339,17 @@ TEST(DepthwiseKernel, ScalarAndAvx2MatchReferenceOverShapeGrid) {
           for (i64 b = 0; b < batch; ++b)
             inputs.push_back(live_input({ch, height, width}, rng));
           const DwPack pk = pack_depthwise(w, bias);
-          ASSERT_EQ(pk.mode, func::WeightMode::kDepthwise);
+          ASSERT_FALSE(pk.exact);
           expect_dw_batch_matches_ref(inputs, w, bias, p, pk);
         }
 }
 
 // The contract is sum |w| <= 65535 per filter. At exactly 65535 against
 // all -32768 data every window sum is -32768 * (+-65535), one step inside
-// int32: the filter must classify kDepthwise and the kernel must be
-// exact on every backend. One more unit breaks the contract: the layer
-// classifies kExact and runs the same staged planes through the exact
-// int64 loop, still matching conv2d_ref.
+// int32: the filter must stay fast and the kernel must be exact on every
+// backend. One more unit breaks the contract: the layer packs exact and
+// runs the same staged planes through the exact int64 loop, still
+// matching conv2d_ref.
 TEST(DepthwiseKernel, ContractBoundaryIsExactAndOneMoreFallsBack) {
   for (const i64 k : {3, 5}) {
     const i64 taps = k * k;
@@ -371,7 +371,7 @@ TEST(DepthwiseKernel, ContractBoundaryIsExactAndOneMoreFallsBack) {
     for (auto& v : in.storage()) v = Fixed16::from_raw(-32768);
 
     const DwPack at_bound = pack_depthwise(w, bias);
-    EXPECT_EQ(at_bound.mode, func::WeightMode::kDepthwise) << "k=" << k;
+    EXPECT_FALSE(at_bound.exact) << "k=" << k;
     expect_dw_batch_matches_ref({in}, w, bias, p, at_bound);
 
     // The kernel itself, one row of 21 outputs (a 16-lane block and a
@@ -404,19 +404,17 @@ TEST(DepthwiseKernel, ContractBoundaryIsExactAndOneMoreFallsBack) {
     over.storage()[taps] = Fixed16::from_raw(
         static_cast<std::int16_t>(over.storage()[taps].raw() - 1));
     const DwPack past_bound = pack_depthwise(over, bias);
-    EXPECT_EQ(past_bound.mode, func::WeightMode::kExact) << "k=" << k;
+    EXPECT_TRUE(past_bound.exact) << "k=" << k;
     expect_dw_batch_matches_ref({in}, over, bias, p, past_bound);
   }
 }
 
 // A filter past the filter-sum contract (three taps of 30000: sum |w| =
-// 90000 + small) that still passes the deep-window one the cycle tier
-// checks (no pmaddwd lane pair reaches 65535): its layer packs kExact and
-// runs the same staged planes through the exact int64 loop, the other
-// depthwise layer stays on kDepthwise, the pack equals the serial rule,
-// and ref, cycle and functional tiers agree bit for bit. The layer's
-// planes spread over the pool, and every layer's bytes match at jobs 1
-// and 4.
+// 90000 + small): its layer packs exact and runs the same staged planes
+// through the exact int64 loop, the other depthwise layer stays fast,
+// the pack equals the serial rule, and ref, cycle and functional tiers
+// agree bit for bit. The layer's planes spread over the pool, and every
+// layer's bytes match at jobs 1 and 4.
 TEST(DepthwiseConv, ContractBreakingFilterTakesExactPlanes) {
   const Network net = depthwise_toy();
   auto params = init_net_params<Fixed16>(net, kSeed);
@@ -434,17 +432,8 @@ TEST(DepthwiseConv, ContractBreakingFilterTakesExactPlanes) {
   func.load_params(params);
   const auto& packed = *func.packed_params();
   expect_pack_matches_serial(net, params, packed);
-  EXPECT_EQ(packed[static_cast<std::size_t>(dw1)].mode,
-            func::WeightMode::kExact);
-  EXPECT_EQ(packed[static_cast<std::size_t>(dw2)].mode,
-            func::WeightMode::kDepthwise);
-  // The cycle tier stages the filters as 16-wide rows.
-  std::vector<std::int16_t> rows(4 * 16, 0);
-  for (i64 o = 0; o < 4; ++o)
-    for (i64 t = 0; t < 9; ++t)
-      rows[static_cast<std::size_t>(o * 16 + t)] =
-          w.raw_data()[o * 9 + t].raw();
-  EXPECT_TRUE(simd::deep_window_ok(rows.data(), 16, 4, 16));
+  EXPECT_TRUE(packed[static_cast<std::size_t>(dw1)].exact);
+  EXPECT_FALSE(packed[static_cast<std::size_t>(dw2)].exact);
 
   BackendGuard guard;
   for (simd::Backend b : simd::supported_backends()) {
@@ -486,8 +475,8 @@ TEST(DepthwiseConv, FunctionalMatchesCycleLayerByLayer) {
 }
 
 // load_params splits big layers into several chunks of pack units and
-// ANDs their contract checks: a breaking filter in a later chunk must
-// still demote the whole layer. 8400 depthwise filters, a 10-row FC over
+// ORs their exact flags: a breaking filter in a later chunk must still
+// demote the whole layer. 8400 depthwise filters, a 10-row FC over
 // 134,400 inputs and a 1x1 tile conv of 24 filters over 8400 channels (4
 // blocks of 50,400 packed words) span several chunks each; one late
 // filter of each breaks its contract.
@@ -504,7 +493,7 @@ TEST(DepthwiseConv, LateChunkBreakingRowDemotesWholeLayer) {
   ASSERT_TRUE(net2.validate().is_ok());
   auto params = init_net_params<Fixed16>(net, kSeed);
   auto params2 = init_net_params<Fixed16>(net2, kSeed);
-  const auto modes = [](const Network& n, const NetParamsData<Fixed16>& pd,
+  const auto exact = [](const Network& n, const NetParamsData<Fixed16>& pd,
                         std::vector<LayerId> ids) {
     auto compiled =
         compile_network(n, Policy::kAdaptive2, AcceleratorConfig{});
@@ -513,35 +502,32 @@ TEST(DepthwiseConv, LateChunkBreakingRowDemotesWholeLayer) {
                                                   AcceleratorConfig{});
     f->load_params(pd);
     expect_pack_matches_serial(n, pd, *f->packed_params());
-    std::vector<func::WeightMode> m;
+    std::vector<bool> m;
     for (const LayerId id : ids)
-      m.push_back((*f->packed_params())[static_cast<std::size_t>(id)].mode);
+      m.push_back((*f->packed_params())[static_cast<std::size_t>(id)].exact);
     return m;
   };
-  using func::WeightMode;
-  EXPECT_EQ(modes(net, params, {dw, fc}),
-            (std::vector{WeightMode::kDepthwise, WeightMode::kDeepWindow}));
-  EXPECT_EQ(modes(net2, params2, {pw}), (std::vector{WeightMode::kTile}));
+  EXPECT_EQ(exact(net, params, {dw, fc}), (std::vector{false, false}));
+  EXPECT_EQ(exact(net2, params2, {pw}), (std::vector{false}));
   auto& dww = params.per_layer[static_cast<std::size_t>(dw)].weights;
   for (const i64 tap : {0, 2, 4})
     dww.storage()[static_cast<std::size_t>(8350 * 9 + tap)] =
         Fixed16::from_raw(30000);
   auto& fcw = params.per_layer[static_cast<std::size_t>(fc)].weights;
-  for (const i64 g : {0, 1, 2})  // one pmaddwd lane, three groups
+  for (const i64 g : {0, 1, 2})  // row 7: sum |w| > 90000
     fcw.storage()[static_cast<std::size_t>(7 * 134400 + 16 * g)] =
         Fixed16::from_raw(30000);
   auto& pww = params2.per_layer[static_cast<std::size_t>(pw)].weights;
   for (const i64 c : {0, 2, 4})  // filter 20, in the last block
     pww.storage()[static_cast<std::size_t>(20 * 8400 + c)] =
         Fixed16::from_raw(30000);
-  EXPECT_EQ(modes(net, params, {dw, fc}),
-            (std::vector{WeightMode::kExact, WeightMode::kExact}));
-  EXPECT_EQ(modes(net2, params2, {pw}), (std::vector{WeightMode::kExact}));
+  EXPECT_EQ(exact(net, params, {dw, fc}), (std::vector{true, true}));
+  EXPECT_EQ(exact(net2, params2, {pw}), (std::vector{true}));
 }
 
 // A MobileNetV1-shaped depthwise layer (block3: 64 planes of 112x112,
 // 3x3 s2 pad 1) with one filter past the filter-sum contract: the layer
-// classifies kExact, and its staged planes through the exact int64 loop
+// packs exact, and its staged planes through the exact int64 loop
 // are byte-equal to conv2d_ref at jobs 1 and 4 on every backend, on
 // full-range data.
 TEST(DepthwiseConv, MobileNetShapedOffContractLayerMatchesReference) {
@@ -561,7 +547,7 @@ TEST(DepthwiseConv, MobileNetShapedOffContractLayerMatchesReference) {
   for (i64 o = 0; o < ch; ++o)
     bias.push_back(Fixed16::from_raw(draw_s16(rng, 4000)));
   const DwPack pk = pack_depthwise(w, bias);
-  ASSERT_EQ(pk.mode, func::WeightMode::kExact);
+  ASSERT_TRUE(pk.exact);
   std::vector<Tensor3<Fixed16>> inputs;
   inputs.push_back(live_input({ch, 112, 112}, rng));
   const i64 jobs_before = parallel::default_jobs();

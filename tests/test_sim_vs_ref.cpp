@@ -156,7 +156,7 @@ TEST(SimIntermediates, TinyCnnLayerByLayer) {
 // pairs per lane cancels to 0) where the exact sum saturates. Every
 // policy, with and without din chunking, must match the reference
 // executor under every supported backend.
-TEST(SimDeepWindow, ContractBreakingTileFallsBackToExactKernel) {
+TEST(SimConvTile, ContractBreakingBlockTakesExactKernel) {
   struct RestoreBackend {
     simd::Backend saved = simd::active_backend();
     ~RestoreBackend() { simd::select_backend(saved); }

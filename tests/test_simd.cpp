@@ -63,11 +63,11 @@ Fixed16::acc_t ref_dot(const std::int16_t* a, const std::int16_t* b, i64 n) {
   return acc;
 }
 
-// One exact dot through the exact kernel: dot_s16_mrhs with a single
-// column against a single row.
+// One exact dot through the exact kernel: dot_s16_mrhs_exact with a
+// single column against a single row.
 Fixed16::acc_t mrhs_dot(const std::int16_t* d, const std::int16_t* w, i64 n) {
   Fixed16::acc_t out = -1;
-  simd::dot_s16_mrhs(d, n, 1, w, n, 1, n, &out, 1);
+  simd::dot_s16_mrhs_exact(d, n, 1, w, n, 1, n, &out, 1);
   return out;
 }
 
@@ -149,8 +149,8 @@ TEST(SimdBitExact, DotFuzzLengthsAndMisalignments) {
   }
 }
 
-// dot_s16_mrhs, the exact kernel cycle-tier FC and out-of-contract conv
-// tiles run: every output is one exact dot for any int16 input, including
+// dot_s16_mrhs_exact, the kernel cycle-tier FC and out-of-contract
+// functional FC run: every output is one exact dot for any int16 input, including
 // the -32768 weight words a fault upset can produce. Full-range fuzz at
 // unaligned offsets with non-contiguous rows and columns, one weight row
 // of all -32768 and one data column of all -32768 (the pmaddwd pair-wrap
@@ -175,9 +175,9 @@ TEST(SimdBitExact, DotMrhsMatchesRowwiseReference) {
         for (i64 cols : {i64{1}, kCols}) {
           std::vector<Fixed16::acc_t> out(
               static_cast<std::size_t>(kRows * cols), -1);
-          simd::dot_s16_mrhs(data.data() + off, ds, cols,
-                             weights.data() + off, ws, kRows, n, out.data(),
-                             cols);
+          simd::dot_s16_mrhs_exact(data.data() + off, ds, cols,
+                                   weights.data() + off, ws, kRows, n,
+                                   out.data(), cols);
           for (i64 l = 0; l < kRows; ++l)
             for (i64 c = 0; c < cols; ++c)
               EXPECT_EQ(out[static_cast<std::size_t>(l * cols + c)],
@@ -303,152 +303,25 @@ TEST(SimdBitExact, AxpyMatchesScalarBackendBitwise) {
   }
 }
 
-// --- deep-window contract checker -----------------------------------------
+// --- filter-sum contract checker --------------------------------------------
 
-// The original lane-by-lane checker, kept as the reference: int64 sums
-// per pmaddwd lane, tested at every window boundary and once more at the
-// end for the final partial window; the n % 16 tail is not looked at.
-bool ref_deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
-                        i64 n) {
-  constexpr i64 kLaneBound = (i64{1} << 31) / 32768 - 1;  // 65535
-  const i64 groups = n / 16;
-  for (i64 l = 0; l < rows; ++l) {
-    const std::int16_t* row = weights + l * row_stride;
-    i64 lane_sum[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (i64 g = 0; g < groups; ++g) {
-      for (i64 j = 0; j < 8; ++j) {
-        const i64 a = row[g * 16 + 2 * j];
-        const i64 b = row[g * 16 + 2 * j + 1];
-        lane_sum[j] += (a < 0 ? -a : a) + (b < 0 ? -b : b);
-      }
-      if ((g + 1) % simd::kDeepGroups == 0) {
-        for (i64 j = 0; j < 8; ++j) {
-          if (lane_sum[j] > kLaneBound) return false;
-          lane_sum[j] = 0;
-        }
-      }
-    }
-    for (i64 j = 0; j < 8; ++j)
-      if (lane_sum[j] > kLaneBound) return false;
+// Plain int64 sums of |w|, the checker's reference.
+bool ref_filter_sum_ok(const std::int16_t* w, i64 stride, i64 rows, i64 n) {
+  for (i64 r = 0; r < rows; ++r) {
+    i64 sum = 0;
+    for (i64 i = 0; i < n; ++i) sum += std::abs(i64{w[r * stride + i]});
+    if (sum > 65535) return false;
   }
   return true;
 }
 
-// Random rows at magnitudes on both sides of the bound, odd lengths and
-// strides wider than the row: the checker decides exactly as the
-// reference, and both outcomes occur.
-TEST(DeepWindowChecker, MatchesReferenceOnRandomRows) {
-  Rng rng(4242);
-  const int scales[] = {100, 1000, 2047, 2048, 2500, 4000, 32767};
-  int accepted = 0, rejected = 0;
-  for (int trial = 0; trial < 3000; ++trial) {
-    const i64 n = static_cast<i64>(rng.next_u64() % 700);
-    const i64 stride = n + static_cast<i64>(rng.next_u64() % 3) * 19;
-    const i64 rows = 1 + static_cast<i64>(rng.next_u64() % 4);
-    const int scale = scales[rng.next_u64() % std::size(scales)];
-    std::vector<std::int16_t> w(static_cast<std::size_t>(rows * stride + 1));
-    for (auto& v : w)
-      v = static_cast<std::int16_t>(
-          static_cast<int>(rng.next_u64() % (2 * scale + 1)) - scale);
-    const bool want = ref_deep_window_ok(w.data(), stride, rows, n);
-    ASSERT_EQ(simd::deep_window_ok(w.data(), stride, rows, n), want)
-        << "trial " << trial << " n=" << n << " stride=" << stride
-        << " rows=" << rows << " scale=" << scale;
-    (want ? accepted : rejected) += 1;
-  }
-  EXPECT_GT(accepted, 100);
-  EXPECT_GT(rejected, 100);
-}
-
-TEST(DeepWindowChecker, MatchesReferenceOnEdgeCases) {
-  constexpr i64 kWindow = 16 * simd::kDeepGroups;  // elements per window
-  struct Case {
-    std::string name;
-    std::vector<std::int16_t> w;
-    i64 stride, rows, n;
-    bool ok;
-  };
-  std::vector<Case> cases;
-  // One lane (elements 2j and 2j+1 of each group) of a two-window row
-  // summing to `total` in window `win`, the rest zero.
-  auto lane_row = [&](i64 lane, i64 win, i64 total) {
-    std::vector<std::int16_t> w(static_cast<std::size_t>(2 * kWindow), 0);
-    for (i64 g = win * simd::kDeepGroups; total > 0; ++g)
-      for (i64 e = 2 * lane; e <= 2 * lane + 1 && total > 0; ++e) {
-        const i64 v = std::min<i64>(total, 32767);
-        w[static_cast<std::size_t>(g * 16 + e)] =
-            static_cast<std::int16_t>(g % 2 == 0 ? v : -v);
-        total -= v;
-      }
-    return w;
-  };
-  for (const i64 lane : {i64{0}, i64{3}, i64{7}})
-    for (const i64 win : {i64{0}, i64{1}}) {
-      const std::string at =
-          " lane " + std::to_string(lane) + " window " + std::to_string(win);
-      cases.push_back({"sum 65535" + at, lane_row(lane, win, 65535),
-                       2 * kWindow, 1, 2 * kWindow, true});
-      cases.push_back({"sum 65536" + at, lane_row(lane, win, 65536),
-                       2 * kWindow, 1, 2 * kWindow, false});
-    }
-  // A window's excess split across two windows passes; the same excess
-  // in the final partial window (3 groups past a full one) fails.
-  {
-    const i64 n = kWindow + 3 * 16;
-    std::vector<std::int16_t> split(static_cast<std::size_t>(n), 0);
-    split[0] = split[1] = 30000;
-    split[kWindow] = split[kWindow + 1] = 30000;
-    cases.push_back({"excess split across windows", split, n, 1, n, true});
-    std::vector<std::int16_t> tail_window = split;
-    tail_window[kWindow + 16] = 30000;
-    cases.push_back({"final partial window", tail_window, n, 1, n, false});
-    std::vector<std::int16_t> short_row(48, 0);
-    short_row[2] = short_row[18] = short_row[35] = 30000;
-    cases.push_back({"partial window only", short_row, 48, 1, 48, false});
-  }
-  // The n % 16 tail is summed exactly by the kernel and never checked.
-  {
-    const i64 n = kWindow + 7;
-    std::vector<std::int16_t> w(static_cast<std::size_t>(n), 5);
-    std::fill(w.begin() + kWindow, w.end(), std::int16_t{-32768});
-    cases.push_back({"n % 16 tail ignored", w, n, 1, n, true});
-  }
-  // A lone -32768 among small weights: 32768 + 3 <= 65535.
-  {
-    std::vector<std::int16_t> w(static_cast<std::size_t>(kWindow), 3);
-    w[5] = -32768;
-    cases.push_back({"lone -32768", w, kWindow, 1, kWindow, true});
-    w[4] = -32768;  // the same lane's pair partner: 65536 + ...
-    cases.push_back({"-32768 pair", w, kWindow, 1, kWindow, false});
-  }
-  // row_stride > n: words between n and the next row are not weights.
-  {
-    const i64 n = 40, stride = 73, rows = 3;
-    std::vector<std::int16_t> w(static_cast<std::size_t>(rows * stride),
-                                -32768);
-    for (i64 r = 0; r < rows; ++r)
-      std::fill_n(w.begin() + r * stride, n, std::int16_t{100});
-    cases.push_back({"row_stride > n, big gap words", w, stride, rows, n,
-                     true});
-    w[static_cast<std::size_t>(2 * stride + 1)] = -32768;
-    w[static_cast<std::size_t>(2 * stride + 17)] = -32768;
-    cases.push_back({"row_stride > n, bad last row", w, stride, rows, n,
-                     false});
-  }
-  cases.push_back({"empty", {}, 0, 0, 0, true});
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    EXPECT_EQ(ref_deep_window_ok(c.w.data(), c.stride, c.rows, c.n), c.ok);
-    EXPECT_EQ(simd::deep_window_ok(c.w.data(), c.stride, c.rows, c.n), c.ok);
-  }
-}
-
-// --- filter-sum contract checker --------------------------------------------
-
 // Random filters with their |w| sums on both sides of 65535, odd lengths
 // and strides wider than the filter: the checker decides exactly as a
 // plain int64 sum, and both outcomes occur; the bound itself passes and
-// one more unit fails.
+// one more unit fails. Then the checker's blocking: rows longer than its
+// int32 block, odd tails, all -32768 rows (whose lanes would overflow an
+// unblocked int32 sum), and sums of exactly 65535 and 65536 split across
+// a block boundary.
 TEST(FilterSumChecker, MatchesPlainSumAndBoundIsExact) {
   Rng rng(65535);
   int accepted = 0, rejected = 0;
@@ -461,12 +334,7 @@ TEST(FilterSumChecker, MatchesPlainSumAndBoundIsExact) {
     for (auto& v : w)
       v = static_cast<std::int16_t>(
           static_cast<i64>(rng.next_u64() % (2 * scale + 1)) - scale);
-    bool want = true;
-    for (i64 r = 0; r < rows; ++r) {
-      i64 sum = 0;
-      for (i64 i = 0; i < n; ++i) sum += std::abs(i64{w[r * stride + i]});
-      want = want && sum <= 65535;
-    }
+    const bool want = ref_filter_sum_ok(w.data(), stride, rows, n);
     ASSERT_EQ(simd::filter_sum_ok(w.data(), stride, rows, n), want)
         << "trial " << trial << " n=" << n << " rows=" << rows;
     (want ? accepted : rejected) += 1;
@@ -477,6 +345,47 @@ TEST(FilterSumChecker, MatchesPlainSumAndBoundIsExact) {
   EXPECT_TRUE(simd::filter_sum_ok(edge.data(), 2, 1, 2));
   edge[1] = -32768;
   EXPECT_FALSE(simd::filter_sum_ok(edge.data(), 2, 1, 2));
+
+  // Long rows, each with an odd tail: all -32768 rows up to 2^20 + 7
+  // elements, past the length at which one int32 lane summing a whole row
+  // would reach 2^31 and wrap; a row that breaks only in its tail; and
+  // sums of exactly 65535 and 65536 split across every power-of-two
+  // boundary inside the row, so across the checker's block boundaries
+  // wherever they lie.
+  for (const i64 n : {i64{16 * 1024 + 5}, i64{(1 << 16) + 9},
+                      i64{(1 << 20) + 7}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<std::int16_t> row(static_cast<std::size_t>(n), -32768);
+    EXPECT_FALSE(simd::filter_sum_ok(row.data(), n, 1, n)) << "all -32768";
+    // Two rows at a stride past n: the second breaks in its tail only.
+    const i64 stride = n + 3;
+    std::vector<std::int16_t> two(static_cast<std::size_t>(2 * stride), 0);
+    two[static_cast<std::size_t>(stride + n - 1)] = -32768;
+    two[static_cast<std::size_t>(stride + n - 2)] = -32768;
+    EXPECT_FALSE(simd::filter_sum_ok(two.data(), stride, 2, n)) << "tail";
+    two[static_cast<std::size_t>(stride + n - 2)] = 32767;
+    EXPECT_TRUE(simd::filter_sum_ok(two.data(), stride, 2, n)) << "tail";
+    // A sum of 65535, then 65536, split across each power-of-two
+    // boundary b inside the row: 32767 just before b, the rest just after.
+    for (i64 b = 16; b < n; b *= 2) {
+      std::vector<std::int16_t> split(static_cast<std::size_t>(n), 0);
+      split[static_cast<std::size_t>(b - 1)] = -32767;
+      split[static_cast<std::size_t>(b)] = 32767;
+      split[static_cast<std::size_t>(b + 1)] = 1;
+      ASSERT_EQ(ref_filter_sum_ok(split.data(), n, 1, n), true);
+      EXPECT_TRUE(simd::filter_sum_ok(split.data(), n, 1, n)) << "b=" << b;
+      split[static_cast<std::size_t>(b - 1)] = -32768;
+      EXPECT_FALSE(simd::filter_sum_ok(split.data(), n, 1, n)) << "b=" << b;
+    }
+    // Random weights in {-1, 0, 1}: sums of about 2n / 3, below the
+    // bound at the two shorter lengths and far above it at the longest.
+    Rng rng(static_cast<std::uint64_t>(n));
+    std::vector<std::int16_t> w(static_cast<std::size_t>(n));
+    for (auto& v : w)
+      v = static_cast<std::int16_t>(static_cast<int>(rng.next_u64() % 3) - 1);
+    EXPECT_EQ(simd::filter_sum_ok(w.data(), n, 1, n),
+              ref_filter_sum_ok(w.data(), n, 1, n));
+  }
 }
 
 // --- conv tile kernel ------------------------------------------------------
@@ -487,15 +396,15 @@ struct TileConv {
   Network net{"tile_conv"};
   LayerId id = 0;
   func::PackedRows pack;
-  func::WeightMode mode = func::WeightMode::kExact;
+  bool exact = true;
 
   TileConv(MapDims in, const ConvParams& p, const Tensor4<Fixed16>& w) {
     id = net.add_conv(net.add_input(in), "conv", p);
     const Layer& l = net.layer(id);
     const func::PackPlan plan = func::pack_plan(l);
     pack.resize(static_cast<std::size_t>(plan.units * plan.unit_elems));
-    mode = func::pack_units(l, plan, w.raw_data(), 0, plan.units,
-                            pack.data());
+    exact = func::pack_units(l, plan, w.raw_data(), 0, plan.units,
+                             pack.data());
   }
 };
 
@@ -515,15 +424,15 @@ Tensor3<Fixed16> extreme_input(MapDims d, Rng& rng) {
 }
 
 // conv2d_func_batch over `inputs` on the scalar and every vector backend
-// under the pack's mode, and under kExact (the exact kernel shares the
+// on the kernel the pack chose, and on the exact twin (which shares the
 // layout), each image byte-equal to conv2d_ref.
 void expect_tile_conv_matches_ref(const ConvParams& p,
                                   const Tensor4<Fixed16>& w,
                                   const std::vector<Fixed16>& bias,
                                   const std::vector<Tensor3<Fixed16>>& inputs,
-                                  func::WeightMode want_mode) {
+                                  bool want_exact) {
   const TileConv tc(inputs[0].dims(), p, w);
-  ASSERT_EQ(tc.mode, want_mode);
+  ASSERT_EQ(tc.exact, want_exact);
   const auto bias_acc = func::promote_bias(bias, p.dout);
   std::vector<const Tensor3<Fixed16>*> in_ptrs;
   std::vector<Tensor3<Fixed16>> want;
@@ -533,19 +442,19 @@ void expect_tile_conv_matches_ref(const ConvParams& p,
   }
   BackendGuard guard;
   for (const Backend b : simd::supported_backends())
-    for (const func::WeightMode m : {tc.mode, func::WeightMode::kExact}) {
+    for (const bool exact : {tc.exact, true}) {
       simd::select_backend(b);
       std::vector<Tensor3<Fixed16>> got;
       std::vector<Tensor3<Fixed16>*> out_ptrs;
       for (const auto& t : want) got.emplace_back(t.dims());
       for (auto& t : got) out_ptrs.push_back(&t);
       func::KernelScratch scratch;
-      func::conv2d_func_batch(in_ptrs, tc.pack, bias_acc, p, m, scratch,
+      func::conv2d_func_batch(in_ptrs, tc.pack, bias_acc, p, exact, scratch,
                               out_ptrs);
       for (std::size_t i = 0; i < want.size(); ++i)
         ASSERT_TRUE(test::tensors_equal(want[i], got[i]))
-            << simd::backend_name(b) << " mode " << static_cast<int>(m)
-            << " image " << i;
+            << simd::backend_name(b) << " exact " << exact << " image "
+            << i;
     }
 }
 
@@ -614,11 +523,9 @@ TEST(ConvTileKernel, ScalarAvx2AndExactMatchReferenceOverShapeGrid) {
             inputs.push_back(extreme_input(in, rng));
           // A dilation-1 per-plane depthwise shape runs the depthwise
           // kernel over the same staged planes idea.
-          const bool depthwise =
-              groups > 1 && din_g == 1 && dout_g == 1 && dilation == 1;
-          expect_tile_conv_matches_ref(p, w, bias, inputs,
-                                       depthwise ? func::WeightMode::kDepthwise
-                                                 : func::WeightMode::kTile);
+          ASSERT_EQ(func::per_plane_depthwise(p, in.d),
+                    groups > 1 && din_g == 1 && dout_g == 1 && dilation == 1);
+          expect_tile_conv_matches_ref(p, w, bias, inputs, false);
         }
   EXPECT_GE(ran, 100);
 }
@@ -626,7 +533,7 @@ TEST(ConvTileKernel, ScalarAvx2AndExactMatchReferenceOverShapeGrid) {
 // The contract edge: filters with sum |w| = 65535 against all -32768 data
 // sum to -32768 * (+-65535), inside int32, and take the tile kernel; one
 // more unit on a negative filter (whose int32 sum would then reach +2^31)
-// classifies the layer kExact, and the exact kernel still matches
+// packs the layer exact, and the exact kernel still matches
 // conv2d_ref. Odd din (a zero partner channel) and dout off the block.
 TEST(ConvTileKernel, FilterSumBoundTakesTileAndOneMoreTakesExact) {
   const ConvParams p{.dout = 7, .k = 3, .stride = 1, .pad = 1, .groups = 1};
@@ -642,12 +549,12 @@ TEST(ConvTileKernel, FilterSumBoundTakesTileAndOneMoreTakesExact) {
                                   Fixed16::from_raw(-5));
   Tensor3<Fixed16> in({din, 9, 37});
   for (auto& v : in.storage()) v = Fixed16::from_raw(-32768);
-  expect_tile_conv_matches_ref(p, w, bias, {in}, func::WeightMode::kTile);
+  expect_tile_conv_matches_ref(p, w, bias, {in}, false);
 
   Tensor4<Fixed16> over = w;
   over.storage()[static_cast<std::size_t>(row_len)] = Fixed16::from_raw(
       static_cast<std::int16_t>(over.storage()[row_len].raw() - 1));
-  expect_tile_conv_matches_ref(p, over, bias, {in}, func::WeightMode::kExact);
+  expect_tile_conv_matches_ref(p, over, bias, {in}, true);
 }
 
 // A batch whose staged images pass the tile path's staging budget (8 MB
@@ -664,7 +571,7 @@ TEST(ConvTileKernel, LargeImagesStageInSeveralPasses) {
   std::vector<Tensor3<Fixed16>> inputs;
   for (int b = 0; b < 2; ++b)
     inputs.push_back(extreme_input({2, 1030, 1030}, rng));
-  expect_tile_conv_matches_ref(p, w, bias, inputs, func::WeightMode::kTile);
+  expect_tile_conv_matches_ref(p, w, bias, inputs, false);
 }
 
 // --- raw-sum mode ------------------------------------------------------------

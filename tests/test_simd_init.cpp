@@ -37,8 +37,8 @@ TEST(SimdInit, ConcurrentFirstUseResolvesExactlyOnce) {
       ready.fetch_add(1);
       while (!go.load()) {
       }  // spin so all threads hit the first call together
-      simd::dot_s16_mrhs(data.data(), kN, 1, weights.data(), kN, 1, kN,
-                         &results[static_cast<std::size_t>(t)], 1);
+      simd::dot_s16_mrhs_exact(data.data(), kN, 1, weights.data(), kN, 1,
+                               kN, &results[static_cast<std::size_t>(t)], 1);
     });
   while (ready.load() < kThreads) {
   }
@@ -57,11 +57,11 @@ TEST(SimdInit, ConcurrentFirstUseResolvesExactlyOnce) {
 
   // Later calls never re-resolve, and explicit selection doesn't either.
   Fixed16::acc_t again = 0;
-  simd::dot_s16_mrhs(data.data(), kN, 1, weights.data(), kN, 1, kN, &again,
-                     1);
+  simd::dot_s16_mrhs_exact(data.data(), kN, 1, weights.data(), kN, 1, kN,
+                           &again, 1);
   ASSERT_TRUE(simd::select_backend("scalar"));
-  simd::dot_s16_mrhs(data.data(), kN, 1, weights.data(), kN, 1, kN, &again,
-                     1);
+  simd::dot_s16_mrhs_exact(data.data(), kN, 1, weights.data(), kN, 1, kN,
+                           &again, 1);
   EXPECT_EQ(simd::env_resolve_count(), 1);
 }
 

@@ -48,11 +48,12 @@ echo "=== Debug build: CBRAIN_DCHECK on ==="
 # invariants never run there. This leg keeps NDEBUG undefined (-O1 keeps
 # it near a minute on 4 cores) and runs the suites that index host
 # tensors hardest: the reference kernels, both simulator cross-checks,
-# the modern layers and the multi-chip slice/scatter paths.
+# the modern layers, the multi-chip slice/scatter paths, and the SIMD
+# kernels, their filter-sum checker and the batched functional tier.
 cmake -B build-ci-debug -S . -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS_DEBUG=-O1 >/dev/null
 DEBUG_TESTS=(test_tensor test_ref test_sim_dag test_sim_vs_ref
-  test_modern_layers test_multichip)
+  test_modern_layers test_multichip test_simd test_batch)
 cmake --build build-ci-debug -j "$JOBS" --target "${DEBUG_TESTS[@]}"
 for t in "${DEBUG_TESTS[@]}"; do
   "./build-ci-debug/tests/$t"
@@ -147,14 +148,14 @@ else
 fi
 
 echo "=== cycle tier: scalar and auto SIMD backends print identical bytes ==="
-# The cycle tier's conv value pass checks each tile's staged weight rows
-# (after the fault hooks) against the deep-window contract and runs the
-# deep-window dot when they pass, the exact dot when they do not; FC runs
+# The cycle tier's conv value pass checks each six-output block's weights
+# (after the fault hooks) against the filter-sum contract and runs the
+# tile kernel when they pass, its exact twin when they do not; FC runs
 # the exact dot. Either way the sums are exact, so counters, the cycle
 # trace and fault campaigns (upsets land in the buffer words the pass
 # reads, parity replays re-run it) must not depend on the backend. The
-# weight-site campaign upsets enough weight words that some conv tiles
-# (4 of 71 at --jobs=1) break the contract and take the exact fallback.
+# weight-site campaign upsets enough weight words that some conv blocks
+# break the contract and take the exact fallback.
 for simd in scalar auto; do
   ./build-ci-release/tools/cbrain_cli simulate alexnet --simd="$simd" \
     --trace-out="/tmp/cbrain_trace_$simd.json" > "/tmp/cbrain_sim_$simd.txt"
